@@ -74,10 +74,3 @@ LINE_X2_P7 = _make("line_x2_p7", 7, 2, ["x1"], "x2^2", data=[(2, 1)])
 GOOD_REDUCTION = (LINE_X1, LINE_X2, LINE_X3, LINE_X4, PARABOLA, THREEVAR, PLANE_LINE, LINE_X2_P5)
 BAD_REDUCTION = (BAD_LINE, BAD_LINE_P5)
 ALL = GOOD_REDUCTION + BAD_REDUCTION + (LINE_X2_P2, LINE_X2_P7)
-
-
-def by_name(name: str) -> Instance:
-    for instance in ALL:
-        if instance.name == name:
-            return instance
-    raise KeyError(name)

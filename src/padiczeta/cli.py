@@ -23,12 +23,7 @@ from pathlib import Path
 from . import __version__
 from .characters import enumerate_characters, trivial_character
 from .errors import BudgetExceeded, PadicZetaError, PoleSetMismatch, SchemaError
-from .expsum import (
-    build_stationary_phase_context,
-    decay_report,
-    exponential_sum,
-    stationary_phase_check,
-)
+from .expsum import decay_report, exponential_sum, stationary_phase_check
 from .mpoly import PolySystem, system_from_strings
 from .poincare import check_series_zeta_identity, poincare_series, solution_growth_bound
 from .ratfn import pole_analysis, pole_data_from_resolution, reconstruct_rational
@@ -55,6 +50,8 @@ SCHEMA_FIELDS = {
     "resolution_data",
     "budget",
 }
+
+EXPSUM_HEADER = ["m", "u", "re_direct", "im_direct", "re_form1", "im_form1", "abs", "normalized"]
 
 
 @dataclass
@@ -146,7 +143,6 @@ def _summary(out: Path, command: str, args, payload: dict) -> None:
             "command": command,
             "seed": args.seed,
             "version": __version__,
-            "workers": args.workers,
         }
     )
     _write_json(out / "summary.json", payload)
@@ -285,11 +281,7 @@ def cmd_expsum(problem: Problem, out: Path, args) -> int:
             rows.append(
                 [m, u, _fmt(value.real), _fmt(value.imag), "", "", _fmt(abs(value)), normalized]
             )
-    _write_csv(
-        out / "expsum.csv",
-        ["m", "u", "re_direct", "im_direct", "re_form1", "im_form1", "abs", "normalized"],
-        rows,
-    )
+    _write_csv(out / "expsum.csv", EXPSUM_HEADER, rows)
     _summary(out, "expsum", args, {"max_level": problem.max_level})
     return EXIT_OK
 
@@ -317,11 +309,7 @@ def cmd_sps_verify(problem: Problem, out: Path, args) -> int:
                 "",
             ]
         )
-    _write_csv(
-        out / "expsum.csv",
-        ["m", "u", "re_direct", "im_direct", "re_form1", "im_form1", "abs", "normalized"],
-        rows,
-    )
+    _write_csv(out / "expsum.csv", EXPSUM_HEADER, rows)
     passed = report.passed()
     _summary(
         out,
@@ -474,7 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--max-level", type=int, default=None, help="override max_level")
     parser.add_argument("--budget", type=int, default=None, help="override enumeration budget")
-    parser.add_argument("--workers", type=int, default=1, help="worker pool size (1 = sequential)")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized spot checks")
     parser.add_argument("--s", type=int, default=1, help="integer exponent for delta-check")
     parser.add_argument("--r-max", type=int, default=4, help="largest r for delta-check")
@@ -485,8 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.workers < 1:
-        parser.error("--workers must be >= 1")
     try:
         problem = load_problem(Path(args.spec))
     except SchemaError as exc:

@@ -84,6 +84,14 @@ class BadReductionInput(PadicZetaError):
     """Hensel enumeration called on a system without good reduction."""
 
 
+class WalkInvariantError(PadicZetaError):
+    """A lift-tree walk reached a node that breaks the tree's invariants.
+
+    Either a node does not satisfy the constraints at its own level, or
+    a walk had to descend past the level where it must have resolved.
+    """
+
+
 class NotStabilized(PadicZetaError):
     """A stabilization recount disagreed with the base count."""
 

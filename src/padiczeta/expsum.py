@@ -18,12 +18,12 @@ from typing import Sequence
 
 from .characters import MultChar, chi_value, gauss_sum, trivial_character
 from .errors import EvenPrimeUnsupported, MissingTable
-from .mpoly import MPoly, PolySystem, shift_rescale
+from .mpoly import PolySystem
 from .padic import ScaledUnit, psi_ratio
 from .ratfn import PoleData
-from .smoothing import Decomposition, measure_charts
+from .smoothing import Decomposition, measure_charts, recenter
 from .support import Support
-from .variety import DEFAULT_BUDGET, HenselLifter, hensel_lift_point, iter_hensel_points
+from .variety import DEFAULT_BUDGET, iter_hensel_points
 from .zeta import ShellTable, _chart_support, build_shell_table, conductor_vanishing_scan
 
 
@@ -59,14 +59,8 @@ def exponential_sum(
         decomposition = measure_charts(system, budget)
     total = 0.0 + 0.0j
     if m <= decomposition.L:
-        modulus = p**m
-        seen = set()
-        for chart in decomposition.charts:
-            key = tuple(c % modulus for c in chart.center)
-            if key in seen:
-                continue
-            seen.add(key)
-            total += psi_ratio(u * system.target.evaluate(key, modulus), p, m)
+        for key in decomposition.classes(m):
+            total += psi_ratio(u * system.target.evaluate(key, p**m), p, m)
     else:
         for chart in decomposition.charts:
             level = m - chart.L
@@ -98,10 +92,9 @@ def oscillatory_integral(
     dim = system.dim
     total = 0.0 + 0.0j
     for chart in decomposition.charts:
-        sup = _chart_support(support, chart, p)
-        if sup is None:
+        meets, sup = _chart_support(support, chart, p)
+        if not meets:
             continue
-        sup = None if sup == "full" else sup
         k = max(m - chart.L, sup.level if sup else 0, 1)
         chart_system = chart.as_system(p)
         target_mod = p**m
@@ -254,12 +247,14 @@ def stationary_phase_check(
     """Cross-validate direct exponential sums against the formula route.
 
     For every m the unit classes u run modulo p^min(m, c_cap); the
-    report carries the worst absolute discrepancy over all (m, u).  With
-    the full polydisc support the direct side is the plain exponential
-    sum; for a restricted support the formula computes the restricted
-    surface integral, so that is what the direct side evaluates.  The
-    formula consumes coefficients only up to max(m) - 1, so the default
-    table depth is max(m).
+    report carries the worst absolute discrepancy over all (m, u).  The
+    formula computes the surface integral of Psi(z f_l) over the
+    support, so that is what the direct side evaluates whenever it can
+    differ from the counting-normalized exponential sum: on a restricted
+    support, and on a decomposition with L > 0, whose chart weights
+    transport the measure.  Otherwise the direct side is the plain
+    exponential sum.  The formula consumes coefficients only up to
+    max(m) - 1, so the default table depth is max(m).
     """
     if context is None:
         context = build_stationary_phase_context(
@@ -271,7 +266,7 @@ def stationary_phase_check(
         )
     decomposition = context.table.decomposition
     p = system.p
-    restricted = support is not None and not support.is_full()
+    weighted = decomposition.L > 0 or (support is not None and not support.is_full())
     records = []
     worst = 0.0
     for m in m_values:
@@ -279,7 +274,7 @@ def stationary_phase_check(
         for u in range(1, u_mod):
             if u % p == 0:
                 continue
-            if restricted:
+            if weighted:
                 direct = oscillatory_integral(
                     system,
                     ScaledUnit(p, m, u),
@@ -378,7 +373,7 @@ def decomposed_expsum_check(
     left side is the plain image sum.  Requires m > L.
     """
     decomposition = measure_charts(system, budget)
-    p, n, dim = system.p, system.n, system.dim
+    p, dim = system.p, system.dim
     L = decomposition.L
     rows = []
     for m in m_values:
@@ -389,23 +384,12 @@ def decomposed_expsum_check(
         )
         rhs = 0.0 + 0.0j
         for chart in decomposition.charts:
-            chart_system = chart.as_system(p)
-            lifter = HenselLifter(p, n, chart.constraints, budget)
-            root = lifter.roots()[0]
-            y_lift = hensel_lift_point(chart_system, root, m, budget)
+            # the first point of the walk: the smallest-digit lift of the first root
+            y_lift = next(iter_hensel_points(chart.as_system(p), m, budget))
             x_rep = tuple(c + p**chart.L * y for c, y in zip(chart.center, y_lift))
-            shifted = system.target.substitute_affine(x_rep, p**chart.L)
-            const = shifted.constant_term()
-            nonconst = shifted - MPoly.constant(n, const)
-            e_l = nonconst.content_valuation(p)
-            assert e_l is not None and e_l >= chart.L, "target remainder must carry p^L"
-            remainder = MPoly(n, {expo: c // p**e_l for expo, c in nonconst.terms.items()})
             # chart variety relative to the accurate representative
-            constraints_rep = []
-            for g in chart.certificate.combined_constraints if chart.certificate else system.constraints:
-                _, resc = shift_rescale(g.substitute_affine(x_rep, 1), (0,) * n, chart.L, p)
-                constraints_rep.append(resc)
-            rep_system = PolySystem(p=p, n=n, constraints=tuple(constraints_rep), target=remainder)
+            const, e_l, rep_system = recenter(system, chart, x_rep)
+            remainder = rep_system.target
             inner = 0.0 + 0.0j
             scale = p ** (e_l - chart.L)
             for y in iter_hensel_points(rep_system, m - chart.L, budget):

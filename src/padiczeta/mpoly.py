@@ -427,15 +427,6 @@ def jacobian(
     return out
 
 
-def jacobian_int(system: PolySystem, point: Sequence[int], rows: Sequence[int], modulus: int) -> list[list[int]]:
-    """Same as jacobian but as plain integers mod `modulus` (internal fast path)."""
-    polys = system.all_polys()
-    return [
-        [polys[i - 1].partial(j).evaluate(point, modulus) for j in range(1, system.n + 1)]
-        for i in rows
-    ]
-
-
 def shift_rescale(f: MPoly, x0: Sequence[int], L: int, p: int) -> tuple[int, MPoly]:
     """Write f(x0 + p^L y) = p^e * f_L(y) with f_L not divisible by p.
 

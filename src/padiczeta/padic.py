@@ -127,10 +127,6 @@ class ScaledUnit:
             raise ValueError("u must be a unit modulo p")
         object.__setattr__(self, "u", u)
 
-    @property
-    def norm(self) -> int:
-        return self.p**self.m
-
 
 def fractional_part(z: ScaledUnit | PAdicApprox | int) -> Fraction:
     """{z}_p as an exact rational in [0, 1).

@@ -17,11 +17,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import BudgetExceeded, NoRecurrenceFound, ValidationFailed
-from .mpoly import MPoly, PolySystem, shift_rescale
+from .errors import NoRecurrenceFound, ValidationFailed
+from .mpoly import PolySystem
 from .ratfn import PoleData, RationalFn, reconstruct_rational
-from .smoothing import Decomposition, measure_charts
-from .variety import DEFAULT_BUDGET, HenselLifter, iter_congruence_points
+from .smoothing import Decomposition, measure_charts, recenter
+from .variety import (
+    DEFAULT_BUDGET,
+    DESCEND,
+    PRUNE,
+    BudgetMeter,
+    HenselLifter,
+    iter_congruence_points,
+    walk,
+)
+from .zeta import _tail_points
 
 
 def congruence_count(
@@ -40,31 +49,11 @@ def congruence_count(
         return 1
     if decomposition is None:
         decomposition = measure_charts(system, budget)
-    p = system.p
     if m <= decomposition.L:
-        modulus = p**m
-        classes = {tuple(c % modulus for c in chart.center) for chart in decomposition.charts}
-        return sum(1 for x in classes if system.target.evaluate(x, modulus) == 0)
-    total = 0
-    spent = 0
-    for chart in decomposition.charts:
-        lifter = decomposition.lifter(chart, budget)
-        L = chart.L
-        k = m - L
-        stack = [(root, 1) for root in lifter.roots()]
-        while stack:
-            spent += 1
-            if spent > budget:
-                raise BudgetExceeded(f"count walk exceeded budget {budget}")
-            y, j = stack.pop()
-            if chart.target.evaluate(y, p ** min(L + j, m)) != 0:
-                continue  # target valuation already determined below m
-            if j == k:
-                total += 1
-                continue
-            for child in lifter.children(y, j):
-                stack.append((child, j + 1))
-    return total
+        classes = decomposition.classes(m)
+        return sum(1 for x in classes if system.target.evaluate(x, system.p**m) == 0)
+    meter = BudgetMeter(budget)
+    return sum(sum(_tail_points(decomposition, c, m, None, meter)[0]) for c in decomposition.charts)
 
 
 def congruence_count_all_polys(system: PolySystem, m: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -220,31 +209,22 @@ def decomposed_count_check(
     requested m past the threshold.
     """
     decomposition = measure_charts(system, budget)
-    p, n = system.p, system.n
+    p = system.p
     L = decomposition.L
     if min(m_values) <= L:
         raise ValueError(f"the decomposed recount needs m > L = {L}")
     settle = max(m_values) - L
     threshold = L
     # per chart: None (unsolvable), "incomplete" (no exact center found),
-    # or (center, rescaled constraints, rescaled target, e_l)
+    # or (lifter of the rescaled constraints, rescaled target, e_l)
     prepared = []
+    meter = BudgetMeter(budget)  # shared by the solvability probes and the recounts
     for chart in decomposition.charts:
-        lifter = decomposition.lifter(chart, budget)
-
-        def solvable_at(j: int) -> bool:
-            stack = [(root, 1) for root in lifter.roots()]
-            while stack:
-                y, depth = stack.pop()
-                if chart.target.evaluate(y, p ** (chart.L + min(depth, j))) != 0:
-                    continue
-                if depth == j:
-                    return True
-                for child in lifter.children(y, depth):
-                    stack.append((child, depth + 1))
-            return False
-
-        statuses = [solvable_at(j) for j in range(1, settle + 1)]
+        # solvable at level j: some level-j chart point has target = 0 mod p^(L + j)
+        statuses = [
+            any(_tail_points(decomposition, chart, chart.L + j, None, meter)[0])
+            for j in range(1, settle + 1)
+        ]
         final = statuses[-1]
         first_stable = next(j for j in range(len(statuses)) if all(s == final for s in statuses[j:]))
         threshold = max(threshold, L + first_stable + 1)
@@ -255,19 +235,10 @@ def decomposed_count_check(
         if center is None:
             prepared.append("incomplete")
             continue
-        shifted = system.target.substitute_affine(center, p**L)
-        assert shifted.constant_term() == 0
-        e_l = shifted.content_valuation(p)
-        assert e_l is not None and e_l >= L, "target remainder must carry at least p^L"
-        rescaled_target = MPoly(n, {expo: c // p**e_l for expo, c in shifted.terms.items()})
-        source = (
-            chart.certificate.combined_constraints if chart.certificate else system.constraints
-        )
-        constraints = []
-        for g in source:
-            _, resc = shift_rescale(g.substitute_affine(center, 1), (0,) * n, L, p)
-            constraints.append(resc)
-        prepared.append((center, tuple(constraints), rescaled_target, e_l))
+        const, e_l, rep = recenter(system, chart, center)
+        assert const == 0, "an exact zero of the target leaves no constant term"
+        lifter = HenselLifter(p, system.n, rep.constraints, budget).smooth()
+        prepared.append((lifter, rep.target, e_l))
 
     rows = []
     for m in sorted(m_values):
@@ -280,20 +251,16 @@ def decomposed_count_check(
             if entry == "incomplete":
                 complete = False
                 break
-            _, constraints, rescaled_target, e_l = entry
+            lifter, rescaled_target, e_l = entry
             # p^(e_l - L) f_L(y) = 0 mod p^(m - L)  <=>  f_L(y) = 0 mod p^(m - e_l)
             need = max(m - e_l, 0)
             k = m - L
-            rep_lifter = HenselLifter(p, n, constraints, budget)
-            stack = [(root, 1) for root in rep_lifter.roots()]
-            while stack:
-                y, j = stack.pop()
+
+            def visit(y: tuple[int, ...], j: int):
                 if need and rescaled_target.evaluate(y, p ** min(j, need)) != 0:
-                    continue
-                if j == k:
-                    total += 1
-                    continue
-                for child in rep_lifter.children(y, j):
-                    stack.append((child, j + 1))
+                    return PRUNE
+                return 1 if j == k else DESCEND
+
+            total += sum(walk(lifter.roots(), lifter.children, visit, meter))
         rows.append(DecomposedCountRow(m=m, direct=direct, decomposed=total if complete else None))
     return DecomposedCountReport(threshold=threshold, rows=tuple(rows))

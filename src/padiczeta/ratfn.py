@@ -97,13 +97,6 @@ def poly_eval(a: Sequence[Fraction], t: Fraction) -> Fraction:
     return acc
 
 
-def poly_eval_complex(a: Sequence[Fraction], t: complex) -> complex:
-    acc = 0.0 + 0.0j
-    for c in reversed(list(a)):
-        acc = acc * t + complex(c)
-    return acc
-
-
 def _as_fractions(coeffs) -> Poly:
     return poly_trim([Fraction(c) for c in coeffs])
 
@@ -139,10 +132,6 @@ class RationalFn:
     def one() -> "RationalFn":
         return RationalFn((Fraction(1),), (Fraction(1),))
 
-    @staticmethod
-    def from_coeffs(num, den) -> "RationalFn":
-        return RationalFn(_as_fractions(num), _as_fractions(den))
-
     def is_zero(self) -> bool:
         return not self.num
 
@@ -162,9 +151,6 @@ class RationalFn:
         if den == 0:
             raise ZeroDivisionError(f"pole at t = {t}")
         return poly_eval(self.num, t) / den
-
-    def eval_complex(self, t: complex) -> complex:
-        return poly_eval_complex(self.num, t) / poly_eval_complex(self.den, t)
 
     def __add__(self, other: "RationalFn") -> "RationalFn":
         num = poly_add(poly_mul(self.num, other.den), poly_mul(other.num, self.den))
@@ -412,7 +398,6 @@ class CandidateMatch:
     """Result of a successful candidate-pole divisibility check."""
 
     multiplicities: tuple[tuple[int, int, int], ...]  # (N, v, mult used)
-    residual_degree: int
 
 
 def candidate_pole_check(
@@ -454,4 +439,4 @@ def candidate_pole_check(
             f"candidate factors {list(data)} with multiplicities <= {cap}"
         )
     mult = tuple((N, v, m) for (N, v), m in zip(data, used))
-    return CandidateMatch(multiplicities=mult, residual_degree=0)
+    return CandidateMatch(multiplicities=mult)

@@ -22,11 +22,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from .characters import MultChar, chi_value
-from .errors import BudgetExceeded
 from .mpoly import PolySystem
 from .padic import ScaledUnit, int_valuation, psi_ratio
 from .support import Support
-from .variety import DEFAULT_BUDGET
+from .variety import DEFAULT_BUDGET, DESCEND, PRUNE, BudgetMeter, truncated_tree, walk
 from .zeta import build_shell_table
 
 # The delta_r scale factor p^(r(l-1)); isolated so falsification tests can
@@ -63,56 +62,29 @@ def _ambient_walk(system: PolySystem, r: int, depth: int, support: Support | Non
     enumerated; mult counts the collapsed sibling classes.
     """
     p, n = system.p, system.n
-    spent = 0
+    settle = max(r, support.level if support is not None else 0, 1)
+    pinned = [i for i in range(n) if not any(expo[i] for expo in system.target.terms)]
     all_digits = list(itertools.product(range(p), repeat=n))
-    active = [i for i in range(n) if any(expo[i] for expo in system.target.terms)]
-    inactive = n - len(active)
-    active_digits = []
-    for combo in itertools.product(range(p), repeat=len(active)):
-        digit = [0] * n
-        for i, d in zip(active, combo):
-            digit[i] = d
-        active_digits.append(tuple(digit))
+    active_digits = [d for d in all_digits if not any(d[i] for i in pinned)]
+    roots, children = truncated_tree(
+        p, n, system.constraints, r, lambda j: active_digits if j >= settle else all_digits, budget
+    )
 
-    def descend(x: tuple[int, ...], j: int, mult: int):
-        nonlocal spent
-        spent += 1
-        if spent > budget:
-            raise BudgetExceeded(f"ambient walk exceeded budget {budget}")
+    def visit(x: tuple[int, ...], j: int):
         if support is not None and not support.admits_prefix(x, j, p):
-            return
-        settled = j >= r and (support is None or j >= support.level)
-        if settled:
+            return PRUNE
+        mult = p ** (len(pinned) * max(0, j - settle))
+        if j >= settle:
             value = system.target.evaluate(x, p**depth)
             v = int_valuation(value % p**j, p)
             if v is not None:
-                yield x, j, ("resolved", v, value), mult
-                return
-            if j == depth:
-                yield x, j, ("deep", None, 0), mult
-                return
-        elif j == depth:
-            # constraints or support still unresolved at the scan depth
-            yield x, j, ("deep", None, 0), mult
-            return
-        step = p**j
-        modulus = step * p
-        if settled:
-            # no filtering below: collapse the target-inactive coordinates
-            for digit in active_digits:
-                child = tuple(c + step * d for c, d in zip(x, digit))
-                yield from descend(child, j + 1, mult * p**inactive)
-            return
-        for digit in all_digits:
-            child = tuple(c + step * d for c, d in zip(x, digit))
-            if j < r and any(f.evaluate(child, modulus) != 0 for f in system.constraints):
-                continue
-            yield from descend(child, j + 1, mult)
+                return x, j, ("resolved", v, value), mult
+        if j == depth:
+            # target, constraints or support still unresolved at the scan depth
+            return x, j, ("deep", None, 0), mult
+        return DESCEND
 
-    for x0 in itertools.product(range(p), repeat=n):
-        if r >= 1 and any(f.evaluate(x0, p) != 0 for f in system.constraints):
-            continue
-        yield from descend(x0, 1, 1)
+    return walk(roots, children, visit, BudgetMeter(budget))
 
 
 def delta_integral(
@@ -172,38 +144,26 @@ def delta_oscillatory(
     walk terminates with no tail: every subtree is resolved once its
     target value mod p^m and its constraint digits are fixed.
     """
-    p, l = system.p, system.l
+    p, n = system.p, system.n
     m = z.m
-    scale = _delta_scale(p, r, l)
-    total = 0.0 + 0.0j
-    spent = 0
-    digits = list(itertools.product(range(p), repeat=system.n))
+    scale = _delta_scale(p, r, system.l)
+    settle = max(r, m, support.level if support is not None else 0)
+    all_digits = list(itertools.product(range(p), repeat=n))
+    roots, children = truncated_tree(p, n, system.constraints, r, lambda j: all_digits, budget)
 
-    def descend(x: tuple[int, ...], j: int):
-        nonlocal total, spent
-        spent += 1
-        if spent > budget:
-            raise BudgetExceeded(f"ambient walk exceeded budget {budget}")
+    def visit(x: tuple[int, ...], j: int):
         if support is not None and not support.admits_prefix(x, j, p):
-            return
-        if j >= max(r, m) and (support is None or j >= support.level):
-            # Psi(z f_l) is locally constant from here on: the subtree sum
-            # is exact with no tail
-            value = system.target.evaluate(x, p**m)
-            total += psi_ratio(z.u * value, p, m) * scale / p ** (j * system.n)
-            return
-        step = p**j
-        modulus = step * p
-        for digit in digits:
-            child = tuple(c + step * d for c, d in zip(x, digit))
-            if j < r and any(f.evaluate(child, modulus) != 0 for f in system.constraints):
-                continue
-            descend(child, j + 1)
+            return PRUNE
+        if j < settle:
+            return DESCEND
+        # Psi(z f_l) is locally constant from here on: the subtree sum is
+        # exact with no tail
+        value = system.target.evaluate(x, p**m)
+        return psi_ratio(z.u * value, p, m) * scale / p ** (j * n)
 
-    for x0 in itertools.product(range(p), repeat=system.n):
-        if r >= 1 and any(f.evaluate(x0, p) != 0 for f in system.constraints):
-            continue
-        descend(x0, 1)
+    total = 0.0 + 0.0j
+    for term in walk(roots, children, visit, BudgetMeter(budget)):
+        total += term
     return total
 
 

@@ -25,7 +25,6 @@ from .errors import (
     BudgetExceeded,
     CenterNotOnVariety,
     GoodReductionFailed,
-    NotStabilized,
     RankDeficient,
 )
 from .mpoly import MPoly, PolySystem, shift_rescale
@@ -35,7 +34,8 @@ from .variety import (
     GoodReductionVerdict,
     HenselLifter,
     good_reduction_test,
-    iter_congruence_points,
+    iter_hensel_points,
+    stable_projection,
 )
 
 RowOp = tuple  # ("rswap", i, k) | ("cswap", j, k) | ("rcomb", k, d, c, i)
@@ -278,20 +278,23 @@ class Decomposition:
     dropped_centers: tuple[tuple[int, ...], ...] = ()
 
     def lifter(self, chart: Chart, budget: int = DEFAULT_BUDGET) -> HenselLifter:
-        return HenselLifter(self.system.p, self.system.n, chart.constraints, budget)
+        return HenselLifter(self.system.p, self.system.n, chart.constraints, budget).smooth()
 
     def image_count(self, m: int, budget: int = DEFAULT_BUDGET) -> int:
         """Number of classes mod p^m hit by Z_p points of the variety."""
-        p = self.system.p
         if m == 0:
             return 1
         if m <= self.L:
-            modulus = p**m
-            return len({tuple(c % modulus for c in chart.center) for chart in self.charts})
-        total = 0
-        for chart in self.charts:
-            total += _chart_count(self, chart, m - self.L, budget)
-        return total
+            return len(self.classes(m))
+        return sum(
+            sum(1 for _ in iter_hensel_points(chart.as_system(self.system.p), m - self.L, budget))
+            for chart in self.charts
+        )
+
+    def classes(self, m: int) -> list[tuple[int, ...]]:
+        """The distinct chart centers mod p^m, in chart order."""
+        modulus = self.system.p**m
+        return list(dict.fromkeys(tuple(c % modulus for c in chart.center) for chart in self.charts))
 
     def total_measure(self, budget: int = DEFAULT_BUDGET) -> Fraction:
         """Surface measure of the whole variety inside the unit polydisc."""
@@ -305,20 +308,25 @@ class Decomposition:
         return total
 
 
-def _chart_count(dec: Decomposition, chart: Chart, k: int, budget: int) -> int:
-    lifter = dec.lifter(chart, budget)
-    if k == 0:
-        return 1 if lifter.roots() else 0
-    total = 0
-    stack = [(root, 1) for root in lifter.roots()]
-    while stack:
-        x, j = stack.pop()
-        if j == k:
-            total += 1
-            continue
-        for child in lifter.children(x, j):
-            stack.append((child, j + 1))
-    return total
+def recenter(system: PolySystem, chart: Chart, x: tuple[int, ...]) -> tuple[int, int, PolySystem]:
+    """The chart seen from a representative x of its coset.
+
+    Returns (c, e, rep) with f_l(x + p^L y) = c + p^e rep.target(y),
+    rep.target content-free, and rep.constraints the chart's combined
+    constraints shifted to x and rescaled by p^L.
+    """
+    p, n = system.p, system.n
+    shifted = system.target.substitute_affine(x, p**chart.L)
+    const = shifted.constant_term()
+    remainder = shifted - MPoly.constant(n, const)
+    e = remainder.content_valuation(p)
+    assert e is not None and e >= chart.L, "target remainder must carry p^L"
+    source = chart.certificate.combined_constraints if chart.certificate else system.constraints
+    constraints = tuple(
+        shift_rescale(g.substitute_affine(x, 1), (0,) * n, chart.L, p)[1] for g in source
+    )
+    target = MPoly(n, {expo: c // p**e for expo, c in remainder.terms.items()})
+    return const, e, PolySystem(p=p, n=n, constraints=constraints, target=target)
 
 
 def _identity_chart(system: PolySystem) -> Chart:
@@ -350,25 +358,7 @@ def global_decompose(
     p, n = system.p, system.n
     L = 1
     for _ in range(max_rounds):
-        accuracy = 2 * L + 3
-
-        def candidate_reps(level: int) -> dict[tuple[int, ...], tuple[int, ...]]:
-            modulus = p**L
-            reps: dict[tuple[int, ...], tuple[int, ...]] = {}
-            for x in iter_congruence_points(p, n, system.constraints, level, budget):
-                key = tuple(c % modulus for c in x)
-                if key not in reps or x < reps[key]:
-                    reps[key] = x
-            return reps
-
-        reps = candidate_reps(accuracy)
-        recheck = candidate_reps(accuracy + 1)
-        if set(reps) != set(recheck):
-            raise NotStabilized(
-                f"candidate centers at level {L} unstable between accuracies "
-                f"{accuracy} and {accuracy + 1}"
-            )
-
+        reps = stable_projection(p, n, system.constraints, L, 2 * L + 3, budget)
         needed = L
         for key in sorted(reps):
             x0 = reps[key]
@@ -396,7 +386,7 @@ def global_decompose(
                 exponents=cert.exponents,
                 certificate=cert,
             )
-            if HenselLifter(p, n, chart.constraints, budget).roots():
+            if HenselLifter(p, n, chart.constraints, budget).smooth().roots():
                 charts.append(chart)
             else:
                 dropped.append(key)

@@ -9,7 +9,6 @@ membership is decidable from finitely many digits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -44,10 +43,6 @@ class Support:
     def is_full(self) -> bool:
         return self.level == 0
 
-    def haar_measure(self, p: int) -> Fraction:
-        """Haar measure of the support in Z_p^n (polydisc normalized to 1)."""
-        return Fraction(len(self.centers), p ** (self.level * self.n))
-
     @lru_cache(maxsize=None)
     def projected(self, p: int, j: int) -> frozenset[tuple[int, ...]]:
         """Center classes reduced modulo p^j."""
@@ -61,7 +56,3 @@ class Support:
         k = min(j, self.level)
         modulus = p**k
         return tuple(x % modulus for x in point) in self.projected(p, k)
-
-    def contains(self, point: Sequence[int], p: int) -> bool:
-        """Membership for a point known modulo p^j with j >= level."""
-        return self.admits_prefix(point, self.level, p)

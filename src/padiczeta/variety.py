@@ -1,28 +1,29 @@
 """Enumeration and counting of constraint varieties modulo p^m.
 
-Three enumeration engines live here:
-
-* a brute-force scan of the full residue grid, the independent oracle
-  every other counting path is checked against;
-* a Hensel-lifting tree for systems with good reduction, which walks the
-  congruence solutions level by level, solving one small F_p linear
-  system per node, and never materializes more than a root-to-leaf path;
-* a filtered congruence tree that works without any smoothness
-  assumption (used for bad-reduction candidate centers, the ambient
-  integrals, and the image oracle).
+Every tree enumeration in the package is one depth-first walk, `walk`,
+over the Hensel lift tree: a node is a residue x mod p^j satisfying the
+constraints mod p^j, its children are its lifts to level j + 1, and a
+visit callback decides per node whether to prune, descend or emit.  The
+lifts come from one `HenselLifter`, which solves one small F_p linear
+system per node.  Under good reduction (full Jacobian rank at every
+F_p root) it walks the smooth tree; without that assumption the same
+lifter walks the filtered congruence tree, used for bad-reduction
+candidate centers, the ambient integrals and the image oracle.  A
+brute-force scan of the full residue grid stays separate: it is the
+independent oracle every walk is checked against.
 
 Image-level operations (counting the reduction of the variety's Z_p
-points rather than congruence solutions) dispatch on good reduction and
-pull in the chart decomposition lazily to avoid an import cycle.
+points rather than congruence solutions) go through the chart
+decomposition, pulled in lazily to avoid an import cycle.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import BadReductionInput, BudgetExceeded, NotStabilized
+from .errors import BadReductionInput, BudgetExceeded, NotStabilized, WalkInvariantError
 from .mpoly import MPoly, PolySystem
 from .padic import int_valuation
 from .support import Support
@@ -30,39 +31,57 @@ from .support import Support
 DEFAULT_BUDGET = 10**7
 
 
-class _BudgetMeter:
+class BudgetMeter:
+    """Nodes visited so far by the walks charged to it, and their limit."""
+
     __slots__ = ("limit", "used")
 
     def __init__(self, limit: int):
         self.limit = limit
         self.used = 0
 
-    def spend(self, amount: int = 1) -> None:
-        self.used += amount
-        if self.used > self.limit:
-            raise BudgetExceeded(f"enumeration budget {self.limit} exhausted")
+
+# -- the lift-tree walk ---------------------------------------------------------
+
+PRUNE = None  # visit result: skip the node and its subtree
+DESCEND = object()  # visit result: expand the node's children
+
+
+def walk(
+    roots: Sequence[tuple[int, ...]],
+    children: Callable[[tuple[int, ...], int], list[tuple[int, ...]]],
+    visit: Callable[[tuple[int, ...], int], object],
+    meter: BudgetMeter,
+) -> Iterator:
+    """Depth-first walk of a lift tree, yielding what `visit` emits.
+
+    Roots sit at level 1 and `children(x, j)` lists the level-(j + 1)
+    nodes above x in lexicographic order; nodes are visited in that
+    order, with one root-to-leaf path of pending siblings on an explicit
+    stack.  `visit(x, j)` returns PRUNE, DESCEND, or a value to yield in
+    place of the subtree.  Every visited node is charged to the meter,
+    and BudgetExceeded is raised past its limit.  The count is kept in a
+    local between yields, so a meter serves one running walk at a time;
+    walks may share it one after another.
+    """
+    stack = [(x, 1) for x in reversed(roots)]
+    used, limit = meter.used, meter.limit
+    while stack:
+        used += 1
+        if used > limit:
+            meter.used = used
+            raise BudgetExceeded(f"enumeration budget {limit} exhausted")
+        x, j = stack.pop()
+        action = visit(x, j)
+        if action is DESCEND:
+            stack.extend(zip(reversed(children(x, j)), itertools.repeat(j + 1)))
+        elif action is not PRUNE:
+            meter.used = used
+            yield action
+    meter.used = used
 
 
 # -- F_p linear algebra -------------------------------------------------------
-
-
-def fp_rank(matrix: Sequence[Sequence[int]], p: int) -> int:
-    rows = [[x % p for x in row] for row in matrix]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for c in range(cols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][c] % p), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][c], -1, p)
-        rows[rank] = [x * inv % p for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
 
 
 @dataclass
@@ -157,14 +176,28 @@ class FiberCount:
     deep: int = 0
 
 
-def _classify_shell(
-    value: int, p: int, level: int, angular_level: int
-) -> tuple[int, int] | None:
-    """(ord, ac mod p^c) of a residue known mod p^level, None if unresolved."""
-    v = int_valuation(value % p**level, p)
-    if v is None or v + angular_level > level:
-        return None
-    return v, (value // p**v) % p**angular_level
+def _fiber_count(
+    system: PolySystem, m: int, points: Iterable[tuple[int, ...]], angular_level: int | None
+) -> FiberCount:
+    """Count level-m points, split into shells when an angular level c is given.
+
+    A point's shell is (ord, ac mod p^c) of its target value mod p^m; a
+    point whose shell is unresolved at level m goes to `deep`.
+    """
+    p, modulus = system.p, system.p**m
+    result = FiberCount(m=m, count=0, by_shell={} if angular_level else None)
+    for x in points:
+        result.count += 1
+        if not angular_level:
+            continue
+        value = system.target.evaluate(x, modulus)
+        v = int_valuation(value, p)
+        if v is None or v + angular_level > m:
+            result.deep += 1
+        else:
+            shell = (v, (value // p**v) % p**angular_level)
+            result.by_shell[shell] = result.by_shell.get(shell, 0) + 1
+    return result
 
 
 def brute_force_points(
@@ -185,23 +218,16 @@ def brute_force_points(
     if total > budget:
         raise BudgetExceeded(f"p^(m*n) = {total} exceeds budget {budget}")
     modulus = p**m
-    result = FiberCount(m=m, count=0, by_shell={} if angular_level else None)
-    points = []
-    for x in itertools.product(range(modulus), repeat=n):
-        if support is not None and not support.admits_prefix(x, m, p):
-            continue
-        if any(f.evaluate(x, modulus) for f in system.constraints):
-            continue
-        result.count += 1
-        if collect:
-            points.append(x)
-        if angular_level:
-            shell = _classify_shell(system.target.evaluate(x, modulus), p, m, angular_level)
-            if shell is None:
-                result.deep += 1
-            else:
-                result.by_shell[shell] = result.by_shell.get(shell, 0) + 1
-    return (result, points) if collect else result
+    points = (
+        x
+        for x in itertools.product(range(modulus), repeat=n)
+        if (support is None or support.admits_prefix(x, m, p))
+        and not any(f.evaluate(x, modulus) for f in system.constraints)
+    )
+    if collect:
+        points = list(points)
+        return _fiber_count(system, m, points, angular_level), points
+    return _fiber_count(system, m, points, angular_level)
 
 
 def good_reduction_test(system: PolySystem, budget: int = DEFAULT_BUDGET) -> GoodReductionVerdict:
@@ -209,29 +235,24 @@ def good_reduction_test(system: PolySystem, budget: int = DEFAULT_BUDGET) -> Goo
 
     Bad verdicts carry a witness residue where the rank drops.
     """
-    p, n = system.p, system.n
-    if p**n > budget:
-        raise BudgetExceeded(f"p^n = {p**n} exceeds budget {budget}")
-    rows = list(range(1, system.l))
-    partials = [[f.partial(j) for j in range(1, n + 1)] for f in system.constraints]
-    for x in itertools.product(range(p), repeat=n):
-        if any(f.evaluate(x, p) for f in system.constraints):
-            continue
-        matrix = [[df.evaluate(x, p) for df in row] for row in partials]
-        if fp_rank(matrix, p) != system.l - 1:
-            return GoodReductionVerdict(False, witness=x)
-    return GoodReductionVerdict(True)
+    witness = HenselLifter(system.p, system.n, system.constraints, budget).witness
+    return GoodReductionVerdict(witness is None, witness=witness)
 
 
 # -- Hensel tree ---------------------------------------------------------------
 
 
 class HenselLifter:
-    """Digit-lifting engine for constraints with good reduction mod p.
+    """Digit-lifting engine for the congruence tree of a polynomial system.
 
     The F_p Jacobian only depends on a point's reduction mod p, so one
     solver is prepared per root in V(F_p) and reused along the whole
-    subtree above it.
+    subtree above it.  A level-j node x lifts by the digits d solving
+    grad f_i(x) . d = -f_i(x)/p^j over F_p, which is exact for j >= 1
+    because the Taylor tail carries p^(2j).  Rank-deficient rows just
+    mean fewer conditions, so the same lifter walks systems without good
+    reduction; the first root where the rank drops is kept as `witness`,
+    and `smooth()` refuses such a lifter for the smooth tree.
     """
 
     def __init__(self, p: int, n: int, constraints: Sequence[MPoly], budget: int = DEFAULT_BUDGET):
@@ -240,23 +261,15 @@ class HenselLifter:
         self.constraints = tuple(constraints)
         if p**n > budget:
             raise BudgetExceeded(f"p^n = {p**n} exceeds budget {budget}")
-        self._partials = [
-            [f.partial(j) for j in range(1, n + 1)] for f in self.constraints
-        ]
+        partials = [[f.partial(j) for j in range(1, n + 1)] for f in self.constraints]
         self._solvers: dict[tuple[int, ...], _FpSolver] = {}
-        self._roots: list[tuple[int, ...]] = []
-        expected_rank = len(self.constraints)
+        self.witness: tuple[int, ...] | None = None
         for x in itertools.product(range(p), repeat=n):
             if any(f.evaluate(x, p) for f in self.constraints):
                 continue
-            solver = _FpSolver.build(
-                [[df.evaluate(x, p) for df in row] for row in self._partials], p
-            )
-            if solver.rank != expected_rank:
-                raise BadReductionInput(
-                    f"Jacobian rank {solver.rank} < {expected_rank} at {x}"
-                )
-            self._roots.append(x)
+            solver = _FpSolver.build([[df.evaluate(x, p) for df in row] for row in partials], p)
+            if self.witness is None and solver.rank != len(self.constraints):
+                self.witness = x
             self._solvers[x] = solver
 
     @property
@@ -264,7 +277,16 @@ class HenselLifter:
         return self.n - len(self.constraints)
 
     def roots(self) -> list[tuple[int, ...]]:
-        return list(self._roots)
+        return list(self._solvers)
+
+    def smooth(self) -> "HenselLifter":
+        """This lifter, once every root is known to have full Jacobian rank."""
+        if self.witness is not None:
+            rank = self._solvers[self.witness].rank
+            raise BadReductionInput(
+                f"Jacobian rank {rank} < {len(self.constraints)} at {self.witness}"
+            )
+        return self
 
     def children(self, x: tuple[int, ...], j: int) -> list[tuple[int, ...]]:
         """Lifts of a level-j solution to level j+1, lexicographic in the digit."""
@@ -274,7 +296,8 @@ class HenselLifter:
         rhs = []
         for f in self.constraints:
             value = f.evaluate(x, modulus)
-            assert value % step == 0, "node does not satisfy constraints at its level"
+            if value % step:
+                raise WalkInvariantError(f"node {x} does not satisfy the constraints at level {j}")
             rhs.append((-(value // step)) % p)
         solver = self._solvers[tuple(c % p for c in x)]
         return [
@@ -283,8 +306,18 @@ class HenselLifter:
         ]
 
 
-def _lifter_for(system: PolySystem, budget: int) -> HenselLifter:
-    return HenselLifter(system.p, system.n, system.constraints, budget)
+def _points_at(
+    lifter: HenselLifter, m: int, budget: int, support: Support | None
+) -> Iterator[tuple[int, ...]]:
+    """The level-m nodes of the lifter's tree that the support admits."""
+    p = lifter.p
+
+    def visit(x: tuple[int, ...], j: int):
+        if support is not None and not support.admits_prefix(x, j, p):
+            return PRUNE
+        return x if j == m else DESCEND
+
+    return walk(lifter.roots(), lifter.children, visit, BudgetMeter(budget))
 
 
 def iter_hensel_points(
@@ -298,22 +331,8 @@ def iter_hensel_points(
     Depth-first, lexicographic in the digit vectors, one root-to-leaf
     path in memory at a time.
     """
-    lifter = _lifter_for(system, budget)
-    meter = _BudgetMeter(budget)
-    p = system.p
-
-    def descend(x: tuple[int, ...], j: int) -> Iterator[tuple[int, ...]]:
-        meter.spend()
-        if support is not None and not support.admits_prefix(x, j, p):
-            return
-        if j == m:
-            yield x
-            return
-        for child in lifter.children(x, j):
-            yield from descend(child, j + 1)
-
-    for root in lifter.roots():
-        yield from descend(root, 1)
+    lifter = HenselLifter(system.p, system.n, system.constraints, budget).smooth()
+    yield from _points_at(lifter, m, budget, support)
 
 
 def hensel_enumerate(
@@ -328,36 +347,7 @@ def hensel_enumerate(
     The good-reduction count law #V(F_p) * p^((m-1)(n-l+1)) is what tests
     compare this against; the traversal never assumes it.
     """
-    result = FiberCount(m=m, count=0, by_shell={} if angular_level else None)
-    modulus = system.p**m
-    for x in iter_hensel_points(system, m, budget, support):
-        result.count += 1
-        if angular_level:
-            shell = _classify_shell(
-                system.target.evaluate(x, modulus), system.p, m, angular_level
-            )
-            if shell is None:
-                result.deep += 1
-            else:
-                result.by_shell[shell] = result.by_shell.get(shell, 0) + 1
-    return result
-
-
-def hensel_lift_point(
-    system: PolySystem, root: tuple[int, ...], level: int, budget: int = DEFAULT_BUDGET
-) -> tuple[int, ...]:
-    """One deterministic lift of an F_p root to a level-`level` solution.
-
-    Follows the lexicographically smallest digit at every step.
-    """
-    lifter = _lifter_for(system, budget)
-    x = root
-    for j in range(1, level):
-        children = lifter.children(x, j)
-        if not children:
-            raise BadReductionInput(f"no lift above {x} at level {j}")
-        x = children[0]
-    return x
+    return _fiber_count(system, m, iter_hensel_points(system, m, budget, support), angular_level)
 
 
 # -- filtered congruence tree (no smoothness assumed) --------------------------
@@ -373,52 +363,74 @@ def iter_congruence_points(
 ) -> Iterator[tuple[int, ...]]:
     """Stream all x mod p^m with every poly = 0 mod p^m, level by level.
 
-    Works for any system, with no smoothness assumption: for a level-j
-    solution x, the digits d lifting it satisfy the affine F_p system
-    grad f_i(x) . d = -f_i(x)/p^j, which holds for j >= 1 because the
-    Taylor tail carries p^(2j).  Rank-deficient rows just mean fewer or
-    no conditions, so the solver handles singular points too.  The
-    budget meters node visits.
+    Works for any system, with no smoothness assumption: the lifter's
+    affine digit systems just have fewer conditions at singular points.
+    The budget meters node visits.
     """
-    meter = _BudgetMeter(budget)
-    polys = list(polys)
-    partials = [[f.partial(j) for j in range(1, n + 1)] for f in polys]
-    solvers: dict[tuple[int, ...], _FpSolver] = {}
-
-    def solver_at(x: tuple[int, ...]) -> _FpSolver:
-        key = tuple(c % p for c in x)
-        if key not in solvers:
-            solvers[key] = _FpSolver.build(
-                [[df.evaluate(key, p) for df in row] for row in partials], p
-            )
-        return solvers[key]
-
-    def descend(x: tuple[int, ...], j: int) -> Iterator[tuple[int, ...]]:
-        meter.spend()
-        if support is not None and not support.admits_prefix(x, j, p):
-            return
-        if j == m:
-            yield x
-            return
-        step = p**j
-        modulus = step * p
-        rhs = []
-        for f in polys:
-            value = f.evaluate(x, modulus)
-            assert value % step == 0
-            rhs.append((-(value // step)) % p)
-        for digit in solver_at(x).solve_affine(rhs):
-            yield from descend(tuple(c + step * d for c, d in zip(x, digit)), j + 1)
-
     if m == 0:
         yield (0,) * n
         return
-    for x in itertools.product(range(p), repeat=n):
-        if all(f.evaluate(x, p) == 0 for f in polys):
-            yield from descend(x, 1)
+    yield from _points_at(HenselLifter(p, n, polys, budget), m, budget, support)
+
+
+def truncated_tree(
+    p: int,
+    n: int,
+    polys: Sequence[MPoly],
+    r: int,
+    free_digits: Callable[[int], Sequence[tuple[int, ...]]],
+    budget: int = DEFAULT_BUDGET,
+) -> tuple[list[tuple[int, ...]], Callable[[tuple[int, ...], int], list[tuple[int, ...]]]]:
+    """Roots and children of the tree of x with every poly = 0 mod p^r.
+
+    Below level r a node's children are its lifts: for j >= 1, filtering
+    all p^n digits by f = 0 mod p^(j+1) gives exactly the lifter's affine
+    solutions, in the same lexicographic order.  From level r on the
+    polynomials impose nothing, and a level-j node takes the digit
+    vectors free_digits(j), listed in lexicographic order.
+    """
+    if r >= 1:
+        lifter = HenselLifter(p, n, polys, budget)
+        roots = lifter.roots()
+    else:
+        roots = list(itertools.product(range(p), repeat=n))
+
+    def children(x: tuple[int, ...], j: int) -> list[tuple[int, ...]]:
+        if j < r:
+            return lifter.children(x, j)
+        step = p**j
+        return [tuple(c + step * d for c, d in zip(x, digit)) for digit in free_digits(j)]
+
+    return roots, children
 
 
 # -- image-level operations ----------------------------------------------------
+
+
+def stable_projection(
+    p: int, n: int, polys: Sequence[MPoly], m: int, accuracy: int, budget: int = DEFAULT_BUDGET
+) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Classes mod p^m of the solutions mod p^accuracy, each with its smallest lift.
+
+    The classes must agree with those found one level deeper (raising
+    NotStabilized otherwise).
+    """
+    modulus = p**m
+
+    def project(level: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+        reps: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for x in iter_congruence_points(p, n, polys, level, budget):
+            key = tuple(c % modulus for c in x)
+            if key not in reps or x < reps[key]:
+                reps[key] = x
+        return reps
+
+    reps = project(accuracy)
+    if set(reps) != set(project(accuracy + 1)):
+        raise NotStabilized(
+            f"classes mod p^{m} differ between accuracies {accuracy} and {accuracy + 1}"
+        )
+    return reps
 
 
 def image_oracle(
@@ -434,41 +446,19 @@ def image_oracle(
     NotStabilized otherwise).  Stability is evidence, not proof; the
     decomposition cross-checks catch a wrong-but-stable buffer.
     """
-    modulus = system.p**m
-
-    def projected(extra: int) -> set[tuple[int, ...]]:
-        return {
-            tuple(c % modulus for c in x)
-            for x in iter_congruence_points(
-                system.p, system.n, system.constraints, m + extra, budget
-            )
-        }
-
-    base = projected(buffer)
-    recheck = projected(buffer + 1)
-    if base != recheck:
-        raise NotStabilized(
-            f"image projection not stable at level {m}+{buffer} (sizes "
-            f"{len(base)} vs {len(recheck)})"
-        )
-    return base
+    return set(stable_projection(system.p, system.n, system.constraints, m, m + buffer, budget))
 
 
 def reduction_image_count(system: PolySystem, m: int, budget: int = DEFAULT_BUDGET) -> int:
     """Number of classes mod p^m hit by actual Z_p points of the variety.
 
-    Good reduction: equals the congruence count (Hensel).  Bad
-    reduction: computed through the good-reduction chart decomposition,
-    whose pieces are disjoint cosets.
+    Computed through the good-reduction chart decomposition, whose
+    pieces are disjoint cosets.  Under good reduction that is the single
+    identity chart, and the count is the congruence count (Hensel).
     """
-    if m == 0:
-        return 1
-    if good_reduction_test(system, budget):
-        return hensel_enumerate(system, m, budget).count
     from .smoothing import measure_charts  # deferred: smoothing imports this module
 
-    decomposition = measure_charts(system, budget)
-    return decomposition.image_count(m, budget)
+    return measure_charts(system, budget).image_count(m, budget)
 
 
 # -- critical locus probe -------------------------------------------------------

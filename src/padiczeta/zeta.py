@@ -18,31 +18,36 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterator
+
 from .characters import MultChar, chi_value, enumerate_characters
-from .errors import BudgetExceeded, HypothesisNotVerified, NotStabilized
+from .errors import HypothesisNotVerified, NotStabilized, WalkInvariantError
 from .mpoly import PolySystem
 from .padic import int_valuation
 from .ratfn import RationalFn, reconstruct_rational
 from .smoothing import Chart, Decomposition, measure_charts
 from .support import Support
-from .variety import DEFAULT_BUDGET, critical_locus_probe
+from .variety import DEFAULT_BUDGET, DESCEND, PRUNE, BudgetMeter, critical_locus_probe, walk
 
 ZERO_TOL = 1e-9
 
 
-def _chart_support(support: Support | None, chart: Chart, p: int) -> Support | None | str:
+def _chart_support(
+    support: Support | None, chart: Chart, p: int
+) -> tuple[bool, Support | None]:
     """Transport the support indicator into chart coordinates.
 
-    Returns "full" when the whole chart lies inside the support, None
-    when the chart misses it, and a y-coordinate Support otherwise.
+    Returns (meets, sup): whether the chart meets the support at all,
+    and the y-coordinate Support to restrict the chart to, or None when
+    the whole chart lies inside the support.
     """
     if support is None or support.is_full():
-        return "full"
+        return True, None
     L = chart.L
     if support.level <= L:
         modulus = p**support.level
         key = tuple(c % modulus for c in chart.center)
-        return "full" if key in support.projected(p, support.level) else None
+        return key in support.projected(p, support.level), None
     rel_level = support.level - L
     mod_L = p**L
     y_centers = []
@@ -51,8 +56,8 @@ def _chart_support(support: Support | None, chart: Chart, p: int) -> Support | N
             continue
         y_centers.append(tuple(((c - x) // mod_L) % p**rel_level for c, x in zip(center, chart.center)))
     if not y_centers:
-        return None
-    return Support(n=support.n, level=rel_level, centers=tuple(sorted(set(y_centers))))
+        return False, None
+    return True, Support(n=support.n, level=rel_level, centers=tuple(sorted(set(y_centers))))
 
 
 def _chart_shell_walk(
@@ -71,48 +76,45 @@ def _chart_shell_walk(
     """
     p = decomposition.system.p
     L = chart.L
-    sup = _chart_support(support, chart, p)
-    if sup is None:
+    meets, sup = _chart_support(support, chart, p)
+    if not meets:
         return {}, 0, 1
-    sup = None if sup == "full" else sup
     k = max(m + c - L, sup.level if sup else 0, 1)
     lifter = decomposition.lifter(chart, budget)
-    dim = lifter.dim
-    target = chart.target
-    classify_mod = p ** (m + c)
-    counts: dict[int, int] = {}
-    deep = 0
+    evaluate = chart.target.evaluate
+    classify_mod, p_m, p_c = p ** (m + c), p**m, p**c
+    # per level j: the modulus the target is determined to, and the number
+    # of level-k points above a level-j node
+    det_mod = [p ** min(L + j, m + c) for j in range(k + 1)]
+    above = [p ** ((k - j) * lifter.dim) for j in range(k + 1)]
 
     def ready(j: int) -> bool:
         return sup is None or j >= sup.level
 
-    spent = 0
-    stack = [(root, 1) for root in reversed(lifter.roots())]
-    while stack:
-        spent += 1
-        if spent > budget:
-            raise BudgetExceeded(f"shell walk exceeded budget {budget}")
-        y, j = stack.pop()
+    def visit(y: tuple[int, ...], j: int):
+        """(class u, or None for deep, level-k count) once the shell is resolved."""
         if sup is not None and not sup.admits_prefix(y, j, p):
-            continue
-        det_level = min(L + j, m + c)
-        value = target.evaluate(y, classify_mod)
-        reduced = value % p**det_level
+            return PRUNE
+        value = evaluate(y, classify_mod)
+        reduced = value % det_mod[j]
         if reduced != 0:
-            v = int_valuation(reduced, p)
-            if v != m:
-                continue  # determined and outside this shell
+            if int_valuation(reduced, p) != m:
+                return PRUNE  # determined and outside this shell
             if m + c <= L + j and ready(j):
-                u = (value // p**m) % p**c
-                counts[u] = counts.get(u, 0) + p ** ((k - j) * dim)
-                continue
+                return (value // p_m) % p_c, above[j]
+        elif L + j >= m + c and ready(j):
+            return None, above[j]
+        if j >= k:
+            raise WalkInvariantError(f"shell (m={m}, c={c}) unresolved at level {j} >= {k}")
+        return DESCEND
+
+    counts: dict[int, int] = {}
+    deep = 0
+    for u, count in walk(lifter.roots(), lifter.children, visit, BudgetMeter(budget)):
+        if u is None:
+            deep += count
         else:
-            if L + j >= m + c and ready(j):
-                deep += p ** ((k - j) * dim)
-                continue
-        assert j < k, "walk must have resolved the shell by level k"
-        for child in lifter.children(y, j):
-            stack.append((child, j + 1))
+            counts[u] = counts.get(u, 0) + count
     return counts, deep, k
 
 
@@ -284,14 +286,6 @@ def zeta_coefficient(
     return table.coefficient(chi, m)
 
 
-def trivial_zeta(
-    table: ShellTable, validation_count: int = 2
-) -> tuple[list[Fraction], RationalFn]:
-    """Exact coefficient list and reconstructed Z(s, chi_triv) as a rational fn."""
-    series = table.trivial_series()
-    return series, reconstruct_rational(series, validation_count)
-
-
 @dataclass(frozen=True)
 class CoeffTable:
     """Coefficient list of Z(s, chi) with per-entry stabilization flags."""
@@ -372,6 +366,35 @@ def conductor_vanishing_scan(
     )
 
 
+def _tail_points(
+    decomposition: Decomposition,
+    chart: Chart,
+    m: int,
+    sup: Support | None,
+    meter: BudgetMeter,
+) -> tuple[Iterator[int], int]:
+    """A walk yielding 1 per chart point in sup where the target is 0 mod p^m.
+
+    The points are counted at the resolving level k = max(m - L, level
+    of sup, 1), which is returned with the walk.
+    """
+    p = decomposition.system.p
+    L = chart.L
+    k = max(m - L, sup.level if sup else 0, 1)
+    lifter = decomposition.lifter(chart, meter.limit)
+    evaluate = chart.target.evaluate
+    det_mod = [p ** min(L + j, m) for j in range(k + 1)]
+
+    def visit(y: tuple[int, ...], j: int):
+        if sup is not None and not sup.admits_prefix(y, j, p):
+            return PRUNE
+        if evaluate(y, det_mod[j]) != 0:
+            return PRUNE  # target valuation already determined below m
+        return 1 if j >= k else DESCEND
+
+    return walk(lifter.roots(), lifter.children, visit, meter), k
+
+
 def tail_measure(
     system: PolySystem,
     m: int,
@@ -383,30 +406,13 @@ def tail_measure(
     if decomposition is None:
         decomposition = measure_charts(system, budget)
     p = system.p
-    dim = system.dim
     total = Fraction(0)
+    meter = BudgetMeter(budget)
     for chart in decomposition.charts:
-        sup = _chart_support(support, chart, p)
-        if sup is None:
-            continue
-        sup = None if sup == "full" else sup
-        L = chart.L
-        k = max(m - L, sup.level if sup else 0, 1)
-        lifter = decomposition.lifter(chart, budget)
-        count = 0
-        stack = [(root, 1) for root in lifter.roots()]
-        while stack:
-            y, j = stack.pop()
-            if sup is not None and not sup.admits_prefix(y, j, p):
-                continue
-            if chart.target.evaluate(y, p ** min(L + j, m)) != 0:
-                continue
-            if j >= k:
-                count += 1
-                continue
-            for child in lifter.children(y, j):
-                stack.append((child, j + 1))
-        total += chart.weight * Fraction(count, p ** (k * dim))
+        meets, sup = _chart_support(support, chart, p)
+        if meets:
+            leaves, k = _tail_points(decomposition, chart, m, sup, meter)
+            total += chart.weight * Fraction(sum(leaves), p ** (k * system.dim))
     return total
 
 

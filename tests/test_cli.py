@@ -1,10 +1,13 @@
 """End-to-end tests of the batch CLI: exit codes, artifacts, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from padiczeta.cli import EXIT_BUDGET, EXIT_OK, EXIT_SCHEMA, EXIT_VERIFY, main
+
+SPECS = Path(__file__).resolve().parents[1] / "scripts" / "specs"
 
 LINE_X2_SPEC = {
     "schema": 1,
@@ -67,6 +70,14 @@ def test_sps_verify_passes(spec_file, tmp_path):
     assert summary["passed"] is True
     header = (out / "expsum.csv").read_text().splitlines()[0]
     assert header == "m,u,re_direct,im_direct,re_form1,im_form1,abs,normalized"
+
+
+def test_sps_verify_passes_on_weighted_charts(tmp_path):
+    # bad_line has L = 2 and nine charts of weight 1/3: the direct side must
+    # be the measure-weighted oscillatory integral, not the counting sum
+    out = tmp_path / "out"
+    assert run("sps-verify", SPECS / "bad_line.json", out) == EXIT_OK
+    assert json.loads((out / "summary.json").read_text())["passed"] is True
 
 
 def test_smooth_bad_reduction(tmp_path):

@@ -1,0 +1,104 @@
+"""Structure guard: the lift tree is walked in exactly one place.
+
+Every enumeration of the Hensel lift tree goes through `variety.walk`.
+These tests fail when a module expands lift-tree nodes itself (a call to
+`.children(`), keeps its own work stack (a while loop that pops and
+pushes the same list), or recurses (a function that calls itself), so
+the walk cannot fork into private copies again.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "padiczeta"
+
+# self-recursive functions that do not walk a lift tree
+RECURSION_ALLOWED = {
+    ("ratfn.py", "search"),  # candidate-pole multiplicity search
+    ("variety.py", "_det_int"),  # Laplace expansion of a determinant
+}
+
+
+def _modules():
+    for path in sorted(SRC.glob("*.py")):
+        yield path.name, ast.parse(path.read_text())
+
+
+def _functions(tree):
+    return [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def _method_calls(node, attr):
+    return [
+        n
+        for n in ast.walk(node)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == attr
+    ]
+
+
+def _receivers(node, attrs):
+    return {
+        call.func.value.id
+        for attr in attrs
+        for call in _method_calls(node, attr)
+        if isinstance(call.func.value, ast.Name)
+    }
+
+
+def _stack_loops(fn):
+    """While loops in fn that pop from and push onto the same list."""
+    return [
+        loop
+        for loop in ast.walk(fn)
+        if isinstance(loop, ast.While)
+        and _receivers(loop, ["pop"]) & _receivers(loop, ["append", "extend"])
+    ]
+
+
+def _calls_itself(fn):
+    return any(
+        isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == fn.name
+        for n in ast.walk(fn)
+    )
+
+
+def _enclosing(tree, node):
+    """Names of the functions whose bodies contain node."""
+    return [fn.name for fn in _functions(tree) if node in ast.walk(fn)]
+
+
+def test_only_variety_expands_lift_tree_nodes():
+    offenders = [
+        f"{name}:{call.lineno}"
+        for name, tree in _modules()
+        if name != "variety.py"
+        for call in _method_calls(tree, "children")
+    ]
+    assert offenders == [], "lift-tree nodes expanded outside variety.walk"
+
+
+def test_variety_expands_nodes_only_for_the_walk():
+    tree = dict(_modules())["variety.py"]
+    # the truncated tree lifts below level r and hands its children to walk
+    for call in _method_calls(tree, "children"):
+        assert "truncated_tree" in _enclosing(tree, call), call.lineno
+
+
+def test_exactly_one_walk_loop():
+    loops = [
+        (name, fn.name)
+        for name, tree in _modules()
+        for fn in _functions(tree)
+        if _stack_loops(fn)
+    ]
+    assert loops == [("variety.py", "walk")]
+
+
+def test_no_hand_rolled_recursion():
+    recursive = {
+        (name, fn.name)
+        for name, tree in _modules()
+        for fn in _functions(tree)
+        if _calls_itself(fn)
+    }
+    assert recursive <= RECURSION_ALLOWED, recursive - RECURSION_ALLOWED

@@ -4,21 +4,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from padiczeta.bundled import BAD_LINE, GOOD_REDUCTION, LINE_X2, PARABOLA, THREEVAR
-from padiczeta.mpoly import MPoly, PolySystem
+from padiczeta.mpoly import MPoly, PolySystem, shift_rescale
 from padiczeta.errors import BadReductionInput, BudgetExceeded
 from padiczeta.mpoly import system_from_strings
+from padiczeta.poincare import congruence_count, decomposed_count_check
+from padiczeta.smoothing import measure_charts
 from padiczeta.variety import (
+    DEFAULT_BUDGET,
     brute_force_points,
     critical_locus_probe,
     good_reduction_test,
     hensel_enumerate,
-    hensel_lift_point,
     image_oracle,
     iter_congruence_points,
     iter_hensel_points,
     point_dump_rows,
     reduction_image_count,
 )
+from padiczeta.zeta import tail_measure
 
 
 def test_brute_force_examples():
@@ -65,11 +68,15 @@ def test_hensel_rejects_bad_reduction():
 @st.composite
 def graph_systems(draw):
     # x1 + g(x2) has constraint gradient (1, g') of full rank everywhere,
-    # so good reduction holds for any g; curvature varies with g
+    # so good reduction holds for any g; curvature varies with g.  Scaling
+    # the constraint by p keeps its Z_p points but makes its linear part a
+    # multiple of p: the Jacobian vanishes mod p, so every root has bad
+    # reduction (drawn for p <= 3, where the chart search stays cheap).
     p = draw(st.sampled_from([2, 3, 5]))
+    scale = draw(st.sampled_from([1, p] if p <= 3 else [1]))
     coeffs = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=4))
-    g_terms = {(0, d): c for d, c in enumerate(coeffs, start=1) if c}
-    constraint = MPoly(2, {(1, 0): 1, **g_terms})
+    g_terms = {(0, d): scale * c for d, c in enumerate(coeffs, start=1) if c}
+    constraint = MPoly(2, {(1, 0): scale, **g_terms})
     target = MPoly(2, {(0, 2): 1, (0, 1): draw(st.integers(-3, 3))})
     return PolySystem(p=p, n=2, constraints=(constraint,), target=target)
 
@@ -77,8 +84,44 @@ def graph_systems(draw):
 @given(graph_systems())
 @settings(max_examples=25, deadline=None)
 def test_hensel_matches_brute_on_random_graphs(system):
+    p = system.p
+    content, primitive = shift_rescale(system.constraints[0], (0, 0), 0, p)
+    # the primitive constraint has the same Z_p points and good reduction, so
+    # N_m counts its congruence solutions where the target vanishes too
+    smooth = PolySystem(p=p, n=2, constraints=(primitive,), target=system.target)
     for m in (1, 2, 3):
-        assert hensel_enumerate(system, m).count == brute_force_points(system, m).count
+        brute, points = brute_force_points(system, m, collect=True)
+        assert sorted(iter_congruence_points(p, 2, system.constraints, m)) == sorted(points)
+        _, smooth_points = brute_force_points(smooth, m, collect=True)
+        zeros = [x for x in smooth_points if system.target.evaluate(x, p**m) == 0]
+        assert congruence_count(system, m) == len(zeros)
+        if content == 0:
+            assert hensel_enumerate(system, m).count == brute.count
+        else:
+            with pytest.raises(BadReductionInput):
+                hensel_enumerate(system, m)
+
+
+# p^n = 9: a budget of 10 admits the F_p scan but not the walks below
+BUDGET_LINE = system_from_strings(3, 2, ["x2"], "x1 + 1")
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda budget: tail_measure(BUDGET_LINE, 4, budget=budget),
+        lambda budget: measure_charts(BUDGET_LINE, budget).image_count(2, budget),
+        # probing solvability at levels 1..3 visits 3 + 6 + 9 nodes
+        lambda budget: decomposed_count_check(BUDGET_LINE, [3], budget=budget),
+        # the probes (9 nodes) leave too little for the rescaled recount (6)
+        lambda budget: decomposed_count_check(BUDGET_LINE, [2], budget=budget),
+    ],
+    ids=["tail_measure", "chart_count", "solvable_at", "decomposed_recount"],
+)
+def test_every_walk_honours_the_budget(run):
+    run(DEFAULT_BUDGET)
+    with pytest.raises(BudgetExceeded):
+        run(BUDGET_LINE.p**BUDGET_LINE.n + 1)
 
 
 def test_hensel_points_digit_ordered_and_exact():
@@ -101,13 +144,6 @@ def test_hensel_points_digit_ordered_and_exact():
         if system.constraints[0].evaluate((a, b), modulus) == 0
     }
     assert set(points) == brute
-
-
-def test_hensel_lift_point():
-    system = PARABOLA.system
-    x = hensel_lift_point(system, (0, 0), 6)
-    assert system.constraints[0].evaluate(x, 3**6) == 0
-    assert tuple(c % 3 for c in x) == (0, 0)
 
 
 def test_congruence_tree_matches_brute():
