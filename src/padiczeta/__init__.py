@@ -2,9 +2,9 @@
 sums along p-adic submanifolds of Z_p^n, with brute-force oracles and
 certified cross-checks at desk scale."""
 
-from .characters import MultChar, QuasiChar, chi_value, enumerate_characters, gauss_sum, trivial_character
+from .characters import MultChar, chi_value, enumerate_characters, gauss_sum, trivial_character
 from .mpoly import MPoly, PolySystem, parse_polynomial, shift_rescale, system_from_strings
-from .padic import AtLeast, PAdicApprox, ScaledUnit, additive_character, angular_component, fractional_part, valuation
+from .padic import ScaledUnit
 from .ratfn import PoleData, RationalFn, candidate_pole_check, pole_analysis, reconstruct_rational
 from .smoothing import dvr_echelon, global_decompose, measure_charts, neron_rescale
 from .support import Support
@@ -21,19 +21,14 @@ from .zeta import build_shell_table, conductor_vanishing_scan, shell_count, zeta
 __version__ = "0.1.0"
 
 __all__ = [
-    "AtLeast",
     "FiberCount",
     "MPoly",
     "MultChar",
-    "PAdicApprox",
     "PoleData",
     "PolySystem",
-    "QuasiChar",
     "RationalFn",
     "ScaledUnit",
     "Support",
-    "additive_character",
-    "angular_component",
     "brute_force_points",
     "build_shell_table",
     "candidate_pole_check",
@@ -42,7 +37,6 @@ __all__ = [
     "critical_locus_probe",
     "dvr_echelon",
     "enumerate_characters",
-    "fractional_part",
     "gauss_sum",
     "global_decompose",
     "good_reduction_test",
@@ -57,6 +51,5 @@ __all__ = [
     "shift_rescale",
     "system_from_strings",
     "trivial_character",
-    "valuation",
     "zeta_coefficient",
 ]

@@ -100,27 +100,6 @@ class MultChar:
         return MultChar(self.p, self.c_level, (-self.index) % group.order, self.conductor)
 
 
-@dataclass(frozen=True)
-class QuasiChar:
-    """A quasicharacter chi(ac z) |z|^s presented as (chi, t) with t = p^(-s).
-
-    t is None when the quasicharacter is kept formal (a power series
-    variable) rather than evaluated at a complex point.
-    """
-
-    chi: MultChar
-    t: complex | None = None
-
-    def value(self, z) -> complex:
-        """chi(ac z) |z|^s for z given as a scaled unit u p^(-m).
-
-        |z|^s = p^(ms) = t^(-m), so a concrete t is required.
-        """
-        if self.t is None:
-            raise ValueError("formal quasicharacter has no numeric value")
-        return chi_value(self.chi, z.u) * self.t ** (-z.m)
-
-
 def _conductor(group: _UnitGroup, index: int) -> int:
     if index % group.order == 0:
         return 0

@@ -36,10 +36,6 @@ class DimensionMismatch(PadicZetaError):
     """A point or matrix has the wrong number of coordinates."""
 
 
-class UndefinedForZero(PadicZetaError):
-    """Angular component requested for a residue that is zero at full precision."""
-
-
 class ZeroPolynomial(PadicZetaError):
     """Operation undefined for the zero polynomial."""
 
@@ -84,7 +80,15 @@ class BadReductionInput(PadicZetaError):
     """Hensel enumeration called on a system without good reduction."""
 
 
-class WalkInvariantError(PadicZetaError):
+class InvariantViolated(PadicZetaError):
+    """A mathematical invariant that the algorithm guarantees did not hold.
+
+    This indicates an internal inconsistency rather than a bad input; it
+    is raised instead of an `assert`, which `python -O` would remove.
+    """
+
+
+class WalkInvariantError(InvariantViolated):
     """A lift-tree walk reached a node that breaks the tree's invariants.
 
     Either a node does not satisfy the constraints at its own level, or

@@ -8,6 +8,10 @@ of an explicit rational function of it, and a finite character sum of
 Gaussian sums against twisted zeta coefficients.  The two routes share
 no code beyond polynomial evaluation, which is what makes their
 agreement at 1e-9 a meaningful verification.
+
+The formula's zeta data come from one conductor scan: the scan's own
+shell table, projected down to the conductor cutoff, supplies every
+coefficient, so no further shell walk runs.
 """
 
 from __future__ import annotations
@@ -17,14 +21,17 @@ from fractions import Fraction
 from typing import Sequence
 
 from .characters import MultChar, chi_value, gauss_sum, trivial_character
-from .errors import EvenPrimeUnsupported, MissingTable
+from .errors import EvenPrimeUnsupported
 from .mpoly import PolySystem
 from .padic import ScaledUnit, psi_ratio
 from .ratfn import PoleData
 from .smoothing import Decomposition, measure_charts, recenter
 from .support import Support
 from .variety import DEFAULT_BUDGET, iter_hensel_points
-from .zeta import ShellTable, _chart_support, build_shell_table, conductor_vanishing_scan
+from .zeta import ShellTable, _chart_support, conductor_vanishing_scan, tail_measure
+
+SPS_TOL = 1e-9  # the largest direct-vs-formula gap a stationary-phase check passes
+DECAY_SLACK = 1.5  # growth of the normalized decay that still counts as bounded
 
 
 @dataclass(frozen=True)
@@ -135,19 +142,17 @@ def build_stationary_phase_context(
     system: PolySystem,
     depth: int = 6,
     c_max: int = 2,
-    c_limit: int = 4,
     support: Support | None = None,
     decomposition: Decomposition | None = None,
     budget: int = DEFAULT_BUDGET,
-    probe_level: int = 2,
 ) -> StationaryPhaseContext:
-    """Scan characters, build shell tables, reconstruct the trivial zeta.
+    """Scan characters, take the shell table, reconstruct the trivial zeta.
 
     The character sum in the formula is truncated at the empirical
-    conductor cutoff, and the scan must have verified at least one
-    conductor level beyond the cutoff to be identically zero (guard
-    margin >= 1); the scan level escalates up to c_limit until that
-    margin exists, so the truncation is checked rather than assumed.
+    conductor cutoff, which the conductor scan verifies with a guard
+    margin of at least one level (escalating from c_max as needed); the
+    scan's table, projected to the cutoff level, holds every coefficient
+    the formula reads.
     """
     if system.p == 2:
         raise EvenPrimeUnsupported(
@@ -156,44 +161,23 @@ def build_stationary_phase_context(
         )
     if decomposition is None:
         decomposition = measure_charts(system, budget)
-    for level in range(c_max, c_limit + 1):
-        scan = conductor_vanishing_scan(
-            system,
-            level,
-            depth,
-            support=support,
-            decomposition=decomposition,
-            budget=budget,
-            probe_level=probe_level,
-        )
-        if scan.guard_margin >= 1:
-            break
-    else:
-        raise MissingTable(
-            f"nonzero twisted tables persist through conductor {c_limit}; "
-            "no verified truncation margin"
-        )
-    cutoff = scan.cutoff
-    twisted = [(chi, gauss_sum(chi.inverse())) for chi in scan.nonzero]
-    c_table = max(cutoff, 1)
-    table = build_shell_table(
-        system, depth, c_level=c_table, support=support, decomposition=decomposition, budget=budget
+    scan = conductor_vanishing_scan(
+        system, c_max, depth, support=support, decomposition=decomposition, budget=budget
     )
+    twisted = [(chi, gauss_sum(chi.inverse())) for chi in scan.nonzero]
     if support is None or support.is_full():
         total_mass = decomposition.total_measure(budget)
     else:
-        from .zeta import tail_measure
-
         total_mass = tail_measure(
             system, 0, support=support, decomposition=decomposition, budget=budget
         )
     return StationaryPhaseContext(
         system=system,
         support=support,
-        table=table,
+        table=scan.table.project(max(scan.cutoff, 1)),
         total_mass=total_mass,
         twisted=tuple(twisted),
-        cutoff=cutoff,
+        cutoff=scan.cutoff,
     )
 
 
@@ -231,8 +215,8 @@ class StationaryPhaseReport:
     records: tuple[ExpSumRecord, ...]
     max_discrepancy: float
 
-    def passed(self, tol: float = 1e-9) -> bool:
-        return self.max_discrepancy < tol
+    def passed(self) -> bool:
+        return self.max_discrepancy < SPS_TOL
 
 
 def stationary_phase_check(
@@ -242,7 +226,6 @@ def stationary_phase_check(
     depth: int | None = None,
     support: Support | None = None,
     budget: int = DEFAULT_BUDGET,
-    context: StationaryPhaseContext | None = None,
 ) -> StationaryPhaseReport:
     """Cross-validate direct exponential sums against the formula route.
 
@@ -256,14 +239,13 @@ def stationary_phase_check(
     exponential sum.  The formula consumes coefficients only up to
     max(m) - 1, so the default table depth is max(m).
     """
-    if context is None:
-        context = build_stationary_phase_context(
-            system,
-            depth=max(m_values) if depth is None else depth,
-            c_max=c_cap,
-            support=support,
-            budget=budget,
-        )
+    context = build_stationary_phase_context(
+        system,
+        depth=max(m_values) if depth is None else depth,
+        c_max=c_cap,
+        support=support,
+        budget=budget,
+    )
     decomposition = context.table.decomposition
     p = system.p
     weighted = decomposition.L > 0 or (support is not None and not support.is_full())
@@ -316,13 +298,12 @@ def decay_report(
     u: int = 1,
     decomposition: Decomposition | None = None,
     budget: int = DEFAULT_BUDGET,
-    slack: float = 1.5,
 ) -> DecayReport:
     """Normalize |E(u p^-m)| by the predicted decay p^(-rho m) m^(m_rho - 1).
 
     The verdict is Bounded when the running maximum over the upper half
     of the m range does not exceed the lower-half maximum by more than
-    the slack factor.
+    the factor DECAY_SLACK.
     """
     if decomposition is None:
         decomposition = measure_charts(system, budget)
@@ -340,7 +321,7 @@ def decay_report(
     elif lower == 0.0:
         verdict = "Inconclusive"
     else:
-        verdict = "Bounded" if upper <= slack * lower else "Inconclusive"
+        verdict = "Bounded" if upper <= DECAY_SLACK * lower else "Inconclusive"
     return DecayReport(rows=tuple(rows), verdict=verdict)
 
 

@@ -17,12 +17,13 @@ from typing import Mapping, Sequence
 
 from .errors import (
     DimensionMismatch,
+    InvariantViolated,
     NegativeExponent,
     PolynomialSyntaxError,
     VariableOutOfRange,
     ZeroPolynomial,
 )
-from .padic import PAdicApprox, int_valuation
+from .padic import int_valuation
 
 
 @dataclass(frozen=True)
@@ -401,32 +402,6 @@ def system_from_strings(
     )
 
 
-def evaluate_mod(f: MPoly, point: Sequence[int], p: int, M: int) -> PAdicApprox:
-    """Value of f at the point, exact modulo p^M."""
-    return PAdicApprox(p, f.evaluate(point, p**M), M)
-
-
-def jacobian(
-    system: PolySystem,
-    point: Sequence[int],
-    rows: Sequence[int] | None = None,
-    M: int = 1,
-) -> list[list[PAdicApprox]]:
-    """Formal partial derivatives (df_i/dx_j) evaluated at the point mod p^M.
-
-    rows selects which of f_1..f_l to include (1-based); the default is
-    the constraints only.
-    """
-    if rows is None:
-        rows = list(range(1, system.l))
-    polys = system.all_polys()
-    out = []
-    for i in rows:
-        f = polys[i - 1]
-        out.append([evaluate_mod(f.partial(j), point, system.p, M) for j in range(1, system.n + 1)])
-    return out
-
-
 def shift_rescale(f: MPoly, x0: Sequence[int], L: int, p: int) -> tuple[int, MPoly]:
     """Write f(x0 + p^L y) = p^e * f_L(y) with f_L not divisible by p.
 
@@ -440,6 +415,7 @@ def shift_rescale(f: MPoly, x0: Sequence[int], L: int, p: int) -> tuple[int, MPo
         raise ValueError("L must be >= 0")
     expanded = f.substitute_affine(list(x0), p**L)
     e = expanded.content_valuation(p)
-    assert e is not None
+    if e is None:
+        raise InvariantViolated("a nonzero polynomial expanded to zero")
     scale = p**e
     return e, MPoly(f.n, {expo: c // scale for expo, c in expanded.terms.items()})

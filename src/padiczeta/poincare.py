@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import NoRecurrenceFound, ValidationFailed
+from .errors import InvariantViolated, NoRecurrenceFound, ValidationFailed
 from .mpoly import PolySystem
 from .ratfn import PoleData, RationalFn, reconstruct_rational
 from .smoothing import Decomposition, measure_charts, recenter
@@ -52,7 +52,7 @@ def congruence_count(
     if m <= decomposition.L:
         classes = decomposition.classes(m)
         return sum(1 for x in classes if system.target.evaluate(x, system.p**m) == 0)
-    meter = BudgetMeter(budget)
+    meter = BudgetMeter(budget, f"count walk m={m}")
     return sum(sum(_tail_points(decomposition, c, m, None, meter)[0]) for c in decomposition.charts)
 
 
@@ -218,7 +218,8 @@ def decomposed_count_check(
     # per chart: None (unsolvable), "incomplete" (no exact center found),
     # or (lifter of the rescaled constraints, rescaled target, e_l)
     prepared = []
-    meter = BudgetMeter(budget)  # shared by the solvability probes and the recounts
+    # shared by the solvability probes and the recounts
+    meter = BudgetMeter(budget, "decomposed recount")
     for chart in decomposition.charts:
         # solvable at level j: some level-j chart point has target = 0 mod p^(L + j)
         statuses = [
@@ -236,7 +237,8 @@ def decomposed_count_check(
             prepared.append("incomplete")
             continue
         const, e_l, rep = recenter(system, chart, center)
-        assert const == 0, "an exact zero of the target leaves no constant term"
+        if const != 0:
+            raise InvariantViolated(f"target keeps constant term {const} at exact zero {center}")
         lifter = HenselLifter(p, system.n, rep.constraints, budget).smooth()
         prepared.append((lifter, rep.target, e_l))
 

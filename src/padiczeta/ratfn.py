@@ -225,7 +225,6 @@ def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fracti
 def reconstruct_rational(
     coeffs: Sequence[Fraction],
     validation_count: int = 2,
-    max_den_degree: int | None = None,
 ) -> RationalFn:
     """Fit the minimal rational function generating an exact series.
 
@@ -247,7 +246,7 @@ def reconstruct_rational(
 
     fitted_any = False
     for total in range(train):
-        for den_deg in range(min(total, max_den_degree if max_den_degree is not None else total) + 1):
+        for den_deg in range(total + 1):
             num_deg = total - den_deg
             if num_deg >= train:
                 continue

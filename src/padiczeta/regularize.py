@@ -84,7 +84,7 @@ def _ambient_walk(system: PolySystem, r: int, depth: int, support: Support | Non
             return x, j, ("deep", None, 0), mult
         return DESCEND
 
-    return walk(roots, children, visit, BudgetMeter(budget))
+    return walk(roots, children, visit, BudgetMeter(budget, f"ambient walk r={r}"))
 
 
 def delta_integral(
@@ -162,7 +162,7 @@ def delta_oscillatory(
         return psi_ratio(z.u * value, p, m) * scale / p ** (j * n)
 
     total = 0.0 + 0.0j
-    for term in walk(roots, children, visit, BudgetMeter(budget)):
+    for term in walk(roots, children, visit, BudgetMeter(budget, f"oscillatory walk r={r} m={m}")):
         total += term
     return total
 

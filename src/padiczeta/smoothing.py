@@ -25,6 +25,7 @@ from .errors import (
     BudgetExceeded,
     CenterNotOnVariety,
     GoodReductionFailed,
+    InvariantViolated,
     RankDeficient,
 )
 from .mpoly import MPoly, PolySystem, shift_rescale
@@ -102,15 +103,18 @@ def dvr_echelon(matrix: Sequence[Sequence[int]], p: int) -> EchelonResult:
                 continue
             frac = Fraction(entry, pivot)
             c, d = frac.numerator, frac.denominator
-            assert d % p != 0, "multiplier denominator must be a unit"
+            if d % p == 0:
+                raise InvariantViolated(f"multiplier denominator {d} is not a unit")
             rows[k] = [d * a - c * b for a, b in zip(rows[k], rows[step])]
             ops.append(("rcomb", k, d, c, step))
-            assert rows[k][step] == 0
+            if rows[k][step] != 0:
+                raise InvariantViolated(f"elimination left {rows[k][step]} below pivot {step}")
 
     pivot_vals = []
     for i in range(nrows):
         v = int_valuation(rows[i][i], p)
-        assert v is not None
+        if v is None:
+            raise InvariantViolated(f"pivot {i} of the echelon form is 0")
         pivot_vals.append(v)
     return EchelonResult(
         b=tuple(tuple(row) for row in rows),
@@ -204,7 +208,10 @@ def neron_rescale(
     exponents, rescaled = [], []
     for i, g in enumerate(combined_translated):
         e, gL = shift_rescale(g, (0,) * system.n, L, system.p)
-        assert e == L + ech.pivot_vals[i], "content must match pivot valuation"
+        if e != L + ech.pivot_vals[i]:
+            raise InvariantViolated(
+                f"content valuation {e} of row {i} does not match L + pivot valuation"
+            )
         exponents.append(e)
         rescaled.append(gL)
     chart_system = PolySystem(
@@ -320,7 +327,8 @@ def recenter(system: PolySystem, chart: Chart, x: tuple[int, ...]) -> tuple[int,
     const = shifted.constant_term()
     remainder = shifted - MPoly.constant(n, const)
     e = remainder.content_valuation(p)
-    assert e is not None and e >= chart.L, "target remainder must carry p^L"
+    if e is None or e < chart.L:
+        raise InvariantViolated(f"target remainder at {x} does not carry p^{chart.L}")
     source = chart.certificate.combined_constraints if chart.certificate else system.constraints
     constraints = tuple(
         shift_rescale(g.substitute_affine(x, 1), (0,) * n, chart.L, p)[1] for g in source

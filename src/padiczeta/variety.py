@@ -32,13 +32,18 @@ DEFAULT_BUDGET = 10**7
 
 
 class BudgetMeter:
-    """Nodes visited so far by the walks charged to it, and their limit."""
+    """Nodes visited so far by the walks charged to it, and their limit.
 
-    __slots__ = ("limit", "used")
+    The stage label (such as `shell walk m=3 c=2`) names those walks in
+    a budget error.
+    """
 
-    def __init__(self, limit: int):
+    __slots__ = ("limit", "used", "stage")
+
+    def __init__(self, limit: int, stage: str):
         self.limit = limit
         self.used = 0
+        self.stage = stage
 
 
 # -- the lift-tree walk ---------------------------------------------------------
@@ -60,18 +65,21 @@ def walk(
     order, with one root-to-leaf path of pending siblings on an explicit
     stack.  `visit(x, j)` returns PRUNE, DESCEND, or a value to yield in
     place of the subtree.  Every visited node is charged to the meter,
-    and BudgetExceeded is raised past its limit.  The count is kept in a
-    local between yields, so a meter serves one running walk at a time;
-    walks may share it one after another.
+    and BudgetExceeded, naming the meter's stage and the level of the
+    node it stopped at, is raised past its limit.  The count is kept in
+    a local between yields, so a meter serves one running walk at a
+    time; walks may share it one after another.
     """
     stack = [(x, 1) for x in reversed(roots)]
     used, limit = meter.used, meter.limit
     while stack:
+        x, j = stack.pop()
         used += 1
         if used > limit:
             meter.used = used
-            raise BudgetExceeded(f"enumeration budget {limit} exhausted")
-        x, j = stack.pop()
+            raise BudgetExceeded(
+                f"{meter.stage}: enumeration budget {limit} exhausted at level {j}"
+            )
         action = visit(x, j)
         if action is DESCEND:
             stack.extend(zip(reversed(children(x, j)), itertools.repeat(j + 1)))
@@ -307,7 +315,7 @@ class HenselLifter:
 
 
 def _points_at(
-    lifter: HenselLifter, m: int, budget: int, support: Support | None
+    lifter: HenselLifter, m: int, budget: int, support: Support | None, stage: str
 ) -> Iterator[tuple[int, ...]]:
     """The level-m nodes of the lifter's tree that the support admits."""
     p = lifter.p
@@ -317,7 +325,7 @@ def _points_at(
             return PRUNE
         return x if j == m else DESCEND
 
-    return walk(lifter.roots(), lifter.children, visit, BudgetMeter(budget))
+    return walk(lifter.roots(), lifter.children, visit, BudgetMeter(budget, stage))
 
 
 def iter_hensel_points(
@@ -332,7 +340,7 @@ def iter_hensel_points(
     path in memory at a time.
     """
     lifter = HenselLifter(system.p, system.n, system.constraints, budget).smooth()
-    yield from _points_at(lifter, m, budget, support)
+    yield from _points_at(lifter, m, budget, support, f"hensel walk m={m}")
 
 
 def hensel_enumerate(
@@ -370,7 +378,8 @@ def iter_congruence_points(
     if m == 0:
         yield (0,) * n
         return
-    yield from _points_at(HenselLifter(p, n, polys, budget), m, budget, support)
+    lifter = HenselLifter(p, n, polys, budget)
+    yield from _points_at(lifter, m, budget, support, f"congruence walk m={m}")
 
 
 def truncated_tree(

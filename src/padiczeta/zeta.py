@@ -11,7 +11,14 @@ character values are floating.
 
 Shell walks are recounted one level deeper and must agree exactly
 (after the p^dim scaling); disagreement raises instead of silently
-producing a wrong table.
+producing a wrong table.  A table at angular level c determines every
+coarser level by summing classes, so `ShellTable.project` serves a
+coarser table without another walk.
+
+The conductor scan finds the conductor cutoff of the twisted tables.
+It probes the critical locus once, then builds one table per level from
+c_max upward until some level past the cutoff is verified zero (at most
+CONDUCTOR_LIMIT), and hands that table on to the formula route.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .characters import MultChar, chi_value, enumerate_characters
-from .errors import HypothesisNotVerified, NotStabilized, WalkInvariantError
+from .errors import HypothesisNotVerified, MissingTable, NotStabilized, WalkInvariantError
 from .mpoly import PolySystem
 from .padic import int_valuation
 from .ratfn import RationalFn, reconstruct_rational
@@ -29,7 +36,9 @@ from .smoothing import Chart, Decomposition, measure_charts
 from .support import Support
 from .variety import DEFAULT_BUDGET, DESCEND, PRUNE, BudgetMeter, critical_locus_probe, walk
 
-ZERO_TOL = 1e-9
+ZERO_TOL = 1e-9  # a twisted coefficient table within this of 0 counts as zero
+CONDUCTOR_LIMIT = 4  # the conductor scan escalates no further than this level
+PROBE_LEVEL = 2  # level of the critical-locus probe behind the conductor scan
 
 
 def _chart_support(
@@ -67,18 +76,17 @@ def _chart_shell_walk(
     c: int,
     support: Support | None,
     budget: int,
-) -> tuple[dict[int, int], int, int]:
+) -> tuple[dict[int, int], int]:
     """Counts of chart points in shell (m, ac mod p^c), at resolving level.
 
-    Returns (per-class counts, deep count, resolving level k): the shell
-    measure contribution is weight * count * p^(-k * dim), and `deep`
-    counts level-k points whose target valuation is >= m + c.
+    Returns (per-class counts, resolving level k): the shell measure
+    contribution is weight * count * p^(-k * dim).
     """
     p = decomposition.system.p
     L = chart.L
     meets, sup = _chart_support(support, chart, p)
     if not meets:
-        return {}, 0, 1
+        return {}, 1
     k = max(m + c - L, sup.level if sup else 0, 1)
     lifter = decomposition.lifter(chart, budget)
     evaluate = chart.target.evaluate
@@ -92,7 +100,7 @@ def _chart_shell_walk(
         return sup is None or j >= sup.level
 
     def visit(y: tuple[int, ...], j: int):
-        """(class u, or None for deep, level-k count) once the shell is resolved."""
+        """(class u, level-k count) once the shell is resolved."""
         if sup is not None and not sup.admits_prefix(y, j, p):
             return PRUNE
         value = evaluate(y, classify_mod)
@@ -103,19 +111,16 @@ def _chart_shell_walk(
             if m + c <= L + j and ready(j):
                 return (value // p_m) % p_c, above[j]
         elif L + j >= m + c and ready(j):
-            return None, above[j]
+            return PRUNE  # valuation >= m + c: a deeper shell
         if j >= k:
             raise WalkInvariantError(f"shell (m={m}, c={c}) unresolved at level {j} >= {k}")
         return DESCEND
 
     counts: dict[int, int] = {}
-    deep = 0
-    for u, count in walk(lifter.roots(), lifter.children, visit, BudgetMeter(budget)):
-        if u is None:
-            deep += count
-        else:
-            counts[u] = counts.get(u, 0) + count
-    return counts, deep, k
+    meter = BudgetMeter(budget, f"shell walk m={m} c={c}")
+    for u, count in walk(lifter.roots(), lifter.children, visit, meter):
+        counts[u] = counts.get(u, 0) + count
+    return counts, k
 
 
 def _shell_measures_once(
@@ -124,18 +129,24 @@ def _shell_measures_once(
     c: int,
     support: Support | None,
     budget: int,
-) -> tuple[dict[int, Fraction], Fraction]:
+) -> dict[int, Fraction]:
     p = decomposition.system.p
     measures: dict[int, Fraction] = {}
-    deep_measure = Fraction(0)
     for chart in decomposition.charts:
-        counts, deep, k = _chart_shell_walk(decomposition, chart, m, c, support, budget)
+        counts, k = _chart_shell_walk(decomposition, chart, m, c, support, budget)
         dim = decomposition.system.dim
         scale = chart.weight / p ** (k * dim)
         for u, count in counts.items():
             measures[u] = measures.get(u, Fraction(0)) + count * scale
-        deep_measure += deep * scale
-    return measures, deep_measure
+    return measures
+
+
+def _coarsen(measures: dict[int, Fraction], modulus: int) -> dict[int, Fraction]:
+    """Sum class measures over the classes u mod modulus."""
+    coarse: dict[int, Fraction] = {}
+    for u, measure in measures.items():
+        coarse[u % modulus] = coarse.get(u % modulus, Fraction(0)) + measure
+    return coarse
 
 
 @dataclass
@@ -143,9 +154,7 @@ class ShellTable:
     """Exact shell measures of the target along the variety, to depth M.
 
     measures[m][u] is the surface measure of the shell with valuation m
-    and angular class u mod p^c_level; deep[m] is the measure of the set
-    with valuation >= m + c_level (the unresolved remainder at shell m's
-    classification level).
+    and angular class u mod p^c_level; classes of measure 0 are absent.
     """
 
     system: PolySystem
@@ -153,7 +162,6 @@ class ShellTable:
     c_level: int
     depth: int
     measures: list[dict[int, Fraction]]
-    deep: list[Fraction]
     stabilized: list[bool]
     decomposition: Decomposition = field(repr=False, default=None)
     _class_fns: dict[int, RationalFn] = field(default_factory=dict, repr=False)
@@ -177,11 +185,30 @@ class ShellTable:
         p, c = self.system.p, self.c_level
         return [u for u in range(p**c) if u % p != 0]
 
-    def class_fn(self, u: int, validation_count: int = 2) -> RationalFn:
+    def class_fn(self, u: int) -> RationalFn:
         """Reconstructed generating function of one angular class."""
         if u not in self._class_fns:
-            self._class_fns[u] = reconstruct_rational(self.class_series(u), validation_count)
+            self._class_fns[u] = reconstruct_rational(self.class_series(u))
         return self._class_fns[u]
+
+    def project(self, c: int) -> "ShellTable":
+        """The same table at the coarser angular level c (1 <= c <= c_level).
+
+        Each class u mod p^c is the union of its lifts mod p^c_level, so
+        its measure is their exact sum; no walk runs.
+        """
+        if not 1 <= c <= self.c_level:
+            raise ValueError(f"cannot project angular level {self.c_level} to {c}")
+        modulus = self.system.p**c
+        return ShellTable(
+            system=self.system,
+            support=self.support,
+            c_level=c,
+            depth=self.depth,
+            measures=[_coarsen(row, modulus) for row in self.measures],
+            stabilized=list(self.stabilized),
+            decomposition=self.decomposition,
+        )
 
     def coefficient_extrapolated(self, chi: MultChar, k: int) -> Fraction | complex:
         """Coeff of t^k in Z(s, chi), from the table or the class reconstructions."""
@@ -207,42 +234,31 @@ def build_shell_table(
     support: Support | None = None,
     decomposition: Decomposition | None = None,
     budget: int = DEFAULT_BUDGET,
-    verify_stabilization: bool = True,
 ) -> ShellTable:
     """Compute exact shell measures for m = 0..depth at angular level c_level.
 
-    Every row is recomputed one level deeper when verify_stabilization
-    is set; a mismatch raises NotStabilized rather than returning a
-    silently wrong table.
+    Every row is recomputed one level deeper; a mismatch raises
+    NotStabilized rather than returning a silently wrong table.
     """
     if c_level < 1:
         raise ValueError("angular level must be >= 1")
     if decomposition is None:
         decomposition = measure_charts(system, budget)
-    measures, deep, flags = [], [], []
+    measures = []
     for m in range(depth + 1):
-        row, deep_m = _shell_measures_once(decomposition, m, c_level, support, budget)
-        stable = True
-        if verify_stabilization:
-            finer, _ = _shell_measures_once(decomposition, m, c_level + 1, support, budget)
-            coarse: dict[int, Fraction] = {}
-            mod_c = system.p**c_level
-            for u, measure in finer.items():
-                coarse[u % mod_c] = coarse.get(u % mod_c, Fraction(0)) + measure
-            stable = coarse == {u: v for u, v in row.items() if v}
-            if not stable:
-                raise NotStabilized(f"shell recount at m={m} disagrees: {row} vs {coarse}")
+        row = _shell_measures_once(decomposition, m, c_level, support, budget)
+        finer = _shell_measures_once(decomposition, m, c_level + 1, support, budget)
+        coarse = _coarsen(finer, system.p**c_level)
+        if coarse != row:
+            raise NotStabilized(f"shell recount at m={m} disagrees: {row} vs {coarse}")
         measures.append(row)
-        deep.append(deep_m)
-        flags.append(stable)
     return ShellTable(
         system=system,
         support=support,
         c_level=c_level,
         depth=depth,
         measures=measures,
-        deep=deep,
-        stabilized=flags,
+        stabilized=[True] * (depth + 1),
         decomposition=decomposition,
     )
 
@@ -295,8 +311,8 @@ class CoeffTable:
     stabilized: tuple[bool, ...]
     q: int
 
-    def is_zero(self, tol: float = ZERO_TOL) -> bool:
-        return all(abs(complex(c)) <= tol for c in self.coeffs)
+    def is_zero(self) -> bool:
+        return all(abs(complex(c)) <= ZERO_TOL for c in self.coeffs)
 
 
 def coefficient_table(table: ShellTable, chi: MultChar) -> CoeffTable:
@@ -313,14 +329,14 @@ class ConductorScan:
     cutoff is the largest conductor with a nonzero table among the
     scanned characters; every scanned character of larger conductor had
     an identically (numerically) zero table.  guard_margin is how many
-    conductor levels beyond the cutoff were verified zero.
+    conductor levels beyond the cutoff were verified zero, and table is
+    the shell table of the level the scan settled at (table.c_level).
     """
 
     cutoff: int
-    scanned_level: int
     guard_margin: int
     nonzero: tuple[MultChar, ...]
-    probe_clean: bool
+    table: ShellTable = field(repr=False)
 
 
 def conductor_vanishing_scan(
@@ -330,39 +346,46 @@ def conductor_vanishing_scan(
     support: Support | None = None,
     decomposition: Decomposition | None = None,
     budget: int = DEFAULT_BUDGET,
-    probe_level: int = 2,
-    require_clean_probe: bool = True,
 ) -> ConductorScan:
     """Find the empirical conductor cutoff beyond which twisted tables vanish.
 
-    Scans every character of (Z/p^c_max)^* against shell measures to the
-    given depth.  The finite-level critical-locus probe backs the
-    hypothesis under which the cutoff is finite at all; a non-clean
-    probe raises unless explicitly tolerated.
+    Scans every character of (Z/p^c)^* against shell measures to the
+    given depth, for c = c_max, c_max + 1, ... up to CONDUCTOR_LIMIT,
+    and stops at the first level that verifies at least one conductor
+    level beyond the cutoff to be zero (guard margin >= 1), so the
+    truncation is checked rather than assumed; MissingTable is raised
+    when no level up to the limit does.  The finite-level critical-locus
+    probe backs the hypothesis under which the cutoff is finite at all,
+    and a non-clean probe raises.
     """
-    probe = critical_locus_probe(system, probe_level, budget)
-    if require_clean_probe and not probe.clean:
+    probe = critical_locus_probe(system, PROBE_LEVEL, budget)
+    if not probe.clean:
         raise HypothesisNotVerified(
-            f"critical-locus probe found suspects at level {probe_level}: "
+            f"critical-locus probe found suspects at level {PROBE_LEVEL}: "
             f"{probe.suspects[:5]}"
         )
-    table = build_shell_table(
-        system, depth, c_level=c_max, support=support, decomposition=decomposition, budget=budget
-    )
-    cutoff = 0
-    nonzero = []
-    for chi in enumerate_characters(system.p, c_max):
-        if chi.is_trivial():
-            continue
-        if not coefficient_table(table, chi).is_zero():
-            nonzero.append(chi)
-            cutoff = max(cutoff, chi.conductor)
-    return ConductorScan(
-        cutoff=cutoff,
-        scanned_level=c_max,
-        guard_margin=c_max - cutoff,
-        nonzero=tuple(nonzero),
-        probe_clean=probe.clean,
+    if decomposition is None:
+        decomposition = measure_charts(system, budget)
+    for level in range(c_max, CONDUCTOR_LIMIT + 1):
+        table = build_shell_table(
+            system, depth, level, support=support, decomposition=decomposition, budget=budget
+        )
+        nonzero = [
+            chi
+            for chi in enumerate_characters(system.p, level)
+            if not chi.is_trivial() and not coefficient_table(table, chi).is_zero()
+        ]
+        cutoff = max((chi.conductor for chi in nonzero), default=0)
+        if level - cutoff >= 1:
+            return ConductorScan(
+                cutoff=cutoff,
+                guard_margin=level - cutoff,
+                nonzero=tuple(nonzero),
+                table=table,
+            )
+    raise MissingTable(
+        f"nonzero twisted tables persist through conductor {CONDUCTOR_LIMIT}; "
+        "no verified truncation margin"
     )
 
 
@@ -407,7 +430,7 @@ def tail_measure(
         decomposition = measure_charts(system, budget)
     p = system.p
     total = Fraction(0)
-    meter = BudgetMeter(budget)
+    meter = BudgetMeter(budget, f"tail walk m={m}")
     for chart in decomposition.charts:
         meets, sup = _chart_support(support, chart, p)
         if meets:

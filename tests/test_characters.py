@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from padiczeta.characters import (
     MultChar,
-    QuasiChar,
     chi_value,
     enumerate_characters,
     gauss_sum,
@@ -21,7 +20,7 @@ from padiczeta.errors import (
     NonUnitArgument,
     TrivialCharacter,
 )
-from padiczeta.padic import ScaledUnit, psi_ratio
+from padiczeta.padic import psi_ratio
 
 
 def test_group_sizes():
@@ -86,16 +85,6 @@ def test_even_prime_rejected():
 def test_modulus_too_large_rejected():
     with pytest.raises(ModulusTooLarge):
         enumerate_characters(3, 13)  # 3^13 > 10^6
-
-
-def test_quasicharacter_value():
-    # omega(u p^-m) = chi(u) t^-m with t = p^-s
-    quad = next(c for c in enumerate_characters(3, 1) if c.index == 1)
-    omega = QuasiChar(quad, t=1 / 3)
-    z = ScaledUnit(3, 2, 2)
-    assert abs(omega.value(z) - chi_value(quad, 2) * 9) < 1e-12
-    with pytest.raises(ValueError):
-        QuasiChar(quad).value(z)
 
 
 @given(

@@ -13,13 +13,11 @@ from padiczeta.errors import (
 from padiczeta.mpoly import (
     MPoly,
     PolySystem,
-    evaluate_mod,
-    jacobian,
     parse_polynomial,
     shift_rescale,
     system_from_strings,
 )
-from padiczeta.padic import AtLeast, valuation
+from padiczeta.padic import int_valuation
 
 
 def test_parse_monomial():
@@ -76,12 +74,13 @@ def test_print_parse_round_trip(f):
 
 def test_evaluate_mod_examples():
     f = parse_polynomial("x2^2", 2)
-    value = evaluate_mod(f, (0, 3), 3, 4)
-    assert value.residue == 9 and valuation(value) == 2
+    value = f.evaluate((0, 3), 3**4)
+    assert value == 9 and int_valuation(value, 3) == 2
     g = parse_polynomial("3*x1 - 9*x2", 2)
-    assert evaluate_mod(g, (1, 0), 3, 3).residue == 3
+    assert g.evaluate((1, 0), 3**3) == 3
+    assert g.evaluate((0, 1), 3**3) == (-9) % 27
     h = parse_polynomial("x1", 2)
-    assert valuation(evaluate_mod(h, (0, 5), 3, 4)) == AtLeast(4)
+    assert h.evaluate((0, 5), 3**4) == 0
 
 
 def test_evaluate_dimension_mismatch():
@@ -90,15 +89,16 @@ def test_evaluate_dimension_mismatch():
         f.evaluate((1,))
 
 
+def _jacobian_row(f, point, modulus):
+    return [f.partial(j).evaluate(point, modulus) for j in range(1, f.n + 1)]
+
+
 def test_jacobian_examples():
     system = system_from_strings(3, 2, ["x1"], "x2^2")
-    row = jacobian(system, (0, 0), rows=[1], M=3)[0]
-    assert [v.residue for v in row] == [1, 0]
-    row = jacobian(system, (0, 3), rows=[2], M=3)[0]
-    assert row[1].residue == 6
+    assert _jacobian_row(system.constraints[0], (0, 0), 27) == [1, 0]
+    assert _jacobian_row(system.target, (0, 3), 27)[1] == 6
     system = system_from_strings(3, 2, ["3*x1 - 9*x2"], "x2")
-    row = jacobian(system, (4, 7), rows=[1], M=3)[0]
-    assert [v.residue for v in row] == [3, (-9) % 27]
+    assert _jacobian_row(system.constraints[0], (4, 7), 27) == [3, (-9) % 27]
 
 
 @given(polynomials(), st.integers(min_value=0, max_value=26), st.integers(min_value=1, max_value=3))

@@ -1,4 +1,4 @@
-"""Tests for truncated p-adic arithmetic and the additive character."""
+"""Tests for p-adic valuations and the additive character."""
 
 import cmath
 from fractions import Fraction
@@ -6,90 +6,35 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from padiczeta.errors import UndefinedForZero
-from padiczeta.padic import (
-    AtLeast,
-    PAdicApprox,
-    ScaledUnit,
-    additive_character,
-    angular_component,
-    fractional_part,
-    psi_ratio,
-    valuation,
-)
+from padiczeta.padic import int_valuation, psi_ratio
 
 PRIMES = [2, 3, 5, 7]
 
 
 def test_valuation_examples():
-    assert valuation(PAdicApprox(3, 18, 4)) == 2
-    assert valuation(PAdicApprox(3, 0, 4)) == AtLeast(4)
-    assert valuation(PAdicApprox(2, 5, 3)) == 0
-
-
-def test_angular_component_examples():
-    ac = angular_component(PAdicApprox(3, 18, 4))
-    assert (ac.residue, ac.precision) == (2, 2)
-    ac = angular_component(PAdicApprox(5, 7, 2))
-    assert (ac.residue, ac.precision) == (7, 2)
-    with pytest.raises(UndefinedForZero):
-        angular_component(PAdicApprox(3, 0, 4))
-
-
-def test_fractional_part_examples():
-    assert fractional_part(ScaledUnit(3, 1, 1)) == Fraction(1, 3)
-    assert fractional_part(ScaledUnit(3, 2, 5)) == Fraction(5, 9)
-    assert fractional_part(PAdicApprox(3, 7, 2)) == 0
+    assert int_valuation(18, 3) == 2
+    assert int_valuation(0, 3) is None
+    assert int_valuation(5, 2) == 0
+    assert int_valuation(-54, 3) == 3
 
 
 def test_additive_character_examples():
-    assert additive_character(PAdicApprox(3, 5, 2)) == 1
+    assert psi_ratio(5, 3, 0) == 1
+    assert abs(psi_ratio(9, 3, 2) - 1) < 1e-12
     expected = cmath.exp(2j * cmath.pi / 3)
-    assert abs(additive_character(ScaledUnit(3, 1, 1)) - expected) < 1e-12
+    assert abs(psi_ratio(1, 3, 1) - expected) < 1e-12
+    assert abs(psi_ratio(4 - 3**5, 3, 1) - expected) < 1e-12
     total = sum(psi_ratio(x, 3, 1) for x in range(3))
     assert abs(total) < 1e-12
 
 
-def test_precision_propagation():
-    a = PAdicApprox(3, 10, 4)
-    b = PAdicApprox(3, 7, 2)
-    assert (a + b).precision == 2
-    assert (a * b).precision == 2
-    assert (a * b).residue == 70 % 9
-
-
 @given(
     p=st.sampled_from([2, 3, 5]),
-    ra=st.integers(min_value=0, max_value=3**6 - 1),
-    rb=st.integers(min_value=0, max_value=3**6 - 1),
+    a=st.integers(min_value=1, max_value=3**6),
+    b=st.integers(min_value=1, max_value=3**6),
 )
-def test_valuation_additive_on_products(p, ra, rb):
-    M = 6
-    a = PAdicApprox(p, ra % p**M, M)
-    b = PAdicApprox(p, rb % p**M, M)
-    va, vb = valuation(a), valuation(b)
-    if isinstance(va, AtLeast) or isinstance(vb, AtLeast):
-        return
-    if va + vb < M:
-        assert valuation(a * b) == va + vb
-
-
-@given(
-    p=st.sampled_from([3, 5]),
-    ra=st.integers(min_value=1, max_value=5**5 - 1),
-    rb=st.integers(min_value=1, max_value=5**5 - 1),
-)
-def test_angular_component_multiplicative(p, ra, rb):
-    M = 5
-    a = PAdicApprox(p, ra % p**M, M)
-    b = PAdicApprox(p, rb % p**M, M)
-    prod = a * b
-    for x in (a, b, prod):
-        if isinstance(valuation(x), AtLeast):
-            return
-    ac_a, ac_b, ac_ab = angular_component(a), angular_component(b), angular_component(prod)
-    overlap = min(ac_a.precision, ac_b.precision, ac_ab.precision)
-    assert (ac_a.residue * ac_b.residue - ac_ab.residue) % p**overlap == 0
+def test_valuation_additive_on_products(p, a, b):
+    assert int_valuation(a * b, p) == int_valuation(a, p) + int_valuation(b, p)
 
 
 @given(
@@ -99,15 +44,15 @@ def test_angular_component_multiplicative(p, ra, rb):
     u2=st.integers(min_value=1, max_value=80),
 )
 def test_character_is_additive(m1, u1, m2, u2):
+    # Psi(u1 / p^m1) Psi(u2 / p^m2) = Psi(u1 / p^m1 + u2 / p^m2)
     p = 3
     if u1 % p == 0 or u2 % p == 0:
         return
-    z1 = ScaledUnit(p, m1, u1 % p**m1)
-    z2 = ScaledUnit(p, m2, u2 % p**m2)
-    total = fractional_part(z1) + fractional_part(z2)
-    lhs = additive_character(z1) * additive_character(z2)
-    rhs = cmath.exp(2j * cmath.pi * float(total % 1))
-    assert abs(lhs - rhs) < 1e-10
+    m = max(m1, m2)
+    total = Fraction(u1, p**m1) + Fraction(u2, p**m2)
+    lhs = psi_ratio(u1, p, m1) * psi_ratio(u2, p, m2)
+    assert abs(lhs - psi_ratio(u1 * p ** (m - m1) + u2 * p ** (m - m2), p, m)) < 1e-10
+    assert abs(lhs - cmath.exp(2j * cmath.pi * float(total % 1))) < 1e-10
 
 
 @pytest.mark.parametrize("p", PRIMES)

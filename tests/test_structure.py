@@ -1,10 +1,12 @@
-"""Structure guard: the lift tree is walked in exactly one place.
+"""Structure guards over the source of the package.
 
 Every enumeration of the Hensel lift tree goes through `variety.walk`.
 These tests fail when a module expands lift-tree nodes itself (a call to
 `.children(`), keeps its own work stack (a while loop that pops and
 pushes the same list), or recurses (a function that calls itself), so
-the walk cannot fork into private copies again.
+the walk cannot fork into private copies again.  Invariants raise typed
+errors: an `assert` statement, which `python -O` strips, fails the
+suite.
 """
 
 import ast
@@ -102,3 +104,13 @@ def test_no_hand_rolled_recursion():
         if _calls_itself(fn)
     }
     assert recursive <= RECURSION_ALLOWED, recursive - RECURSION_ALLOWED
+
+
+def test_no_assert_statements():
+    asserts = [
+        f"{name}:{node.lineno}"
+        for name, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == [], "invariants must raise a PadicZetaError, not assert"

@@ -6,7 +6,7 @@ import pytest
 
 from padiczeta.bundled import BAD_LINE, LINE_X1, LINE_X2, LINE_X3, PARABOLA
 from padiczeta.characters import enumerate_characters, trivial_character
-from padiczeta.errors import HypothesisNotVerified
+from padiczeta.errors import BudgetExceeded, HypothesisNotVerified
 from padiczeta.mpoly import system_from_strings
 from padiczeta.ratfn import pole_analysis, reconstruct_rational
 from padiczeta.smoothing import measure_charts
@@ -205,3 +205,59 @@ def test_coefficient_table_dataclass():
     ct = coefficient_table(table, trivial_character(3))
     assert ct.coeffs[0] == F(2, 3)
     assert not ct.is_zero()
+
+
+def test_budget_error_names_the_stage_and_level():
+    # p^n = 9 admits the F_p scan; the shell walks need more than 10 nodes
+    with pytest.raises(BudgetExceeded, match=r"shell walk m=\d+ c=\d+: .* at level \d+"):
+        build_shell_table(LINE_X2.system, 4, budget=10)
+
+
+@pytest.mark.parametrize(
+    "system, support, coarse",
+    [
+        (LINE_X3.system, None, 1),
+        (LINE_X3.system, None, 2),
+        (BAD_LINE.system, None, 1),
+        (BAD_LINE.system, None, 2),
+        (LINE_X3.system, Support.cosets(2, 1, [[0, 0], [0, 2]], 3), 1),
+        (LINE_X3.system, Support.cosets(2, 1, [[0, 0], [0, 2]], 3), 2),
+    ],
+    ids=["line_x3-1", "line_x3-2", "bad_line-1", "bad_line-2", "coset-1", "coset-2"],
+)
+def test_projection_equals_walked_table(system, support, coarse):
+    fine = build_shell_table(system, 4, c_level=3, support=support)
+    projected = fine.project(coarse)
+    walked = build_shell_table(system, 4, c_level=coarse, support=support)
+    assert projected.c_level == coarse
+    # exact Fractions under the same class keys, row by row
+    assert projected.measures == walked.measures
+    assert projected.stabilized == walked.stabilized
+    with pytest.raises(ValueError):
+        fine.project(4)
+
+
+def test_context_reuses_the_scan_table(monkeypatch):
+    import padiczeta.expsum as expsum
+    import padiczeta.zeta as zeta
+
+    levels, probes = [], []
+    build, probe = zeta.build_shell_table, zeta.critical_locus_probe
+
+    def counting_build(system, depth, c_level=1, *args, **kwargs):
+        levels.append(c_level)
+        return build(system, depth, c_level, *args, **kwargs)
+
+    def counting_probe(*args, **kwargs):
+        probes.append(args)
+        return probe(*args, **kwargs)
+
+    for module in (zeta, expsum):
+        monkeypatch.setattr(module, "build_shell_table", counting_build, raising=False)
+        monkeypatch.setattr(module, "critical_locus_probe", counting_probe, raising=False)
+    # conductor 2 survives at level 2, so the scan escalates to level 3
+    ctx = expsum.build_stationary_phase_context(LINE_X3.system, depth=6, c_max=2)
+    assert levels == [2, 3]
+    assert len(probes) == 1
+    assert ctx.cutoff == 2 and ctx.table.c_level == 2
+    assert ctx.table.measures == build(LINE_X3.system, 6, c_level=2).measures
