@@ -17,6 +17,7 @@ from pathlib import Path
 
 from padiczeta.bundled import (
     BAD_LINE,
+    BAD_LINE_P5,
     GOOD_REDUCTION,
     LINE_X2,
     LINE_X3,
@@ -100,6 +101,13 @@ def main() -> int:
     ok = all(r.gap < 1e-9 for r in decomposed_expsum_check(BAD_LINE.system, ms))
     record(BAD_LINE.name, "expsum decomposition", ok)
     record(BAD_LINE.name, "count decomposition", decomposed_count_check(BAD_LINE.system, ms).exact())
+
+    decomposition = global_decompose(BAD_LINE_P5.system)
+    ok = all(
+        decomposition.image_count(m) == len(image_oracle(BAD_LINE_P5.system, m, 3))
+        for m in (1, 2)
+    )
+    record(BAD_LINE_P5.name, "image counts vs oracle", ok)
 
     with open(outdir / "corpus_results.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

@@ -325,7 +325,7 @@ def cmd_smooth(problem: Problem, out: Path, args) -> int:
     (out / "certificates.json").write_text(certificates_to_json(decomposition))
     rng = random.Random(args.seed)
     identity_ok = all(
-        verify_certificate(chart.certificate, rng, samples=50, depth=4)
+        verify_certificate(chart.certificate, rng)
         for chart in decomposition.charts
         if chart.certificate is not None
     )

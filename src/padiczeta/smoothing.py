@@ -34,12 +34,16 @@ from .variety import (
     DEFAULT_BUDGET,
     GoodReductionVerdict,
     HenselLifter,
+    first_lifts,
     good_reduction_test,
     iter_hensel_points,
-    stable_projection,
 )
 
 RowOp = tuple  # ("rswap", i, k) | ("cswap", j, k) | ("rcomb", k, d, c, i)
+
+DECOMPOSE_ROUNDS = 12  # rescale-level escalations global_decompose tries
+CERT_SAMPLES = 50  # random points verify_certificate checks
+CERT_DEPTH = 4  # their digits: y is drawn modulo p^CERT_DEPTH
 
 
 @dataclass(frozen=True)
@@ -348,25 +352,22 @@ def _identity_chart(system: PolySystem) -> Chart:
     )
 
 
-def global_decompose(
-    system: PolySystem,
-    budget: int = DEFAULT_BUDGET,
-    max_rounds: int = 12,
-) -> Decomposition:
+def global_decompose(system: PolySystem, budget: int = DEFAULT_BUDGET) -> Decomposition:
     """Cover the variety with rescaled good-reduction charts at a uniform L.
 
-    Candidate centers at level L are congruence solutions at accuracy
-    level 2L + 3, projected; the candidate set must agree with the one
-    computed at accuracy 2L + 4 (else NotStabilized).  Whenever some
-    center needs a larger L than the current round assumed, the round is
-    restarted with the maximum.  Charts whose rescaled variety has no
-    F_p point contain no Z_p points of the variety at all (Hensel) and
-    are dropped.
+    The center of each class mod p^L is the first lift in walk order
+    that solves the constraints at accuracy level 2L + 3: the search
+    stops at one lift per class, and must find the same classes at
+    accuracy 2L + 4 (else NotStabilized).  Whenever some center needs a
+    larger L than the current round assumed, the round is restarted with
+    the maximum, for at most DECOMPOSE_ROUNDS rounds.  Charts whose
+    rescaled variety has no F_p point contain no Z_p points of the
+    variety at all (Hensel) and are dropped.
     """
     p, n = system.p, system.n
     L = 1
-    for _ in range(max_rounds):
-        reps = stable_projection(p, n, system.constraints, L, 2 * L + 3, budget)
+    for _ in range(DECOMPOSE_ROUNDS):
+        reps = first_lifts(p, n, system.constraints, L, 2 * L + 3, budget)
         needed = L
         for key in sorted(reps):
             x0 = reps[key]
@@ -401,7 +402,10 @@ def global_decompose(
         return Decomposition(
             system=system, L=L, charts=tuple(charts), dropped_centers=tuple(dropped)
         )
-    raise BudgetExceeded(f"rescale level did not settle within {max_rounds} rounds")
+    raise BudgetExceeded(
+        f"chart search: rescale level did not settle within {DECOMPOSE_ROUNDS} rounds "
+        f"(last L = {L})"
+    )
 
 
 @lru_cache(maxsize=64)
@@ -417,24 +421,19 @@ def measure_charts(system: PolySystem, budget: int = DEFAULT_BUDGET) -> Decompos
     return global_decompose(system, budget)
 
 
-def verify_certificate(
-    cert: SmoothingCertificate,
-    rng,
-    samples: int = 50,
-    depth: int = 4,
-) -> bool:
+def verify_certificate(cert: SmoothingCertificate, rng) -> bool:
     """Spot-check the defining identity of a certificate at random points.
 
-    For y sampled modulo p^depth, the combined constraint evaluated at
-    center + p^L y must equal p^e times the rescaled constraint at y,
-    modulo p^(depth + e), exactly.
+    For CERT_SAMPLES points y sampled modulo p^CERT_DEPTH, the combined
+    constraint evaluated at center + p^L y must equal p^e times the
+    rescaled constraint at y, modulo p^(CERT_DEPTH + e), exactly.
     """
     p = cert.p
-    for _ in range(samples):
-        y = tuple(rng.randrange(p**depth) for _ in range(cert.combined_constraints[0].n))
+    for _ in range(CERT_SAMPLES):
+        y = tuple(rng.randrange(p**CERT_DEPTH) for _ in range(cert.combined_constraints[0].n))
         x = tuple(c + p**cert.L * yi for c, yi in zip(cert.center, y))
         for g, gL, e in zip(cert.combined_constraints, cert.rescaled_constraints, cert.exponents):
-            modulus = p ** (depth + e)
+            modulus = p ** (CERT_DEPTH + e)
             if g.evaluate(x, modulus) != p**e * gL.evaluate(y, modulus) % modulus:
                 return False
     return True

@@ -7,10 +7,10 @@ visit callback decides per node whether to prune, descend or emit.  The
 lifts come from one `HenselLifter`, which solves one small F_p linear
 system per node.  Under good reduction (full Jacobian rank at every
 F_p root) it walks the smooth tree; without that assumption the same
-lifter walks the filtered congruence tree, used for bad-reduction
-candidate centers, the ambient integrals and the image oracle.  A
-brute-force scan of the full residue grid stays separate: it is the
-independent oracle every walk is checked against.
+lifter walks the filtered congruence tree, used for the first-lift
+search of bad-reduction chart centers, the ambient integrals and the
+image oracle.  A brute-force scan of the full residue grid stays
+separate: it is the independent oracle every walk is checked against.
 
 Image-level operations (counting the reduction of the variety's Z_p
 points rather than congruence solutions) go through the chart
@@ -416,26 +416,36 @@ def truncated_tree(
 # -- image-level operations ----------------------------------------------------
 
 
-def stable_projection(
+def first_lifts(
     p: int, n: int, polys: Sequence[MPoly], m: int, accuracy: int, budget: int = DEFAULT_BUDGET
 ) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Classes mod p^m of the solutions mod p^accuracy, each with its smallest lift.
+    """Classes mod p^m of the solutions mod p^accuracy, each with its first lift.
 
-    The classes must agree with those found one level deeper (raising
-    NotStabilized otherwise).
+    An existence search over the filtered congruence tree: a node at a
+    level >= m whose class mod p^m already has a lift is pruned, and the
+    first node reached at `accuracy` in walk order represents its class.
+    The same search one level deeper must find the same classes (raising
+    NotStabilized otherwise); a lift there implies one at `accuracy`, so
+    only classes that die out between the two levels can differ.
     """
+    lifter = HenselLifter(p, n, polys, budget)
     modulus = p**m
 
-    def project(level: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    def search(level: int) -> dict[tuple[int, ...], tuple[int, ...]]:
         reps: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for x in iter_congruence_points(p, n, polys, level, budget):
-            key = tuple(c % modulus for c in x)
-            if key not in reps or x < reps[key]:
-                reps[key] = x
+
+        def visit(x: tuple[int, ...], j: int):
+            if j >= m and tuple(c % modulus for c in x) in reps:
+                return PRUNE
+            return x if j == level else DESCEND
+
+        meter = BudgetMeter(budget, f"center search m={m} accuracy={level}")
+        for x in walk(lifter.roots(), lifter.children, visit, meter):
+            reps[tuple(c % modulus for c in x)] = x
         return reps
 
-    reps = project(accuracy)
-    if set(reps) != set(project(accuracy + 1)):
+    reps = search(accuracy)
+    if set(reps) != set(search(accuracy + 1)):
         raise NotStabilized(
             f"classes mod p^{m} differ between accuracies {accuracy} and {accuracy + 1}"
         )
@@ -450,12 +460,26 @@ def image_oracle(
 ) -> set[tuple[int, ...]]:
     """Overapproximate the reduction image mod p^m by deep projection.
 
-    Enumerates congruence solutions at level m + buffer, projects them
-    mod p^m, and insists the result agrees with buffer + 1 (raising
-    NotStabilized otherwise).  Stability is evidence, not proof; the
+    Enumerates every congruence solution at level m + buffer, projects
+    them mod p^m, and insists the result agrees with buffer + 1 (raising
+    NotStabilized otherwise).  It shares no search with the chart
+    decomposition it checks.  Stability is evidence, not proof; the
     decomposition cross-checks catch a wrong-but-stable buffer.
     """
-    return set(stable_projection(system.p, system.n, system.constraints, m, m + buffer, budget))
+    p, n, modulus = system.p, system.n, system.p**m
+
+    def project(level: int) -> set[tuple[int, ...]]:
+        return {
+            tuple(c % modulus for c in x)
+            for x in iter_congruence_points(p, n, system.constraints, level, budget)
+        }
+
+    image = project(m + buffer)
+    if image != project(m + buffer + 1):
+        raise NotStabilized(
+            f"classes mod p^{m} differ between accuracies {m + buffer} and {m + buffer + 1}"
+        )
+    return image
 
 
 def reduction_image_count(system: PolySystem, m: int, budget: int = DEFAULT_BUDGET) -> int:

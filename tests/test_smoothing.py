@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from padiczeta import smoothing
 from padiczeta.bundled import BAD_LINE, BAD_LINE_P5, LINE_X2, PARABOLA, PLANE_LINE
-from padiczeta.errors import CenterNotOnVariety, RankDeficient
+from padiczeta.errors import BudgetExceeded, CenterNotOnVariety, RankDeficient
 from padiczeta.mpoly import system_from_strings
 from padiczeta.smoothing import (
     dvr_echelon,
@@ -15,7 +16,7 @@ from padiczeta.smoothing import (
     neron_rescale,
     verify_certificate,
 )
-from padiczeta.variety import good_reduction_test, image_oracle
+from padiczeta.variety import HenselLifter, good_reduction_test, image_oracle
 
 
 def test_echelon_single_row():
@@ -97,7 +98,7 @@ def test_certificate_identity_random_points():
     for instance in (BAD_LINE, PARABOLA, PLANE_LINE):
         decomposition = global_decompose(instance.system)
         for chart in decomposition.charts:
-            assert verify_certificate(chart.certificate, rng, samples=50, depth=4)
+            assert verify_certificate(chart.certificate, rng)
 
 
 def test_global_decompose_good_system_single_step():
@@ -114,6 +115,51 @@ def test_global_decompose_bad_line():
     for chart in decomposition.charts:
         assert chart.weight == Fraction(1, 3)
         assert good_reduction_test(chart.as_system(3))
+
+
+# the chart centers certificates.json records; the first lift of each class
+# mod p^2 in walk order is the class's smallest solution on both lines
+BAD_LINE_CENTERS = [(0, 0), (9, 3), (18, 6), (3, 1), (12, 4), (21, 7), (6, 2), (15, 5), (24, 8)]
+BAD_LINE_P5_CENTERS = [
+    (0, 0), (25, 5), (50, 10), (75, 15), (100, 20),
+    (5, 1), (30, 6), (55, 11), (80, 16), (105, 21),
+    (10, 2), (35, 7), (60, 12), (85, 17), (110, 22),
+    (15, 3), (40, 8), (65, 13), (90, 18), (115, 23),
+    (20, 4), (45, 9), (70, 14), (95, 19), (120, 24),
+]
+
+
+@pytest.mark.parametrize(
+    "instance, centers",
+    [(BAD_LINE, BAD_LINE_CENTERS), (BAD_LINE_P5, BAD_LINE_P5_CENTERS)],
+    ids=["bad_line", "bad_line_p5"],
+)
+def test_chart_centers_are_pinned(instance, centers):
+    decomposition = global_decompose(instance.system)
+    assert [chart.center for chart in decomposition.charts] == centers
+    assert decomposition.dropped_centers == ()
+
+
+def test_center_search_stops_at_first_lifts(monkeypatch):
+    # enumerating every solution at accuracies 7 and 8 takes about 609 k calls
+    calls = 0
+    children = HenselLifter.children
+
+    def counting(self, x, j):
+        nonlocal calls
+        calls += 1
+        return children(self, x, j)
+
+    monkeypatch.setattr(HenselLifter, "children", counting)
+    global_decompose(BAD_LINE_P5.system)
+    assert 0 < calls <= 5000
+
+
+def test_rescale_rounds_exhausted_names_stage_and_level(monkeypatch):
+    # BAD_LINE needs L = 2, so a single round ends escalating from L = 1
+    monkeypatch.setattr(smoothing, "DECOMPOSE_ROUNDS", 1)
+    with pytest.raises(BudgetExceeded, match=r"^chart search: .* within 1 rounds \(last L = 2\)$"):
+        global_decompose(BAD_LINE.system)
 
 
 def test_decomposition_counts_match_oracle():

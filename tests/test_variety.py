@@ -5,14 +5,15 @@ from hypothesis import given, settings, strategies as st
 
 from padiczeta.bundled import BAD_LINE, GOOD_REDUCTION, LINE_X2, PARABOLA, THREEVAR
 from padiczeta.mpoly import MPoly, PolySystem, shift_rescale
-from padiczeta.errors import BadReductionInput, BudgetExceeded
+from padiczeta.errors import BadReductionInput, BudgetExceeded, NotStabilized
 from padiczeta.mpoly import system_from_strings
 from padiczeta.poincare import congruence_count, decomposed_count_check
-from padiczeta.smoothing import measure_charts
+from padiczeta.smoothing import global_decompose, measure_charts
 from padiczeta.variety import (
     DEFAULT_BUDGET,
     brute_force_points,
     critical_locus_probe,
+    first_lifts,
     good_reduction_test,
     hensel_enumerate,
     image_oracle,
@@ -66,14 +67,15 @@ def test_hensel_rejects_bad_reduction():
 
 
 @st.composite
-def graph_systems(draw):
+def graph_systems(draw, bad_only=False):
     # x1 + g(x2) has constraint gradient (1, g') of full rank everywhere,
     # so good reduction holds for any g; curvature varies with g.  Scaling
     # the constraint by p keeps its Z_p points but makes its linear part a
     # multiple of p: the Jacobian vanishes mod p, so every root has bad
-    # reduction (drawn for p <= 3, where the chart search stays cheap).
-    p = draw(st.sampled_from([2, 3, 5]))
-    scale = draw(st.sampled_from([1, p] if p <= 3 else [1]))
+    # reduction (drawn for p <= 3, where the image oracle stays cheap;
+    # bad_only draws nothing else).
+    p = draw(st.sampled_from([2, 3] if bad_only else [2, 3, 5]))
+    scale = p if bad_only else draw(st.sampled_from([1, p] if p <= 3 else [1]))
     coeffs = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=4))
     g_terms = {(0, d): scale * c for d, c in enumerate(coeffs, start=1) if c}
     constraint = MPoly(2, {(1, 0): scale, **g_terms})
@@ -102,6 +104,30 @@ def test_hensel_matches_brute_on_random_graphs(system):
                 hensel_enumerate(system, m)
 
 
+@given(graph_systems(bad_only=True), st.sampled_from([1, 2]))
+@settings(max_examples=15, deadline=None)
+def test_first_lifts_match_brute_on_bad_graphs(system, m):
+    p, (constraint,) = system.p, system.constraints
+    accuracy = m + 2
+    _, points = brute_force_points(system, accuracy, collect=True)
+    reps = first_lifts(p, system.n, system.constraints, m, accuracy)
+    assert set(reps) == {tuple(c % p**m for c in x) for x in points}
+    for key, x in reps.items():
+        assert constraint.evaluate(x, p**accuracy) == 0
+        assert tuple(c % p**m for c in x) == key
+    decomposition = global_decompose(system)
+    for level in (1, 2, 3):
+        oracle = image_oracle(system, level, decomposition.L + 1)
+        assert decomposition.image_count(level) == len(oracle)
+
+
+def test_first_lifts_refuses_classes_that_die_out():
+    # x1^2 = 3 has the root 0 mod 3 but no solution mod 9
+    system = system_from_strings(3, 2, ["x1^2 - 3"], "x2")
+    with pytest.raises(NotStabilized):
+        first_lifts(3, 2, system.constraints, 1, 1)
+
+
 # p^n = 9: a budget of 10 admits the F_p scan but not the walks below
 BUDGET_LINE = system_from_strings(3, 2, ["x2"], "x1 + 1")
 
@@ -115,8 +141,10 @@ BUDGET_LINE = system_from_strings(3, 2, ["x2"], "x1 + 1")
         lambda budget: decomposed_count_check(BUDGET_LINE, [3], budget=budget),
         # the probes (9 nodes) leave too little for the rescaled recount (6)
         lambda budget: decomposed_count_check(BUDGET_LINE, [2], budget=budget),
+        # one lift per class mod p: 13 nodes for each of the three roots
+        lambda budget: global_decompose(BUDGET_LINE, budget),
     ],
-    ids=["tail_measure", "chart_count", "solvable_at", "decomposed_recount"],
+    ids=["tail_measure", "chart_count", "solvable_at", "decomposed_recount", "global_decompose"],
 )
 def test_every_walk_honours_the_budget(run):
     run(DEFAULT_BUDGET)
