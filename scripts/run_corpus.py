@@ -31,7 +31,6 @@ from padiczeta.poincare import (
     decomposed_count_check,
     poincare_series,
 )
-from padiczeta.ratfn import reconstruct_rational
 from padiczeta.regularize import delta_limit_check
 from padiczeta.smoothing import global_decompose
 from padiczeta.variety import brute_force_points, hensel_enumerate, image_oracle
@@ -62,10 +61,22 @@ def main() -> int:
         )
         record(instance.name, "hensel vs brute", ok)
 
+    # the shell walk resolves smooth subtrees in closed form; the Hensel
+    # enumeration counts every point of each shell at level m + 2
+    system = THREEVAR.system
+    table = build_shell_table(system, 3, c_level=2)
+    ok = True
+    for m in range(4):
+        fiber = hensel_enumerate(system, m + 2, angular_level=2)
+        oracle = {u: count for (v, u), count in fiber.by_shell.items() if v == m}
+        scale = system.p ** ((m + 2) * system.dim)
+        ok = ok and {u: measure * scale for u, measure in table.measures[m].items()} == oracle
+    record(THREEVAR.name, "shell table vs Hensel oracle", ok)
+
     for instance in (LINE_X2, LINE_X3, PARABOLA, PLANE_LINE):
         series = poincare_series(instance.system, 12)
         table = build_shell_table(instance.system, 12)
-        zeta_fn = reconstruct_rational(table.trivial_series())
+        zeta_fn = table.trivial_fn()
         record(
             instance.name,
             "series-zeta identity",

@@ -26,7 +26,7 @@ from .errors import BudgetExceeded, PadicZetaError, PoleSetMismatch, SchemaError
 from .expsum import decay_report, exponential_sum, stationary_phase_check
 from .mpoly import PolySystem, system_from_strings
 from .poincare import check_series_zeta_identity, poincare_series, solution_growth_bound
-from .ratfn import pole_analysis, pole_data_from_resolution, reconstruct_rational
+from .ratfn import pole_analysis, pole_data_from_resolution
 from .regularize import delta_limit_check
 from .smoothing import certificates_to_json, global_decompose, measure_charts, verify_certificate
 from .support import Support
@@ -190,7 +190,7 @@ def cmd_poincare(problem: Problem, out: Path, args) -> int:
             support=_effective_support(problem),
             budget=problem.budget,
         )
-        zeta_fn = reconstruct_rational(table.trivial_series())
+        zeta_fn = table.trivial_fn()
         verdict = check_series_zeta_identity(series.reconstructed, zeta_fn)
         payload["identity_checked"] = True
         payload["identity_passed"] = verdict.passed
@@ -213,26 +213,25 @@ def cmd_zeta(problem: Problem, out: Path, args) -> int:
     characters = [trivial_character(problem.system.p)]
     if problem.system.p != 2:
         characters = enumerate_characters(problem.system.p, max(cap, 1))
+    # the stabilized column is 1 on every row: a row whose recount
+    # disagrees raises NotStabilized before any file is written
     for chi in characters:
         ct = coefficient_table(table, chi)
         rows = []
         for m, coeff in enumerate(ct.coeffs):
             if isinstance(coeff, Fraction):
                 rows.append(
-                    [m, _fmt(float(coeff)), _fmt(0.0),
-                     coeff.numerator, coeff.denominator, int(ct.stabilized[m])]
+                    [m, _fmt(float(coeff)), _fmt(0.0), coeff.numerator, coeff.denominator, 1]
                 )
             else:
-                rows.append(
-                    [m, _fmt(coeff.real), _fmt(coeff.imag), "", "", int(ct.stabilized[m])]
-                )
+                rows.append([m, _fmt(coeff.real), _fmt(coeff.imag), "", "", 1])
         name = "trivial" if chi.is_trivial() else f"chi{chi.index}_c{chi.conductor}"
         _write_csv(
             out / f"zeta_{name}.csv",
             ["m", "re", "im", "exact_num", "exact_den", "stabilized"],
             rows,
         )
-    zeta_fn = reconstruct_rational(table.trivial_series())
+    zeta_fn = table.trivial_fn()
     _write_json(out / "zeta_trivial.json", zeta_fn.to_json())
     pole = pole_analysis(zeta_fn, problem.system.p)
     pole_payload = {
@@ -395,7 +394,7 @@ def cmd_decay(problem: Problem, out: Path, args) -> int:
             support=_effective_support(problem),
             budget=problem.budget,
         )
-        pole = pole_analysis(reconstruct_rational(table.trivial_series()), problem.system.p)
+        pole = pole_analysis(table.trivial_fn(), problem.system.p)
     report = decay_report(
         problem.system,
         list(range(1, problem.max_level + 1)),

@@ -214,14 +214,12 @@ def delta_limit_check(
     t = p^(-s), exact for the trivial character; the check passes when
     |I_r - Z| <= tail_bound(I_r) for every r >= some r0 in the range.
     """
-    from .ratfn import reconstruct_rational
-
     p = system.p
     c_level = 1 if chi is None or chi.is_trivial() else max(chi.conductor, 1)
     table = build_shell_table(system, zeta_depth, c_level=c_level, support=support, budget=budget)
     t = Fraction(1, p**s)
     if chi is None or chi.is_trivial():
-        surface = reconstruct_rational(table.trivial_series()).eval_exact(t)
+        surface = table.trivial_fn().eval_exact(t)
     else:
         surface = 0.0 + 0.0j
         for u in table.unit_classes():

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import BadReductionInput, BudgetExceeded, NotStabilized, WalkInvariantError
@@ -92,68 +93,94 @@ def walk(
 # -- F_p linear algebra -------------------------------------------------------
 
 
-@dataclass
+def _rref(
+    matrix: Sequence[Sequence[int]], p: int
+) -> tuple[list[list[int]], list[int], list[list[int]]]:
+    """(R, pivot columns, T): the RREF R of a matrix over F_p, with T * matrix = R."""
+    rows = [[x % p for x in row] for row in matrix]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    trans = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
+    pivot_cols: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        trans[r], trans[pivot] = trans[pivot], trans[r]
+        inv = pow(rows[r][c], -1, p)
+        rows[r] = [x * inv % p for x in rows[r]]
+        trans[r] = [x * inv % p for x in trans[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+                trans[i] = [(x - f * y) % p for x, y in zip(trans[i], trans[r])]
+        pivot_cols.append(c)
+        r += 1
+    return rows, pivot_cols, trans
+
+
+@dataclass(frozen=True)
 class _FpSolver:
-    """Precomputed RREF of an F_p matrix for repeated affine solves."""
+    """Precomputed RREF and kernel of an F_p matrix for repeated affine solves.
+
+    The kernel is listed once, in lexicographic order, through its
+    echelon basis: basis vector s has its first nonzero entry, a 1, at
+    position leads[s], and every other basis vector is 0 there.  A
+    solution whose entries at the leads are 0 plus the kernel in that
+    order gives every solution in lexicographic order, because the
+    entries before leads[s] only depend on the first s coefficients.
+    Solvers are immutable, so one serves every root with its matrix.
+    """
 
     p: int
     pivot_cols: list[int]
-    free_cols: list[int]
-    reduced: list[list[int]]  # RREF of A
-    transform: list[list[int]]  # T with T*A = reduced
+    transform: list[list[int]]  # T with T*A = RREF of A
+    leads: list[int]
+    basis: list[list[int]]  # echelon basis of the kernel, one row per lead
+    kernel: tuple[tuple[int, ...], ...]  # all d with A d = 0, lexicographic
 
     @staticmethod
-    def build(matrix: Sequence[Sequence[int]], p: int) -> "_FpSolver":
-        rows = [[x % p for x in row] for row in matrix]
-        nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
-        trans = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
-        pivot_cols: list[int] = []
-        r = 0
-        for c in range(ncols):
-            pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
-            if pivot is None:
-                continue
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            trans[r], trans[pivot] = trans[pivot], trans[r]
-            inv = pow(rows[r][c], -1, p)
-            rows[r] = [x * inv % p for x in rows[r]]
-            trans[r] = [x * inv % p for x in trans[r]]
-            for i in range(nrows):
-                if i != r and rows[i][c]:
-                    f = rows[i][c]
-                    rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-                    trans[i] = [(x - f * y) % p for x, y in zip(trans[i], trans[r])]
-            pivot_cols.append(c)
-            r += 1
-        free_cols = [c for c in range(ncols) if c not in pivot_cols]
-        return _FpSolver(p, pivot_cols, free_cols, rows, trans)
+    @lru_cache(maxsize=4096)
+    def build(matrix: tuple[tuple[int, ...], ...], p: int) -> "_FpSolver":
+        reduced, pivot_cols, trans = _rref(matrix, p)
+        ncols = len(reduced[0]) if reduced else 0
+        spanning = []
+        for f in (c for c in range(ncols) if c not in pivot_cols):
+            d = [0] * ncols
+            d[f] = 1
+            for i, col in enumerate(pivot_cols):
+                d[col] = -reduced[i][f] % p
+            spanning.append(d)
+        basis, leads, _ = _rref(spanning, p) if spanning else ([], [], [])
+        kernel = tuple(
+            tuple(sum(a * b[i] for a, b in zip(coeffs, basis)) % p for i in range(ncols))
+            for coeffs in itertools.product(range(p), repeat=len(basis))
+        )
+        return _FpSolver(p, pivot_cols, trans, leads, basis, kernel)
 
     @property
     def rank(self) -> int:
         return len(self.pivot_cols)
 
-    def solve_affine(self, rhs: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    def solve_affine(self, rhs: Sequence[int]) -> Sequence[tuple[int, ...]]:
         """All solutions d of A d = rhs over F_p, in lexicographic order of d."""
         p = self.p
         c = [sum(t * b for t, b in zip(row, rhs)) % p for row in self.transform]
-        for i in range(self.rank, len(self.reduced)):
-            if c[i] % p:
-                return  # inconsistent
-        ncols = len(self.reduced[0]) if self.reduced else 0
-        solutions = []
-        for assignment in itertools.product(range(p), repeat=len(self.free_cols)):
-            d = [0] * ncols
-            for col, val in zip(self.free_cols, assignment):
-                d[col] = val
-            for i, col in enumerate(self.pivot_cols):
-                acc = c[i]
-                for fcol, val in zip(self.free_cols, assignment):
-                    acc -= self.reduced[i][fcol] * val
-                d[col] = acc % p
-            solutions.append(tuple(d))
-        solutions.sort()
-        yield from solutions
+        if any(c[self.rank :]):
+            return ()  # inconsistent
+        d = [0] * len(self.kernel[0])
+        for i, col in enumerate(self.pivot_cols):
+            d[col] = c[i]
+        for lead, b in zip(self.leads, self.basis):
+            if d[lead]:
+                a = d[lead]
+                d = [(x - a * y) % p for x, y in zip(d, b)]
+        if not any(d):
+            return self.kernel
+        return [tuple([(x + k) % p for x, k in zip(d, offset)]) for offset in self.kernel]
 
 
 # -- verdicts and counters ----------------------------------------------------
@@ -275,7 +302,8 @@ class HenselLifter:
         for x in itertools.product(range(p), repeat=n):
             if any(f.evaluate(x, p) for f in self.constraints):
                 continue
-            solver = _FpSolver.build([[df.evaluate(x, p) for df in row] for row in partials], p)
+            jac = tuple(tuple(df.evaluate(x, p) for df in row) for row in partials)
+            solver = _FpSolver.build(jac, p)
             if self.witness is None and solver.rank != len(self.constraints):
                 self.witness = x
             self._solvers[x] = solver
@@ -309,8 +337,7 @@ class HenselLifter:
             rhs.append((-(value // step)) % p)
         solver = self._solvers[tuple(c % p for c in x)]
         return [
-            tuple(c + step * d for c, d in zip(x, digit))
-            for digit in solver.solve_affine(rhs)
+            tuple([c + step * d for c, d in zip(x, digit)]) for digit in solver.solve_affine(rhs)
         ]
 
 
@@ -511,6 +538,44 @@ def _det_int(matrix: list[list[int]]) -> int:
     return total
 
 
+def jacobian_minors(
+    partials: Sequence[Sequence[MPoly]], x: Sequence[int], p: int, j: int
+) -> tuple[int, tuple[int, ...] | None]:
+    """(e, lam): the l x l Jacobian minors at x, known mod p^j.
+
+    partials[i][k] is the k-th partial of the i-th polynomial: the l - 1
+    constraints G first, the target F last.  e is the least valuation of
+    the minors mod p^j, so e = j when they all vanish mod p^j.  lam is
+    grad_A F * A^(-1) mod p^e for the first l - 1 columns A of the
+    G-Jacobian whose minor is a unit (None when no minor is): subtracting
+    lam . G clears the target gradient mod p^e along every column.
+    """
+    modulus = p**j
+    jac = [[df.evaluate(x, modulus) for df in row] for row in partials]
+    l, n = len(jac), len(jac[0])
+    e = j
+    for cols in itertools.combinations(range(n), l):
+        minor = _det_int([[row[c] for c in cols] for row in jac]) % modulus
+        if minor:
+            e = min(e, int_valuation(minor, p))
+    if l == 1:
+        return e, ()
+    modulus = p**e
+    g_rows, f_row = jac[:-1], jac[-1]
+    for cols in itertools.combinations(range(n), l - 1):
+        a = [[row[c] for c in cols] for row in g_rows]
+        det_a = _det_int(a)
+        if det_a % p:
+            inverse = pow(det_a, -1, modulus)
+            f_a = [f_row[c] for c in cols]
+            # Cramer: lam_i = det(A with row i replaced by grad_A F) / det(A)
+            lam = tuple(
+                _det_int(a[:i] + [f_a] + a[i + 1 :]) * inverse % modulus for i in range(l - 1)
+            )
+            return e, lam
+    return e, None
+
+
 @dataclass(frozen=True)
 class CriticalLocusReport:
     """Finite-level probe for critical residues of the target on the variety.
@@ -538,7 +603,7 @@ def critical_locus_probe(
     target valuation < M (deeper target zeros are allowed by the
     hypothesis being probed).
     """
-    p, n, l = system.p, system.n, system.l
+    p, n = system.p, system.n
     modulus = p**M
     polys = system.all_polys()
     partials = [[f.partial(j) for j in range(1, n + 1)] for f in polys]
@@ -548,14 +613,7 @@ def critical_locus_probe(
         v = int_valuation(target_value, p)
         if v is None or v >= M:
             continue
-        jac = [[df.evaluate(x, modulus) for df in row] for row in partials]
-        all_zero = True
-        for cols in itertools.combinations(range(n), l):
-            minor = [[jac[i][c] for c in cols] for i in range(l)]
-            if _det_int(minor) % modulus:
-                all_zero = False
-                break
-        if all_zero:
+        if jacobian_minors(partials, x, p, M)[0] >= M:
             suspects.append(x)
     return CriticalLocusReport(level=M, suspects=tuple(suspects))
 

@@ -9,8 +9,18 @@ rescaling), and every twisted coefficient is a finite character sum
 against them, so all cancellation happens exactly and only the final
 character values are floating.
 
-Shell walks are recounted one level deeper and must agree exactly
-(after the p^dim scaling); disagreement raises instead of silently
+A shell walk does not enumerate the points it counts.  Where the
+Jacobian minors of (constraints, target) have valuation e below a
+node's level j, the target is a submersion on the node's ball: it is
+constant mod p^(j+e) there and, by Hensel's lemma, its deeper digits
+spread evenly, so the subtree's share of every shell is a closed-form
+count (Igusa's stationary phase).  Only nodes near the target's
+critical locus are descended.  The tail walk behind `tail_measure` and
+`congruence_count` stays a plain enumeration: it is the second route of
+the identity P(t)(1 - t) + t Z(t) = 1.
+
+Every row is recounted at angular level c + 1, and its classes summed
+mod p^c must agree exactly; disagreement raises instead of silently
 producing a wrong table.  A table at angular level c determines every
 coarser level by summing classes, so `ShellTable.project` serves a
 coarser table without another walk.
@@ -34,7 +44,15 @@ from .padic import int_valuation
 from .ratfn import RationalFn, reconstruct_rational
 from .smoothing import Chart, Decomposition, measure_charts
 from .support import Support
-from .variety import DEFAULT_BUDGET, DESCEND, PRUNE, BudgetMeter, critical_locus_probe, walk
+from .variety import (
+    DEFAULT_BUDGET,
+    DESCEND,
+    PRUNE,
+    BudgetMeter,
+    critical_locus_probe,
+    jacobian_minors,
+    walk,
+)
 
 ZERO_TOL = 1e-9  # a twisted coefficient table within this of 0 counts as zero
 CONDUCTOR_LIMIT = 4  # the conductor scan escalates no further than this level
@@ -77,10 +95,20 @@ def _chart_shell_walk(
     support: Support | None,
     budget: int,
 ) -> tuple[dict[int, int], int]:
-    """Counts of chart points in shell (m, ac mod p^c), at resolving level.
+    """Counts of chart points in shell (m, ac mod p^c), at resolving level k.
 
-    Returns (per-class counts, resolving level k): the shell measure
-    contribution is weight * count * p^(-k * dim).
+    Returns (per-class counts, k): the shell measure contribution is
+    weight * count * p^(-k * dim).  A node y at level j is resolved once
+    the target F is known mod p^K on its ball, F = w mod p^K, and that
+    fixes its share of the shell.  K >= L + j always, with w = F(y),
+    because F(y) = f(center + p^L y).  On a ball inside the support the
+    Jacobian minors of (constraints G, F) give more when their least
+    valuation e mod p^j is below j.  F - lam . G then has gradient 0 mod
+    p^e, so by Taylor F = F(y) - lam . G(y) mod p^(j + e) on the ball, and
+    by Hensel's lemma the level-(j + t) nodes above y spread evenly over
+    the p^t lifts of w mod p^(j + e + t).  The subtree's count per class
+    then has a closed form, and only nodes near the critical locus of F,
+    where every minor vanishes mod p^j, are descended.
     """
     p = decomposition.system.p
     L = chart.L
@@ -89,37 +117,62 @@ def _chart_shell_walk(
         return {}, 1
     k = max(m + c - L, sup.level if sup else 0, 1)
     lifter = decomposition.lifter(chart, budget)
-    evaluate = chart.target.evaluate
-    classify_mod, p_m, p_c = p ** (m + c), p**m, p**c
-    # per level j: the modulus the target is determined to, and the number
-    # of level-k points above a level-j node
-    det_mod = [p ** min(L + j, m + c) for j in range(k + 1)]
+    target, constraints = chart.target, chart.constraints
+    partials = [[f.partial(i) for i in range(1, lifter.n + 1)] for f in (*constraints, target)]
+    p_m, p_c = p**m, p**c
+    units = [u for u in range(p_c) if u % p]
+    # the number of level-k points above a level-j node
     above = [p ** ((k - j) * lifter.dim) for j in range(k + 1)]
 
-    def ready(j: int) -> bool:
-        return sup is None or j >= sup.level
+    def shares(w: int, K: int, j: int, spread: bool) -> list[tuple[int, int]] | None:
+        """(class u, level-k count) above a level-j node on whose ball F = w mod p^K.
+
+        None when the classes are not fixed by w alone and the even
+        spread of the deeper digits is not known.
+        """
+        if w:
+            v = int_valuation(w, p)
+            if v != m:
+                return []  # the whole ball lies in another shell
+            if m + c <= K:
+                return [((w // p_m) % p_c, above[j])]
+            step = p ** (K - m)
+            classes = range((w // p_m) % step, p_c, step)  # the lifts of w / p^m
+        elif m < K:
+            return []  # valuation >= K > m on the whole ball
+        else:
+            classes = units
+        if not spread:
+            return None
+        share = above[j] // p ** (m + c - K)
+        return [(u, share) for u in classes]
 
     def visit(y: tuple[int, ...], j: int):
-        """(class u, level-k count) once the shell is resolved."""
         if sup is not None and not sup.admits_prefix(y, j, p):
             return PRUNE
-        value = evaluate(y, classify_mod)
-        reduced = value % det_mod[j]
-        if reduced != 0:
-            if int_valuation(reduced, p) != m:
-                return PRUNE  # determined and outside this shell
-            if m + c <= L + j and ready(j):
-                return (value // p_m) % p_c, above[j]
-        elif L + j >= m + c and ready(j):
-            return PRUNE  # valuation >= m + c: a deeper shell
+        inside = sup is None or j >= sup.level
+        # the minors carry p^L from the rescaling, so e < j needs j > L
+        e, lam = jacobian_minors(partials, y, p, j) if inside and j > L else (j, None)
+        if e < j:
+            K = j + e
+            modulus = p**K
+            w = target.evaluate(y, modulus)
+            w -= sum(a * g.evaluate(y, modulus) for a, g in zip(lam, constraints))
+            pairs = shares(w % modulus, K, j, True)
+        else:
+            K = L + j
+            pairs = shares(target.evaluate(y, p**K), K, j, False)
+        if pairs is not None and (inside or not pairs):
+            return pairs or PRUNE
         if j >= k:
             raise WalkInvariantError(f"shell (m={m}, c={c}) unresolved at level {j} >= {k}")
         return DESCEND
 
     counts: dict[int, int] = {}
     meter = BudgetMeter(budget, f"shell walk m={m} c={c}")
-    for u, count in walk(lifter.roots(), lifter.children, visit, meter):
-        counts[u] = counts.get(u, 0) + count
+    for pairs in walk(lifter.roots(), lifter.children, visit, meter):
+        for u, count in pairs:
+            counts[u] = counts.get(u, 0) + count
     return counts, k
 
 
@@ -162,9 +215,9 @@ class ShellTable:
     c_level: int
     depth: int
     measures: list[dict[int, Fraction]]
-    stabilized: list[bool]
     decomposition: Decomposition = field(repr=False, default=None)
     _class_fns: dict[int, RationalFn] = field(default_factory=dict, repr=False)
+    _trivial_fn: RationalFn | None = field(default=None, repr=False)
 
     def coefficient(self, chi: MultChar, m: int) -> Fraction | complex:
         """c_m(chi): the chi-weighted shell measure at valuation m."""
@@ -184,6 +237,12 @@ class ShellTable:
     def unit_classes(self) -> list[int]:
         p, c = self.system.p, self.c_level
         return [u for u in range(p**c) if u % p != 0]
+
+    def trivial_fn(self) -> RationalFn:
+        """Reconstructed generating function of the trivial-character series."""
+        if self._trivial_fn is None:
+            self._trivial_fn = reconstruct_rational(self.trivial_series())
+        return self._trivial_fn
 
     def class_fn(self, u: int) -> RationalFn:
         """Reconstructed generating function of one angular class."""
@@ -206,7 +265,6 @@ class ShellTable:
             c_level=c,
             depth=self.depth,
             measures=[_coarsen(row, modulus) for row in self.measures],
-            stabilized=list(self.stabilized),
             decomposition=self.decomposition,
         )
 
@@ -217,8 +275,7 @@ class ShellTable:
         if k <= self.depth:
             return self.coefficient(chi, k)
         if chi.is_trivial():
-            series = reconstruct_rational(self.trivial_series()).series(k + 1)
-            return series[k]
+            return self.trivial_fn().series(k + 1)[k]
         total = 0.0 + 0.0j
         for u in self.unit_classes():
             coeff = self.class_fn(u).series(k + 1)[k]
@@ -258,7 +315,6 @@ def build_shell_table(
         c_level=c_level,
         depth=depth,
         measures=measures,
-        stabilized=[True] * (depth + 1),
         decomposition=decomposition,
     )
 
@@ -304,11 +360,10 @@ def zeta_coefficient(
 
 @dataclass(frozen=True)
 class CoeffTable:
-    """Coefficient list of Z(s, chi) with per-entry stabilization flags."""
+    """Coefficient list of Z(s, chi), one entry per shell-table row."""
 
     chi: MultChar
     coeffs: tuple
-    stabilized: tuple[bool, ...]
     q: int
 
     def is_zero(self) -> bool:
@@ -319,7 +374,7 @@ def coefficient_table(table: ShellTable, chi: MultChar) -> CoeffTable:
     if max(chi.conductor, 1) > table.c_level:
         raise ValueError("shell table angular level too coarse for this character")
     coeffs = tuple(table.coefficient(chi, m) for m in range(table.depth + 1))
-    return CoeffTable(chi=chi, coeffs=coeffs, stabilized=tuple(table.stabilized), q=table.system.p)
+    return CoeffTable(chi=chi, coeffs=coeffs, q=table.system.p)
 
 
 @dataclass(frozen=True)

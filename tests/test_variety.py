@@ -1,5 +1,7 @@
 """Tests for variety enumeration: brute force, Hensel lifting, images, probe."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +13,7 @@ from padiczeta.poincare import congruence_count, decomposed_count_check
 from padiczeta.smoothing import global_decompose, measure_charts
 from padiczeta.variety import (
     DEFAULT_BUDGET,
+    _FpSolver,
     brute_force_points,
     critical_locus_probe,
     first_lifts,
@@ -231,3 +234,33 @@ def test_critical_locus_probe_flags_displaced_zero():
 def test_point_dump_rows():
     rows = list(point_dump_rows(iter_hensel_points(LINE_X2.system, 1), 1))
     assert rows == [[1, 0, 0], [1, 0, 1], [1, 0, 2]]
+
+
+@st.composite
+def fp_systems(draw):
+    # rank-deficient draws repeat a combination of earlier rows
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 4))
+    rows = draw(st.integers(1, n))
+    entry = st.integers(0, p - 1)
+    matrix = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(rows)]
+    if rows > 1 and draw(st.booleans()):
+        a, b = draw(entry), draw(entry)
+        matrix[-1] = [(a * x + b * y) % p for x, y in zip(matrix[0], matrix[1 % (rows - 1)])]
+    rhs = draw(st.lists(entry, min_size=rows, max_size=rows))
+    return p, matrix, rhs
+
+
+@given(fp_systems())
+@settings(max_examples=80, deadline=None)
+def test_solver_matches_filtered_digit_scan(case):
+    p, matrix, rhs = case
+    n = len(matrix[0])
+    solver = _FpSolver.build(tuple(map(tuple, matrix)), p)
+    scan = [
+        d
+        for d in itertools.product(range(p), repeat=n)
+        if all(sum(a * x for a, x in zip(row, d)) % p == b for row, b in zip(matrix, rhs))
+    ]
+    assert list(solver.solve_affine(rhs)) == scan  # same solutions, same lexicographic order
+    assert len(solver.kernel) == p ** (n - solver.rank)

@@ -3,14 +3,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from padiczeta.bundled import BAD_LINE, LINE_X1, LINE_X2, LINE_X3, PARABOLA
+from padiczeta.bundled import BAD_LINE, LINE_X1, LINE_X2, LINE_X3, PARABOLA, THREEVAR
 from padiczeta.characters import enumerate_characters, trivial_character
-from padiczeta.errors import BudgetExceeded, HypothesisNotVerified
-from padiczeta.mpoly import system_from_strings
+from padiczeta.errors import BudgetExceeded, HypothesisNotVerified, NotStabilized
+from padiczeta.mpoly import MPoly, PolySystem, system_from_strings
 from padiczeta.ratfn import pole_analysis, reconstruct_rational
 from padiczeta.smoothing import measure_charts
 from padiczeta.support import Support
+from padiczeta.variety import brute_force_points
 from padiczeta.zeta import (
     build_shell_table,
     candidate_pole_verdict,
@@ -97,9 +99,23 @@ def test_shell_partition_sums_to_total():
         assert partial + tail_measure(system, m, decomposition=decomposition) == total
 
 
-def test_stabilization_flags_set():
-    table = build_shell_table(LINE_X2.system, 4)
-    assert all(table.stabilized)
+def test_stabilization_flags_set(monkeypatch):
+    # a table has no flags to set: it exists only once every row agreed with
+    # its recount one angular level finer, and a disagreeing recount raises
+    import padiczeta.zeta as zeta
+
+    assert len(build_shell_table(LINE_X2.system, 4).measures) == 5
+    once = zeta._shell_measures_once
+
+    def skewed(decomposition, m, c, support, budget):
+        measures = once(decomposition, m, c, support, budget)
+        if (m, c) == (2, 2):
+            measures[4] = measures.get(4, F(0)) + F(1, 3**9)
+        return measures
+
+    monkeypatch.setattr(zeta, "_shell_measures_once", skewed)
+    with pytest.raises(NotStabilized, match="m=2"):
+        build_shell_table(LINE_X2.system, 4)
 
 
 def test_support_restriction():
@@ -232,7 +248,6 @@ def test_projection_equals_walked_table(system, support, coarse):
     assert projected.c_level == coarse
     # exact Fractions under the same class keys, row by row
     assert projected.measures == walked.measures
-    assert projected.stabilized == walked.stabilized
     with pytest.raises(ValueError):
         fine.project(4)
 
@@ -261,3 +276,79 @@ def test_context_reuses_the_scan_table(monkeypatch):
     assert len(probes) == 1
     assert ctx.cutoff == 2 and ctx.table.c_level == 2
     assert ctx.table.measures == build(LINE_X3.system, 6, c_level=2).measures
+
+
+@st.composite
+def smooth_shell_cases(draw):
+    # good-reduction graphs x1 - g(...) with targets whose gradient often has
+    # positive valuation (cubes at p = 3, squares at p = 2, p-multiple
+    # coefficients), so the closed form meets e > 0 and singular nodes
+    n = draw(st.sampled_from([2, 3]))
+    p = draw(st.sampled_from([2, 3, 5] if n == 2 else [2, 3]))
+    level = 4 if p**n <= 9 else 3  # keeps the p^(level n) brute-force grid small
+    coeff = st.integers(-3, 3).flatmap(lambda c: st.sampled_from([c, p * c]))
+    if n == 2:
+        monomials = [(0, 1), (0, 2), (0, 3)]
+    else:
+        monomials = [(0, 1, 0), (0, 0, 1), (0, 1, 1), (0, 2, 0), (0, 0, 3)]
+    g = {expo: draw(coeff) for expo in monomials[:3]}
+    lead = tuple(1 if i == 0 else 0 for i in range(n))
+    constraint = MPoly(n, {lead: 1, **{e: -c for e, c in g.items()}})
+    target = MPoly(n, {expo: draw(coeff) for expo in monomials + [lead]})
+    assume(not target.is_zero())
+    support = None
+    if draw(st.booleans()):
+        s_level = draw(st.sampled_from([1, 2]))
+        centers = draw(
+            st.lists(st.tuples(*[st.integers(0, p**s_level - 1)] * n), min_size=1, max_size=3)
+        )
+        support = Support.cosets(n, s_level, centers, p)
+    return PolySystem(p=p, n=n, constraints=(constraint,), target=target), level, support
+
+
+@given(smooth_shell_cases())
+@settings(max_examples=40, deadline=None)
+def test_shell_tables_match_brute_force(case):
+    system, level, support = case
+    scale = system.p ** (level * system.dim)
+    for c in range(1, level + 1):
+        # every shell with m + c <= level, counted at level
+        brute = brute_force_points(system, level, angular_level=c, support=support).by_shell
+        table = build_shell_table(system, level - c, c_level=c, support=support)
+        walked = {
+            (m, u): measure * scale
+            for m, row in enumerate(table.measures)
+            for u, measure in row.items()
+        }
+        assert walked == brute
+
+
+def test_threevar_context_walks_few_nodes(monkeypatch):
+    # the closed form resolves every subtree away from the cusp; enumerating
+    # each leaf visited about 1.42 M nodes for this context
+    import padiczeta.expsum as expsum
+    import padiczeta.zeta as zeta
+
+    meters = []
+    meter_class = zeta.BudgetMeter
+
+    def recording(limit, stage):
+        meter = meter_class(limit, stage)
+        meters.append(meter)
+        return meter
+
+    monkeypatch.setattr(zeta, "BudgetMeter", recording)
+    expsum.build_stationary_phase_context(THREEVAR.system, depth=4, c_max=2)
+    shell = [meter for meter in meters if meter.stage.startswith("shell walk")]
+    assert shell and sum(meter.used for meter in shell) <= 20_000
+
+
+def test_threevar_deep_trivial_table_matches_tails():
+    # depth 12 is what delta_limit_check asks for; it used to exhaust the
+    # default budget in the recount of row 9
+    system = THREEVAR.system
+    decomposition = measure_charts(system)
+    table = build_shell_table(system, 12, decomposition=decomposition)
+    tails = [tail_measure(system, m, decomposition=decomposition) for m in range(8)]
+    for m in range(7):
+        assert sum(table.measures[m].values(), F(0)) == tails[m] - tails[m + 1]
