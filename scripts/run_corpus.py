@@ -28,6 +28,7 @@ from padiczeta.bundled import (
 from padiczeta.expsum import decomposed_expsum_check, stationary_phase_check
 from padiczeta.poincare import (
     check_series_zeta_identity,
+    congruence_counts,
     decomposed_count_check,
     poincare_series,
 )
@@ -60,6 +61,12 @@ def main() -> int:
             for m in range(1, top)
         )
         record(instance.name, "hensel vs brute", ok)
+        # the count walk against the brute-force points where the target vanishes
+        brute = [1]
+        for m in range(1, top):
+            _, points = brute_force_points(system, m, collect=True)
+            brute.append(sum(1 for x in points if system.target.evaluate(x, system.p**m) == 0))
+        record(instance.name, "counts vs brute force", congruence_counts(system, top - 1) == brute)
 
     # the shell walk resolves smooth subtrees in closed form; the Hensel
     # enumeration counts every point of each shell at level m + 2

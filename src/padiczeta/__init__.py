@@ -14,9 +14,8 @@ from .variety import (
     critical_locus_probe,
     good_reduction_test,
     hensel_enumerate,
-    reduction_image_count,
 )
-from .zeta import build_shell_table, conductor_vanishing_scan, shell_count, zeta_coefficient
+from .zeta import build_shell_table, conductor_vanishing_scan
 
 __version__ = "0.1.0"
 
@@ -46,10 +45,7 @@ __all__ = [
     "parse_polynomial",
     "pole_analysis",
     "reconstruct_rational",
-    "reduction_image_count",
-    "shell_count",
     "shift_rescale",
     "system_from_strings",
     "trivial_character",
-    "zeta_coefficient",
 ]

@@ -156,14 +156,12 @@ def _effective_support(problem: Problem) -> Support | None:
 
 
 def cmd_count(problem: Problem, out: Path, args) -> int:
-    from .poincare import congruence_count
-    from .smoothing import measure_charts
+    from .poincare import congruence_counts
 
-    decomposition = measure_charts(problem.system, problem.budget)
+    counts = congruence_counts(problem.system, problem.max_level, budget=problem.budget)
     q_dim = problem.system.p**problem.system.dim
     rows = []
-    for m in range(problem.max_level + 1):
-        count = congruence_count(problem.system, m, decomposition, problem.budget)
+    for m, count in enumerate(counts):
         scaled = Fraction(count, q_dim**m)
         rows.append([m, count, scaled.numerator, scaled.denominator])
     _write_csv(out / "counts.csv", ["m", "N_m", "scaled_num", "scaled_den"], rows)

@@ -378,8 +378,3 @@ def decomposed_expsum_check(
             rhs += psi_ratio(u * const, p, m) * inner
         rows.append(DecompositionIdentityRow(m=m, u=u, lhs=lhs, rhs=rhs))
     return rows
-
-
-def crude_bound(system: PolySystem) -> float:
-    """|E(u p^-m)| <= p^(m (l-1)) is trivially true; exposed for property tests."""
-    return float(system.p ** (system.l - 1))

@@ -45,6 +45,12 @@ class MPoly:
             if coeff != 0:
                 clean[tuple(expo)] = coeff
         object.__setattr__(self, "terms", clean)
+        # each term once as (coeff, ((variable index, exponent), ...)), zero exponents dropped
+        compiled = tuple(
+            (coeff, tuple((i, a) for i, a in enumerate(expo) if a))
+            for expo, coeff in clean.items()
+        )
+        object.__setattr__(self, "_compiled", compiled)
 
     def __hash__(self):
         return hash((self.n, frozenset(self.terms.items())))
@@ -134,18 +140,17 @@ class MPoly:
     # -- evaluation and calculus -------------------------------------------
 
     def evaluate(self, point: Sequence[int], modulus: int | None = None) -> int:
-        """Value at an integer point, optionally reduced modulo `modulus`."""
+        """Value at an integer point, optionally reduced modulo `modulus`.
+
+        The sum is formed exactly over the integers and reduced once.
+        """
         if len(point) != self.n:
             raise DimensionMismatch(f"point has {len(point)} coordinates, expected {self.n}")
         total = 0
-        for expo, coeff in self.terms.items():
-            term = coeff
-            for x, a in zip(point, expo):
-                if a:
-                    term *= pow(x, a, modulus) if modulus else x**a
+        for term, powers in self._compiled:
+            for i, a in powers:
+                term *= point[i] ** a
             total += term
-            if modulus:
-                total %= modulus
         return total % modulus if modulus else total
 
     def partial(self, j: int) -> "MPoly":

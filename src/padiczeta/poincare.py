@@ -3,7 +3,11 @@
 N_m counts the image classes mod p^m of variety points at which the
 target vanishes mod p^m (N_0 = 1 by convention).  Under good reduction
 this is the plain count of simultaneous congruence solutions of all l
-polynomials; in general the image is walked chart by chart.  The scaled
+polynomials; in general the image is walked chart by chart.  The walk
+for N_m is a prefix of the walk for N_(m + 1), so `congruence_counts`
+makes one walk per chart to the deepest level asked for and tallies
+every level on the way.  It enumerates every counted class, with no
+closed form, so it stays independent of the shell walks.  The scaled
 generating function sum q^(-m dim) N_m t^m is reconstructed as an exact
 rational function and checked against the trivial-character zeta
 through the identity P(t) (1 - t) + t Z(t) = 1 (good reduction), plus a
@@ -33,44 +37,61 @@ from .variety import (
 from .zeta import _tail_points
 
 
+def congruence_counts(
+    system: PolySystem,
+    depth: int,
+    decomposition: Decomposition | None = None,
+    budget: int = DEFAULT_BUDGET,
+) -> list[int]:
+    """N_0..N_depth: image classes mod p^m where the target vanishes mod p^m.
+
+    The target value mod p^m only depends on the class, so evaluation at
+    any representative is sound.  For m <= L the classes are the chart
+    centers mod p^m.  Past L, a level-j chart node y is a class mod
+    p^(L + j), and the target mod p^(L + j) only depends on y mod p^j, so
+    a node counts for N_(L + j) exactly when it and, a fortiori, its
+    ancestors pass the test at their own levels.  One walk per chart to
+    level depth - L, pruning the nodes that fail, therefore visits every
+    counted node of every level once, and tallies it at its level.
+    """
+    if decomposition is None:
+        decomposition = measure_charts(system, budget)
+    p, L = system.p, decomposition.L
+    counts = [1]
+    for m in range(1, min(depth, L) + 1):
+        counts.append(
+            sum(1 for x in decomposition.classes(m) if system.target.evaluate(x, p**m) == 0)
+        )
+    k = depth - L
+    if k < 1:
+        return counts
+    tally = [0] * (k + 1)
+    moduli = [p ** (L + j) for j in range(k + 1)]
+    meter = BudgetMeter(budget, f"count walk m={depth}")
+    for chart in decomposition.charts:
+        lifter = decomposition.lifter(chart, budget)
+        evaluate = chart.target.evaluate
+
+        def visit(y: tuple[int, ...], j: int):
+            if evaluate(y, moduli[j]):
+                return PRUNE  # target valuation below L + j on the whole ball
+            if j == k:
+                return 1
+            tally[j] += 1
+            return DESCEND
+
+        tally[k] += sum(walk(lifter.roots(), lifter.children, visit, meter))
+    return counts + tally[1:]
+
+
 def congruence_count(
     system: PolySystem,
     m: int,
     decomposition: Decomposition | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> int:
-    """N_m: image classes mod p^m where the target vanishes mod p^m.
-
-    The target value mod p^m only depends on the class, so evaluation at
-    any representative is sound; which classes belong to the image comes
-    from the chart decomposition.
-    """
-    if m == 0:
-        return 1
-    if decomposition is None:
-        decomposition = measure_charts(system, budget)
-    if m <= decomposition.L:
-        classes = decomposition.classes(m)
-        return sum(1 for x in classes if system.target.evaluate(x, system.p**m) == 0)
-    meter = BudgetMeter(budget, f"count walk m={m}")
-    return sum(sum(_tail_points(decomposition, c, m, None, meter)[0]) for c in decomposition.charts)
-
-
-def congruence_count_all_polys(system: PolySystem, m: int, budget: int = DEFAULT_BUDGET) -> int:
-    """Solutions of all l congruences mod p^m, with no image restriction.
-
-    Equals N_m under good reduction; exposed separately so the two
-    counts can be compared on bad-reduction systems, where only this one
-    is a plain congruence count.
-    """
-    if m == 0:
-        return 1
-    return sum(
-        1
-        for _ in iter_congruence_points(
-            system.p, system.n, list(system.all_polys()), m, budget
-        )
-    )
+    """N_m alone, read off `congruence_counts` (perfbench traces this name)."""
+    return congruence_counts(system, m, decomposition, budget)[m]
 
 
 @dataclass
@@ -98,7 +119,7 @@ def poincare_series(
     if decomposition is None:
         decomposition = measure_charts(system, budget)
     q_dim = system.p**system.dim
-    counts = [congruence_count(system, m, decomposition, budget) for m in range(depth + 1)]
+    counts = congruence_counts(system, depth, decomposition, budget)
     scaled = [Fraction(Nm, q_dim**m) for m, Nm in enumerate(counts)]
     try:
         fn = reconstruct_rational(scaled, validation_count)
@@ -242,9 +263,10 @@ def decomposed_count_check(
         lifter = HenselLifter(p, system.n, rep.constraints, budget).smooth()
         prepared.append((lifter, rep.target, e_l))
 
+    direct_counts = congruence_counts(system, max(m_values), decomposition, budget)
     rows = []
     for m in sorted(m_values):
-        direct = congruence_count(system, m, decomposition, budget)
+        direct = direct_counts[m]
         total = 0
         complete = True
         for entry in prepared:

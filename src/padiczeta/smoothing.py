@@ -16,7 +16,7 @@ computable through point counts on the rescaled charts.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -34,6 +34,7 @@ from .variety import (
     DEFAULT_BUDGET,
     GoodReductionVerdict,
     HenselLifter,
+    check_residue_scan,
     first_lifts,
     good_reduction_test,
     iter_hensel_points,
@@ -287,9 +288,17 @@ class Decomposition:
     L: int
     charts: tuple[Chart, ...]
     dropped_centers: tuple[tuple[int, ...], ...] = ()
+    _lifters: dict[Chart, HenselLifter] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def lifter(self, chart: Chart, budget: int = DEFAULT_BUDGET) -> HenselLifter:
-        return HenselLifter(self.system.p, self.system.n, chart.constraints, budget).smooth()
+        """The chart's lifter, built once and refused whenever p^n exceeds the budget."""
+        p, n = self.system.p, self.system.n
+        check_residue_scan(p, n, budget)
+        if chart not in self._lifters:
+            self._lifters[chart] = HenselLifter(p, n, chart.constraints, budget).smooth()
+        return self._lifters[chart]
 
     def image_count(self, m: int, budget: int = DEFAULT_BUDGET) -> int:
         """Number of classes mod p^m hit by Z_p points of the variety."""
@@ -382,7 +391,7 @@ def global_decompose(system: PolySystem, budget: int = DEFAULT_BUDGET) -> Decomp
             L = needed
             continue
 
-        charts, dropped = [], []
+        charts, dropped, lifters = [], [], {}
         for key in sorted(reps):
             x0 = reps[key]
             cert = neron_rescale(system, x0, L_forced=L, budget=budget)
@@ -395,13 +404,17 @@ def global_decompose(system: PolySystem, budget: int = DEFAULT_BUDGET) -> Decomp
                 exponents=cert.exponents,
                 certificate=cert,
             )
-            if HenselLifter(p, n, chart.constraints, budget).smooth().roots():
+            lifter = HenselLifter(p, n, chart.constraints, budget).smooth()
+            if lifter.roots():
                 charts.append(chart)
+                lifters[chart] = lifter
             else:
                 dropped.append(key)
-        return Decomposition(
+        decomposition = Decomposition(
             system=system, L=L, charts=tuple(charts), dropped_centers=tuple(dropped)
         )
+        decomposition._lifters.update(lifters)
+        return decomposition
     raise BudgetExceeded(
         f"chart search: rescale level did not settle within {DECOMPOSE_ROUNDS} rounds "
         f"(last L = {L})"

@@ -12,9 +12,9 @@ search of bad-reduction chart centers, the ambient integrals and the
 image oracle.  A brute-force scan of the full residue grid stays
 separate: it is the independent oracle every walk is checked against.
 
-Image-level operations (counting the reduction of the variety's Z_p
-points rather than congruence solutions) go through the chart
-decomposition, pulled in lazily to avoid an import cycle.
+Image-level counts (the reduction of the variety's Z_p points rather
+than its congruence solutions) live on the chart decomposition in
+`smoothing`, which keeps one lifter per chart.
 """
 
 from __future__ import annotations
@@ -277,6 +277,12 @@ def good_reduction_test(system: PolySystem, budget: int = DEFAULT_BUDGET) -> Goo
 # -- Hensel tree ---------------------------------------------------------------
 
 
+def check_residue_scan(p: int, n: int, budget: int) -> None:
+    """Refuse a scan of all p^n residues that the budget does not cover."""
+    if p**n > budget:
+        raise BudgetExceeded(f"p^n = {p**n} exceeds budget {budget}")
+
+
 class HenselLifter:
     """Digit-lifting engine for the congruence tree of a polynomial system.
 
@@ -294,8 +300,7 @@ class HenselLifter:
         self.p = p
         self.n = n
         self.constraints = tuple(constraints)
-        if p**n > budget:
-            raise BudgetExceeded(f"p^n = {p**n} exceeds budget {budget}")
+        check_residue_scan(p, n, budget)
         partials = [[f.partial(j) for j in range(1, n + 1)] for f in self.constraints]
         self._solvers: dict[tuple[int, ...], _FpSolver] = {}
         self.witness: tuple[int, ...] | None = None
@@ -509,18 +514,6 @@ def image_oracle(
     return image
 
 
-def reduction_image_count(system: PolySystem, m: int, budget: int = DEFAULT_BUDGET) -> int:
-    """Number of classes mod p^m hit by actual Z_p points of the variety.
-
-    Computed through the good-reduction chart decomposition, whose
-    pieces are disjoint cosets.  Under good reduction that is the single
-    identity chart, and the count is the congruence count (Hensel).
-    """
-    from .smoothing import measure_charts  # deferred: smoothing imports this module
-
-    return measure_charts(system, budget).image_count(m, budget)
-
-
 # -- critical locus probe -------------------------------------------------------
 
 
@@ -616,9 +609,3 @@ def critical_locus_probe(
         if jacobian_minors(partials, x, p, M)[0] >= M:
             suspects.append(x)
     return CriticalLocusReport(level=M, suspects=tuple(suspects))
-
-
-def point_dump_rows(points: Iterator[tuple[int, ...]], level: int) -> Iterator[list]:
-    """CSV rows `level,x1,...,xn` for a point stream."""
-    for x in points:
-        yield [level, *x]

@@ -16,8 +16,8 @@ constant mod p^(j+e) there and, by Hensel's lemma, its deeper digits
 spread evenly, so the subtree's share of every shell is a closed-form
 count (Igusa's stationary phase).  Only nodes near the target's
 critical locus are descended.  The tail walk behind `tail_measure` and
-`congruence_count` stays a plain enumeration: it is the second route of
-the identity P(t)(1 - t) + t Z(t) = 1.
+the count walk of `poincare.congruence_counts` stay plain enumerations:
+the counts are the second route of the identity P(t)(1 - t) + t Z(t) = 1.
 
 Every row is recounted at angular level c + 1, and its classes summed
 mod p^c must agree exactly; disagreement raises instead of silently
@@ -317,45 +317,6 @@ def build_shell_table(
         measures=measures,
         decomposition=decomposition,
     )
-
-
-def shell_count(
-    system: PolySystem,
-    m: int,
-    c: int,
-    support: Support | None = None,
-    budget: int = DEFAULT_BUDGET,
-) -> dict[int, Fraction | int]:
-    """Counts (at level m + c) per angular class of the shell ord = m.
-
-    For good-reduction systems these are plain integers, the number of
-    image points mod p^(m+c) in each class; in general they are the
-    shell measures scaled by p^((m+c) * dim), which the chart weights
-    can make fractional.  The stabilizing recount runs always.
-    """
-    decomposition = measure_charts(system, budget)
-    table = build_shell_table(
-        system, m, c_level=c, support=support, decomposition=decomposition, budget=budget
-    )
-    scale = system.p ** ((m + c) * system.dim)
-    out: dict[int, Fraction | int] = {}
-    for u, measure in sorted(table.measures[m].items()):
-        value = measure * scale
-        out[u] = int(value) if value.denominator == 1 else value
-    return out
-
-
-def zeta_coefficient(
-    system: PolySystem,
-    m: int,
-    chi: MultChar,
-    support: Support | None = None,
-    budget: int = DEFAULT_BUDGET,
-) -> Fraction | complex:
-    """c_m(chi) for a single shell; prefer ShellTable for whole series."""
-    c = max(chi.conductor, 1)
-    table = build_shell_table(system, m, c_level=c, support=support, budget=budget)
-    return table.coefficient(chi, m)
 
 
 @dataclass(frozen=True)

@@ -89,6 +89,37 @@ def test_evaluate_dimension_mismatch():
         f.evaluate((1,))
 
 
+@st.composite
+def evaluation_cases(draw):
+    n = draw(st.integers(min_value=1, max_value=3))
+    expo = st.lists(st.integers(min_value=0, max_value=6), min_size=n, max_size=n)
+    terms = draw(
+        st.dictionaries(
+            expo.filter(lambda e: sum(e) <= 6).map(tuple), st.integers(-50, 50), max_size=6
+        )
+    )
+    point = tuple(draw(st.lists(st.integers(-10**4, 10**4), min_size=n, max_size=n)))
+    modulus = draw(
+        st.none() | st.builds(pow, st.sampled_from([2, 3, 5, 7]), st.integers(1, 8))
+    )
+    return MPoly(n, terms), terms, point, modulus
+
+
+@given(evaluation_cases())
+@settings(max_examples=200)
+def test_evaluate_matches_term_sum(case):
+    f, terms, point, modulus = case
+    total = 0
+    for expo, coeff in terms.items():
+        term = coeff
+        for x, a in zip(point, expo):
+            term *= x**a
+        total += term
+    assert f.evaluate(point, modulus) == (total if modulus is None else total % modulus)
+    with pytest.raises(DimensionMismatch):
+        f.evaluate(point + (0,), modulus)
+
+
 def _jacobian_row(f, point, modulus):
     return [f.partial(j).evaluate(point, modulus) for j in range(1, f.n + 1)]
 

@@ -7,8 +7,7 @@ import pytest
 from padiczeta.bundled import BAD_LINE, LINE_X1, LINE_X2, LINE_X3, PARABOLA, PLANE_LINE
 from padiczeta.poincare import (
     check_series_zeta_identity,
-    congruence_count,
-    congruence_count_all_polys,
+    congruence_counts,
     decomposed_count_check,
     poincare_series,
     solution_growth_bound,
@@ -32,24 +31,24 @@ def brute_count(system, m):
 
 def test_counts_x2_line():
     system = LINE_X2.system
-    values = [congruence_count(system, m) for m in range(5)]
+    values = congruence_counts(system, 4)
     assert values == [1, 1, 3, 3, 9]
     assert values == [brute_count(system, m) for m in range(5)]
 
 
 def test_counts_x1_line():
     system = LINE_X1.system
-    assert [congruence_count(system, m) for m in range(1, 5)] == [1, 1, 1, 1]
+    assert congruence_counts(system, 4) == [1, 1, 1, 1, 1]
 
 
 def test_count_convention_at_zero():
-    assert congruence_count(LINE_X3.system, 0) == 1
+    assert congruence_counts(LINE_X3.system, 0) == [1]
 
 
 @pytest.mark.parametrize("instance", [LINE_X2, LINE_X3, PARABOLA, PLANE_LINE], ids=lambda i: i.name)
 def test_counts_match_brute_oracle(instance):
-    for m in range(0, 4):
-        assert congruence_count(instance.system, m) == brute_count(instance.system, m)
+    counts = congruence_counts(instance.system, 3)
+    assert counts == [brute_count(instance.system, m) for m in range(4)]
 
 
 def test_poincare_series_x2_line():
@@ -76,16 +75,16 @@ def test_reconstruction_predicts_next_counts():
     series = poincare_series(system, 8)
     expansion = series.reconstructed.series(11)
     q_dim = 3**system.dim
+    counts = congruence_counts(system, 10)
     for m in (9, 10):
-        expected = congruence_count(system, m)
-        assert expansion[m] == F(expected, q_dim**m)
+        assert expansion[m] == F(counts[m], q_dim**m)
 
 
 def test_monotone_lift_bound():
     # each level-m point has at most p^dim lifts on the submanifold
     for instance in (LINE_X2, PARABOLA, PLANE_LINE):
         system = instance.system
-        counts = [congruence_count(system, m) for m in range(6)]
+        counts = congruence_counts(system, 5)
         p_dim = system.p**system.dim
         for m in range(1, 5):
             assert counts[m + 1] <= p_dim * counts[m]
@@ -132,11 +131,11 @@ def test_growth_bound_x3_line():
 
 
 def test_bad_line_image_vs_congruence_counts():
-    # the image-based count differs from the raw congruence count under
-    # bad reduction; both are exposed
+    # the image-based count differs from the raw congruence count of all
+    # polynomials under bad reduction
     system = BAD_LINE.system
-    image = [congruence_count(system, m) for m in range(1, 5)]
-    raw = [congruence_count_all_polys(system, m) for m in range(1, 5)]
+    image = congruence_counts(system, 4)[1:]
+    raw = [brute_count(system, m) for m in range(1, 5)]
     assert image == [1, 3, 3, 9]
     assert raw == [3, 9, 9, 27]
     assert all(i <= r for i, r in zip(image, raw))

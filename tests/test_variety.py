@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from padiczeta.bundled import BAD_LINE, GOOD_REDUCTION, LINE_X2, PARABOLA, THREEVAR
 from padiczeta.mpoly import MPoly, PolySystem, shift_rescale
-from padiczeta.errors import BadReductionInput, BudgetExceeded, NotStabilized
+from padiczeta.errors import BadReductionInput, BudgetExceeded, NotStabilized, ValidationFailed
 from padiczeta.mpoly import system_from_strings
-from padiczeta.poincare import congruence_count, decomposed_count_check
+from padiczeta.poincare import congruence_counts, decomposed_count_check, poincare_series
 from padiczeta.smoothing import global_decompose, measure_charts
 from padiczeta.variety import (
     DEFAULT_BUDGET,
@@ -22,10 +22,8 @@ from padiczeta.variety import (
     image_oracle,
     iter_congruence_points,
     iter_hensel_points,
-    point_dump_rows,
-    reduction_image_count,
 )
-from padiczeta.zeta import tail_measure
+from padiczeta.zeta import build_shell_table, tail_measure
 
 
 def test_brute_force_examples():
@@ -94,17 +92,38 @@ def test_hensel_matches_brute_on_random_graphs(system):
     # the primitive constraint has the same Z_p points and good reduction, so
     # N_m counts its congruence solutions where the target vanishes too
     smooth = PolySystem(p=p, n=2, constraints=(primitive,), target=system.target)
+    zeros = [1]
     for m in (1, 2, 3):
         brute, points = brute_force_points(system, m, collect=True)
         assert sorted(iter_congruence_points(p, 2, system.constraints, m)) == sorted(points)
         _, smooth_points = brute_force_points(smooth, m, collect=True)
-        zeros = [x for x in smooth_points if system.target.evaluate(x, p**m) == 0]
-        assert congruence_count(system, m) == len(zeros)
+        zeros.append(sum(1 for x in smooth_points if system.target.evaluate(x, p**m) == 0))
         if content == 0:
             assert hensel_enumerate(system, m).count == brute.count
         else:
             with pytest.raises(BadReductionInput):
                 hensel_enumerate(system, m)
+    assert congruence_counts(system, 3) == zeros
+
+
+@given(graph_systems(bad_only=True))
+@settings(max_examples=15, deadline=None)
+def test_counts_match_brute_on_bad_graphs(system):
+    # the charts sit at L > 0: N_m for m <= L comes from the chart centers,
+    # past L from the one count walk per chart.  Both count image classes
+    # mod p^m.  The constraint is p times a smooth one, so its solutions mod
+    # p^(m + 1) are those of the smooth one mod p^m, which all lift to Z_p:
+    # projecting the brute-force points one level up gives the image exactly
+    p = system.p
+    decomposition = measure_charts(system)
+    assert decomposition.L > 0
+    top = decomposition.L + 2
+    _, deep = brute_force_points(system, top + 1, collect=True)
+    expected = [1]
+    for m in range(1, top + 1):
+        image = {tuple(c % p**m for c in x) for x in deep}
+        expected.append(sum(1 for x in image if system.target.evaluate(x, p**m) == 0))
+    assert congruence_counts(system, top, decomposition) == expected
 
 
 @given(graph_systems(bad_only=True), st.sampled_from([1, 2]))
@@ -139,6 +158,8 @@ BUDGET_LINE = system_from_strings(3, 2, ["x2"], "x1 + 1")
     "run",
     [
         lambda budget: tail_measure(BUDGET_LINE, 4, budget=budget),
+        # one walk to level 4 visits 3 nodes per level
+        lambda budget: congruence_counts(BUDGET_LINE, 4, budget=budget),
         lambda budget: measure_charts(BUDGET_LINE, budget).image_count(2, budget),
         # probing solvability at levels 1..3 visits 3 + 6 + 9 nodes
         lambda budget: decomposed_count_check(BUDGET_LINE, [3], budget=budget),
@@ -147,12 +168,62 @@ BUDGET_LINE = system_from_strings(3, 2, ["x2"], "x1 + 1")
         # one lift per class mod p: 13 nodes for each of the three roots
         lambda budget: global_decompose(BUDGET_LINE, budget),
     ],
-    ids=["tail_measure", "chart_count", "solvable_at", "decomposed_recount", "global_decompose"],
+    ids=[
+        "tail_measure",
+        "count_walk",
+        "chart_count",
+        "solvable_at",
+        "decomposed_recount",
+        "global_decompose",
+    ],
 )
 def test_every_walk_honours_the_budget(run):
     run(DEFAULT_BUDGET)
     with pytest.raises(BudgetExceeded):
         run(BUDGET_LINE.p**BUDGET_LINE.n + 1)
+
+
+def test_threevar_count_walks_once(monkeypatch):
+    # one walk to level 8 visits 101,664 nodes; a walk per level, each a
+    # prefix of the next, visited 139,176
+    import padiczeta.poincare as poincare
+
+    meters = []
+    meter_class = poincare.BudgetMeter
+
+    def recording(limit, stage):
+        meter = meter_class(limit, stage)
+        meters.append(meter)
+        return meter
+
+    monkeypatch.setattr(poincare, "BudgetMeter", recording)
+    counts = congruence_counts(THREEVAR.system, 8)
+    assert counts[6:] == [2_673, 8_019, 37_179]
+    assert [meter.stage for meter in meters] == ["count walk m=8"]
+    assert meters[0].used <= 110_000
+
+
+def test_one_lifter_per_chart(monkeypatch):
+    # a fresh decomposition: the cached one may already hold its lifters
+    import padiczeta.variety as variety
+
+    decomposition = measure_charts.__wrapped__(THREEVAR.system)
+    builds = []
+    init = variety.HenselLifter.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(variety.HenselLifter, "__init__", counting_init)
+    # the counts are walked before depth 8 proves too shallow to reconstruct
+    with pytest.raises(ValidationFailed, match=r"37179\]"):
+        poincare_series(THREEVAR.system, 8, decomposition=decomposition)
+    build_shell_table(THREEVAR.system, 6, decomposition=decomposition)
+    assert len(builds) == len(decomposition.charts) == 1
+    # the budget still refuses the residue scan on every lookup
+    with pytest.raises(BudgetExceeded):
+        decomposition.lifter(decomposition.charts[0], THREEVAR.system.p**THREEVAR.system.n - 1)
 
 
 def test_hensel_points_digit_ordered_and_exact():
@@ -186,9 +257,9 @@ def test_congruence_tree_matches_brute():
 
 
 def test_image_counts_good_reduction():
-    assert reduction_image_count(system_from_strings(3, 2, ["x1"], "x2"), 2) == 9
+    assert measure_charts(system_from_strings(3, 2, ["x1"], "x2")).image_count(2) == 9
     for instance in (LINE_X2, PARABOLA):
-        assert reduction_image_count(instance.system, 1) == brute_force_points(
+        assert measure_charts(instance.system).image_count(1) == brute_force_points(
             instance.system, 1
         ).count
 
@@ -196,7 +267,7 @@ def test_image_counts_good_reduction():
 def test_image_count_bad_reduction_vs_oracle():
     system = BAD_LINE.system
     for m in range(1, 5):
-        chart_based = reduction_image_count(system, m)
+        chart_based = measure_charts(system).image_count(m)
         oracle = image_oracle(system, m, buffer=3)
         assert chart_based == len(oracle)
 
@@ -204,7 +275,7 @@ def test_image_count_bad_reduction_vs_oracle():
 def test_image_at_most_congruence_count():
     for instance in (LINE_X2, PARABOLA, BAD_LINE):
         for m in (1, 2, 3):
-            image = reduction_image_count(instance.system, m)
+            image = measure_charts(instance.system).image_count(m)
             congruence = brute_force_points(instance.system, m).count
             assert image <= congruence
             if instance.good_reduction:
@@ -229,11 +300,6 @@ def test_critical_locus_probe_flags_displaced_zero():
     report = critical_locus_probe(system, 2)
     assert not report.clean
     assert (0, 0) in report.suspects
-
-
-def test_point_dump_rows():
-    rows = list(point_dump_rows(iter_hensel_points(LINE_X2.system, 1), 1))
-    assert rows == [[1, 0, 0], [1, 0, 1], [1, 0, 2]]
 
 
 @st.composite

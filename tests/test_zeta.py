@@ -18,9 +18,7 @@ from padiczeta.zeta import (
     candidate_pole_verdict,
     coefficient_table,
     conductor_vanishing_scan,
-    shell_count,
     tail_measure,
-    zeta_coefficient,
 )
 
 F = Fraction
@@ -28,39 +26,41 @@ F = Fraction
 
 def brute_shell_counts(system, m, c):
     """Oracle: scan the full grid at level m + c and classify image-free."""
-    from padiczeta.variety import brute_force_points
-
     fiber = brute_force_points(system, m + c, angular_level=c)
     return {u: k for (v, u), k in fiber.by_shell.items() if v == m}
 
 
+def table_shell_counts(system, m, c):
+    """Row m of a shell table at angular level c, as counts at level m + c."""
+    table = build_shell_table(system, m, c_level=c)
+    scale = system.p ** ((m + c) * system.dim)
+    return {u: measure * scale for u, measure in table.measures[m].items()}
+
+
 def test_shell_counts_against_brute_oracle():
     system = LINE_X2.system
-    assert shell_count(system, 0, 1) == {1: 2} == brute_shell_counts(system, 0, 1)
-    assert shell_count(system, 1, 1) == {} == brute_shell_counts(system, 1, 1)
+    assert table_shell_counts(system, 0, 1) == {1: 2} == brute_shell_counts(system, 0, 1)
+    assert table_shell_counts(system, 1, 1) == {} == brute_shell_counts(system, 1, 1)
     # six points x2 in {3,6,12,15,21,24} mod 27 sit in the ord-2 shell
-    assert shell_count(system, 2, 1) == {1: 6} == brute_shell_counts(system, 2, 1)
+    assert table_shell_counts(system, 2, 1) == {1: 6} == brute_shell_counts(system, 2, 1)
 
 
 def test_shell_counts_parabola_against_oracle():
     system = PARABOLA.system
     for m in range(0, 3):
-        assert shell_count(system, m, 1) == brute_shell_counts(system, m, 1)
+        assert table_shell_counts(system, m, 1) == brute_shell_counts(system, m, 1)
 
 
 def test_trivial_coefficients_x2_line():
-    system = LINE_X2.system
+    table = build_shell_table(LINE_X2.system, 2)
     triv = trivial_character(3)
-    assert zeta_coefficient(system, 0, triv) == F(2, 3)
-    assert zeta_coefficient(system, 1, triv) == 0
-    assert zeta_coefficient(system, 2, triv) == F(2, 9)
+    assert [table.coefficient(triv, m) for m in range(3)] == [F(2, 3), 0, F(2, 9)]
 
 
 def test_quadratic_twist_x2_line():
     # chi(ac x^2) = chi(v)^2 = 1, so the twisted table equals the trivial one
-    system = LINE_X2.system
     quad = next(c for c in enumerate_characters(3, 1) if c.index == 1)
-    coeff = zeta_coefficient(system, 0, quad)
+    coeff = build_shell_table(LINE_X2.system, 0).coefficient(quad, 0)
     assert abs(coeff - 2 / 3) < 1e-12
 
 
