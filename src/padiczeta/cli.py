@@ -204,13 +204,13 @@ def cmd_zeta(problem: Problem, out: Path, args) -> int:
     table = build_shell_table(
         problem.system,
         problem.max_level,
-        c_level=max(cap, 1),
+        c_level=cap,
         support=support,
         budget=problem.budget,
     )
     characters = [trivial_character(problem.system.p)]
     if problem.system.p != 2:
-        characters = enumerate_characters(problem.system.p, max(cap, 1))
+        characters = enumerate_characters(problem.system.p, cap)
     # the stabilized column is 1 on every row: a row whose recount
     # disagrees raises NotStabilized before any file is written
     for chi in characters:
@@ -471,11 +471,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         problem = load_problem(Path(args.spec))
+        if args.max_level is not None:
+            problem.max_level = args.max_level
+        if problem.max_level < 1 or problem.conductor_cap < 1:
+            raise SchemaError("max_level and character_conductor_cap must be >= 1")
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    if args.max_level is not None:
-        problem.max_level = args.max_level
     if args.budget is not None:
         problem.budget = args.budget
     out = Path(args.out)

@@ -2,6 +2,9 @@
 
 The direct route sums the additive character over the reduction image of
 the variety modulo p^m (Hensel enumeration on good-reduction charts).
+Both the exponential sum and the oscillatory integral add up one
+per-chart character sum, walked with the lifter the
+`smoothing.Decomposition` keeps for the chart.
 The formula route rebuilds the same value out of twisted local zeta
 data: the value of the trivial-character zeta at t = 1, one coefficient
 of an explicit rational function of it, and a finite character sum of
@@ -22,13 +25,13 @@ from typing import Sequence
 
 from .characters import MultChar, chi_value, gauss_sum, trivial_character
 from .errors import EvenPrimeUnsupported
-from .mpoly import PolySystem
+from .mpoly import MPoly, PolySystem
 from .padic import ScaledUnit, psi_ratio
 from .ratfn import PoleData
 from .smoothing import Decomposition, measure_charts, recenter
 from .support import Support
-from .variety import DEFAULT_BUDGET, iter_hensel_points
-from .zeta import ShellTable, _chart_support, conductor_vanishing_scan, tail_measure
+from .variety import DEFAULT_BUDGET, HenselLifter, iter_hensel_points
+from .zeta import ShellTable, conductor_vanishing_scan, tail_measure
 
 SPS_TOL = 1e-9  # the largest direct-vs-formula gap a stationary-phase check passes
 DECAY_SLACK = 1.5  # growth of the normalized decay that still counts as bounded
@@ -41,6 +44,28 @@ class ExpSumRecord:
     direct: complex
     via_formula: complex | None
     abs_direct: float
+
+
+def _add_phases(
+    total: complex,
+    lifter: HenselLifter,
+    target: MPoly,
+    k: int,
+    m: int,
+    u: int,
+    sup: Support | None,
+    budget: int,
+) -> complex:
+    """total plus Psi(u target(y) / p^m) over the lifter's level-k points y in sup.
+
+    The terms are added one by one in walk order, so a caller that
+    threads one running total through every chart sums in that order.
+    """
+    p = lifter.p
+    modulus = p**m
+    for y in iter_hensel_points(lifter, k, budget, sup):
+        total += psi_ratio(u * target.evaluate(y, modulus), p, m)
+    return total
 
 
 def exponential_sum(
@@ -70,11 +95,8 @@ def exponential_sum(
             total += psi_ratio(u * system.target.evaluate(key, p**m), p, m)
     else:
         for chart in decomposition.charts:
-            level = m - chart.L
-            target_mod = p**m
-            chart_system = chart.as_system(p)
-            for y in iter_hensel_points(chart_system, level, budget):
-                total += psi_ratio(u * chart.target.evaluate(y, target_mod), p, m)
+            lifter = decomposition.lifter(chart, budget)
+            total = _add_phases(total, lifter, chart.target, m - chart.L, m, u, None, budget)
     return total / p ** (m * system.dim)
 
 
@@ -99,15 +121,12 @@ def oscillatory_integral(
     dim = system.dim
     total = 0.0 + 0.0j
     for chart in decomposition.charts:
-        meets, sup = _chart_support(support, chart, p)
+        meets, sup = decomposition.restrict(chart, support)
         if not meets:
             continue
         k = max(m - chart.L, sup.level if sup else 0, 1)
-        chart_system = chart.as_system(p)
-        target_mod = p**m
-        partial = 0.0 + 0.0j
-        for y in iter_hensel_points(chart_system, k, budget, support=sup):
-            partial += psi_ratio(u * chart.target.evaluate(y, target_mod), p, m)
+        lifter = decomposition.lifter(chart, budget)
+        partial = _add_phases(0.0 + 0.0j, lifter, chart.target, k, m, u, sup, budget)
         total += float(chart.weight) * partial / p ** (k * dim)
     return total
 
@@ -165,12 +184,7 @@ def build_stationary_phase_context(
         system, c_max, depth, support=support, decomposition=decomposition, budget=budget
     )
     twisted = [(chi, gauss_sum(chi.inverse())) for chi in scan.nonzero]
-    if support is None or support.is_full():
-        total_mass = decomposition.total_measure(budget)
-    else:
-        total_mass = tail_measure(
-            system, 0, support=support, decomposition=decomposition, budget=budget
-        )
+    total_mass = tail_measure(system, 0, support=support, decomposition=decomposition, budget=budget)
     return StationaryPhaseContext(
         system=system,
         support=support,
@@ -366,15 +380,14 @@ def decomposed_expsum_check(
         rhs = 0.0 + 0.0j
         for chart in decomposition.charts:
             # the first point of the walk: the smallest-digit lift of the first root
-            y_lift = next(iter_hensel_points(chart.as_system(p), m, budget))
+            y_lift = next(iter_hensel_points(decomposition.lifter(chart, budget), m, budget))
             x_rep = tuple(c + p**chart.L * y for c, y in zip(chart.center, y_lift))
             # chart variety relative to the accurate representative
             const, e_l, rep_system = recenter(system, chart, x_rep)
-            remainder = rep_system.target
-            inner = 0.0 + 0.0j
-            scale = p ** (e_l - chart.L)
-            for y in iter_hensel_points(rep_system, m - chart.L, budget):
-                inner += psi_ratio(u * scale * remainder.evaluate(y, p ** (m - chart.L)), p, m - chart.L)
+            lifter = HenselLifter(p, system.n, rep_system.constraints, budget)
+            scaled_u = u * p ** (e_l - chart.L)
+            k = m - chart.L
+            inner = _add_phases(0.0 + 0.0j, lifter, rep_system.target, k, k, scaled_u, None, budget)
             rhs += psi_ratio(u * const, p, m) * inner
         rows.append(DecompositionIdentityRow(m=m, u=u, lhs=lhs, rhs=rhs))
     return rows

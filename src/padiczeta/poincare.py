@@ -4,9 +4,10 @@ N_m counts the image classes mod p^m of variety points at which the
 target vanishes mod p^m (N_0 = 1 by convention).  Under good reduction
 this is the plain count of simultaneous congruence solutions of all l
 polynomials; in general the image is walked chart by chart.  The walk
-for N_m is a prefix of the walk for N_(m + 1), so `congruence_counts`
-makes one walk per chart to the deepest level asked for and tallies
-every level on the way.  It enumerates every counted class, with no
+for N_m is a prefix of the walk for N_(m + 1), so one tally walk per
+chart to the deepest level asked for counts every level on the way; it
+serves both `congruence_counts` and the solvability and direct counts
+of the decomposed recount.  It enumerates every counted class, with no
 closed form, so it stays independent of the shell walks.  The scaled
 generating function sum q^(-m dim) N_m t^m is reconstructed as an exact
 rational function and checked against the trivial-character zeta
@@ -27,14 +28,26 @@ from .ratfn import PoleData, RationalFn, reconstruct_rational
 from .smoothing import Decomposition, measure_charts, recenter
 from .variety import (
     DEFAULT_BUDGET,
-    DESCEND,
-    PRUNE,
     BudgetMeter,
     HenselLifter,
     iter_congruence_points,
-    walk,
+    tally_zeros,
 )
-from .zeta import _tail_points
+
+
+def _chart_tallies(decomposition: Decomposition, k: int, meter: BudgetMeter) -> list[list[int]]:
+    """Per chart, tally[j]: its level-j nodes where the target is 0 mod p^(L + j), j <= k.
+
+    A level-j node y is a class mod p^(L + j), and the target mod
+    p^(L + j) only depends on y mod p^j, so one tally walk per chart to
+    level k counts every level.
+    """
+    p, L = decomposition.system.p, decomposition.L
+    moduli = [p ** (L + j) for j in range(k + 1)]
+    return [
+        tally_zeros(decomposition.lifter(chart, meter.limit), chart.target, moduli, None, meter)
+        for chart in decomposition.charts
+    ]
 
 
 def congruence_counts(
@@ -47,12 +60,8 @@ def congruence_counts(
 
     The target value mod p^m only depends on the class, so evaluation at
     any representative is sound.  For m <= L the classes are the chart
-    centers mod p^m.  Past L, a level-j chart node y is a class mod
-    p^(L + j), and the target mod p^(L + j) only depends on y mod p^j, so
-    a node counts for N_(L + j) exactly when it and, a fortiori, its
-    ancestors pass the test at their own levels.  One walk per chart to
-    level depth - L, pruning the nodes that fail, therefore visits every
-    counted node of every level once, and tallies it at its level.
+    centers mod p^m.  Past L, N_(L + j) sums the charts' tallies at
+    level j, from one tally walk per chart to level depth - L.
     """
     if decomposition is None:
         decomposition = measure_charts(system, budget)
@@ -65,23 +74,8 @@ def congruence_counts(
     k = depth - L
     if k < 1:
         return counts
-    tally = [0] * (k + 1)
-    moduli = [p ** (L + j) for j in range(k + 1)]
-    meter = BudgetMeter(budget, f"count walk m={depth}")
-    for chart in decomposition.charts:
-        lifter = decomposition.lifter(chart, budget)
-        evaluate = chart.target.evaluate
-
-        def visit(y: tuple[int, ...], j: int):
-            if evaluate(y, moduli[j]):
-                return PRUNE  # target valuation below L + j on the whole ball
-            if j == k:
-                return 1
-            tally[j] += 1
-            return DESCEND
-
-        tally[k] += sum(walk(lifter.roots(), lifter.children, visit, meter))
-    return counts + tally[1:]
+    tallies = _chart_tallies(decomposition, k, BudgetMeter(budget, f"count walk m={depth}"))
+    return counts + [sum(tally[j] for tally in tallies) for j in range(1, k + 1)]
 
 
 def congruence_count(
@@ -221,13 +215,15 @@ def decomposed_count_check(
 ) -> DecomposedCountReport:
     """Recount N_m through charts re-centered at exact zeros of the target.
 
-    Per chart, solvability of the full system is probed at increasing
-    levels until the status settles (the empirical threshold m_0);
-    charts deemed unsolvable contribute nothing, and each solvable chart
-    is re-centered at an exact integer zero of the whole system so the
-    target splits off with no constant term.  The recount, driven by the
-    rescaled target polynomial, must equal the direct N_m for every
-    requested m past the threshold.
+    One tally walk per chart gives, at every level j, the chart's share
+    of the direct N_(L + j) and its solvability (a level-j point where
+    the target is 0 mod p^(L + j)); the status must settle by the
+    deepest level (the empirical threshold m_0).  Charts deemed
+    unsolvable contribute nothing, and each solvable chart is re-centered
+    at an exact integer zero of the whole system so the target splits
+    off with no constant term.  The recount, driven by the rescaled
+    target polynomial, must equal the direct N_m for every requested m
+    past the threshold.
     """
     decomposition = measure_charts(system, budget)
     p = system.p
@@ -239,14 +235,11 @@ def decomposed_count_check(
     # per chart: None (unsolvable), "incomplete" (no exact center found),
     # or (lifter of the rescaled constraints, rescaled target, e_l)
     prepared = []
-    # shared by the solvability probes and the recounts
+    # shared by the tally walks and the recounts
     meter = BudgetMeter(budget, "decomposed recount")
-    for chart in decomposition.charts:
-        # solvable at level j: some level-j chart point has target = 0 mod p^(L + j)
-        statuses = [
-            any(_tail_points(decomposition, chart, chart.L + j, None, meter)[0])
-            for j in range(1, settle + 1)
-        ]
+    tallies = _chart_tallies(decomposition, settle, meter)
+    for chart, tally in zip(decomposition.charts, tallies):
+        statuses = [tally[j] > 0 for j in range(1, settle + 1)]
         final = statuses[-1]
         first_stable = next(j for j in range(len(statuses)) if all(s == final for s in statuses[j:]))
         threshold = max(threshold, L + first_stable + 1)
@@ -263,10 +256,9 @@ def decomposed_count_check(
         lifter = HenselLifter(p, system.n, rep.constraints, budget).smooth()
         prepared.append((lifter, rep.target, e_l))
 
-    direct_counts = congruence_counts(system, max(m_values), decomposition, budget)
     rows = []
     for m in sorted(m_values):
-        direct = direct_counts[m]
+        direct = sum(tally[m - L] for tally in tallies)
         total = 0
         complete = True
         for entry in prepared:
@@ -278,13 +270,7 @@ def decomposed_count_check(
             lifter, rescaled_target, e_l = entry
             # p^(e_l - L) f_L(y) = 0 mod p^(m - L)  <=>  f_L(y) = 0 mod p^(m - e_l)
             need = max(m - e_l, 0)
-            k = m - L
-
-            def visit(y: tuple[int, ...], j: int):
-                if need and rescaled_target.evaluate(y, p ** min(j, need)) != 0:
-                    return PRUNE
-                return 1 if j == k else DESCEND
-
-            total += sum(walk(lifter.roots(), lifter.children, visit, meter))
+            moduli = [p ** min(j, need) for j in range(m - L + 1)]
+            total += tally_zeros(lifter, rescaled_target, moduli, None, meter)[-1]
         rows.append(DecomposedCountRow(m=m, direct=direct, decomposed=total if complete else None))
     return DecomposedCountReport(threshold=threshold, rows=tuple(rows))

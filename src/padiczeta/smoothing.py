@@ -10,7 +10,8 @@ scale, so everything stays exact).
 
 The chart decomposition carries, per chart, the measure transport
 weight p^(sum e_i - L*n), which is what makes surface-measure integrals
-computable through point counts on the rescaled charts.
+computable through point counts on the rescaled charts.  Every chart
+walk takes its lifter and its support in chart coordinates from there.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .errors import (
 )
 from .mpoly import MPoly, PolySystem, shift_rescale
 from .padic import int_valuation
+from .support import Support
 from .variety import (
     DEFAULT_BUDGET,
     GoodReductionVerdict,
@@ -143,6 +145,17 @@ def apply_row_ops(polys: Sequence[MPoly], ops: Sequence[RowOp]) -> list[MPoly]:
     return out
 
 
+def _linear_echelon(system: PolySystem, x0: tuple[int, ...]) -> tuple[list[MPoly], EchelonResult]:
+    """The constraints translated to x0, and the echelon form of their linear part."""
+    n = system.n
+    translated = [f.substitute_affine(x0, 1) for f in system.constraints]
+    linear = [
+        [t.terms.get(tuple(1 if i == j else 0 for i in range(n)), 0) for j in range(n)]
+        for t in translated
+    ]
+    return translated, dvr_echelon(linear, system.p)
+
+
 @dataclass(frozen=True)
 class SmoothingCertificate:
     """Witness that the rescaled system at a center has good reduction.
@@ -191,12 +204,7 @@ def neron_rescale(
     x0 = tuple(int(c) for c in x0)
     if len(x0) != system.n:
         raise ValueError("center has wrong dimension")
-    translated = [f.substitute_affine(x0, 1) for f in system.constraints]
-    linear = [
-        [t.terms.get(tuple(1 if i == j else 0 for i in range(system.n)), 0) for j in range(system.n)]
-        for t in translated
-    ]
-    ech = dvr_echelon(linear, system.p)
+    translated, ech = _linear_echelon(system, x0)
     L = ech.pivot_vals[-1] + 1
     if L_forced is not None:
         if L_forced < L:
@@ -261,17 +269,7 @@ class Chart:
     constraints: tuple[MPoly, ...]
     target: MPoly
     weight: Fraction
-    exponents: tuple[int, ...]
     certificate: SmoothingCertificate | None = None
-
-    def as_system(self, p: int, resolution_data=None) -> PolySystem:
-        return PolySystem(
-            p=p,
-            n=self.target.n,
-            constraints=self.constraints,
-            target=self.target,
-            resolution_data=resolution_data,
-        )
 
 
 @dataclass(frozen=True)
@@ -300,6 +298,31 @@ class Decomposition:
             self._lifters[chart] = HenselLifter(p, n, chart.constraints, budget).smooth()
         return self._lifters[chart]
 
+    def restrict(self, chart: Chart, support: Support | None) -> tuple[bool, Support | None]:
+        """Transport the support indicator into the chart's coordinates.
+
+        Returns (meets, sup): whether the chart meets the support at all,
+        and the y-coordinate Support to restrict the chart to, or None when
+        the whole chart lies inside the support.
+        """
+        if support is None or support.is_full():
+            return True, None
+        p, L = self.system.p, chart.L
+        if support.level <= L:
+            modulus = p**support.level
+            key = tuple(c % modulus for c in chart.center)
+            return key in support.projected(p, support.level), None
+        rel_level = support.level - L
+        mod_L = p**L
+        y_centers = {
+            tuple(((c - x) // mod_L) % p**rel_level for c, x in zip(center, chart.center))
+            for center in support.centers
+            if tuple(c % mod_L for c in center) == tuple(c % mod_L for c in chart.center)
+        }
+        if not y_centers:
+            return False, None
+        return True, Support(n=support.n, level=rel_level, centers=tuple(sorted(y_centers)))
+
     def image_count(self, m: int, budget: int = DEFAULT_BUDGET) -> int:
         """Number of classes mod p^m hit by Z_p points of the variety."""
         if m == 0:
@@ -307,7 +330,7 @@ class Decomposition:
         if m <= self.L:
             return len(self.classes(m))
         return sum(
-            sum(1 for _ in iter_hensel_points(chart.as_system(self.system.p), m - self.L, budget))
+            sum(1 for _ in iter_hensel_points(self.lifter(chart, budget), m - self.L, budget))
             for chart in self.charts
         )
 
@@ -315,17 +338,6 @@ class Decomposition:
         """The distinct chart centers mod p^m, in chart order."""
         modulus = self.system.p**m
         return list(dict.fromkeys(tuple(c % modulus for c in chart.center) for chart in self.charts))
-
-    def total_measure(self, budget: int = DEFAULT_BUDGET) -> Fraction:
-        """Surface measure of the whole variety inside the unit polydisc."""
-        p = self.system.p
-        total = Fraction(0)
-        for chart in self.charts:
-            lifter = self.lifter(chart, budget)
-            dim = lifter.dim
-            count = len(lifter.roots())  # level-1 count, law gives the measure
-            total += chart.weight * Fraction(count, p**dim)
-        return total
 
 
 def recenter(system: PolySystem, chart: Chart, x: tuple[int, ...]) -> tuple[int, int, PolySystem]:
@@ -357,7 +369,6 @@ def _identity_chart(system: PolySystem) -> Chart:
         constraints=system.constraints,
         target=system.target,
         weight=Fraction(1),
-        exponents=(0,) * len(system.constraints),
     )
 
 
@@ -379,14 +390,7 @@ def global_decompose(system: PolySystem, budget: int = DEFAULT_BUDGET) -> Decomp
         reps = first_lifts(p, n, system.constraints, L, 2 * L + 3, budget)
         needed = L
         for key in sorted(reps):
-            x0 = reps[key]
-            translated = [f.substitute_affine(x0, 1) for f in system.constraints]
-            linear = [
-                [t.terms.get(tuple(1 if a == j else 0 for a in range(n)), 0) for j in range(n)]
-                for t in translated
-            ]
-            ech = dvr_echelon(linear, p)
-            needed = max(needed, ech.pivot_vals[-1] + 1)
+            needed = max(needed, _linear_echelon(system, reps[key])[1].pivot_vals[-1] + 1)
         if needed > L:
             L = needed
             continue
@@ -401,7 +405,6 @@ def global_decompose(system: PolySystem, budget: int = DEFAULT_BUDGET) -> Decomp
                 constraints=cert.rescaled_constraints,
                 target=system.target.substitute_affine(x0, p**L),
                 weight=Fraction(p ** sum(cert.exponents), p ** (L * n)),
-                exponents=cert.exponents,
                 certificate=cert,
             )
             lifter = HenselLifter(p, n, chart.constraints, budget).smooth()

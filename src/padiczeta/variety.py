@@ -14,7 +14,7 @@ separate: it is the independent oracle every walk is checked against.
 
 Image-level counts (the reduction of the variety's Z_p points rather
 than its congruence solutions) live on the chart decomposition in
-`smoothing`, which keeps one lifter per chart.
+`smoothing`, which keeps the one lifter every walk of a chart uses.
 """
 
 from __future__ import annotations
@@ -361,18 +361,50 @@ def _points_at(
 
 
 def iter_hensel_points(
-    system: PolySystem,
+    lifter: HenselLifter,
     m: int,
     budget: int = DEFAULT_BUDGET,
     support: Support | None = None,
 ) -> Iterator[tuple[int, ...]]:
-    """Stream the level-m congruence solutions of a good-reduction system.
+    """Stream the level-m points of a smooth lifter's tree that the support admits.
 
     Depth-first, lexicographic in the digit vectors, one root-to-leaf
-    path in memory at a time.
+    path in memory at a time.  The caller owns the lifter: chart walks
+    take theirs from `smoothing.Decomposition.lifter`.
     """
-    lifter = HenselLifter(system.p, system.n, system.constraints, budget).smooth()
-    yield from _points_at(lifter, m, budget, support, f"hensel walk m={m}")
+    yield from _points_at(lifter.smooth(), m, budget, support, f"hensel walk m={m}")
+
+
+def tally_zeros(
+    lifter: HenselLifter,
+    target: MPoly,
+    moduli: Sequence[int],
+    support: Support | None,
+    meter: BudgetMeter,
+) -> list[int]:
+    """tally[j]: the level-j nodes x in the support with target(x) = 0 mod moduli[j].
+
+    One walk to level len(moduli) - 1 prunes every node that fails, so
+    it counts all passing nodes when passing at a level implies passing
+    at every level below, as it does when target mod moduli[j] only
+    depends on x mod p^j and the moduli do not decrease.
+    """
+    p, k = lifter.p, len(moduli) - 1
+    tally = [0] * (k + 1)
+    evaluate = target.evaluate
+
+    def visit(x: tuple[int, ...], j: int):
+        if support is not None and not support.admits_prefix(x, j, p):
+            return PRUNE
+        if evaluate(x, moduli[j]):
+            return PRUNE  # nonzero mod moduli[j] on the whole ball
+        if j == k:
+            return 1
+        tally[j] += 1
+        return DESCEND
+
+    tally[k] += sum(walk(lifter.roots(), lifter.children, visit, meter))
+    return tally
 
 
 def hensel_enumerate(
@@ -387,7 +419,8 @@ def hensel_enumerate(
     The good-reduction count law #V(F_p) * p^((m-1)(n-l+1)) is what tests
     compare this against; the traversal never assumes it.
     """
-    return _fiber_count(system, m, iter_hensel_points(system, m, budget, support), angular_level)
+    lifter = HenselLifter(system.p, system.n, system.constraints, budget)
+    return _fiber_count(system, m, iter_hensel_points(lifter, m, budget, support), angular_level)
 
 
 # -- filtered congruence tree (no smoothness assumed) --------------------------

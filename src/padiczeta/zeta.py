@@ -7,7 +7,8 @@ These measures are exact rationals computed by pruned walks over the
 good-reduction charts (weights transport the measure through the
 rescaling), and every twisted coefficient is a finite character sum
 against them, so all cancellation happens exactly and only the final
-character values are floating.
+character values are floating.  Each walk takes its chart's lifter and
+the support in chart coordinates from the `smoothing.Decomposition`.
 
 A shell walk does not enumerate the points it counts.  Where the
 Jacobian minors of (constraints, target) have valuation e below a
@@ -15,9 +16,9 @@ node's level j, the target is a submersion on the node's ball: it is
 constant mod p^(j+e) there and, by Hensel's lemma, its deeper digits
 spread evenly, so the subtree's share of every shell is a closed-form
 count (Igusa's stationary phase).  Only nodes near the target's
-critical locus are descended.  The tail walk behind `tail_measure` and
-the count walk of `poincare.congruence_counts` stay plain enumerations:
-the counts are the second route of the identity P(t)(1 - t) + t Z(t) = 1.
+critical locus are descended.  The tally walks of `tail_measure` and
+`poincare.congruence_counts` stay plain enumerations: the counts are
+the second route of the identity P(t)(1 - t) + t Z(t) = 1.
 
 Every row is recounted at angular level c + 1, and its classes summed
 mod p^c must agree exactly; disagreement raises instead of silently
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
 
 from .characters import MultChar, chi_value, enumerate_characters
 from .errors import HypothesisNotVerified, MissingTable, NotStabilized, WalkInvariantError
@@ -51,40 +51,13 @@ from .variety import (
     BudgetMeter,
     critical_locus_probe,
     jacobian_minors,
+    tally_zeros,
     walk,
 )
 
 ZERO_TOL = 1e-9  # a twisted coefficient table within this of 0 counts as zero
 CONDUCTOR_LIMIT = 4  # the conductor scan escalates no further than this level
 PROBE_LEVEL = 2  # level of the critical-locus probe behind the conductor scan
-
-
-def _chart_support(
-    support: Support | None, chart: Chart, p: int
-) -> tuple[bool, Support | None]:
-    """Transport the support indicator into chart coordinates.
-
-    Returns (meets, sup): whether the chart meets the support at all,
-    and the y-coordinate Support to restrict the chart to, or None when
-    the whole chart lies inside the support.
-    """
-    if support is None or support.is_full():
-        return True, None
-    L = chart.L
-    if support.level <= L:
-        modulus = p**support.level
-        key = tuple(c % modulus for c in chart.center)
-        return key in support.projected(p, support.level), None
-    rel_level = support.level - L
-    mod_L = p**L
-    y_centers = []
-    for center in support.centers:
-        if tuple(c % mod_L for c in center) != tuple(c % mod_L for c in chart.center):
-            continue
-        y_centers.append(tuple(((c - x) // mod_L) % p**rel_level for c, x in zip(center, chart.center)))
-    if not y_centers:
-        return False, None
-    return True, Support(n=support.n, level=rel_level, centers=tuple(sorted(set(y_centers))))
 
 
 def _chart_shell_walk(
@@ -112,7 +85,7 @@ def _chart_shell_walk(
     """
     p = decomposition.system.p
     L = chart.L
-    meets, sup = _chart_support(support, chart, p)
+    meets, sup = decomposition.restrict(chart, support)
     if not meets:
         return {}, 1
     k = max(m + c - L, sup.level if sup else 0, 1)
@@ -325,7 +298,6 @@ class CoeffTable:
 
     chi: MultChar
     coeffs: tuple
-    q: int
 
     def is_zero(self) -> bool:
         return all(abs(complex(c)) <= ZERO_TOL for c in self.coeffs)
@@ -335,7 +307,7 @@ def coefficient_table(table: ShellTable, chi: MultChar) -> CoeffTable:
     if max(chi.conductor, 1) > table.c_level:
         raise ValueError("shell table angular level too coarse for this character")
     coeffs = tuple(table.coefficient(chi, m) for m in range(table.depth + 1))
-    return CoeffTable(chi=chi, coeffs=coeffs, q=table.system.p)
+    return CoeffTable(chi=chi, coeffs=coeffs)
 
 
 @dataclass(frozen=True)
@@ -405,35 +377,6 @@ def conductor_vanishing_scan(
     )
 
 
-def _tail_points(
-    decomposition: Decomposition,
-    chart: Chart,
-    m: int,
-    sup: Support | None,
-    meter: BudgetMeter,
-) -> tuple[Iterator[int], int]:
-    """A walk yielding 1 per chart point in sup where the target is 0 mod p^m.
-
-    The points are counted at the resolving level k = max(m - L, level
-    of sup, 1), which is returned with the walk.
-    """
-    p = decomposition.system.p
-    L = chart.L
-    k = max(m - L, sup.level if sup else 0, 1)
-    lifter = decomposition.lifter(chart, meter.limit)
-    evaluate = chart.target.evaluate
-    det_mod = [p ** min(L + j, m) for j in range(k + 1)]
-
-    def visit(y: tuple[int, ...], j: int):
-        if sup is not None and not sup.admits_prefix(y, j, p):
-            return PRUNE
-        if evaluate(y, det_mod[j]) != 0:
-            return PRUNE  # target valuation already determined below m
-        return 1 if j >= k else DESCEND
-
-    return walk(lifter.roots(), lifter.children, visit, meter), k
-
-
 def tail_measure(
     system: PolySystem,
     m: int,
@@ -441,17 +384,25 @@ def tail_measure(
     decomposition: Decomposition | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> Fraction:
-    """Surface measure of { x : ord target(x) >= m } within the support."""
+    """Surface measure of { x : ord target(x) >= m } within the support.
+
+    The chart points where the target is 0 mod p^m are counted at the
+    resolving level k = max(m - L, level of the support, 1).
+    """
     if decomposition is None:
         decomposition = measure_charts(system, budget)
     p = system.p
     total = Fraction(0)
     meter = BudgetMeter(budget, f"tail walk m={m}")
     for chart in decomposition.charts:
-        meets, sup = _chart_support(support, chart, p)
-        if meets:
-            leaves, k = _tail_points(decomposition, chart, m, sup, meter)
-            total += chart.weight * Fraction(sum(leaves), p ** (k * system.dim))
+        meets, sup = decomposition.restrict(chart, support)
+        if not meets:
+            continue
+        k = max(m - chart.L, sup.level if sup else 0, 1)
+        moduli = [p ** min(chart.L + j, m) for j in range(k + 1)]
+        lifter = decomposition.lifter(chart, budget)
+        leaves = tally_zeros(lifter, chart.target, moduli, sup, meter)[k]
+        total += chart.weight * Fraction(leaves, p ** (k * system.dim))
     return total
 
 

@@ -156,6 +156,8 @@ def test_missing_schema_version(tmp_path):
         {"support": {"type": "cosets", "level": 1}},
         {"max_level": "five"},
         {"resolution_data": [["a", 1]]},
+        {"max_level": 0},
+        {"character_conductor_cap": 0},
     ],
 )
 def test_malformed_fields_exit_schema(tmp_path, mutation):
@@ -164,6 +166,14 @@ def test_malformed_fields_exit_schema(tmp_path, mutation):
     spec = tmp_path / "bad.json"
     spec.write_text(json.dumps(payload))
     assert run("count", spec, tmp_path / "out") == EXIT_SCHEMA
+
+
+@pytest.mark.parametrize(
+    "command, level",
+    [("count", "-2"), ("zeta", "0"), ("sps-verify", "0"), ("decay", "0")],
+)
+def test_max_level_override_below_one_exits_schema(spec_file, tmp_path, command, level):
+    assert run(command, spec_file, tmp_path / "out", "--max-level", level) == EXIT_SCHEMA
 
 
 def test_budget_exit_code(spec_file, tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from padiczeta import smoothing
 from padiczeta.bundled import BAD_LINE, BAD_LINE_P5, LINE_X2, PARABOLA, PLANE_LINE
 from padiczeta.errors import BudgetExceeded, CenterNotOnVariety, RankDeficient
-from padiczeta.mpoly import system_from_strings
+from padiczeta.mpoly import PolySystem, system_from_strings
 from padiczeta.smoothing import (
     dvr_echelon,
     global_decompose,
@@ -16,7 +16,8 @@ from padiczeta.smoothing import (
     neron_rescale,
     verify_certificate,
 )
-from padiczeta.variety import HenselLifter, good_reduction_test, image_oracle
+from padiczeta.variety import HenselLifter, good_reduction_test, image_oracle, iter_hensel_points
+from padiczeta.zeta import tail_measure
 
 
 def test_echelon_single_row():
@@ -114,7 +115,7 @@ def test_global_decompose_bad_line():
     assert len(decomposition.charts) == 9
     for chart in decomposition.charts:
         assert chart.weight == Fraction(1, 3)
-        assert good_reduction_test(chart.as_system(3))
+        assert good_reduction_test(PolySystem(3, 2, chart.constraints, chart.target))
 
 
 # the chart centers certificates.json records; the first lift of each class
@@ -177,9 +178,10 @@ def test_decomposition_counts_match_oracle_p5():
 
 def test_decomposition_total_measure():
     # gamma measure of {3 x1 = 9 x2} is 3: the defining form scales by |3|
-    assert global_decompose(BAD_LINE.system).total_measure() == 3
-    assert measure_charts(LINE_X2.system).total_measure() == 1
-    assert measure_charts(PARABOLA.system).total_measure() == 1
+    decomposition = global_decompose(BAD_LINE.system)
+    assert tail_measure(BAD_LINE.system, 0, decomposition=decomposition) == 3
+    assert tail_measure(LINE_X2.system, 0) == 1
+    assert tail_measure(PARABOLA.system, 0) == 1
 
 
 def test_measure_charts_identity_for_good_systems():
@@ -207,12 +209,6 @@ def test_chart_consistency_resummation():
         per_chart = sum(
             1
             for chart in decomposition.charts
-            for _ in _chart_points(decomposition, chart, m - decomposition.L)
+            for _ in iter_hensel_points(decomposition.lifter(chart), m - decomposition.L)
         )
         assert per_chart == len(image_oracle(system, m, 3))
-
-
-def _chart_points(decomposition, chart, level):
-    from padiczeta.variety import iter_hensel_points
-
-    yield from iter_hensel_points(chart.as_system(decomposition.system.p), level)

@@ -6,7 +6,8 @@ These tests fail when a module expands lift-tree nodes itself (a call to
 pushes the same list), or recurses (a function that calls itself), so
 the walk cannot fork into private copies again.  Invariants raise typed
 errors: an `assert` statement, which `python -O` strips, fails the
-suite.
+suite.  A module's private names stay its own: no module imports an
+`_`-prefixed name from another.
 """
 
 import ast
@@ -114,3 +115,16 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert asserts == [], "invariants must raise a PadicZetaError, not assert"
+
+
+def test_no_private_cross_module_imports():
+    offenders = [
+        f"{name}:{node.lineno} {alias.name}"
+        for name, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").startswith("padiczeta"))
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert offenders == [], "private names imported from another module"

@@ -9,10 +9,14 @@ from padiczeta.bundled import BAD_LINE, GOOD_REDUCTION, LINE_X2, PARABOLA, THREE
 from padiczeta.mpoly import MPoly, PolySystem, shift_rescale
 from padiczeta.errors import BadReductionInput, BudgetExceeded, NotStabilized, ValidationFailed
 from padiczeta.mpoly import system_from_strings
+from padiczeta.expsum import exponential_sum, oscillatory_integral
+from padiczeta.padic import ScaledUnit
 from padiczeta.poincare import congruence_counts, decomposed_count_check, poincare_series
 from padiczeta.smoothing import global_decompose, measure_charts
+from padiczeta.support import Support
 from padiczeta.variety import (
     DEFAULT_BUDGET,
+    HenselLifter,
     _FpSolver,
     brute_force_points,
     critical_locus_probe,
@@ -161,9 +165,9 @@ BUDGET_LINE = system_from_strings(3, 2, ["x2"], "x1 + 1")
         # one walk to level 4 visits 3 nodes per level
         lambda budget: congruence_counts(BUDGET_LINE, 4, budget=budget),
         lambda budget: measure_charts(BUDGET_LINE, budget).image_count(2, budget),
-        # probing solvability at levels 1..3 visits 3 + 6 + 9 nodes
-        lambda budget: decomposed_count_check(BUDGET_LINE, [3], budget=budget),
-        # the probes (9 nodes) leave too little for the rescaled recount (6)
+        # solvability is read off the tally walk, which visits 3 nodes per level to 4
+        lambda budget: decomposed_count_check(BUDGET_LINE, [4], budget=budget),
+        # the tally walk (6 nodes) leaves too little for the rescaled recount (6)
         lambda budget: decomposed_count_check(BUDGET_LINE, [2], budget=budget),
         # one lift per class mod p: 13 nodes for each of the three roots
         lambda budget: global_decompose(BUDGET_LINE, budget),
@@ -226,16 +230,39 @@ def test_one_lifter_per_chart(monkeypatch):
         decomposition.lifter(decomposition.charts[0], THREEVAR.system.p**THREEVAR.system.n - 1)
 
 
+def test_chart_walks_reuse_the_decomposition_lifters(monkeypatch):
+    # global_decompose keeps the lifters it built for its nine charts
+    import padiczeta.variety as variety
+
+    system = BAD_LINE.system
+    decomposition = global_decompose(system)
+    support = Support.cosets(2, 3, [(0, 0), (9, 3)], 3)  # level 3 > L = 2
+    builds = []
+    init = variety.HenselLifter.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(variety.HenselLifter, "__init__", counting_init)
+    exponential_sum(system, 3, 1, decomposition=decomposition)
+    oscillatory_integral(system, ScaledUnit(3, 3, 1), support=support, decomposition=decomposition)
+    decomposition.image_count(4)
+    tail_measure(system, 3, support=support, decomposition=decomposition)
+    assert builds == []
+
+
 def test_hensel_points_digit_ordered_and_exact():
     system = PARABOLA.system
-    points = list(iter_hensel_points(system, 3))
+    lifter = HenselLifter(system.p, system.n, system.constraints)
+    points = list(iter_hensel_points(lifter, 3))
 
     def digit_key(x):
         # root tuple first, then the digit vector introduced at each level
         return tuple((c // 3**j) % 3 for j in range(3) for c in x)
 
     assert [digit_key(x) for x in points] == sorted(digit_key(x) for x in points)
-    assert points == list(iter_hensel_points(system, 3))  # deterministic
+    assert points == list(iter_hensel_points(lifter, 3))  # deterministic
     modulus = 27
     for x in points:
         assert system.constraints[0].evaluate(x, modulus) == 0
