@@ -68,17 +68,20 @@ def main() -> int:
             brute.append(sum(1 for x in points if system.target.evaluate(x, system.p**m) == 0))
         record(instance.name, "counts vs brute force", congruence_counts(system, top - 1) == brute)
 
-    # the shell walk resolves smooth subtrees in closed form; the Hensel
-    # enumeration counts every point of each shell at level m + 2
-    system = THREEVAR.system
-    table = build_shell_table(system, 3, c_level=2)
-    ok = True
-    for m in range(4):
-        fiber = hensel_enumerate(system, m + 2, angular_level=2)
-        oracle = {u: count for (v, u), count in fiber.by_shell.items() if v == m}
-        scale = system.p ** ((m + 2) * system.dim)
-        ok = ok and {u: measure * scale for u, measure in table.measures[m].items()} == oracle
-    record(THREEVAR.name, "shell table vs Hensel oracle", ok)
+    # the shell walk resolves smooth subtrees in closed form, and nodes at the
+    # target's critical point mod p^(2j); the Hensel enumeration counts every
+    # point of each shell at level m + 2.  The cube x2^3 of line_x3 descends
+    # to its critical point
+    for instance, depth in ((THREEVAR, 3), (LINE_X3, 6)):
+        system = instance.system
+        table = build_shell_table(system, depth, c_level=2)
+        ok = True
+        for m in range(depth + 1):
+            fiber = hensel_enumerate(system, m + 2, angular_level=2)
+            oracle = {u: count for (v, u), count in fiber.by_shell.items() if v == m}
+            scale = system.p ** ((m + 2) * system.dim)
+            ok = ok and {u: measure * scale for u, measure in table.measures[m].items()} == oracle
+        record(instance.name, "shell table vs Hensel oracle", ok)
 
     for instance in (LINE_X2, LINE_X3, PARABOLA, PLANE_LINE):
         series = poincare_series(instance.system, 12)

@@ -7,8 +7,12 @@ polynomials; in general the image is walked chart by chart.  The walk
 for N_m is a prefix of the walk for N_(m + 1), so one tally walk per
 chart to the deepest level asked for counts every level on the way; it
 serves both `congruence_counts` and the solvability and direct counts
-of the decomposed recount.  It enumerates every counted class, with no
-closed form, so it stays independent of the shell walks.  The scaled
+of the decomposed recount.  It walks exactly the congruence tree of
+(constraints, target) in chart coordinates: the lifter's digit system
+carries the target's first-order Taylor row, exact because the chart
+target's non-constant coefficients carry p^L, so only counted classes
+are built.  It enumerates every counted class, with no Jacobian minors
+and no closed form, so it stays independent of the shell walks.  The scaled
 generating function sum q^(-m dim) N_m t^m is reconstructed as an exact
 rational function and checked against the trivial-character zeta
 through the identity P(t) (1 - t) + t Z(t) = 1 (good reduction), plus a
@@ -40,14 +44,15 @@ def _chart_tallies(decomposition: Decomposition, k: int, meter: BudgetMeter) -> 
 
     A level-j node y is a class mod p^(L + j), and the target mod
     p^(L + j) only depends on y mod p^j, so one tally walk per chart to
-    level k counts every level.
+    level k counts every level.  The meter's stage names the chart.
     """
-    p, L = decomposition.system.p, decomposition.L
-    moduli = [p ** (L + j) for j in range(k + 1)]
-    return [
-        tally_zeros(decomposition.lifter(chart, meter.limit), chart.target, moduli, None, meter)
-        for chart in decomposition.charts
-    ]
+    stage, charts = meter.stage, decomposition.charts
+    tallies = []
+    for i, chart in enumerate(charts, 1):
+        meter.stage = f"{stage} chart {i}/{len(charts)}"
+        lifter = decomposition.lifter(chart, meter.limit)
+        tallies.append(tally_zeros(lifter, lifter.target_row(chart.target, chart.L), k, None, meter))
+    return tallies
 
 
 def congruence_counts(
@@ -261,7 +266,7 @@ def decomposed_count_check(
         direct = sum(tally[m - L] for tally in tallies)
         total = 0
         complete = True
-        for entry in prepared:
+        for i, entry in enumerate(prepared, 1):
             if entry is None:
                 continue
             if entry == "incomplete":
@@ -269,8 +274,8 @@ def decomposed_count_check(
                 break
             lifter, rescaled_target, e_l = entry
             # p^(e_l - L) f_L(y) = 0 mod p^(m - L)  <=>  f_L(y) = 0 mod p^(m - e_l)
-            need = max(m - e_l, 0)
-            moduli = [p ** min(j, need) for j in range(m - L + 1)]
-            total += tally_zeros(lifter, rescaled_target, moduli, None, meter)[-1]
+            row = lifter.target_row(rescaled_target, 0, cap=max(m - e_l, 0))
+            meter.stage = f"decomposed recount m={m} chart {i}/{len(prepared)}"
+            total += tally_zeros(lifter, row, m - L, None, meter)[-1]
         rows.append(DecomposedCountRow(m=m, direct=direct, decomposed=total if complete else None))
     return DecomposedCountReport(threshold=threshold, rows=tuple(rows))

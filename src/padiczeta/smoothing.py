@@ -407,7 +407,7 @@ def global_decompose(system: PolySystem, budget: int = DEFAULT_BUDGET) -> Decomp
                 weight=Fraction(p ** sum(cert.exponents), p ** (L * n)),
                 certificate=cert,
             )
-            lifter = HenselLifter(p, n, chart.constraints, budget).smooth()
+            lifter = cert.verdict.lifter.smooth()
             if lifter.roots():
                 charts.append(chart)
                 lifters[chart] = lifter
@@ -432,9 +432,13 @@ def measure_charts(system: PolySystem, budget: int = DEFAULT_BUDGET) -> Decompos
     reduction pays for the full covering procedure.  Decompositions are
     pure functions of the (immutable) system, so they are cached.
     """
-    if good_reduction_test(system, budget):
-        return Decomposition(system=system, L=0, charts=(_identity_chart(system),))
-    return global_decompose(system, budget)
+    verdict = good_reduction_test(system, budget)
+    if not verdict:
+        return global_decompose(system, budget)
+    chart = _identity_chart(system)
+    decomposition = Decomposition(system=system, L=0, charts=(chart,))
+    decomposition._lifters[chart] = verdict.lifter
+    return decomposition
 
 
 def verify_certificate(cert: SmoothingCertificate, rng) -> bool:

@@ -9,8 +9,10 @@ system per node.  Under good reduction (full Jacobian rank at every
 F_p root) it walks the smooth tree; without that assumption the same
 lifter walks the filtered congruence tree, used for the first-lift
 search of bad-reduction chart centers, the ambient integrals and the
-image oracle.  A brute-force scan of the full residue grid stays
-separate: it is the independent oracle every walk is checked against.
+image oracle.  The count tallies append the target's first-order Taylor
+row to the same F_p system (a `TargetRow`), so they build only the
+lifts where the target keeps vanishing.  A brute-force scan of the full residue grid stays separate: it is the
+independent oracle every walk is checked against.
 
 Image-level counts (the reduction of the variety's Z_p points rather
 than its congruence solutions) live on the chart decomposition in
@@ -19,9 +21,9 @@ than its congruence solutions) live on the chart decomposition in
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import BadReductionInput, BudgetExceeded, NotStabilized, WalkInvariantError
@@ -143,7 +145,7 @@ class _FpSolver:
     kernel: tuple[tuple[int, ...], ...]  # all d with A d = 0, lexicographic
 
     @staticmethod
-    @lru_cache(maxsize=4096)
+    @functools.lru_cache(maxsize=4096)
     def build(matrix: tuple[tuple[int, ...], ...], p: int) -> "_FpSolver":
         reduced, pivot_cols, trans = _rref(matrix, p)
         ncols = len(reduced[0]) if reduced else 0
@@ -188,8 +190,15 @@ class _FpSolver:
 
 @dataclass(frozen=True)
 class GoodReductionVerdict:
+    """Whether the system has good reduction, with the lifter that decided it.
+
+    A good verdict's lifter is the smooth lifter of the system, handed on
+    so that no caller scans the residues a second time.
+    """
+
     good: bool
     witness: tuple[int, ...] | None = None
+    lifter: HenselLifter | None = field(default=None, repr=False, compare=False)
 
     def __bool__(self) -> bool:
         return self.good
@@ -270,8 +279,8 @@ def good_reduction_test(system: PolySystem, budget: int = DEFAULT_BUDGET) -> Goo
 
     Bad verdicts carry a witness residue where the rank drops.
     """
-    witness = HenselLifter(system.p, system.n, system.constraints, budget).witness
-    return GoodReductionVerdict(witness is None, witness=witness)
+    lifter = HenselLifter(system.p, system.n, system.constraints, budget)
+    return GoodReductionVerdict(lifter.witness is None, lifter.witness, lifter)
 
 
 # -- Hensel tree ---------------------------------------------------------------
@@ -281,6 +290,25 @@ def check_residue_scan(p: int, n: int, budget: int) -> None:
     """Refuse a scan of all p^n residues that the budget does not cover."""
     if p**n > budget:
         raise BudgetExceeded(f"p^n = {p**n} exceeds budget {budget}")
+
+
+@dataclass(frozen=True)
+class TargetRow:
+    """A target whose zeros a lift walk keeps: one more row of the digit system.
+
+    A level-j node passes when target = 0 mod p^exponent(j).  The offset
+    s is the target's rescale offset (its non-constant coefficients carry
+    p^s), and `solvers` maps each root to the F_p solver of the
+    constraint Jacobian with the row grad target / p^s appended.
+    """
+
+    target: MPoly
+    offset: int
+    cap: int | None
+    solvers: dict[tuple[int, ...], _FpSolver] = field(repr=False, compare=False)
+
+    def exponent(self, j: int) -> int:
+        return self.offset + j if self.cap is None else min(self.offset + j, self.cap)
 
 
 class HenselLifter:
@@ -294,6 +322,12 @@ class HenselLifter:
     mean fewer conditions, so the same lifter walks systems without good
     reduction; the first root where the rank drops is kept as `witness`,
     and `smooth()` refuses such a lifter for the smooth tree.
+
+    A `TargetRow` T with offset s adds the row
+    T(x)/p^(s+j) + (grad T(x)/p^s) . d = 0 mod p, so only the lifts where
+    T = 0 mod p^(s+j+1) are built.  This is exact too: the Taylor tail of
+    T carries p^(s+2j), and s + 2j >= s + j + 1.  The row mod p only
+    depends on the root, so one augmented solver per root serves it.
     """
 
     def __init__(self, p: int, n: int, constraints: Sequence[MPoly], budget: int = DEFAULT_BUDGET):
@@ -303,6 +337,7 @@ class HenselLifter:
         check_residue_scan(p, n, budget)
         partials = [[f.partial(j) for j in range(1, n + 1)] for f in self.constraints]
         self._solvers: dict[tuple[int, ...], _FpSolver] = {}
+        self._jacobians: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
         self.witness: tuple[int, ...] | None = None
         for x in itertools.product(range(p), repeat=n):
             if any(f.evaluate(x, p) for f in self.constraints):
@@ -312,6 +347,7 @@ class HenselLifter:
             if self.witness is None and solver.rank != len(self.constraints):
                 self.witness = x
             self._solvers[x] = solver
+            self._jacobians[x] = jac
 
     @property
     def dim(self) -> int:
@@ -329,8 +365,36 @@ class HenselLifter:
             )
         return self
 
-    def children(self, x: tuple[int, ...], j: int) -> list[tuple[int, ...]]:
-        """Lifts of a level-j solution to level j+1, lexicographic in the digit."""
+    def target_row(self, target: MPoly, offset: int, cap: int | None = None) -> TargetRow:
+        """The row that keeps the zeros of target, with its solver per root.
+
+        Refuses a target whose non-constant coefficients do not carry
+        p^offset: its gradient over p^offset would not be integral, and
+        (at p = 2) a gradient that carries p^offset alone does not bound
+        the Taylor tail.
+        """
+        p = self.p
+        moving = target - MPoly.constant(target.n, target.constant_term())
+        content = moving.content_valuation(p)
+        if content is not None and content < offset:
+            raise WalkInvariantError(f"target gradient does not carry p^{offset}: {target}")
+        scale = p**offset
+        gradient = [target.partial(i) for i in range(1, self.n + 1)]
+        solvers = {
+            x: _FpSolver.build(jac + (tuple(df.evaluate(x, scale * p) // scale for df in gradient),), p)
+            for x, jac in self._jacobians.items()
+        }
+        return TargetRow(target, offset, cap, solvers)
+
+    def children(
+        self, x: tuple[int, ...], j: int, row: TargetRow | None = None
+    ) -> list[tuple[int, ...]]:
+        """Lifts of a level-j solution to level j+1, lexicographic in the digit.
+
+        With a target row whose exponent grows from level j to j + 1 only
+        the lifts that keep the target's zeros are built; where the
+        exponent has stopped growing every lift keeps them.
+        """
         p = self.p
         step = p**j
         modulus = step * p
@@ -340,7 +404,16 @@ class HenselLifter:
             if value % step:
                 raise WalkInvariantError(f"node {x} does not satisfy the constraints at level {j}")
             rhs.append((-(value // step)) % p)
-        solver = self._solvers[tuple(c % p for c in x)]
+        root = tuple(c % p for c in x)
+        if row is None or row.exponent(j + 1) == row.exponent(j):
+            solver = self._solvers[root]
+        else:
+            shift = p ** (row.offset + j)
+            value = row.target.evaluate(x, shift * p)
+            if value % shift:
+                raise WalkInvariantError(f"node {x} is not a zero of the target at level {j}")
+            rhs.append((-(value // shift)) % p)
+            solver = row.solvers[root]
         return [
             tuple([c + step * d for c, d in zip(x, digit)]) for digit in solver.solve_affine(rhs)
         ]
@@ -377,33 +450,37 @@ def iter_hensel_points(
 
 def tally_zeros(
     lifter: HenselLifter,
-    target: MPoly,
-    moduli: Sequence[int],
+    row: TargetRow,
+    depth: int,
     support: Support | None,
     meter: BudgetMeter,
 ) -> list[int]:
-    """tally[j]: the level-j nodes x in the support with target(x) = 0 mod moduli[j].
+    """tally[j]: the level-j nodes x in the support with target(x) = 0 mod p^row.exponent(j).
 
-    One walk to level len(moduli) - 1 prunes every node that fails, so
-    it counts all passing nodes when passing at a level implies passing
-    at every level below, as it does when target mod moduli[j] only
-    depends on x mod p^j and the moduli do not decrease.
+    One walk to level `depth` visits exactly the nodes it counts, plus
+    the roots and the lifts the support prunes: roots are tested by
+    evaluation, and every deeper node is a lift that the target row
+    keeps.  Passing at a level implies passing at every level below, as
+    the target mod p^(s + j) only depends on x mod p^j, so every passing
+    node is reached.  Where the exponent stops growing (a cap) a passing
+    node's lifts all pass, because they agree with it mod p^(s + j).
     """
-    p, k = lifter.p, len(moduli) - 1
-    tally = [0] * (k + 1)
-    evaluate = target.evaluate
+    p = lifter.p
+    tally = [0] * (depth + 1)
+    first = p ** row.exponent(1)
 
     def visit(x: tuple[int, ...], j: int):
         if support is not None and not support.admits_prefix(x, j, p):
             return PRUNE
-        if evaluate(x, moduli[j]):
-            return PRUNE  # nonzero mod moduli[j] on the whole ball
-        if j == k:
+        if j == 1 and row.target.evaluate(x, first):
+            return PRUNE  # nonzero mod p^exponent(1) on the whole ball
+        if j == depth:
             return 1
         tally[j] += 1
         return DESCEND
 
-    tally[k] += sum(walk(lifter.roots(), lifter.children, visit, meter))
+    children = functools.partial(lifter.children, row=row)
+    tally[depth] += sum(walk(lifter.roots(), children, visit, meter))
     return tally
 
 

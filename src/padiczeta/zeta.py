@@ -10,15 +10,22 @@ against them, so all cancellation happens exactly and only the final
 character values are floating.  Each walk takes its chart's lifter and
 the support in chart coordinates from the `smoothing.Decomposition`.
 
-A shell walk does not enumerate the points it counts.  Where the
-Jacobian minors of (constraints, target) have valuation e below a
-node's level j, the target is a submersion on the node's ball: it is
-constant mod p^(j+e) there and, by Hensel's lemma, its deeper digits
-spread evenly, so the subtree's share of every shell is a closed-form
-count (Igusa's stationary phase).  Only nodes near the target's
-critical locus are descended.  The tally walks of `tail_measure` and
-`poincare.congruence_counts` stay plain enumerations: the counts are
-the second route of the identity P(t)(1 - t) + t Z(t) = 1.
+A shell walk does not enumerate the points it counts.  At a node y of
+level j inside the support and past the rescaling (j > L), Taylor's
+first-order term fixes the target F on the node's ball modulo
+p^(j + e), where e <= j is the least valuation mod p^j of the Jacobian
+minors of (constraints G, F): F = F(y) - lam . G(y) there, exactly,
+because F - lam . G has integer coefficients, gradient 0 mod p^e and a
+Taylor tail in p^(2j).  Where e < j the target is a submersion on the
+ball and, by Hensel's lemma, its deeper digits spread evenly, so the
+subtree's share of every shell is a closed-form count (Igusa's
+stationary phase).  Where e = j (every minor vanishes mod p^j) the
+value mod p^(2j) still resolves every shell it fixes, and only the
+rest is descended.  The tally walks of `tail_measure` and
+`poincare.congruence_counts` stay enumerations, with no minors and no
+closed form: they lift only the target's zeros, but visit and count
+every counted node, so the counts are the second route of the
+identity P(t)(1 - t) + t Z(t) = 1.
 
 Every row is recounted at angular level c + 1, and its classes summed
 mod p^c must agree exactly; disagreement raises instead of silently
@@ -66,7 +73,7 @@ def _chart_shell_walk(
     m: int,
     c: int,
     support: Support | None,
-    budget: int,
+    meter: BudgetMeter,
 ) -> tuple[dict[int, int], int]:
     """Counts of chart points in shell (m, ac mod p^c), at resolving level k.
 
@@ -80,8 +87,13 @@ def _chart_shell_walk(
     p^e, so by Taylor F = F(y) - lam . G(y) mod p^(j + e) on the ball, and
     by Hensel's lemma the level-(j + t) nodes above y spread evenly over
     the p^t lifts of w mod p^(j + e + t).  The subtree's count per class
-    then has a closed form, and only nodes near the critical locus of F,
-    where every minor vanishes mod p^j, are descended.
+    then has a closed form.  Near the critical locus of F, where every
+    minor vanishes mod p^j (e = j), the same Taylor step still fixes
+    F = F(y) - lam . G(y) mod p^(2j) on the ball, with lam known mod p^j;
+    the step is exact because F - lam . G has integer coefficients and
+    its Taylor tail carries p^(2j).  That value resolves the node when it
+    fixes the class; the even spread is not claimed there, so a node
+    whose class w does not fix is descended.
     """
     p = decomposition.system.p
     L = chart.L
@@ -89,7 +101,7 @@ def _chart_shell_walk(
     if not meets:
         return {}, 1
     k = max(m + c - L, sup.level if sup else 0, 1)
-    lifter = decomposition.lifter(chart, budget)
+    lifter = decomposition.lifter(chart, meter.limit)
     target, constraints = chart.target, chart.constraints
     partials = [[f.partial(i) for i in range(1, lifter.n + 1)] for f in (*constraints, target)]
     p_m, p_c = p**m, p**c
@@ -126,12 +138,13 @@ def _chart_shell_walk(
         inside = sup is None or j >= sup.level
         # the minors carry p^L from the rescaling, so e < j needs j > L
         e, lam = jacobian_minors(partials, y, p, j) if inside and j > L else (j, None)
-        if e < j:
+        if lam is not None:
+            # F - lam . G has gradient 0 mod p^e: F = F(y) - lam . G(y) mod p^(j + e)
             K = j + e
             modulus = p**K
             w = target.evaluate(y, modulus)
             w -= sum(a * g.evaluate(y, modulus) for a, g in zip(lam, constraints))
-            pairs = shares(w % modulus, K, j, True)
+            pairs = shares(w % modulus, K, j, e < j)
         else:
             K = L + j
             pairs = shares(target.evaluate(y, p**K), K, j, False)
@@ -142,7 +155,6 @@ def _chart_shell_walk(
         return DESCEND
 
     counts: dict[int, int] = {}
-    meter = BudgetMeter(budget, f"shell walk m={m} c={c}")
     for pairs in walk(lifter.roots(), lifter.children, visit, meter):
         for u, count in pairs:
             counts[u] = counts.get(u, 0) + count
@@ -158,8 +170,10 @@ def _shell_measures_once(
 ) -> dict[int, Fraction]:
     p = decomposition.system.p
     measures: dict[int, Fraction] = {}
-    for chart in decomposition.charts:
-        counts, k = _chart_shell_walk(decomposition, chart, m, c, support, budget)
+    charts = decomposition.charts
+    for i, chart in enumerate(charts, 1):
+        meter = BudgetMeter(budget, f"shell walk m={m} c={c} chart {i}/{len(charts)}")
+        counts, k = _chart_shell_walk(decomposition, chart, m, c, support, meter)
         dim = decomposition.system.dim
         scale = chart.weight / p ** (k * dim)
         for u, count in counts.items():
@@ -387,21 +401,24 @@ def tail_measure(
     """Surface measure of { x : ord target(x) >= m } within the support.
 
     The chart points where the target is 0 mod p^m are counted at the
-    resolving level k = max(m - L, level of the support, 1).
+    resolving level k = max(m - L, level of the support, 1), by a tally
+    walk that keeps the zeros of the chart target (offset L) mod
+    p^min(L + j, m) at level j.
     """
     if decomposition is None:
         decomposition = measure_charts(system, budget)
     p = system.p
     total = Fraction(0)
     meter = BudgetMeter(budget, f"tail walk m={m}")
-    for chart in decomposition.charts:
+    for i, chart in enumerate(decomposition.charts, 1):
         meets, sup = decomposition.restrict(chart, support)
         if not meets:
             continue
         k = max(m - chart.L, sup.level if sup else 0, 1)
-        moduli = [p ** min(chart.L + j, m) for j in range(k + 1)]
         lifter = decomposition.lifter(chart, budget)
-        leaves = tally_zeros(lifter, chart.target, moduli, sup, meter)[k]
+        row = lifter.target_row(chart.target, chart.L, cap=m)
+        meter.stage = f"tail walk m={m} chart {i}/{len(decomposition.charts)}"
+        leaves = tally_zeros(lifter, row, k, sup, meter)[k]
         total += chart.weight * Fraction(leaves, p ** (k * system.dim))
     return total
 

@@ -1,0 +1,177 @@
+"""Property tests where the walks' Taylor steps fire.
+
+Both tree walks use the target's first-order Taylor term at a node: the
+count walk lifts only the target's zeros (a target row appended to the
+lifter's F_p system), and the shell walk resolves a node where every
+Jacobian minor vanishes mod p^j through F = F(y) - lam . G(y) mod p^(2j).
+The drawn targets are critical at the origin, which every drawn curve
+passes through, so both steps are reached; counters on the two branches
+check that they were.  Every result is compared with brute_force_points.
+"""
+
+import dataclasses
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import padiczeta.zeta as zeta
+from padiczeta.bundled import LINE_X2
+from padiczeta.errors import WalkInvariantError
+from padiczeta.mpoly import MPoly, PolySystem
+from padiczeta.poincare import congruence_counts
+from padiczeta.smoothing import measure_charts
+from padiczeta.support import Support
+from padiczeta.variety import HenselLifter, brute_force_points
+from padiczeta.zeta import build_shell_table, tail_measure
+
+TOP = {2: 6, 3: 5, 5: 3}  # brute-force level per prime: at most 3^10 grid points
+
+
+@st.composite
+def critical_graph_systems(draw):
+    """(system, primitive, scale, support): a curve x1 + g(x2) through 0, critical target.
+
+    The target is a cube, a cusp or a square whose linear term is a
+    multiple of p^2, times a unit, so its derivative along the curve
+    vanishes mod p^2 at the origin.  Half the draws scale the constraint
+    by p: its Z_p points stay those of the primitive curve, but every
+    root has bad reduction, the charts sit at L = 2, and a chart target
+    carries p^L (s = L >= 1).  Measures then are `scale` = p times the
+    primitive curve's.  A drawn support always keeps the origin's coset.
+    """
+    bad = draw(st.booleans())
+    p = draw(st.sampled_from([2, 3] if bad else [2, 3, 5]))
+    scale = p if bad else 1
+    coeffs = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=3))
+    g_terms = {(0, d): c for d, c in enumerate(coeffs, start=1) if c}
+    primitive = MPoly(2, {(1, 0): 1, **g_terms})
+    unit = draw(st.sampled_from([u for u in (1, -1, 2) if u % p]))
+    shape = draw(st.sampled_from(["cube", "cusp", "square"]))
+    if shape == "cube":
+        terms = {(0, 3): unit}
+    elif shape == "cusp":
+        terms = {(2, 0): unit, (0, 3): 1}
+    else:
+        terms = {(0, 2): unit, (0, 1): p**2 * draw(st.integers(-2, 2))}
+    target = MPoly(2, terms)
+    support = None
+    if draw(st.booleans()):
+        level = draw(st.sampled_from([1, 2]))
+        others = draw(st.lists(st.tuples(*[st.integers(0, p**level - 1)] * 2), max_size=2))
+        support = Support.cosets(2, level, [(0, 0), *others], p)
+    system = PolySystem(p=p, n=2, constraints=(primitive.scale(scale),), target=target)
+    smooth = PolySystem(p=p, n=2, constraints=(primitive,), target=target)
+    return system, smooth, scale, support
+
+
+class _Branches:
+    """Counts how often each Taylor step runs while patched in."""
+
+    def __init__(self, mp):
+        self.row_offsets = []  # offset s of every target-row lift
+        self.critical = 0  # shell-walk nodes resolved mod p^(2j)
+        rows = self.row_offsets
+
+        class CountingSolvers(dict):
+            def __init__(self, solvers, offset):
+                super().__init__(solvers)
+                self.offset = offset
+
+            def __getitem__(self, root):
+                rows.append(self.offset)
+                return super().__getitem__(root)
+
+        target_row = HenselLifter.target_row
+
+        def counting_row(lifter, target, offset, cap=None):
+            row = target_row(lifter, target, offset, cap)
+            return dataclasses.replace(row, solvers=CountingSolvers(row.solvers, offset))
+
+        minors = zeta.jacobian_minors
+
+        def counting_minors(partials, y, p, j):
+            e, lam = minors(partials, y, p, j)
+            if e == j and lam is not None:
+                self.critical += 1
+            return e, lam
+
+        mp.setattr(HenselLifter, "target_row", counting_row)
+        mp.setattr(zeta, "jacobian_minors", counting_minors)
+
+
+def _fresh_decomposition(system):
+    # uncached, so every draw walks charts built under its own patches
+    return measure_charts.__wrapped__(system)
+
+
+@given(critical_graph_systems())
+@settings(max_examples=20, deadline=None)
+def test_counts_lift_only_target_zeros(case):
+    system, smooth, scale, _ = case
+    p, top = system.p, TOP[system.p]
+    _, points = brute_force_points(smooth, top, collect=True)
+    # the image mod p^m of the Z_p points is the primitive curve's solutions mod p^m
+    expected = [1] + [
+        len({tuple(c % p**m for c in x) for x in points if system.target.evaluate(x, p**m) == 0})
+        for m in range(1, top + 1)
+    ]
+    with pytest.MonkeyPatch.context() as mp:
+        branches = _Branches(mp)
+        decomposition = _fresh_decomposition(system)
+        assert congruence_counts(system, top, decomposition) == expected
+    assert branches.row_offsets, "the count walk never lifted through the target row"
+    assert set(branches.row_offsets) == {decomposition.L}
+    assert (decomposition.L >= 1) == (scale > 1)
+
+
+@given(critical_graph_systems())
+@settings(max_examples=20, deadline=None)
+def test_tail_measures_lift_only_target_zeros(case):
+    system, smooth, scale, support = case
+    p, top = system.p, TOP[system.p]
+    with pytest.MonkeyPatch.context() as mp:
+        branches = _Branches(mp)
+        decomposition = _fresh_decomposition(system)
+        for sup in {None, support}:
+            _, points = brute_force_points(smooth, top, support=sup, collect=True)
+            for m in range(top + 1):
+                zeros = sum(1 for x in points if system.target.evaluate(x, p**m) == 0)
+                expected = scale * Fraction(zeros, p ** (top * system.dim))
+                assert tail_measure(system, m, sup, decomposition) == expected
+    assert set(branches.row_offsets) == {decomposition.L}
+
+
+@given(critical_graph_systems())
+@settings(max_examples=20, deadline=None)
+def test_shell_tables_resolve_critical_nodes(case):
+    system, smooth, scale, support = case
+    p, top = system.p, TOP[system.p]
+    unit = Fraction(scale, p ** (top * system.dim))
+    with pytest.MonkeyPatch.context() as mp:
+        branches = _Branches(mp)
+        decomposition = _fresh_decomposition(system)
+        for c in (1, 2):
+            # every shell with m + c <= top, counted at top
+            brute = brute_force_points(smooth, top, angular_level=c, support=support).by_shell
+            table = build_shell_table(
+                system, top - c, c_level=c, support=support, decomposition=decomposition
+            )
+            walked = {
+                (m, u): measure for m, row in enumerate(table.measures) for u, measure in row.items()
+            }
+            assert walked == {shell: count * unit for shell, count in brute.items()}
+    assert branches.critical, "no shell-walk node was resolved mod p^(2j)"
+
+
+def test_target_row_refuses_broken_invariants():
+    # x1 = 0 with target x2^2: the root x2 = 0 keeps all three lifts mod 9
+    system = LINE_X2.system
+    lifter = HenselLifter(system.p, system.n, system.constraints)
+    row = lifter.target_row(system.target, 0)
+    assert lifter.children((0, 0), 1, row) == [(0, 0), (0, 3), (0, 6)]
+    with pytest.raises(WalkInvariantError, match="not a zero of the target at level 1"):
+        lifter.children((0, 1), 1, row)
+    # x2^2 has unit coefficients, so it is no chart target at offset 1
+    with pytest.raises(WalkInvariantError, match=r"does not carry p\^1"):
+        lifter.target_row(system.target, 1)

@@ -1,6 +1,7 @@
 """Tests for variety enumeration: brute force, Hensel lifting, images, probe."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -156,21 +157,34 @@ def test_first_lifts_refuses_classes_that_die_out():
 
 # p^n = 9: a budget of 10 admits the F_p scan but not the walks below
 BUDGET_LINE = system_from_strings(3, 2, ["x2"], "x1 + 1")
+# the count walks lift only the target's zeros, one per level for x1 + 1;
+# the cusp x1^2 keeps all three lifts of its zero from level 2 on
+BUDGET_CUSP = system_from_strings(3, 2, ["x2"], "x1^2")
 
 
 @pytest.mark.parametrize(
-    "run",
+    "run, stage",
     [
-        lambda budget: tail_measure(BUDGET_LINE, 4, budget=budget),
-        # one walk to level 4 visits 3 nodes per level
-        lambda budget: congruence_counts(BUDGET_LINE, 4, budget=budget),
-        lambda budget: measure_charts(BUDGET_LINE, budget).image_count(2, budget),
-        # solvability is read off the tally walk, which visits 3 nodes per level to 4
-        lambda budget: decomposed_count_check(BUDGET_LINE, [4], budget=budget),
+        # 3 roots, then 3, 3 and 9 zeros of x1^2 at levels 2 to 4: 18 nodes
+        (lambda budget: tail_measure(BUDGET_CUSP, 4, budget=budget), "tail walk m=4 chart 1/1"),
+        # the same 18 nodes, one walk to level 4 for every N_m
+        (lambda budget: congruence_counts(BUDGET_CUSP, 4, budget=budget), "count walk m=4 chart 1/1"),
+        (
+            lambda budget: measure_charts(BUDGET_LINE, budget).image_count(2, budget),
+            "hensel walk m=2",
+        ),
+        # solvability is read off the tally walk, the same 18 nodes to level 4
+        (
+            lambda budget: decomposed_count_check(BUDGET_CUSP, [4], budget=budget),
+            "decomposed recount chart 1/1",
+        ),
         # the tally walk (6 nodes) leaves too little for the rescaled recount (6)
-        lambda budget: decomposed_count_check(BUDGET_LINE, [2], budget=budget),
+        (
+            lambda budget: decomposed_count_check(BUDGET_CUSP, [2], budget=budget),
+            "decomposed recount m=2 chart 1/1",
+        ),
         # one lift per class mod p: 13 nodes for each of the three roots
-        lambda budget: global_decompose(BUDGET_LINE, budget),
+        (lambda budget: global_decompose(BUDGET_LINE, budget), "center search m=1 accuracy=5"),
     ],
     ids=[
         "tail_measure",
@@ -181,15 +195,16 @@ BUDGET_LINE = system_from_strings(3, 2, ["x2"], "x1 + 1")
         "global_decompose",
     ],
 )
-def test_every_walk_honours_the_budget(run):
+def test_every_walk_honours_the_budget(run, stage):
     run(DEFAULT_BUDGET)
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded, match=f"^{re.escape(stage)}: "):
         run(BUDGET_LINE.p**BUDGET_LINE.n + 1)
 
 
 def test_threevar_count_walks_once(monkeypatch):
-    # one walk to level 8 visits 101,664 nodes; a walk per level, each a
-    # prefix of the next, visited 139,176
+    # one walk to level 8 that lifts only the target's zeros visits 48,480
+    # nodes; filtering every constraint lift visited 101,664, and a walk per
+    # level, each a prefix of the next, 139,176
     import padiczeta.poincare as poincare
 
     meters = []
@@ -203,15 +218,13 @@ def test_threevar_count_walks_once(monkeypatch):
     monkeypatch.setattr(poincare, "BudgetMeter", recording)
     counts = congruence_counts(THREEVAR.system, 8)
     assert counts[6:] == [2_673, 8_019, 37_179]
-    assert [meter.stage for meter in meters] == ["count walk m=8"]
-    assert meters[0].used <= 110_000
+    assert [meter.stage for meter in meters] == ["count walk m=8 chart 1/1"]
+    assert meters[0].used <= 48_480
 
 
 def test_one_lifter_per_chart(monkeypatch):
-    # a fresh decomposition: the cached one may already hold its lifters
     import padiczeta.variety as variety
 
-    decomposition = measure_charts.__wrapped__(THREEVAR.system)
     builds = []
     init = variety.HenselLifter.__init__
 
@@ -220,6 +233,9 @@ def test_one_lifter_per_chart(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(variety.HenselLifter, "__init__", counting_init)
+    # a fresh decomposition: the cached one may already hold its lifters.  The
+    # good-reduction test's lifter serves the identity chart
+    decomposition = measure_charts.__wrapped__(THREEVAR.system)
     # the counts are walked before depth 8 proves too shallow to reconstruct
     with pytest.raises(ValidationFailed, match=r"37179\]"):
         poincare_series(THREEVAR.system, 8, decomposition=decomposition)
@@ -228,6 +244,20 @@ def test_one_lifter_per_chart(monkeypatch):
     # the budget still refuses the residue scan on every lookup
     with pytest.raises(BudgetExceeded):
         decomposition.lifter(decomposition.charts[0], THREEVAR.system.p**THREEVAR.system.n - 1)
+
+    # under bad reduction each chart keeps the lifter its certificate's
+    # verdict built; the center search walks the system's own lifter
+    builds.clear()
+    system = BAD_LINE.system
+    decomposition = global_decompose(system)
+    chart_builds = [args for args in builds if args[2] != system.constraints]
+    assert len(chart_builds) == len(decomposition.charts) + len(decomposition.dropped_centers) == 9
+    for chart in decomposition.charts:
+        assert decomposition.lifter(chart) is chart.certificate.verdict.lifter
+    count = len(builds)
+    congruence_counts(system, 6, decomposition)
+    build_shell_table(system, 4, decomposition=decomposition)
+    assert len(builds) == count
 
 
 def test_chart_walks_reuse_the_decomposition_lifters(monkeypatch):

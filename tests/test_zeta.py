@@ -9,6 +9,7 @@ from padiczeta.bundled import BAD_LINE, LINE_X1, LINE_X2, LINE_X3, PARABOLA, THR
 from padiczeta.characters import enumerate_characters, trivial_character
 from padiczeta.errors import BudgetExceeded, HypothesisNotVerified, NotStabilized
 from padiczeta.mpoly import MPoly, PolySystem, system_from_strings
+from padiczeta.poincare import congruence_counts
 from padiczeta.ratfn import pole_analysis, reconstruct_rational
 from padiczeta.smoothing import measure_charts
 from padiczeta.support import Support
@@ -224,9 +225,30 @@ def test_coefficient_table_dataclass():
 
 
 def test_budget_error_names_the_stage_and_level():
-    # p^n = 9 admits the F_p scan; the shell walks need more than 10 nodes
-    with pytest.raises(BudgetExceeded, match=r"shell walk m=\d+ c=\d+: .* at level \d+"):
-        build_shell_table(LINE_X2.system, 4, budget=10)
+    # p^n = 9 admits the F_p scan.  Resolved mod p^(2j), the critical node
+    # x2 = 0 of x2^3 is descended to about level m/2: the shell walk of row 3
+    # at c = 2 needs 12 nodes
+    with pytest.raises(
+        BudgetExceeded, match=r"^shell walk m=3 c=2 chart 1/1: .* budget 10 exhausted at level \d+$"
+    ):
+        build_shell_table(LINE_X3.system, 8, budget=10)
+
+
+def test_budget_error_names_the_chart():
+    # BAD_LINE has nine charts.  The count walk's meter runs across them: the
+    # chart at the origin takes 12 nodes to level 2, so 13 run out in the next
+    # chart.  A shell walk has a meter per chart: row 2 at c = 2 is the first
+    # to need more than 10 nodes, in the chart at (9, 3) where x2^2 has
+    # valuation 2 throughout
+    system = BAD_LINE.system
+    decomposition = measure_charts(system)
+    assert len(decomposition.charts) == 9
+    with pytest.raises(BudgetExceeded, match=r"^count walk m=4 chart 2/9: .* exhausted at level 1$"):
+        congruence_counts(system, 4, decomposition, budget=13)
+    with pytest.raises(BudgetExceeded, match=r"^tail walk m=4 chart 2/9: "):
+        tail_measure(system, 4, decomposition=decomposition, budget=13)
+    with pytest.raises(BudgetExceeded, match=r"^shell walk m=2 c=2 chart 2/9: .* at level 2$"):
+        build_shell_table(system, 8, decomposition=decomposition, budget=10)
 
 
 @pytest.mark.parametrize(
@@ -344,11 +366,13 @@ def test_threevar_context_walks_few_nodes(monkeypatch):
 
 
 def test_threevar_deep_trivial_table_matches_tails():
-    # depth 12 is what delta_limit_check asks for; it used to exhaust the
-    # default budget in the recount of row 9
+    # the depth 12 that delta_limit_check asks for is too shallow for
+    # threevar: its trivial series reconstructs and validates from depth 14
     system = THREEVAR.system
     decomposition = measure_charts(system)
-    table = build_shell_table(system, 12, decomposition=decomposition)
+    table = build_shell_table(system, 14, decomposition=decomposition)
     tails = [tail_measure(system, m, decomposition=decomposition) for m in range(8)]
     for m in range(7):
         assert sum(table.measures[m].values(), F(0)) == tails[m] - tails[m + 1]
+    # (1 - t/3)(1 - t^6/243)
+    assert table.trivial_fn().den == (F(1), F(-1, 3), 0, 0, 0, 0, F(-1, 243), F(1, 729))
