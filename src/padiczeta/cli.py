@@ -261,17 +261,16 @@ def cmd_expsum(problem: Problem, out: Path, args) -> int:
         pole = pole_data_from_resolution(problem.system.resolution_data, problem.system.p)
     else:
         pole = None
+    p = problem.system.p
     rows = []
     for m in range(1, problem.max_level + 1):
-        u_mod = problem.system.p ** min(m, problem.conductor_cap)
-        for u in range(1, u_mod):
-            if u % problem.system.p == 0:
-                continue
-            value = exponential_sum(
-                problem.system, m, u, decomposition=decomposition, budget=problem.budget
-            )
+        units = [u for u in range(1, p ** min(m, problem.conductor_cap)) if u % p]
+        values = exponential_sum(
+            problem.system, m, units, decomposition=decomposition, budget=problem.budget
+        )
+        for u, value in zip(units, values):
             normalized = (
-                _fmt(abs(value) * problem.system.p ** (pole.rho * m) / m ** (pole.m_rho - 1))
+                _fmt(abs(value) * p ** (pole.rho * m) / m ** (pole.m_rho - 1))
                 if pole is not None
                 else ""
             )

@@ -4,7 +4,13 @@ The direct route sums the additive character over the reduction image of
 the variety modulo p^m (Hensel enumeration on good-reduction charts).
 Both the exponential sum and the oscillatory integral add up one
 per-chart character sum, walked with the lifter the
-`smoothing.Decomposition` keeps for the chart.
+`smoothing.Decomposition` keeps for the chart.  The image and the target
+on it do not depend on the unit u, so one walk per (m, chart) serves a
+whole list of units: each point's target value is computed once, and
+each unit's phase is looked up by its residue mod p^m.  Every unit's
+total still receives its terms in walk order, chart by chart, from the
+same psi_ratio on the same reduced argument, so a batched value is
+bit-identical to the value of a one-unit call.
 The formula route rebuilds the same value out of twisted local zeta
 data: the value of the trivial-character zeta at t = 1, one coefficient
 of an explicit rational function of it, and a finite character sum of
@@ -46,89 +52,119 @@ class ExpSumRecord:
     abs_direct: float
 
 
+class _Phases(dict):
+    """Psi(r / p^m) by residue r mod p^m, each computed once by psi_ratio."""
+
+    def __init__(self, p: int, m: int):
+        super().__init__()
+        self.p, self.m = p, m
+
+    def __missing__(self, r: int) -> complex:
+        phase = self[r] = psi_ratio(r, self.p, self.m)
+        return phase
+
+
 def _add_phases(
-    total: complex,
+    totals: list[complex],
     lifter: HenselLifter,
     target: MPoly,
     k: int,
-    m: int,
-    u: int,
+    units: Sequence[int],
+    phases: _Phases,
     sup: Support | None,
     budget: int,
-) -> complex:
-    """total plus Psi(u target(y) / p^m) over the lifter's level-k points y in sup.
+) -> None:
+    """Add Psi(u target(y) / p^m) to totals[i], u = units[i], over the level-k points y in sup.
 
-    The terms are added one by one in walk order, so a caller that
-    threads one running total through every chart sums in that order.
+    m is phases.m.  One walk serves every unit: target(y) mod p^m is
+    evaluated once per point, and each unit's phase is looked up by the
+    residue u target(y) mod p^m, the argument a walk per unit would hand
+    psi_ratio; the memo is shared by the charts of one m.  Each
+    total receives its terms one by one in walk order, so a caller that
+    threads the totals through every chart sums each unit in the same
+    order, and to the same bits, as a walk per unit would.
     """
-    p = lifter.p
-    modulus = p**m
+    modulus = lifter.p**phases.m
     for y in iter_hensel_points(lifter, k, budget, sup):
-        total += psi_ratio(u * target.evaluate(y, modulus), p, m)
-    return total
+        value = target.evaluate(y, modulus)
+        for i, u in enumerate(units):
+            totals[i] += phases[u * value % modulus]
 
 
 def exponential_sum(
     system: PolySystem,
     m: int,
-    u: int,
+    units: Sequence[int],
     decomposition: Decomposition | None = None,
     budget: int = DEFAULT_BUDGET,
-) -> complex:
-    """E(u p^-m): the normalized character sum over the reduction image.
+) -> list[complex]:
+    """E(u p^-m) for every u in units: normalized character sums over the reduction image.
 
     E = p^(-m dim) * sum over image classes x mod p^m of
     Psi(u f_l(x) / p^m); the summand only depends on the class, and the
     image is enumerated chart by chart (each image class belongs to
-    exactly one chart coset).
+    exactly one chart coset).  The image and f_l on it do not depend on
+    u, so one walk per chart (one pass over the chart centers when
+    m <= L) serves all units.  The values come back in the order of
+    units, each bit-identical to the value of the one-unit call [u].
     """
     p = system.p
-    if u % p == 0:
+    if any(u % p == 0 for u in units):
         raise ValueError("u must be a unit")
     if m < 1:
         raise ValueError("m must be >= 1")
     if decomposition is None:
         decomposition = measure_charts(system, budget)
-    total = 0.0 + 0.0j
+    totals = [0.0 + 0.0j] * len(units)
+    phases = _Phases(p, m)
     if m <= decomposition.L:
+        modulus = p**m
         for key in decomposition.classes(m):
-            total += psi_ratio(u * system.target.evaluate(key, p**m), p, m)
+            value = system.target.evaluate(key, modulus)
+            for i, u in enumerate(units):
+                totals[i] += phases[u * value % modulus]
     else:
         for chart in decomposition.charts:
             lifter = decomposition.lifter(chart, budget)
-            total = _add_phases(total, lifter, chart.target, m - chart.L, m, u, None, budget)
-    return total / p ** (m * system.dim)
+            _add_phases(totals, lifter, chart.target, m - chart.L, units, phases, None, budget)
+    scale = p ** (m * system.dim)
+    return [total / scale for total in totals]
 
 
 def oscillatory_integral(
     system: PolySystem,
-    z: ScaledUnit,
+    m: int,
+    units: Sequence[int],
     support: Support | None = None,
     decomposition: Decomposition | None = None,
     budget: int = DEFAULT_BUDGET,
-) -> complex:
-    """The oscillatory surface integral of Psi(z f_l) over the support.
+) -> list[complex]:
+    """The oscillatory surface integral of Psi(u p^-m f_l) over the support, for every u in units.
 
-    Computed as a weighted character sum over the good-reduction charts;
-    for the full polydisc on a good-reduction system this coincides with
-    the exponential sum E(z).
+    Computed as a weighted character sum over the good-reduction charts
+    the support meets, one walk per chart for all units.  Each unit is
+    checked and reduced mod p^m as a `ScaledUnit`.  The values come back
+    in the order of units, each bit-identical to the value of the
+    one-unit call [u].  For the full polydisc on a good-reduction system
+    this coincides with the exponential sum E(u p^-m).
     """
-    p, m, u = z.p, z.m, z.u
-    if p != system.p:
-        raise ValueError("mismatched primes")
+    p, dim = system.p, system.dim
+    units = [ScaledUnit(p, m, u).u for u in units]
     if decomposition is None:
         decomposition = measure_charts(system, budget)
-    dim = system.dim
-    total = 0.0 + 0.0j
+    totals = [0.0 + 0.0j] * len(units)
+    phases = _Phases(p, m)
     for chart in decomposition.charts:
         meets, sup = decomposition.restrict(chart, support)
         if not meets:
             continue
         k = max(m - chart.L, sup.level if sup else 0, 1)
         lifter = decomposition.lifter(chart, budget)
-        partial = _add_phases(0.0 + 0.0j, lifter, chart.target, k, m, u, sup, budget)
-        total += float(chart.weight) * partial / p ** (k * dim)
-    return total
+        partials = [0.0 + 0.0j] * len(units)
+        _add_phases(partials, lifter, chart.target, k, units, phases, sup, budget)
+        for i, partial in enumerate(partials):
+            totals[i] += float(chart.weight) * partial / p ** (k * dim)
+    return totals
 
 
 # -- stationary phase ------------------------------------------------------------
@@ -266,20 +302,14 @@ def stationary_phase_check(
     records = []
     worst = 0.0
     for m in m_values:
-        u_mod = p ** min(m, c_cap)
-        for u in range(1, u_mod):
-            if u % p == 0:
-                continue
-            if weighted:
-                direct = oscillatory_integral(
-                    system,
-                    ScaledUnit(p, m, u),
-                    support=support,
-                    decomposition=decomposition,
-                    budget=budget,
-                )
-            else:
-                direct = exponential_sum(system, m, u, decomposition=decomposition, budget=budget)
+        units = [u for u in range(1, p ** min(m, c_cap)) if u % p]
+        if weighted:
+            values = oscillatory_integral(
+                system, m, units, support=support, decomposition=decomposition, budget=budget
+            )
+        else:
+            values = exponential_sum(system, m, units, decomposition=decomposition, budget=budget)
+        for u, direct in zip(units, values):
             formula = stationary_phase_eval(context, m, u)
             gap = abs(direct - formula)
             worst = max(worst, gap)
@@ -323,7 +353,7 @@ def decay_report(
         decomposition = measure_charts(system, budget)
     rows = []
     for m in m_values:
-        value = abs(exponential_sum(system, m, u, decomposition=decomposition, budget=budget))
+        value = abs(exponential_sum(system, m, [u], decomposition=decomposition, budget=budget)[0])
         scale = system.p ** (pole.rho * m) / m ** (pole.m_rho - 1)
         rows.append(DecayRow(m=m, abs_value=value, normalized=value * scale))
     floor = 1e-12  # normalized values below this are floating zeros
@@ -374,9 +404,8 @@ def decomposed_expsum_check(
     for m in m_values:
         if m <= L:
             raise ValueError(f"identity needs m > L = {L}")
-        lhs = exponential_sum(system, m, u, decomposition=decomposition, budget=budget) * p ** (
-            m * dim
-        )
+        direct = exponential_sum(system, m, [u], decomposition=decomposition, budget=budget)[0]
+        lhs = direct * p ** (m * dim)
         rhs = 0.0 + 0.0j
         for chart in decomposition.charts:
             # the first point of the walk: the smallest-digit lift of the first root
@@ -387,7 +416,8 @@ def decomposed_expsum_check(
             lifter = HenselLifter(p, system.n, rep_system.constraints, budget)
             scaled_u = u * p ** (e_l - chart.L)
             k = m - chart.L
-            inner = _add_phases(0.0 + 0.0j, lifter, rep_system.target, k, k, scaled_u, None, budget)
-            rhs += psi_ratio(u * const, p, m) * inner
+            inner = [0.0 + 0.0j]
+            _add_phases(inner, lifter, rep_system.target, k, [scaled_u], _Phases(p, k), None, budget)
+            rhs += psi_ratio(u * const, p, m) * inner[0]
         rows.append(DecompositionIdentityRow(m=m, u=u, lhs=lhs, rhs=rhs))
     return rows

@@ -202,7 +202,8 @@ def _exact_zero_center(
     modulus = p**search_level
     mod_L = p**L
     polys = list(system.all_polys())
-    for x in iter_congruence_points(p, system.n, polys, search_level, budget):
+    lifter = HenselLifter(p, system.n, polys, budget)
+    for x in iter_congruence_points(lifter, search_level, budget):
         if tuple(c % mod_L for c in x) != tuple(c % mod_L for c in chart_center):
             continue
         for signs in itertools.product((0, -modulus), repeat=system.n):

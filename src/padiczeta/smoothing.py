@@ -385,9 +385,10 @@ def global_decompose(system: PolySystem, budget: int = DEFAULT_BUDGET) -> Decomp
     variety at all (Hensel) and are dropped.
     """
     p, n = system.p, system.n
+    system_lifter = HenselLifter(p, n, system.constraints, budget)  # serves every round
     L = 1
     for _ in range(DECOMPOSE_ROUNDS):
-        reps = first_lifts(p, n, system.constraints, L, 2 * L + 3, budget)
+        reps = first_lifts(system_lifter, L, 2 * L + 3, budget)
         needed = L
         for key in sorted(reps):
             needed = max(needed, _linear_echelon(system, reps[key])[1].pivot_vals[-1] + 1)

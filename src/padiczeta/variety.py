@@ -504,23 +504,21 @@ def hensel_enumerate(
 
 
 def iter_congruence_points(
-    p: int,
-    n: int,
-    polys: Sequence[MPoly],
+    lifter: HenselLifter,
     m: int,
     budget: int = DEFAULT_BUDGET,
     support: Support | None = None,
 ) -> Iterator[tuple[int, ...]]:
-    """Stream all x mod p^m with every poly = 0 mod p^m, level by level.
+    """Stream all x mod p^m with every lifter constraint = 0 mod p^m, level by level.
 
     Works for any system, with no smoothness assumption: the lifter's
     affine digit systems just have fewer conditions at singular points.
-    The budget meters node visits.
+    The caller owns the lifter, so walks of one system at several levels
+    share its residue scan.  The budget meters node visits.
     """
     if m == 0:
-        yield (0,) * n
+        yield (0,) * lifter.n
         return
-    lifter = HenselLifter(p, n, polys, budget)
     yield from _points_at(lifter, m, budget, support, f"congruence walk m={m}")
 
 
@@ -559,7 +557,7 @@ def truncated_tree(
 
 
 def first_lifts(
-    p: int, n: int, polys: Sequence[MPoly], m: int, accuracy: int, budget: int = DEFAULT_BUDGET
+    lifter: HenselLifter, m: int, accuracy: int, budget: int = DEFAULT_BUDGET
 ) -> dict[tuple[int, ...], tuple[int, ...]]:
     """Classes mod p^m of the solutions mod p^accuracy, each with its first lift.
 
@@ -568,10 +566,10 @@ def first_lifts(
     first node reached at `accuracy` in walk order represents its class.
     The same search one level deeper must find the same classes (raising
     NotStabilized otherwise); a lift there implies one at `accuracy`, so
-    only classes that die out between the two levels can differ.
+    only classes that die out between the two levels can differ.  The
+    caller owns the lifter, which walks the filtered congruence tree.
     """
-    lifter = HenselLifter(p, n, polys, budget)
-    modulus = p**m
+    modulus = lifter.p**m
 
     def search(level: int) -> dict[tuple[int, ...], tuple[int, ...]]:
         reps: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -605,15 +603,16 @@ def image_oracle(
     Enumerates every congruence solution at level m + buffer, projects
     them mod p^m, and insists the result agrees with buffer + 1 (raising
     NotStabilized otherwise).  It shares no search with the chart
-    decomposition it checks.  Stability is evidence, not proof; the
+    decomposition it checks, not even a lifter: it builds its own, which
+    serves both projections.  Stability is evidence, not proof; the
     decomposition cross-checks catch a wrong-but-stable buffer.
     """
-    p, n, modulus = system.p, system.n, system.p**m
+    modulus = system.p**m
+    lifter = HenselLifter(system.p, system.n, system.constraints, budget)
 
     def project(level: int) -> set[tuple[int, ...]]:
         return {
-            tuple(c % modulus for c in x)
-            for x in iter_congruence_points(p, n, system.constraints, level, budget)
+            tuple(c % modulus for c in x) for x in iter_congruence_points(lifter, level, budget)
         }
 
     image = project(m + buffer)
@@ -711,7 +710,8 @@ def critical_locus_probe(
     polys = system.all_polys()
     partials = [[f.partial(j) for j in range(1, n + 1)] for f in polys]
     suspects = []
-    for x in iter_congruence_points(p, n, system.constraints, M, budget):
+    lifter = HenselLifter(p, n, system.constraints, budget)
+    for x in iter_congruence_points(lifter, M, budget):
         target_value = system.target.evaluate(x, modulus)
         v = int_valuation(target_value, p)
         if v is None or v >= M:

@@ -1,10 +1,13 @@
 """Tests for exponential sums, the formula route, decay, and decompositions."""
 
 import math
+from pathlib import Path
 
 import pytest
 
+import padiczeta.expsum as expsum
 from padiczeta.bundled import BAD_LINE, LINE_X1, LINE_X2, LINE_X2_P5, LINE_X3, PARABOLA, PLANE_LINE
+from padiczeta.cli import main
 from padiczeta.errors import EvenPrimeUnsupported
 from padiczeta.expsum import (
     build_stationary_phase_context,
@@ -16,7 +19,7 @@ from padiczeta.expsum import (
     stationary_phase_eval,
 )
 from padiczeta.mpoly import system_from_strings
-from padiczeta.padic import ScaledUnit, psi_ratio
+from padiczeta.padic import psi_ratio
 from padiczeta.ratfn import pole_data_from_resolution
 from padiczeta.smoothing import measure_charts
 from padiczeta.support import Support
@@ -33,21 +36,20 @@ def brute_expsum(system, m, u):
 
 
 def test_exponential_sum_x1_line_vanishes():
-    assert abs(exponential_sum(LINE_X1.system, 1, 1)) < 1e-12
+    assert abs(exponential_sum(LINE_X1.system, 1, [1])[0]) < 1e-12
 
 
 def test_exponential_sum_x2_line_values():
-    value = exponential_sum(LINE_X2.system, 1, 1)
+    (value,) = exponential_sum(LINE_X2.system, 1, [1])
     assert abs(value - 1j / math.sqrt(3)) < 1e-12
-    value = exponential_sum(LINE_X2.system, 2, 1)
+    (value,) = exponential_sum(LINE_X2.system, 2, [1])
     assert abs(value - 1 / 3) < 1e-12
 
 
 @pytest.mark.parametrize("instance", [LINE_X2, LINE_X3, PLANE_LINE], ids=lambda i: i.name)
 def test_exponential_sum_matches_brute_oracle(instance):
     for m in (1, 2, 3):
-        for u in (1, 2):
-            direct = exponential_sum(instance.system, m, u)
+        for u, direct in zip((1, 2), exponential_sum(instance.system, m, [1, 2])):
             oracle = brute_expsum(instance.system, m, u)
             assert abs(direct - oracle) < 1e-12
 
@@ -56,8 +58,7 @@ def test_unit_class_equivariance():
     # E depends on u only through u mod p^m
     system = LINE_X2.system
     for m in (1, 2, 3):
-        base = exponential_sum(system, m, 2)
-        lifted = exponential_sum(system, m, 2 + 3**m)
+        base, lifted = exponential_sum(system, m, [2, 2 + 3**m])
         assert abs(base - lifted) < 1e-12
 
 
@@ -66,7 +67,7 @@ def test_crude_bound_holds():
     for instance in (LINE_X2, LINE_X3, BAD_LINE, PLANE_LINE):
         bound = instance.system.p ** (instance.system.l - 1)
         for m in (1, 2, 3):
-            assert abs(exponential_sum(instance.system, m, 1)) <= bound + 1e-9
+            assert abs(exponential_sum(instance.system, m, [1])[0]) <= bound + 1e-9
 
 
 def test_stationary_phase_x2_hand_value():
@@ -87,7 +88,7 @@ def test_stationary_phase_extrapolated_coefficients():
     # m beyond the table depth exercises the class-function reconstruction
     ctx = build_stationary_phase_context(LINE_X2.system, depth=6)
     for m in (7, 8):
-        direct = exponential_sum(LINE_X2.system, m, 1)
+        (direct,) = exponential_sum(LINE_X2.system, m, [1])
         formula = stationary_phase_eval(ctx, m, 1)
         assert abs(direct - formula) < 1e-9
 
@@ -110,16 +111,15 @@ def test_mutated_gauss_sum_breaks_identity():
     mutated.twisted = tuple((chi, g * 3) for chi, g in ctx.twisted)
     worst = 0.0
     for m in (1, 2, 3):
-        direct = exponential_sum(LINE_X2.system, m, 1)
+        (direct,) = exponential_sum(LINE_X2.system, m, [1])
         worst = max(worst, abs(direct - stationary_phase_eval(mutated, m, 1)))
     assert worst > 0.1
 
 
 def test_exact_decay_x2_line():
     for m in range(1, 7):
-        for u in (1, 2):
-            value = abs(exponential_sum(LINE_X2.system, m, u))
-            assert abs(value - 3 ** (-m / 2)) < 1e-9
+        for value in exponential_sum(LINE_X2.system, m, [1, 2]):
+            assert abs(abs(value) - 3 ** (-m / 2)) < 1e-9
 
 
 def test_decay_report_normalized_is_one():
@@ -146,8 +146,8 @@ def test_decay_report_x3_line():
 def test_oscillatory_integral_full_polydisc_equals_expsum():
     system = LINE_X2.system
     for m in (1, 2, 3):
-        z = ScaledUnit(3, m, 1)
-        assert abs(oscillatory_integral(system, z) - exponential_sum(system, m, 1)) < 1e-12
+        (surface,) = oscillatory_integral(system, m, [1])
+        assert abs(surface - exponential_sum(system, m, [1])[0]) < 1e-12
 
 
 def test_oscillatory_integral_single_coset():
@@ -155,8 +155,7 @@ def test_oscillatory_integral_single_coset():
     # oracle = psi-weighted measure of {x2 = 1 mod 3} on the line
     system = LINE_X2.system
     support = Support.cosets(2, 1, [[0, 1]], 3)
-    z = ScaledUnit(3, 2, 1)
-    value = oscillatory_integral(system, z, support=support)
+    (value,) = oscillatory_integral(system, 2, [1], support=support)
     oracle = sum(psi_ratio(x2 * x2, 3, 2) for x2 in range(1, 9, 3)) / 9
     assert abs(value - oracle) < 1e-12
 
@@ -164,10 +163,9 @@ def test_oscillatory_integral_single_coset():
 def test_oscillatory_integral_empty_support():
     system = LINE_X2.system
     support = Support.cosets(2, 1, [[1, 0]], 3)  # misses the variety x1 = 0
-    z = ScaledUnit(3, 1, 1)
-    assert abs(oscillatory_integral(system, z, support=support)) < 1e-12
+    assert abs(oscillatory_integral(system, 1, [1], support=support)[0]) < 1e-12
     empty = Support.cosets(2, 1, [], 3)  # empty union of cosets
-    assert oscillatory_integral(system, z, support=empty) == 0
+    assert oscillatory_integral(system, 1, [1], support=empty)[0] == 0
 
 
 def test_decomposition_identity_bad_line():
@@ -182,3 +180,34 @@ def test_decomposition_identity_good_instance():
     rows = decomposed_expsum_check(LINE_X2.system, [1, 2, 3])
     for row in rows:
         assert row.gap < 1e-9
+
+
+def test_one_walk_per_level_serves_every_unit(monkeypatch, tmp_path):
+    walks = []  # the level of every point walk the direct sums start
+    stream = expsum.iter_hensel_points
+
+    def counting(lifter, m, *args, **kwargs):
+        walks.append(m)
+        return stream(lifter, m, *args, **kwargs)
+
+    monkeypatch.setattr(expsum, "iter_hensel_points", counting)
+    # one chart, m = 1..5: 4 + 4 * 20 units, so 84 walks at one per (m, u)
+    report = stationary_phase_check(LINE_X2_P5.system, [1, 2, 3, 4, 5])
+    assert len(report.records) == 84 and report.passed()
+    assert walks == [1, 2, 3, 4, 5]
+
+    # weighted sums at L = 2: every m walks each chart the support meets once
+    walks.clear()
+    support = Support.cosets(2, 1, [(0, 0), (1, 1)], 3)
+    decomposition = measure_charts(BAD_LINE.system)
+    met = sum(decomposition.restrict(chart, support)[0] for chart in decomposition.charts)
+    assert 0 < met < len(decomposition.charts)
+    report = stationary_phase_check(BAD_LINE.system, [1, 2, 3, 4], support=support)
+    assert report.passed()
+    assert len(walks) == 4 * met
+
+    # `expsum` on line_x2 (max_level 5): one walk per m
+    walks.clear()
+    spec = Path(__file__).resolve().parents[1] / "scripts" / "specs" / "line_x2.json"
+    assert main(["expsum", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 0
+    assert walks == [1, 2, 3, 4, 5]

@@ -13,7 +13,7 @@ from padiczeta.poincare import (
     solution_growth_bound,
 )
 from padiczeta.ratfn import RationalFn, pole_data_from_resolution, reconstruct_rational
-from padiczeta.variety import iter_congruence_points
+from padiczeta.variety import HenselLifter, iter_congruence_points
 from padiczeta.zeta import build_shell_table
 
 F = Fraction
@@ -23,10 +23,8 @@ def brute_count(system, m):
     """Oracle: full-grid count of simultaneous congruence solutions."""
     if m == 0:
         return 1
-    return sum(
-        1
-        for _ in iter_congruence_points(system.p, system.n, list(system.all_polys()), m)
-    )
+    lifter = HenselLifter(system.p, system.n, list(system.all_polys()))
+    return sum(1 for _ in iter_congruence_points(lifter, m))
 
 
 def test_counts_x2_line():

@@ -103,7 +103,7 @@ def test_delta_oscillatory_matches_surface_integral():
         system = instance.system
         for m in (1, 2):
             z = ScaledUnit(3, m, 1)
-            surface = oscillatory_integral(system, z)
+            surface = oscillatory_integral(system, m, [1])[0]
             for r in (3, 4):
                 value = delta_oscillatory(system, z, r)
                 assert abs(value - surface) < 1e-9, (instance.name, m, r)

@@ -2,16 +2,18 @@
 
 import itertools
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from padiczeta.bundled import BAD_LINE, GOOD_REDUCTION, LINE_X2, PARABOLA, THREEVAR
+from padiczeta.cli import main
 from padiczeta.mpoly import MPoly, PolySystem, shift_rescale
 from padiczeta.errors import BadReductionInput, BudgetExceeded, NotStabilized, ValidationFailed
 from padiczeta.mpoly import system_from_strings
 from padiczeta.expsum import exponential_sum, oscillatory_integral
-from padiczeta.padic import ScaledUnit
+from padiczeta.padic import psi_ratio
 from padiczeta.poincare import congruence_counts, decomposed_count_check, poincare_series
 from padiczeta.smoothing import global_decompose, measure_charts
 from padiczeta.support import Support
@@ -29,6 +31,8 @@ from padiczeta.variety import (
     iter_hensel_points,
 )
 from padiczeta.zeta import build_shell_table, tail_measure
+
+SPECS = Path(__file__).resolve().parents[1] / "scripts" / "specs"
 
 
 def test_brute_force_examples():
@@ -98,9 +102,10 @@ def test_hensel_matches_brute_on_random_graphs(system):
     # N_m counts its congruence solutions where the target vanishes too
     smooth = PolySystem(p=p, n=2, constraints=(primitive,), target=system.target)
     zeros = [1]
+    lifter = HenselLifter(p, 2, system.constraints)
     for m in (1, 2, 3):
         brute, points = brute_force_points(system, m, collect=True)
-        assert sorted(iter_congruence_points(p, 2, system.constraints, m)) == sorted(points)
+        assert sorted(iter_congruence_points(lifter, m)) == sorted(points)
         _, smooth_points = brute_force_points(smooth, m, collect=True)
         zeros.append(sum(1 for x in smooth_points if system.target.evaluate(x, p**m) == 0))
         if content == 0:
@@ -137,7 +142,7 @@ def test_first_lifts_match_brute_on_bad_graphs(system, m):
     p, (constraint,) = system.p, system.constraints
     accuracy = m + 2
     _, points = brute_force_points(system, accuracy, collect=True)
-    reps = first_lifts(p, system.n, system.constraints, m, accuracy)
+    reps = first_lifts(HenselLifter(p, system.n, system.constraints), m, accuracy)
     assert set(reps) == {tuple(c % p**m for c in x) for x in points}
     for key, x in reps.items():
         assert constraint.evaluate(x, p**accuracy) == 0
@@ -152,7 +157,65 @@ def test_first_lifts_refuses_classes_that_die_out():
     # x1^2 = 3 has the root 0 mod 3 but no solution mod 9
     system = system_from_strings(3, 2, ["x1^2 - 3"], "x2")
     with pytest.raises(NotStabilized):
-        first_lifts(3, 2, system.constraints, 1, 1)
+        first_lifts(HenselLifter(3, 2, system.constraints), 1, 1)
+
+
+@st.composite
+def graphs_with_support(draw):
+    """(system, support): a drawn graph, bad in half the draws, and maybe a coset support."""
+    system = draw(graph_systems(bad_only=draw(st.booleans())))
+    p = system.p
+    level = draw(st.sampled_from([1, 2, 0]))  # level 0: the full polydisc
+    if level == 0:
+        return system, None
+    others = draw(st.lists(st.tuples(*[st.integers(0, p**level - 1)] * 2), max_size=2))
+    return system, Support.cosets(2, level, [(0, 0), *others], p)
+
+
+@given(graphs_with_support())
+@settings(max_examples=30, deadline=None)
+def test_batched_direct_sums_match_brute_and_single_units(case):
+    # The constraint is p^c (c = 0 or 1) times a smooth curve, so its
+    # solutions mod p^(k + c) are the curve's classes mod p^k with free digits
+    # on top.  Projected mod p^m from k = m they give the reduction image; at
+    # K = k + c with k >= m and k >= the support's level, every solution mod
+    # p^K lies wholly in or out of the support, has one phase, and carries the
+    # surface measure p^(-K dim)
+    system, support = case
+    p = system.p
+    c = system.constraints[0].content_valuation(p)
+    decomposition = measure_charts(system)
+    level = support.level if support else 0
+    for m in (1, 2, 3):
+        units = [u for u in range(1, p**m) if u % p]
+        modulus = p**m
+        _, points = brute_force_points(system, m + c, collect=True)
+        image = {tuple(x % modulus for x in point) for point in points}
+        K = max(m, level) + c
+        _, covered = brute_force_points(system, K, support=support, collect=True)
+        sums = exponential_sum(system, m, units, decomposition=decomposition)
+        surfaces = oscillatory_integral(system, m, units, support, decomposition)
+        for u, direct, surface in zip(units, sums, surfaces):
+            phases = [psi_ratio(u * system.target.evaluate(x, modulus), p, m) for x in image]
+            assert abs(direct - sum(phases) / p ** (m * system.dim)) < 1e-12, (m, u)
+            phases = [psi_ratio(u * system.target.evaluate(x, modulus), p, m) for x in covered]
+            assert abs(surface - sum(phases) / p ** (K * system.dim)) < 1e-12, (m, u)
+            assert direct == exponential_sum(system, m, [u], decomposition=decomposition)[0]
+            assert surface == oscillatory_integral(system, m, [u], support, decomposition)[0]
+        if decomposition.L == 0:  # on the full polydisc the two sums coincide
+            assert oscillatory_integral(system, m, units, None, decomposition) == sums
+
+
+def test_batched_direct_sums_validate_units():
+    system = LINE_X2.system
+    with pytest.raises(ValueError):
+        exponential_sum(system, 2, [1, 3])
+    with pytest.raises(ValueError):
+        oscillatory_integral(system, 2, [2, 6])
+    with pytest.raises(ValueError):
+        oscillatory_integral(system, 0, [1])
+    # units reduce mod p^m: u and u + p^m give the same surface integral
+    assert oscillatory_integral(system, 2, [2, 11]) == oscillatory_integral(system, 2, [2, 2])
 
 
 # p^n = 9: a budget of 10 admits the F_p scan but not the walks below
@@ -222,7 +285,7 @@ def test_threevar_count_walks_once(monkeypatch):
     assert meters[0].used <= 48_480
 
 
-def test_one_lifter_per_chart(monkeypatch):
+def test_one_lifter_per_chart(monkeypatch, tmp_path):
     import padiczeta.variety as variety
 
     builds = []
@@ -259,6 +322,16 @@ def test_one_lifter_per_chart(monkeypatch):
     build_shell_table(system, 4, decomposition=decomposition)
     assert len(builds) == count
 
+    # bad_line `smooth`: the nine chart verdicts, one lifter for every
+    # round of the center search, and one per image oracle (m = 1..4) that
+    # serves both of its projections, not shared with the center search
+    builds.clear()
+    out = tmp_path / "smooth"
+    assert main(["smooth", "--spec", str(SPECS / "bad_line.json"), "--out", str(out)]) == 0
+    system_builds = [args for args in builds if args[2] == system.constraints]
+    assert len(system_builds) == 1 + 4
+    assert len(builds) <= 14
+
 
 def test_chart_walks_reuse_the_decomposition_lifters(monkeypatch):
     # global_decompose keeps the lifters it built for its nine charts
@@ -275,8 +348,8 @@ def test_chart_walks_reuse_the_decomposition_lifters(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(variety.HenselLifter, "__init__", counting_init)
-    exponential_sum(system, 3, 1, decomposition=decomposition)
-    oscillatory_integral(system, ScaledUnit(3, 3, 1), support=support, decomposition=decomposition)
+    exponential_sum(system, 3, [1], decomposition=decomposition)
+    oscillatory_integral(system, 3, [1], support=support, decomposition=decomposition)
     decomposition.image_count(4)
     tail_measure(system, 3, support=support, decomposition=decomposition)
     assert builds == []
@@ -307,8 +380,9 @@ def test_hensel_points_digit_ordered_and_exact():
 
 def test_congruence_tree_matches_brute():
     system = BAD_LINE.system
+    lifter = HenselLifter(system.p, system.n, system.constraints)
     for m in (1, 2, 3):
-        tree = sorted(iter_congruence_points(system.p, system.n, system.constraints, m))
+        tree = sorted(iter_congruence_points(lifter, m))
         brute, points = brute_force_points(system, m, collect=True)
         assert tree == sorted(points)
 
