@@ -8,7 +8,9 @@ records per run the exit code, the last line written to stderr, and
 the sha256 of every artifact.  It holds no timings, so the manifests of
 two versions of the package are equal exactly when both versions exit
 alike and write byte-identical artifacts; diff them to check that a
-change keeps the CLI's outputs.  Wall times go to stdout.
+change keeps the CLI's outputs.  Wall times go to stdout and to
+OUTDIR/timings.json: the seconds of each run (its process included)
+and their total.
 
 Usage: python scripts/cli_matrix.py OUTDIR
 """
@@ -40,7 +42,7 @@ def main() -> int:
         print(__doc__.strip().splitlines()[-1], file=sys.stderr)
         return 1
     outdir = Path(sys.argv[1])
-    manifest = {}
+    manifest, seconds = {}, {}
     for spec in sorted(SPECS.glob("*.json")):
         for command in sorted(COMMANDS):
             out = outdir / spec.stem / command
@@ -52,13 +54,17 @@ def main() -> int:
                 text=True,
             )
             stderr = proc.stderr.strip().splitlines()
-            manifest[f"{spec.stem}/{command}"] = {
+            run = f"{spec.stem}/{command}"
+            seconds[run] = round(time.perf_counter() - start, 3)
+            manifest[run] = {
                 "exit": proc.returncode,
                 "stderr": stderr[-1] if stderr else "",
                 "artifacts": fingerprint(out),
             }
-            print(f"{spec.stem:10} {command:12} exit {proc.returncode}  {time.perf_counter() - start:6.1f}s")
+            print(f"{spec.stem:10} {command:12} exit {proc.returncode}  {seconds[run]:6.1f}s")
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    timings = {"runs": seconds, "total": round(sum(seconds.values()), 3)}
+    (outdir / "timings.json").write_text(json.dumps(timings, indent=2, sort_keys=True) + "\n")
     return 0
 
 

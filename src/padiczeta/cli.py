@@ -474,6 +474,8 @@ def main(argv=None) -> int:
             problem.max_level = args.max_level
         if problem.max_level < 1 or problem.conductor_cap < 1:
             raise SchemaError("max_level and character_conductor_cap must be >= 1")
+        if args.probe_level < 1:
+            raise SchemaError("--probe-level must be >= 1")
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

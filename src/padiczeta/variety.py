@@ -8,11 +8,13 @@ lifts come from one `HenselLifter`, which solves one small F_p linear
 system per node.  Under good reduction (full Jacobian rank at every
 F_p root) it walks the smooth tree; without that assumption the same
 lifter walks the filtered congruence tree, used for the first-lift
-search of bad-reduction chart centers, the ambient integrals and the
-image oracle.  The count tallies append the target's first-order Taylor
-row to the same F_p system (a `TargetRow`), so they build only the
-lifts where the target keeps vanishing.  A brute-force scan of the full residue grid stays separate: it is the
-independent oracle every walk is checked against.
+search of bad-reduction chart centers and the ambient integrals.  The
+count tallies append the target's first-order Taylor row to the same
+F_p system (a `TargetRow`), so they build only the lifts where the
+target keeps vanishing.  Two oracles stay independent of the lifter: a
+brute-force scan of the full residue grid, which every walk is checked
+against, and the image oracle, a class search on `walk` over the
+all-digit tree whose nodes are filtered by evaluating the constraints.
 
 Image-level counts (the reduction of the variety's Z_p points rather
 than its congruence solutions) live on the chart decomposition in
@@ -422,7 +424,12 @@ class HenselLifter:
 def _points_at(
     lifter: HenselLifter, m: int, budget: int, support: Support | None, stage: str
 ) -> Iterator[tuple[int, ...]]:
-    """The level-m nodes of the lifter's tree that the support admits."""
+    """The level-m nodes of the lifter's tree that the support admits.
+
+    The roots sit at level 1, so a walk for m < 1 would never stop.
+    """
+    if m < 1:
+        raise WalkInvariantError(f"no level {m} < 1 in the lift tree")
     p = lifter.p
 
     def visit(x: tuple[int, ...], j: int):
@@ -556,20 +563,28 @@ def truncated_tree(
 # -- image-level operations ----------------------------------------------------
 
 
-def first_lifts(
-    lifter: HenselLifter, m: int, accuracy: int, budget: int = DEFAULT_BUDGET
+def _class_search(
+    roots: Sequence[tuple[int, ...]],
+    children: Callable[[tuple[int, ...], int], list[tuple[int, ...]]],
+    p: int,
+    m: int,
+    accuracy: int,
+    budget: int,
+    stage: str,
 ) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Classes mod p^m of the solutions mod p^accuracy, each with its first lift.
+    """Classes mod p^m of the tree's nodes at `accuracy`, each with its first lift.
 
-    An existence search over the filtered congruence tree: a node at a
-    level >= m whose class mod p^m already has a lift is pruned, and the
-    first node reached at `accuracy` in walk order represents its class.
-    The same search one level deeper must find the same classes (raising
-    NotStabilized otherwise); a lift there implies one at `accuracy`, so
-    only classes that die out between the two levels can differ.  The
-    caller owns the lifter, which walks the filtered congruence tree.
+    An existence search: a node at a level >= m whose class mod p^m
+    already has a lift is pruned, and the first node reached at
+    `accuracy` in walk order represents its class.  The same search one
+    level deeper must find the same classes (raising NotStabilized
+    otherwise); a lift there implies one at `accuracy`, so only classes
+    that die out between the two levels can differ.  Each search has its
+    own meter, with stage `<stage> m=<m> accuracy=<level>`.
     """
-    modulus = lifter.p**m
+    if accuracy < 1:
+        raise WalkInvariantError(f"search accuracy {accuracy} < 1: the roots sit at level 1")
+    modulus = p**m
 
     def search(level: int) -> dict[tuple[int, ...], tuple[int, ...]]:
         reps: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -579,8 +594,8 @@ def first_lifts(
                 return PRUNE
             return x if j == level else DESCEND
 
-        meter = BudgetMeter(budget, f"center search m={m} accuracy={level}")
-        for x in walk(lifter.roots(), lifter.children, visit, meter):
+        meter = BudgetMeter(budget, f"{stage} m={m} accuracy={level}")
+        for x in walk(roots, children, visit, meter):
             reps[tuple(c % modulus for c in x)] = x
         return reps
 
@@ -592,35 +607,53 @@ def first_lifts(
     return reps
 
 
+def first_lifts(
+    lifter: HenselLifter, m: int, accuracy: int, budget: int = DEFAULT_BUDGET
+) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Classes mod p^m of the solutions mod p^accuracy, each with its first lift.
+
+    The class search of `_class_search` over the filtered congruence
+    tree of a caller-owned lifter (meter stage `center search m=<m>
+    accuracy=<level>`).
+    """
+    return _class_search(
+        lifter.roots(), lifter.children, lifter.p, m, accuracy, budget, "center search"
+    )
+
+
 def image_oracle(
     system: PolySystem,
     m: int,
     buffer: int,
     budget: int = DEFAULT_BUDGET,
 ) -> set[tuple[int, ...]]:
-    """Overapproximate the reduction image mod p^m by deep projection.
+    """Classes mod p^m with a lift mod p^(m + buffer): the reduction image, overapproximated.
 
-    Enumerates every congruence solution at level m + buffer, projects
-    them mod p^m, and insists the result agrees with buffer + 1 (raising
-    NotStabilized otherwise).  It shares no search with the chart
-    decomposition it checks, not even a lifter: it builds its own, which
-    serves both projections.  Stability is evidence, not proof; the
+    The class search of `_class_search` at accuracy m + buffer, checked
+    against buffer + 1 (raising NotStabilized if they differ), over the
+    all-digit filtered tree: the roots are the residues mod p where
+    every constraint vanishes, and a level-j node x has the children
+    x + p^j d, for every digit vector d in lexicographic order, where
+    every constraint vanishes mod p^(j + 1).  Both are tested by
+    evaluation alone, so the oracle shares no lifter and no F_p solver
+    with the chart decomposition it checks (meter stage `image oracle
+    m=<m> accuracy=<level>`).  Stability is evidence, not proof; the
     decomposition cross-checks catch a wrong-but-stable buffer.
     """
-    modulus = system.p**m
-    lifter = HenselLifter(system.p, system.n, system.constraints, budget)
+    p, n, constraints = system.p, system.n, system.constraints
+    check_residue_scan(p, n, budget)
+    digits = list(itertools.product(range(p), repeat=n))
 
-    def project(level: int) -> set[tuple[int, ...]]:
-        return {
-            tuple(c % modulus for c in x) for x in iter_congruence_points(lifter, level, budget)
-        }
+    def solves(x: tuple[int, ...], modulus: int) -> bool:
+        return not any(f.evaluate(x, modulus) for f in constraints)
 
-    image = project(m + buffer)
-    if image != project(m + buffer + 1):
-        raise NotStabilized(
-            f"classes mod p^{m} differ between accuracies {m + buffer} and {m + buffer + 1}"
-        )
-    return image
+    def children(x: tuple[int, ...], j: int) -> list[tuple[int, ...]]:
+        step = p**j
+        lifts = (tuple([c + step * e for c, e in zip(x, d)]) for d in digits)
+        return [y for y in lifts if solves(y, step * p)]
+
+    roots = [x for x in digits if solves(x, p)]
+    return set(_class_search(roots, children, p, m, m + buffer, budget, "image oracle"))
 
 
 # -- critical locus probe -------------------------------------------------------

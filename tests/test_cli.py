@@ -176,6 +176,14 @@ def test_max_level_override_below_one_exits_schema(spec_file, tmp_path, command,
     assert run(command, spec_file, tmp_path / "out", "--max-level", level) == EXIT_SCHEMA
 
 
+@pytest.mark.parametrize("level", ["0", "-1"])
+def test_probe_level_below_one_exits_schema(spec_file, tmp_path, level):
+    # level 0 would probe nothing and report clean; below it no level is final
+    out = tmp_path / "out"
+    assert run("probe", spec_file, out, "--probe-level", level) == EXIT_SCHEMA
+    assert not (out / "probe.json").exists()
+
+
 def test_budget_exit_code(spec_file, tmp_path):
     assert run("count", spec_file, tmp_path / "out", "--max-level", "9", "--budget", "50") == EXIT_BUDGET
 

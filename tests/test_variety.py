@@ -10,7 +10,13 @@ from hypothesis import given, settings, strategies as st
 from padiczeta.bundled import BAD_LINE, GOOD_REDUCTION, LINE_X2, PARABOLA, THREEVAR
 from padiczeta.cli import main
 from padiczeta.mpoly import MPoly, PolySystem, shift_rescale
-from padiczeta.errors import BadReductionInput, BudgetExceeded, NotStabilized, ValidationFailed
+from padiczeta.errors import (
+    BadReductionInput,
+    BudgetExceeded,
+    InvariantViolated,
+    NotStabilized,
+    ValidationFailed,
+)
 from padiczeta.mpoly import system_from_strings
 from padiczeta.expsum import exponential_sum, oscillatory_integral
 from padiczeta.padic import psi_ratio
@@ -158,6 +164,76 @@ def test_first_lifts_refuses_classes_that_die_out():
     system = system_from_strings(3, 2, ["x1^2 - 3"], "x2")
     with pytest.raises(NotStabilized):
         first_lifts(HenselLifter(3, 2, system.constraints), 1, 1)
+    with pytest.raises(NotStabilized, match="accuracies 1 and 2"):
+        image_oracle(system, 1, 0)
+
+
+@given(graph_systems(bad_only=True), st.sampled_from([1, 2, 3]))
+@settings(max_examples=20, deadline=None)
+def test_image_oracle_matches_projected_brute_on_bad_graphs(system, m):
+    p = system.p
+    if m == 3 and p != 2:
+        m = 2  # keeps the brute-force grid small
+    L = measure_charts(system).L
+    _, points = brute_force_points(system, m + L + 1, collect=True)
+    projection = {tuple(c % p**m for c in x) for x in points}
+    assert image_oracle(system, m, L + 1) == projection
+    # the constraint is p times a smooth one, so the solutions mod p^(k + 1)
+    # project onto the image for every k >= m: buffer 1 is already stable
+    assert image_oracle(system, m, 1) == projection
+
+
+def test_image_oracle_builds_no_lifter(monkeypatch):
+    # the oracle filters all p^n digit vectors by evaluation: no lifter, no
+    # F_p solver, nothing shared with the charts it checks
+    import padiczeta.variety as variety
+
+    calls = []
+    init, children = variety.HenselLifter.__init__, variety.HenselLifter.children
+
+    def counting_init(self, *args, **kwargs):
+        calls.append("init")
+        init(self, *args, **kwargs)
+
+    def counting_children(self, *args, **kwargs):
+        calls.append("children")
+        return children(self, *args, **kwargs)
+
+    meters = []
+    meter_class = variety.BudgetMeter
+
+    def recording(limit, stage):
+        meters.append(meter_class(limit, stage))
+        return meters[-1]
+
+    monkeypatch.setattr(variety.HenselLifter, "__init__", counting_init)
+    monkeypatch.setattr(variety.HenselLifter, "children", counting_children)
+    monkeypatch.setattr(variety, "BudgetMeter", recording)
+    assert len(image_oracle(BAD_LINE.system, 3, 3)) == 27
+    assert calls == []
+    assert [meter.stage for meter in meters] == [
+        "image oracle m=3 accuracy=6",
+        "image oracle m=3 accuracy=7",
+    ]
+    # every solution mod 3, 9 and 27 (9, 27 and 81 nodes), then one path per
+    # class mod 27; 3*x1 - 9*x2 mod 3^(j + 1) does not move under digits of
+    # weight 3^j, so every path node has all 9 children: 243 nodes a level
+    assert [meter.used for meter in meters] == [9 + 27 + 81 + 243 * 3, 9 + 27 + 81 + 243 * 4]
+
+
+def test_points_below_level_one_raise():
+    # the roots sit at level 1: a walk to a level below it would never stop
+    lifter = HenselLifter(3, 2, LINE_X2.system.constraints)
+    for points in (
+        iter_hensel_points(lifter, 0, budget=1000),
+        iter_hensel_points(lifter, -1, budget=1000),
+        iter_congruence_points(lifter, -1, budget=1000),
+    ):
+        with pytest.raises(InvariantViolated):
+            list(points)
+    assert list(iter_congruence_points(lifter, 0, budget=1000)) == [(0, 0)]
+    with pytest.raises(InvariantViolated):
+        image_oracle(LINE_X2.system, 0, 0, budget=1000)
 
 
 @st.composite
@@ -248,6 +324,9 @@ BUDGET_CUSP = system_from_strings(3, 2, ["x2"], "x1^2")
         ),
         # one lift per class mod p: 13 nodes for each of the three roots
         (lambda budget: global_decompose(BUDGET_LINE, budget), "center search m=1 accuracy=5"),
+        # 3 roots, 9 nodes at level 2, and the three lifts to level 3 of
+        # each class mod 9, two of them pruned: 39 nodes
+        (lambda budget: image_oracle(BUDGET_LINE, 2, 1, budget), "image oracle m=2 accuracy=3"),
     ],
     ids=[
         "tail_measure",
@@ -256,6 +335,7 @@ BUDGET_CUSP = system_from_strings(3, 2, ["x2"], "x1^2")
         "solvable_at",
         "decomposed_recount",
         "global_decompose",
+        "image_oracle",
     ],
 )
 def test_every_walk_honours_the_budget(run, stage):
@@ -322,15 +402,14 @@ def test_one_lifter_per_chart(monkeypatch, tmp_path):
     build_shell_table(system, 4, decomposition=decomposition)
     assert len(builds) == count
 
-    # bad_line `smooth`: the nine chart verdicts, one lifter for every
-    # round of the center search, and one per image oracle (m = 1..4) that
-    # serves both of its projections, not shared with the center search
+    # bad_line `smooth`: the nine chart verdicts and one lifter for every
+    # round of the center search; the image oracle builds none
     builds.clear()
     out = tmp_path / "smooth"
     assert main(["smooth", "--spec", str(SPECS / "bad_line.json"), "--out", str(out)]) == 0
     system_builds = [args for args in builds if args[2] == system.constraints]
-    assert len(system_builds) == 1 + 4
-    assert len(builds) <= 14
+    assert len(system_builds) == 1
+    assert len(builds) <= 10
 
 
 def test_chart_walks_reuse_the_decomposition_lifters(monkeypatch):
