@@ -1,7 +1,8 @@
 """Batch front-end: JSON problem specifications in, CSV/JSON artifacts out.
 
 Every command reads one problem file, writes its artifacts into the
-output directory, and exits 0 on success, 1 on a schema or parse error,
+output directory, and exits 0 on success, 1 on a schema or parse error
+or an input the command does not support (twisted characters at p = 2),
 2 on an exhausted enumeration budget, and 3 when a verification command
 finds its identity violated.  Outputs are deterministic for a fixed
 problem file: enumeration order is fixed, floats are printed with a
@@ -22,7 +23,13 @@ from pathlib import Path
 
 from . import __version__
 from .characters import enumerate_characters, trivial_character
-from .errors import BudgetExceeded, PadicZetaError, PoleSetMismatch, SchemaError
+from .errors import (
+    BudgetExceeded,
+    EvenPrimeUnsupported,
+    PadicZetaError,
+    PoleSetMismatch,
+    SchemaError,
+)
 from .expsum import decay_report, exponential_sum, stationary_phase_check
 from .mpoly import PolySystem, system_from_strings
 from .poincare import check_series_zeta_identity, poincare_series, solution_growth_bound
@@ -488,6 +495,10 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except EvenPrimeUnsupported as exc:
+        # an unsupported input, not a falsified identity
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SCHEMA
     except PadicZetaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY

@@ -107,28 +107,31 @@ def delta_integral(
         raise ValueError("s must be a positive integer")
     if depth <= r:
         raise ValueError("scan depth must exceed r")
-    p, l = system.p, system.l
-    scale = _delta_scale(p, r, l)
+    p, l, n = system.p, system.l, system.n
     c_needed = 0 if chi is None or chi.is_trivial() else max(chi.conductor, 1)
-    exact = Fraction(0)
+    # every term is an integer over p^(depth (n + s)): a level-j coset has
+    # measure p^((depth - j) n) and |f|^s = p^((depth - v) s) in those units
+    denominator = p ** (depth * (n + s))
+    cell = [_delta_scale(p, r, l) * p ** ((depth - j) * n) for j in range(depth + 1)]
+    magnitude = [p ** ((depth - v) * s) for v in range(depth + 1)]
+    exact = 0
     twisted = 0.0 + 0.0j
-    tail = Fraction(0)
+    tail = 0
     for _, j, (kind, v, value), mult in _ambient_walk(system, r, depth, support, budget):
-        coset = Fraction(mult, p ** (j * system.n))
         if kind == "deep":
-            tail += scale * coset * Fraction(1, p ** (depth * s))
+            tail += mult * cell[j]
             continue
-        magnitude = Fraction(1, p ** (v * s))
+        term = mult * cell[j] * magnitude[v]
         if c_needed == 0:
-            exact += scale * coset * magnitude
+            exact += term
         elif v + c_needed <= j:
             u = (value // p**v) % p**c_needed
-            twisted += chi_value(chi, u) * float(scale * coset * magnitude)
+            # int / int rounds correctly, as float() of the term's Fraction does
+            twisted += chi_value(chi, u) * (term / denominator)
         else:
-            tail += scale * coset * magnitude  # angular class unresolved
-    if c_needed == 0:
-        return DeltaApprox(r=r, s=s, chi=chi, value=exact, tail_bound=tail)
-    return DeltaApprox(r=r, s=s, chi=chi, value=twisted, tail_bound=tail)
+            tail += term  # angular class unresolved
+    value = Fraction(exact, denominator) if c_needed == 0 else twisted
+    return DeltaApprox(r=r, s=s, chi=chi, value=value, tail_bound=Fraction(tail, denominator))
 
 
 def delta_oscillatory(

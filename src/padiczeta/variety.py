@@ -11,7 +11,8 @@ lifter walks the filtered congruence tree, used for the first-lift
 search of bad-reduction chart centers and the ambient integrals.  The
 count tallies append the target's first-order Taylor row to the same
 F_p system (a `TargetRow`), so they build only the lifts where the
-target keeps vanishing.  Two oracles stay independent of the lifter: a
+target keeps vanishing, and they count the lifts of their last level
+from the parents' digit systems instead of building them.  Two oracles stay independent of the lifter: a
 brute-force scan of the full residue grid, which every walk is checked
 against, and the image oracle, a class search on `walk` over the
 all-digit tree whose nodes are filtered by evaluating the constraints.
@@ -50,6 +51,23 @@ class BudgetMeter:
         self.used = 0
         self.stage = stage
 
+    def exhausted(self, level: int) -> BudgetExceeded:
+        """The error for a walk that ran past the limit at a node of `level`."""
+        return BudgetExceeded(
+            f"{self.stage}: enumeration budget {self.limit} exhausted at level {level}"
+        )
+
+    def charge(self, nodes: int, level: int) -> None:
+        """Charge `nodes` visits at `level` at once, as if the walk visited them.
+
+        Past the limit the meter stops one node over it, where a walk
+        visiting them one by one would have stopped.
+        """
+        self.used += nodes
+        if self.used > self.limit:
+            self.used = self.limit + 1
+            raise self.exhausted(level)
+
 
 # -- the lift-tree walk ---------------------------------------------------------
 
@@ -72,8 +90,9 @@ def walk(
     place of the subtree.  Every visited node is charged to the meter,
     and BudgetExceeded, naming the meter's stage and the level of the
     node it stopped at, is raised past its limit.  The count is kept in
-    a local between yields, so a meter serves one running walk at a
-    time; walks may share it one after another.
+    a local and synced with the meter around each yield, so the consumer
+    may charge nodes it counted itself between yields; a meter serves
+    one running walk at a time, and walks may share it one after another.
     """
     stack = [(x, 1) for x in reversed(roots)]
     used, limit = meter.used, meter.limit
@@ -82,15 +101,14 @@ def walk(
         used += 1
         if used > limit:
             meter.used = used
-            raise BudgetExceeded(
-                f"{meter.stage}: enumeration budget {limit} exhausted at level {j}"
-            )
+            raise meter.exhausted(j)
         action = visit(x, j)
         if action is DESCEND:
             stack.extend(zip(reversed(children(x, j)), itertools.repeat(j + 1)))
         elif action is not PRUNE:
             meter.used = used
             yield action
+            used = meter.used
     meter.used = used
 
 
@@ -169,15 +187,22 @@ class _FpSolver:
     def rank(self) -> int:
         return len(self.pivot_cols)
 
+    def count_affine(self, rhs: Sequence[int]) -> int:
+        """How many d solve A d = rhs over F_p: none, or as many as the kernel holds."""
+        p = self.p
+        for row in self.transform[self.rank :]:
+            if sum(t * b for t, b in zip(row, rhs)) % p:
+                return 0  # inconsistent
+        return len(self.kernel)
+
     def solve_affine(self, rhs: Sequence[int]) -> Sequence[tuple[int, ...]]:
         """All solutions d of A d = rhs over F_p, in lexicographic order of d."""
+        if not self.count_affine(rhs):
+            return ()
         p = self.p
-        c = [sum(t * b for t, b in zip(row, rhs)) % p for row in self.transform]
-        if any(c[self.rank :]):
-            return ()  # inconsistent
         d = [0] * len(self.kernel[0])
-        for i, col in enumerate(self.pivot_cols):
-            d[col] = c[i]
+        for row, col in zip(self.transform, self.pivot_cols):
+            d[col] = sum(t * b for t, b in zip(row, rhs)) % p
         for lead, b in zip(self.leads, self.basis):
             if d[lead]:
                 a = d[lead]
@@ -388,14 +413,15 @@ class HenselLifter:
         }
         return TargetRow(target, offset, cap, solvers)
 
-    def children(
-        self, x: tuple[int, ...], j: int, row: TargetRow | None = None
-    ) -> list[tuple[int, ...]]:
-        """Lifts of a level-j solution to level j+1, lexicographic in the digit.
+    def _digit_system(
+        self, x: tuple[int, ...], j: int, row: TargetRow | None
+    ) -> tuple[_FpSolver, list[int]]:
+        """The solver and right-hand side whose solutions d lift x to x + p^j d.
 
-        With a target row whose exponent grows from level j to j + 1 only
-        the lifts that keep the target's zeros are built; where the
-        exponent has stopped growing every lift keeps them.
+        With a target row whose exponent grows from level j to j + 1 the
+        row joins the system, so only the lifts that keep the target's
+        zeros solve it; where the exponent has stopped growing every lift
+        keeps them.
         """
         p = self.p
         step = p**j
@@ -406,7 +432,7 @@ class HenselLifter:
             if value % step:
                 raise WalkInvariantError(f"node {x} does not satisfy the constraints at level {j}")
             rhs.append((-(value // step)) % p)
-        root = tuple(c % p for c in x)
+        root = tuple([c % p for c in x])
         if row is None or row.exponent(j + 1) == row.exponent(j):
             solver = self._solvers[root]
         else:
@@ -416,9 +442,25 @@ class HenselLifter:
                 raise WalkInvariantError(f"node {x} is not a zero of the target at level {j}")
             rhs.append((-(value // shift)) % p)
             solver = row.solvers[root]
+        return solver, rhs
+
+    def children(
+        self, x: tuple[int, ...], j: int, row: TargetRow | None = None
+    ) -> list[tuple[int, ...]]:
+        """Lifts of a level-j solution to level j+1, lexicographic in the digit.
+
+        With a target row, only the lifts that keep the target's zeros.
+        """
+        solver, rhs = self._digit_system(x, j, row)
+        step = self.p**j
         return [
             tuple([c + step * d for c, d in zip(x, digit)]) for digit in solver.solve_affine(rhs)
         ]
+
+    def lift_count(self, x: tuple[int, ...], j: int, row: TargetRow | None = None) -> int:
+        """len(children(x, j, row)), counted from the digit system without building a lift."""
+        solver, rhs = self._digit_system(x, j, row)
+        return solver.count_affine(rhs)
 
 
 def _points_at(
@@ -464,17 +506,29 @@ def tally_zeros(
 ) -> list[int]:
     """tally[j]: the level-j nodes x in the support with target(x) = 0 mod p^row.exponent(j).
 
-    One walk to level `depth` visits exactly the nodes it counts, plus
-    the roots and the lifts the support prunes: roots are tested by
-    evaluation, and every deeper node is a lift that the target row
-    keeps.  Passing at a level implies passing at every level below, as
-    the target mod p^(s + j) only depends on x mod p^j, so every passing
-    node is reached.  Where the exponent stops growing (a cap) a passing
-    node's lifts all pass, because they agree with it mod p^(s + j).
+    One walk to level `depth` visits exactly the nodes it counts below
+    `depth`, plus the roots and the lifts the support prunes: roots are
+    tested by evaluation, and every deeper node is a lift that the
+    target row keeps.  Passing at a level implies passing at every level
+    below, as the target mod p^(s + j) only depends on x mod p^j, so
+    every passing node is reached.  Where the exponent stops growing (a
+    cap) a passing node's lifts all pass, because they agree with it mod
+    p^(s + j).
+
+    The level-`depth` nodes are counted, not built: a node at depth - 1
+    has as many passing lifts as its digit system has solutions, and
+    they are charged to the meter at level `depth` as if visited.  This
+    holds where the support is settled below `depth`, so that a lift's
+    prefix test is its parent's; otherwise the leaves are built and
+    visited.  Either way every counted node is enumerated, with no
+    Jacobian minors and no closed form for a subtree.
     """
     p = lifter.p
     tally = [0] * (depth + 1)
     first = p ** row.exponent(1)
+    # the level whose nodes count their lifts; 0, which no node has, when
+    # the support still decides at `depth`
+    last = depth - 1 if support is None or support.level < depth else 0
 
     def visit(x: tuple[int, ...], j: int):
         if support is not None and not support.admits_prefix(x, j, p):
@@ -484,10 +538,18 @@ def tally_zeros(
         if j == depth:
             return 1
         tally[j] += 1
+        if j == last:
+            return lifter.lift_count(x, j, row) or PRUNE  # a node with no lifts yields nothing
         return DESCEND
 
     children = functools.partial(lifter.children, row=row)
-    tally[depth] += sum(walk(lifter.roots(), children, visit, meter))
+    leaves = walk(lifter.roots(), children, visit, meter)
+    if not last:
+        tally[depth] += sum(leaves)
+        return tally
+    for lifts in leaves:
+        meter.charge(lifts, depth)
+        tally[depth] += lifts
     return tally
 
 

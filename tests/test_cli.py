@@ -184,6 +184,15 @@ def test_probe_level_below_one_exits_schema(spec_file, tmp_path, level):
     assert not (out / "probe.json").exists()
 
 
+def test_even_prime_twisted_route_exits_schema(tmp_path, capsys):
+    # an unsupported input, not a falsified identity: exit 1, not 3
+    spec = tmp_path / "even.json"
+    spec.write_text(json.dumps(dict(LINE_X2_SPEC, p=2, resolution_data=[])))
+    assert run("sps-verify", spec, tmp_path / "out", "--max-level", "3") == EXIT_SCHEMA
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert last.startswith("error: the formula route needs twisted characters")
+
+
 def test_budget_exit_code(spec_file, tmp_path):
     assert run("count", spec_file, tmp_path / "out", "--max-level", "9", "--budget", "50") == EXIT_BUDGET
 

@@ -6,7 +6,7 @@ import pytest
 
 import padiczeta.regularize as regularize
 from padiczeta.bundled import LINE_X2, PARABOLA, PLANE_LINE
-from padiczeta.characters import enumerate_characters
+from padiczeta.characters import chi_value, enumerate_characters
 from padiczeta.expsum import oscillatory_integral
 from padiczeta.padic import ScaledUnit
 from padiczeta.regularize import (
@@ -30,6 +30,38 @@ def test_delta_integral_x2_line():
     approx = delta_integral(LINE_X2.system, 1, None, r=2, depth=5)
     assert isinstance(approx.value, Fraction)
     assert abs(float(approx.value) - F(9, 13)) <= float(approx.tail_bound)
+
+
+def _per_node_delta(system, s, chi, r, depth):
+    """(value, tail): the terms of the ambient walk, each its own Fraction, summed."""
+    p, n = system.p, system.n
+    scale = regularize._delta_scale(p, r, system.l)
+    c_needed = 0 if chi is None else max(chi.conductor, 1)
+    exact, twisted, tail = F(0), 0j, F(0)
+    for _, j, (kind, v, value), mult in regularize._ambient_walk(system, r, depth, None, 10**7):
+        coset = scale * F(mult, p ** (j * n))
+        if kind == "deep":
+            tail += coset * F(1, p ** (depth * s))
+            continue
+        term = coset * F(1, p ** (v * s))
+        if c_needed == 0:
+            exact += term
+        elif v + c_needed <= j:
+            twisted += chi_value(chi, (value // p**v) % p**c_needed) * float(term)
+        else:
+            tail += term
+    return (exact if c_needed == 0 else twisted), tail
+
+
+@pytest.mark.parametrize("r, depth", [(0, 5), (2, 6), (3, 8)])
+def test_delta_integral_equals_per_node_sum(r, depth):
+    # the integer numerators over one denominator give the same exact value
+    # and tail, and the twisted value the same floats term by term
+    quad = next(c for c in enumerate_characters(3, 1) if c.index == 1)
+    for system, chi in ((LINE_X2.system, None), (PARABOLA.system, None), (LINE_X2.system, quad)):
+        for s in (1, 2):
+            approx = delta_integral(system, s, chi, r, depth)
+            assert (approx.value, approx.tail_bound) == _per_node_delta(system, s, chi, r, depth)
 
 
 def test_delta_integral_parabola():

@@ -2,6 +2,7 @@
 
 import itertools
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -120,6 +121,33 @@ def test_hensel_matches_brute_on_random_graphs(system):
             with pytest.raises(BadReductionInput):
                 hensel_enumerate(system, m)
     assert congruence_counts(system, 3) == zeros
+
+
+@given(graph_systems(), st.data())
+@settings(max_examples=25, deadline=None)
+def test_counted_leaves_match_brute(system, data):
+    # the tally walks count their last level from the parents' digit systems
+    # when the support is settled above it (a coset support at level 2 and m
+    # past 2, or no support), and build it when the support's level is the
+    # walk's depth (m <= 2): every case against brute_force_points
+    p = system.p
+    content, primitive = shift_rescale(system.constraints[0], (0, 0), 0, p)
+    smooth = PolySystem(p=p, n=2, constraints=(primitive,), target=system.target)
+    top = {2: 5, 3: 4, 5: 3}[p]
+    decomposition = measure_charts(system)
+    _, points = brute_force_points(smooth, top, collect=True)
+    expected = [1] + [
+        len({tuple(c % p**m for c in x) for x in points if system.target.evaluate(x, p**m) == 0})
+        for m in range(1, top + 1)
+    ]
+    assert congruence_counts(system, top, decomposition) == expected
+    centers = data.draw(st.lists(st.tuples(*[st.integers(0, p**2 - 1)] * 2), min_size=1, max_size=3))
+    support = Support.cosets(2, 2, centers, p)
+    _, points = brute_force_points(smooth, top, support=support, collect=True)
+    for m in range(top + 1):
+        zeros = sum(1 for x in points if system.target.evaluate(x, p**m) == 0)
+        measure = Fraction(p**content * zeros, p ** (top * system.dim))
+        assert tail_measure(system, m, support, decomposition) == measure
 
 
 @given(graph_systems(bad_only=True))
@@ -345,9 +373,11 @@ def test_every_walk_honours_the_budget(run, stage):
 
 
 def test_threevar_count_walks_once(monkeypatch):
-    # one walk to level 8 that lifts only the target's zeros visits 48,480
+    # one walk to level 8 that lifts only the target's zeros charges 48,480
     # nodes; filtering every constraint lift visited 101,664, and a walk per
-    # level, each a prefix of the next, 139,176
+    # level, each a prefix of the next, 139,176.  The 37,179 nodes at level 8
+    # are counted from their parents' digit systems, so no level-7 node is
+    # expanded, and charged as if visited
     import padiczeta.poincare as poincare
 
     meters = []
@@ -358,11 +388,33 @@ def test_threevar_count_walks_once(monkeypatch):
         meters.append(meter)
         return meter
 
+    expanded = []
+    children = HenselLifter.children
+
+    def counting_children(self, x, j, row=None):
+        expanded.append(j)
+        return children(self, x, j, row)
+
     monkeypatch.setattr(poincare, "BudgetMeter", recording)
+    monkeypatch.setattr(HenselLifter, "children", counting_children)
     counts = congruence_counts(THREEVAR.system, 8)
     assert counts[6:] == [2_673, 8_019, 37_179]
     assert [meter.stage for meter in meters] == ["count walk m=8 chart 1/1"]
-    assert meters[0].used <= 48_480
+    assert meters[0].used == 48_480
+    assert expanded and max(expanded) == 6
+
+
+def test_counted_leaves_spend_the_budget_exactly():
+    # BUDGET_CUSP to level 4 charges 18 nodes in walk order: the root 0, the
+    # zero 0 mod 9, then each of the three zeros mod 27 followed by its three
+    # lifts, which are counted at level 3 and charged at level 4 as if
+    # visited, then the zeros 3 and 6 mod 9 (no lifts), then the roots 1 and
+    # 2, which the target prunes.  A budget b stops at node b + 1
+    stopped = {9: 4, 10: 3, 11: 4, 12: 4, 13: 4, 14: 2, 15: 2, 16: 1, 17: 1}
+    for budget, level in stopped.items():
+        with pytest.raises(BudgetExceeded, match=rf"budget {budget} exhausted at level {level}$"):
+            congruence_counts(BUDGET_CUSP, 4, budget=budget)
+    assert congruence_counts(BUDGET_CUSP, 4, budget=18) == [1, 1, 3, 3, 9]
 
 
 def test_one_lifter_per_chart(monkeypatch, tmp_path):
