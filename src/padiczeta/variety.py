@@ -12,10 +12,11 @@ search of bad-reduction chart centers and the ambient integrals.  The
 count tallies append the target's first-order Taylor row to the same
 F_p system (a `TargetRow`), so they build only the lifts where the
 target keeps vanishing, and they count the lifts of their last level
-from the parents' digit systems instead of building them.  Two oracles stay independent of the lifter: a
-brute-force scan of the full residue grid, which every walk is checked
-against, and the image oracle, a class search on `walk` over the
-all-digit tree whose nodes are filtered by evaluating the constraints.
+from the parents' digit systems instead of building them.  Two oracles
+stay independent of the lifter: a brute-force scan of the full residue
+grid, which every walk is checked against, and the image oracle, a
+class search on `walk` over the all-digit tree whose nodes are
+filtered by evaluating the constraints.
 
 Image-level counts (the reduction of the variety's Z_p points rather
 than its congruence solutions) live on the chart decomposition in

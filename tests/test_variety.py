@@ -141,8 +141,8 @@ def test_counted_leaves_match_brute(system, data):
         for m in range(1, top + 1)
     ]
     assert congruence_counts(system, top, decomposition) == expected
-    centers = data.draw(st.lists(st.tuples(*[st.integers(0, p**2 - 1)] * 2), min_size=1, max_size=3))
-    support = Support.cosets(2, 2, centers, p)
+    center = st.tuples(*[st.integers(0, p**2 - 1)] * 2)
+    support = Support.cosets(2, 2, data.draw(st.lists(center, min_size=1, max_size=3)), p)
     _, points = brute_force_points(smooth, top, support=support, collect=True)
     for m in range(top + 1):
         zeros = sum(1 for x in points if system.target.evaluate(x, p**m) == 0)
