@@ -32,10 +32,11 @@ from padiczeta.poincare import (
     decomposed_count_check,
     poincare_series,
 )
+from padiczeta.ratfn import candidate_pole_check
 from padiczeta.regularize import delta_limit_check
 from padiczeta.smoothing import global_decompose
 from padiczeta.variety import brute_force_points, hensel_enumerate, image_oracle
-from padiczeta.zeta import build_shell_table, candidate_pole_verdict
+from padiczeta.zeta import build_shell_table
 
 
 def main() -> int:
@@ -94,7 +95,7 @@ def main() -> int:
         )
         if instance.system.resolution_data:
             try:
-                candidate_pole_verdict(instance.system, zeta_fn)
+                candidate_pole_check(zeta_fn, instance.system.resolution_data, instance.system.p)
                 record(instance.name, "candidate poles", True)
             except Exception as exc:  # noqa: BLE001 - report and count
                 record(instance.name, "candidate poles", False, str(exc)[:50])

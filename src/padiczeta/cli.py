@@ -32,13 +32,18 @@ from .errors import (
 )
 from .expsum import decay_report, exponential_sum, stationary_phase_check
 from .mpoly import PolySystem, system_from_strings
-from .poincare import check_series_zeta_identity, poincare_series, solution_growth_bound
-from .ratfn import pole_analysis, pole_data_from_resolution
+from .poincare import (
+    check_series_zeta_identity,
+    congruence_counts,
+    poincare_series,
+    solution_growth_bound,
+)
+from .ratfn import candidate_pole_check, pole_analysis, pole_data_from_resolution
 from .regularize import delta_limit_check
 from .smoothing import certificates_to_json, global_decompose, measure_charts, verify_certificate
 from .support import Support
 from .variety import DEFAULT_BUDGET, critical_locus_probe, image_oracle
-from .zeta import build_shell_table, candidate_pole_verdict, coefficient_table
+from .zeta import build_shell_table, coefficient_table
 
 EXIT_OK = 0
 EXIT_SCHEMA = 1
@@ -70,11 +75,30 @@ class Problem:
     budget: int
 
 
+def _integer(value, name: str) -> int:
+    """value itself when it is a JSON integer, else SchemaError.
+
+    json.loads gives a bool for true, a float for 2.5 and 3.0 and a str
+    for "5"; int() would quietly accept or truncate all of them.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{name} must be a JSON integer, got {json.dumps(value)}")
+    return value
+
+
+def _integer_rows(value, name: str) -> list[list[int]]:
+    """An array of arrays of JSON integers, else SchemaError."""
+    if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
+        raise SchemaError(f"{name} must be an array of integer arrays")
+    return [[_integer(x, name) for x in row] for row in value]
+
+
 def load_problem(path: Path) -> Problem:
     """Parse and validate a problem file against the versioned schema.
 
     Unknown fields are rejected rather than ignored, so a misspelled
-    mathematical hypothesis cannot silently configure nothing.
+    mathematical hypothesis cannot silently configure nothing, and every
+    integer field must hold a JSON integer.
     """
     try:
         raw = json.loads(path.read_text())
@@ -90,13 +114,13 @@ def load_problem(path: Path) -> Problem:
     for field in ("p", "n", "constraints", "target"):
         if field not in raw:
             raise SchemaError(f"missing required field {field!r}")
+    p, n = _integer(raw["p"], "p"), _integer(raw["n"], "n")
+    resolution_data = raw.get("resolution_data")
+    if resolution_data is not None:
+        resolution_data = _integer_rows(resolution_data, "resolution_data")
     try:
         system = system_from_strings(
-            raw["p"],
-            raw["n"],
-            raw["constraints"],
-            raw["target"],
-            resolution_data=raw.get("resolution_data"),
+            p, n, raw["constraints"], raw["target"], resolution_data=resolution_data
         )
     except PadicZetaError as exc:
         raise SchemaError(f"invalid polynomial system: {exc}") from exc
@@ -106,26 +130,23 @@ def load_problem(path: Path) -> Problem:
     if not isinstance(support_raw, dict):
         raise SchemaError("support must be an object with a 'type' field")
     if support_raw.get("type") == "unit_polydisc":
-        support = Support.unit_polydisc(raw["n"])
+        support = Support.unit_polydisc(n)
     elif support_raw.get("type") == "cosets":
         try:
-            support = Support.cosets(
-                raw["n"], support_raw["level"], support_raw["centers"], raw["p"]
-            )
+            level = _integer(support_raw["level"], "support.level")
+            centers = _integer_rows(support_raw["centers"], "support.centers")
+            support = Support.cosets(n, level, centers, p)
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"invalid coset support: {exc}") from exc
     else:
         raise SchemaError("support.type must be 'unit_polydisc' or 'cosets'")
-    try:
-        return Problem(
-            system=system,
-            support=support,
-            max_level=int(raw.get("max_level", 6)),
-            conductor_cap=int(raw.get("character_conductor_cap", 2)),
-            budget=int(raw.get("budget", DEFAULT_BUDGET)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"invalid numeric field: {exc}") from exc
+    return Problem(
+        system=system,
+        support=support,
+        max_level=_integer(raw.get("max_level", 6), "max_level"),
+        conductor_cap=_integer(raw.get("character_conductor_cap", 2), "character_conductor_cap"),
+        budget=_integer(raw.get("budget", DEFAULT_BUDGET), "budget"),
+    )
 
 
 def _fmt(x: float) -> str:
@@ -163,8 +184,6 @@ def _effective_support(problem: Problem) -> Support | None:
 
 
 def cmd_count(problem: Problem, out: Path, args) -> int:
-    from .poincare import congruence_counts
-
     counts = congruence_counts(problem.system, problem.max_level, budget=problem.budget)
     q_dim = problem.system.p**problem.system.dim
     rows = []
@@ -186,9 +205,8 @@ def cmd_poincare(problem: Problem, out: Path, args) -> int:
     _write_json(out / "poincare.json", series.reconstructed.to_json())
     payload = {"max_level": problem.max_level, "identity_checked": False}
     code = EXIT_OK
-    from .variety import good_reduction_test
-
-    if good_reduction_test(problem.system, problem.budget):
+    # poincare_series has built the decomposition; L = 0 is good reduction
+    if measure_charts(problem.system, problem.budget).L == 0:
         table = build_shell_table(
             problem.system,
             problem.max_level,
@@ -251,7 +269,9 @@ def cmd_zeta(problem: Problem, out: Path, args) -> int:
     code = EXIT_OK
     if problem.system.resolution_data is not None:
         try:
-            match = candidate_pole_verdict(problem.system, zeta_fn)
+            match = candidate_pole_check(
+                zeta_fn, problem.system.resolution_data, problem.system.p
+            )
             pole_payload["candidate_match"] = list(match.multiplicities)
         except PoleSetMismatch as exc:
             pole_payload["candidate_match"] = None
@@ -263,7 +283,6 @@ def cmd_zeta(problem: Problem, out: Path, args) -> int:
 
 
 def cmd_expsum(problem: Problem, out: Path, args) -> int:
-    decomposition = measure_charts(problem.system, problem.budget)
     if problem.system.resolution_data is not None:
         pole = pole_data_from_resolution(problem.system.resolution_data, problem.system.p)
     else:
@@ -272,9 +291,7 @@ def cmd_expsum(problem: Problem, out: Path, args) -> int:
     rows = []
     for m in range(1, problem.max_level + 1):
         units = [u for u in range(1, p ** min(m, problem.conductor_cap)) if u % p]
-        values = exponential_sum(
-            problem.system, m, units, decomposition=decomposition, budget=problem.budget
-        )
+        values = exponential_sum(problem.system, m, units, problem.budget)
         for u, value in zip(units, values):
             normalized = (
                 _fmt(abs(value) * p ** (pole.rho * m) / m ** (pole.m_rho - 1))

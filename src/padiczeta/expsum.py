@@ -2,19 +2,23 @@
 
 The direct route sums the additive character over the reduction image of
 the variety modulo p^m (Hensel enumeration on good-reduction charts).
-Both the exponential sum and the oscillatory integral add up one
-per-chart character sum, walked with the lifter the
-`smoothing.Decomposition` keeps for the chart.  The image and the target
-on it do not depend on the unit u, so one walk per (m, chart) serves a
-whole list of units: each point's target value is computed once, and
-each unit's phase is looked up by its residue mod p^m.  Every unit's
-total still receives its terms in walk order, chart by chart, from the
-same psi_ratio on the same reduced argument, so a batched value is
-bit-identical to the value of a one-unit call.
-The formula route rebuilds the same value out of twisted local zeta
+Both the exponential sum and the oscillatory integral look the chart
+decomposition up with `smoothing.measure_charts(system, budget)` and add
+up one per-chart character sum, walked with the lifter the decomposition
+keeps for the chart.  The image and the target on it do not depend on
+the unit u, so one walk per (m, chart) serves a whole list of units:
+each point's target value is computed once, and each unit's phase is
+looked up by its residue mod p^m.  Every unit's total still receives
+its terms in walk order, chart by chart, from the same psi_ratio on the
+same reduced argument, so a batched value is bit-identical to the value
+of a one-unit call.
+
+The formula route rebuilds the oscillatory integral, the surface
+integral of Psi(z f_l) over the support, out of twisted local zeta
 data: the value of the trivial-character zeta at t = 1, one coefficient
 of an explicit rational function of it, and a finite character sum of
-Gaussian sums against twisted zeta coefficients.  The two routes share
+Gaussian sums against twisted zeta coefficients.  The stationary-phase
+check compares it with `oscillatory_integral`.  The two routes share
 no code beyond polynomial evaluation, which is what makes their
 agreement at 1e-9 a meaningful verification.
 
@@ -34,7 +38,7 @@ from .errors import EvenPrimeUnsupported
 from .mpoly import MPoly, PolySystem
 from .padic import ScaledUnit, psi_ratio
 from .ratfn import PoleData
-from .smoothing import Decomposition, measure_charts, recenter
+from .smoothing import measure_charts, recenter
 from .support import Support
 from .variety import DEFAULT_BUDGET, HenselLifter, iter_hensel_points
 from .zeta import ShellTable, conductor_vanishing_scan, tail_measure
@@ -95,7 +99,6 @@ def exponential_sum(
     system: PolySystem,
     m: int,
     units: Sequence[int],
-    decomposition: Decomposition | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> list[complex]:
     """E(u p^-m) for every u in units: normalized character sums over the reduction image.
@@ -113,8 +116,7 @@ def exponential_sum(
         raise ValueError("u must be a unit")
     if m < 1:
         raise ValueError("m must be >= 1")
-    if decomposition is None:
-        decomposition = measure_charts(system, budget)
+    decomposition = measure_charts(system, budget)
     totals = [0.0 + 0.0j] * len(units)
     phases = _Phases(p, m)
     if m <= decomposition.L:
@@ -136,7 +138,6 @@ def oscillatory_integral(
     m: int,
     units: Sequence[int],
     support: Support | None = None,
-    decomposition: Decomposition | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> list[complex]:
     """The oscillatory surface integral of Psi(u p^-m f_l) over the support, for every u in units.
@@ -150,8 +151,7 @@ def oscillatory_integral(
     """
     p, dim = system.p, system.dim
     units = [ScaledUnit(p, m, u).u for u in units]
-    if decomposition is None:
-        decomposition = measure_charts(system, budget)
+    decomposition = measure_charts(system, budget)
     totals = [0.0 + 0.0j] * len(units)
     phases = _Phases(p, m)
     for chart in decomposition.charts:
@@ -198,7 +198,6 @@ def build_stationary_phase_context(
     depth: int = 6,
     c_max: int = 2,
     support: Support | None = None,
-    decomposition: Decomposition | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> StationaryPhaseContext:
     """Scan characters, take the shell table, reconstruct the trivial zeta.
@@ -214,13 +213,9 @@ def build_stationary_phase_context(
             "the formula route needs twisted characters, which are not "
             "supported for p = 2; direct exponential sums remain available"
         )
-    if decomposition is None:
-        decomposition = measure_charts(system, budget)
-    scan = conductor_vanishing_scan(
-        system, c_max, depth, support=support, decomposition=decomposition, budget=budget
-    )
+    scan = conductor_vanishing_scan(system, c_max, depth, support=support, budget=budget)
     twisted = [(chi, gauss_sum(chi.inverse())) for chi in scan.nonzero]
-    total_mass = tail_measure(system, 0, support=support, decomposition=decomposition, budget=budget)
+    total_mass = tail_measure(system, 0, support=support, budget=budget)
     return StationaryPhaseContext(
         system=system,
         support=support,
@@ -282,12 +277,12 @@ def stationary_phase_check(
     For every m the unit classes u run modulo p^min(m, c_cap); the
     report carries the worst absolute discrepancy over all (m, u).  The
     formula computes the surface integral of Psi(z f_l) over the
-    support, so that is what the direct side evaluates whenever it can
-    differ from the counting-normalized exponential sum: on a restricted
-    support, and on a decomposition with L > 0, whose chart weights
-    transport the measure.  Otherwise the direct side is the plain
-    exponential sum.  The formula consumes coefficients only up to
-    max(m) - 1, so the default table depth is max(m).
+    support, so the direct side is `oscillatory_integral`.  On the full
+    polydisc under good reduction (L = 0) that integral is the
+    exponential sum E(u p^-m), bit for bit: both walk the same points in
+    the same order and divide by the same integer.  The formula consumes
+    coefficients only up to max(m) - 1, so the default table depth is
+    max(m).
     """
     context = build_stationary_phase_context(
         system,
@@ -296,19 +291,12 @@ def stationary_phase_check(
         support=support,
         budget=budget,
     )
-    decomposition = context.table.decomposition
     p = system.p
-    weighted = decomposition.L > 0 or (support is not None and not support.is_full())
     records = []
     worst = 0.0
     for m in m_values:
         units = [u for u in range(1, p ** min(m, c_cap)) if u % p]
-        if weighted:
-            values = oscillatory_integral(
-                system, m, units, support=support, decomposition=decomposition, budget=budget
-            )
-        else:
-            values = exponential_sum(system, m, units, decomposition=decomposition, budget=budget)
+        values = oscillatory_integral(system, m, units, support, budget)
         for u, direct in zip(units, values):
             formula = stationary_phase_eval(context, m, u)
             gap = abs(direct - formula)
@@ -339,21 +327,17 @@ def decay_report(
     system: PolySystem,
     m_values: Sequence[int],
     pole: PoleData,
-    u: int = 1,
-    decomposition: Decomposition | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> DecayReport:
-    """Normalize |E(u p^-m)| by the predicted decay p^(-rho m) m^(m_rho - 1).
+    """Normalize |E(p^-m)| by the predicted decay p^(-rho m) m^(m_rho - 1).
 
     The verdict is Bounded when the running maximum over the upper half
     of the m range does not exceed the lower-half maximum by more than
     the factor DECAY_SLACK.
     """
-    if decomposition is None:
-        decomposition = measure_charts(system, budget)
     rows = []
     for m in m_values:
-        value = abs(exponential_sum(system, m, [u], decomposition=decomposition, budget=budget)[0])
+        value = abs(exponential_sum(system, m, [1], budget)[0])
         scale = system.p ** (pole.rho * m) / m ** (pole.m_rho - 1)
         rows.append(DecayRow(m=m, abs_value=value, normalized=value * scale))
     floor = 1e-12  # normalized values below this are floating zeros
@@ -387,10 +371,9 @@ class DecompositionIdentityRow:
 def decomposed_expsum_check(
     system: PolySystem,
     m_values: Sequence[int],
-    u: int = 1,
     budget: int = DEFAULT_BUDGET,
 ) -> list[DecompositionIdentityRow]:
-    """Check p^(m dim) E(u p^-m) against its chart-by-chart splitting.
+    """Check p^(m dim) E(p^-m) against its chart-by-chart splitting.
 
     The right side lifts each chart center to an accurate variety point,
     splits the target into its value at the center plus the rescaled
@@ -404,7 +387,7 @@ def decomposed_expsum_check(
     for m in m_values:
         if m <= L:
             raise ValueError(f"identity needs m > L = {L}")
-        direct = exponential_sum(system, m, [u], decomposition=decomposition, budget=budget)[0]
+        direct = exponential_sum(system, m, [1], budget)[0]
         lhs = direct * p ** (m * dim)
         rhs = 0.0 + 0.0j
         for chart in decomposition.charts:
@@ -414,10 +397,10 @@ def decomposed_expsum_check(
             # chart variety relative to the accurate representative
             const, e_l, rep_system = recenter(system, chart, x_rep)
             lifter = HenselLifter(p, system.n, rep_system.constraints, budget)
-            scaled_u = u * p ** (e_l - chart.L)
+            scaled_u = p ** (e_l - chart.L)
             k = m - chart.L
             inner = [0.0 + 0.0j]
             _add_phases(inner, lifter, rep_system.target, k, [scaled_u], _Phases(p, k), None, budget)
-            rhs += psi_ratio(u * const, p, m) * inner[0]
-        rows.append(DecompositionIdentityRow(m=m, u=u, lhs=lhs, rhs=rhs))
+            rhs += psi_ratio(const, p, m) * inner[0]
+        rows.append(DecompositionIdentityRow(m=m, u=1, lhs=lhs, rhs=rhs))
     return rows

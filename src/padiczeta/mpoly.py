@@ -125,11 +125,6 @@ class MPoly:
     def constant_term(self) -> int:
         return self.terms.get((0,) * self.n, 0)
 
-    def degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def content_valuation(self, p: int) -> int | None:
         """Minimum p-adic valuation over the coefficients; None if zero."""
         vals = [int_valuation(c, p) for c in self.terms.values()]

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from fractions import Fraction
 
 TWO_PI = 2.0 * 3.141592653589793
 
@@ -52,13 +51,9 @@ class ScaledUnit:
         object.__setattr__(self, "u", u)
 
 
-def psi_fraction(fr: Fraction) -> complex:
-    """exp(2*pi*i*fr) for an exact rational fr."""
-    return cmath.exp(1j * TWO_PI * (fr.numerator / fr.denominator))
-
-
 def psi_ratio(numerator: int, p: int, m: int) -> complex:
-    """Psi(numerator / p^m) for an integer numerator, reduced exactly first."""
+    """Psi(numerator / p^m) = exp(2*pi*i*{numerator / p^m}), reduced exactly first."""
     if m <= 0:
         return 1.0 + 0.0j
-    return psi_fraction(Fraction(numerator % p**m, p**m))
+    # int / int rounds correctly, so the reduced and unreduced quotients agree
+    return cmath.exp(1j * TWO_PI * ((numerator % p**m) / p**m))

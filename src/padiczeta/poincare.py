@@ -3,7 +3,8 @@
 N_m counts the image classes mod p^m of variety points at which the
 target vanishes mod p^m (N_0 = 1 by convention).  Under good reduction
 this is the plain count of simultaneous congruence solutions of all l
-polynomials; in general the image is walked chart by chart.  The walk
+polynomials; in general the image is walked chart by chart, over the
+decomposition `smoothing.measure_charts(system, budget)` caches.  The walk
 for N_m is a prefix of the walk for N_(m + 1), so one tally walk per
 chart to the deepest level asked for counts every level on the way; it
 serves both `congruence_counts` and the solvability and direct counts
@@ -40,6 +41,8 @@ from .variety import (
     tally_zeros,
 )
 
+SEARCH_LEVEL = 5  # congruence level of the search for exact zeros of the whole system
+
 
 def _chart_tallies(decomposition: Decomposition, k: int, meter: BudgetMeter) -> list[list[int]]:
     """Per chart, tally[j]: its level-j nodes where the target is 0 mod p^(L + j), j <= k.
@@ -60,7 +63,6 @@ def _chart_tallies(decomposition: Decomposition, k: int, meter: BudgetMeter) -> 
 def congruence_counts(
     system: PolySystem,
     depth: int,
-    decomposition: Decomposition | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> list[int]:
     """N_0..N_depth: image classes mod p^m where the target vanishes mod p^m.
@@ -70,8 +72,7 @@ def congruence_counts(
     centers mod p^m.  Past L, N_(L + j) sums the charts' tallies at
     level j, from one tally walk per chart to level depth - L.
     """
-    if decomposition is None:
-        decomposition = measure_charts(system, budget)
+    decomposition = measure_charts(system, budget)
     p, L = system.p, decomposition.L
     counts = [1]
     for m in range(1, min(depth, L) + 1):
@@ -85,14 +86,9 @@ def congruence_counts(
     return counts + [sum(tally[j] for tally in tallies) for j in range(1, k + 1)]
 
 
-def congruence_count(
-    system: PolySystem,
-    m: int,
-    decomposition: Decomposition | None = None,
-    budget: int = DEFAULT_BUDGET,
-) -> int:
+def congruence_count(system: PolySystem, m: int, budget: int = DEFAULT_BUDGET) -> int:
     """N_m alone, read off `congruence_counts` (perfbench traces this name)."""
-    return congruence_counts(system, m, decomposition, budget)[m]
+    return congruence_counts(system, m, budget)[m]
 
 
 @dataclass
@@ -107,8 +103,6 @@ class CountSeries:
 def poincare_series(
     system: PolySystem,
     depth: int,
-    validation_count: int = 2,
-    decomposition: Decomposition | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> CountSeries:
     """Counts to the given depth plus the exact rational reconstruction.
@@ -117,13 +111,11 @@ def poincare_series(
     exactly; failure propagates so a too-shallow depth is never papered
     over.
     """
-    if decomposition is None:
-        decomposition = measure_charts(system, budget)
     q_dim = system.p**system.dim
-    counts = congruence_counts(system, depth, decomposition, budget)
+    counts = congruence_counts(system, depth, budget)
     scaled = [Fraction(Nm, q_dim**m) for m, Nm in enumerate(counts)]
     try:
-        fn = reconstruct_rational(scaled, validation_count)
+        fn = reconstruct_rational(scaled)
     except (NoRecurrenceFound, ValidationFailed) as exc:
         raise type(exc)(f"{exc}; raw counts to depth {depth}: {counts}") from exc
     return CountSeries(Nm=counts, scaled=scaled, reconstructed=fn)
@@ -187,11 +179,7 @@ class DecomposedCountReport:
 
 
 def _exact_zero_center(
-    system: PolySystem,
-    chart_center: tuple[int, ...],
-    L: int,
-    search_level: int,
-    budget: int,
+    system: PolySystem, chart_center: tuple[int, ...], L: int, budget: int
 ) -> tuple[int, ...] | None:
     """An integer point of the chart coset where every polynomial is 0 in Z.
 
@@ -201,11 +189,11 @@ def _exact_zero_center(
     integers.
     """
     p = system.p
-    modulus = p**search_level
+    modulus = p**SEARCH_LEVEL
     mod_L = p**L
     polys = list(system.all_polys())
     lifter = HenselLifter(p, system.n, polys, budget)
-    for x in iter_congruence_points(lifter, search_level, budget):
+    for x in iter_congruence_points(lifter, SEARCH_LEVEL, budget):
         if tuple(c % mod_L for c in x) != tuple(c % mod_L for c in chart_center):
             continue
         for signs in itertools.product((0, -modulus), repeat=system.n):
@@ -219,7 +207,6 @@ def decomposed_count_check(
     system: PolySystem,
     m_values: Sequence[int],
     budget: int = DEFAULT_BUDGET,
-    search_level: int = 5,
 ) -> DecomposedCountReport:
     """Recount N_m through charts re-centered at exact zeros of the target.
 
@@ -254,7 +241,7 @@ def decomposed_count_check(
         if not final:
             prepared.append(None)
             continue
-        center = _exact_zero_center(system, chart.center, L, search_level, budget)
+        center = _exact_zero_center(system, chart.center, L, budget)
         if center is None:
             prepared.append("incomplete")
             continue

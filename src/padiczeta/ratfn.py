@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .errors import (
     ConstantDenominator,
     NoRecurrenceFound,
@@ -28,6 +26,9 @@ from .errors import (
 )
 
 Poly = tuple[Fraction, ...]
+
+ROOT_TOL = 1e-8  # relative distance within which numerical roots count as one
+MULTIPLICITY_CAP = 6  # the largest multiplicity the candidate-pole check tries per factor
 
 
 def poly_trim(coeffs: Sequence[Fraction]) -> Poly:
@@ -165,10 +166,6 @@ class RationalFn:
     def scale(self, c: Fraction) -> "RationalFn":
         return RationalFn(poly_scale(self.num, Fraction(c)), self.den)
 
-    def shift(self, k: int) -> "RationalFn":
-        """Multiply by t^k."""
-        return RationalFn((Fraction(0),) * k + self.num, self.den)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalFn):
             return NotImplemented
@@ -182,12 +179,6 @@ class RationalFn:
             "numerator": [[c.numerator, c.denominator] for c in self.num],
             "denominator": [[c.numerator, c.denominator] for c in self.den],
         }
-
-    @staticmethod
-    def from_json(data: dict) -> "RationalFn":
-        num = [Fraction(a, b) for a, b in data["numerator"]]
-        den = [Fraction(a, b) for a, b in data["denominator"]]
-        return RationalFn(poly_trim(num), poly_trim(den))
 
 
 def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
@@ -348,20 +339,22 @@ def _pattern_pole_data(factors: list[tuple[int, int, int]], p: int) -> PoleData:
     )
 
 
-def _numeric_pole_data(den: Poly, p: int, tol: float = 1e-8) -> PoleData:
+def _numeric_pole_data(den: Poly, p: int) -> PoleData:
+    import numpy as np  # only irregular denominators need it; keeps it off the import path
+
     coeffs = [float(c) for c in den]
     raw = np.roots(list(reversed(coeffs)))
     clusters: list[list[complex]] = []
     for r in sorted(raw, key=lambda z: (abs(z), z.real, z.imag)):
         for cluster in clusters:
-            if abs(r - cluster[0]) <= tol * max(1.0, abs(cluster[0])):
+            if abs(r - cluster[0]) <= ROOT_TOL * max(1.0, abs(cluster[0])):
                 cluster.append(r)
                 break
         else:
             clusters.append([complex(r)])
     roots = tuple((sum(c) / len(c), len(c)) for c in clusters)
     min_mod = min(abs(r) for r, _ in roots)
-    m_rho = max(m for r, m in roots if abs(r) <= min_mod * (1 + tol))
+    m_rho = max(m for r, m in roots if abs(r) <= min_mod * (1 + ROOT_TOL))
     return PoleData(roots=roots, rho=math.log(min_mod, p), m_rho=m_rho)
 
 
@@ -403,13 +396,13 @@ def candidate_pole_check(
     f: RationalFn,
     data: Sequence[tuple[int, int]],
     p: int,
-    cap: int = 6,
 ) -> CandidateMatch:
     """Verify the denominator divides prod (1 - p^(-v_i) t^(N_i))^mu_i.
 
-    Multiplicities mu_i <= cap are searched exhaustively (the factor set
-    is small); PoleSetMismatch means the function has a pole outside the
-    candidate list, which falsifies the supplied resolution data.
+    Multiplicities mu_i <= MULTIPLICITY_CAP are searched exhaustively
+    (the factor set is small); PoleSetMismatch means the function has a
+    pole outside the candidate list, which falsifies the supplied
+    resolution data.
     """
     den = f.den
 
@@ -421,7 +414,7 @@ def candidate_pole_check(
         N, v = data[idx]
         factor = (Fraction(1),) + (Fraction(0),) * (N - 1) + (Fraction(-1, p**v),)
         current = remaining
-        for mult in range(cap + 1):
+        for mult in range(MULTIPLICITY_CAP + 1):
             result = search(current, idx + 1, used + [mult])
             if result is not None:
                 return result
@@ -435,7 +428,7 @@ def candidate_pole_check(
     if used is None:
         raise PoleSetMismatch(
             f"denominator {[str(c) for c in den]} does not divide any product of the "
-            f"candidate factors {list(data)} with multiplicities <= {cap}"
+            f"candidate factors {list(data)} with multiplicities <= {MULTIPLICITY_CAP}"
         )
     mult = tuple((N, v, m) for (N, v), m in zip(data, used))
     return CandidateMatch(multiplicities=mult)

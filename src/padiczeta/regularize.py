@@ -23,10 +23,13 @@ from typing import Sequence
 
 from .characters import MultChar, chi_value
 from .mpoly import PolySystem
-from .padic import ScaledUnit, int_valuation, psi_ratio
+from .padic import int_valuation
 from .support import Support
 from .variety import DEFAULT_BUDGET, DESCEND, PRUNE, BudgetMeter, truncated_tree, walk
 from .zeta import build_shell_table
+
+ZETA_DEPTH = 12  # depth of the shell table behind the surface-side zeta value
+
 
 # The delta_r scale factor p^(r(l-1)); isolated so falsification tests can
 # patch it and watch the limit check trip.
@@ -134,57 +137,6 @@ def delta_integral(
     return DeltaApprox(r=r, s=s, chi=chi, value=value, tail_bound=Fraction(tail, denominator))
 
 
-def delta_oscillatory(
-    system: PolySystem,
-    z: ScaledUnit,
-    r: int,
-    support: Support | None = None,
-    budget: int = DEFAULT_BUDGET,
-) -> complex:
-    """The delta_r-regularized ambient sum of Psi(z f_l), computed exactly.
-
-    Psi(z f_l(x)) is locally constant at level m = ord of |z|, so the
-    walk terminates with no tail: every subtree is resolved once its
-    target value mod p^m and its constraint digits are fixed.
-    """
-    p, n = system.p, system.n
-    m = z.m
-    scale = _delta_scale(p, r, system.l)
-    settle = max(r, m, support.level if support is not None else 0)
-    all_digits = list(itertools.product(range(p), repeat=n))
-    roots, children = truncated_tree(p, n, system.constraints, r, lambda j: all_digits, budget)
-
-    def visit(x: tuple[int, ...], j: int):
-        if support is not None and not support.admits_prefix(x, j, p):
-            return PRUNE
-        if j < settle:
-            return DESCEND
-        # Psi(z f_l) is locally constant from here on: the subtree sum is
-        # exact with no tail
-        value = system.target.evaluate(x, p**m)
-        return psi_ratio(z.u * value, p, m) * scale / p ** (j * n)
-
-    total = 0.0 + 0.0j
-    for term in walk(roots, children, visit, BudgetMeter(budget, f"oscillatory walk r={r} m={m}")):
-        total += term
-    return total
-
-
-def delta_normalization(p: int, l: int, r: int, depth: int) -> Fraction:
-    """sum over u mod p^depth of delta_r(u) p^(-depth (l-1)), by enumeration.
-
-    Equals 1 exactly for r <= depth; kept brute-force so it can serve as
-    an independent check of the scale factor.
-    """
-    count = 0
-    modulus = p**depth
-    threshold = p**r
-    for u in itertools.product(range(modulus), repeat=l - 1):
-        if all(x % threshold == 0 for x in u):
-            count += 1
-    return Fraction(count * _delta_scale(p, r, l), modulus ** (l - 1))
-
-
 @dataclass(frozen=True)
 class DeltaLimitRow:
     r: int
@@ -209,7 +161,6 @@ def delta_limit_check(
     depth: int,
     support: Support | None = None,
     budget: int = DEFAULT_BUDGET,
-    zeta_depth: int = 12,
 ) -> DeltaLimitReport:
     """Compare I_r against the surface-measure zeta value as r grows.
 
@@ -219,7 +170,7 @@ def delta_limit_check(
     """
     p = system.p
     c_level = 1 if chi is None or chi.is_trivial() else max(chi.conductor, 1)
-    table = build_shell_table(system, zeta_depth, c_level=c_level, support=support, budget=budget)
+    table = build_shell_table(system, ZETA_DEPTH, c_level=c_level, support=support, budget=budget)
     t = Fraction(1, p**s)
     if chi is None or chi.is_trivial():
         surface = table.trivial_fn().eval_exact(t)

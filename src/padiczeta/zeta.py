@@ -7,8 +7,10 @@ These measures are exact rationals computed by pruned walks over the
 good-reduction charts (weights transport the measure through the
 rescaling), and every twisted coefficient is a finite character sum
 against them, so all cancellation happens exactly and only the final
-character values are floating.  Each walk takes its chart's lifter and
-the support in chart coordinates from the `smoothing.Decomposition`.
+character values are floating.  Every entry point looks the chart
+decomposition up with `smoothing.measure_charts(system, budget)`, which
+builds it once per (system, budget), and each walk takes its chart's
+lifter and the support in chart coordinates from it.
 
 A shell walk does not enumerate the points it counts.  At a node y of
 level j inside the support and past the rescaling (j > L), Taylor's
@@ -203,7 +205,6 @@ class ShellTable:
     c_level: int
     depth: int
     measures: list[dict[int, Fraction]]
-    decomposition: Decomposition = field(repr=False, default=None)
     _class_fns: dict[int, RationalFn] = field(default_factory=dict, repr=False)
     _trivial_fn: RationalFn | None = field(default=None, repr=False)
 
@@ -253,7 +254,6 @@ class ShellTable:
             c_level=c,
             depth=self.depth,
             measures=[_coarsen(row, modulus) for row in self.measures],
-            decomposition=self.decomposition,
         )
 
     def coefficient_extrapolated(self, chi: MultChar, k: int) -> Fraction | complex:
@@ -277,7 +277,6 @@ def build_shell_table(
     depth: int,
     c_level: int = 1,
     support: Support | None = None,
-    decomposition: Decomposition | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> ShellTable:
     """Compute exact shell measures for m = 0..depth at angular level c_level.
@@ -287,8 +286,7 @@ def build_shell_table(
     """
     if c_level < 1:
         raise ValueError("angular level must be >= 1")
-    if decomposition is None:
-        decomposition = measure_charts(system, budget)
+    decomposition = measure_charts(system, budget)
     measures = []
     for m in range(depth + 1):
         row = _shell_measures_once(decomposition, m, c_level, support, budget)
@@ -297,14 +295,7 @@ def build_shell_table(
         if coarse != row:
             raise NotStabilized(f"shell recount at m={m} disagrees: {row} vs {coarse}")
         measures.append(row)
-    return ShellTable(
-        system=system,
-        support=support,
-        c_level=c_level,
-        depth=depth,
-        measures=measures,
-        decomposition=decomposition,
-    )
+    return ShellTable(system=system, support=support, c_level=c_level, depth=depth, measures=measures)
 
 
 @dataclass(frozen=True)
@@ -347,7 +338,6 @@ def conductor_vanishing_scan(
     c_max: int,
     depth: int,
     support: Support | None = None,
-    decomposition: Decomposition | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> ConductorScan:
     """Find the empirical conductor cutoff beyond which twisted tables vanish.
@@ -367,12 +357,8 @@ def conductor_vanishing_scan(
             f"critical-locus probe found suspects at level {PROBE_LEVEL}: "
             f"{probe.suspects[:5]}"
         )
-    if decomposition is None:
-        decomposition = measure_charts(system, budget)
     for level in range(c_max, CONDUCTOR_LIMIT + 1):
-        table = build_shell_table(
-            system, depth, level, support=support, decomposition=decomposition, budget=budget
-        )
+        table = build_shell_table(system, depth, level, support=support, budget=budget)
         nonzero = [
             chi
             for chi in enumerate_characters(system.p, level)
@@ -396,7 +382,6 @@ def tail_measure(
     system: PolySystem,
     m: int,
     support: Support | None = None,
-    decomposition: Decomposition | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> Fraction:
     """Surface measure of { x : ord target(x) >= m } within the support.
@@ -406,8 +391,7 @@ def tail_measure(
     walk that keeps the zeros of the chart target (offset L) mod
     p^min(L + j, m) at level j.
     """
-    if decomposition is None:
-        decomposition = measure_charts(system, budget)
+    decomposition = measure_charts(system, budget)
     p = system.p
     total = Fraction(0)
     meter = BudgetMeter(budget, f"tail walk m={m}")
@@ -422,12 +406,3 @@ def tail_measure(
         leaves = tally_zeros(lifter, row, k, sup, meter)[k]
         total += chart.weight * Fraction(leaves, p ** (k * system.dim))
     return total
-
-
-def candidate_pole_verdict(system: PolySystem, z_fn: RationalFn):
-    """Check the reconstructed zeta denominator against the resolution data."""
-    from .ratfn import candidate_pole_check
-
-    if system.resolution_data is None:
-        raise ValueError("system carries no resolution data")
-    return candidate_pole_check(z_fn, system.resolution_data, system.p)

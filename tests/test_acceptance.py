@@ -84,7 +84,7 @@ def test_criterion_01_hensel_count_law():
 
 def test_criterion_02_poincare_reconstruction():
     with criterion("Poincare reconstruction of the x^2 line, rho = 1/2 exactly"):
-        series = poincare_series(LINE_X2.system, 10, validation_count=2)
+        series = poincare_series(LINE_X2.system, 10)
         expected = RationalFn((F(1), F(1, 3)), (F(1), F(0), F(-1, 3)))
         assert series.reconstructed == expected
         pole = pole_analysis(series.reconstructed, 3)

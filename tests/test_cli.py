@@ -1,6 +1,9 @@
 """End-to-end tests of the batch CLI: exit codes, artifacts, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -158,6 +161,17 @@ def test_missing_schema_version(tmp_path):
         {"resolution_data": [["a", 1]]},
         {"max_level": 0},
         {"character_conductor_cap": 0},
+        # integer fields take JSON integers only, not bools, floats or strings
+        {"max_level": 2.5},
+        {"max_level": True},
+        {"p": 3.0},
+        {"n": 2.0},
+        {"character_conductor_cap": 2.0},
+        {"budget": "1000"},
+        {"support": {"type": "cosets", "level": 1.0, "centers": [[0, 0]]}},
+        {"support": {"type": "cosets", "level": 1, "centers": [[0, 0.5]]}},
+        {"resolution_data": [[2, 1.0]]},
+        {"resolution_data": [[True, 1]]},
     ],
 )
 def test_malformed_fields_exit_schema(tmp_path, mutation):
@@ -166,6 +180,16 @@ def test_malformed_fields_exit_schema(tmp_path, mutation):
     spec = tmp_path / "bad.json"
     spec.write_text(json.dumps(payload))
     assert run("count", spec, tmp_path / "out") == EXIT_SCHEMA
+
+
+def test_cli_import_leaves_numpy_out():
+    # numpy serves only the numeric fallback of pole analysis, imported there
+    code = "import sys, padiczeta.cli; print('numpy' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize(

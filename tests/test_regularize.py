@@ -7,14 +7,7 @@ import pytest
 import padiczeta.regularize as regularize
 from padiczeta.bundled import LINE_X2, PARABOLA, PLANE_LINE
 from padiczeta.characters import chi_value, enumerate_characters
-from padiczeta.expsum import oscillatory_integral
-from padiczeta.padic import ScaledUnit
-from padiczeta.regularize import (
-    delta_integral,
-    delta_limit_check,
-    delta_normalization,
-    delta_oscillatory,
-)
+from padiczeta.regularize import delta_integral, delta_limit_check
 
 F = Fraction
 
@@ -22,7 +15,12 @@ F = Fraction
 @pytest.mark.parametrize("l", [2, 3])
 @pytest.mark.parametrize("r", [0, 1, 2])
 def test_delta_normalization_is_one(l, r):
-    assert delta_normalization(3, l, r, r + 2) == 1
+    # delta_r integrates to 1: (p^r Z_p)^(l-1) holds p^((depth - r)(l - 1)) of
+    # the classes mod p^depth, each of measure p^(-depth (l - 1))
+    p, depth = 3, r + 2
+    scale = regularize._delta_scale(p, r, l)
+    assert scale == p ** (r * (l - 1))
+    assert scale * F(p ** ((depth - r) * (l - 1)), p ** (depth * (l - 1))) == 1
 
 
 def test_delta_integral_x2_line():
@@ -126,16 +124,3 @@ def test_mutated_delta_scale_fails(monkeypatch):
     monkeypatch.setattr(regularize, "_delta_scale", lambda p, r, l: p ** (r * l))
     report = delta_limit_check(LINE_X2.system, 1, None, [2, 3, 4], depth=7)
     assert not report.passed
-
-
-def test_delta_oscillatory_matches_surface_integral():
-    # closing identity: the delta_r-regularized character sum converges to
-    # the oscillatory surface integral
-    for instance in (LINE_X2, PARABOLA):
-        system = instance.system
-        for m in (1, 2):
-            z = ScaledUnit(3, m, 1)
-            surface = oscillatory_integral(system, m, [1])[0]
-            for r in (3, 4):
-                value = delta_oscillatory(system, z, r)
-                assert abs(value - surface) < 1e-9, (instance.name, m, r)

@@ -22,7 +22,7 @@ from padiczeta.mpoly import MPoly, PolySystem
 from padiczeta.poincare import congruence_counts
 from padiczeta.smoothing import measure_charts
 from padiczeta.support import Support
-from padiczeta.variety import HenselLifter, brute_force_points
+from padiczeta.variety import DEFAULT_BUDGET, HenselLifter, brute_force_points
 from padiczeta.zeta import build_shell_table, tail_measure
 
 TOP = {2: 6, 3: 5, 5: 3}  # brute-force level per prime: at most 3^10 grid points
@@ -100,11 +100,6 @@ class _Branches:
         mp.setattr(zeta, "jacobian_minors", counting_minors)
 
 
-def _fresh_decomposition(system):
-    # uncached, so every draw walks charts built under its own patches
-    return measure_charts.__wrapped__(system)
-
-
 @given(critical_graph_systems())
 @settings(max_examples=20, deadline=None)
 def test_counts_lift_only_target_zeros(case):
@@ -118,11 +113,12 @@ def test_counts_lift_only_target_zeros(case):
     ]
     with pytest.MonkeyPatch.context() as mp:
         branches = _Branches(mp)
-        decomposition = _fresh_decomposition(system)
-        assert congruence_counts(system, top, decomposition) == expected
+        measure_charts.cache_clear()  # every draw walks charts built under its own patches
+        assert congruence_counts(system, top) == expected
+        L = measure_charts(system, DEFAULT_BUDGET).L
     assert branches.row_offsets, "the count walk never lifted through the target row"
-    assert set(branches.row_offsets) == {decomposition.L}
-    assert (decomposition.L >= 1) == (scale > 1)
+    assert set(branches.row_offsets) == {L}
+    assert (L >= 1) == (scale > 1)
 
 
 @given(critical_graph_systems())
@@ -132,14 +128,15 @@ def test_tail_measures_lift_only_target_zeros(case):
     p, top = system.p, TOP[system.p]
     with pytest.MonkeyPatch.context() as mp:
         branches = _Branches(mp)
-        decomposition = _fresh_decomposition(system)
+        measure_charts.cache_clear()  # every draw walks charts built under its own patches
         for sup in {None, support}:
             _, points = brute_force_points(smooth, top, support=sup, collect=True)
             for m in range(top + 1):
                 zeros = sum(1 for x in points if system.target.evaluate(x, p**m) == 0)
                 expected = scale * Fraction(zeros, p ** (top * system.dim))
-                assert tail_measure(system, m, sup, decomposition) == expected
-    assert set(branches.row_offsets) == {decomposition.L}
+                assert tail_measure(system, m, sup) == expected
+        L = measure_charts(system, DEFAULT_BUDGET).L
+    assert set(branches.row_offsets) == {L}
 
 
 @given(critical_graph_systems())
@@ -150,13 +147,11 @@ def test_shell_tables_resolve_critical_nodes(case):
     unit = Fraction(scale, p ** (top * system.dim))
     with pytest.MonkeyPatch.context() as mp:
         branches = _Branches(mp)
-        decomposition = _fresh_decomposition(system)
+        measure_charts.cache_clear()  # every draw walks charts built under its own patches
         for c in (1, 2):
             # every shell with m + c <= top, counted at top
             brute = brute_force_points(smooth, top, angular_level=c, support=support).by_shell
-            table = build_shell_table(
-                system, top - c, c_level=c, support=support, decomposition=decomposition
-            )
+            table = build_shell_table(system, top - c, c_level=c, support=support)
             walked = {
                 (m, u): measure for m, row in enumerate(table.measures) for u, measure in row.items()
             }

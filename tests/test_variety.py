@@ -19,9 +19,20 @@ from padiczeta.errors import (
     ValidationFailed,
 )
 from padiczeta.mpoly import system_from_strings
-from padiczeta.expsum import exponential_sum, oscillatory_integral
+from padiczeta.expsum import (
+    build_stationary_phase_context,
+    decay_report,
+    exponential_sum,
+    oscillatory_integral,
+)
 from padiczeta.padic import psi_ratio
-from padiczeta.poincare import congruence_counts, decomposed_count_check, poincare_series
+from padiczeta.poincare import (
+    congruence_count,
+    congruence_counts,
+    decomposed_count_check,
+    poincare_series,
+)
+from padiczeta.ratfn import pole_data_from_resolution
 from padiczeta.smoothing import global_decompose, measure_charts
 from padiczeta.support import Support
 from padiczeta.variety import (
@@ -37,7 +48,7 @@ from padiczeta.variety import (
     iter_congruence_points,
     iter_hensel_points,
 )
-from padiczeta.zeta import build_shell_table, tail_measure
+from padiczeta.zeta import build_shell_table, conductor_vanishing_scan, tail_measure
 
 SPECS = Path(__file__).resolve().parents[1] / "scripts" / "specs"
 
@@ -134,20 +145,19 @@ def test_counted_leaves_match_brute(system, data):
     content, primitive = shift_rescale(system.constraints[0], (0, 0), 0, p)
     smooth = PolySystem(p=p, n=2, constraints=(primitive,), target=system.target)
     top = {2: 5, 3: 4, 5: 3}[p]
-    decomposition = measure_charts(system)
     _, points = brute_force_points(smooth, top, collect=True)
     expected = [1] + [
         len({tuple(c % p**m for c in x) for x in points if system.target.evaluate(x, p**m) == 0})
         for m in range(1, top + 1)
     ]
-    assert congruence_counts(system, top, decomposition) == expected
+    assert congruence_counts(system, top) == expected
     center = st.tuples(*[st.integers(0, p**2 - 1)] * 2)
     support = Support.cosets(2, 2, data.draw(st.lists(center, min_size=1, max_size=3)), p)
     _, points = brute_force_points(smooth, top, support=support, collect=True)
     for m in range(top + 1):
         zeros = sum(1 for x in points if system.target.evaluate(x, p**m) == 0)
         measure = Fraction(p**content * zeros, p ** (top * system.dim))
-        assert tail_measure(system, m, support, decomposition) == measure
+        assert tail_measure(system, m, support) == measure
 
 
 @given(graph_systems(bad_only=True))
@@ -159,7 +169,7 @@ def test_counts_match_brute_on_bad_graphs(system):
     # p^(m + 1) are those of the smooth one mod p^m, which all lift to Z_p:
     # projecting the brute-force points one level up gives the image exactly
     p = system.p
-    decomposition = measure_charts(system)
+    decomposition = measure_charts(system, DEFAULT_BUDGET)
     assert decomposition.L > 0
     top = decomposition.L + 2
     _, deep = brute_force_points(system, top + 1, collect=True)
@@ -167,7 +177,7 @@ def test_counts_match_brute_on_bad_graphs(system):
     for m in range(1, top + 1):
         image = {tuple(c % p**m for c in x) for x in deep}
         expected.append(sum(1 for x in image if system.target.evaluate(x, p**m) == 0))
-    assert congruence_counts(system, top, decomposition) == expected
+    assert congruence_counts(system, top) == expected
 
 
 @given(graph_systems(bad_only=True), st.sampled_from([1, 2]))
@@ -288,7 +298,7 @@ def test_batched_direct_sums_match_brute_and_single_units(case):
     system, support = case
     p = system.p
     c = system.constraints[0].content_valuation(p)
-    decomposition = measure_charts(system)
+    decomposition = measure_charts(system, DEFAULT_BUDGET)
     level = support.level if support else 0
     for m in (1, 2, 3):
         units = [u for u in range(1, p**m) if u % p]
@@ -297,17 +307,17 @@ def test_batched_direct_sums_match_brute_and_single_units(case):
         image = {tuple(x % modulus for x in point) for point in points}
         K = max(m, level) + c
         _, covered = brute_force_points(system, K, support=support, collect=True)
-        sums = exponential_sum(system, m, units, decomposition=decomposition)
-        surfaces = oscillatory_integral(system, m, units, support, decomposition)
+        sums = exponential_sum(system, m, units)
+        surfaces = oscillatory_integral(system, m, units, support)
         for u, direct, surface in zip(units, sums, surfaces):
             phases = [psi_ratio(u * system.target.evaluate(x, modulus), p, m) for x in image]
             assert abs(direct - sum(phases) / p ** (m * system.dim)) < 1e-12, (m, u)
             phases = [psi_ratio(u * system.target.evaluate(x, modulus), p, m) for x in covered]
             assert abs(surface - sum(phases) / p ** (K * system.dim)) < 1e-12, (m, u)
-            assert direct == exponential_sum(system, m, [u], decomposition=decomposition)[0]
-            assert surface == oscillatory_integral(system, m, [u], support, decomposition)[0]
+            assert direct == exponential_sum(system, m, [u])[0]
+            assert surface == oscillatory_integral(system, m, [u], support)[0]
         if decomposition.L == 0:  # on the full polydisc the two sums coincide
-            assert oscillatory_integral(system, m, units, None, decomposition) == sums
+            assert oscillatory_integral(system, m, units) == sums
 
 
 def test_batched_direct_sums_validate_units():
@@ -428,13 +438,14 @@ def test_one_lifter_per_chart(monkeypatch, tmp_path):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(variety.HenselLifter, "__init__", counting_init)
-    # a fresh decomposition: the cached one may already hold its lifters.  The
+    # fresh decompositions: a cached one may already hold its lifters.  The
     # good-reduction test's lifter serves the identity chart
-    decomposition = measure_charts.__wrapped__(THREEVAR.system)
+    measure_charts.cache_clear()
     # the counts are walked before depth 8 proves too shallow to reconstruct
     with pytest.raises(ValidationFailed, match=r"37179\]"):
-        poincare_series(THREEVAR.system, 8, decomposition=decomposition)
-    build_shell_table(THREEVAR.system, 6, decomposition=decomposition)
+        poincare_series(THREEVAR.system, 8)
+    build_shell_table(THREEVAR.system, 6)
+    decomposition = measure_charts(THREEVAR.system, DEFAULT_BUDGET)
     assert len(builds) == len(decomposition.charts) == 1
     # the budget still refuses the residue scan on every lookup
     with pytest.raises(BudgetExceeded):
@@ -444,14 +455,14 @@ def test_one_lifter_per_chart(monkeypatch, tmp_path):
     # verdict built; the center search walks the system's own lifter
     builds.clear()
     system = BAD_LINE.system
-    decomposition = global_decompose(system)
+    decomposition = measure_charts(system, DEFAULT_BUDGET)
     chart_builds = [args for args in builds if args[2] != system.constraints]
     assert len(chart_builds) == len(decomposition.charts) + len(decomposition.dropped_centers) == 9
     for chart in decomposition.charts:
         assert decomposition.lifter(chart) is chart.certificate.verdict.lifter
     count = len(builds)
-    congruence_counts(system, 6, decomposition)
-    build_shell_table(system, 4, decomposition=decomposition)
+    congruence_counts(system, 6)
+    build_shell_table(system, 4)
     assert len(builds) == count
 
     # bad_line `smooth`: the nine chart verdicts and one lifter for every
@@ -469,7 +480,7 @@ def test_chart_walks_reuse_the_decomposition_lifters(monkeypatch):
     import padiczeta.variety as variety
 
     system = BAD_LINE.system
-    decomposition = global_decompose(system)
+    decomposition = measure_charts(system, DEFAULT_BUDGET)
     support = Support.cosets(2, 3, [(0, 0), (9, 3)], 3)  # level 3 > L = 2
     builds = []
     init = variety.HenselLifter.__init__
@@ -479,11 +490,43 @@ def test_chart_walks_reuse_the_decomposition_lifters(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(variety.HenselLifter, "__init__", counting_init)
-    exponential_sum(system, 3, [1], decomposition=decomposition)
-    oscillatory_integral(system, 3, [1], support=support, decomposition=decomposition)
+    exponential_sum(system, 3, [1])
+    oscillatory_integral(system, 3, [1], support=support)
     decomposition.image_count(4)
-    tail_measure(system, 3, support=support, decomposition=decomposition)
+    tail_measure(system, 3, support=support)
     assert builds == []
+
+
+def test_entry_points_share_one_decomposition(monkeypatch):
+    # every chart walk looks its decomposition up as measure_charts(system,
+    # budget): after a cache clear the first call builds the nine chart
+    # lifters, and no later entry point builds another
+    import padiczeta.variety as variety
+
+    system = BAD_LINE.system
+    builds = []
+    init = variety.HenselLifter.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(variety.HenselLifter, "__init__", counting_init)
+    measure_charts.cache_clear()
+    exponential_sum(system, 3, [1])
+    oscillatory_integral(system, 3, [1])
+    build_stationary_phase_context(system, depth=3)
+    decay_report(system, [3, 4], pole_data_from_resolution([(2, 1)], 3))
+    congruence_counts(system, 4)
+    congruence_count(system, 4)
+    poincare_series(system, 6)
+    build_shell_table(system, 3)
+    conductor_vanishing_scan(system, 2, 3)
+    tail_measure(system, 3)
+    decomposition = measure_charts(system, DEFAULT_BUDGET)
+    chart_builds = [args for args in builds if args[2] != system.constraints]
+    assert len(chart_builds) == len(decomposition.charts) + len(decomposition.dropped_centers) == 9
+    assert measure_charts.cache_info().misses == 1
 
 
 def test_hensel_points_digit_ordered_and_exact():

@@ -9,14 +9,15 @@ from padiczeta.bundled import BAD_LINE, LINE_X1, LINE_X2, LINE_X3, PARABOLA, THR
 from padiczeta.characters import enumerate_characters, trivial_character
 from padiczeta.errors import BudgetExceeded, HypothesisNotVerified, NotStabilized
 from padiczeta.mpoly import MPoly, PolySystem, system_from_strings
+import padiczeta.poincare as poincare
+import padiczeta.zeta as zeta
 from padiczeta.poincare import congruence_counts
-from padiczeta.ratfn import pole_analysis, reconstruct_rational
+from padiczeta.ratfn import candidate_pole_check, pole_analysis, reconstruct_rational
 from padiczeta.smoothing import measure_charts
 from padiczeta.support import Support
-from padiczeta.variety import brute_force_points
+from padiczeta.variety import DEFAULT_BUDGET, brute_force_points
 from padiczeta.zeta import (
     build_shell_table,
-    candidate_pole_verdict,
     coefficient_table,
     conductor_vanishing_scan,
     tail_measure,
@@ -92,12 +93,11 @@ def test_positivity_and_mass_bound():
 def test_shell_partition_sums_to_total():
     for instance in (LINE_X2, PARABOLA, BAD_LINE):
         system = instance.system
-        decomposition = measure_charts(system)
-        total = tail_measure(system, 0, decomposition=decomposition)
+        total = tail_measure(system, 0)
         m = 5
-        table = build_shell_table(system, m - 1, decomposition=decomposition)
+        table = build_shell_table(system, m - 1)
         partial = sum(table.trivial_series(), F(0))
-        assert partial + tail_measure(system, m, decomposition=decomposition) == total
+        assert partial + tail_measure(system, m) == total
 
 
 def test_stabilization_flags_set(monkeypatch):
@@ -154,7 +154,7 @@ def test_piece_relation_for_rho():
     system = BAD_LINE.system
     decomposition = measure_charts(system)
     whole = pole_analysis(
-        reconstruct_rational(build_shell_table(system, 8, decomposition=decomposition).trivial_series()),
+        reconstruct_rational(build_shell_table(system, 8).trivial_series()),
         3,
     )
     piece_rhos = []
@@ -213,7 +213,7 @@ def test_candidate_pole_verdicts():
     for instance, factors in [(LINE_X2, ((2, 1, 1),)), (LINE_X3, ((3, 1, 1),))]:
         table = build_shell_table(instance.system, 10)
         fn = reconstruct_rational(table.trivial_series())
-        match = candidate_pole_verdict(instance.system, fn)
+        match = candidate_pole_check(fn, instance.system.resolution_data, instance.system.p)
         assert match.multiplicities == factors
 
 
@@ -234,21 +234,25 @@ def test_budget_error_names_the_stage_and_level():
         build_shell_table(LINE_X3.system, 8, budget=10)
 
 
-def test_budget_error_names_the_chart():
+def test_budget_error_names_the_chart(monkeypatch):
     # BAD_LINE has nine charts.  The count walk's meter runs across them: the
     # chart at the origin takes 12 nodes to level 2, so 13 run out in the next
     # chart.  A shell walk has a meter per chart: row 2 at c = 2 is the first
     # to need more than 10 nodes, in the chart at (9, 3) where x2^2 has
     # valuation 2 throughout
     system = BAD_LINE.system
-    decomposition = measure_charts(system)
+    decomposition = measure_charts(system, DEFAULT_BUDGET)
     assert len(decomposition.charts) == 9
+    # the chart search needs more than these budgets: hand the walks the
+    # decomposition built under the default one
+    for module in (poincare, zeta):
+        monkeypatch.setattr(module, "measure_charts", lambda system, budget: decomposition)
     with pytest.raises(BudgetExceeded, match=r"^count walk m=4 chart 2/9: .* exhausted at level 1$"):
-        congruence_counts(system, 4, decomposition, budget=13)
+        congruence_counts(system, 4, budget=13)
     with pytest.raises(BudgetExceeded, match=r"^tail walk m=4 chart 2/9: "):
-        tail_measure(system, 4, decomposition=decomposition, budget=13)
+        tail_measure(system, 4, budget=13)
     with pytest.raises(BudgetExceeded, match=r"^shell walk m=2 c=2 chart 2/9: .* at level 2$"):
-        build_shell_table(system, 8, decomposition=decomposition, budget=10)
+        build_shell_table(system, 8, budget=10)
 
 
 @pytest.mark.parametrize(
@@ -369,9 +373,8 @@ def test_threevar_deep_trivial_table_matches_tails():
     # the depth 12 that delta_limit_check asks for is too shallow for
     # threevar: its trivial series reconstructs and validates from depth 14
     system = THREEVAR.system
-    decomposition = measure_charts(system)
-    table = build_shell_table(system, 14, decomposition=decomposition)
-    tails = [tail_measure(system, m, decomposition=decomposition) for m in range(8)]
+    table = build_shell_table(system, 14)
+    tails = [tail_measure(system, m) for m in range(8)]
     for m in range(7):
         assert sum(table.measures[m].values(), F(0)) == tails[m] - tails[m + 1]
     # (1 - t/3)(1 - t^6/243)
