@@ -18,7 +18,8 @@ integral of Psi(z f_l) over the support, out of twisted local zeta
 data: the value of the trivial-character zeta at t = 1, one coefficient
 of an explicit rational function of it, and a finite character sum of
 Gaussian sums against twisted zeta coefficients.  The stationary-phase
-check compares it with `oscillatory_integral`.  The two routes share
+check compares it with `oscillatory_integral`, or with the exponential
+sum where the two coincide (full polydisc, L = 0).  The two routes share
 no code beyond polynomial evaluation, which is what makes their
 agreement at 1e-9 a meaningful verification.
 
@@ -277,12 +278,12 @@ def stationary_phase_check(
     For every m the unit classes u run modulo p^min(m, c_cap); the
     report carries the worst absolute discrepancy over all (m, u).  The
     formula computes the surface integral of Psi(z f_l) over the
-    support, so the direct side is `oscillatory_integral`.  On the full
-    polydisc under good reduction (L = 0) that integral is the
-    exponential sum E(u p^-m), bit for bit: both walk the same points in
-    the same order and divide by the same integer.  The formula consumes
-    coefficients only up to max(m) - 1, so the default table depth is
-    max(m).
+    support, so that is what the direct side evaluates whenever it can
+    differ from the counting-normalized exponential sum: on a restricted
+    support, and on a decomposition with L > 0, whose chart weights
+    transport the measure.  Otherwise the direct side is the plain
+    exponential sum.  The formula consumes coefficients only up to
+    max(m) - 1, so the default table depth is max(m).
     """
     context = build_stationary_phase_context(
         system,
@@ -292,11 +293,17 @@ def stationary_phase_check(
         budget=budget,
     )
     p = system.p
+    weighted = measure_charts(system, budget).L > 0 or (
+        support is not None and not support.is_full()
+    )
     records = []
     worst = 0.0
     for m in m_values:
         units = [u for u in range(1, p ** min(m, c_cap)) if u % p]
-        values = oscillatory_integral(system, m, units, support, budget)
+        if weighted:
+            values = oscillatory_integral(system, m, units, support, budget)
+        else:
+            values = exponential_sum(system, m, units, budget)
         for u, direct in zip(units, values):
             formula = stationary_phase_eval(context, m, u)
             gap = abs(direct - formula)
@@ -359,7 +366,6 @@ def decay_report(
 @dataclass(frozen=True)
 class DecompositionIdentityRow:
     m: int
-    u: int
     lhs: complex
     rhs: complex
 
@@ -402,5 +408,5 @@ def decomposed_expsum_check(
             inner = [0.0 + 0.0j]
             _add_phases(inner, lifter, rep_system.target, k, [scaled_u], _Phases(p, k), None, budget)
             rhs += psi_ratio(const, p, m) * inner[0]
-        rows.append(DecompositionIdentityRow(m=m, u=1, lhs=lhs, rhs=rhs))
+        rows.append(DecompositionIdentityRow(m=m, lhs=lhs, rhs=rhs))
     return rows

@@ -425,14 +425,20 @@ def global_decompose(system: PolySystem, budget: int = DEFAULT_BUDGET) -> Decomp
     )
 
 
-@lru_cache(maxsize=64)
 def measure_charts(system: PolySystem, budget: int = DEFAULT_BUDGET) -> Decomposition:
     """Decomposition used by the measure and counting machinery.
 
     Systems with good reduction get the single identity chart; only bad
     reduction pays for the full covering procedure.  Decompositions are
-    pure functions of the (immutable) system, so they are cached.
+    pure functions of the (immutable) system, so they are cached, once
+    per (system, budget) however the call spells its arguments;
+    `measure_charts.cache_info` and `.cache_clear` reach that cache.
     """
+    return _measure_charts(system, budget)
+
+
+@lru_cache(maxsize=64)
+def _measure_charts(system: PolySystem, budget: int) -> Decomposition:
     verdict = good_reduction_test(system, budget)
     if not verdict:
         return global_decompose(system, budget)
@@ -440,6 +446,10 @@ def measure_charts(system: PolySystem, budget: int = DEFAULT_BUDGET) -> Decompos
     decomposition = Decomposition(system=system, L=0, charts=(chart,))
     decomposition._lifters[chart] = verdict.lifter
     return decomposition
+
+
+measure_charts.cache_info = _measure_charts.cache_info
+measure_charts.cache_clear = _measure_charts.cache_clear
 
 
 def verify_certificate(cert: SmoothingCertificate, rng) -> bool:

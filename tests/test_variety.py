@@ -498,9 +498,9 @@ def test_chart_walks_reuse_the_decomposition_lifters(monkeypatch):
 
 
 def test_entry_points_share_one_decomposition(monkeypatch):
-    # every chart walk looks its decomposition up as measure_charts(system,
-    # budget): after a cache clear the first call builds the nine chart
-    # lifters, and no later entry point builds another
+    # every chart walk looks its decomposition up with measure_charts: after
+    # a cache clear the first call builds the nine chart lifters, and no
+    # later entry point, nor any spelling of the lookup, builds another
     import padiczeta.variety as variety
 
     system = BAD_LINE.system
@@ -524,6 +524,7 @@ def test_entry_points_share_one_decomposition(monkeypatch):
     conductor_vanishing_scan(system, 2, 3)
     tail_measure(system, 3)
     decomposition = measure_charts(system, DEFAULT_BUDGET)
+    assert measure_charts(system) is measure_charts(system, budget=DEFAULT_BUDGET) is decomposition
     chart_builds = [args for args in builds if args[2] != system.constraints]
     assert len(chart_builds) == len(decomposition.charts) + len(decomposition.dropped_centers) == 9
     assert measure_charts.cache_info().misses == 1
