@@ -12,14 +12,18 @@ of the decomposed recount.  It walks exactly the congruence tree of
 (constraints, target) in chart coordinates: the lifter's digit system
 carries the target's first-order Taylor row, exact because the chart
 target's non-constant coefficients carry p^L, so only counted classes
-are built, and the classes of the last level are counted from their
-parents' digit systems, not built.  It enumerates every counted class,
-with no Jacobian minors and no closed form, so it stays independent of
-the shell walks.  The scaled
-generating function sum q^(-m dim) N_m t^m is reconstructed as an exact
-rational function and checked against the trivial-character zeta
-through the identity P(t) (1 - t) + t Z(t) = 1 (good reduction), plus a
-chart-decomposed recount valid past a finite threshold in general.
+are built.  The classes of the last two levels are counted, not
+built: a class two levels above the last is evaluated once, and the
+Taylor step, whose tail carries p^(2j) with 2j >= j + 2 from level 2
+on, fixes the digit system of each of its children from those values.
+It enumerates every counted class but the last level's, which it
+counts per parent from that parent's digit system, with no Jacobian
+minors and no closed form, so it stays independent of the shell walks.
+The scaled generating function sum q^(-m dim) N_m t^m is reconstructed
+as an exact rational function and checked against the trivial-character
+zeta through the identity P(t) (1 - t) + t Z(t) = 1 (good reduction),
+plus a chart-decomposed recount valid past a finite threshold in
+general.
 """
 
 from __future__ import annotations

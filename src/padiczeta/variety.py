@@ -11,8 +11,11 @@ lifter walks the filtered congruence tree, used for the first-lift
 search of bad-reduction chart centers and the ambient integrals.  The
 count tallies append the target's first-order Taylor row to the same
 F_p system (a `TargetRow`), so they build only the lifts where the
-target keeps vanishing, and they count the lifts of their last level
-from the parents' digit systems instead of building them.  Two oracles
+target keeps vanishing, and they count their last two levels instead
+of building them: a node two levels above the last is evaluated once,
+to two more digits, and the first-order Taylor step fixes each child's
+digit system from those values and the gradient mod p^2, exactly at
+every p once the node's level is at least 2.  Two oracles
 stay independent of the lifter: a brute-force scan of the full residue
 grid, which every walk is checked against, and the image oracle, a
 class search on `walk` over the all-digit tree whose nodes are
@@ -92,8 +95,10 @@ def walk(
     and BudgetExceeded, naming the meter's stage and the level of the
     node it stopped at, is raised past its limit.  The count is kept in
     a local and synced with the meter around each yield, so the consumer
-    may charge nodes it counted itself between yields; a meter serves
-    one running walk at a time, and walks may share it one after another.
+    may charge nodes it counted itself between yields, but `visit` must
+    not: the walk overwrites the meter's count at its next yield, and the
+    charge is lost.  A meter serves one running walk at a time, and walks
+    may share it one after another.
     """
     stack = [(x, 1) for x in reversed(roots)]
     used, limit = meter.used, meter.limit
@@ -161,6 +166,7 @@ class _FpSolver:
     p: int
     pivot_cols: list[int]
     transform: list[list[int]]  # T with T*A = RREF of A
+    checks: list[list[int]]  # the rows of T past the rank: A d = rhs is solvable iff each kills rhs
     leads: list[int]
     basis: list[list[int]]  # echelon basis of the kernel, one row per lead
     kernel: tuple[tuple[int, ...], ...]  # all d with A d = 0, lexicographic
@@ -182,7 +188,7 @@ class _FpSolver:
             tuple(sum(a * b[i] for a, b in zip(coeffs, basis)) % p for i in range(ncols))
             for coeffs in itertools.product(range(p), repeat=len(basis))
         )
-        return _FpSolver(p, pivot_cols, trans, leads, basis, kernel)
+        return _FpSolver(p, pivot_cols, trans, trans[len(pivot_cols) :], leads, basis, kernel)
 
     @property
     def rank(self) -> int:
@@ -191,7 +197,7 @@ class _FpSolver:
     def count_affine(self, rhs: Sequence[int]) -> int:
         """How many d solve A d = rhs over F_p: none, or as many as the kernel holds."""
         p = self.p
-        for row in self.transform[self.rank :]:
+        for row in self.checks:
             if sum(t * b for t, b in zip(row, rhs)) % p:
                 return 0  # inconsistent
         return len(self.kernel)
@@ -327,13 +333,20 @@ class TargetRow:
     A level-j node passes when target = 0 mod p^exponent(j).  The offset
     s is the target's rescale offset (its non-constant coefficients carry
     p^s), and `solvers` maps each root to the F_p solver of the
-    constraint Jacobian with the row grad target / p^s appended.
+    constraint Jacobian with the row grad target / p^s appended.  `fine`
+    caches that augmented Jacobian mod p^2 per class mod p^2, for the
+    lifts counted two levels below a node; every tally walk builds its
+    own row, so the cache lives as long as the walk.
     """
 
     target: MPoly
     offset: int
     cap: int | None
     solvers: dict[tuple[int, ...], _FpSolver] = field(repr=False, compare=False)
+    gradient: tuple[MPoly, ...] = field(repr=False, compare=False)
+    fine: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def exponent(self, j: int) -> int:
         return self.offset + j if self.cap is None else min(self.offset + j, self.cap)
@@ -364,6 +377,7 @@ class HenselLifter:
         self.constraints = tuple(constraints)
         check_residue_scan(p, n, budget)
         partials = [[f.partial(j) for j in range(1, n + 1)] for f in self.constraints]
+        self._partials = partials
         self._solvers: dict[tuple[int, ...], _FpSolver] = {}
         self._jacobians: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
         self.witness: tuple[int, ...] | None = None
@@ -407,43 +421,43 @@ class HenselLifter:
         if content is not None and content < offset:
             raise WalkInvariantError(f"target gradient does not carry p^{offset}: {target}")
         scale = p**offset
-        gradient = [target.partial(i) for i in range(1, self.n + 1)]
+        gradient = tuple(target.partial(i) for i in range(1, self.n + 1))
         solvers = {
             x: _FpSolver.build(jac + (tuple(df.evaluate(x, scale * p) // scale for df in gradient),), p)
             for x, jac in self._jacobians.items()
         }
-        return TargetRow(target, offset, cap, solvers)
+        return TargetRow(target, offset, cap, solvers, gradient)
 
     def _digit_system(
-        self, x: tuple[int, ...], j: int, row: TargetRow | None
+        self, x: tuple[int, ...], j: int, row: TargetRow | None, digits: int = 1
     ) -> tuple[_FpSolver, list[int]]:
-        """The solver and right-hand side whose solutions d lift x to x + p^j d.
+        """The solver of the system whose solutions d lift x to x + p^j d, and its values.
 
-        With a target row whose exponent grows from level j to j + 1 the
-        row joins the system, so only the lifts that keep the target's
-        zeros solve it; where the exponent has stopped growing every lift
-        keeps them.
+        The values are f(x)/p^j for every constraint f, known mod
+        p^digits, and the right-hand side is minus them mod p.  With a
+        target row whose exponent grows from level j to j + 1 the row
+        joins the system, with the value T(x)/p^(s+j), so only the lifts
+        that keep the target's zeros solve it; where the exponent has
+        stopped growing every lift keeps them.
         """
         p = self.p
         step = p**j
-        modulus = step * p
-        rhs = []
+        modulus = step * p**digits
+        values = []
         for f in self.constraints:
             value = f.evaluate(x, modulus)
             if value % step:
                 raise WalkInvariantError(f"node {x} does not satisfy the constraints at level {j}")
-            rhs.append((-(value // step)) % p)
+            values.append(value // step)
         root = tuple([c % p for c in x])
         if row is None or row.exponent(j + 1) == row.exponent(j):
-            solver = self._solvers[root]
-        else:
-            shift = p ** (row.offset + j)
-            value = row.target.evaluate(x, shift * p)
-            if value % shift:
-                raise WalkInvariantError(f"node {x} is not a zero of the target at level {j}")
-            rhs.append((-(value // shift)) % p)
-            solver = row.solvers[root]
-        return solver, rhs
+            return self._solvers[root], values
+        shift = p ** (row.offset + j)
+        value = row.target.evaluate(x, shift * p**digits)
+        if value % shift:
+            raise WalkInvariantError(f"node {x} is not a zero of the target at level {j}")
+        values.append(value // shift)
+        return row.solvers[root], values
 
     def children(
         self, x: tuple[int, ...], j: int, row: TargetRow | None = None
@@ -452,16 +466,58 @@ class HenselLifter:
 
         With a target row, only the lifts that keep the target's zeros.
         """
-        solver, rhs = self._digit_system(x, j, row)
-        step = self.p**j
+        p = self.p
+        solver, values = self._digit_system(x, j, row)
+        step = p**j
         return [
-            tuple([c + step * d for c, d in zip(x, digit)]) for digit in solver.solve_affine(rhs)
+            tuple([c + step * d for c, d in zip(x, digit)])
+            for digit in solver.solve_affine([-v % p for v in values])
         ]
 
-    def lift_count(self, x: tuple[int, ...], j: int, row: TargetRow | None = None) -> int:
-        """len(children(x, j, row)), counted from the digit system without building a lift."""
-        solver, rhs = self._digit_system(x, j, row)
-        return solver.count_affine(rhs)
+    def grandchild_counts(
+        self, x: tuple[int, ...], j: int, row: TargetRow
+    ) -> list[tuple[tuple[int, ...], int]]:
+        """(d, lifts) for each lift x + p^j d of a level-j node, j >= 2, in order.
+
+        `lifts` is how many lifts the child itself has, the length of
+        its own `children` list.  One evaluation at x fixes every child's
+        digit system: f(x + p^j d) = f(x) + p^j grad f(x) . d mod p^(2j)
+        and 2j >= j + 2, so the child's value f/p^(j+1) mod p is
+        (f(x)/p^j + grad f(x) . d)/p mod p, read from f(x) mod p^(j+2)
+        and the gradient mod p^2, which only depends on x mod p^2.  The
+        target's Taylor tail carries p^(s+2j), so the same holds for
+        T/p^(s+j+1).  Every child has x's root, and its lifts are
+        counted by that root's solver.
+        """
+        if j < 2:
+            raise WalkInvariantError(f"no Taylor step to level {j + 2} from level {j} < 2")
+        p = self.p
+        solver, values = self._digit_system(x, j, row, 2)
+        lifts = solver.solve_affine([-v % p for v in values])
+        key = tuple([c % (p * p) for c in x])
+        jacobian = row.fine.get(key)
+        if jacobian is None:
+            scale = p**row.offset
+            jacobian = row.fine[key] = tuple(
+                tuple(df.evaluate(key, p * p) for df in partials) for partials in self._partials
+            ) + (tuple(df.evaluate(key, scale * p * p) // scale for df in row.gradient),)
+        # the row joins a child's system only if its exponent grows once more
+        root = tuple([c % p for c in x])
+        if row.exponent(j + 2) > row.exponent(j + 1):
+            child_solver = row.solvers[root]
+        else:
+            child_solver = self._solvers[root]
+            values = values[: len(self.constraints)]
+        counts = []
+        for d in lifts:
+            rhs = []
+            for value, gradient in zip(values, jacobian):
+                total = value + sum([g * e for g, e in zip(gradient, d)])
+                if total % p:
+                    raise WalkInvariantError(f"lift {d} of {x} is no level-{j + 1} node")
+                rhs.append(-(total // p) % p)
+            counts.append((d, child_solver.count_affine(rhs)))
+        return counts
 
 
 def _points_at(
@@ -516,20 +572,27 @@ def tally_zeros(
     cap) a passing node's lifts all pass, because they agree with it mod
     p^(s + j).
 
-    The level-`depth` nodes are counted, not built: a node at depth - 1
-    has as many passing lifts as its digit system has solutions, and
-    they are charged to the meter at level `depth` as if visited.  This
-    holds where the support is settled below `depth`, so that a lift's
-    prefix test is its parent's; otherwise the leaves are built and
-    visited.  Either way every counted node is enumerated, with no
+    The last two levels are counted, not built.  A node x at level
+    j = depth - 2 >= 2 is evaluated once, the constraints mod p^(j+2)
+    and the target mod p^(s+j+2), and `HenselLifter.grandchild_counts`
+    derives each child's digit system from those values by the Taylor
+    step, exact at every p because its tail carries p^(2j) (p^(s+2j) for
+    the target) and 2j >= j + 2.  Each child is charged to the meter at
+    depth - 1 and its lifts, counted by the root's solver, at `depth`,
+    in walk order, as if visited.  This holds where the support is
+    settled below `depth`, so that a leaf's prefix test is its parent's;
+    a support that decides at depth - 1 is tested on each child.
+    Otherwise, and below depth 4, the walk visits every level.  Either
+    way every level-(depth - 1) node is enumerated one by one, with no
     Jacobian minors and no closed form for a subtree.
     """
     p = lifter.p
     tally = [0] * (depth + 1)
     first = p ** row.exponent(1)
-    # the level whose nodes count their lifts; 0, which no node has, when
-    # the support still decides at `depth`
-    last = depth - 1 if support is None or support.level < depth else 0
+    # the level whose nodes count their children and grandchildren; 0,
+    # which no node has, when the Taylor step is not exact there or the
+    # support still decides at `depth`
+    top = depth - 2 if depth >= 4 and (support is None or support.level < depth) else 0
 
     def visit(x: tuple[int, ...], j: int):
         if support is not None and not support.admits_prefix(x, j, p):
@@ -539,18 +602,24 @@ def tally_zeros(
         if j == depth:
             return 1
         tally[j] += 1
-        if j == last:
-            return lifter.lift_count(x, j, row) or PRUNE  # a node with no lifts yields nothing
-        return DESCEND
+        return x if j == top else DESCEND
 
     children = functools.partial(lifter.children, row=row)
-    leaves = walk(lifter.roots(), children, visit, meter)
-    if not last:
-        tally[depth] += sum(leaves)
+    nodes = walk(lifter.roots(), children, visit, meter)
+    if not top:
+        tally[depth] += sum(nodes)
         return tally
-    for lifts in leaves:
-        meter.charge(lifts, depth)
-        tally[depth] += lifts
+    step = p**top
+    for x in nodes:
+        for d, lifts in lifter.grandchild_counts(x, top, row):
+            meter.charge(1, depth - 1)
+            if support is not None and not support.admits_prefix(
+                [c + step * e for c, e in zip(x, d)], depth - 1, p
+            ):
+                continue
+            meter.charge(lifts, depth)
+            tally[depth - 1] += 1
+            tally[depth] += lifts
     return tally
 
 

@@ -26,9 +26,10 @@ value mod p^(2j) still resolves every shell it fixes, and only the
 rest is descended.  The tally walks of `tail_measure` and
 `poincare.congruence_counts` stay enumerations, with no minors and no
 closed form: they lift only the target's zeros, visit every counted
-node above the last level and count the last level's nodes one parent
-at a time from its digit system, so the counts are the second route of
-the identity P(t)(1 - t) + t Z(t) = 1.
+node two levels above the last or higher, enumerate the next level's
+nodes one by one from a Taylor step at their grandparent, and count the
+last level's nodes one parent at a time from its digit system, so the
+counts are the second route of the identity P(t)(1 - t) + t Z(t) = 1.
 
 Every row is recounted at angular level c + 1, and its classes summed
 mod p^c must agree exactly; disagreement raises instead of silently

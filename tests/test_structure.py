@@ -4,7 +4,8 @@ Every enumeration of the Hensel lift tree goes through `variety.walk`.
 These tests fail when a module expands lift-tree nodes itself (a call to
 `.children(`), keeps its own work stack (a while loop that pops and
 pushes the same list), or recurses (a function that calls itself), so
-the walk cannot fork into private copies again.  Invariants raise typed
+the walk cannot fork into private copies again.  A visit callback does
+not charge the walk's meter, whose count the walk overwrites.  Invariants raise typed
 errors: an `assert` statement, which `python -O` strips, fails the
 suite.  A module's private names stay its own: no module imports an
 `_`-prefixed name from another.
@@ -95,6 +96,19 @@ def test_exactly_one_walk_loop():
         if _stack_loops(fn)
     ]
     assert loops == [("variety.py", "walk")]
+
+
+def test_no_visit_charges_the_meter():
+    # walk keeps its node count in a local and overwrites meter.used at each
+    # yield, so a charge made inside a visit callback would be lost
+    offenders = [
+        f"{name}:{call.lineno}"
+        for name, tree in _modules()
+        for fn in _functions(tree)
+        if fn.name == "visit"
+        for call in _method_calls(fn, "charge")
+    ]
+    assert offenders == [], "a visit callback charges the meter"
 
 
 def test_no_hand_rolled_recursion():

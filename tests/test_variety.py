@@ -37,6 +37,7 @@ from padiczeta.smoothing import global_decompose, measure_charts
 from padiczeta.support import Support
 from padiczeta.variety import (
     DEFAULT_BUDGET,
+    BudgetMeter,
     HenselLifter,
     _FpSolver,
     brute_force_points,
@@ -47,6 +48,7 @@ from padiczeta.variety import (
     image_oracle,
     iter_congruence_points,
     iter_hensel_points,
+    tally_zeros,
 )
 from padiczeta.zeta import build_shell_table, conductor_vanishing_scan, tail_measure
 
@@ -134,30 +136,118 @@ def test_hensel_matches_brute_on_random_graphs(system):
     assert congruence_counts(system, 3) == zeros
 
 
+def _smooth_points(system, level):
+    """The level-`level` points of a smooth system.
+
+    From brute_force_points while the grid has at most 3^10 points, else
+    (such as the 5^8 points of level 4 at p = 5) from the Hensel tree
+    walk that hensel_enumerate counts.
+    """
+    if system.p ** (system.n * level) <= 3**10:
+        return brute_force_points(system, level, collect=True)[1]
+    return list(iter_hensel_points(HenselLifter(system.p, system.n, system.constraints), level))
+
+
+def _primitive(system):
+    """(content, the system with its constraint divided by p^content): same Z_p points."""
+    content, primitive = shift_rescale(system.constraints[0], (0, 0), 0, system.p)
+    return content, PolySystem(p=system.p, n=2, constraints=(primitive,), target=system.target)
+
+
 @given(graph_systems(), st.data())
 @settings(max_examples=25, deadline=None)
 def test_counted_leaves_match_brute(system, data):
-    # the tally walks count their last level from the parents' digit systems
-    # when the support is settled above it (a coset support at level 2 and m
-    # past 2, or no support), and build it when the support's level is the
-    # walk's depth (m <= 2): every case against brute_force_points
+    # the tally walks count their last two levels from the grandparents'
+    # values from depth 4 on, where the support is settled below the depth,
+    # test each child's prefix where the support decides at depth - 1, and
+    # visit every level where it decides at the depth or the walk is
+    # shallower: depths up to 5 (4 at p = 5), with no support and with
+    # coset supports at levels top - 2, top - 1 and top around points of the
+    # curve, every case against the curve's level-top points
     p = system.p
-    content, primitive = shift_rescale(system.constraints[0], (0, 0), 0, p)
-    smooth = PolySystem(p=p, n=2, constraints=(primitive,), target=system.target)
-    top = {2: 5, 3: 4, 5: 3}[p]
-    _, points = brute_force_points(smooth, top, collect=True)
-    expected = [1] + [
-        len({tuple(c % p**m for c in x) for x in points if system.target.evaluate(x, p**m) == 0})
-        for m in range(1, top + 1)
-    ]
+    content, smooth = _primitive(system)
+    top = {2: 5, 3: 5, 5: 4}[p]
+    points = _smooth_points(smooth, top)
+
+    def zeros(support):
+        """zeros[m]: the level-top points in the support where the target is 0 mod p^m."""
+        inside = [x for x in points if support is None or support.admits_prefix(x, top, p)]
+        return [sum(1 for x in inside if system.target.evaluate(x, p**m) == 0) for m in range(top + 1)]
+
+    # N_m: each level-m point of the smooth curve has p^(top - m) lifts to top
+    free = zeros(None)
+    expected = [1] + [Fraction(free[m], p ** (top - m)) for m in range(1, top + 1)]
     assert congruence_counts(system, top) == expected
-    center = st.tuples(*[st.integers(0, p**2 - 1)] * 2)
-    support = Support.cosets(2, 2, data.draw(st.lists(center, min_size=1, max_size=3)), p)
-    _, points = brute_force_points(smooth, top, support=support, collect=True)
-    for m in range(top + 1):
-        zeros = sum(1 for x in points if system.target.evaluate(x, p**m) == 0)
-        measure = Fraction(p**content * zeros, p ** (top * system.dim))
-        assert tail_measure(system, m, support) == measure
+    level = data.draw(st.sampled_from([top - 2, top - 1, top]))
+    on_curve = sorted({tuple(c % p**level for c in x) for x in points})
+    centers = data.draw(st.lists(st.sampled_from(on_curve), min_size=1, max_size=3))
+    support = Support.cosets(2, level, centers, p)
+    for sup in (None, support):
+        for m, count in enumerate(zeros(sup)):
+            assert tail_measure(system, m, sup) == Fraction(p**content * count, p ** (top * system.dim))
+
+
+@given(graph_systems(), st.data())
+@settings(max_examples=25, deadline=None)
+def test_tally_charges_every_counted_node(system, data):
+    # with no support a tally walk charges its roots and every node it
+    # counts past level 1, whether visited or counted from its grandparent.
+    # The drawn target carries p^s off its constant term, as a chart target
+    # does, and a drawn cap stops its exponent at any level of the walk
+    p = system.p
+    _, smooth = _primitive(system)
+    depth = data.draw(st.sampled_from([4] if p == 5 else [4, 5]))
+    offset = data.draw(st.integers(0, 2))
+    target = system.target.scale(p**offset) + MPoly.constant(2, data.draw(st.integers(-9, 9)))
+    cap = data.draw(st.sampled_from([None, *range(1, offset + depth + 1)]))
+    lifter = HenselLifter(p, 2, smooth.constraints)
+    row = lifter.target_row(target, offset, cap)
+    meter = BudgetMeter(DEFAULT_BUDGET, "tally")
+    tally = tally_zeros(lifter, row, depth, None, meter)
+    assert meter.used == len(lifter.roots()) + sum(tally[2:])
+    points = _smooth_points(smooth, depth)
+    for j in range(1, depth + 1):
+        # the target mod p^exponent(j) only depends on the class mod p^j
+        zeros = sum(1 for x in points if target.evaluate(x, p ** row.exponent(j)) == 0)
+        assert tally[j] == Fraction(zeros, p ** (depth - j)), j
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("b, stop", [(1, 0), ("p", 1), (0, 2)], ids=["unit", "p", "zero"])
+def test_capped_recount_matches_brute(p, b, stop, monkeypatch):
+    # the recount's target row is capped at m - e_l.  With the target
+    # x2^2 + b x2 on p (x1 + x2) its exponent stops growing at the recount's
+    # depth (b a unit), one level above it (b = p) or two (b = 0), so from
+    # depth 4 on the capped row leaves the systems of the last two levels in
+    # each combination
+    import padiczeta.poincare as poincare
+
+    b = p if b == "p" else b
+    system = PolySystem(
+        p=p,
+        n=2,
+        constraints=(MPoly(2, {(1, 0): p, (0, 1): p}),),
+        target=MPoly(2, {(0, 2): 1, (0, 1): b}),
+    )
+    capped = []
+    tally = poincare.tally_zeros
+
+    def recording(lifter, row, depth, support, meter):
+        if row.cap is not None:
+            capped.append(depth - min(row.cap, depth))
+        return tally(lifter, row, depth, support, meter)
+
+    monkeypatch.setattr(poincare, "tally_zeros", recording)
+    L = measure_charts(system, DEFAULT_BUDGET).L
+    top = L + 5
+    _, smooth = _primitive(system)
+    points = _smooth_points(smooth, top)
+    report = decomposed_count_check(system, list(range(L + 1, top + 1)))
+    assert report.exact()
+    for row in report.rows:
+        zeros = sum(1 for x in points if system.target.evaluate(x, p**row.m) == 0)
+        assert row.decomposed == row.direct == Fraction(zeros, p ** (top - row.m))
+    assert set(capped[-2:]) == {stop}  # the recounts to depths 4 and 5
 
 
 @given(graph_systems(bad_only=True))
@@ -385,9 +475,9 @@ def test_every_walk_honours_the_budget(run, stage):
 def test_threevar_count_walks_once(monkeypatch):
     # one walk to level 8 that lifts only the target's zeros charges 48,480
     # nodes; filtering every constraint lift visited 101,664, and a walk per
-    # level, each a prefix of the next, 139,176.  The 37,179 nodes at level 8
-    # are counted from their parents' digit systems, so no level-7 node is
-    # expanded, and charged as if visited
+    # level, each a prefix of the next, 139,176.  The 8,019 nodes at level 7
+    # and the 37,179 at level 8 are counted from their grandparents' values,
+    # so no level-6 node is expanded, and charged as if visited
     import padiczeta.poincare as poincare
 
     meters = []
@@ -411,7 +501,7 @@ def test_threevar_count_walks_once(monkeypatch):
     assert counts[6:] == [2_673, 8_019, 37_179]
     assert [meter.stage for meter in meters] == ["count walk m=8 chart 1/1"]
     assert meters[0].used == 48_480
-    assert expanded and max(expanded) == 6
+    assert expanded and max(expanded) == 5
 
 
 def test_counted_leaves_spend_the_budget_exactly():
