@@ -5,9 +5,9 @@ These tests fail when a module expands lift-tree nodes itself (a call to
 `.children(`), keeps its own work stack (a while loop that pops and
 pushes the same list), or recurses (a function that calls itself), so
 the walk cannot fork into private copies again.  A visit callback does
-not charge the walk's meter, whose count the walk overwrites.  Invariants raise typed
-errors: an `assert` statement, which `python -O` strips, fails the
-suite.  A module's private names stay its own: no module imports an
+not charge the walk's meter, whose count the walk overwrites.
+Invariants raise typed errors: an `assert` statement, which
+`python -O` strips, fails the suite.  A module's private names stay its own: no module imports an
 `_`-prefixed name from another.
 """
 

@@ -213,16 +213,16 @@ def test_tally_charges_every_counted_node(system, data):
 
 
 @pytest.mark.parametrize("p", [2, 3])
-@pytest.mark.parametrize("b, stop", [(1, 0), ("p", 1), (0, 2)], ids=["unit", "p", "zero"])
-def test_capped_recount_matches_brute(p, b, stop, monkeypatch):
+@pytest.mark.parametrize("power, stop", [(0, 0), (1, 1), (None, 2)], ids=["unit", "p", "zero"])
+def test_capped_recount_matches_point_counts(p, power, stop, monkeypatch):
     # the recount's target row is capped at m - e_l.  With the target
     # x2^2 + b x2 on p (x1 + x2) its exponent stops growing at the recount's
-    # depth (b a unit), one level above it (b = p) or two (b = 0), so from
-    # depth 4 on the capped row leaves the systems of the last two levels in
-    # each combination
+    # depth (b = 1), one level above it (b = p) or two (b = 0), so from depth
+    # 4 on the capped row leaves the systems of the last two levels in each
+    # combination
     import padiczeta.poincare as poincare
 
-    b = p if b == "p" else b
+    b = 0 if power is None else p**power
     system = PolySystem(
         p=p,
         n=2,
