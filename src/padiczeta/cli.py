@@ -500,6 +500,10 @@ def main(argv=None) -> int:
             raise SchemaError("max_level and character_conductor_cap must be >= 1")
         if args.probe_level < 1:
             raise SchemaError("--probe-level must be >= 1")
+        if args.s < 1:
+            raise SchemaError("--s must be >= 1")
+        if args.r_max < 0:
+            raise SchemaError("--r-max must be >= 0")
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

@@ -4,8 +4,8 @@ The direct route sums the additive character over the reduction image of
 the variety modulo p^m (Hensel enumeration on good-reduction charts).
 Both the exponential sum and the oscillatory integral look the chart
 decomposition up with `smoothing.measure_charts(system, budget)` and add
-up one per-chart character sum, walked with the lifter the decomposition
-keeps for the chart.  The image and the target on it do not depend on
+up one per-chart character sum, walked with the chart's lifter from
+`variety.lifter_for`.  The image and the target on it do not depend on
 the unit u, so one walk per (m, chart) serves a whole list of units:
 each point's target value is computed once, and each unit's phase is
 looked up by its residue mod p^m.  Every unit's total still receives
@@ -41,7 +41,7 @@ from .padic import ScaledUnit, psi_ratio
 from .ratfn import PoleData
 from .smoothing import measure_charts, recenter
 from .support import Support
-from .variety import DEFAULT_BUDGET, HenselLifter, iter_hensel_points
+from .variety import DEFAULT_BUDGET, HenselLifter, iter_hensel_points, lifter_for
 from .zeta import ShellTable, conductor_vanishing_scan, tail_measure
 
 SPS_TOL = 1e-9  # the largest direct-vs-formula gap a stationary-phase check passes
@@ -402,7 +402,7 @@ def decomposed_expsum_check(
             x_rep = tuple(c + p**chart.L * y for c, y in zip(chart.center, y_lift))
             # chart variety relative to the accurate representative
             const, e_l, rep_system = recenter(system, chart, x_rep)
-            lifter = HenselLifter(p, system.n, rep_system.constraints, budget)
+            lifter = lifter_for(p, system.n, rep_system.constraints, budget)
             scaled_u = p ** (e_l - chart.L)
             k = m - chart.L
             inner = [0.0 + 0.0j]

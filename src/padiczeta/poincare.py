@@ -28,7 +28,6 @@ general.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -40,12 +39,10 @@ from .smoothing import Decomposition, measure_charts, recenter
 from .variety import (
     DEFAULT_BUDGET,
     BudgetMeter,
-    HenselLifter,
     iter_congruence_points,
+    lifter_for,
     tally_zeros,
 )
-
-SEARCH_LEVEL = 5  # congruence level of the search for exact zeros of the whole system
 
 
 def _chart_tallies(decomposition: Decomposition, k: int, meter: BudgetMeter) -> list[list[int]]:
@@ -170,7 +167,7 @@ def solution_growth_bound(
 class DecomposedCountRow:
     m: int
     direct: int
-    decomposed: int | None  # None when some chart had no exact center
+    decomposed: int
 
 
 @dataclass(frozen=True)
@@ -179,32 +176,7 @@ class DecomposedCountReport:
     rows: tuple[DecomposedCountRow, ...]
 
     def exact(self) -> bool:
-        return all(r.decomposed is not None and r.direct == r.decomposed for r in self.rows)
-
-
-def _exact_zero_center(
-    system: PolySystem, chart_center: tuple[int, ...], L: int, budget: int
-) -> tuple[int, ...] | None:
-    """An integer point of the chart coset where every polynomial is 0 in Z.
-
-    Searches congruence solutions of the full system, shifts each
-    coordinate through the symmetric range of representatives, and keeps
-    a point only if all constraint and target values vanish exactly as
-    integers.
-    """
-    p = system.p
-    modulus = p**SEARCH_LEVEL
-    mod_L = p**L
-    polys = list(system.all_polys())
-    lifter = HenselLifter(p, system.n, polys, budget)
-    for x in iter_congruence_points(lifter, SEARCH_LEVEL, budget):
-        if tuple(c % mod_L for c in x) != tuple(c % mod_L for c in chart_center):
-            continue
-        for signs in itertools.product((0, -modulus), repeat=system.n):
-            candidate = tuple(c + s for c, s in zip(x, signs))
-            if all(f.evaluate(candidate) == 0 for f in polys):
-                return candidate
-    return None
+        return all(r.direct == r.decomposed for r in self.rows)
 
 
 def decomposed_count_check(
@@ -212,64 +184,76 @@ def decomposed_count_check(
     m_values: Sequence[int],
     budget: int = DEFAULT_BUDGET,
 ) -> DecomposedCountReport:
-    """Recount N_m through charts re-centered at exact zeros of the target.
+    """Recount N_m through charts re-centered at zeros of the whole system mod p^M.
 
     One tally walk per chart gives, at every level j, the chart's share
-    of the direct N_(L + j) and its solvability (a level-j point where
-    the target is 0 mod p^(L + j)); the status must settle by the
-    deepest level (the empirical threshold m_0).  Charts deemed
-    unsolvable contribute nothing, and each solvable chart is re-centered
-    at an exact integer zero of the whole system so the target splits
-    off with no constant term.  The recount, driven by the rescaled
-    target polynomial, must equal the direct N_m for every requested m
-    past the threshold.
+    of the direct N_(L + j) and its solvability; the status must settle
+    by M = max(m_values) (the empirical threshold m_0), and unsolvable
+    charts contribute nothing.  One congruence walk of the whole system
+    to level M re-centers each solvable chart at the first point x of
+    its class mod p^L (its tally found one).  f_l(x + p^L y) =
+    f_l(x) + p^e rep(y) exactly, with f_l(x) = 0 mod p^M, and the
+    combined constraints keep content p^(L + pivot) on the whole coset,
+    so the recount, driven by the rescaled target rep on a chart with
+    good reduction, must equal the direct N_m for every requested m.
     """
     decomposition = measure_charts(system, budget)
-    p = system.p
-    L = decomposition.L
+    p, n, L = system.p, system.n, decomposition.L
     if min(m_values) <= L:
         raise ValueError(f"the decomposed recount needs m > L = {L}")
-    settle = max(m_values) - L
+    top = max(m_values)
+    settle = top - L
     threshold = L
-    # per chart: None (unsolvable), "incomplete" (no exact center found),
-    # or (lifter of the rescaled constraints, rescaled target, e_l)
-    prepared = []
     # shared by the tally walks and the recounts
     meter = BudgetMeter(budget, "decomposed recount")
     tallies = _chart_tallies(decomposition, settle, meter)
+    mod_L = p**L
+
+    def coset(x: Sequence[int]) -> tuple[int, ...]:  # the class mod p^L, one per chart
+        return tuple(c % mod_L for c in x)
+
+    solvable = set()  # the cosets of the charts whose status settles at True
     for chart, tally in zip(decomposition.charts, tallies):
         statuses = [tally[j] > 0 for j in range(1, settle + 1)]
         final = statuses[-1]
         first_stable = next(j for j in range(len(statuses)) if all(s == final for s in statuses[j:]))
         threshold = max(threshold, L + first_stable + 1)
-        if not final:
+        if final:
+            solvable.add(coset(chart.center))
+    reps = {}
+    if solvable:
+        zeros = lifter_for(p, n, system.all_polys(), budget)
+        for x in iter_congruence_points(zeros, top, budget):
+            if coset(x) in solvable:
+                reps.setdefault(coset(x), x)
+                if len(reps) == len(solvable):
+                    break
+    # per chart: None (unsolvable), or (lifter of the re-centered constraints,
+    # rescaled target, e_l)
+    prepared = []
+    for chart in decomposition.charts:
+        key = coset(chart.center)
+        if key not in solvable:
             prepared.append(None)
             continue
-        center = _exact_zero_center(system, chart.center, L, budget)
-        if center is None:
-            prepared.append("incomplete")
-            continue
-        const, e_l, rep = recenter(system, chart, center)
-        if const != 0:
-            raise InvariantViolated(f"target keeps constant term {const} at exact zero {center}")
-        lifter = HenselLifter(p, system.n, rep.constraints, budget).smooth()
-        prepared.append((lifter, rep.target, e_l))
+        if key not in reps:
+            raise InvariantViolated(f"solvable chart at {chart.center} has no zero mod p^{top}")
+        const, e_l, rep = recenter(system, chart, reps[key])
+        if const % p**top:
+            raise InvariantViolated(f"target is {const} at {reps[key]}, not 0 mod p^{top}")
+        prepared.append((lifter_for(p, n, rep.constraints, budget).smooth(), rep.target, e_l))
 
     rows = []
     for m in sorted(m_values):
         direct = sum(tally[m - L] for tally in tallies)
         total = 0
-        complete = True
         for i, entry in enumerate(prepared, 1):
             if entry is None:
                 continue
-            if entry == "incomplete":
-                complete = False
-                break
             lifter, rescaled_target, e_l = entry
             # p^(e_l - L) f_L(y) = 0 mod p^(m - L)  <=>  f_L(y) = 0 mod p^(m - e_l)
             row = lifter.target_row(rescaled_target, 0, cap=max(m - e_l, 0))
             meter.stage = f"decomposed recount m={m} chart {i}/{len(prepared)}"
             total += tally_zeros(lifter, row, m - L, None, meter)[-1]
-        rows.append(DecomposedCountRow(m=m, direct=direct, decomposed=total if complete else None))
+        rows.append(DecomposedCountRow(m=m, direct=direct, decomposed=total))
     return DecomposedCountReport(threshold=threshold, rows=tuple(rows))

@@ -11,13 +11,14 @@ scale, so everything stays exact).
 The chart decomposition carries, per chart, the measure transport
 weight p^(sum e_i - L*n), which is what makes surface-measure integrals
 computable through point counts on the rescaled charts.  Every chart
-walk takes its lifter and its support in chart coordinates from there.
+walk takes its support in chart coordinates from there, and its lifter
+from `variety.lifter_for`, keyed on the chart's rescaled constraints.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -36,10 +37,10 @@ from .variety import (
     DEFAULT_BUDGET,
     GoodReductionVerdict,
     HenselLifter,
-    check_residue_scan,
     first_lifts,
     good_reduction_test,
     iter_hensel_points,
+    lifter_for,
 )
 
 RowOp = tuple  # ("rswap", i, k) | ("cswap", j, k) | ("rcomb", k, d, c, i)
@@ -286,17 +287,10 @@ class Decomposition:
     L: int
     charts: tuple[Chart, ...]
     dropped_centers: tuple[tuple[int, ...], ...] = ()
-    _lifters: dict[Chart, HenselLifter] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def lifter(self, chart: Chart, budget: int = DEFAULT_BUDGET) -> HenselLifter:
-        """The chart's lifter, built once and refused whenever p^n exceeds the budget."""
-        p, n = self.system.p, self.system.n
-        check_residue_scan(p, n, budget)
-        if chart not in self._lifters:
-            self._lifters[chart] = HenselLifter(p, n, chart.constraints, budget).smooth()
-        return self._lifters[chart]
+        """The chart's smooth lifter, refused whenever p^n exceeds the budget."""
+        return lifter_for(self.system.p, self.system.n, chart.constraints, budget).smooth()
 
     def restrict(self, chart: Chart, support: Support | None) -> tuple[bool, Support | None]:
         """Transport the support indicator into the chart's coordinates.
@@ -385,10 +379,9 @@ def global_decompose(system: PolySystem, budget: int = DEFAULT_BUDGET) -> Decomp
     variety at all (Hensel) and are dropped.
     """
     p, n = system.p, system.n
-    system_lifter = HenselLifter(p, n, system.constraints, budget)  # serves every round
     L = 1
     for _ in range(DECOMPOSE_ROUNDS):
-        reps = first_lifts(system_lifter, L, 2 * L + 3, budget)
+        reps = first_lifts(lifter_for(p, n, system.constraints, budget), L, 2 * L + 3, budget)
         needed = L
         for key in sorted(reps):
             needed = max(needed, _linear_echelon(system, reps[key])[1].pivot_vals[-1] + 1)
@@ -396,7 +389,7 @@ def global_decompose(system: PolySystem, budget: int = DEFAULT_BUDGET) -> Decomp
             L = needed
             continue
 
-        charts, dropped, lifters = [], [], {}
+        charts, dropped = [], []
         for key in sorted(reps):
             x0 = reps[key]
             cert = neron_rescale(system, x0, L_forced=L, budget=budget)
@@ -408,17 +401,13 @@ def global_decompose(system: PolySystem, budget: int = DEFAULT_BUDGET) -> Decomp
                 weight=Fraction(p ** sum(cert.exponents), p ** (L * n)),
                 certificate=cert,
             )
-            lifter = cert.verdict.lifter.smooth()
-            if lifter.roots():
+            if lifter_for(p, n, chart.constraints, budget).roots():
                 charts.append(chart)
-                lifters[chart] = lifter
             else:
                 dropped.append(key)
-        decomposition = Decomposition(
+        return Decomposition(
             system=system, L=L, charts=tuple(charts), dropped_centers=tuple(dropped)
         )
-        decomposition._lifters.update(lifters)
-        return decomposition
     raise BudgetExceeded(
         f"chart search: rescale level did not settle within {DECOMPOSE_ROUNDS} rounds "
         f"(last L = {L})"
@@ -439,13 +428,9 @@ def measure_charts(system: PolySystem, budget: int = DEFAULT_BUDGET) -> Decompos
 
 @lru_cache(maxsize=64)
 def _measure_charts(system: PolySystem, budget: int) -> Decomposition:
-    verdict = good_reduction_test(system, budget)
-    if not verdict:
+    if not good_reduction_test(system, budget):
         return global_decompose(system, budget)
-    chart = _identity_chart(system)
-    decomposition = Decomposition(system=system, L=0, charts=(chart,))
-    decomposition._lifters[chart] = verdict.lifter
-    return decomposition
+    return Decomposition(system=system, L=0, charts=(_identity_chart(system),))
 
 
 measure_charts.cache_info = _measure_charts.cache_info

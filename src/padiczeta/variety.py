@@ -5,25 +5,26 @@ over the Hensel lift tree: a node is a residue x mod p^j satisfying the
 constraints mod p^j, its children are its lifts to level j + 1, and a
 visit callback decides per node whether to prune, descend or emit.  The
 lifts come from one `HenselLifter`, which solves one small F_p linear
-system per node.  Under good reduction (full Jacobian rank at every
-F_p root) it walks the smooth tree; without that assumption the same
-lifter walks the filtered congruence tree, used for the first-lift
-search of bad-reduction chart centers and the ambient integrals.  The
-count tallies append the target's first-order Taylor row to the same
-F_p system (a `TargetRow`), so they build only the lifts where the
-target keeps vanishing, and they count their last two levels instead
-of building them: a node two levels above the last is evaluated once,
-to two more digits, and the first-order Taylor step fixes each child's
-digit system from those values and the gradient mod p^2, exactly at
-every p once the node's level is at least 2.  Two oracles
-stay independent of the lifter: a brute-force scan of the full residue
-grid, which every walk is checked against, and the image oracle, a
-class search on `walk` over the all-digit tree whose nodes are
-filtered by evaluating the constraints.
+system per node; `lifter_for` builds each lifter once per (p, n,
+constraints), and no module builds its own.  Under good reduction (full
+Jacobian rank at every F_p root) it walks the smooth tree; without that
+assumption the same lifter walks the filtered congruence tree, used for
+the first-lift search of bad-reduction chart centers and the ambient
+integrals.  The count tallies append the target's first-order Taylor row
+to the same F_p system (a `TargetRow`), so they build only the lifts
+where the target keeps vanishing, and they count their last two levels
+instead of building them: a node two levels above the last is evaluated
+once, to two more digits, and the first-order Taylor step fixes each
+child's digit system from those values and the gradient mod p^2, exactly
+at every p once the node's level is at least 2.  Two oracles stay
+independent of the lifter: a brute-force scan of the full residue grid,
+which every walk is checked against, and the image oracle, a class
+search on `walk` over the all-digit tree whose nodes are filtered by
+evaluating the constraints.
 
 Image-level counts (the reduction of the variety's Z_p points rather
 than its congruence solutions) live on the chart decomposition in
-`smoothing`, which keeps the one lifter every walk of a chart uses.
+`smoothing`, whose charts look their lifters up in the same memo.
 """
 
 from __future__ import annotations
@@ -224,15 +225,10 @@ class _FpSolver:
 
 @dataclass(frozen=True)
 class GoodReductionVerdict:
-    """Whether the system has good reduction, with the lifter that decided it.
-
-    A good verdict's lifter is the smooth lifter of the system, handed on
-    so that no caller scans the residues a second time.
-    """
+    """Whether the system has good reduction, with a witness residue when not."""
 
     good: bool
     witness: tuple[int, ...] | None = None
-    lifter: HenselLifter | None = field(default=None, repr=False, compare=False)
 
     def __bool__(self) -> bool:
         return self.good
@@ -313,8 +309,8 @@ def good_reduction_test(system: PolySystem, budget: int = DEFAULT_BUDGET) -> Goo
 
     Bad verdicts carry a witness residue where the rank drops.
     """
-    lifter = HenselLifter(system.p, system.n, system.constraints, budget)
-    return GoodReductionVerdict(lifter.witness is None, lifter.witness, lifter)
+    lifter = lifter_for(system.p, system.n, system.constraints, budget)
+    return GoodReductionVerdict(lifter.witness is None, lifter.witness)
 
 
 # -- Hensel tree ---------------------------------------------------------------
@@ -371,11 +367,10 @@ class HenselLifter:
     depends on the root, so one augmented solver per root serves it.
     """
 
-    def __init__(self, p: int, n: int, constraints: Sequence[MPoly], budget: int = DEFAULT_BUDGET):
+    def __init__(self, p: int, n: int, constraints: Sequence[MPoly]):
         self.p = p
         self.n = n
         self.constraints = tuple(constraints)
-        check_residue_scan(p, n, budget)
         partials = [[f.partial(j) for j in range(1, n + 1)] for f in self.constraints]
         self._partials = partials
         self._solvers: dict[tuple[int, ...], _FpSolver] = {}
@@ -520,6 +515,27 @@ class HenselLifter:
         return counts
 
 
+def lifter_for(
+    p: int, n: int, constraints: Sequence[MPoly], budget: int = DEFAULT_BUDGET
+) -> HenselLifter:
+    """The lifter of (p, n, constraints), built once and refused whenever p^n exceeds the budget.
+
+    A lifter is a pure function of its arguments, so every module takes
+    its lifters from this one memo (`lifter_for.cache_clear` empties
+    it); the budget is checked on every lookup, hit or miss.
+    """
+    check_residue_scan(p, n, budget)
+    return _build_lifter(p, n, tuple(constraints))
+
+
+@functools.lru_cache(maxsize=256)
+def _build_lifter(p: int, n: int, constraints: tuple[MPoly, ...]) -> HenselLifter:
+    return HenselLifter(p, n, constraints)
+
+
+lifter_for.cache_clear = _build_lifter.cache_clear
+
+
 def _points_at(
     lifter: HenselLifter, m: int, budget: int, support: Support | None, stage: str
 ) -> Iterator[tuple[int, ...]]:
@@ -548,8 +564,8 @@ def iter_hensel_points(
     """Stream the level-m points of a smooth lifter's tree that the support admits.
 
     Depth-first, lexicographic in the digit vectors, one root-to-leaf
-    path in memory at a time.  The caller owns the lifter: chart walks
-    take theirs from `smoothing.Decomposition.lifter`.
+    path in memory at a time.  The lifter comes from `lifter_for`; chart
+    walks look theirs up through `smoothing.Decomposition.lifter`.
     """
     yield from _points_at(lifter.smooth(), m, budget, support, f"hensel walk m={m}")
 
@@ -635,7 +651,7 @@ def hensel_enumerate(
     The good-reduction count law #V(F_p) * p^((m-1)(n-l+1)) is what tests
     compare this against; the traversal never assumes it.
     """
-    lifter = HenselLifter(system.p, system.n, system.constraints, budget)
+    lifter = lifter_for(system.p, system.n, system.constraints, budget)
     return _fiber_count(system, m, iter_hensel_points(lifter, m, budget, support), angular_level)
 
 
@@ -652,8 +668,8 @@ def iter_congruence_points(
 
     Works for any system, with no smoothness assumption: the lifter's
     affine digit systems just have fewer conditions at singular points.
-    The caller owns the lifter, so walks of one system at several levels
-    share its residue scan.  The budget meters node visits.
+    The lifter comes from `lifter_for`, so walks of one system at several
+    levels share its residue scan.  The budget meters node visits.
     """
     if m == 0:
         yield (0,) * lifter.n
@@ -678,7 +694,7 @@ def truncated_tree(
     vectors free_digits(j), listed in lexicographic order.
     """
     if r >= 1:
-        lifter = HenselLifter(p, n, polys, budget)
+        lifter = lifter_for(p, n, polys, budget)
         roots = lifter.roots()
     else:
         roots = list(itertools.product(range(p), repeat=n))
@@ -745,7 +761,7 @@ def first_lifts(
     """Classes mod p^m of the solutions mod p^accuracy, each with its first lift.
 
     The class search of `_class_search` over the filtered congruence
-    tree of a caller-owned lifter (meter stage `center search m=<m>
+    tree of a lifter from `lifter_for` (meter stage `center search m=<m>
     accuracy=<level>`).
     """
     return _class_search(
@@ -875,8 +891,7 @@ def critical_locus_probe(
     polys = system.all_polys()
     partials = [[f.partial(j) for j in range(1, n + 1)] for f in polys]
     suspects = []
-    lifter = HenselLifter(p, n, system.constraints, budget)
-    for x in iter_congruence_points(lifter, M, budget):
+    for x in iter_congruence_points(lifter_for(p, n, system.constraints, budget), M, budget):
         target_value = system.target.evaluate(x, modulus)
         v = int_valuation(target_value, p)
         if v is None or v >= M:

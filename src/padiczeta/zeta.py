@@ -39,8 +39,9 @@ coarser table without another walk.
 
 The conductor scan finds the conductor cutoff of the twisted tables.
 It probes the critical locus once, then builds one table per level from
-c_max upward until some level past the cutoff is verified zero (at most
-CONDUCTOR_LIMIT), and hands that table on to the formula route.
+c_max upward until some level past the cutoff is verified zero (escalating
+no further than CONDUCTOR_LIMIT), and hands that table on to the formula
+route.
 """
 
 from __future__ import annotations
@@ -344,11 +345,12 @@ def conductor_vanishing_scan(
     """Find the empirical conductor cutoff beyond which twisted tables vanish.
 
     Scans every character of (Z/p^c)^* against shell measures to the
-    given depth, for c = c_max, c_max + 1, ... up to CONDUCTOR_LIMIT,
-    and stops at the first level that verifies at least one conductor
-    level beyond the cutoff to be zero (guard margin >= 1), so the
-    truncation is checked rather than assumed; MissingTable is raised
-    when no level up to the limit does.  The finite-level critical-locus
+    given depth, for c = c_max, c_max + 1, ... up to CONDUCTOR_LIMIT (a
+    c_max past the limit is scanned alone: the limit bounds only the
+    escalation), and stops at the first level that verifies at least one
+    conductor level beyond the cutoff to be zero (guard margin >= 1), so
+    the truncation is checked rather than assumed; MissingTable is raised
+    when no scanned level does.  The finite-level critical-locus
     probe backs the hypothesis under which the cutoff is finite at all,
     and a non-clean probe raises.
     """
@@ -358,7 +360,8 @@ def conductor_vanishing_scan(
             f"critical-locus probe found suspects at level {PROBE_LEVEL}: "
             f"{probe.suspects[:5]}"
         )
-    for level in range(c_max, CONDUCTOR_LIMIT + 1):
+    last = max(c_max, CONDUCTOR_LIMIT)
+    for level in range(c_max, last + 1):
         table = build_shell_table(system, depth, level, support=support, budget=budget)
         nonzero = [
             chi
@@ -374,7 +377,7 @@ def conductor_vanishing_scan(
                 table=table,
             )
     raise MissingTable(
-        f"nonzero twisted tables persist through conductor {CONDUCTOR_LIMIT}; "
+        f"nonzero twisted tables persist through conductor {last}; "
         "no verified truncation margin"
     )
 

@@ -208,6 +208,26 @@ def test_probe_level_below_one_exits_schema(spec_file, tmp_path, level):
     assert not (out / "probe.json").exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--r-max", "-1"), ("--s", "0"), ("--s", "-2")])
+def test_delta_check_argument_out_of_range_exits_schema(spec_file, tmp_path, capsys, flag, value):
+    # a bad argument, not a falsified limit (--r-max -1) or a traceback (--s)
+    out = tmp_path / "out"
+    assert run("delta-check", spec_file, out, flag, value) == EXIT_SCHEMA
+    assert not (out / "delta.csv").exists()
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert last.startswith(f"error: {flag} must be >= ")
+
+
+def test_conductor_cap_above_the_escalation_limit_is_scanned(tmp_path):
+    # the limit bounds only the escalation: a cap of 5 > CONDUCTOR_LIMIT = 4
+    # is scanned at 5, not skipped and reported as a falsified identity
+    spec = tmp_path / "cap.json"
+    spec.write_text(json.dumps(dict(LINE_X2_SPEC, character_conductor_cap=5)))
+    out = tmp_path / "out"
+    assert run("sps-verify", spec, out) == EXIT_OK
+    assert json.loads((out / "summary.json").read_text())["passed"]
+
+
 def test_even_prime_twisted_route_exits_schema(tmp_path, capsys):
     # an unsupported input, not a falsified identity: exit 1, not 3
     spec = tmp_path / "even.json"

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from padiczeta.bundled import BAD_LINE, LINE_X1, LINE_X2, LINE_X3, PARABOLA, PLANE_LINE
+from padiczeta.mpoly import system_from_strings
 from padiczeta.poincare import (
     check_series_zeta_identity,
     congruence_counts,
@@ -13,6 +14,7 @@ from padiczeta.poincare import (
     solution_growth_bound,
 )
 from padiczeta.ratfn import RationalFn, pole_data_from_resolution, reconstruct_rational
+from padiczeta.smoothing import measure_charts
 from padiczeta.variety import HenselLifter, iter_congruence_points
 from padiczeta.zeta import build_shell_table
 
@@ -154,4 +156,15 @@ def test_decomposed_count_check_bad_line():
 
 def test_decomposed_count_check_good_instance():
     report = decomposed_count_check(LINE_X2.system, [1, 2, 3])
+    assert report.exact()
+
+
+def test_decomposed_count_check_needs_no_exact_zero():
+    # the chart at (1, 29) has the exact zero (33, -3) of both polynomials,
+    # outside the box (-2^5, 2^5); a zero of the whole system mod 2^4 in its
+    # class mod 2^L re-centers it just as well
+    system = system_from_strings(2, 2, ["2*x1 + 4*x2 + 2*x2^3"], "x2^2 + 3*x2")
+    report = decomposed_count_check(system, [3, 4])
+    assert (1, 29) in [chart.center for chart in measure_charts(system).charts]
+    assert [(row.direct, row.decomposed) for row in report.rows] == [(2, 2), (2, 2)]
     assert report.exact()

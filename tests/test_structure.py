@@ -4,8 +4,10 @@ Every enumeration of the Hensel lift tree goes through `variety.walk`.
 These tests fail when a module expands lift-tree nodes itself (a call to
 `.children(`), keeps its own work stack (a while loop that pops and
 pushes the same list), or recurses (a function that calls itself), so
-the walk cannot fork into private copies again.  A visit callback does
-not charge the walk's meter, whose count the walk overwrites.
+the walk cannot fork into private copies again.  Lifters come from one
+memo: the only `HenselLifter(...)` call is the one inside it, so no
+module builds a private lifter again.  A visit callback does not charge
+the walk's meter, whose count the walk overwrites.
 Invariants raise typed errors: an `assert` statement, which
 `python -O` strips, fails the suite.  A module's private names stay its own: no module imports an
 `_`-prefixed name from another.
@@ -86,6 +88,17 @@ def test_variety_expands_nodes_only_for_the_walk():
     # the truncated tree lifts below level r and hands its children to walk
     for call in _method_calls(tree, "children"):
         assert "truncated_tree" in _enclosing(tree, call), call.lineno
+
+
+def test_only_the_memo_builds_lifters():
+    builds = [
+        (name, _enclosing(tree, call))
+        for name, tree in _modules()
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call)
+        and getattr(call.func, "id", getattr(call.func, "attr", None)) == "HenselLifter"
+    ]
+    assert builds == [("variety.py", ["_build_lifter"])], "a lifter built outside lifter_for"
 
 
 def test_exactly_one_walk_loop():

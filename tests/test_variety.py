@@ -48,6 +48,7 @@ from padiczeta.variety import (
     image_oracle,
     iter_congruence_points,
     iter_hensel_points,
+    lifter_for,
     tally_zeros,
 )
 from padiczeta.zeta import build_shell_table, conductor_vanishing_scan, tail_measure
@@ -517,92 +518,97 @@ def test_counted_leaves_spend_the_budget_exactly():
     assert congruence_counts(BUDGET_CUSP, 4, budget=18) == [1, 1, 3, 3, 9]
 
 
-def test_one_lifter_per_chart(monkeypatch, tmp_path):
+@pytest.fixture
+def builds(monkeypatch):
+    """(p, n, constraints) of every lifter built from here on, from empty caches."""
     import padiczeta.variety as variety
 
-    builds = []
+    built = []
     init = variety.HenselLifter.__init__
 
-    def counting_init(self, *args, **kwargs):
-        builds.append(args)
-        init(self, *args, **kwargs)
+    def counting_init(self, p, n, constraints):
+        built.append((p, n, tuple(constraints)))
+        init(self, p, n, constraints)
 
     monkeypatch.setattr(variety.HenselLifter, "__init__", counting_init)
-    # fresh decompositions: a cached one may already hold its lifters.  The
-    # good-reduction test's lifter serves the identity chart
+    lifter_for.cache_clear()
     measure_charts.cache_clear()
+    return built
+
+
+def test_one_lifter_per_chart(builds, tmp_path):
+    # every lifter comes from one memo, built once per (p, n, constraints):
+    # the good-reduction test's lifter serves the identity chart
+    system = THREEVAR.system
+    p, n = system.p, system.n
     # the counts are walked before depth 8 proves too shallow to reconstruct
     with pytest.raises(ValidationFailed, match=r"37179\]"):
-        poincare_series(THREEVAR.system, 8)
-    build_shell_table(THREEVAR.system, 6)
-    decomposition = measure_charts(THREEVAR.system, DEFAULT_BUDGET)
-    assert len(builds) == len(decomposition.charts) == 1
-    # the budget still refuses the residue scan on every lookup
-    with pytest.raises(BudgetExceeded):
-        decomposition.lifter(decomposition.charts[0], THREEVAR.system.p**THREEVAR.system.n - 1)
+        poincare_series(system, 8)
+    build_shell_table(system, 6)
+    decomposition = measure_charts(system, DEFAULT_BUDGET)
+    chart = decomposition.charts[0]
+    assert builds == [(p, n, system.constraints)]
+    assert decomposition.lifter(chart) is lifter_for(p, n, system.constraints)
+    # the budget still refuses the residue scan on every lookup, hit or miss
+    for _ in range(2):
+        with pytest.raises(BudgetExceeded):
+            decomposition.lifter(chart, p**n - 1)
+        with pytest.raises(BudgetExceeded):
+            lifter_for(p, n, system.constraints, p**n - 1)
 
-    # under bad reduction each chart keeps the lifter its certificate's
-    # verdict built; the center search walks the system's own lifter
+    # under bad reduction the center search walks the system's lifter, and
+    # the nine charts share one: their rescaled constraint is x1 - 3*x2
     builds.clear()
     system = BAD_LINE.system
     decomposition = measure_charts(system, DEFAULT_BUDGET)
-    chart_builds = [args for args in builds if args[2] != system.constraints]
-    assert len(chart_builds) == len(decomposition.charts) + len(decomposition.dropped_centers) == 9
+    rescaled = (MPoly(2, {(1, 0): 1, (0, 1): -3}),)
+    assert len(decomposition.charts) == 9
+    assert {chart.constraints for chart in decomposition.charts} == {rescaled}
+    assert builds == [(3, 2, system.constraints), (3, 2, rescaled)]
     for chart in decomposition.charts:
-        assert decomposition.lifter(chart) is chart.certificate.verdict.lifter
-    count = len(builds)
+        assert decomposition.lifter(chart) is lifter_for(3, 2, rescaled)
     congruence_counts(system, 6)
     build_shell_table(system, 4)
-    assert len(builds) == count
+    assert len(builds) == 2
 
-    # bad_line `smooth`: the nine chart verdicts and one lifter for every
-    # round of the center search; the image oracle builds none
+    # bad_line `smooth`: the system's lifter and the charts' one; the image
+    # oracle builds none
     builds.clear()
+    lifter_for.cache_clear()
+    measure_charts.cache_clear()
     out = tmp_path / "smooth"
     assert main(["smooth", "--spec", str(SPECS / "bad_line.json"), "--out", str(out)]) == 0
-    system_builds = [args for args in builds if args[2] == system.constraints]
-    assert len(system_builds) == 1
-    assert len(builds) <= 10
+    assert builds == [(3, 2, system.constraints), (3, 2, rescaled)]
 
 
-def test_chart_walks_reuse_the_decomposition_lifters(monkeypatch):
-    # global_decompose keeps the lifters it built for its nine charts
-    import padiczeta.variety as variety
+def test_threevar_sps_verify_builds_one_lifter(builds, tmp_path):
+    # the conductor scan's critical-locus probe walks the congruence tree of
+    # the same constraints as the identity chart, so both take one lifter
+    out = tmp_path / "sps"
+    assert main(["sps-verify", "--spec", str(SPECS / "threevar.json"), "--out", str(out)]) == 0
+    assert builds == [(3, 3, THREEVAR.system.constraints)]
 
+
+def test_chart_walks_reuse_the_decomposition_lifters(builds):
+    # the decomposition builds the system's lifter and the one its nine
+    # charts share; the chart walks look those up and build none
     system = BAD_LINE.system
     decomposition = measure_charts(system, DEFAULT_BUDGET)
+    assert len(builds) == 2
     support = Support.cosets(2, 3, [(0, 0), (9, 3)], 3)  # level 3 > L = 2
-    builds = []
-    init = variety.HenselLifter.__init__
-
-    def counting_init(self, *args, **kwargs):
-        builds.append(args)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(variety.HenselLifter, "__init__", counting_init)
     exponential_sum(system, 3, [1])
     oscillatory_integral(system, 3, [1], support=support)
     decomposition.image_count(4)
     tail_measure(system, 3, support=support)
-    assert builds == []
+    assert len(builds) == 2
 
 
-def test_entry_points_share_one_decomposition(monkeypatch):
-    # every chart walk looks its decomposition up with measure_charts: after
-    # a cache clear the first call builds the nine chart lifters, and no
-    # later entry point, nor any spelling of the lookup, builds another
-    import padiczeta.variety as variety
-
+def test_entry_points_share_one_decomposition(builds):
+    # every chart walk looks its decomposition up with measure_charts: from
+    # empty caches the first call builds the system's lifter and the one the
+    # nine charts share, and no later entry point, nor any spelling of the
+    # lookup, builds another
     system = BAD_LINE.system
-    builds = []
-    init = variety.HenselLifter.__init__
-
-    def counting_init(self, *args, **kwargs):
-        builds.append(args)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(variety.HenselLifter, "__init__", counting_init)
-    measure_charts.cache_clear()
     exponential_sum(system, 3, [1])
     oscillatory_integral(system, 3, [1])
     build_stationary_phase_context(system, depth=3)
@@ -615,8 +621,11 @@ def test_entry_points_share_one_decomposition(monkeypatch):
     tail_measure(system, 3)
     decomposition = measure_charts(system, DEFAULT_BUDGET)
     assert measure_charts(system) is measure_charts(system, budget=DEFAULT_BUDGET) is decomposition
-    chart_builds = [args for args in builds if args[2] != system.constraints]
-    assert len(chart_builds) == len(decomposition.charts) + len(decomposition.dropped_centers) == 9
+    assert len(decomposition.charts) == 9
+    assert builds == [
+        (3, 2, system.constraints),
+        (3, 2, decomposition.charts[0].constraints),
+    ]
     assert measure_charts.cache_info().misses == 1
 
 
