@@ -189,31 +189,28 @@ class SmoothingCertificate:
 
 def neron_rescale(
     system: PolySystem,
-    x0: Sequence[int],
-    L_forced: int | None = None,
+    x0: tuple[int, ...],
+    echelon: tuple[list[MPoly], EchelonResult],
+    L: int,
     budget: int = DEFAULT_BUDGET,
-) -> SmoothingCertificate:
-    """Rescale the system at a center until it has good reduction.
+) -> Chart:
+    """Rescale the system at a center into a good-reduction chart at level L.
 
-    Translates to x0, echelon-reduces the linear part over Z_p, replays
-    the row operations on the full constraints, sets L to one more than
-    the last pivot valuation (or a caller-forced larger value), applies
-    the p^L rescale, and verifies good reduction of the result.  The
-    center must satisfy the constraints modulo p^(2L + 2); inaccurate
-    centers raise CenterNotOnVariety.
+    `echelon` is `_linear_echelon(system, x0)`: the constraints
+    translated to x0 and the echelon form of their linear part over Z_p.
+    Replays its row operations on the translated constraints, applies
+    the p^L rescale, and verifies good reduction of the result.  L must
+    exceed the last pivot valuation, and the center must satisfy the
+    constraints modulo p^(2L + 2); inaccurate centers raise
+    CenterNotOnVariety.
     """
-    x0 = tuple(int(c) for c in x0)
-    if len(x0) != system.n:
-        raise ValueError("center has wrong dimension")
-    translated, ech = _linear_echelon(system, x0)
-    L = ech.pivot_vals[-1] + 1
-    if L_forced is not None:
-        if L_forced < L:
-            raise ValueError(f"forced L={L_forced} below required {L}")
-        L = L_forced
+    translated, ech = echelon
+    if L <= ech.pivot_vals[-1]:
+        raise ValueError(f"L={L} below required {ech.pivot_vals[-1] + 1}")
+    p, n = system.p, system.n
     combined_translated = apply_row_ops(translated, ech.row_ops)
     required = 2 * L + 2
-    modulus = system.p**required
+    modulus = p**required
     for g in combined_translated:
         if g.constant_term() % modulus:
             raise CenterNotOnVariety(
@@ -221,7 +218,7 @@ def neron_rescale(
             )
     exponents, rescaled = [], []
     for i, g in enumerate(combined_translated):
-        e, gL = shift_rescale(g, (0,) * system.n, L, system.p)
+        e, gL = shift_rescale(g, (0,) * n, L, p)
         if e != L + ech.pivot_vals[i]:
             raise InvariantViolated(
                 f"content valuation {e} of row {i} does not match L + pivot valuation"
@@ -229,10 +226,10 @@ def neron_rescale(
         exponents.append(e)
         rescaled.append(gL)
     chart_system = PolySystem(
-        p=system.p,
-        n=system.n,
+        p=p,
+        n=n,
         constraints=tuple(rescaled),
-        target=system.target.substitute_affine(x0, system.p**L),
+        target=system.target.substitute_affine(x0, p**L),
     )
     verdict = good_reduction_test(chart_system, budget)
     if not verdict.good:
@@ -242,8 +239,8 @@ def neron_rescale(
             state={"center": x0, "L": L, "rescaled": [str(f) for f in rescaled]},
         )
     combined_originals = apply_row_ops(list(system.constraints), ech.row_ops)
-    return SmoothingCertificate(
-        p=system.p,
+    certificate = SmoothingCertificate(
+        p=p,
         center=x0,
         L=L,
         combined_constraints=tuple(combined_originals),
@@ -251,6 +248,14 @@ def neron_rescale(
         exponents=tuple(exponents),
         pivot_vals=ech.pivot_vals,
         verdict=verdict,
+    )
+    return Chart(
+        center=x0,
+        L=L,
+        constraints=chart_system.constraints,
+        target=chart_system.target,
+        weight=Fraction(p ** sum(exponents), p ** (L * n)),
+        certificate=certificate,
     )
 
 
@@ -382,25 +387,15 @@ def global_decompose(system: PolySystem, budget: int = DEFAULT_BUDGET) -> Decomp
     L = 1
     for _ in range(DECOMPOSE_ROUNDS):
         reps = first_lifts(lifter_for(p, n, system.constraints, budget), L, 2 * L + 3, budget)
-        needed = L
-        for key in sorted(reps):
-            needed = max(needed, _linear_echelon(system, reps[key])[1].pivot_vals[-1] + 1)
+        echelons = {key: _linear_echelon(system, reps[key]) for key in sorted(reps)}
+        needed = max([L] + [ech.pivot_vals[-1] + 1 for _, ech in echelons.values()])
         if needed > L:
             L = needed
             continue
 
         charts, dropped = [], []
-        for key in sorted(reps):
-            x0 = reps[key]
-            cert = neron_rescale(system, x0, L_forced=L, budget=budget)
-            chart = Chart(
-                center=x0,
-                L=L,
-                constraints=cert.rescaled_constraints,
-                target=system.target.substitute_affine(x0, p**L),
-                weight=Fraction(p ** sum(cert.exponents), p ** (L * n)),
-                certificate=cert,
-            )
+        for key, echelon in echelons.items():
+            chart = neron_rescale(system, reps[key], echelon, L, budget)
             if lifter_for(p, n, chart.constraints, budget).roots():
                 charts.append(chart)
             else:

@@ -19,8 +19,10 @@ child's digit system from those values and the gradient mod p^2, exactly
 at every p once the node's level is at least 2.  Two oracles stay
 independent of the lifter: a brute-force scan of the full residue grid,
 which every walk is checked against, and the image oracle, a class
-search on `walk` over the all-digit tree whose nodes are filtered by
-evaluating the constraints.
+search on `walk` over the all-digit tree.  The oracle evaluates the
+constraints and their gradient once per node and keeps the digit
+vectors that pass that first-order Taylor step, with no lifter and no
+F_p solver.
 
 Image-level counts (the reduction of the variety's Z_p points rather
 than its congruence solutions) live on the chart decomposition in
@@ -782,25 +784,43 @@ def image_oracle(
     all-digit filtered tree: the roots are the residues mod p where
     every constraint vanishes, and a level-j node x has the children
     x + p^j d, for every digit vector d in lexicographic order, where
-    every constraint vanishes mod p^(j + 1).  Both are tested by
-    evaluation alone, so the oracle shares no lifter and no F_p solver
-    with the chart decomposition it checks (meter stage `image oracle
-    m=<m> accuracy=<level>`).  Stability is evidence, not proof; the
-    decomposition cross-checks catch a wrong-but-stable buffer.
+    every constraint vanishes mod p^(j + 1).  The roots are found by
+    evaluation; a node evaluates each constraint f once, as f(x)/p^j
+    mod p, and its gradient mod p, and keeps the digit vectors with
+    f(x)/p^j + grad f(x).d = 0 mod p for every f: the first-order
+    Taylor step, exact because the rest of f(x + p^j d) - f(x) carries
+    p^(2j) and 2j >= j + 1.  The survivors depend only on that step, so
+    each distinct step is tested once per call.  The oracle only
+    evaluates: it builds no lifter and no F_p solver, so it shares
+    nothing with the chart decomposition it checks (meter stage `image
+    oracle m=<m> accuracy=<level>`).  Stability is evidence, not proof;
+    the decomposition cross-checks catch a wrong-but-stable buffer.
     """
     p, n, constraints = system.p, system.n, system.constraints
     check_residue_scan(p, n, budget)
     digits = list(itertools.product(range(p), repeat=n))
-
-    def solves(x: tuple[int, ...], modulus: int) -> bool:
-        return not any(f.evaluate(x, modulus) for f in constraints)
+    gradients = [[f.partial(k) for k in range(1, n + 1)] for f in constraints]
+    survivors: dict[tuple, list[tuple[int, ...]]] = {}
 
     def children(x: tuple[int, ...], j: int) -> list[tuple[int, ...]]:
-        step = p**j
-        lifts = (tuple([c + step * e for c, e in zip(x, d)]) for d in digits)
-        return [y for y in lifts if solves(y, step * p)]
+        step, modulus = p**j, p ** (j + 1)
+        taylor = []
+        for f, grad in zip(constraints, gradients):
+            value = f.evaluate(x, modulus)
+            if value % step:
+                raise WalkInvariantError(f"constraint does not vanish mod p^{j} at {x}")
+            taylor.append((value // step, tuple(g.evaluate(x, p) for g in grad)))
+        key = tuple(taylor)
+        kept = survivors.get(key)
+        if kept is None:
+            kept = survivors[key] = [
+                d
+                for d in digits
+                if all((value + sum(g * e for g, e in zip(row, d))) % p == 0 for value, row in key)
+            ]
+        return [tuple([c + step * e for c, e in zip(x, d)]) for d in kept]
 
-    roots = [x for x in digits if solves(x, p)]
+    roots = [x for x in digits if not any(f.evaluate(x, p) for f in constraints)]
     return set(_class_search(roots, children, p, m, m + buffer, budget, "image oracle"))
 
 

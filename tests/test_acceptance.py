@@ -47,7 +47,7 @@ from padiczeta.ratfn import (
     reconstruct_rational,
 )
 from padiczeta.regularize import delta_limit_check
-from padiczeta.smoothing import global_decompose, neron_rescale
+from padiczeta.smoothing import _linear_echelon, global_decompose, neron_rescale
 from padiczeta.variety import brute_force_points, hensel_enumerate, image_oracle
 from padiczeta.zeta import build_shell_table
 
@@ -138,7 +138,9 @@ def test_criterion_06_gauss_sums():
 
 def test_criterion_07_smoothing():
     with criterion("rescale at origin: L=2, e=3, unit pivot; image counts match oracle"):
-        cert = neron_rescale(BAD_LINE.system, (0, 0))
+        echelon = _linear_echelon(BAD_LINE.system, (0, 0))
+        cert = neron_rescale(BAD_LINE.system, (0, 0), echelon, 2).certificate
+        assert echelon[1].pivot_vals == (1,)
         assert cert.L == 2
         assert cert.exponents == (3,)
         assert cert.rescaled_constraints[0].terms == {(1, 0): 1, (0, 1): -3}

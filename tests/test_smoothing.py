@@ -8,7 +8,7 @@ import pytest
 from padiczeta import smoothing
 from padiczeta.bundled import BAD_LINE, BAD_LINE_P5, LINE_X2, PARABOLA, PLANE_LINE
 from padiczeta.errors import BudgetExceeded, CenterNotOnVariety, RankDeficient
-from padiczeta.mpoly import PolySystem, system_from_strings
+from padiczeta.mpoly import MPoly, PolySystem, system_from_strings
 from padiczeta.smoothing import (
     dvr_echelon,
     global_decompose,
@@ -16,8 +16,20 @@ from padiczeta.smoothing import (
     neron_rescale,
     verify_certificate,
 )
-from padiczeta.variety import HenselLifter, good_reduction_test, image_oracle, iter_hensel_points
+from padiczeta.variety import (
+    HenselLifter,
+    good_reduction_test,
+    image_oracle,
+    iter_hensel_points,
+    lifter_for,
+)
 from padiczeta.zeta import tail_measure
+
+
+def rescale_at_own_level(system, x0):
+    """The certificate of `neron_rescale` at one more than the center's last pivot valuation."""
+    echelon = smoothing._linear_echelon(system, x0)
+    return neron_rescale(system, x0, echelon, echelon[1].pivot_vals[-1] + 1).certificate
 
 
 def test_echelon_single_row():
@@ -76,7 +88,7 @@ def test_echelon_rank_deficient():
 
 
 def test_neron_rescale_bad_line():
-    cert = neron_rescale(BAD_LINE.system, (0, 0))
+    cert = rescale_at_own_level(BAD_LINE.system, (0, 0))
     assert cert.L == 2
     assert cert.exponents == (3,)
     assert cert.rescaled_constraints[0].terms == {(1, 0): 1, (0, 1): -3}
@@ -84,14 +96,21 @@ def test_neron_rescale_bad_line():
 
 
 def test_neron_rescale_good_line():
-    cert = neron_rescale(system_from_strings(3, 2, ["x1"], "x2"), (0, 0))
+    cert = rescale_at_own_level(system_from_strings(3, 2, ["x1"], "x2"), (0, 0))
     assert cert.L == 1 and cert.exponents == (1,)
     assert cert.rescaled_constraints[0].terms == {(1, 0): 1}
 
 
+def test_neron_rescale_rejects_level_below_pivot():
+    # bad_line's pivot 3 has valuation 1, so L = 1 cannot make it a unit
+    echelon = smoothing._linear_echelon(BAD_LINE.system, (0, 0))
+    with pytest.raises(ValueError, match="L=1 below required 2"):
+        neron_rescale(BAD_LINE.system, (0, 0), echelon, 1)
+
+
 def test_neron_rescale_rejects_off_variety_center():
     with pytest.raises(CenterNotOnVariety):
-        neron_rescale(PARABOLA.system, (1, 0))
+        rescale_at_own_level(PARABOLA.system, (1, 0))
 
 
 def test_certificate_identity_random_points():
@@ -139,6 +158,36 @@ def test_chart_centers_are_pinned(instance, centers):
     decomposition = global_decompose(instance.system)
     assert [chart.center for chart in decomposition.charts] == centers
     assert decomposition.dropped_centers == ()
+
+
+@pytest.mark.parametrize(
+    "instance, echelons, substitutions",
+    [(BAD_LINE, 12, 30), (BAD_LINE_P5, 30, 80)],
+    ids=["bad_line", "bad_line_p5"],
+)
+def test_each_center_is_reduced_once(monkeypatch, instance, echelons, substitutions):
+    # a round at L = 1 and one at L = 2: one echelon form and one translated
+    # constraint per representative (3 + 9 on bad_line, 5 + 25 on bad_line_p5),
+    # then one rescale and one transported target per chart; a rescale that
+    # echelon-reduced its center again would make 21 and 48 calls on bad_line
+    calls = []
+    echelon, substitute = smoothing.dvr_echelon, MPoly.substitute_affine
+
+    def counting_echelon(*args):
+        calls.append("echelon")
+        return echelon(*args)
+
+    def counting_substitute(*args):
+        calls.append("substitute")
+        return substitute(*args)
+
+    monkeypatch.setattr(smoothing, "dvr_echelon", counting_echelon)
+    monkeypatch.setattr(MPoly, "substitute_affine", counting_substitute)
+    measure_charts.cache_clear()
+    lifter_for.cache_clear()
+    measure_charts(instance.system)
+    assert calls.count("echelon") == echelons
+    assert calls.count("substitute") == substitutions
 
 
 def test_center_search_stops_at_first_lifts(monkeypatch):
@@ -196,7 +245,7 @@ def test_rescale_idempotence_on_good_points():
     for x0 in [(0, 0), (1, 1), (4, 2)]:
         if system.constraints[0].evaluate(x0) % 3**8:
             continue
-        cert = neron_rescale(system, x0)
+        cert = rescale_at_own_level(system, x0)
         assert cert.L == 1
 
 

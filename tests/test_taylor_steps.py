@@ -6,23 +6,26 @@ lifter's F_p system), and the shell walk resolves a node where every
 Jacobian minor vanishes mod p^j through F = F(y) - lam . G(y) mod p^(2j).
 The drawn targets are critical at the origin, which every drawn curve
 passes through, so both steps are reached; counters on the two branches
-check that they were.  Every result is compared with brute_force_points.
+check that they were.  The image oracle filters a node's digit vectors
+by the constraints' first-order Taylor step, drawn here at constraints
+whose gradient vanishes mod p at a root.  Every result is compared with
+brute_force_points.
 """
 
 import dataclasses
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import padiczeta.zeta as zeta
 from padiczeta.bundled import LINE_X2
-from padiczeta.errors import WalkInvariantError
-from padiczeta.mpoly import MPoly, PolySystem
+from padiczeta.errors import NotStabilized, WalkInvariantError
+from padiczeta.mpoly import MPoly, PolySystem, parse_polynomial, system_from_strings
 from padiczeta.poincare import congruence_counts
 from padiczeta.smoothing import measure_charts
 from padiczeta.support import Support
-from padiczeta.variety import DEFAULT_BUDGET, HenselLifter, brute_force_points
+from padiczeta.variety import DEFAULT_BUDGET, HenselLifter, brute_force_points, image_oracle
 from padiczeta.zeta import build_shell_table, tail_measure
 
 TOP = {2: 6, 3: 5, 5: 3}  # brute-force level per prime: at most 3^10 grid points
@@ -170,3 +173,55 @@ def test_target_row_refuses_broken_invariants():
     # x2^2 has unit coefficients, so it is no chart target at offset 1
     with pytest.raises(WalkInvariantError, match=r"does not carry p\^1"):
         lifter.target_row(system.target, 1)
+
+
+# constraints with a root where the gradient vanishes mod p: there f(x)/p^j
+# alone decides the lifts, and only the bound 2j >= j + 1 on the Taylor
+# tail makes the second-order term vanish mod p^(j + 1)
+SINGULAR = ["x1^2 - x2^3", "x1^2 - 3", "x1^2 - 2*x2^2", "x1*x2 - 5", "x1^3 + x2^3"]
+ORACLE_TOP = {2: 6, 3: 4, 5: 3}  # deepest brute-force level per prime: at most 5^6 points
+
+
+@st.composite
+def nonlinear_constraints(draw):
+    """(system, m, buffer): a nonlinear constraint in x1, x2.
+
+    Half the draws take the constraint from SINGULAR, the rest random
+    coefficients on the monomials of degree at most 3 with a nonlinear
+    term, scaled by p in half of them so that no root is smooth.
+    """
+    p = draw(st.sampled_from([2, 3, 5]))
+    if draw(st.booleans()):
+        constraint = parse_polynomial(draw(st.sampled_from(SINGULAR)), 2)
+    else:
+        monomials = [(a, b) for a in range(4) for b in range(4) if a + b <= 3]
+        terms = {mono: draw(st.integers(-4, 4)) for mono in monomials if draw(st.booleans())}
+        nonlinear = draw(st.sampled_from([mono for mono in monomials if sum(mono) > 1]))
+        terms[nonlinear] = draw(st.sampled_from([1, -1, 2]))
+        constraint = MPoly(2, terms).scale(draw(st.sampled_from([1, p])))
+    system = PolySystem(p=p, n=2, constraints=(constraint,), target=MPoly.variable(2, 2))
+    m = draw(st.integers(1, ORACLE_TOP[p] - 2))
+    buffer = draw(st.integers(0, ORACLE_TOP[p] - 1 - m))
+    return system, m, buffer
+
+
+def _classes(system, level, m):
+    _, points = brute_force_points(system, level, collect=True)
+    return {tuple(c % system.p**m for c in x) for x in points}
+
+
+@given(nonlinear_constraints())
+# x1^2 - 3 at p = 3: the root x1 = 0 has gradient 0 and value 3/3 = 1 mod 3,
+# so no digit vector survives the Taylor step and the class dies at level 2
+@example((system_from_strings(3, 2, ["x1^2 - 3"], "x2"), 1, 0))
+@example((system_from_strings(3, 2, ["x1^2 - 3"], "x2"), 1, 1))
+@example((system_from_strings(2, 2, ["x1^2 - x2^3"], "x2"), 2, 3))
+@settings(max_examples=40, deadline=None)
+def test_image_oracle_taylor_filter_matches_brute(case):
+    system, m, buffer = case
+    image = _classes(system, m + buffer, m)
+    if image != _classes(system, m + buffer + 1, m):
+        with pytest.raises(NotStabilized):
+            image_oracle(system, m, buffer)
+    else:
+        assert image_oracle(system, m, buffer) == image

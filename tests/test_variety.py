@@ -313,20 +313,20 @@ def test_image_oracle_matches_projected_brute_on_bad_graphs(system, m):
 
 
 def test_image_oracle_builds_no_lifter(monkeypatch):
-    # the oracle filters all p^n digit vectors by evaluation: no lifter, no
-    # F_p solver, nothing shared with the charts it checks
+    # the oracle filters the digit vectors by one first-order Taylor step per
+    # node: no lifter, no F_p solver, nothing shared with the charts it checks
     import padiczeta.variety as variety
 
     calls = []
-    init, children = variety.HenselLifter.__init__, variety.HenselLifter.children
 
-    def counting_init(self, *args, **kwargs):
-        calls.append("init")
-        init(self, *args, **kwargs)
+    def counting(owner, name, wrap=lambda f: f):
+        original = getattr(owner, name)
 
-    def counting_children(self, *args, **kwargs):
-        calls.append("children")
-        return children(self, *args, **kwargs)
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrap(counted))
 
     meters = []
     meter_class = variety.BudgetMeter
@@ -335,11 +335,14 @@ def test_image_oracle_builds_no_lifter(monkeypatch):
         meters.append(meter_class(limit, stage))
         return meters[-1]
 
-    monkeypatch.setattr(variety.HenselLifter, "__init__", counting_init)
-    monkeypatch.setattr(variety.HenselLifter, "children", counting_children)
+    counting(variety.HenselLifter, "__init__")
+    counting(variety.HenselLifter, "children")
+    counting(variety._FpSolver, "build", staticmethod)
+    counting(variety._FpSolver, "solve_affine")
+    counting(MPoly, "evaluate")
     monkeypatch.setattr(variety, "BudgetMeter", recording)
     assert len(image_oracle(BAD_LINE.system, 3, 3)) == 27
-    assert calls == []
+    assert set(calls) == {"evaluate"}
     assert [meter.stage for meter in meters] == [
         "image oracle m=3 accuracy=6",
         "image oracle m=3 accuracy=7",
@@ -348,6 +351,10 @@ def test_image_oracle_builds_no_lifter(monkeypatch):
     # class mod 27; 3*x1 - 9*x2 mod 3^(j + 1) does not move under digits of
     # weight 3^j, so every path node has all 9 children: 243 nodes a level
     assert [meter.used for meter in meters] == [9 + 27 + 81 + 243 * 3, 9 + 27 + 81 + 243 * 4]
+    # the 9 residues scanned for roots, then the constraint and its two
+    # partials at each of the 531 nodes the two searches expand (evaluating
+    # the constraint at all 9 lifts of every node would make 9 + 9 * 531)
+    assert len(calls) == 9 + 3 * 531
 
 
 def test_points_below_level_one_raise():
