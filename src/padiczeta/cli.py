@@ -69,7 +69,7 @@ EXPSUM_HEADER = ["m", "u", "re_direct", "im_direct", "re_form1", "im_form1", "ab
 @dataclass
 class Problem:
     system: PolySystem
-    support: Support
+    support: Support | None  # None: the unit polydisc
     max_level: int
     conductor_cap: int
     budget: int
@@ -130,7 +130,7 @@ def load_problem(path: Path) -> Problem:
     if not isinstance(support_raw, dict):
         raise SchemaError("support must be an object with a 'type' field")
     if support_raw.get("type") == "unit_polydisc":
-        support = Support.unit_polydisc(n)
+        support = None
     elif support_raw.get("type") == "cosets":
         try:
             level = _integer(support_raw["level"], "support.level")
@@ -176,10 +176,6 @@ def _summary(out: Path, command: str, args, payload: dict) -> None:
     _write_json(out / "summary.json", payload)
 
 
-def _effective_support(problem: Problem) -> Support | None:
-    return None if problem.support.is_full() else problem.support
-
-
 # -- commands -----------------------------------------------------------------
 
 
@@ -210,7 +206,7 @@ def cmd_poincare(problem: Problem, out: Path, args) -> int:
         table = build_shell_table(
             problem.system,
             problem.max_level,
-            support=_effective_support(problem),
+            support=problem.support,
             budget=problem.budget,
         )
         zeta_fn = table.trivial_fn()
@@ -224,13 +220,12 @@ def cmd_poincare(problem: Problem, out: Path, args) -> int:
 
 
 def cmd_zeta(problem: Problem, out: Path, args) -> int:
-    support = _effective_support(problem)
     cap = problem.conductor_cap if problem.system.p != 2 else 1
     table = build_shell_table(
         problem.system,
         problem.max_level,
         c_level=cap,
-        support=support,
+        support=problem.support,
         budget=problem.budget,
     )
     characters = [trivial_character(problem.system.p)]
@@ -312,7 +307,7 @@ def cmd_sps_verify(problem: Problem, out: Path, args) -> int:
         list(range(1, problem.max_level + 1)),
         c_cap=problem.conductor_cap,
         depth=problem.max_level + 1,
-        support=_effective_support(problem),
+        support=problem.support,
         budget=problem.budget,
     )
     rows = []
@@ -325,7 +320,7 @@ def cmd_sps_verify(problem: Problem, out: Path, args) -> int:
                 _fmt(record.direct.imag),
                 _fmt(record.via_formula.real),
                 _fmt(record.via_formula.imag),
-                _fmt(record.abs_direct),
+                _fmt(abs(record.direct)),
                 "",
             ]
         )
@@ -344,11 +339,7 @@ def cmd_smooth(problem: Problem, out: Path, args) -> int:
     decomposition = global_decompose(problem.system, problem.budget)
     (out / "certificates.json").write_text(certificates_to_json(decomposition))
     rng = random.Random(args.seed)
-    identity_ok = all(
-        verify_certificate(chart.certificate, rng)
-        for chart in decomposition.charts
-        if chart.certificate is not None
-    )
+    identity_ok = all(verify_certificate(chart, rng) for chart in decomposition.charts)
     counts_ok = True
     for m in range(1, min(4, problem.max_level) + 1):
         chart_count = decomposition.image_count(m, problem.budget)
@@ -379,7 +370,7 @@ def cmd_delta_check(problem: Problem, out: Path, args) -> int:
         None,
         list(range(0, args.r_max + 1)),
         depth=max(problem.max_level, args.r_max + 2),
-        support=_effective_support(problem),
+        support=problem.support,
         budget=problem.budget,
     )
     rows = []
@@ -412,7 +403,7 @@ def cmd_decay(problem: Problem, out: Path, args) -> int:
         table = build_shell_table(
             problem.system,
             problem.max_level + 3,
-            support=_effective_support(problem),
+            support=problem.support,
             budget=problem.budget,
         )
         pole = pole_analysis(table.trivial_fn(), problem.system.p)
@@ -424,10 +415,8 @@ def cmd_decay(problem: Problem, out: Path, args) -> int:
     )
     rows = [[row.m, _fmt(row.abs_value), _fmt(row.normalized)] for row in report.rows]
     _write_csv(out / "decay.csv", ["m", "abs", "normalized"], rows)
-    series = poincare_series(problem.system, problem.max_level, budget=problem.budget)
-    constant, verdict = solution_growth_bound(
-        series, pole, problem.system.p, problem.system.dim
-    )
+    counts = congruence_counts(problem.system, problem.max_level, budget=problem.budget)
+    constant, verdict = solution_growth_bound(counts, pole, problem.system.p, problem.system.dim)
     _summary(
         out,
         "decay",

@@ -54,7 +54,6 @@ class ExpSumRecord:
     u: int
     direct: complex
     via_formula: complex | None
-    abs_direct: float
 
 
 class _Phases(dict):
@@ -183,15 +182,10 @@ class StationaryPhaseContext:
     """
 
     system: PolySystem
-    support: Support | None
     table: ShellTable
     total_mass: Fraction
     twisted: tuple[tuple[MultChar, complex], ...]  # (chi, gauss_sum(chi^-1))
     cutoff: int
-
-    @property
-    def q(self) -> int:
-        return self.system.p
 
 
 def build_stationary_phase_context(
@@ -201,13 +195,14 @@ def build_stationary_phase_context(
     support: Support | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> StationaryPhaseContext:
-    """Scan characters, take the shell table, reconstruct the trivial zeta.
+    """Scan characters, keep the scan's shell table, and measure the support.
 
     The character sum in the formula is truncated at the empirical
     conductor cutoff, which the conductor scan verifies with a guard
     margin of at least one level (escalating from c_max as needed); the
     scan's table, projected to the cutoff level, holds every coefficient
-    the formula reads.
+    the formula reads.  The total surface mass Z(0, triv) is taken
+    directly, as `tail_measure` at m = 0.
     """
     if system.p == 2:
         raise EvenPrimeUnsupported(
@@ -219,7 +214,6 @@ def build_stationary_phase_context(
     total_mass = tail_measure(system, 0, support=support, budget=budget)
     return StationaryPhaseContext(
         system=system,
-        support=support,
         table=scan.table.project(max(scan.cutoff, 1)),
         total_mass=total_mass,
         twisted=tuple(twisted),
@@ -239,7 +233,7 @@ def stationary_phase_eval(ctx: StationaryPhaseContext, m: int, u: int) -> comple
     has series coefficients h_0 = -q/(q-1) and h_j = -1 for j >= 1, so
     the middle term is an explicit finite sum of trivial coefficients.
     """
-    q = ctx.q
+    q = ctx.system.p
     value = complex(float(ctx.total_mass))
     trivial = trivial_character(q)
     coeffs = [ctx.table.coefficient_extrapolated(trivial, k) for k in range(m)]
@@ -293,9 +287,7 @@ def stationary_phase_check(
         budget=budget,
     )
     p = system.p
-    weighted = measure_charts(system, budget).L > 0 or (
-        support is not None and not support.is_full()
-    )
+    weighted = measure_charts(system, budget).L > 0 or support is not None
     records = []
     worst = 0.0
     for m in m_values:
@@ -308,9 +300,7 @@ def stationary_phase_check(
             formula = stationary_phase_eval(context, m, u)
             gap = abs(direct - formula)
             worst = max(worst, gap)
-            records.append(
-                ExpSumRecord(m=m, u=u, direct=direct, via_formula=formula, abs_direct=abs(direct))
-            )
+            records.append(ExpSumRecord(m=m, u=u, direct=direct, via_formula=formula))
     return StationaryPhaseReport(records=tuple(records), max_discrepancy=worst)
 
 

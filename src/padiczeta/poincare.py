@@ -140,18 +140,18 @@ def check_series_zeta_identity(series_fn: RationalFn, zeta_fn: RationalFn) -> Id
 
 
 def solution_growth_bound(
-    series: CountSeries, pole: PoleData, q: int, dim: int
+    counts: Sequence[int], pole: PoleData, q: int, dim: int
 ) -> tuple[float, str]:
-    """Fit the constant in N_m <= C q^((dim - rho) m) m^(m_rho - 1).
+    """Fit the constant in N_m <= C q^((dim - rho) m) m^(m_rho - 1) to counts N_0, N_1, ...
 
     Returns the empirical C* over the computed range and a verdict that
     is Bounded when the maximum is attained in the lower half of the
     range (the growth is already saturated).
     """
     ratios = []
-    for m in range(1, len(series.Nm)):
+    for m in range(1, len(counts)):
         denom = q ** ((dim - pole.rho) * m) * m ** (pole.m_rho - 1)
-        ratios.append(series.Nm[m] / denom)
+        ratios.append(counts[m] / denom)
     if not ratios:
         return 0.0, "Inconclusive"
     constant = max(ratios)

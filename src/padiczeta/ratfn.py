@@ -28,6 +28,7 @@ from .errors import (
 Poly = tuple[Fraction, ...]
 
 ROOT_TOL = 1e-8  # relative distance within which numerical roots count as one
+HELD_OUT = 2  # trailing coefficients reconstruct_rational keeps out of the fit
 MULTIPLICITY_CAP = 6  # the largest multiplicity the candidate-pole check tries per factor
 
 
@@ -213,13 +214,10 @@ def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fracti
     return solution
 
 
-def reconstruct_rational(
-    coeffs: Sequence[Fraction],
-    validation_count: int = 2,
-) -> RationalFn:
+def reconstruct_rational(coeffs: Sequence[Fraction]) -> RationalFn:
     """Fit the minimal rational function generating an exact series.
 
-    The last `validation_count` coefficients are held out of the fit and
+    The last HELD_OUT coefficients are held out of the fit and
     must be predicted exactly by the result.  Candidates are scanned in
     order of total degree (numerator + denominator), so the returned
     function realizes the minimal linear recurrence consistent with the
@@ -227,9 +225,7 @@ def reconstruct_rational(
     ValidationFailed if every fit misses the held-out terms.
     """
     coeffs = [Fraction(c) for c in coeffs]
-    if validation_count < 1:
-        raise ValueError("validation_count must be >= 1")
-    train = len(coeffs) - validation_count
+    train = len(coeffs) - HELD_OUT
     if train < 1:
         raise NoRecurrenceFound("not enough coefficients to fit anything")
     if all(c == 0 for c in coeffs):

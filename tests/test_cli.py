@@ -106,6 +106,48 @@ def test_smooth_bad_reduction(tmp_path):
     assert summary["identity_ok"] and summary["image_counts_ok"]
 
 
+def test_smooth_certificates_text(tmp_path):
+    # bad_line's nine charts at L = 2 each certify
+    # 3*x1 - 9*x2 = 3^3 * (x1 - 3*x2) on center + 9 y, byte for byte
+    out = tmp_path / "out"
+    assert run("smooth", SPECS / "bad_line.json", out) == EXIT_OK
+    centers = [[0, 0], [9, 3], [18, 6], [3, 1], [12, 4], [21, 7], [6, 2], [15, 5], [24, 8]]
+    charts = [
+        {
+            "center": center,
+            "certificate": {
+                "center": center,
+                "combined_constraints": ["3*x1 - 9*x2"],
+                "exponents": [3],
+                "level": 2,
+                "pivot_valuations": [1],
+                "rescaled_constraints": ["x1 - 3*x2"],
+                "verdict": "Good",
+            },
+            "weight": [1, 3],
+        }
+        for center in centers
+    ]
+    payload = {"charts": charts, "dropped_centers": [], "level": 2}
+    assert (out / "certificates.json").read_text() == json.dumps(payload, indent=2, sort_keys=True)
+
+
+def test_level_zero_cosets_are_the_unit_polydisc(tmp_path):
+    # a union of level-0 cosets is the whole polydisc, whatever its centers
+    artifacts = []
+    for name, support in [
+        ("unit", {"type": "unit_polydisc"}),
+        ("cosets", {"type": "cosets", "level": 0, "centers": [[1, 2]]}),
+    ]:
+        spec = tmp_path / f"{name}.json"
+        spec.write_text(json.dumps({**LINE_X2_SPEC, "support": support}))
+        out = tmp_path / name
+        for command in ("zeta", "sps-verify", "delta-check"):
+            assert run(command, spec, out / command, "--max-level", "4") == EXIT_OK
+        artifacts.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
+    assert artifacts[0] and artifacts[0] == artifacts[1]
+
+
 def test_delta_check(spec_file, tmp_path):
     out = tmp_path / "out"
     assert run("delta-check", spec_file, out, "--max-level", "9", "--r-max", "4") == EXIT_OK
@@ -120,6 +162,16 @@ def test_decay_report(spec_file, tmp_path):
     assert summary["expsum_verdict"] == "Bounded"
     rows = (out / "decay.csv").read_text().splitlines()[1:]
     assert all(abs(float(r.split(",")[2]) - 1.0) < 1e-9 for r in rows)
+
+
+def test_decay_bounds_the_counts_without_reconstructing_them(tmp_path):
+    # bad_line's counts to depth 4 fit no rational function with two terms
+    # held out, which the growth bound does not need
+    out = tmp_path / "out"
+    assert run("decay", SPECS / "bad_line.json", out) == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["count_bound_verdict"] == "Bounded"
+    assert float(summary["count_bound_constant"]) == 1.0
 
 
 def test_probe(spec_file, tmp_path):
@@ -170,6 +222,7 @@ def test_missing_schema_version(tmp_path):
         {"budget": "1000"},
         {"support": {"type": "cosets", "level": 1.0, "centers": [[0, 0]]}},
         {"support": {"type": "cosets", "level": 1, "centers": [[0, 0.5]]}},
+        {"support": {"type": "cosets", "level": 0, "centers": [[0]]}},
         {"resolution_data": [[2, 1.0]]},
         {"resolution_data": [[True, 1]]},
     ],

@@ -109,24 +109,24 @@ def test_series_zeta_identity_fails_on_mutation():
 
 
 def test_growth_bound_x2_line():
-    series = poincare_series(LINE_X2.system, 9)
+    counts = congruence_counts(LINE_X2.system, 9)
     pole = pole_data_from_resolution([(2, 1)], 3)
-    constant, verdict = solution_growth_bound(series, pole, 3, 1)
+    constant, verdict = solution_growth_bound(counts, pole, 3, 1)
     assert verdict == "Bounded"
     assert abs(constant - 1.0) < 1e-12
 
 
 def test_growth_bound_x1_line():
-    series = poincare_series(LINE_X1.system, 8)
+    counts = congruence_counts(LINE_X1.system, 8)
     pole = pole_data_from_resolution([(1, 1)], 3)
-    constant, verdict = solution_growth_bound(series, pole, 3, 1)
+    constant, verdict = solution_growth_bound(counts, pole, 3, 1)
     assert verdict == "Bounded" and abs(constant - 1.0) < 1e-12
 
 
 def test_growth_bound_x3_line():
-    series = poincare_series(LINE_X3.system, 9)
+    counts = congruence_counts(LINE_X3.system, 9)
     pole = pole_data_from_resolution([(3, 1)], 3)
-    constant, verdict = solution_growth_bound(series, pole, 3, 1)
+    constant, verdict = solution_growth_bound(counts, pole, 3, 1)
     assert verdict == "Bounded"
 
 

@@ -12,6 +12,7 @@ from padiczeta.errors import (
     ValidationFailed,
 )
 from padiczeta.ratfn import (
+    HELD_OUT,
     RationalFn,
     candidate_pole_check,
     pole_analysis,
@@ -45,12 +46,12 @@ def test_reconstruct_validates_held_out_terms():
     # the last coefficient breaks the recurrence, so every fit must fail
     coeffs = [F(1, 2) ** m for m in range(8)] + [F(7)]
     with pytest.raises((ValidationFailed, NoRecurrenceFound)):
-        reconstruct_rational(coeffs, validation_count=1)
+        reconstruct_rational(coeffs)
 
 
 def test_reconstruct_needs_data():
     with pytest.raises(NoRecurrenceFound):
-        reconstruct_rational([F(1)], validation_count=1)
+        reconstruct_rational([F(1)] * HELD_OUT)
 
 
 @st.composite

@@ -74,6 +74,21 @@ def test_good_reduction_verdicts():
     assert good_reduction_test(system_from_strings(3, 2, ["x1 - x2^2"], "x2"))
 
 
+@pytest.mark.parametrize("instance", [BAD_LINE, LINE_X2, PARABOLA], ids=lambda i: i.name)
+def test_good_reduction_verdict_is_its_missing_witness(instance):
+    verdict = good_reduction_test(instance.system)
+    assert bool(verdict) is verdict.good is (verdict.witness is None)
+
+
+def test_support_needs_a_positive_level():
+    # the unit polydisc is spelled None, never as a level-0 Support
+    with pytest.raises(ValueError):
+        Support(2, 0, ((0, 0),))
+    assert Support.cosets(2, 0, [(1, 2)], 3) is None
+    with pytest.raises(ValueError):
+        Support.cosets(2, 0, [(1,)], 3)
+
+
 @pytest.mark.parametrize("instance", GOOD_REDUCTION, ids=lambda i: i.name)
 def test_hensel_count_law(instance):
     system = instance.system
