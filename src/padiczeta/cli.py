@@ -2,7 +2,8 @@
 
 Every command reads one problem file, writes its artifacts into the
 output directory, and exits 0 on success, 1 on a schema or parse error
-or an input the command does not support (twisted characters at p = 2),
+or an input the command does not support (twisted characters at p = 2,
+or a coset support where the command covers the unit polydisc),
 2 on an exhausted enumeration budget, and 3 when a verification command
 finds its identity violated.  Outputs are deterministic for a fixed
 problem file: enumeration order is fixed, floats are printed with a
@@ -62,6 +63,9 @@ SCHEMA_FIELDS = {
     "resolution_data",
     "budget",
 }
+
+# commands whose counts or sums always cover the unit polydisc
+WHOLE_POLYDISC = {"count", "poincare", "expsum", "decay"}
 
 EXPSUM_HEADER = ["m", "u", "re_direct", "im_direct", "re_form1", "im_form1", "abs", "normalized"]
 
@@ -493,6 +497,8 @@ def main(argv=None) -> int:
             raise SchemaError("--s must be >= 1")
         if args.r_max < 0:
             raise SchemaError("--r-max must be >= 0")
+        if problem.support is not None and args.command in WHOLE_POLYDISC:
+            raise SchemaError(f"{args.command} covers the unit polydisc and takes no coset support")
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

@@ -12,13 +12,12 @@ of the decomposed recount.  It walks exactly the congruence tree of
 (constraints, target) in chart coordinates: the lifter's digit system
 carries the target's first-order Taylor row, exact because the chart
 target's non-constant coefficients carry p^L, so only counted classes
-are built.  The classes of the last two levels are counted, not
-built: a class two levels above the last is evaluated once, and the
-Taylor step, whose tail carries p^(2j) with 2j >= j + 2 from level 2
-on, fixes the digit system of each of its children from those values.
-It enumerates every counted class but the last level's, which it
-counts per parent from that parent's digit system, with no Jacobian
-minors and no closed form, so it stays independent of the shell walks.
+are built.  Only the classes up to half the depth are built: below a
+class of level j, the Taylor step, whose tail carries p^(2j), makes
+every level j + i <= 2j a linear congruence over Z/p^i in the lift's
+digits, and its solutions are counted by a local Smith reduction.  That
+is linear algebra, with no Jacobian minors and no closed form, so the
+counts stay independent of the shell walks.
 The scaled generating function sum q^(-m dim) N_m t^m is reconstructed
 as an exact rational function and checked against the trivial-character
 zeta through the identity P(t) (1 - t) + t Z(t) = 1 (good reduction),

@@ -12,11 +12,11 @@ assumption the same lifter walks the filtered congruence tree, used for
 the first-lift search of bad-reduction chart centers and the ambient
 integrals.  The count tallies append the target's first-order Taylor row
 to the same F_p system (a `TargetRow`), so they build only the lifts
-where the target keeps vanishing, and they count their last two levels
-instead of building them: a node two levels above the last is evaluated
-once, to two more digits, and the first-order Taylor step fixes each
-child's digit system from those values and the gradient mod p^2, exactly
-at every p once the node's level is at least 2.  Two oracles stay
+where the target keeps vanishing, and they build no node past half their
+depth: there the first-order Taylor step is exact on a node's whole
+subtree, so each deeper level's count is the solution count of one
+linear system over Z/p^i, read from one evaluation at the node by a
+local Smith reduction, with no Jacobian minors.  Two oracles stay
 independent of the lifter: a brute-force scan of the full residue grid,
 which every walk is checked against, and the image oracle, a class
 search on `walk` over the all-digit tree.  The oracle evaluates the
@@ -63,17 +63,6 @@ class BudgetMeter:
         return BudgetExceeded(
             f"{self.stage}: enumeration budget {self.limit} exhausted at level {level}"
         )
-
-    def charge(self, nodes: int, level: int) -> None:
-        """Charge `nodes` visits at `level` at once, as if the walk visited them.
-
-        Past the limit the meter stops one node over it, where a walk
-        visiting them one by one would have stopped.
-        """
-        self.used += nodes
-        if self.used > self.limit:
-            self.used = self.limit + 1
-            raise self.exhausted(level)
 
 
 # -- the lift-tree walk ---------------------------------------------------------
@@ -197,19 +186,11 @@ class _FpSolver:
     def rank(self) -> int:
         return len(self.pivot_cols)
 
-    def count_affine(self, rhs: Sequence[int]) -> int:
-        """How many d solve A d = rhs over F_p: none, or as many as the kernel holds."""
-        p = self.p
-        for row in self.checks:
-            if sum(t * b for t, b in zip(row, rhs)) % p:
-                return 0  # inconsistent
-        return len(self.kernel)
-
     def solve_affine(self, rhs: Sequence[int]) -> Sequence[tuple[int, ...]]:
         """All solutions d of A d = rhs over F_p, in lexicographic order of d."""
-        if not self.count_affine(rhs):
-            return ()
         p = self.p
+        if any(sum(t * b for t, b in zip(row, rhs)) % p for row in self.checks):
+            return ()  # inconsistent
         d = [0] * len(self.kernel[0])
         for row, col in zip(self.transform, self.pivot_cols):
             d[col] = sum(t * b for t, b in zip(row, rhs)) % p
@@ -334,10 +315,7 @@ class TargetRow:
     A level-j node passes when target = 0 mod p^exponent(j).  The offset
     s is the target's rescale offset (its non-constant coefficients carry
     p^s), and `solvers` maps each root to the F_p solver of the
-    constraint Jacobian with the row grad target / p^s appended.  `fine`
-    caches that augmented Jacobian mod p^2 per class mod p^2, for the
-    lifts counted two levels below a node; every tally walk builds its
-    own row, so the cache lives as long as the walk.
+    constraint Jacobian with the row grad target / p^s appended.
     """
 
     target: MPoly
@@ -345,9 +323,6 @@ class TargetRow:
     cap: int | None
     solvers: dict[tuple[int, ...], _FpSolver] = field(repr=False, compare=False)
     gradient: tuple[MPoly, ...] = field(repr=False, compare=False)
-    fine: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
     def exponent(self, j: int) -> int:
         return self.offset + j if self.cap is None else min(self.offset + j, self.cap)
@@ -428,96 +403,113 @@ class HenselLifter:
         }
         return TargetRow(target, offset, cap, solvers, gradient)
 
-    def _digit_system(
-        self, x: tuple[int, ...], j: int, row: TargetRow | None, digits: int = 1
-    ) -> tuple[_FpSolver, list[int]]:
-        """The solver of the system whose solutions d lift x to x + p^j d, and its values.
-
-        The values are f(x)/p^j for every constraint f, known mod
-        p^digits, and the right-hand side is minus them mod p.  With a
-        target row whose exponent grows from level j to j + 1 the row
-        joins the system, with the value T(x)/p^(s+j), so only the lifts
-        that keep the target's zeros solve it; where the exponent has
-        stopped growing every lift keeps them.
-        """
-        p = self.p
-        step = p**j
-        modulus = step * p**digits
-        values = []
-        for f in self.constraints:
-            value = f.evaluate(x, modulus)
-            if value % step:
-                raise WalkInvariantError(f"node {x} does not satisfy the constraints at level {j}")
-            values.append(value // step)
-        root = tuple([c % p for c in x])
-        if row is None or row.exponent(j + 1) == row.exponent(j):
-            return self._solvers[root], values
-        shift = p ** (row.offset + j)
-        value = row.target.evaluate(x, shift * p**digits)
-        if value % shift:
-            raise WalkInvariantError(f"node {x} is not a zero of the target at level {j}")
-        values.append(value // shift)
-        return row.solvers[root], values
-
     def children(
         self, x: tuple[int, ...], j: int, row: TargetRow | None = None
     ) -> list[tuple[int, ...]]:
         """Lifts of a level-j solution to level j+1, lexicographic in the digit.
 
-        With a target row, only the lifts that keep the target's zeros.
+        The digits d solve grad f(x) . d = -f(x)/p^j mod p for every
+        constraint f.  With a target row whose exponent grows from level
+        j to j + 1 the row joins the system, with the value T(x)/p^(s+j),
+        so only the lifts that keep the target's zeros solve it; where
+        the exponent has stopped growing every lift keeps them.
         """
         p = self.p
-        solver, values = self._digit_system(x, j, row)
         step = p**j
-        return [
-            tuple([c + step * d for c, d in zip(x, digit)])
-            for digit in solver.solve_affine([-v % p for v in values])
-        ]
-
-    def grandchild_counts(
-        self, x: tuple[int, ...], j: int, row: TargetRow
-    ) -> list[tuple[tuple[int, ...], int]]:
-        """(d, lifts) for each lift x + p^j d of a level-j node, j >= 2, in order.
-
-        `lifts` is how many lifts the child itself has, the length of
-        its own `children` list.  One evaluation at x fixes every child's
-        digit system: f(x + p^j d) = f(x) + p^j grad f(x) . d mod p^(2j)
-        and 2j >= j + 2, so the child's value f/p^(j+1) mod p is
-        (f(x)/p^j + grad f(x) . d)/p mod p, read from f(x) mod p^(j+2)
-        and the gradient mod p^2, which only depends on x mod p^2.  The
-        target's Taylor tail carries p^(s+2j), so the same holds for
-        T/p^(s+j+1).  Every child has x's root, and its lifts are
-        counted by that root's solver.
-        """
-        if j < 2:
-            raise WalkInvariantError(f"no Taylor step to level {j + 2} from level {j} < 2")
-        p = self.p
-        solver, values = self._digit_system(x, j, row, 2)
-        lifts = solver.solve_affine([-v % p for v in values])
-        key = tuple([c % (p * p) for c in x])
-        jacobian = row.fine.get(key)
-        if jacobian is None:
-            scale = p**row.offset
-            jacobian = row.fine[key] = tuple(
-                tuple(df.evaluate(key, p * p) for df in partials) for partials in self._partials
-            ) + (tuple(df.evaluate(key, scale * p * p) // scale for df in row.gradient),)
-        # the row joins a child's system only if its exponent grows once more
+        rhs = []
+        for f in self.constraints:
+            value = f.evaluate(x, step * p)
+            if value % step:
+                raise WalkInvariantError(f"node {x} does not satisfy the constraints at level {j}")
+            rhs.append(-(value // step) % p)
         root = tuple([c % p for c in x])
-        if row.exponent(j + 2) > row.exponent(j + 1):
-            child_solver = row.solvers[root]
-        else:
-            child_solver = self._solvers[root]
-            values = values[: len(self.constraints)]
+        solver = self._solvers[root]
+        if row is not None and row.exponent(j + 1) > row.exponent(j):
+            shift = p ** (row.offset + j)
+            value = row.target.evaluate(x, shift * p)
+            if value % shift:
+                raise WalkInvariantError(f"node {x} is not a zero of the target at level {j}")
+            rhs.append(-(value // shift) % p)
+            solver = row.solvers[root]
+        return [tuple([c + step * d for c, d in zip(x, digit)]) for digit in solver.solve_affine(rhs)]
+
+    def subtree_counts(
+        self, x: tuple[int, ...], j: int, row: TargetRow, levels: int
+    ) -> list[int]:
+        """counts[i - 1]: the level-(j + i) nodes above a level-j node x, i = 1..levels <= j.
+
+        For i <= j, f(x + p^j y) = f(x) + p^j grad f(x) . y mod p^(j + i),
+        as the Taylor tail carries p^(2j), and the target's tail carries
+        p^(s + 2j) while its exponent at level j + i is at most s + j + i.
+        So the lifts x + p^j y (y mod p^i) at level j + i solve one linear
+        system over Z/p^i: the row (grad f(x), -f(x)/p^j) per constraint,
+        and the target row (grad T(x)/p^s, -T(x)/p^(s + j)) taken mod p^k,
+        k = exponent(j + i) - s - j, where k > 0.
+        """
+        if levels > j:
+            raise WalkInvariantError(f"no Taylor step to level {j + levels} from level {j}")
+        p = self.p
+        step, reach = p**j, p**levels
+        rows = []
+        for f, partials in zip(self.constraints, self._partials):
+            value = f.evaluate(x, step * reach)
+            if value % step:
+                raise WalkInvariantError(f"node {x} does not satisfy the constraints at level {j}")
+            rows.append([df.evaluate(x, reach) for df in partials] + [-(value // step)])
+        last = row.exponent(j + levels) - row.offset - j  # k at the deepest level
+        if last > 0:
+            shift, scale = p ** (row.offset + j), p**row.offset
+            value = row.target.evaluate(x, shift * p**last)
+            if value % shift:
+                raise WalkInvariantError(f"node {x} is not a zero of the target at level {j}")
+            target = [df.evaluate(x, scale * p**last) // scale for df in row.gradient]
+            target.append(-(value // shift))
         counts = []
-        for d in lifts:
-            rhs = []
-            for value, gradient in zip(values, jacobian):
-                total = value + sum([g * e for g, e in zip(gradient, d)])
-                if total % p:
-                    raise WalkInvariantError(f"lift {d} of {x} is no level-{j + 1} node")
-                rhs.append(-(total // p) % p)
-            counts.append((d, child_solver.count_affine(rhs)))
+        for i in range(1, levels + 1):
+            k = row.exponent(j + i) - row.offset - j
+            system = rows if k <= 0 else [*rows, [a * p ** (i - k) for a in target]]
+            counts.append(_solution_count(system, self.n, p, i))
         return counts
+
+
+def _solution_count(system: Sequence[Sequence[int]], n: int, p: int, i: int) -> int:
+    """How many y mod p^i solve a . y = b mod p^i for every row (*a, b) of the system.
+
+    A local Smith reduction: an entry of least valuation v pivots, and
+    clearing its column from the other rows leaves its own row alone in
+    its variable.  As v is least, that row has p^v solutions in it when
+    p^v divides its right side, whatever the other variables are, and
+    none otherwise.  Once every entry is 0 mod p^i, each remaining right
+    side must be 0 and each remaining variable is free.
+    """
+    modulus = p**i
+    rows = [[a % modulus for a in row] for row in system]
+    free = list(range(n))
+    power = 0
+    while True:
+        pivot = None  # (valuation, row, column)
+        for r, row in enumerate(rows):
+            for c in free:
+                if row[c]:
+                    v = int_valuation(row[c], p)
+                    if pivot is None or v < pivot[0]:
+                        pivot = (v, r, c)
+        if pivot is None:
+            break
+        v, r, c = pivot
+        pivot_row = rows.pop(r)
+        if pivot_row[-1] % p**v:
+            return 0
+        power += v
+        free.remove(c)
+        inverse = pow(pivot_row[c] // p**v, -1, modulus)
+        for row in rows:
+            if row[c]:
+                factor = row[c] // p**v * inverse % modulus
+                row[:] = [(a - factor * b) % modulus for a, b in zip(row, pivot_row)]
+    if any(row[-1] for row in rows):
+        return 0
+    return p ** (power + i * len(free))
 
 
 def lifter_for(
@@ -584,63 +576,52 @@ def tally_zeros(
 ) -> list[int]:
     """tally[j]: the level-j nodes x in the support with target(x) = 0 mod p^row.exponent(j).
 
-    One walk to level `depth` visits exactly the nodes it counts below
-    `depth`, plus the roots and the lifts the support prunes: roots are
-    tested by evaluation, and every deeper node is a lift that the
-    target row keeps.  Passing at a level implies passing at every level
-    below, as the target mod p^(s + j) only depends on x mod p^j, so
-    every passing node is reached.  Where the exponent stops growing (a
-    cap) a passing node's lifts all pass, because they agree with it mod
-    p^(s + j).
+    Passing at a level implies passing at every level below, as the
+    target mod p^(s + j) only depends on x mod p^j, so every passing node
+    lies above a passing root.  The walk visits exactly the nodes it
+    counts up to the level top = max(ceil(depth / 2), support level),
+    plus the roots and the lifts the support prunes: roots are tested by
+    evaluation, and every deeper node is a lift that the target row
+    keeps.  Past top nothing is built: a node counts its descendants at
+    every remaining level with `HenselLifter.subtree_counts`, one linear
+    system over Z/p^i per level from one evaluation at the node, which
+    the first-order Taylor step makes exact at every p since the levels
+    left are at most the node's own.  The support is settled at top, so
+    a descendant's prefix test is its node's.  No Jacobian minors and no
+    closed form of the shell walks enter the counts.
 
-    The last two levels are counted, not built.  A node x at level
-    j = depth - 2 >= 2 is evaluated once, the constraints mod p^(j+2)
-    and the target mod p^(s+j+2), and `HenselLifter.grandchild_counts`
-    derives each child's digit system from those values by the Taylor
-    step, exact at every p because its tail carries p^(2j) (p^(s+2j) for
-    the target) and 2j >= j + 2.  Each child is charged to the meter at
-    depth - 1 and its lifts, counted by the root's solver, at `depth`,
-    in walk order, as if visited.  This holds where the support is
-    settled below `depth`, so that a leaf's prefix test is its parent's;
-    a support that decides at depth - 1 is tested on each child.
-    Otherwise, and below depth 4, the walk visits every level.  Either
-    way every level-(depth - 1) node is enumerated one by one, with no
-    Jacobian minors and no closed form for a subtree.
+    Counted nodes are charged to the meter as if visited, in walk order.
+    A node whose count would pass the limit is descended instead, so the
+    walk stops at the node, and names the level, where visiting every
+    node would have.
     """
     p = lifter.p
     tally = [0] * (depth + 1)
     first = p ** row.exponent(1)
-    # the level whose nodes count their children and grandchildren; 0,
-    # which no node has, when the Taylor step is not exact there or the
-    # support still decides at `depth`
-    top = depth - 2 if depth >= 4 and (support is None or support.level < depth) else 0
+    top = min(depth, max((depth + 1) // 2, support.level if support else 1))
+    room = meter.limit - meter.used  # the nodes still to be charged within the limit
 
     def visit(x: tuple[int, ...], j: int):
+        nonlocal room
+        room -= 1  # the walk charged this node
         if support is not None and not support.admits_prefix(x, j, p):
             return PRUNE
         if j == 1 and row.target.evaluate(x, first):
             return PRUNE  # nonzero mod p^exponent(1) on the whole ball
-        if j == depth:
-            return 1
         tally[j] += 1
-        return x if j == top else DESCEND
+        if j < top:
+            return DESCEND
+        counts = lifter.subtree_counts(x, j, row, depth - j) if j < depth else []
+        if sum(counts) > room:
+            return DESCEND
+        room -= sum(counts)
+        return j, counts
 
     children = functools.partial(lifter.children, row=row)
-    nodes = walk(lifter.roots(), children, visit, meter)
-    if not top:
-        tally[depth] += sum(nodes)
-        return tally
-    step = p**top
-    for x in nodes:
-        for d, lifts in lifter.grandchild_counts(x, top, row):
-            meter.charge(1, depth - 1)
-            if support is not None and not support.admits_prefix(
-                [c + step * e for c, e in zip(x, d)], depth - 1, p
-            ):
-                continue
-            meter.charge(lifts, depth)
-            tally[depth - 1] += 1
-            tally[depth] += lifts
+    for j, counts in walk(lifter.roots(), children, visit, meter):
+        meter.used += sum(counts)
+        for level, count in enumerate(counts, j + 1):
+            tally[level] += count
     return tally
 
 

@@ -24,12 +24,12 @@ subtree's share of every shell is a closed-form count (Igusa's
 stationary phase).  Where e = j (every minor vanishes mod p^j) the
 value mod p^(2j) still resolves every shell it fixes, and only the
 rest is descended.  The tally walks of `tail_measure` and
-`poincare.congruence_counts` stay enumerations, with no minors and no
-closed form: they lift only the target's zeros, visit every counted
-node two levels above the last or higher, enumerate the next level's
-nodes one by one from a Taylor step at their grandparent, and count the
-last level's nodes one parent at a time from its digit system, so the
-counts are the second route of the identity P(t)(1 - t) + t Z(t) = 1.
+`poincare.congruence_counts` use no minors and no closed form: they
+lift only the target's zeros, visit every counted node up to half their
+depth, and count each deeper level below such a node as the solutions
+of one linear congruence system over Z/p^i from the node's first-order
+Taylor data, so the counts are the second route of the identity
+P(t)(1 - t) + t Z(t) = 1.
 
 Every row is recounted at angular level c + 1, and its classes summed
 mod p^c must agree exactly; disagreement raises instead of silently
@@ -41,7 +41,8 @@ The conductor scan finds the conductor cutoff of the twisted tables.
 It probes the critical locus once, then builds one table per level from
 c_max upward until some level past the cutoff is verified zero (escalating
 no further than CONDUCTOR_LIMIT), and hands that table on to the formula
-route.
+route.  Each escalated table takes its rows from the previous level's
+recounts and walks only its own recounts.
 """
 
 from __future__ import annotations
@@ -286,18 +287,39 @@ def build_shell_table(
     Every row is recomputed one level deeper; a mismatch raises
     NotStabilized rather than returning a silently wrong table.
     """
+    return _checked_table(system, depth, c_level, support, budget, None)[0]
+
+
+def _checked_table(
+    system: PolySystem,
+    depth: int,
+    c_level: int,
+    support: Support | None,
+    budget: int,
+    rows: list[dict[int, Fraction]] | None,
+) -> tuple[ShellTable, list[dict[int, Fraction]]]:
+    """The table at c_level, from the given rows or walked ones, and its recounts at c_level + 1.
+
+    The recounts are the rows of the table at c_level + 1, so a conductor
+    scan that escalates hands them on instead of walking them again.
+    """
     if c_level < 1:
         raise ValueError("angular level must be >= 1")
     decomposition = measure_charts(system, budget)
-    measures = []
+    measures, recounts = [], []
     for m in range(depth + 1):
-        row = _shell_measures_once(decomposition, m, c_level, support, budget)
+        if rows is None:
+            row = _shell_measures_once(decomposition, m, c_level, support, budget)
+        else:
+            row = rows[m]
         finer = _shell_measures_once(decomposition, m, c_level + 1, support, budget)
         coarse = _coarsen(finer, system.p**c_level)
         if coarse != row:
             raise NotStabilized(f"shell recount at m={m} disagrees: {row} vs {coarse}")
         measures.append(row)
-    return ShellTable(system=system, support=support, c_level=c_level, depth=depth, measures=measures)
+        recounts.append(finer)
+    table = ShellTable(system=system, support=support, c_level=c_level, depth=depth, measures=measures)
+    return table, recounts
 
 
 @dataclass(frozen=True)
@@ -361,8 +383,9 @@ def conductor_vanishing_scan(
             f"{probe.suspects[:5]}"
         )
     last = max(c_max, CONDUCTOR_LIMIT)
+    rows = None  # the previous level's recounts: this level's rows
     for level in range(c_max, last + 1):
-        table = build_shell_table(system, depth, level, support=support, budget=budget)
+        table, rows = _checked_table(system, depth, level, support, budget, rows)
         nonzero = [
             chi
             for chi in enumerate_characters(system.p, level)

@@ -320,3 +320,16 @@ def test_coset_support_spec(tmp_path):
     spec.write_text(json.dumps(payload))
     out = tmp_path / "out"
     assert run("sps-verify", spec, out, "--max-level", "3") == EXIT_OK
+
+
+@pytest.mark.parametrize("command", ["count", "poincare", "expsum", "decay"])
+def test_whole_polydisc_commands_refuse_coset_supports(command, tmp_path, capsys):
+    # these commands count or sum over the unit polydisc, so a coset support
+    # would be ignored; a level-0 union of cosets is the polydisc and runs
+    spec, out = tmp_path / "coset.json", tmp_path / "out"
+    for level, code in ((1, EXIT_SCHEMA), (0, EXIT_OK)):
+        support = {"type": "cosets", "level": level, "centers": [[0, 1]]}
+        spec.write_text(json.dumps({**LINE_X2_SPEC, "support": support}))
+        assert run(command, spec, out) == code
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == f"error: {command} covers the unit polydisc and takes no coset support"

@@ -228,6 +228,64 @@ def test_tally_charges_every_counted_node(system, data):
         assert tally[j] == Fraction(zeros, p ** (depth - j)), j
 
 
+@given(graph_systems(), st.data())
+@settings(max_examples=25, deadline=None)
+def test_counted_subtrees_match_brute(system, data):
+    # from level ceil(depth / 2), or the support's level when deeper, the
+    # walk counts every remaining level from one linear system per level.
+    # Depths 5 to 8 (6 at p = 5), with drawn offsets, caps and coset
+    # supports of every level up to the depth, around points of the curve.
+    # Each level is checked against the classes of the curve's level-depth
+    # points, and the meter against the nodes a plain walk would visit:
+    # the roots, every counted node past level 1, and the lifts of admitted
+    # nodes that the support prunes.  A drawn budget below that total must
+    # stop where the plain walk would, whose order is lexicographic in the
+    # digit vectors of each node
+    p = system.p
+    _, smooth = _primitive(system)
+    depth = data.draw(st.integers(5, 6 if p == 5 else 8))
+    offset = data.draw(st.integers(0, 2))
+    # the target keeps its zero at x2 = 0 in half the draws, so deep levels count zeros
+    constant = data.draw(st.just(0) | st.integers(-9, 9))
+    target = system.target.scale(p**offset) + MPoly.constant(2, constant)
+    # half the drawn caps stop the exponent inside the counted levels
+    top = (depth + 1) // 2
+    cap = data.draw(
+        st.none() | st.integers(1, offset + depth) | st.integers(offset + top + 1, offset + depth - 1)
+    )
+    points = _smooth_points(smooth, depth)
+    level = data.draw(st.integers(0, depth))
+    on_curve = sorted({tuple(c % p**level for c in x) for x in points})
+    centers = data.draw(st.lists(st.sampled_from(on_curve), min_size=1, max_size=3))
+    support = Support.cosets(2, level, centers, p)
+    lifter = HenselLifter(p, 2, smooth.constraints)
+    row = lifter.target_row(target, offset, cap)
+    meter = BudgetMeter(DEFAULT_BUDGET, "tally")
+    tally = tally_zeros(lifter, row, depth, support, meter)
+
+    def admitted(x, j):
+        return support is None or support.admits_prefix(x, j, p)
+
+    pruned = 0
+    visited = []  # (digit vectors, level) of each node the plain walk visits
+    for j in range(1, depth + 1):
+        classes = {tuple(c % p**j for c in x) for x in points}
+        passing = [x for x in classes if target.evaluate(x, p ** row.exponent(j)) == 0]
+        assert tally[j] == sum(1 for x in passing if admitted(x, j)), j
+        if j >= 2:
+            pruned += sum(1 for x in passing if admitted(x, j - 1) and not admitted(x, j))
+        for x in classes if j == 1 else [x for x in passing if admitted(x, j - 1)]:
+            digits = tuple(tuple(c // p**k % p for c in x) for k in range(j))
+            visited.append((digits, j))
+    assert meter.used == len(lifter.roots()) + sum(tally[2:]) + pruned == len(visited)
+    order = [j for _, j in sorted(visited)]
+    budget = data.draw(st.integers(0, len(order) - 1))
+    meter = BudgetMeter(budget, "tally")
+    with pytest.raises(BudgetExceeded, match=rf"budget {budget} exhausted at level {order[budget]}$"):
+        tally_zeros(lifter, row, depth, support, meter)
+    assert meter.used == budget + 1
+
+
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("power, stop", [(0, 0), (1, 1), (None, 2)], ids=["unit", "p", "zero"])
 def test_capped_recount_matches_point_counts(p, power, stop, monkeypatch):
@@ -498,9 +556,9 @@ def test_every_walk_honours_the_budget(run, stage):
 def test_threevar_count_walks_once(monkeypatch):
     # one walk to level 8 that lifts only the target's zeros charges 48,480
     # nodes; filtering every constraint lift visited 101,664, and a walk per
-    # level, each a prefix of the next, 139,176.  The 8,019 nodes at level 7
-    # and the 37,179 at level 8 are counted from their grandparents' values,
-    # so no level-6 node is expanded, and charged as if visited
+    # level, each a prefix of the next, 139,176.  The nodes at levels 5 to 8
+    # are counted from their level-4 ancestors' values, so no level-4 node
+    # is expanded, and charged as if visited
     import padiczeta.poincare as poincare
 
     meters = []
@@ -524,7 +582,7 @@ def test_threevar_count_walks_once(monkeypatch):
     assert counts[6:] == [2_673, 8_019, 37_179]
     assert [meter.stage for meter in meters] == ["count walk m=8 chart 1/1"]
     assert meters[0].used == 48_480
-    assert expanded and max(expanded) == 5
+    assert expanded and max(expanded) == 3
 
 
 def test_counted_leaves_spend_the_budget_exactly():
@@ -538,6 +596,24 @@ def test_counted_leaves_spend_the_budget_exactly():
         with pytest.raises(BudgetExceeded, match=rf"budget {budget} exhausted at level {level}$"):
             congruence_counts(BUDGET_CUSP, 4, budget=budget)
     assert congruence_counts(BUDGET_CUSP, 4, budget=18) == [1, 1, 3, 3, 9]
+
+
+def test_counted_subtrees_spend_the_budget_exactly():
+    # BUDGET_CUSP to level 6 charges 54 nodes.  A level-j node is x1 mod 3^j
+    # with v(x1) >= ceil(j / 2), so the zero 0 mod 27 has three lifts at
+    # level 4, each of them three at level 5 and each of those three at
+    # level 6; the zeros 9 and 18 mod 27 have three lifts each at level 4
+    # and none deeper.  The walk counts levels 4 to 6 from the level-3
+    # nodes, so every charge at levels 4 to 6 is counted, not visited, and
+    # a budget b stops at node b + 1 of the walk order
+    lift_of_zero = [4] + [5, 6, 6, 6] * 3  # one level-4 lift of 0 mod 27 and its subtree
+    order = [1, 2, 3, *lift_of_zero * 3, 3, 4, 4, 4, 3, 4, 4, 4, 2, 2, 1, 1]
+    assert len(order) == 54
+    for budget in range(BUDGET_CUSP.p**BUDGET_CUSP.n, len(order)):
+        level = order[budget]
+        with pytest.raises(BudgetExceeded, match=rf"budget {budget} exhausted at level {level}$"):
+            congruence_counts(BUDGET_CUSP, 6, budget=budget)
+    assert congruence_counts(BUDGET_CUSP, 6, budget=54) == [1, 1, 3, 3, 9, 9, 27]
 
 
 @pytest.fixture

@@ -282,26 +282,47 @@ def test_context_reuses_the_scan_table(monkeypatch):
     import padiczeta.expsum as expsum
     import padiczeta.zeta as zeta
 
+    # every table, the scan's included, is built by zeta._checked_table
     levels, probes = [], []
-    build, probe = zeta.build_shell_table, zeta.critical_locus_probe
+    build, probe = zeta._checked_table, zeta.critical_locus_probe
 
-    def counting_build(system, depth, c_level=1, *args, **kwargs):
+    def counting_build(system, depth, c_level, *args):
         levels.append(c_level)
-        return build(system, depth, c_level, *args, **kwargs)
+        return build(system, depth, c_level, *args)
 
     def counting_probe(*args, **kwargs):
         probes.append(args)
         return probe(*args, **kwargs)
 
+    monkeypatch.setattr(zeta, "_checked_table", counting_build)
     for module in (zeta, expsum):
-        monkeypatch.setattr(module, "build_shell_table", counting_build, raising=False)
         monkeypatch.setattr(module, "critical_locus_probe", counting_probe, raising=False)
     # conductor 2 survives at level 2, so the scan escalates to level 3
     ctx = expsum.build_stationary_phase_context(LINE_X3.system, depth=6, c_max=2)
     assert levels == [2, 3]
     assert len(probes) == 1
     assert ctx.cutoff == 2 and ctx.table.c_level == 2
-    assert ctx.table.measures == build(LINE_X3.system, 6, c_level=2).measures
+    assert ctx.table.measures == zeta.build_shell_table(LINE_X3.system, 6, c_level=2).measures
+
+
+def test_escalation_walks_each_level_once(monkeypatch):
+    # the level-3 table takes its rows from the level-2 table's recounts at
+    # level 3 and walks only its own recounts at level 4: five rows (m = 0..4)
+    # of one chart per level, where walking every table's rows took 20 walks
+    import padiczeta.expsum as expsum
+    import padiczeta.zeta as zeta
+
+    levels = []
+    shell_walk = zeta._chart_shell_walk
+
+    def counting_walk(decomposition, chart, m, c, support, meter):
+        levels.append(c)
+        return shell_walk(decomposition, chart, m, c, support, meter)
+
+    monkeypatch.setattr(zeta, "_chart_shell_walk", counting_walk)
+    report = expsum.stationary_phase_check(THREEVAR.system, [1, 2, 3], c_cap=2, depth=4)
+    assert report.max_discrepancy < 1e-9
+    assert sorted(levels) == [2] * 5 + [3] * 5 + [4] * 5
 
 
 @st.composite
