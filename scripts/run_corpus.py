@@ -120,8 +120,9 @@ def main() -> int:
             f"max gap {report.max_discrepancy:.2e}",
         )
 
-    for instance in (LINE_X2, PARABOLA):
-        report = delta_limit_check(instance.system, 1, None, [0, 1, 2, 3, 4], depth=9)
+    # line_x2 as the `delta-check --r-max 8` run of its shipped spec: r = 0..8, depth 10
+    for instance, r_max, depth in ((LINE_X2, 8, 10), (PARABOLA, 4, 9), (PLANE_LINE, 4, 9)):
+        report = delta_limit_check(instance.system, 1, None, list(range(r_max + 1)), depth=depth)
         record(instance.name, "delta limit", report.passed, f"r0={report.r0}")
 
     decomposition = global_decompose(BAD_LINE.system)

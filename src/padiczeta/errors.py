@@ -16,6 +16,13 @@ class BudgetExceeded(PadicZetaError):
     """An enumeration would visit more points than the configured budget."""
 
 
+class ArgumentOutOfRange(PadicZetaError, ValueError):
+    """An argument lies outside the range a computation is defined on.
+
+    It is a ValueError too, so callers that catch the built-in still see it.
+    """
+
+
 class PolynomialSyntaxError(PadicZetaError):
     """Malformed polynomial text.  Carries the 0-based offset of the problem."""
 

@@ -19,16 +19,27 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .characters import MultChar, chi_value
+from .errors import ArgumentOutOfRange
 from .mpoly import PolySystem
 from .padic import int_valuation
 from .support import Support
-from .variety import DEFAULT_BUDGET, DESCEND, PRUNE, BudgetMeter, truncated_tree, walk
+from .variety import (
+    DEFAULT_BUDGET,
+    DESCEND,
+    PRUNE,
+    BudgetMeter,
+    lift_counts,
+    lifter_for,
+    truncated_tree,
+    walk,
+)
 from .zeta import build_shell_table
 
 ZETA_DEPTH = 12  # depth of the shell table behind the surface-side zeta value
+DEEP = ("deep", None, 0)  # the kind of a depth-limit leaf
 
 
 # The delta_r scale factor p^(r(l-1)); isolated so falsification tests can
@@ -53,41 +64,101 @@ class DeltaApprox:
     tail_bound: Fraction
 
 
-def _ambient_walk(system: PolySystem, r: int, depth: int, support: Support | None, budget: int):
+def _ambient_walk(
+    system: PolySystem,
+    r: int,
+    depth: int,
+    support: Support | None,
+    budget: int,
+    angular: int,
+) -> Iterator:
     """Yield (point, level, kind, mult) over the constraint-filtered tree.
 
     Nodes are descended while the integrand is undetermined: constraints
-    filter digits up to level r, and below that a subtree is emitted as
-    soon as the target's valuation (kind "resolved", with the exact
-    value) is known.  kind "deep" marks depth-limit leaves whose target
-    is still indistinguishable from 0.  Once constraints and support are
-    settled, coordinates absent from the target are pinned instead of
-    enumerated; mult counts the collapsed sibling classes.
+    filter digits up to level r, and from settle = max(r, support level,
+    1) on a subtree is emitted as soon as the target's valuation v (kind
+    "resolved", with the exact value) is known.  kind "deep" marks
+    depth-limit leaves whose target is still indistinguishable from 0.
+    Once constraints and support are settled, coordinates absent from
+    the target are pinned instead of enumerated; mult counts the
+    collapsed sibling classes.  `angular` is the level c of the angular
+    class the integrand reads, 0 for the trivial character.
+
+    Two kinds of subtree are counted, not enumerated, by the first-order
+    Taylor step, exact from a level-j node for j + i <= 2j levels:
+    - below settle (then settle = r), a node at or past the support level
+      whose target has v < j, with v + c <= j, fixed on its ball: its
+      level-r constraint lifts, from `HenselLifter.subtree_counts`, make
+      one resolved item at level r;
+    - at or past settle, for the trivial character, a node at a level j
+      with 2j >= depth whose target is still 0 mod p^j: with Z_i the
+      level-(j + i) lifts where the target stays 0 mod p^(j + i), from
+      `lift_counts` (Z_0 = 1), its descendants resolve at v = j + i - 1
+      with weight p^n Z_(i-1) - Z_i, and Z_(depth - j) of them are deep,
+      each weight times the node's mult; these items carry no value, which
+      only a twisted integrand reads.
+
+    A counted subtree is charged to the meter as if its nodes were
+    visited, in walk order; one whose charge would pass the limit is
+    descended instead, so the walk stops at the node, and names the
+    level, where visiting every node would have.
     """
     p, n = system.p, system.n
-    settle = max(r, support.level if support is not None else 0, 1)
-    pinned = [i for i in range(n) if not any(expo[i] for expo in system.target.terms)]
+    target = system.target
+    level = support.level if support is not None else 0
+    settle = max(r, level, 1)
+    pinned = [i for i in range(n) if not any(expo[i] for expo in target.terms)]
     all_digits = list(itertools.product(range(p), repeat=n))
     active_digits = [d for d in all_digits if not any(d[i] for i in pinned)]
     roots, children = truncated_tree(
         p, n, system.constraints, r, lambda j: active_digits if j >= settle else all_digits, budget
     )
+    lifter = lifter_for(p, n, system.constraints, budget) if r >= 1 else None
+    gradient = ([target.partial(k) for k in range(1, n + 1)],)
+    room = budget  # the nodes still to be charged within the limit
+
+    def counted(charge: int, items: list):
+        nonlocal room
+        if charge > room:
+            return DESCEND
+        room -= charge
+        return charge, items
 
     def visit(x: tuple[int, ...], j: int):
+        nonlocal room
+        room -= 1  # the walk charged this node
         if support is not None and not support.admits_prefix(x, j, p):
             return PRUNE
-        mult = p ** (len(pinned) * max(0, j - settle))
-        if j >= settle:
-            value = system.target.evaluate(x, p**depth)
-            v = int_valuation(value % p**j, p)
-            if v is not None:
-                return x, j, ("resolved", v, value), mult
+        if j < settle and (j < level or 2 * j < settle):
+            return (0, [(x, j, DEEP, 1)]) if j == depth else DESCEND
+        value = target.evaluate(x, p**depth)
+        v = int_valuation(value % p**j, p)
+        if j < settle:
+            if v is None or v + angular > j:
+                return DESCEND
+            counts = lifter.subtree_counts(x, j, None, settle - j)
+            return counted(sum(counts), [(x, settle, ("resolved", v, value), counts[-1])])
+        mult = p ** (len(pinned) * (j - settle))
+        if v is not None:
+            return 0, [(x, j, ("resolved", v, value), mult)]
         if j == depth:
             # target, constraints or support still unresolved at the scan depth
-            return x, j, ("deep", None, 0), mult
-        return DESCEND
+            return 0, [(x, j, DEEP, mult)]
+        if angular or 2 * j < depth:
+            return DESCEND
+        zeros = [1, *lift_counts((target,), gradient, x, j, depth - j, p)]
+        # the unresolved nodes at level j + i - 1 each expand p^(n - pinned) children
+        charge = sum(p**n * zeros[i - 1] // p ** (len(pinned) * i) for i in range(1, depth - j + 1))
+        items = [
+            (x, j + i, ("resolved", j + i - 1, None), mult * (p**n * zeros[i - 1] - zeros[i]))
+            for i in range(1, depth - j + 1)
+        ]
+        return counted(charge, [*items, (x, depth, DEEP, mult * zeros[-1])])
 
-    return walk(roots, children, visit, BudgetMeter(budget, f"ambient walk r={r}"))
+    meter = BudgetMeter(budget, f"ambient walk r={r}")
+    for charge, items in walk(roots, children, visit, meter):
+        meter.used += charge
+        yield from items
 
 
 def delta_integral(
@@ -107,9 +178,9 @@ def delta_integral(
     resolved, and points where it is not are moved into the tail bound.
     """
     if s < 1:
-        raise ValueError("s must be a positive integer")
+        raise ArgumentOutOfRange("s must be a positive integer")
     if depth <= r:
-        raise ValueError("scan depth must exceed r")
+        raise ArgumentOutOfRange("scan depth must exceed r")
     p, l, n = system.p, system.l, system.n
     c_needed = 0 if chi is None or chi.is_trivial() else max(chi.conductor, 1)
     # every term is an integer over p^(depth (n + s)): a level-j coset has
@@ -120,7 +191,7 @@ def delta_integral(
     exact = 0
     twisted = 0.0 + 0.0j
     tail = 0
-    for _, j, (kind, v, value), mult in _ambient_walk(system, r, depth, support, budget):
+    for _, j, (kind, v, value), mult in _ambient_walk(system, r, depth, support, budget, c_needed):
         if kind == "deep":
             tail += mult * cell[j]
             continue

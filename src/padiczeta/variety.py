@@ -16,13 +16,15 @@ where the target keeps vanishing, and they build no node past half their
 depth: there the first-order Taylor step is exact on a node's whole
 subtree, so each deeper level's count is the solution count of one
 linear system over Z/p^i, read from one evaluation at the node by a
-local Smith reduction, with no Jacobian minors.  Two oracles stay
-independent of the lifter: a brute-force scan of the full residue grid,
-which every walk is checked against, and the image oracle, a class
-search on `walk` over the all-digit tree.  The oracle evaluates the
-constraints and their gradient once per node and keeps the digit
-vectors that pass that first-order Taylor step, with no lifter and no
-F_p solver.
+local Smith reduction, with no Jacobian minors.  `lift_counts` gives
+that count for any polynomials; the ambient walk of `regularize` counts
+its subtrees with it, from the constraints alone below level r and from
+the target alone past it.  Two oracles stay independent of the
+lifter: a brute-force scan of the full residue grid, which every walk
+is checked against, and the image oracle, a class search on `walk`
+over the all-digit tree.  The oracle evaluates the constraints and
+their gradient once per node and keeps the digit vectors that pass that
+first-order Taylor step, with no lifter and no F_p solver.
 
 Image-level counts (the reduction of the variety's Z_p points rather
 than its congruence solutions) live on the chart decomposition in
@@ -434,28 +436,20 @@ class HenselLifter:
         return [tuple([c + step * d for c, d in zip(x, digit)]) for digit in solver.solve_affine(rhs)]
 
     def subtree_counts(
-        self, x: tuple[int, ...], j: int, row: TargetRow, levels: int
+        self, x: tuple[int, ...], j: int, row: TargetRow | None, levels: int
     ) -> list[int]:
         """counts[i - 1]: the level-(j + i) nodes above a level-j node x, i = 1..levels <= j.
 
-        For i <= j, f(x + p^j y) = f(x) + p^j grad f(x) . y mod p^(j + i),
-        as the Taylor tail carries p^(2j), and the target's tail carries
-        p^(s + 2j) while its exponent at level j + i is at most s + j + i.
-        So the lifts x + p^j y (y mod p^i) at level j + i solve one linear
-        system over Z/p^i: the row (grad f(x), -f(x)/p^j) per constraint,
-        and the target row (grad T(x)/p^s, -T(x)/p^(s + j)) taken mod p^k,
-        k = exponent(j + i) - s - j, where k > 0.
+        Without a target row these are the constraint lifts, counted by
+        `lift_counts`.  With one, the target's row joins them: its tail
+        carries p^(s + 2j) while its exponent at level j + i is at most
+        s + j + i, so it adds the row (grad T(x)/p^s, -T(x)/p^(s + j))
+        taken mod p^k, k = exponent(j + i) - s - j, where k > 0.
         """
-        if levels > j:
-            raise WalkInvariantError(f"no Taylor step to level {j + levels} from level {j}")
+        if row is None:
+            return lift_counts(self.constraints, self._partials, x, j, levels, self.p)
         p = self.p
-        step, reach = p**j, p**levels
-        rows = []
-        for f, partials in zip(self.constraints, self._partials):
-            value = f.evaluate(x, step * reach)
-            if value % step:
-                raise WalkInvariantError(f"node {x} does not satisfy the constraints at level {j}")
-            rows.append([df.evaluate(x, reach) for df in partials] + [-(value // step)])
+        rows = _taylor_rows(self.constraints, self._partials, x, j, levels, p)
         last = row.exponent(j + levels) - row.offset - j  # k at the deepest level
         if last > 0:
             shift, scale = p ** (row.offset + j), p**row.offset
@@ -470,6 +464,47 @@ class HenselLifter:
             system = rows if k <= 0 else [*rows, [a * p ** (i - k) for a in target]]
             counts.append(_solution_count(system, self.n, p, i))
         return counts
+
+
+def _taylor_rows(
+    polys: Sequence[MPoly],
+    gradients: Sequence[Sequence[MPoly]],
+    x: tuple[int, ...],
+    j: int,
+    levels: int,
+    p: int,
+) -> list[list[int]]:
+    """The rows (grad f(x), -f(x)/p^j) mod p^levels of the polys f at a level-j common zero x."""
+    if levels > j:
+        raise WalkInvariantError(f"no Taylor step to level {j + levels} from level {j}")
+    step, reach = p**j, p**levels
+    rows = []
+    for f, partials in zip(polys, gradients):
+        value = f.evaluate(x, step * reach)
+        if value % step:
+            raise WalkInvariantError(f"node {x} is not a zero of {f} at level {j}")
+        rows.append([df.evaluate(x, reach) for df in partials] + [-(value // step)])
+    return rows
+
+
+def lift_counts(
+    polys: Sequence[MPoly],
+    gradients: Sequence[Sequence[MPoly]],
+    x: tuple[int, ...],
+    j: int,
+    levels: int,
+    p: int,
+) -> list[int]:
+    """counts[i - 1]: the y mod p^i with every poly f(x + p^j y) = 0 mod p^(j + i), i = 1..levels <= j.
+
+    x is a common zero of the polys mod p^j, and gradients[k] lists the
+    partials of polys[k].  For i <= j, f(x + p^j y) = f(x) + p^j grad
+    f(x) . y mod p^(j + i), as the Taylor tail carries p^(2j), so the
+    lifts solve one linear system over Z/p^i, the row (grad f(x),
+    -f(x)/p^j) per poly, from one evaluation at x.
+    """
+    rows = _taylor_rows(polys, gradients, x, j, levels, p)
+    return [_solution_count(rows, len(x), p, i) for i in range(1, levels + 1)]
 
 
 def _solution_count(system: Sequence[Sequence[int]], n: int, p: int, i: int) -> int:

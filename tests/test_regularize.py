@@ -1,13 +1,19 @@
 """Tests for the delta_r regularization and its limit identity."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from test_variety import graph_systems
 
 import padiczeta.regularize as regularize
 from padiczeta.bundled import LINE_X2, PARABOLA, PLANE_LINE
 from padiczeta.characters import chi_value, enumerate_characters
+from padiczeta.errors import ArgumentOutOfRange, PadicZetaError
+from padiczeta.padic import int_valuation
 from padiczeta.regularize import delta_integral, delta_limit_check
+from padiczeta.support import Support
 
 F = Fraction
 
@@ -36,7 +42,8 @@ def _per_node_delta(system, s, chi, r, depth):
     scale = regularize._delta_scale(p, r, system.l)
     c_needed = 0 if chi is None else max(chi.conductor, 1)
     exact, twisted, tail = F(0), 0j, F(0)
-    for _, j, (kind, v, value), mult in regularize._ambient_walk(system, r, depth, None, 10**7):
+    walk = regularize._ambient_walk(system, r, depth, None, 10**7, c_needed)
+    for _, j, (kind, v, value), mult in walk:
         coset = scale * F(mult, p ** (j * n))
         if kind == "deep":
             tail += coset * F(1, p ** (depth * s))
@@ -60,6 +67,76 @@ def test_delta_integral_equals_per_node_sum(r, depth):
         for s in (1, 2):
             approx = delta_integral(system, s, chi, r, depth)
             assert (approx.value, approx.tail_bound) == _per_node_delta(system, s, chi, r, depth)
+
+
+def _brute_delta(system, s, chi, r, depth, support):
+    """(value, tail) of I_r summed over every x mod p^depth.
+
+    x counts when its constraints are 0 mod p^r and the support admits
+    it, with weight p^(r(l - 1) - depth n) times |f(x)|^s = p^(-v s).
+    The walk reads v at the level max(settle, v + 1), settle = max(r,
+    support level, 1); x goes to the tail with |f|^s = p^(-depth s) when
+    f = 0 mod p^depth or that level lies past the scan depth, and with
+    p^(-v s) when a twisted integrand's angular class, known from level
+    v + c on, is not known there.
+    """
+    p, n = system.p, system.n
+    settle = max(r, support.level if support else 0, 1)
+    c_needed = 0 if chi is None else max(chi.conductor, 1)
+    weight = F(regularize._delta_scale(p, r, system.l), p ** (depth * n))
+    exact, twisted, tail = F(0), 0j, F(0)
+    for x in itertools.product(range(p**depth), repeat=n):
+        if support is not None and not support.admits_prefix(x, depth, p):
+            continue
+        if any(f.evaluate(x, p**r) for f in system.constraints):
+            continue
+        value = system.target.evaluate(x, p**depth)
+        v = int_valuation(value, p)
+        if v is None or max(settle, v + 1) > depth:
+            tail += weight / p ** (depth * s)
+        elif c_needed == 0:
+            exact += weight / p ** (v * s)
+        elif v + c_needed <= max(settle, v + 1):
+            twisted += chi_value(chi, (value // p**v) % p**c_needed) * float(weight / p ** (v * s))
+        else:
+            tail += weight / p ** (v * s)
+    return (exact if c_needed == 0 else twisted), tail
+
+
+@given(graph_systems().filter(lambda system: system.p <= 3), st.data())
+@settings(max_examples=30, deadline=None)
+def test_delta_integral_matches_brute_force(system, data):
+    # good and bad reduction at p = 2 and 3, on the unit polydisc or a coset
+    # support: the counted subtrees give every trivial value and tail exactly,
+    # and a twisted value to float rounding (its terms add in another order)
+    p = system.p
+    depth = data.draw(st.integers(1, 4), label="depth")
+    r = data.draw(st.integers(0, depth - 1), label="r")
+    support = None
+    if data.draw(st.booleans(), label="coset support"):
+        level = data.draw(st.integers(1, 3), label="level")
+        center = st.tuples(st.integers(0, p**level - 1), st.integers(0, p**level - 1))
+        centers = data.draw(st.lists(center, min_size=1, max_size=3), label="centers")
+        support = Support.cosets(2, level, centers, p)
+    for s in (1, 2):
+        approx = delta_integral(system, s, None, r, depth, support)
+        assert (approx.value, approx.tail_bound) == _brute_delta(system, s, None, r, depth, support)
+    if p == 3:
+        c = data.draw(st.sampled_from([1, 2]), label="conductor")
+        chi = data.draw(st.sampled_from([x for x in enumerate_characters(3, c) if x.conductor == c]))
+        approx = delta_integral(system, 1, chi, r, depth, support)
+        value, tail = _brute_delta(system, 1, chi, r, depth, support)
+        assert abs(approx.value - value) <= 1e-12
+        assert approx.tail_bound == tail
+
+
+def test_delta_integral_argument_errors_are_typed():
+    # both checks raise a PadicZetaError that callers catching ValueError still see
+    for s, r, depth in ((0, 1, 3), (1, 3, 3)):
+        with pytest.raises(ArgumentOutOfRange) as caught:
+            delta_integral(LINE_X2.system, s, None, r, depth)
+        assert isinstance(caught.value, PadicZetaError)
+        assert isinstance(caught.value, ValueError)
 
 
 def test_delta_integral_parabola():

@@ -33,6 +33,7 @@ from padiczeta.poincare import (
     poincare_series,
 )
 from padiczeta.ratfn import pole_data_from_resolution
+from padiczeta.regularize import delta_integral
 from padiczeta.smoothing import global_decompose, measure_charts
 from padiczeta.support import Support
 from padiczeta.variety import (
@@ -536,6 +537,11 @@ BUDGET_CUSP = system_from_strings(3, 2, ["x2"], "x1^2")
         # 3 roots, 9 nodes at level 2, and the three lifts to level 3 of
         # each class mod 9, two of them pruned: 39 nodes
         (lambda budget: image_oracle(BUDGET_LINE, 2, 1, budget), "image oracle m=2 accuracy=3"),
+        # the lifts of x2 = 0 to level r = 3 alone charge 3 + 9 + 27 nodes
+        (
+            lambda budget: delta_integral(BUDGET_CUSP, 1, None, 3, 6, budget=budget),
+            "ambient walk r=3",
+        ),
     ],
     ids=[
         "tail_measure",
@@ -545,6 +551,7 @@ BUDGET_CUSP = system_from_strings(3, 2, ["x2"], "x1^2")
         "decomposed_recount",
         "global_decompose",
         "image_oracle",
+        "ambient_walk",
     ],
 )
 def test_every_walk_honours_the_budget(run, stage):
@@ -614,6 +621,29 @@ def test_counted_subtrees_spend_the_budget_exactly():
         with pytest.raises(BudgetExceeded, match=rf"budget {budget} exhausted at level {level}$"):
             congruence_counts(BUDGET_CUSP, 6, budget=budget)
     assert congruence_counts(BUDGET_CUSP, 6, budget=54) == [1, 1, 3, 3, 9, 9, 27]
+
+
+def test_ambient_walk_spends_the_budget_exactly():
+    # The ambient walk of BUDGET_CUSP at r = 2, depth 5 charges 57 nodes.
+    # The roots are x2 = 0 mod 3 and their level-2 children x2 = 0 mod 9;
+    # from level 2 on, x2 is pinned and x1 alone branches.  x1^2 resolves
+    # where v(x1^2) < j: at level 2 for x1 a unit, at level 3 for x1 = 3,
+    # 6 mod 9 and at level 5 for x1 = 9, 18 mod 27, while x1 = 0 mod 27
+    # stays deep.  The roots 1 and 2 count their level-2 lifts, and each
+    # level-3 node x1 = 0, 9, 18 mod 27 counts its levels 4 and 5, so
+    # every charge there is counted, not visited, and a budget b stops at
+    # node b + 1 of the walk order
+    below_27 = [3] + [4, 5, 5, 5] * 3  # a level-3 node x1 = 0 mod 9 and its subtree
+    order = [1, 2, *below_27 * 3, 2, 3, 3, 3, 2, 3, 3, 3, 1, 2, 2, 2, 1, 2, 2, 2]
+    assert len(order) == 57
+    for budget in range(BUDGET_CUSP.p**BUDGET_CUSP.n, len(order)):
+        level = order[budget]
+        with pytest.raises(
+            BudgetExceeded, match=rf"^ambient walk r=2: enumeration budget {budget} exhausted at level {level}$"
+        ):
+            delta_integral(BUDGET_CUSP, 1, None, 2, 5, budget=budget)
+    approx = delta_integral(BUDGET_CUSP, 1, None, 2, 5, budget=57)
+    assert (approx.value, approx.tail_bound) == (Fraction(1514, 2187), Fraction(1, 6561))
 
 
 @pytest.fixture
