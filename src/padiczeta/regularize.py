@@ -74,34 +74,30 @@ def _ambient_walk(
 ) -> Iterator:
     """Yield (point, level, kind, mult) over the constraint-filtered tree.
 
-    Nodes are descended while the integrand is undetermined: constraints
-    filter digits up to level r, and from settle = max(r, support level,
-    1) on a subtree is emitted as soon as the target's valuation v (kind
-    "resolved", with the exact value) is known.  kind "deep" marks
-    depth-limit leaves whose target is still indistinguishable from 0.
-    Once constraints and support are settled, coordinates absent from
-    the target are pinned instead of enumerated; mult counts the
-    collapsed sibling classes.  `angular` is the level c of the angular
-    class the integrand reads, 0 for the trivial character.
+    Constraints filter digits up to level r.  From settle = max(r,
+    support level, 1) on, a node is emitted as soon as the target's
+    valuation v is known (kind "resolved", with the exact value), and a
+    depth-limit leaf whose target is still 0 is kind "deep".  Past
+    settle, coordinates absent from the target are pinned, and mult
+    counts the collapsed sibling classes.  `angular` is the angular
+    level c the integrand reads, 0 for the trivial character.
 
-    Two kinds of subtree are counted, not enumerated, by the first-order
-    Taylor step, exact from a level-j node for j + i <= 2j levels:
-    - below settle (then settle = r), a node at or past the support level
-      whose target has v < j, with v + c <= j, fixed on its ball: its
-      level-r constraint lifts, from `HenselLifter.subtree_counts`, make
-      one resolved item at level r;
-    - at or past settle, for the trivial character, a node at a level j
-      with 2j >= depth whose target is still 0 mod p^j: with Z_i the
-      level-(j + i) lifts where the target stays 0 mod p^(j + i), from
-      `lift_counts` (Z_0 = 1), its descendants resolve at v = j + i - 1
-      with weight p^n Z_(i-1) - Z_i, and Z_(depth - j) of them are deep,
-      each weight times the node's mult; these items carry no value, which
-      only a twisted integrand reads.
+    The first-order Taylor step, exact for j + i <= 2j, counts two kinds
+    of subtree without building them.  Below settle (= r there), a node
+    past the support level whose ball fixes v < j, with v + c <= j,
+    yields one item at level r, mult its constraint lifts there
+    (`HenselLifter.subtree_counts`).  Past settle, for the trivial
+    character, a node of level j with 2j >= depth whose target is 0 mod
+    p^j yields its shells from Z_i, its level-(j + i) lifts that keep
+    the target 0 mod p^(j + i) (`lift_counts`, Z_0 = 1): mult
+    p^n Z_(i-1) - Z_i at v = j + i - 1, and Z_(depth - j) deep, each
+    times the node's own mult.  These items carry no value, which only
+    a twisted integrand reads.
 
-    A counted subtree is charged to the meter as if its nodes were
-    visited, in walk order; one whose charge would pass the limit is
-    descended instead, so the walk stops at the node, and names the
-    level, where visiting every node would have.
+    Counted nodes are charged to the meter as if visited, in walk
+    order, and a node whose count would pass the limit is descended, so
+    the walk stops at the node, and names the level, where visiting
+    every node would have.
     """
     p, n = system.p, system.n
     target = system.target

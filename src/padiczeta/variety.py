@@ -495,7 +495,7 @@ def lift_counts(
     levels: int,
     p: int,
 ) -> list[int]:
-    """counts[i - 1]: the y mod p^i with every poly f(x + p^j y) = 0 mod p^(j + i), i = 1..levels <= j.
+    """counts[i - 1]: the y mod p^i with every f(x + p^j y) = 0 mod p^(j + i), i = 1..levels <= j.
 
     x is a common zero of the polys mod p^j, and gradients[k] lists the
     partials of polys[k].  For i <= j, f(x + p^j y) = f(x) + p^j grad

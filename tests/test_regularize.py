@@ -123,9 +123,23 @@ def test_delta_integral_matches_brute_force(system, data):
         assert (approx.value, approx.tail_bound) == _brute_delta(system, s, None, r, depth, support)
     if p == 3:
         c = data.draw(st.sampled_from([1, 2]), label="conductor")
-        chi = data.draw(st.sampled_from([x for x in enumerate_characters(3, c) if x.conductor == c]))
+        primitive = [x for x in enumerate_characters(3, c) if x.conductor == c]
+        chi = data.draw(st.sampled_from(primitive), label="character")
         approx = delta_integral(system, 1, chi, r, depth, support)
         value, tail = _brute_delta(system, 1, chi, r, depth, support)
+        assert abs(approx.value - value) <= 1e-12
+        assert approx.tail_bound == tail
+
+
+@pytest.mark.parametrize("conductor", [1, 2])
+@pytest.mark.parametrize("r", [0, 2, 3])
+def test_twisted_delta_integral_matches_brute_force(r, conductor):
+    # below r a ball fixes the angular class mod p^c only where v + c <= j,
+    # so a conductor-2 character tells a subtree counted too early
+    chi = next(x for x in enumerate_characters(3, conductor) if x.conductor == conductor)
+    for system in (LINE_X2.system, PARABOLA.system):
+        approx = delta_integral(system, 1, chi, r, 4)
+        value, tail = _brute_delta(system, 1, chi, r, 4, None)
         assert abs(approx.value - value) <= 1e-12
         assert approx.tail_bound == tail
 
