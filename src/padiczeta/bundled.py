@@ -9,13 +9,12 @@ paths).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .mpoly import PolySystem, system_from_strings
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(NamedTuple):
     name: str
     system: PolySystem
     good_reduction: bool

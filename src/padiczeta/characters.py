@@ -14,11 +14,10 @@ p = 2.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .errors import EvenPrimeUnsupported, ModulusTooLarge, NonUnitArgument, TrivialCharacter
+from .errors import EvenPrimeUnsupported, Frozen, ModulusTooLarge, NonUnitArgument, TrivialCharacter
 from .padic import TWO_PI, psi_ratio
 
 MAX_MODULUS = 10**6
@@ -73,8 +72,7 @@ def unit_group(p: int, c: int) -> _UnitGroup:
     return _UnitGroup(p, c)
 
 
-@dataclass(frozen=True)
-class MultChar:
+class MultChar(Frozen):
     """A character of (Z/p^c_level)^*, chi(g) = exp(2*pi*i*index/phi(p^c)).
 
     conductor is the smallest c' >= 0 such that chi is trivial on the
@@ -82,10 +80,24 @@ class MultChar:
     character.
     """
 
-    p: int
-    c_level: int
-    index: int
-    conductor: int
+    __slots__ = ("p", "c_level", "index", "conductor")
+
+    def __init__(self, p: int, c_level: int, index: int, conductor: int):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "c_level", c_level)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "conductor", conductor)
+
+    def _key(self) -> tuple[int, int, int, int]:
+        return (self.p, self.c_level, self.index, self.conductor)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not MultChar:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def order(self) -> int:

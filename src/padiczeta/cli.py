@@ -18,7 +18,6 @@ import csv
 import json
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -70,13 +69,22 @@ WHOLE_POLYDISC = {"count", "poincare", "expsum", "decay"}
 EXPSUM_HEADER = ["m", "u", "re_direct", "im_direct", "re_form1", "im_form1", "abs", "normalized"]
 
 
-@dataclass
 class Problem:
-    system: PolySystem
-    support: Support | None  # None: the unit polydisc
-    max_level: int
-    conductor_cap: int
-    budget: int
+    __slots__ = ("system", "support", "max_level", "conductor_cap", "budget")
+
+    def __init__(
+        self,
+        system: PolySystem,
+        support: Support | None,  # None: the unit polydisc
+        max_level: int,
+        conductor_cap: int,
+        budget: int,
+    ):
+        self.system = system
+        self.support = support
+        self.max_level = max_level
+        self.conductor_cap = conductor_cap
+        self.budget = budget
 
 
 def _integer(value, name: str) -> int:

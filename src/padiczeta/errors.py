@@ -2,10 +2,34 @@
 
 Every failure mode that a caller can reasonably react to gets its own
 class; all of them derive from :class:`PadicZetaError` so batch drivers
-can catch the whole family at once.
+can catch the whole family at once.  `Frozen`, the base of the
+package's immutable classes, lives here too: assigning to one of their
+fields is an error, an AttributeError.
 """
 
 from __future__ import annotations
+
+
+class Frozen:
+    """Base of the immutable classes: each field is set once, in __init__.
+
+    A subclass lists its fields in __slots__ and sets them through
+    object.__setattr__; any later assignment or deletion raises
+    AttributeError.  The repr names the public fields in slot order.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of immutable {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of immutable {type(self).__name__}")
+
+    def __repr__(self) -> str:
+        public = (name for name in self.__slots__ if name[0] != "_")
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in public)
+        return f"{type(self).__name__}({fields})"
 
 
 class PadicZetaError(Exception):

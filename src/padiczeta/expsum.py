@@ -30,9 +30,8 @@ coefficient, so no further shell walk runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .characters import MultChar, chi_value, gauss_sum, trivial_character
 from .errors import EvenPrimeUnsupported
@@ -48,8 +47,7 @@ SPS_TOL = 1e-9  # the largest direct-vs-formula gap a stationary-phase check pas
 DECAY_SLACK = 1.5  # growth of the normalized decay that still counts as bounded
 
 
-@dataclass(frozen=True)
-class ExpSumRecord:
+class ExpSumRecord(NamedTuple):
     m: int
     u: int
     direct: complex
@@ -170,7 +168,6 @@ def oscillatory_integral(
 # -- stationary phase ------------------------------------------------------------
 
 
-@dataclass
 class StationaryPhaseContext:
     """Precomputed zeta data needed to evaluate exponential sums by formula.
 
@@ -181,11 +178,21 @@ class StationaryPhaseContext:
     cutoff, and the Gaussian sums of their inverses.
     """
 
-    system: PolySystem
-    table: ShellTable
-    total_mass: Fraction
-    twisted: tuple[tuple[MultChar, complex], ...]  # (chi, gauss_sum(chi^-1))
-    cutoff: int
+    __slots__ = ("system", "table", "total_mass", "twisted", "cutoff")
+
+    def __init__(
+        self,
+        system: PolySystem,
+        table: ShellTable,
+        total_mass: Fraction,
+        twisted: tuple[tuple[MultChar, complex], ...],  # (chi, gauss_sum(chi^-1))
+        cutoff: int,
+    ):
+        self.system = system
+        self.table = table
+        self.total_mass = total_mass
+        self.twisted = twisted
+        self.cutoff = cutoff
 
 
 def build_stationary_phase_context(
@@ -250,8 +257,7 @@ def stationary_phase_eval(ctx: StationaryPhaseContext, m: int, u: int) -> comple
     return value
 
 
-@dataclass(frozen=True)
-class StationaryPhaseReport:
+class StationaryPhaseReport(NamedTuple):
     records: tuple[ExpSumRecord, ...]
     max_discrepancy: float
 
@@ -307,15 +313,13 @@ def stationary_phase_check(
 # -- decay reporting ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DecayRow:
+class DecayRow(NamedTuple):
     m: int
     abs_value: float
     normalized: float
 
 
-@dataclass(frozen=True)
-class DecayReport:
+class DecayReport(NamedTuple):
     rows: tuple[DecayRow, ...]
     verdict: str  # "Bounded" or "Inconclusive"
 
@@ -353,8 +357,7 @@ def decay_report(
 # -- decomposition identity (two-route check under bad reduction) -------------------
 
 
-@dataclass(frozen=True)
-class DecompositionIdentityRow:
+class DecompositionIdentityRow(NamedTuple):
     m: int
     lhs: complex
     rhs: complex

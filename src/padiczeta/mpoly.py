@@ -12,11 +12,11 @@ setting where all input series have coefficients in the valuation ring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .errors import (
     DimensionMismatch,
+    Frozen,
     InvariantViolated,
     NegativeExponent,
     PolynomialSyntaxError,
@@ -26,24 +26,23 @@ from .errors import (
 from .padic import int_valuation
 
 
-@dataclass(frozen=True)
-class MPoly:
+class MPoly(Frozen):
     """Integer-coefficient polynomial in n variables.
 
     terms maps exponent tuples of length n to nonzero coefficients.  The
     instance is immutable; all arithmetic returns new polynomials.
     """
 
-    n: int
-    terms: Mapping[tuple[int, ...], int] = field(default_factory=dict)
+    __slots__ = ("n", "terms", "_compiled")
 
-    def __post_init__(self):
+    def __init__(self, n: int, terms: Mapping[tuple[int, ...], int] | None = None):
         clean = {}
-        for expo, coeff in self.terms.items():
-            if len(expo) != self.n:
-                raise DimensionMismatch(f"exponent vector {expo} has length != {self.n}")
+        for expo, coeff in (terms or {}).items():
+            if len(expo) != n:
+                raise DimensionMismatch(f"exponent vector {expo} has length != {n}")
             if coeff != 0:
                 clean[tuple(expo)] = coeff
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", clean)
         # each term once as (coeff, ((variable index, exponent), ...)), zero exponents dropped
         compiled = tuple(
@@ -51,6 +50,11 @@ class MPoly:
             for expo, coeff in clean.items()
         )
         object.__setattr__(self, "_compiled", compiled)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not MPoly:
+            return NotImplemented
+        return self.n == other.n and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.n, frozenset(self.terms.items())))
@@ -334,8 +338,7 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PolySystem:
+class PolySystem(Frozen):
     """Constraints f_1..f_(l-1) cutting out the variety, plus the target f_l.
 
     The variety {f_1 = ... = f_(l-1) = 0} inside Z_p^n is expected to be
@@ -344,34 +347,52 @@ class PolySystem:
     data is a user-supplied list of (N_i, v_i) pairs.
     """
 
-    p: int
-    n: int
-    constraints: tuple[MPoly, ...]
-    target: MPoly
-    resolution_data: tuple[tuple[int, int], ...] | None = None
+    __slots__ = ("p", "n", "constraints", "target", "resolution_data")
 
-    def __post_init__(self):
-        if not _is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        object.__setattr__(self, "constraints", tuple(self.constraints))
-        if len(self.constraints) < 1:
+    def __init__(
+        self,
+        p: int,
+        n: int,
+        constraints: Sequence[MPoly],
+        target: MPoly,
+        resolution_data: Sequence[tuple[int, int]] | None = None,
+    ):
+        if not _is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        constraints = tuple(constraints)
+        if len(constraints) < 1:
             raise ValueError("at least one constraint is required (l >= 2)")
-        if self.l > self.n:
-            raise ValueError(f"need l <= n, got l={self.l}, n={self.n}")
-        for f in self.constraints:
-            if f.n != self.n:
+        if len(constraints) + 1 > n:
+            raise ValueError(f"need l <= n, got l={len(constraints) + 1}, n={n}")
+        for f in constraints:
+            if f.n != n:
                 raise DimensionMismatch("constraint in wrong variable count")
-        if self.target.n != self.n:
+        if target.n != n:
             raise DimensionMismatch("target in wrong variable count")
-        if self.target.is_zero():
+        if target.is_zero():
             raise ZeroPolynomial("target polynomial must be nonzero")
-        if self.target.is_constant():
+        if target.is_constant():
             raise ValueError("target must be nonconstant (it has to vanish somewhere)")
-        if self.resolution_data is not None:
-            data = tuple((int(N), int(v)) for N, v in self.resolution_data)
-            if any(N < 1 or v < 1 for N, v in data):
+        if resolution_data is not None:
+            resolution_data = tuple((int(N), int(v)) for N, v in resolution_data)
+            if any(N < 1 or v < 1 for N, v in resolution_data):
                 raise ValueError("resolution data entries must be positive")
-            object.__setattr__(self, "resolution_data", data)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "constraints", constraints)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "resolution_data", resolution_data)
+
+    def _key(self) -> tuple:
+        return (self.p, self.n, self.constraints, self.target, self.resolution_data)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not PolySystem:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def l(self) -> int:

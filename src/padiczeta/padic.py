@@ -13,7 +13,8 @@ the standard additive character is exp(2*pi*i*{z}_p).
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+
+from .errors import Frozen
 
 TWO_PI = 2.0 * 3.141592653589793
 
@@ -30,24 +31,23 @@ def int_valuation(value: int, p: int) -> int | None:
     return v
 
 
-@dataclass(frozen=True)
-class ScaledUnit:
+class ScaledUnit(Frozen):
     """z = u * p^(-m) with m >= 1 and u a unit modulo p^m.
 
     This pins down |z| = p^m and the fractional part {z}_p = u / p^m
     exactly, which is all the additive character needs.
     """
 
-    p: int
-    m: int
-    u: int
+    __slots__ = ("p", "m", "u")
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __init__(self, p: int, m: int, u: int):
+        if m < 1:
             raise ValueError("scaled unit needs m >= 1")
-        u = self.u % self.p**self.m
-        if u % self.p == 0:
+        u %= p**m
+        if u % p == 0:
             raise ValueError("u must be a unit modulo p")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "u", u)
 
 

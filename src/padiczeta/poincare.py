@@ -27,9 +27,8 @@ general.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InvariantViolated, NoRecurrenceFound, ValidationFailed
 from .mpoly import PolySystem
@@ -91,13 +90,17 @@ def congruence_count(system: PolySystem, m: int, budget: int = DEFAULT_BUDGET) -
     return congruence_counts(system, m, budget)[m]
 
 
-@dataclass
 class CountSeries:
     """The counts N_m, their scaled values, and the reconstructed series."""
 
-    Nm: list[int]
-    scaled: list[Fraction]
-    reconstructed: RationalFn | None = None
+    __slots__ = ("Nm", "scaled", "reconstructed")
+
+    def __init__(
+        self, Nm: list[int], scaled: list[Fraction], reconstructed: RationalFn | None = None
+    ):
+        self.Nm = Nm
+        self.scaled = scaled
+        self.reconstructed = reconstructed
 
 
 def poincare_series(
@@ -121,8 +124,7 @@ def poincare_series(
     return CountSeries(Nm=counts, scaled=scaled, reconstructed=fn)
 
 
-@dataclass(frozen=True)
-class IdentityVerdict:
+class IdentityVerdict(NamedTuple):
     passed: bool
     residual: RationalFn
 
@@ -162,15 +164,13 @@ def solution_growth_bound(
 # -- chart-decomposed recount (bad reduction) -----------------------------------
 
 
-@dataclass(frozen=True)
-class DecomposedCountRow:
+class DecomposedCountRow(NamedTuple):
     m: int
     direct: int
     decomposed: int
 
 
-@dataclass(frozen=True)
-class DecomposedCountReport:
+class DecomposedCountReport(NamedTuple):
     threshold: int  # empirical m_0: solvability stabilized past this level
     rows: tuple[DecomposedCountRow, ...]
 

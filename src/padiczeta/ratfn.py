@@ -14,12 +14,12 @@ finding only when no such factorization exists.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     ConstantDenominator,
+    Frozen,
     NoRecurrenceFound,
     PoleSetMismatch,
     ValidationFailed,
@@ -103,15 +103,13 @@ def _as_fractions(coeffs) -> Poly:
     return poly_trim([Fraction(c) for c in coeffs])
 
 
-@dataclass(frozen=True)
-class RationalFn:
+class RationalFn(Frozen):
     """num(t)/den(t) with exact rational coefficients, den(0) = 1, gcd 1."""
 
-    num: Poly
-    den: Poly
+    __slots__ = ("num", "den")
 
-    def __post_init__(self):
-        num, den = _as_fractions(self.num), _as_fractions(self.den)
+    def __init__(self, num: Sequence[Fraction], den: Sequence[Fraction]):
+        num, den = _as_fractions(num), _as_fractions(den)
         if not den:
             raise ZeroDivisionError("zero denominator")
         g = poly_gcd(num, den) if num else ()
@@ -266,8 +264,7 @@ def reconstruct_rational(coeffs: Sequence[Fraction]) -> RationalFn:
     raise NoRecurrenceFound("no linear recurrence fits within the provided depth")
 
 
-@dataclass(frozen=True)
-class PoleData:
+class PoleData(NamedTuple):
     """Roots of a denominator in t, with rho = log_p(min |root|).
 
     rho_exact is a Fraction when the denominator factored exactly into
@@ -381,8 +378,7 @@ def pole_data_from_resolution(data: Sequence[tuple[int, int]], p: int) -> PoleDa
     return PoleData(roots=(), rho=float(rho), m_rho=m_rho, rho_exact=rho)
 
 
-@dataclass(frozen=True)
-class CandidateMatch:
+class CandidateMatch(NamedTuple):
     """Result of a successful candidate-pole divisibility check."""
 
     multiplicities: tuple[tuple[int, int, int], ...]  # (N, v, mult used)

@@ -17,9 +17,8 @@ all r past some threshold is the verified statement.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .characters import MultChar, chi_value
 from .errors import ArgumentOutOfRange
@@ -48,8 +47,7 @@ def _delta_scale(p: int, r: int, l: int) -> int:
     return p ** (r * (l - 1))
 
 
-@dataclass(frozen=True)
-class DeltaApprox:
+class DeltaApprox(NamedTuple):
     """Finite-level value of I_r with a certified truncation bound.
 
     value collects every exactly-resolved contribution; the true I_r
@@ -74,13 +72,15 @@ def _ambient_walk(
 ) -> Iterator:
     """Yield (point, level, kind, mult) over the constraint-filtered tree.
 
-    Constraints filter digits up to level r.  From settle = max(r,
-    support level, 1) on, a node is emitted as soon as the target's
-    valuation v is known (kind "resolved", with the exact value), and a
-    depth-limit leaf whose target is still 0 is kind "deep".  Past
-    settle, coordinates absent from the target are pinned, and mult
-    counts the collapsed sibling classes.  `angular` is the angular
-    level c the integrand reads, 0 for the trivial character.
+    Constraints filter digits up to level r.  `angular` is the angular
+    level c the integrand reads, 0 for the trivial character.  From
+    settle = max(r, support level, 1) on, a node is emitted as soon as
+    the target's valuation v and, with v + c <= j, its angular class are
+    known (kind "resolved", with the exact value); a node at the scan
+    depth is emitted resolved once v is known, whether or not its
+    angular class is, and as kind "deep" while its target is still 0.
+    Past settle, coordinates absent from the target are pinned, and mult
+    counts the collapsed sibling classes.
 
     The first-order Taylor step, exact for j + i <= 2j, counts two kinds
     of subtree without building them.  Below settle (= r there), a node
@@ -135,7 +135,7 @@ def _ambient_walk(
             counts = lifter.subtree_counts(x, j, None, settle - j)
             return counted(sum(counts), [(x, settle, ("resolved", v, value), counts[-1])])
         mult = p ** (len(pinned) * (j - settle))
-        if v is not None:
+        if v is not None and (v + angular <= j or j == depth):
             return 0, [(x, j, ("resolved", v, value), mult)]
         if j == depth:
             # target, constraints or support still unresolved at the scan depth
@@ -171,7 +171,9 @@ def delta_integral(
     s must be a positive integer so shell contributions are exactly
     summable rationals with a provable geometric tail; depth > r is the
     scan level.  Twisted integrands additionally need the angular class
-    resolved, and points where it is not are moved into the tail bound.
+    mod p^c, known on a ball of level v + c: the walk descends to that
+    level, and only points where it lies past the scan depth are moved
+    into the tail bound.
     """
     if s < 1:
         raise ArgumentOutOfRange("s must be a positive integer")
@@ -199,13 +201,12 @@ def delta_integral(
             # int / int rounds correctly, as float() of the term's Fraction does
             twisted += chi_value(chi, u) * (term / denominator)
         else:
-            tail += term  # angular class unresolved
+            tail += term  # angular class unresolved at the scan depth
     value = Fraction(exact, denominator) if c_needed == 0 else twisted
     return DeltaApprox(r=r, s=s, chi=chi, value=value, tail_bound=Fraction(tail, denominator))
 
 
-@dataclass(frozen=True)
-class DeltaLimitRow:
+class DeltaLimitRow(NamedTuple):
     r: int
     value: Fraction | complex
     tail_bound: Fraction
@@ -213,8 +214,7 @@ class DeltaLimitRow:
     gap: float
 
 
-@dataclass(frozen=True)
-class DeltaLimitReport:
+class DeltaLimitReport(NamedTuple):
     rows: tuple[DeltaLimitRow, ...]
     passed: bool
     r0: int | None  # smallest r from which every later row is within its tail

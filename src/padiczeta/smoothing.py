@@ -21,14 +21,14 @@ constraints.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     BudgetExceeded,
     CenterNotOnVariety,
+    Frozen,
     GoodReductionFailed,
     InvariantViolated,
     RankDeficient,
@@ -52,8 +52,7 @@ CERT_SAMPLES = 50  # random points verify_certificate checks
 CERT_DEPTH = 4  # their digits: y is drawn modulo p^CERT_DEPTH
 
 
-@dataclass(frozen=True)
-class EchelonResult:
+class EchelonResult(NamedTuple):
     """Echelon form of an integer matrix under row operations unimodular in Z_p.
 
     pivot_vals lists the p-adic valuations down the diagonal; they are
@@ -220,8 +219,7 @@ def neron_rescale(
     )
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(Frozen):
     """One good-reduction piece of the variety, and its own certificate.
 
     Points of the piece are x = center + p^L y for y on the rescaled
@@ -234,14 +232,36 @@ class Chart:
     p^(-k * dim) for any resolving level k.
     """
 
-    p: int
-    center: tuple[int, ...]
-    L: int
-    constraints: tuple[MPoly, ...]
-    target: MPoly
-    combined_constraints: tuple[MPoly, ...]
-    exponents: tuple[int, ...]
-    pivot_vals: tuple[int, ...]
+    __slots__ = (
+        "p",
+        "center",
+        "L",
+        "constraints",
+        "target",
+        "combined_constraints",
+        "exponents",
+        "pivot_vals",
+    )
+
+    def __init__(
+        self,
+        p: int,
+        center: tuple[int, ...],
+        L: int,
+        constraints: tuple[MPoly, ...],
+        target: MPoly,
+        combined_constraints: tuple[MPoly, ...],
+        exponents: tuple[int, ...],
+        pivot_vals: tuple[int, ...],
+    ):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "constraints", constraints)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "combined_constraints", combined_constraints)
+        object.__setattr__(self, "exponents", exponents)
+        object.__setattr__(self, "pivot_vals", pivot_vals)
 
     @property
     def weight(self) -> Fraction:
@@ -249,8 +269,7 @@ class Chart:
         return Fraction(self.p ** sum(self.exponents), self.p ** (self.L * len(self.center)))
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """A covering of the variety by disjoint good-reduction charts.
 
     For systems that already have good reduction this is the single

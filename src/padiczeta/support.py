@@ -8,22 +8,31 @@ machinery needs, and membership is decidable from finitely many digits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
+from .errors import Frozen
 
-@dataclass(frozen=True)
-class Support:
+
+class Support(Frozen):
     """Union of cosets center + (p^level Z_p)^n, centers reduced mod p^level."""
 
-    n: int
-    level: int
-    centers: tuple[tuple[int, ...], ...]
+    __slots__ = ("n", "level", "centers")
 
-    def __post_init__(self):
-        if self.level < 1:
+    def __init__(self, n: int, level: int, centers: tuple[tuple[int, ...], ...]):
+        if level < 1:
             raise ValueError("level must be >= 1")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "centers", centers)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Support:
+            return NotImplemented
+        return (self.n, self.level, self.centers) == (other.n, other.level, other.centers)
+
+    def __hash__(self):
+        return hash((self.n, self.level, self.centers))
 
     @staticmethod
     def cosets(n: int, level: int, centers: Sequence[Sequence[int]], p: int) -> Support | None:

@@ -35,10 +35,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import BadReductionInput, BudgetExceeded, NotStabilized, WalkInvariantError
+from .errors import BadReductionInput, BudgetExceeded, Frozen, NotStabilized, WalkInvariantError
 from .mpoly import MPoly, PolySystem
 from .padic import int_valuation
 from .support import Support
@@ -144,8 +143,7 @@ def _rref(
     return rows, pivot_cols, trans
 
 
-@dataclass(frozen=True)
-class _FpSolver:
+class _FpSolver(Frozen):
     """Precomputed RREF and kernel of an F_p matrix for repeated affine solves.
 
     The kernel is listed once, in lexicographic order, through its
@@ -157,13 +155,25 @@ class _FpSolver:
     Solvers are immutable, so one serves every root with its matrix.
     """
 
-    p: int
-    pivot_cols: list[int]
-    transform: list[list[int]]  # T with T*A = RREF of A
-    checks: list[list[int]]  # the rows of T past the rank: A d = rhs is solvable iff each kills rhs
-    leads: list[int]
-    basis: list[list[int]]  # echelon basis of the kernel, one row per lead
-    kernel: tuple[tuple[int, ...], ...]  # all d with A d = 0, lexicographic
+    __slots__ = ("p", "pivot_cols", "transform", "checks", "leads", "basis", "kernel")
+
+    def __init__(
+        self,
+        p: int,
+        pivot_cols: list[int],
+        transform: list[list[int]],  # T with T*A = RREF of A
+        checks: list[list[int]],  # the rows of T past the rank: A d = rhs is solvable iff each kills rhs
+        leads: list[int],
+        basis: list[list[int]],  # echelon basis of the kernel, one row per lead
+        kernel: tuple[tuple[int, ...], ...],  # all d with A d = 0, lexicographic
+    ):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "pivot_cols", pivot_cols)
+        object.__setattr__(self, "transform", transform)
+        object.__setattr__(self, "checks", checks)
+        object.__setattr__(self, "leads", leads)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "kernel", kernel)
 
     @staticmethod
     @functools.lru_cache(maxsize=4096)
@@ -208,8 +218,7 @@ class _FpSolver:
 # -- verdicts and counters ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GoodReductionVerdict:
+class GoodReductionVerdict(NamedTuple):
     """Whether the system has good reduction, with a witness residue when not."""
 
     witness: tuple[int, ...] | None
@@ -222,7 +231,6 @@ class GoodReductionVerdict:
         return self.good
 
 
-@dataclass
 class FiberCount:
     """Count of variety points at one level, optionally split into shells.
 
@@ -232,10 +240,13 @@ class FiberCount:
     shell data is present.
     """
 
-    m: int
-    count: int
-    by_shell: dict[tuple[int, int], int] | None = None
-    deep: int = 0
+    __slots__ = ("m", "count", "by_shell", "deep")
+
+    def __init__(self, m: int, count: int, by_shell: dict[tuple[int, int], int] | None = None):
+        self.m = m
+        self.count = count
+        self.by_shell = by_shell
+        self.deep = 0
 
 
 def _fiber_count(
@@ -310,8 +321,7 @@ def check_residue_scan(p: int, n: int, budget: int) -> None:
         raise BudgetExceeded(f"p^n = {p**n} exceeds budget {budget}")
 
 
-@dataclass(frozen=True)
-class TargetRow:
+class TargetRow(Frozen):
     """A target whose zeros a lift walk keeps: one more row of the digit system.
 
     A level-j node passes when target = 0 mod p^exponent(j).  The offset
@@ -320,11 +330,21 @@ class TargetRow:
     constraint Jacobian with the row grad target / p^s appended.
     """
 
-    target: MPoly
-    offset: int
-    cap: int | None
-    solvers: dict[tuple[int, ...], _FpSolver] = field(repr=False, compare=False)
-    gradient: tuple[MPoly, ...] = field(repr=False, compare=False)
+    __slots__ = ("target", "offset", "cap", "solvers", "gradient")
+
+    def __init__(
+        self,
+        target: MPoly,
+        offset: int,
+        cap: int | None,
+        solvers: dict[tuple[int, ...], _FpSolver],
+        gradient: tuple[MPoly, ...],
+    ):
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "cap", cap)
+        object.__setattr__(self, "solvers", solvers)
+        object.__setattr__(self, "gradient", gradient)
 
     def exponent(self, j: int) -> int:
         return self.offset + j if self.cap is None else min(self.offset + j, self.cap)
@@ -898,8 +918,7 @@ def jacobian_minors(
     return e, None
 
 
-@dataclass(frozen=True)
-class CriticalLocusReport:
+class CriticalLocusReport(NamedTuple):
     """Finite-level probe for critical residues of the target on the variety.
 
     An empty suspect list is evidence (not proof) that the critical

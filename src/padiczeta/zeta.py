@@ -47,8 +47,8 @@ recounts and walks only its own recounts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .characters import MultChar, chi_value, enumerate_characters
 from .errors import HypothesisNotVerified, MissingTable, NotStabilized, WalkInvariantError
@@ -195,7 +195,6 @@ def _coarsen(measures: dict[int, Fraction], modulus: int) -> dict[int, Fraction]
     return coarse
 
 
-@dataclass
 class ShellTable:
     """Exact shell measures of the target along the variety, to depth M.
 
@@ -203,13 +202,23 @@ class ShellTable:
     and angular class u mod p^c_level; classes of measure 0 are absent.
     """
 
-    system: PolySystem
-    support: Support | None
-    c_level: int
-    depth: int
-    measures: list[dict[int, Fraction]]
-    _class_fns: dict[int, RationalFn] = field(default_factory=dict, repr=False)
-    _trivial_fn: RationalFn | None = field(default=None, repr=False)
+    __slots__ = ("system", "support", "c_level", "depth", "measures", "_class_fns", "_trivial_fn")
+
+    def __init__(
+        self,
+        system: PolySystem,
+        support: Support | None,
+        c_level: int,
+        depth: int,
+        measures: list[dict[int, Fraction]],
+    ):
+        self.system = system
+        self.support = support
+        self.c_level = c_level
+        self.depth = depth
+        self.measures = measures
+        self._class_fns: dict[int, RationalFn] = {}
+        self._trivial_fn: RationalFn | None = None
 
     def coefficient(self, chi: MultChar, m: int) -> Fraction | complex:
         """c_m(chi): the chi-weighted shell measure at valuation m."""
@@ -322,8 +331,7 @@ def _checked_table(
     return table, recounts
 
 
-@dataclass(frozen=True)
-class CoeffTable:
+class CoeffTable(NamedTuple):
     """Coefficient list of Z(s, chi), one entry per shell-table row."""
 
     chi: MultChar
@@ -340,8 +348,7 @@ def coefficient_table(table: ShellTable, chi: MultChar) -> CoeffTable:
     return CoeffTable(chi=chi, coeffs=coeffs)
 
 
-@dataclass(frozen=True)
-class ConductorScan:
+class ConductorScan(NamedTuple):
     """Result of the empirical twisted-vanishing scan.
 
     cutoff is the largest conductor with a nonzero table among the
@@ -354,7 +361,7 @@ class ConductorScan:
     cutoff: int
     guard_margin: int
     nonzero: tuple[MultChar, ...]
-    table: ShellTable = field(repr=False)
+    table: ShellTable
 
 
 def conductor_vanishing_scan(

@@ -12,7 +12,6 @@ whose gradient vanishes mod p at a root.  Every result is compared with
 brute_force_points.
 """
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -25,7 +24,13 @@ from padiczeta.mpoly import MPoly, PolySystem, parse_polynomial, system_from_str
 from padiczeta.poincare import congruence_counts
 from padiczeta.smoothing import measure_charts
 from padiczeta.support import Support
-from padiczeta.variety import DEFAULT_BUDGET, HenselLifter, brute_force_points, image_oracle
+from padiczeta.variety import (
+    DEFAULT_BUDGET,
+    HenselLifter,
+    TargetRow,
+    brute_force_points,
+    image_oracle,
+)
 from padiczeta.zeta import build_shell_table, tail_measure
 
 TOP = {2: 6, 3: 5, 5: 3}  # brute-force level per prime: at most 3^10 grid points
@@ -89,7 +94,8 @@ class _Branches:
 
         def counting_row(lifter, target, offset, cap=None):
             row = target_row(lifter, target, offset, cap)
-            return dataclasses.replace(row, solvers=CountingSolvers(row.solvers, offset))
+            solvers = CountingSolvers(row.solvers, offset)
+            return TargetRow(row.target, row.offset, row.cap, solvers, row.gradient)
 
         minors = zeta.jacobian_minors
 
