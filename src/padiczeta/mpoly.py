@@ -12,6 +12,8 @@ setting where all input series have coefficients in the valuation ring.
 
 from __future__ import annotations
 
+import itertools
+import math
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -166,22 +168,36 @@ class MPoly(Frozen):
         return MPoly(self.n, terms)
 
     def substitute_affine(self, shift: Sequence[int], scale: int) -> "MPoly":
-        """Return f(shift + scale * y) expanded exactly over the integers."""
+        """Return f(shift + scale * y) expanded exactly over the integers.
+
+        One pass over the terms: x_j^a becomes the binomial row of
+        (shift_j + scale * y_j)^a, the coefficients C(a, k) shift_j^(a - k)
+        scale^k of y_j^k with the zero ones left out, built once per
+        (j, a), and each term adds the products of one entry per row.
+        """
         if len(shift) != self.n:
             raise DimensionMismatch("shift vector length mismatch")
-        result = MPoly.zero(self.n)
-        # x_j -> shift_j + scale*y_j, expanded via repeated multiplication
-        substs = [
-            MPoly.constant(self.n, shift[j]) + MPoly.variable(self.n, j + 1).scale(scale)
-            for j in range(self.n)
-        ]
+        rows: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        terms: dict[tuple[int, ...], int] = {}
         for expo, coeff in self.terms.items():
-            term = MPoly.constant(self.n, coeff)
+            factors = []
             for j, a in enumerate(expo):
-                if a:
-                    term = term * substs[j] ** a
-            result = result + term
-        return result
+                row = rows.get((j, a))
+                if row is None:
+                    s = shift[j]
+                    row = rows[j, a] = [
+                        (k, c)
+                        for k in range(a + 1)
+                        if (c := math.comb(a, k) * s ** (a - k) * scale**k)
+                    ]
+                factors.append(row)
+            for choice in itertools.product(*factors):
+                value = coeff
+                for _, c in choice:
+                    value *= c
+                key = tuple([k for k, _ in choice])
+                terms[key] = terms.get(key, 0) + value
+        return MPoly(self.n, terms)
 
     # -- printing -----------------------------------------------------------
 

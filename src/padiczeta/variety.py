@@ -9,14 +9,15 @@ system per node; `lifter_for` builds each lifter once per (p, n,
 constraints), and no module builds its own.  Under good reduction (full
 Jacobian rank at every F_p root) it walks the smooth tree; without that
 assumption the same lifter walks the filtered congruence tree, used for
-the first-lift search of bad-reduction chart centers and the ambient
-integrals.  The count tallies append the target's first-order Taylor row
-to the same F_p system (a `TargetRow`), so they build only the lifts
-where the target keeps vanishing, and they build no node past half their
-depth: there the first-order Taylor step is exact on a node's whole
-subtree, so each deeper level's count is the solution count of one
-linear system over Z/p^i, read from one evaluation at the node by a
-local Smith reduction, with no Jacobian minors.  `lift_counts` gives
+the first-lift search of bad-reduction chart centers, which stops below
+each class at its first lift, and the ambient integrals.  The count
+tallies append the target's first-order Taylor row to the same F_p
+system (a `TargetRow`), so they build only the lifts where the target
+keeps vanishing, and they build no node past half their depth: there
+the first-order Taylor step is exact on a node's whole subtree, so each
+deeper level's count is the solution count of one linear system over
+Z/p^i, read from one evaluation at the node by a local Smith reduction,
+with no Jacobian minors.  `lift_counts` gives
 that count for any polynomials; the ambient walk of `regularize` counts
 its subtrees with it, from the constraints alone below level r and from
 the target alone past it.  Two oracles stay independent of the
@@ -24,7 +25,9 @@ lifter: a brute-force scan of the full residue grid, which every walk
 is checked against, and the image oracle, a class search on `walk`
 over the all-digit tree.  The oracle evaluates the constraints and
 their gradient once per node and keeps the digit vectors that pass that
-first-order Taylor step, with no lifter and no F_p solver.
+first-order Taylor step, with no lifter and no F_p solver; from half the
+search's accuracy on, the same step decides whether a node lifts that
+far, and the node is not descended.
 
 Image-level counts (the reduction of the variety's Z_p points rather
 than its congruence solutions) live on the chart decomposition in
@@ -77,23 +80,25 @@ def walk(
     children: Callable[[tuple[int, ...], int], list[tuple[int, ...]]],
     visit: Callable[[tuple[int, ...], int], object],
     meter: BudgetMeter,
+    level: int = 1,
 ) -> Iterator:
     """Depth-first walk of a lift tree, yielding what `visit` emits.
 
-    Roots sit at level 1 and `children(x, j)` lists the level-(j + 1)
-    nodes above x in lexicographic order; nodes are visited in that
-    order, with one root-to-leaf path of pending siblings on an explicit
-    stack.  `visit(x, j)` returns PRUNE, DESCEND, or a value to yield in
-    place of the subtree.  Every visited node is charged to the meter,
-    and BudgetExceeded, naming the meter's stage and the level of the
-    node it stopped at, is raised past its limit.  The count is kept in
-    a local and synced with the meter around each yield, so the consumer
-    may charge nodes it counted itself between yields, but `visit` must
-    not: the walk overwrites the meter's count at its next yield, and the
-    charge is lost.  A meter serves one running walk at a time, and walks
-    may share it one after another.
+    Roots sit at `level` (1 for a whole tree) and `children(x, j)` lists
+    the level-(j + 1) nodes above x in lexicographic order; nodes are
+    visited in that order, with one root-to-leaf path of pending siblings
+    on an explicit stack.  `visit(x, j)` returns PRUNE, DESCEND, or a
+    value to yield in place of the subtree.  Every visited node is
+    charged to the meter, and BudgetExceeded, naming the meter's stage
+    and the level of the node it stopped at, is raised past its limit.
+    The count is kept in a local and synced with the meter around each
+    yield, so the consumer may charge nodes it counted itself between
+    yields, or run another walk on the same meter there, but `visit`
+    must not: the walk overwrites the meter's count at its next yield,
+    and the charge is lost.  A consumer that stops reading abandons the
+    pending stack, with every node visited so far charged.
     """
-    stack = [(x, 1) for x in reversed(roots)]
+    stack = [(x, level) for x in reversed(roots)]
     used, limit = meter.used, meter.limit
     while stack:
         x, j = stack.pop()
@@ -760,33 +765,54 @@ def _class_search(
     accuracy: int,
     budget: int,
     stage: str,
+    settle: Callable[[tuple[int, ...], int, int], bool | None] | None = None,
 ) -> dict[tuple[int, ...], tuple[int, ...]]:
     """Classes mod p^m of the tree's nodes at `accuracy`, each with its first lift.
 
-    An existence search: a node at a level >= m whose class mod p^m
-    already has a lift is pruned, and the first node reached at
-    `accuracy` in walk order represents its class.  The same search one
-    level deeper must find the same classes (raising NotStabilized
-    otherwise); a lift there implies one at `accuracy`, so only classes
-    that die out between the two levels can differ.  Each search has its
-    own meter, with stage `<stage> m=<m> accuracy=<level>`.
+    An existence search: a walk to level m, whose nodes are distinct
+    classes mod p^m, then below each level-m node one first-hit walk,
+    whose first node at `accuracy` in walk order represents the class.
+    The hit ends that walk, and its pending stack is dropped unvisited.
+    Every node is charged once: a first-hit walk's roots are the
+    children of its level-m node, and for m = 0, where every node is in
+    the one class, the tree's roots.  `settle(x, j, level)`, when given,
+    may end a first-hit walk at a node x of level j < level: it returns
+    None to descend as usual, or whether x has a lift at `level`, and an
+    x that has one represents its class in place of the lift.
+
+    The same search one level deeper must find the same classes
+    (raising NotStabilized otherwise); a lift there implies one at
+    `accuracy`, so only classes that die out between the two levels can
+    differ.  Each search has its own meter, with stage `<stage> m=<m>
+    accuracy=<level>`.
     """
-    if accuracy < 1:
-        raise WalkInvariantError(f"search accuracy {accuracy} < 1: the roots sit at level 1")
+    if m < 0 or accuracy < max(m, 1):
+        raise WalkInvariantError(
+            f"no search mod p^{m} at accuracy {accuracy}: the roots sit at level 1"
+        )
     modulus = p**m
 
     def search(level: int) -> dict[tuple[int, ...], tuple[int, ...]]:
-        reps: dict[tuple[int, ...], tuple[int, ...]] = {}
-
         def visit(x: tuple[int, ...], j: int):
-            if j >= m and tuple(c % modulus for c in x) in reps:
-                return PRUNE
-            return x if j == level else DESCEND
+            if j == level:
+                return x
+            found = settle(x, j, level) if settle is not None else None
+            if found is None:
+                return DESCEND
+            return x if found else PRUNE
+
+        def first_hit(nodes: Sequence[tuple[int, ...]], j: int):
+            return next(walk(nodes, children, visit, meter, j), PRUNE)
 
         meter = BudgetMeter(budget, f"{stage} m={m} accuracy={level}")
-        for x in walk(roots, children, visit, meter):
-            reps[tuple(c % modulus for c in x)] = x
-        return reps
+        if m == 0:
+            hits = [first_hit(roots, 1)]
+        else:
+            hits = []
+            for x in walk(roots, children, lambda x, j: x if j == m else DESCEND, meter):
+                hit = visit(x, m)
+                hits.append(first_hit(children(x, m), m + 1) if hit is DESCEND else hit)
+        return {tuple(c % modulus for c in x): x for x in hits if x is not PRUNE}
 
     reps = search(accuracy)
     if set(reps) != set(search(accuracy + 1)):
@@ -803,7 +829,9 @@ def first_lifts(
 
     The class search of `_class_search` over the filtered congruence
     tree of a lifter from `lifter_for` (meter stage `center search m=<m>
-    accuracy=<level>`).
+    accuracy=<level>`).  Each class's representative is its first
+    solution mod p^accuracy in walk order, lexicographic by digit vector
+    level by level, and each first-hit walk stops there.
     """
     return _class_search(
         lifter.roots(), lifter.children, lifter.p, m, accuracy, budget, "center search"
@@ -818,7 +846,7 @@ def image_oracle(
 ) -> set[tuple[int, ...]]:
     """Classes mod p^m with a lift mod p^(m + buffer): the reduction image, overapproximated.
 
-    The class search of `_class_search` at accuracy m + buffer, checked
+    The class set of `_class_search` at accuracy m + buffer, checked
     against buffer + 1 (raising NotStabilized if they differ), over the
     all-digit filtered tree: the roots are the residues mod p where
     every constraint vanishes, and a level-j node x has the children
@@ -829,11 +857,19 @@ def image_oracle(
     f(x)/p^j + grad f(x).d = 0 mod p for every f: the first-order
     Taylor step, exact because the rest of f(x + p^j d) - f(x) carries
     p^(2j) and 2j >= j + 1.  The survivors depend only on that step, so
-    each distinct step is tested once per call.  The oracle only
-    evaluates: it builds no lifter and no F_p solver, so it shares
+    each distinct step is tested once per call.
+
+    A node of level j with 2j >= level, the search's accuracy, is not
+    descended: for i = level - j <= j the same step is exact mod p^level,
+    so x has a lift at `level` exactly when the rows (grad f(x),
+    -f(x)/p^j) have a solution mod p^i, counted by `_solution_count`
+    from one evaluation of each constraint and its gradient.  The oracle
+    only evaluates: it builds no lifter and no F_p solver, so it shares
     nothing with the chart decomposition it checks (meter stage `image
-    oracle m=<m> accuracy=<level>`).  Stability is evidence, not proof;
-    the decomposition cross-checks catch a wrong-but-stable buffer.
+    oracle m=<m> accuracy=<level>`).  For m = 0 the image is the one
+    class (0, ..., 0) when some root has a lift at the accuracy, and
+    empty otherwise.  Stability is evidence, not proof; the
+    decomposition cross-checks catch a wrong-but-stable buffer.
     """
     p, n, constraints = system.p, system.n, system.constraints
     check_residue_scan(p, n, budget)
@@ -859,8 +895,14 @@ def image_oracle(
             ]
         return [tuple([c + step * e for c, e in zip(x, d)]) for d in kept]
 
+    def settle(x: tuple[int, ...], j: int, level: int) -> bool | None:
+        if 2 * j < level:
+            return None
+        rows = _taylor_rows(constraints, gradients, x, j, level - j, p)
+        return _solution_count(rows, n, p, level - j) > 0
+
     roots = [x for x in digits if not any(f.evaluate(x, p) for f in constraints)]
-    return set(_class_search(roots, children, p, m, m + buffer, budget, "image oracle"))
+    return set(_class_search(roots, children, p, m, m + buffer, budget, "image oracle", settle))
 
 
 # -- critical locus probe -------------------------------------------------------

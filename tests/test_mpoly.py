@@ -183,6 +183,52 @@ def test_shift_rescale_round_trip(f, x0, L):
         assert lhs == rhs
 
 
+def _substitute_by_products(f, shift, scale):
+    """f(shift + scale * y) by repeated MPoly products, one term at a time."""
+    n = f.n
+    substs = [
+        MPoly.constant(n, shift[j]) + MPoly.variable(n, j + 1).scale(scale) for j in range(n)
+    ]
+    result = MPoly.zero(n)
+    for expo, coeff in f.terms.items():
+        term = MPoly.constant(n, coeff)
+        for j, a in enumerate(expo):
+            if a:
+                term = term * substs[j] ** a
+        result = result + term
+    return result
+
+
+@st.composite
+def affine_substitutions(draw):
+    n = draw(st.integers(min_value=1, max_value=3))
+    f = draw(polynomials(n=n))
+    # zero and negative shifts included; the scale is p^L, 1 at L = 0
+    shift = tuple(draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n)))
+    scale = draw(st.sampled_from([2, 3, 5])) ** draw(st.integers(min_value=0, max_value=3))
+    return f, shift, scale
+
+
+@given(affine_substitutions())
+@settings(max_examples=150)
+def test_substitute_affine_matches_repeated_products(case):
+    f, shift, scale = case
+    expanded = f.substitute_affine(shift, scale)
+    assert expanded == _substitute_by_products(f, shift, scale)
+    assert all(expanded.terms.values())  # no zero coefficient is stored
+    zero = f.substitute_affine((0,) * f.n, scale)  # f(p^L y): each term scaled
+    assert zero.terms == {e: c * scale ** sum(e) for e, c in f.terms.items()}
+    assert f.substitute_affine(shift, 1).substitute_affine(tuple(-c for c in shift), 1) == f
+
+
+def test_substitute_affine_cancels_to_no_term():
+    # x1^2 - 2*x1 + 1 = (x1 - 1)^2: at x1 = 1 + y1 the y1 and constant terms cancel
+    f = parse_polynomial("x1^2 - 2*x1 + 1", 1)
+    assert f.substitute_affine((1,), 3).terms == {(2,): 9}
+    with pytest.raises(DimensionMismatch):
+        f.substitute_affine((1, 0), 3)
+
+
 def test_system_validation():
     with pytest.raises(ValueError):
         PolySystem(p=4, n=2, constraints=(parse_polynomial("x1", 2),), target=parse_polynomial("x2", 2))

@@ -421,14 +421,21 @@ def test_image_oracle_builds_no_lifter(monkeypatch):
         "image oracle m=3 accuracy=6",
         "image oracle m=3 accuracy=7",
     ]
-    # every solution mod 3, 9 and 27 (9, 27 and 81 nodes), then one path per
-    # class mod 27; 3*x1 - 9*x2 mod 3^(j + 1) does not move under digits of
-    # weight 3^j, so every path node has all 9 children: 243 nodes a level
-    assert [meter.used for meter in meters] == [9 + 27 + 81 + 243 * 3, 9 + 27 + 81 + 243 * 4]
+    # both searches walk every solution mod 3, 9 and 27 (9, 27 and 81 nodes).
+    # At accuracy 6 one Taylor step settles each level-3 node (2 * 3 >= 6).
+    # At accuracy 7 it does not, and each level-3 node x starts a first-hit
+    # walk at its children.  x has a lift mod 3^7 only if x1 = 3*x2 mod 27:
+    # the 54 other nodes have no children, and each of the 27 live ones has
+    # all 9, of which the 3 with x1 + 27*d1 = 3*x2 mod 81 are live, at
+    # positions 1-3, 4-6 or 7-9 in lexicographic order.  The walk visits
+    # 1, 4 or 7 of them, the first live one settling (2 * 4 >= 7), as
+    # (x1 - 3*x2)/27 is 0, -1 or -2, nine live nodes each: 9 * 12 = 108
+    assert [meter.used for meter in meters] == [9 + 27 + 81, 9 + 27 + 81 + 108]
     # the 9 residues scanned for roots, then the constraint and its two
-    # partials at each of the 531 nodes the two searches expand (evaluating
-    # the constraint at all 9 lifts of every node would make 9 + 9 * 531)
-    assert len(calls) == 9 + 3 * 531
+    # partials at each expanded or settled node: 36 + 81 at accuracy 6, and
+    # 36 + 81 + 108 at accuracy 7 (filtering the 9 lifts of an expanded node
+    # by evaluating the constraint at each would take 9 evaluations, not 3)
+    assert len(calls) == 9 + 3 * (36 + 81 + 36 + 81 + 108)
 
 
 def test_points_below_level_one_raise():
@@ -444,6 +451,56 @@ def test_points_below_level_one_raise():
     assert list(iter_congruence_points(lifter, 0, budget=1000)) == [(0, 0)]
     with pytest.raises(InvariantViolated):
         image_oracle(LINE_X2.system, 0, 0, budget=1000)
+    with pytest.raises(InvariantViolated):
+        image_oracle(LINE_X2.system, -1, 2, budget=1000)
+    with pytest.raises(InvariantViolated):
+        first_lifts(lifter, 2, 1, budget=1000)  # accuracy below the class level
+
+
+def test_level_zero_search_is_one_class(monkeypatch):
+    # mod p^0 every node is in one class: one first-hit walk from the roots,
+    # which ends at its first node at the accuracy (no level-0 node to stop at)
+    import padiczeta.variety as variety
+
+    lifter = HenselLifter(3, 2, LINE_X2.system.constraints)
+    assert image_oracle(LINE_X2.system, 0, 2, budget=10**5) == {(0, 0)}
+    meters = []
+
+    def recording(limit, stage):
+        meters.append(BudgetMeter(limit, stage))
+        return meters[-1]
+
+    monkeypatch.setattr(variety, "BudgetMeter", recording)
+    assert first_lifts(lifter, 0, 3, budget=10**5) == {(0, 0): (0, 0)}
+    # the root (0, 0), then the first lift at levels 2 and 3, and at level 4
+    assert [(meter.stage, meter.used) for meter in meters] == [
+        ("center search m=0 accuracy=3", 3),
+        ("center search m=0 accuracy=4", 4),
+    ]
+    # x1^2 = 3 has the root 0 mod 3 but no solution mod 9: no class at all
+    dead = system_from_strings(3, 2, ["x1^2 - 3"], "x2")
+    assert image_oracle(dead, 0, 2, budget=10**5) == set()
+
+
+def _walk_order(x, p, accuracy):
+    """The digit vectors of x mod p^accuracy, level by level: the walk's order."""
+    return tuple(tuple(c // p**j % p for c in x) for j in range(accuracy))
+
+
+@given(graph_systems(bad_only=True), st.sampled_from([1, 2]), st.sampled_from([1, 2]))
+@settings(max_examples=20, deadline=None)
+def test_first_lifts_are_first_in_walk_order(system, m, extra):
+    # whatever the search skips, each representative is the solution mod
+    # p^accuracy of its class that comes first in walk order.  The constraint
+    # is p times a smooth one, so every class mod p^m with a solution mod
+    # p^(m + 1) lifts to Z_p, and the search is stable from accuracy m + 1
+    p, accuracy = system.p, m + extra
+    _, points = brute_force_points(system, accuracy, collect=True)
+    first = {}
+    for x in sorted(points, key=lambda x: _walk_order(x, p, accuracy)):
+        first.setdefault(tuple(c % p**m for c in x), x)
+    reps = first_lifts(HenselLifter(p, system.n, system.constraints), m, accuracy)
+    assert reps == first
 
 
 @st.composite
@@ -532,10 +589,11 @@ BUDGET_CUSP = system_from_strings(3, 2, ["x2"], "x1^2")
             lambda budget: decomposed_count_check(BUDGET_CUSP, [2], budget=budget),
             "decomposed recount m=2 chart 1/1",
         ),
-        # one lift per class mod p: 13 nodes for each of the three roots
+        # one lift per class mod p: each of the three roots, then the first
+        # path of its first-hit walk, one node at each of levels 2 to 5: 15 nodes
         (lambda budget: global_decompose(BUDGET_LINE, budget), "center search m=1 accuracy=5"),
-        # 3 roots, 9 nodes at level 2, and the three lifts to level 3 of
-        # each class mod 9, two of them pruned: 39 nodes
+        # 3 roots and 9 nodes at level 2, each settled by one Taylor step
+        # (2 * 2 >= 3): 12 nodes
         (lambda budget: image_oracle(BUDGET_LINE, 2, 1, budget), "image oracle m=2 accuracy=3"),
         # the lifts of x2 = 0 to level r = 3 alone charge 3 + 9 + 27 nodes
         (
