@@ -31,18 +31,18 @@ of one linear congruence system over Z/p^i from the node's first-order
 Taylor data, so the counts are the second route of the identity
 P(t)(1 - t) + t Z(t) = 1.
 
-Every row is recounted at angular level c + 1, and its classes summed
-mod p^c must agree exactly; disagreement raises instead of silently
-producing a wrong table.  A table at angular level c determines every
-coarser level by summing classes, so `ShellTable.project` serves a
-coarser table without another walk.
+One walk per chart and angular level serves every row m = 0..depth, and
+a walk of its own recounts the rows at level c + 1: each row's classes
+summed mod p^c must agree exactly, or the table is refused rather than
+silently wrong.  A table at level c determines every coarser level by
+summing classes, so `ShellTable.project` serves it without another walk.
 
 The conductor scan finds the conductor cutoff of the twisted tables.
 It probes the critical locus once, then builds one table per level from
 c_max upward until some level past the cutoff is verified zero (escalating
 no further than CONDUCTOR_LIMIT), and hands that table on to the formula
 route.  Each escalated table takes its rows from the previous level's
-recounts and walks only its own recounts.
+recounts and walks only its own recounts: one walk per chart.
 """
 
 from __future__ import annotations
@@ -51,7 +51,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .characters import MultChar, chi_value, enumerate_characters
-from .errors import HypothesisNotVerified, MissingTable, NotStabilized, WalkInvariantError
+from .errors import ArgumentOutOfRange, HypothesisNotVerified, MissingTable, NotStabilized
+from .errors import WalkInvariantError
 from .mpoly import PolySystem
 from .padic import int_valuation
 from .ratfn import RationalFn, reconstruct_rational
@@ -59,7 +60,6 @@ from .smoothing import Chart, Decomposition, measure_charts
 from .support import Support
 from .variety import (
     DEFAULT_BUDGET,
-    DESCEND,
     PRUNE,
     BudgetMeter,
     critical_locus_probe,
@@ -73,62 +73,58 @@ CONDUCTOR_LIMIT = 4  # the conductor scan escalates no further than this level
 PROBE_LEVEL = 2  # level of the critical-locus probe behind the conductor scan
 
 
-def _chart_shell_walk(
+def _chart_shell_rows(
     decomposition: Decomposition,
     chart: Chart,
-    m: int,
+    depth: int,
     c: int,
     support: Support | None,
     meter: BudgetMeter,
-) -> tuple[dict[int, int], int]:
-    """Counts of chart points in shell (m, ac mod p^c), at resolving level k.
+) -> tuple[list[dict[int, int]], int]:
+    """Counts of chart points in the shells (m, ac mod p^c), m = 0..depth, by one walk.
 
-    Returns (per-class counts, k): the shell measure contribution is
-    weight * count * p^(-k * dim).  A node y at level j is resolved once
-    the target F is known mod p^K on its ball, F = w mod p^K, and that
-    fixes its share of the shell.  K >= L + j always, with w = F(y),
-    because F(y) = f(center + p^L y).  On a ball inside the support the
-    Jacobian minors of (constraints G, F) give more when their least
-    valuation e mod p^j is below j.  F - lam . G then has gradient 0 mod
-    p^e, so by Taylor F = F(y) - lam . G(y) mod p^(j + e) on the ball, and
-    by Hensel's lemma the level-(j + t) nodes above y spread evenly over
-    the p^t lifts of w mod p^(j + e + t).  The subtree's count per class
-    then has a closed form.  Near the critical locus of F, where every
-    minor vanishes mod p^j (e = j), the same Taylor step still fixes
-    F = F(y) - lam . G(y) mod p^(2j) on the ball, with lam known mod p^j;
-    the step is exact because F - lam . G has integer coefficients and
-    its Taylor tail carries p^(2j).  That value resolves the node when it
-    fixes the class; the even spread is not claimed there, so a node
-    whose class w does not fix is descended.
+    Returns (per-row class counts, k): a count adds weight * count *
+    p^(-k * dim) to its shell.  Row m resolves at the level k_m =
+    max(m + c - L, support level, 1); every row is counted at k = k_depth.
+    A node y at level j settles a row once F = w mod p^K on its ball fixes
+    its share (K >= L + j with w = F(y), as F(y) = f(center + p^L y)).
+    Inside the support the Jacobian minors of (constraints G, F), of least
+    valuation e mod p^j, fix F = F(y) - lam . G(y) mod p^(j + e) by Taylor.
+    Where e < j the level-(j + t) nodes above y spread evenly over the p^t
+    lifts of w mod p^(j + e + t) (Hensel), so the subtree's counts have a
+    closed form; where e = j the value mod p^(2j) settles only the rows
+    whose class it fixes.  The minors and w depend on the node alone: a
+    node computes them once, settles every row it holds open, and hands
+    the rest on to its children, which are walked only while a row is open.
     """
-    p = decomposition.system.p
+    p, dim = decomposition.system.p, decomposition.system.dim
     L = chart.L
+    counts: list[dict[int, int]] = [{} for _ in range(depth + 1)]
     meets, sup = decomposition.restrict(chart, support)
     if not meets:
-        return {}, 1
-    k = max(m + c - L, sup.level if sup else 0, 1)
+        return counts, 1
+    ks = [max(m + c - L, sup.level if sup else 0, 1) for m in range(depth + 1)]
+    k = ks[-1]
     lifter = decomposition.lifter(chart, meter.limit)
     target, constraints = chart.target, chart.constraints
     partials = [[f.partial(i) for i in range(1, lifter.n + 1)] for f in (*constraints, target)]
-    p_m, p_c = p**m, p**c
+    p_c = p**c
     units = [u for u in range(p_c) if u % p]
     # the number of level-k points above a level-j node
-    above = [p ** ((k - j) * lifter.dim) for j in range(k + 1)]
+    above = [p ** ((k - j) * dim) for j in range(k + 1)]
 
-    def shares(w: int, K: int, j: int, spread: bool) -> list[tuple[int, int]] | None:
-        """(class u, level-k count) above a level-j node on whose ball F = w mod p^K.
+    def shares(m: int, w: int, v: int, K: int, j: int, spread: bool) -> list | None:
+        """(class u, level-k count) of row m above a level-j node where F = w mod p^K, v = ord w.
 
-        None when the classes are not fixed by w alone and the even
-        spread of the deeper digits is not known.
+        None when w alone does not fix the classes and no even spread is known.
         """
         if w:
-            v = int_valuation(w, p)
             if v != m:
                 return []  # the whole ball lies in another shell
             if m + c <= K:
-                return [((w // p_m) % p_c, above[j])]
+                return [((w // p**m) % p_c, above[j])]
             step = p ** (K - m)
-            classes = range((w // p_m) % step, p_c, step)  # the lifts of w / p^m
+            classes = range((w // p**m) % step, p_c, step)  # the lifts of w / p^m
         elif m < K:
             return []  # valuation >= K > m on the whole ball
         else:
@@ -138,9 +134,9 @@ def _chart_shell_walk(
         share = above[j] // p ** (m + c - K)
         return [(u, share) for u in classes]
 
-    def visit(y: tuple[int, ...], j: int):
+    def visit(y: tuple[int, ...], j: int, rows: tuple[int, ...]):
         if sup is not None and not sup.admits_prefix(y, j, p):
-            return PRUNE
+            return PRUNE, None
         inside = sup is None or j >= sup.level
         # the minors carry p^L from the rescaling, so e < j needs j > L
         e, lam = jacobian_minors(partials, y, p, j) if inside and j > L else (j, None)
@@ -149,41 +145,45 @@ def _chart_shell_walk(
             K = j + e
             modulus = p**K
             w = target.evaluate(y, modulus)
-            w -= sum(a * g.evaluate(y, modulus) for a, g in zip(lam, constraints))
-            pairs = shares(w % modulus, K, j, e < j)
+            w = (w - sum(a * g.evaluate(y, modulus) for a, g in zip(lam, constraints))) % modulus
         else:
             K = L + j
-            pairs = shares(target.evaluate(y, p**K), K, j, False)
-        if pairs is not None and (inside or not pairs):
-            return pairs or PRUNE
-        if j >= k:
-            raise WalkInvariantError(f"shell (m={m}, c={c}) unresolved at level {j} >= {k}")
-        return DESCEND
+            w = target.evaluate(y, p**K)
+        v = int_valuation(w, p) if w else K
+        settled, still_open = [], []
+        for m in rows:
+            pairs = shares(m, w, v, K, j, lam is not None and e < j)
+            if pairs is not None and (inside or not pairs):
+                if pairs:
+                    settled.append((m, pairs))
+            elif j >= ks[m]:
+                raise WalkInvariantError(f"shell (m={m}, c={c}) unresolved at level {j} >= {ks[m]}")
+            else:
+                still_open.append(m)
+        return settled or PRUNE, tuple(still_open) or None
 
-    counts: dict[int, int] = {}
-    for pairs in walk(lifter.roots(), lifter.children, visit, meter):
-        for u, count in pairs:
-            counts[u] = counts.get(u, 0) + count
+    rows = tuple(range(depth + 1))
+    for settled in walk(lifter.roots(), lifter.children, visit, meter, state=rows):
+        for m, pairs in settled:
+            for u, count in pairs:
+                counts[m][u] = counts[m].get(u, 0) + count
     return counts, k
 
 
-def _shell_measures_once(
-    decomposition: Decomposition,
-    m: int,
-    c: int,
-    support: Support | None,
-    budget: int,
-) -> dict[int, Fraction]:
-    p = decomposition.system.p
-    measures: dict[int, Fraction] = {}
+def _shell_rows(
+    decomposition: Decomposition, depth: int, c: int, support: Support | None, budget: int
+) -> list[dict[int, Fraction]]:
+    """Shell measures of the rows m = 0..depth at angular level c: one walk per chart."""
+    p, dim = decomposition.system.p, decomposition.system.dim
+    measures: list[dict[int, Fraction]] = [{} for _ in range(depth + 1)]
     charts = decomposition.charts
     for i, chart in enumerate(charts, 1):
-        meter = BudgetMeter(budget, f"shell walk m={m} c={c} chart {i}/{len(charts)}")
-        counts, k = _chart_shell_walk(decomposition, chart, m, c, support, meter)
-        dim = decomposition.system.dim
+        meter = BudgetMeter(budget, f"shell walk c={c} chart {i}/{len(charts)}")
+        counts, k = _chart_shell_rows(decomposition, chart, depth, c, support, meter)
         scale = chart.weight / p ** (k * dim)
-        for u, count in counts.items():
-            measures[u] = measures.get(u, Fraction(0)) + count * scale
+        for row, chart_row in zip(measures, counts):
+            for u, count in chart_row.items():
+                row[u] = row.get(u, Fraction(0)) + count * scale
     return measures
 
 
@@ -258,7 +258,7 @@ class ShellTable:
         its measure is their exact sum; no walk runs.
         """
         if not 1 <= c <= self.c_level:
-            raise ValueError(f"cannot project angular level {self.c_level} to {c}")
+            raise ArgumentOutOfRange(f"cannot project angular level {self.c_level} to {c}")
         modulus = self.system.p**c
         return ShellTable(
             system=self.system,
@@ -293,8 +293,8 @@ def build_shell_table(
 ) -> ShellTable:
     """Compute exact shell measures for m = 0..depth at angular level c_level.
 
-    Every row is recomputed one level deeper; a mismatch raises
-    NotStabilized rather than returning a silently wrong table.
+    One walk per chart gives the rows and another recounts them one level
+    finer; a mismatch raises NotStabilized rather than a silently wrong table.
     """
     return _checked_table(system, depth, c_level, support, budget, None)[0]
 
@@ -312,22 +312,17 @@ def _checked_table(
     The recounts are the rows of the table at c_level + 1, so a conductor
     scan that escalates hands them on instead of walking them again.
     """
-    if c_level < 1:
-        raise ValueError("angular level must be >= 1")
+    if c_level < 1 or depth < 0:
+        raise ArgumentOutOfRange(f"need angular level >= 1 and depth >= 0: {c_level}, {depth}")
     decomposition = measure_charts(system, budget)
-    measures, recounts = [], []
-    for m in range(depth + 1):
-        if rows is None:
-            row = _shell_measures_once(decomposition, m, c_level, support, budget)
-        else:
-            row = rows[m]
-        finer = _shell_measures_once(decomposition, m, c_level + 1, support, budget)
+    if rows is None:
+        rows = _shell_rows(decomposition, depth, c_level, support, budget)
+    recounts = _shell_rows(decomposition, depth, c_level + 1, support, budget)
+    for m, (row, finer) in enumerate(zip(rows, recounts)):
         coarse = _coarsen(finer, system.p**c_level)
         if coarse != row:
             raise NotStabilized(f"shell recount at m={m} disagrees: {row} vs {coarse}")
-        measures.append(row)
-        recounts.append(finer)
-    table = ShellTable(system=system, support=support, c_level=c_level, depth=depth, measures=measures)
+    table = ShellTable(system=system, support=support, c_level=c_level, depth=depth, measures=rows)
     return table, recounts
 
 
@@ -343,7 +338,7 @@ class CoeffTable(NamedTuple):
 
 def coefficient_table(table: ShellTable, chi: MultChar) -> CoeffTable:
     if max(chi.conductor, 1) > table.c_level:
-        raise ValueError("shell table angular level too coarse for this character")
+        raise ArgumentOutOfRange("shell table angular level too coarse for this character")
     coeffs = tuple(table.coefficient(chi, m) for m in range(table.depth + 1))
     return CoeffTable(chi=chi, coeffs=coeffs)
 

@@ -7,12 +7,17 @@ from hypothesis import assume, given, settings, strategies as st
 
 from padiczeta.bundled import BAD_LINE, LINE_X1, LINE_X2, LINE_X3, PARABOLA, THREEVAR
 from padiczeta.characters import enumerate_characters, trivial_character
-from padiczeta.errors import BudgetExceeded, HypothesisNotVerified, NotStabilized
+from padiczeta.errors import (
+    ArgumentOutOfRange,
+    BudgetExceeded,
+    HypothesisNotVerified,
+    NotStabilized,
+)
 from padiczeta.mpoly import MPoly, PolySystem, system_from_strings
 import padiczeta.poincare as poincare
 import padiczeta.zeta as zeta
 from padiczeta.poincare import congruence_counts
-from padiczeta.ratfn import candidate_pole_check, pole_analysis, reconstruct_rational
+from padiczeta.ratfn import RationalFn, candidate_pole_check, pole_analysis, reconstruct_rational
 from padiczeta.smoothing import measure_charts
 from padiczeta.support import Support
 from padiczeta.variety import DEFAULT_BUDGET, brute_force_points
@@ -106,15 +111,15 @@ def test_stabilization_flags_set(monkeypatch):
     import padiczeta.zeta as zeta
 
     assert len(build_shell_table(LINE_X2.system, 4).measures) == 5
-    once = zeta._shell_measures_once
+    walked = zeta._shell_rows
 
-    def skewed(decomposition, m, c, support, budget):
-        measures = once(decomposition, m, c, support, budget)
-        if (m, c) == (2, 2):
-            measures[4] = measures.get(4, F(0)) + F(1, 3**9)
-        return measures
+    def skewed(decomposition, depth, c, support, budget):
+        rows = walked(decomposition, depth, c, support, budget)
+        if c == 2:  # the recount of row 2 gains mass in class 4 mod 9
+            rows[2][4] = rows[2].get(4, F(0)) + F(1, 3**9)
+        return rows
 
-    monkeypatch.setattr(zeta, "_shell_measures_once", skewed)
+    monkeypatch.setattr(zeta, "_shell_rows", skewed)
     with pytest.raises(NotStabilized, match="m=2"):
         build_shell_table(LINE_X2.system, 4)
 
@@ -226,20 +231,20 @@ def test_coefficient_table_dataclass():
 
 def test_budget_error_names_the_stage_and_level():
     # p^n = 9 admits the F_p scan.  Resolved mod p^(2j), the critical node
-    # x2 = 0 of x2^3 is descended to about level m/2: the shell walk of row 3
-    # at c = 2 needs 12 nodes
+    # x2 = 0 of x2^3 is descended to about level m/2: the one walk of rows
+    # 0..8 needs 27 nodes at c = 1 and 33 at c = 2
     with pytest.raises(
-        BudgetExceeded, match=r"^shell walk m=3 c=2 chart 1/1: .* budget 10 exhausted at level \d+$"
+        BudgetExceeded, match=r"^shell walk c=2 chart 1/1: .* budget 30 exhausted at level 3$"
     ):
-        build_shell_table(LINE_X3.system, 8, budget=10)
+        build_shell_table(LINE_X3.system, 8, budget=30)
 
 
 def test_budget_error_names_the_chart(monkeypatch):
     # BAD_LINE has nine charts.  The count walk's meter runs across them: the
     # chart at the origin takes 12 nodes to level 2, so 13 run out in the next
-    # chart.  A shell walk has a meter per chart: row 2 at c = 2 is the first
-    # to need more than 10 nodes, in the chart at (9, 3) where x2^2 has
-    # valuation 2 throughout
+    # chart.  A shell walk has a meter per chart and level: to depth 2, the
+    # walk at c = 2 in the chart at (9, 3), where x2^2 has valuation 2
+    # throughout, is the first to need more than 10 nodes (12)
     system = BAD_LINE.system
     decomposition = measure_charts(system, DEFAULT_BUDGET)
     assert len(decomposition.charts) == 9
@@ -251,8 +256,8 @@ def test_budget_error_names_the_chart(monkeypatch):
         congruence_counts(system, 4, budget=13)
     with pytest.raises(BudgetExceeded, match=r"^tail walk m=4 chart 2/9: "):
         tail_measure(system, 4, budget=13)
-    with pytest.raises(BudgetExceeded, match=r"^shell walk m=2 c=2 chart 2/9: .* at level 2$"):
-        build_shell_table(system, 8, budget=10)
+    with pytest.raises(BudgetExceeded, match=r"^shell walk c=2 chart 2/9: .* at level 2$"):
+        build_shell_table(system, 2, budget=10)
 
 
 @pytest.mark.parametrize(
@@ -307,22 +312,23 @@ def test_context_reuses_the_scan_table(monkeypatch):
 
 def test_escalation_walks_each_level_once(monkeypatch):
     # the level-3 table takes its rows from the level-2 table's recounts at
-    # level 3 and walks only its own recounts at level 4: five rows (m = 0..4)
-    # of one chart per level, where walking every table's rows took 20 walks
+    # level 3 and walks only its own recounts at level 4.  One walk of the
+    # one chart serves every row (m = 0..4) of a level, where a walk per row
+    # took 15 and walking every table's rows 20
     import padiczeta.expsum as expsum
     import padiczeta.zeta as zeta
 
     levels = []
-    shell_walk = zeta._chart_shell_walk
+    shell_walk = zeta._chart_shell_rows
 
-    def counting_walk(decomposition, chart, m, c, support, meter):
+    def counting_walk(decomposition, chart, depth, c, support, meter):
         levels.append(c)
-        return shell_walk(decomposition, chart, m, c, support, meter)
+        return shell_walk(decomposition, chart, depth, c, support, meter)
 
-    monkeypatch.setattr(zeta, "_chart_shell_walk", counting_walk)
+    monkeypatch.setattr(zeta, "_chart_shell_rows", counting_walk)
     report = expsum.stationary_phase_check(THREEVAR.system, [1, 2, 3], c_cap=2, depth=4)
     assert report.max_discrepancy < 1e-9
-    assert sorted(levels) == [2] * 5 + [3] * 5 + [4] * 5
+    assert levels == [2, 3, 4]
 
 
 @st.composite
@@ -370,6 +376,42 @@ def test_shell_tables_match_brute_force(case):
         assert walked == brute
 
 
+BAD_LINE_CASES = st.tuples(
+    st.just(BAD_LINE.system),
+    st.just(4),
+    st.sampled_from([None, Support.cosets(2, 1, [[0, 1]], 3), Support.cosets(2, 2, [[0, 3], [2, 7]], 3)]),
+)
+
+
+@given(st.one_of(smooth_shell_cases(), BAD_LINE_CASES), st.integers(0, 3), st.integers(1, 2))
+@settings(max_examples=30, deadline=None)
+def test_rows_do_not_depend_on_the_walk_extent(case, depth, c):
+    # one walk serves rows 0..depth, each resolved at its own level: a deeper
+    # walk and a finer one must give the same rows
+    system, _, support = case
+    table = build_shell_table(system, depth, c_level=c, support=support)
+    deeper = build_shell_table(system, depth + 2, c_level=c, support=support)
+    finer = build_shell_table(system, depth, c_level=c + 1, support=support)
+    assert table.measures == deeper.measures[: depth + 1]
+    assert table.measures == finer.project(c).measures
+
+
+def test_out_of_range_arguments_raise_typed_errors():
+    # ArgumentOutOfRange is a ValueError, so callers catching that still do
+    system = LINE_X2.system
+    with pytest.raises(ArgumentOutOfRange, match="depth"):
+        build_shell_table(system, -1)
+    with pytest.raises(ArgumentOutOfRange, match="angular level"):
+        build_shell_table(system, 2, c_level=0)
+    table = build_shell_table(system, 2)
+    for level in (0, 2):
+        with pytest.raises(ArgumentOutOfRange, match="project"):
+            table.project(level)
+    conductor2 = next(chi for chi in enumerate_characters(3, 2) if chi.conductor == 2)
+    with pytest.raises(ArgumentOutOfRange, match="too coarse"):
+        coefficient_table(table, conductor2)
+
+
 def test_threevar_context_walks_few_nodes(monkeypatch):
     # the closed form resolves every subtree away from the cusp; enumerating
     # each leaf visited about 1.42 M nodes for this context
@@ -400,3 +442,13 @@ def test_threevar_deep_trivial_table_matches_tails():
         assert sum(table.measures[m].values(), F(0)) == tails[m] - tails[m + 1]
     # (1 - t/3)(1 - t^6/243)
     assert table.trivial_fn().den == (F(1), F(-1, 3), 0, 0, 0, 0, F(-1, 243), F(1, 729))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_threevar_zeta_is_one_formula_in_p(p):
+    # Z_p(t) = (1 - 1/p)(1 - t/p^2 + t^2/p^2 - t^5/p^5) / ((1 - t/p)(1 - t^6/p^5))
+    system = system_from_strings(p, 3, ["x1 - x2*x3"], "x2^2 + x3^3")
+    q = F(1, p)
+    num = [1 - q, -(1 - q) * q**2, (1 - q) * q**2, 0, 0, -(1 - q) * q**5]
+    den = [1, -q, 0, 0, 0, 0, -(q**5), q**6]
+    assert build_shell_table(system, 14).trivial_fn() == RationalFn(num, den)
