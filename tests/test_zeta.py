@@ -379,7 +379,9 @@ def test_shell_tables_match_brute_force(case):
 BAD_LINE_CASES = st.tuples(
     st.just(BAD_LINE.system),
     st.just(4),
-    st.sampled_from([None, Support.cosets(2, 1, [[0, 1]], 3), Support.cosets(2, 2, [[0, 3], [2, 7]], 3)]),
+    st.sampled_from(
+        [None, Support.cosets(2, 1, [[0, 1]], 3), Support.cosets(2, 2, [[0, 3], [2, 7]], 3)]
+    ),
 )
 
 
