@@ -191,36 +191,32 @@ def _summary(out: Path, command: str, args, payload: dict) -> None:
 # -- commands -----------------------------------------------------------------
 
 
-def cmd_count(problem: Problem, out: Path, args) -> int:
-    counts = congruence_counts(problem.system, problem.max_level, budget=problem.budget)
+def _write_counts(out: Path, problem: Problem, counts: list[int]) -> None:
+    """counts.csv: N_m and its scaled value N_m / p^(m dim), one row per m."""
     q_dim = problem.system.p**problem.system.dim
     rows = []
     for m, count in enumerate(counts):
         scaled = Fraction(count, q_dim**m)
         rows.append([m, count, scaled.numerator, scaled.denominator])
     _write_csv(out / "counts.csv", ["m", "N_m", "scaled_num", "scaled_den"], rows)
+
+
+def cmd_count(problem: Problem, out: Path, args) -> int:
+    counts = congruence_counts(problem.system, problem.max_level, budget=problem.budget)
+    _write_counts(out, problem, counts)
     _summary(out, "count", args, {"max_level": problem.max_level})
     return EXIT_OK
 
 
 def cmd_poincare(problem: Problem, out: Path, args) -> int:
     series = poincare_series(problem.system, problem.max_level, budget=problem.budget)
-    rows = [
-        [m, series.Nm[m], series.scaled[m].numerator, series.scaled[m].denominator]
-        for m in range(len(series.Nm))
-    ]
-    _write_csv(out / "counts.csv", ["m", "N_m", "scaled_num", "scaled_den"], rows)
+    _write_counts(out, problem, series.Nm)
     _write_json(out / "poincare.json", series.reconstructed.to_json())
     payload = {"max_level": problem.max_level, "identity_checked": False}
     code = EXIT_OK
     # poincare_series has built the decomposition; L = 0 is good reduction
     if measure_charts(problem.system, problem.budget).L == 0:
-        table = build_shell_table(
-            problem.system,
-            problem.max_level,
-            support=problem.support,
-            budget=problem.budget,
-        )
+        table = build_shell_table(problem.system, problem.max_level, budget=problem.budget)
         zeta_fn = table.trivial_fn()
         verdict = check_series_zeta_identity(series.reconstructed, zeta_fn)
         payload["identity_checked"] = True
@@ -412,12 +408,7 @@ def cmd_decay(problem: Problem, out: Path, args) -> int:
     if problem.system.resolution_data is not None:
         pole = pole_data_from_resolution(problem.system.resolution_data, problem.system.p)
     else:
-        table = build_shell_table(
-            problem.system,
-            problem.max_level + 3,
-            support=problem.support,
-            budget=problem.budget,
-        )
+        table = build_shell_table(problem.system, problem.max_level + 3, budget=problem.budget)
         pole = pole_analysis(table.trivial_fn(), problem.system.p)
     report = decay_report(
         problem.system,
@@ -482,7 +473,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--spec", required=True, help="problem JSON file")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--max-level", type=int, default=None, help="override max_level")
-    parser.add_argument("--budget", type=int, default=None, help="override enumeration budget")
+    parser.add_argument(
+        "--budget",
+        type=int,
+        default=None,
+        help="override the enumeration budget: the most lift-tree nodes each stage's walks "
+        "may visit, and the largest p^n a residue scan may cover",
+    )
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized spot checks")
     parser.add_argument("--s", type=int, default=1, help="integer exponent for delta-check")
     parser.add_argument("--r-max", type=int, default=4, help="largest r for delta-check")

@@ -30,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .errors import InvariantViolated, NoRecurrenceFound, ValidationFailed
+from .errors import ArgumentOutOfRange, InvariantViolated, NoRecurrenceFound, ValidationFailed
 from .mpoly import PolySystem
 from .ratfn import PoleData, RationalFn, reconstruct_rational
 from .smoothing import Decomposition, measure_charts, recenter
@@ -71,6 +71,8 @@ def congruence_counts(
     centers mod p^m.  Past L, N_(L + j) sums the charts' tallies at
     level j, from one tally walk per chart to level depth - L.
     """
+    if depth < 0:
+        raise ArgumentOutOfRange(f"need depth >= 0, got {depth}")
     decomposition = measure_charts(system, budget)
     p, L = system.p, decomposition.L
     counts = [1]
@@ -199,7 +201,7 @@ def decomposed_count_check(
     decomposition = measure_charts(system, budget)
     p, n, L = system.p, system.n, decomposition.L
     if min(m_values) <= L:
-        raise ValueError(f"the decomposed recount needs m > L = {L}")
+        raise ArgumentOutOfRange(f"the decomposed recount needs m > L = {L}")
     top = max(m_values)
     settle = top - L
     threshold = L

@@ -92,12 +92,8 @@ def _ambient_walk(
     the target 0 mod p^(j + i) (`lift_counts`, Z_0 = 1): mult
     p^n Z_(i-1) - Z_i at v = j + i - 1, and Z_(depth - j) deep, each
     times the node's own mult.  These items carry no value, which only
-    a twisted integrand reads.
-
-    Counted nodes are charged to the meter as if visited, in walk
-    order, and a node whose count would pass the limit is descended, so
-    the walk stops at the node, and names the level, where visiting
-    every node would have.
+    a twisted integrand reads.  The budget bounds the nodes visited;
+    counted subtrees cost nothing.
     """
     p, n = system.p, system.n
     target = system.target
@@ -111,49 +107,35 @@ def _ambient_walk(
     )
     lifter = lifter_for(p, n, system.constraints, budget) if r >= 1 else None
     gradient = ([target.partial(k) for k in range(1, n + 1)],)
-    room = budget  # the nodes still to be charged within the limit
-
-    def counted(charge: int, items: list):
-        nonlocal room
-        if charge > room:
-            return DESCEND
-        room -= charge
-        return charge, items
 
     def visit(x: tuple[int, ...], j: int):
-        nonlocal room
-        room -= 1  # the walk charged this node
         if support is not None and not support.admits_prefix(x, j, p):
             return PRUNE
         if j < settle and (j < level or 2 * j < settle):
-            return (0, [(x, j, DEEP, 1)]) if j == depth else DESCEND
+            return [(x, j, DEEP, 1)] if j == depth else DESCEND
         value = target.evaluate(x, p**depth)
         v = int_valuation(value % p**j, p)
         if j < settle:
             if v is None or v + angular > j:
                 return DESCEND
-            counts = lifter.subtree_counts(x, j, None, settle - j)
-            return counted(sum(counts), [(x, settle, ("resolved", v, value), counts[-1])])
+            lifts = lifter.subtree_counts(x, j, None, settle - j)[-1]
+            return [(x, settle, ("resolved", v, value), lifts)]
         mult = p ** (len(pinned) * (j - settle))
         if v is not None and (v + angular <= j or j == depth):
-            return 0, [(x, j, ("resolved", v, value), mult)]
+            return [(x, j, ("resolved", v, value), mult)]
         if j == depth:
             # target, constraints or support still unresolved at the scan depth
-            return 0, [(x, j, DEEP, mult)]
+            return [(x, j, DEEP, mult)]
         if angular or 2 * j < depth:
             return DESCEND
         zeros = [1, *lift_counts((target,), gradient, x, j, depth - j, p)]
-        # the unresolved nodes at level j + i - 1 each expand p^(n - pinned) children
-        charge = sum(p**n * zeros[i - 1] // p ** (len(pinned) * i) for i in range(1, depth - j + 1))
         items = [
             (x, j + i, ("resolved", j + i - 1, None), mult * (p**n * zeros[i - 1] - zeros[i]))
             for i in range(1, depth - j + 1)
         ]
-        return counted(charge, [*items, (x, depth, DEEP, mult * zeros[-1])])
+        return [*items, (x, depth, DEEP, mult * zeros[-1])]
 
-    meter = BudgetMeter(budget, f"ambient walk r={r}")
-    for charge, items in walk(roots, children, visit, meter):
-        meter.used += charge
+    for items in walk(roots, children, visit, BudgetMeter(budget, f"ambient walk r={r}")):
         yield from items
 
 

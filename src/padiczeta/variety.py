@@ -92,15 +92,15 @@ def walk(
     value to yield in place of the subtree.  Given a `state`, the roots
     carry it and `visit(x, j, s)` returns (value to yield or PRUNE, state
     for the children or None), so a node can emit what it settled and
-    hand on what it left open.  Every visited node is charged to the
-    meter, and BudgetExceeded, naming the meter's stage and the level of
-    the node it stopped at, is raised past its limit.  The count is kept
-    in a local and synced with the meter around each yield, so the
-    consumer may charge nodes it counted itself between yields, or run
-    another walk on the same meter there, but `visit` must not: the walk
-    overwrites the meter's count at its next yield, and the charge is
-    lost.  A consumer that stops reading abandons the pending stack, with
-    every node visited so far charged.
+    hand on what it left open.  This is the only code that charges a
+    meter: every visited node costs one, and BudgetExceeded, naming the
+    meter's stage and the level of the node it stopped at, is raised past
+    its limit.  Nodes a visit counts without visiting cost nothing.  The
+    count is kept in a local and synced with the meter around each yield,
+    so the consumer may run another walk on the same meter between
+    yields, but `visit` must not: the walk would overwrite that walk's
+    charges at its next yield.  A consumer that stops reading abandons
+    the pending stack, with every node visited so far charged.
     """
     stack = [(x, level, state) for x in reversed(roots)]
     used, limit = meter.used, meter.limit
@@ -653,22 +653,16 @@ def tally_zeros(
     the first-order Taylor step makes exact at every p since the levels
     left are at most the node's own.  The support is settled at top, so
     a descendant's prefix test is its node's.  No Jacobian minors and no
-    closed form of the shell walks enter the counts.
-
-    Counted nodes are charged to the meter as if visited, in walk order.
-    A node whose count would pass the limit is descended instead, so the
-    walk stops at the node, and names the level, where visiting every
-    node would have.
+    closed form of the shell walks enter the counts.  The meter is
+    charged for the visited nodes only, so the budget bounds the walk's
+    work, not the counts it returns.
     """
     p = lifter.p
     tally = [0] * (depth + 1)
     first = p ** row.exponent(1)
     top = min(depth, max((depth + 1) // 2, support.level if support else 1))
-    room = meter.limit - meter.used  # the nodes still to be charged within the limit
 
     def visit(x: tuple[int, ...], j: int):
-        nonlocal room
-        room -= 1  # the walk charged this node
         if support is not None and not support.admits_prefix(x, j, p):
             return PRUNE
         if j == 1 and row.target.evaluate(x, first):
@@ -676,15 +670,10 @@ def tally_zeros(
         tally[j] += 1
         if j < top:
             return DESCEND
-        counts = lifter.subtree_counts(x, j, row, depth - j) if j < depth else []
-        if sum(counts) > room:
-            return DESCEND
-        room -= sum(counts)
-        return j, counts
+        return j, lifter.subtree_counts(x, j, row, depth - j) if j < depth else []
 
     children = functools.partial(lifter.children, row=row)
     for j, counts in walk(lifter.roots(), children, visit, meter):
-        meter.used += sum(counts)
         for level, count in enumerate(counts, j + 1):
             tally[level] += count
     return tally

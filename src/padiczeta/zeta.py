@@ -420,6 +420,8 @@ def tail_measure(
     walk that keeps the zeros of the chart target (offset L) mod
     p^min(L + j, m) at level j.
     """
+    if m < 0:
+        raise ArgumentOutOfRange(f"need m >= 0, got {m}")
     decomposition = measure_charts(system, budget)
     p = system.p
     total = Fraction(0)

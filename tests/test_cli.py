@@ -266,6 +266,19 @@ def test_cli_import_leaves_numpy_out(module):
     assert {f"padiczeta.{name}" for name in TRACED_MODULES} <= loaded
 
 
+def test_corpus_battery_passes(tmp_path):
+    # scripts/run_corpus.py exits nonzero when any of its checks fails
+    root = Path(__file__).resolve().parents[1]
+    src = str(root / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    script = root / "scripts" / "run_corpus.py"
+    result = subprocess.run(
+        [sys.executable, str(script), str(tmp_path)], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stdout[-2000:] + result.stderr
+    assert (tmp_path / "corpus_results.csv").exists()
+
+
 @pytest.mark.parametrize(
     "command, level",
     [("count", "-2"), ("zeta", "0"), ("sps-verify", "0"), ("decay", "0")],
@@ -311,8 +324,11 @@ def test_even_prime_twisted_route_exits_schema(tmp_path, capsys):
     assert last.startswith("error: the formula route needs twisted characters")
 
 
-def test_budget_exit_code(spec_file, tmp_path):
-    assert run("count", spec_file, tmp_path / "out", "--max-level", "9", "--budget", "50") == EXIT_BUDGET
+def test_budget_exit_code(spec_file, tmp_path, capsys):
+    # the walk to level 12 visits more than 50 nodes
+    assert run("count", spec_file, tmp_path / "out", "--max-level", "12", "--budget", "50") == EXIT_BUDGET
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert last.startswith("error: count walk m=12 chart 1/1: enumeration budget 50 exhausted")
 
 
 def test_wrong_resolution_data_exit_code(tmp_path):

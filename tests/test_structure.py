@@ -6,8 +6,9 @@ These tests fail when a module expands lift-tree nodes itself (a call to
 pushes the same list), or recurses (a function that calls itself), so
 the walk cannot fork into private copies again.  Lifters come from one
 memo: the only `HenselLifter(...)` call is the one inside it, so no
-module builds a private lifter again.  A visit callback does not charge
-the walk's meter, whose count the walk overwrites.
+module builds a private lifter again.  Only `variety.walk` charges a
+budget meter: no other code writes a meter's `used` count, so the budget
+bounds the nodes the walks visit, not the counts they return.
 Invariants raise typed errors: an `assert` statement, which
 `python -O` strips, fails the suite.  A module's private names stay its own: no module imports an
 `_`-prefixed name from another.
@@ -111,17 +112,25 @@ def test_exactly_one_walk_loop():
     assert loops == [("variety.py", "walk")]
 
 
+def _scope(tree, node):
+    """Dotted name of the classes and functions whose bodies contain node."""
+    scopes = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    return ".".join(s.name for s in ast.walk(tree) if isinstance(s, scopes) and node in ast.walk(s))
+
+
 def test_no_visit_charges_the_meter():
-    # walk keeps its node count in a local and overwrites meter.used at each
-    # yield, so a charge made inside a visit callback would be lost
-    offenders = [
-        f"{name}:{call.lineno}"
+    # walk charges one node per visit, and no other code writes the count:
+    # not a visit callback, whose charge walk would overwrite, and not a
+    # consumer charging nodes it counted without visiting them
+    writes = [
+        (name, _scope(tree, node), node.lineno)
         for name, tree in _modules()
-        for fn in _functions(tree)
-        if fn.name == "visit"
-        for call in _method_calls(fn, "charge")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "used" and isinstance(node.ctx, ast.Store)
     ]
-    assert offenders == [], "a visit callback charges the meter"
+    allowed = {("variety.py", "walk"), ("variety.py", "BudgetMeter.__init__")}
+    offenders = [f"{name}:{line}" for name, scope, line in writes if (name, scope) not in allowed]
+    assert offenders == [], "a meter charged outside variety.walk"
 
 
 def test_no_hand_rolled_recursion():

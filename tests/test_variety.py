@@ -208,9 +208,11 @@ def test_counted_leaves_match_brute(system, data):
 @settings(max_examples=25, deadline=None)
 def test_tally_charges_every_counted_node(system, data):
     # with no support a tally walk charges its roots and every node it
-    # counts past level 1, whether visited or counted from its grandparent.
-    # The drawn target carries p^s off its constant term, as a chart target
-    # does, and a drawn cap stops its exponent at any level of the walk
+    # counts at levels 2 to top = ceil(depth / 2), which it visits; the
+    # nodes past top are counted from their level-top ancestors and cost
+    # nothing.  The drawn target carries p^s off its constant term, as a
+    # chart target does, and a drawn cap stops its exponent at any level
+    # of the walk
     p = system.p
     _, smooth = _primitive(system)
     depth = data.draw(st.sampled_from([4] if p == 5 else [4, 5]))
@@ -221,7 +223,7 @@ def test_tally_charges_every_counted_node(system, data):
     row = lifter.target_row(target, offset, cap)
     meter = BudgetMeter(DEFAULT_BUDGET, "tally")
     tally = tally_zeros(lifter, row, depth, None, meter)
-    assert meter.used == len(lifter.roots()) + sum(tally[2:])
+    assert meter.used == len(lifter.roots()) + sum(tally[2 : (depth + 1) // 2 + 1])
     points = _smooth_points(smooth, depth)
     for j in range(1, depth + 1):
         # the target mod p^exponent(j) only depends on the class mod p^j
@@ -237,10 +239,11 @@ def test_counted_subtrees_match_brute(system, data):
     # Depths 5 to 8 (6 at p = 5), with drawn offsets, caps and coset
     # supports of every level up to the depth, around points of the curve.
     # Each level is checked against the classes of the curve's level-depth
-    # points, and the meter against the nodes a plain walk would visit:
-    # the roots, every counted node past level 1, and the lifts of admitted
-    # nodes that the support prunes.  A drawn budget below that total must
-    # stop where the plain walk would, whose order is lexicographic in the
+    # points, and the meter against the nodes the walk visits up to
+    # reach = max(top, support level): the roots, every counted node at
+    # levels 2 to reach, and the lifts of admitted nodes that the support
+    # prunes there.  A drawn budget below that total must stop at the node
+    # it runs out on, in the walk order, which is lexicographic in the
     # digit vectors of each node
     p = system.p
     _, smooth = _primitive(system)
@@ -259,6 +262,7 @@ def test_counted_subtrees_match_brute(system, data):
     on_curve = sorted({tuple(c % p**level for c in x) for x in points})
     centers = data.draw(st.lists(st.sampled_from(on_curve), min_size=1, max_size=3))
     support = Support.cosets(2, level, centers, p)
+    reach = min(depth, max(top, level))
     lifter = HenselLifter(p, 2, smooth.constraints)
     row = lifter.target_row(target, offset, cap)
     meter = BudgetMeter(DEFAULT_BUDGET, "tally")
@@ -268,17 +272,19 @@ def test_counted_subtrees_match_brute(system, data):
         return support is None or support.admits_prefix(x, j, p)
 
     pruned = 0
-    visited = []  # (digit vectors, level) of each node the plain walk visits
+    visited = []  # (digit vectors, level) of each node the walk visits
     for j in range(1, depth + 1):
         classes = {tuple(c % p**j for c in x) for x in points}
         passing = [x for x in classes if target.evaluate(x, p ** row.exponent(j)) == 0]
         assert tally[j] == sum(1 for x in passing if admitted(x, j)), j
+        if j > reach:
+            continue
         if j >= 2:
             pruned += sum(1 for x in passing if admitted(x, j - 1) and not admitted(x, j))
         for x in classes if j == 1 else [x for x in passing if admitted(x, j - 1)]:
             digits = tuple(tuple(c // p**k % p for c in x) for k in range(j))
             visited.append((digits, j))
-    assert meter.used == len(lifter.roots()) + sum(tally[2:]) + pruned == len(visited)
+    assert meter.used == len(lifter.roots()) + sum(tally[2 : reach + 1]) + pruned == len(visited)
     order = [j for _, j in sorted(visited)]
     budget = data.draw(st.integers(0, len(order) - 1))
     meter = BudgetMeter(budget, "tally")
@@ -571,23 +577,25 @@ BUDGET_CUSP = system_from_strings(3, 2, ["x2"], "x1^2")
 @pytest.mark.parametrize(
     "run, stage",
     [
-        # 3 roots, then 3, 3 and 9 zeros of x1^2 at levels 2 to 4: 18 nodes
-        (lambda budget: tail_measure(BUDGET_CUSP, 4, budget=budget), "tail walk m=4 chart 1/1"),
-        # the same 18 nodes, one walk to level 4 for every N_m
-        (lambda budget: congruence_counts(BUDGET_CUSP, 4, budget=budget), "count walk m=4 chart 1/1"),
+        # 3 roots, then 3, 3 and 9 zeros of x1^2 at levels 2 to 4, which
+        # count levels 5 to 8: 18 nodes
+        (lambda budget: tail_measure(BUDGET_CUSP, 8, budget=budget), "tail walk m=8 chart 1/1"),
+        # the same 18 nodes, one walk to level 8 for every N_m
+        (lambda budget: congruence_counts(BUDGET_CUSP, 8, budget=budget), "count walk m=8 chart 1/1"),
         (
             lambda budget: measure_charts(BUDGET_LINE, budget).image_count(2, budget),
             "hensel walk m=2",
         ),
-        # solvability is read off the tally walk, the same 18 nodes to level 4
+        # solvability is read off the tally walk, the same 18 nodes to level 8
         (
-            lambda budget: decomposed_count_check(BUDGET_CUSP, [4], budget=budget),
+            lambda budget: decomposed_count_check(BUDGET_CUSP, [8], budget=budget),
             "decomposed recount chart 1/1",
         ),
-        # the tally walk (6 nodes) leaves too little for the rescaled recount (6)
+        # to level 4 the tally walk (6 nodes) leaves too little for the
+        # rescaled recount (6)
         (
-            lambda budget: decomposed_count_check(BUDGET_CUSP, [2], budget=budget),
-            "decomposed recount m=2 chart 1/1",
+            lambda budget: decomposed_count_check(BUDGET_CUSP, [4], budget=budget),
+            "decomposed recount m=4 chart 1/1",
         ),
         # one lift per class mod p: each of the three roots, then the first
         # path of its first-hit walk, one node at each of levels 2 to 5: 15 nodes
@@ -619,11 +627,12 @@ def test_every_walk_honours_the_budget(run, stage):
 
 
 def test_threevar_count_walks_once(monkeypatch):
-    # one walk to level 8 that lifts only the target's zeros charges 48,480
-    # nodes; filtering every constraint lift visited 101,664, and a walk per
-    # level, each a prefix of the next, 139,176.  The nodes at levels 5 to 8
+    # one walk to level 8 that lifts only the target's zeros visits 204
+    # nodes, and the meter charges those alone.  The nodes at levels 5 to 8
     # are counted from their level-4 ancestors' values, so no level-4 node
-    # is expanded, and charged as if visited
+    # is expanded; charging them as if visited cost 48,480, filtering every
+    # constraint lift visited 101,664, and a walk per level, each a prefix
+    # of the next, 139,176
     import padiczeta.poincare as poincare
 
     meters = []
@@ -646,59 +655,82 @@ def test_threevar_count_walks_once(monkeypatch):
     counts = congruence_counts(THREEVAR.system, 8)
     assert counts[6:] == [2_673, 8_019, 37_179]
     assert [meter.stage for meter in meters] == ["count walk m=8 chart 1/1"]
-    assert meters[0].used == 48_480
+    assert meters[0].used == 204
     assert expanded and max(expanded) == 3
 
 
-def test_counted_leaves_spend_the_budget_exactly():
-    # BUDGET_CUSP to level 4 charges 18 nodes in walk order: the root 0, the
-    # zero 0 mod 9, then each of the three zeros mod 27 followed by its three
-    # lifts, which are counted at level 3 and charged at level 4 as if
-    # visited, then the zeros 3 and 6 mod 9 (no lifts), then the roots 1 and
-    # 2, which the target prunes.  A budget b stops at node b + 1
-    stopped = {9: 4, 10: 3, 11: 4, 12: 4, 13: 4, 14: 2, 15: 2, 16: 1, 17: 1}
-    for budget, level in stopped.items():
+@pytest.mark.parametrize(
+    "system, count",
+    [
+        (system_from_strings(7, 3, ["x1 - x2*x3"], "x2^2 + x3^3"), 79_883_671),
+        (system_from_strings(3, 4, ["x1 - x2*x3*x4"], "x2^2 + x3^3 + x4^5"), 62_178_597),
+    ],
+    ids=["threevar_p7", "cusp_surface"],
+)
+def test_default_budget_bounds_work_not_counts(system, count):
+    # N_8 passes the default budget, but the walks behind it visit 5,236 and
+    # 9,036 nodes: the subtrees they count cost nothing.  Charging them as
+    # if visited stopped both at level 8
+    assert count > DEFAULT_BUDGET
+    assert congruence_counts(system, 8)[8] == count
+
+
+def _count_walk_stops(system, depth, order):
+    """A count walk of the system to depth under budget b stops at node b + 1 of `order`.
+
+    The residue scan refuses a budget below p^n, so the walk runs on a
+    meter of its own.
+    """
+    lifter = lifter_for(system.p, system.n, system.constraints)
+    row = lifter.target_row(system.target, 0)
+    for budget, level in enumerate(order):
+        meter = BudgetMeter(budget, "count walk")
         with pytest.raises(BudgetExceeded, match=rf"budget {budget} exhausted at level {level}$"):
-            congruence_counts(BUDGET_CUSP, 4, budget=budget)
-    assert congruence_counts(BUDGET_CUSP, 4, budget=18) == [1, 1, 3, 3, 9]
+            tally_zeros(lifter, row, depth, None, meter)
+        assert meter.used == budget + 1
+    meter = BudgetMeter(len(order), "count walk")
+    tally = tally_zeros(lifter, row, depth, None, meter)
+    assert meter.used == len(order)
+    return tally
+
+
+def test_counted_leaves_spend_the_budget_exactly():
+    # BUDGET_CUSP to level 4 visits 6 nodes in walk order: the root 0, the
+    # zeros 0, 3 and 6 mod 9, which count their lifts at level 3 and 4
+    # without visiting them, then the roots 1 and 2, which the target
+    # prunes.  A budget b stops at node b + 1
+    assert _count_walk_stops(BUDGET_CUSP, 4, [1, 2, 2, 2, 1, 1]) == [0, 1, 3, 3, 9]
+    assert congruence_counts(BUDGET_CUSP, 4, budget=9) == [1, 1, 3, 3, 9]
 
 
 def test_counted_subtrees_spend_the_budget_exactly():
-    # BUDGET_CUSP to level 6 charges 54 nodes.  A level-j node is x1 mod 3^j
-    # with v(x1) >= ceil(j / 2), so the zero 0 mod 27 has three lifts at
-    # level 4, each of them three at level 5 and each of those three at
-    # level 6; the zeros 9 and 18 mod 27 have three lifts each at level 4
-    # and none deeper.  The walk counts levels 4 to 6 from the level-3
-    # nodes, so every charge at levels 4 to 6 is counted, not visited, and
-    # a budget b stops at node b + 1 of the walk order
-    lift_of_zero = [4] + [5, 6, 6, 6] * 3  # one level-4 lift of 0 mod 27 and its subtree
-    order = [1, 2, 3, *lift_of_zero * 3, 3, 4, 4, 4, 3, 4, 4, 4, 2, 2, 1, 1]
-    assert len(order) == 54
-    for budget in range(BUDGET_CUSP.p**BUDGET_CUSP.n, len(order)):
-        level = order[budget]
-        with pytest.raises(BudgetExceeded, match=rf"budget {budget} exhausted at level {level}$"):
-            congruence_counts(BUDGET_CUSP, 6, budget=budget)
-    assert congruence_counts(BUDGET_CUSP, 6, budget=54) == [1, 1, 3, 3, 9, 9, 27]
+    # BUDGET_CUSP to level 6 visits 9 nodes.  A level-j node is x1 mod 3^j
+    # with v(x1) >= ceil(j / 2), so the zero 0 mod 9 has the three lifts
+    # 0, 9 and 18 mod 27 and the zeros 3 and 6 mod 9 have none.  The walk
+    # counts levels 4 to 6 from the level-3 nodes, so nothing past level 3
+    # is charged, and a budget b stops at node b + 1 of the walk order
+    order = [1, 2, 3, 3, 3, 2, 2, 1, 1]
+    assert _count_walk_stops(BUDGET_CUSP, 6, order) == [0, 1, 3, 3, 9, 9, 27]
+    assert congruence_counts(BUDGET_CUSP, 6, budget=9) == [1, 1, 3, 3, 9, 9, 27]
 
 
 def test_ambient_walk_spends_the_budget_exactly():
-    # The ambient walk of BUDGET_CUSP at r = 2, depth 5 charges 57 nodes.
+    # The ambient walk of BUDGET_CUSP at r = 2, depth 5 visits 15 nodes.
     # The roots are x2 = 0 mod 3 and their level-2 children x2 = 0 mod 9;
     # from level 2 on, x2 is pinned and x1 alone branches.  x1^2 resolves
     # where v(x1^2) < j: at level 2 for x1 a unit, at level 3 for x1 = 3,
     # 6 mod 9 and at level 5 for x1 = 9, 18 mod 27, while x1 = 0 mod 27
     # stays deep.  The roots 1 and 2 count their level-2 lifts, and each
     # level-3 node x1 = 0, 9, 18 mod 27 counts its levels 4 and 5, so
-    # every charge there is counted, not visited, and a budget b stops at
-    # node b + 1 of the walk order
-    below_27 = [3] + [4, 5, 5, 5] * 3  # a level-3 node x1 = 0 mod 9 and its subtree
-    order = [1, 2, *below_27 * 3, 2, 3, 3, 3, 2, 3, 3, 3, 1, 2, 2, 2, 1, 2, 2, 2]
-    assert len(order) == 57
+    # nothing is charged for them, and a budget b stops at node b + 1 of
+    # the walk order; the residue scan refuses a budget below p^n = 9
+    order = [1, 2, 3, 3, 3, 2, 3, 3, 3, 2, 3, 3, 3, 1, 1]
+    assert len(order) == 15
     for budget in range(BUDGET_CUSP.p**BUDGET_CUSP.n, len(order)):
         stop = rf"budget {budget} exhausted at level {order[budget]}$"
         with pytest.raises(BudgetExceeded, match=rf"^ambient walk r=2: enumeration {stop}"):
             delta_integral(BUDGET_CUSP, 1, None, 2, 5, budget=budget)
-    approx = delta_integral(BUDGET_CUSP, 1, None, 2, 5, budget=57)
+    approx = delta_integral(BUDGET_CUSP, 1, None, 2, 5, budget=15)
     assert (approx.value, approx.tail_bound) == (Fraction(1514, 2187), Fraction(1, 6561))
 
 

@@ -16,7 +16,7 @@ from padiczeta.errors import (
 from padiczeta.mpoly import MPoly, PolySystem, system_from_strings
 import padiczeta.poincare as poincare
 import padiczeta.zeta as zeta
-from padiczeta.poincare import congruence_counts
+from padiczeta.poincare import congruence_counts, decomposed_count_check
 from padiczeta.ratfn import RationalFn, candidate_pole_check, pole_analysis, reconstruct_rational
 from padiczeta.smoothing import measure_charts
 from padiczeta.support import Support
@@ -240,11 +240,11 @@ def test_budget_error_names_the_stage_and_level():
 
 
 def test_budget_error_names_the_chart(monkeypatch):
-    # BAD_LINE has nine charts.  The count walk's meter runs across them: the
-    # chart at the origin takes 12 nodes to level 2, so 13 run out in the next
-    # chart.  A shell walk has a meter per chart and level: to depth 2, the
-    # walk at c = 2 in the chart at (9, 3), where x2^2 has valuation 2
-    # throughout, is the first to need more than 10 nodes (12)
+    # BAD_LINE has nine charts.  The count walk's meter runs across them: to
+    # m = 5 the chart at the origin visits 12 nodes to level 3, so 13 run out
+    # in the next chart.  A shell walk has a meter per chart and level: to
+    # depth 2, the walk at c = 2 in the chart at (9, 3), where x2^2 has
+    # valuation 2 throughout, is the first to need more than 10 nodes (12)
     system = BAD_LINE.system
     decomposition = measure_charts(system, DEFAULT_BUDGET)
     assert len(decomposition.charts) == 9
@@ -252,10 +252,10 @@ def test_budget_error_names_the_chart(monkeypatch):
     # decomposition built under the default one
     for module in (poincare, zeta):
         monkeypatch.setattr(module, "measure_charts", lambda system, budget: decomposition)
-    with pytest.raises(BudgetExceeded, match=r"^count walk m=4 chart 2/9: .* exhausted at level 1$"):
-        congruence_counts(system, 4, budget=13)
-    with pytest.raises(BudgetExceeded, match=r"^tail walk m=4 chart 2/9: "):
-        tail_measure(system, 4, budget=13)
+    with pytest.raises(BudgetExceeded, match=r"^count walk m=5 chart 2/9: .* exhausted at level 1$"):
+        congruence_counts(system, 5, budget=13)
+    with pytest.raises(BudgetExceeded, match=r"^tail walk m=5 chart 2/9: "):
+        tail_measure(system, 5, budget=13)
     with pytest.raises(BudgetExceeded, match=r"^shell walk c=2 chart 2/9: .* at level 2$"):
         build_shell_table(system, 2, budget=10)
 
@@ -412,6 +412,16 @@ def test_out_of_range_arguments_raise_typed_errors():
     conductor2 = next(chi for chi in enumerate_characters(3, 2) if chi.conductor == 2)
     with pytest.raises(ArgumentOutOfRange, match="too coarse"):
         coefficient_table(table, conductor2)
+    # a negative cap made the exponent negative and p^exponent a float:
+    # -1 gave 1/3 on x1 with target x2, where the whole measure is 1
+    for system in (LINE_X1.system, BAD_LINE.system):
+        with pytest.raises(ArgumentOutOfRange, match="m >= 0"):
+            tail_measure(system, -1)
+        with pytest.raises(ArgumentOutOfRange, match="depth >= 0"):
+            congruence_counts(system, -1)
+    # BAD_LINE rescales at L = 2
+    with pytest.raises(ArgumentOutOfRange, match="needs m > L = 2"):
+        decomposed_count_check(BAD_LINE.system, [2, 4])
 
 
 def test_threevar_context_walks_few_nodes(monkeypatch):
