@@ -63,8 +63,8 @@ SCHEMA_FIELDS = {
     "budget",
 }
 
-# commands whose counts or sums always cover the unit polydisc
-WHOLE_POLYDISC = {"count", "poincare", "expsum", "decay"}
+# commands whose counts, sums, charts or probes always cover the unit polydisc
+WHOLE_POLYDISC = {"count", "poincare", "expsum", "decay", "smooth", "probe"}
 
 EXPSUM_HEADER = ["m", "u", "re_direct", "im_direct", "re_form1", "im_form1", "abs", "normalized"]
 

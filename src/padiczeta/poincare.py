@@ -9,10 +9,10 @@ for N_m is a prefix of the walk for N_(m + 1), so one tally walk per
 chart to the deepest level asked for counts every level on the way; it
 serves both `congruence_counts` and the solvability and direct counts
 of the decomposed recount.  It walks exactly the congruence tree of
-(constraints, target) in chart coordinates: the lifter's digit system
-carries the target's first-order Taylor row, exact because the chart
-target's non-constant coefficients carry p^L, so only counted classes
-are built.  Only the classes up to half the depth are built: below a
+(constraints, target) in chart coordinates: the lift tree of the chart
+constraints and the chart target over the p^L its non-constant
+coefficients carry, so only counted classes are built.  Only the
+classes up to half the depth are built: below a
 class of level j, the Taylor step, whose tail carries p^(2j), makes
 every level j + i <= 2j a linear congruence over Z/p^i in the lift's
 digits, and its solutions are counted by a local Smith reduction.  That
@@ -48,14 +48,15 @@ def _chart_tallies(decomposition: Decomposition, k: int, meter: BudgetMeter) -> 
 
     A level-j node y is a class mod p^(L + j), and the target mod
     p^(L + j) only depends on y mod p^j, so one tally walk per chart to
-    level k counts every level.  The meter's stage names the chart.
+    level k, in the lift tree of its constraints and its target over
+    p^L, counts every level.  The meter's stage names the chart.
     """
     stage, charts = meter.stage, decomposition.charts
     tallies = []
     for i, chart in enumerate(charts, 1):
         meter.stage = f"{stage} chart {i}/{len(charts)}"
         lifter = decomposition.lifter(chart, meter.limit)
-        tallies.append(tally_zeros(lifter, lifter.target_row(chart.target, chart.L), k, None, meter))
+        tallies.append(tally_zeros(lifter, chart.target, chart.L, None, k, None, meter))
     return tallies
 
 
@@ -195,8 +196,9 @@ def decomposed_count_check(
     its class mod p^L (its tally found one).  f_l(x + p^L y) =
     f_l(x) + p^e rep(y) exactly, with f_l(x) = 0 mod p^M, and the
     combined constraints keep content p^(L + pivot) on the whole coset,
-    so the recount, driven by the rescaled target rep on a chart with
-    good reduction, must equal the direct N_m for every requested m.
+    so the recount, a tally walk of the rescaled target rep with offset 0
+    and cap m - e_l on a chart with good reduction, must equal the direct
+    N_m for every requested m.
     """
     decomposition = measure_charts(system, budget)
     p, n, L = system.p, system.n, decomposition.L
@@ -253,8 +255,8 @@ def decomposed_count_check(
                 continue
             lifter, rescaled_target, e_l = entry
             # p^(e_l - L) f_L(y) = 0 mod p^(m - L)  <=>  f_L(y) = 0 mod p^(m - e_l)
-            row = lifter.target_row(rescaled_target, 0, cap=max(m - e_l, 0))
             meter.stage = f"decomposed recount m={m} chart {i}/{len(prepared)}"
-            total += tally_zeros(lifter, row, m - L, None, meter)[-1]
+            cap = max(m - e_l, 0)
+            total += tally_zeros(lifter, rescaled_target, 0, cap, m - L, None, meter)[-1]
         rows.append(DecomposedCountRow(m=m, direct=direct, decomposed=total))
     return DecomposedCountReport(threshold=threshold, rows=tuple(rows))

@@ -30,8 +30,8 @@ from .variety import (
     DESCEND,
     PRUNE,
     BudgetMeter,
+    lift_count,
     lift_counts,
-    lifter_for,
     truncated_tree,
     walk,
 )
@@ -85,10 +85,10 @@ def _ambient_walk(
     The first-order Taylor step, exact for j + i <= 2j, counts two kinds
     of subtree without building them.  Below settle (= r there), a node
     past the support level whose ball fixes v < j, with v + c <= j,
-    yields one item at level r, mult its constraint lifts there
-    (`HenselLifter.subtree_counts`).  Past settle, for the trivial
-    character, a node of level j with 2j >= depth whose target is 0 mod
-    p^j yields its shells from Z_i, its level-(j + i) lifts that keep
+    yields one item at level r, mult its constraint lifts there, that
+    level alone (`lift_count`).  Past settle, for the trivial character,
+    a node of level j with 2j >= depth whose target is 0 mod p^j yields
+    its shells from Z_i, its level-(j + i) lifts that keep
     the target 0 mod p^(j + i) (`lift_counts`, Z_0 = 1): mult
     p^n Z_(i-1) - Z_i at v = j + i - 1, and Z_(depth - j) deep, each
     times the node's own mult.  These items carry no value, which only
@@ -102,10 +102,13 @@ def _ambient_walk(
     pinned = [i for i in range(n) if not any(expo[i] for expo in target.terms)]
     all_digits = list(itertools.product(range(p), repeat=n))
     active_digits = [d for d in all_digits if not any(d[i] for i in pinned)]
-    roots, children = truncated_tree(
-        p, n, system.constraints, r, lambda j: active_digits if j >= settle else all_digits, budget
-    )
-    lifter = lifter_for(p, n, system.constraints, budget) if r >= 1 else None
+
+    def free(x: tuple[int, ...], j: int) -> list[tuple[int, ...]]:
+        step, digits = p**j, active_digits if j >= settle else all_digits
+        return [tuple(c + step * d for c, d in zip(x, digit)) for digit in digits]
+
+    roots, children = truncated_tree(p, n, system.constraints, r, free, budget)
+    partials = [[f.partial(k) for k in range(1, n + 1)] for f in system.constraints]
     gradient = ([target.partial(k) for k in range(1, n + 1)],)
 
     def visit(x: tuple[int, ...], j: int):
@@ -118,7 +121,7 @@ def _ambient_walk(
         if j < settle:
             if v is None or v + angular > j:
                 return DESCEND
-            lifts = lifter.subtree_counts(x, j, None, settle - j)[-1]
+            lifts = lift_count(system.constraints, partials, x, j, settle - j, p)
             return [(x, settle, ("resolved", v, value), lifts)]
         mult = p ** (len(pinned) * (j - settle))
         if v is not None and (v + angular <= j or j == depth):

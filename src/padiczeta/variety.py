@@ -1,33 +1,35 @@
 """Enumeration and counting of constraint varieties modulo p^m.
 
 Every tree enumeration in the package is one depth-first walk, `walk`,
-over the Hensel lift tree: a node is a residue x mod p^j satisfying the
-constraints mod p^j, its children are its lifts to level j + 1, and a
-visit callback decides per node whether to prune, descend or emit.  The
-lifts come from one `HenselLifter`, which solves one small F_p linear
-system per node; `lifter_for` builds each lifter once per (p, n,
-constraints), and no module builds its own.  Under good reduction (full
-Jacobian rank at every F_p root) it walks the smooth tree; without that
-assumption the same lifter walks the filtered congruence tree, used for
-the first-lift search of bad-reduction chart centers, which stops below
-each class at its first lift, and the ambient integrals.  The count
-tallies append the target's first-order Taylor row to the same F_p
-system (a `TargetRow`), so they build only the lifts where the target
-keeps vanishing, and they build no node past half their depth: there
-the first-order Taylor step is exact on a node's whole subtree, so each
-deeper level's count is the solution count of one linear system over
-Z/p^i, read from one evaluation at the node by a local Smith reduction,
-with no Jacobian minors.  `lift_counts` gives
-that count for any polynomials; the ambient walk of `regularize` counts
-its subtrees with it, from the constraints alone below level r and from
-the target alone past it.  Two oracles stay independent of the
+over the Hensel lift tree of a polynomial system: a node is a residue x
+mod p^j where every polynomial of the system vanishes mod p^j, its
+children are its lifts to level j + 1, and a visit callback decides per
+node whether to prune, descend or emit.  The lifts come from one
+`HenselLifter`, which solves one small F_p linear system per node;
+`lifter_for` builds each lifter once per (p, n, polynomials), and no
+module builds its own.  Under good reduction (full Jacobian rank at
+every F_p root) it walks the smooth tree; without that assumption the
+same lifter walks the filtered congruence tree, used for the first-lift
+search of bad-reduction chart centers and the ambient integrals.  The
+count tallies walk the lift tree of one system too: a chart's
+constraints and its target over the p^s its non-constant coefficients
+carry, so they build only the target's zeros.  They build no node past
+half their depth: there the first-order Taylor step is exact on a
+node's whole subtree, so each deeper level's count is the solution
+count of one linear system over Z/p^i, read from one evaluation at the
+node by a local Smith reduction, with no Jacobian minors.  `lift_counts`
+gives that count for any polynomials; the ambient walk of `regularize`
+counts its subtrees with it, from the constraints alone below level r
+and from the target alone past it.  Two oracles stay independent of the
 lifter: a brute-force scan of the full residue grid, which every walk
-is checked against, and the image oracle, a class search on `walk`
-over the all-digit tree.  The oracle evaluates the constraints and
-their gradient once per node and keeps the digit vectors that pass that
-first-order Taylor step, with no lifter and no F_p solver; from half the
-search's accuracy on, the same step decides whether a node lifts that
-far, and the node is not descended.
+is checked against, and the image oracle, a class search on `walk` over
+the all-digit tree.  A class search walks each tree once, to the class
+level and then below each class toward one level past its accuracy,
+and stops there.  The oracle evaluates the constraints and their
+gradient once per node and keeps the digit vectors that pass that
+first-order Taylor step, with no lifter and no F_p solver; from half
+the search's accuracy on, the same step decides whether a node lifts
+that far, and the node is not descended.
 
 Image-level counts (the reduction of the variety's Z_p points rather
 than its congruence solutions) live on the chart decomposition in
@@ -331,35 +333,6 @@ def check_residue_scan(p: int, n: int, budget: int) -> None:
         raise BudgetExceeded(f"p^n = {p**n} exceeds budget {budget}")
 
 
-class TargetRow(Frozen):
-    """A target whose zeros a lift walk keeps: one more row of the digit system.
-
-    A level-j node passes when target = 0 mod p^exponent(j).  The offset
-    s is the target's rescale offset (its non-constant coefficients carry
-    p^s), and `solvers` maps each root to the F_p solver of the
-    constraint Jacobian with the row grad target / p^s appended.
-    """
-
-    __slots__ = ("target", "offset", "cap", "solvers", "gradient")
-
-    def __init__(
-        self,
-        target: MPoly,
-        offset: int,
-        cap: int | None,
-        solvers: dict[tuple[int, ...], _FpSolver],
-        gradient: tuple[MPoly, ...],
-    ):
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "cap", cap)
-        object.__setattr__(self, "solvers", solvers)
-        object.__setattr__(self, "gradient", gradient)
-
-    def exponent(self, j: int) -> int:
-        return self.offset + j if self.cap is None else min(self.offset + j, self.cap)
-
-
 class HenselLifter:
     """Digit-lifting engine for the congruence tree of a polynomial system.
 
@@ -372,11 +345,9 @@ class HenselLifter:
     reduction; the first root where the rank drops is kept as `witness`,
     and `smooth()` refuses such a lifter for the smooth tree.
 
-    A `TargetRow` T with offset s adds the row
-    T(x)/p^(s+j) + (grad T(x)/p^s) . d = 0 mod p, so only the lifts where
-    T = 0 mod p^(s+j+1) are built.  This is exact too: the Taylor tail of
-    T carries p^(s+2j), and s + 2j >= s + j + 1.  The row mod p only
-    depends on the root, so one augmented solver per root serves it.
+    A target T joins the system as one more polynomial: the tally walks
+    take the lifter of (constraints, T/p^s) from the same memo, so the
+    tree of a target's zeros is the lift tree of that system.
     """
 
     def __init__(self, p: int, n: int, constraints: Sequence[MPoly]):
@@ -386,7 +357,6 @@ class HenselLifter:
         partials = [[f.partial(j) for j in range(1, n + 1)] for f in self.constraints]
         self._partials = partials
         self._solvers: dict[tuple[int, ...], _FpSolver] = {}
-        self._jacobians: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
         self.witness: tuple[int, ...] | None = None
         for x in itertools.product(range(p), repeat=n):
             if any(f.evaluate(x, p) for f in self.constraints):
@@ -396,7 +366,6 @@ class HenselLifter:
             if self.witness is None and solver.rank != len(self.constraints):
                 self.witness = x
             self._solvers[x] = solver
-            self._jacobians[x] = jac
 
     @property
     def dim(self) -> int:
@@ -414,37 +383,11 @@ class HenselLifter:
             )
         return self
 
-    def target_row(self, target: MPoly, offset: int, cap: int | None = None) -> TargetRow:
-        """The row that keeps the zeros of target, with its solver per root.
-
-        Refuses a target whose non-constant coefficients do not carry
-        p^offset: its gradient over p^offset would not be integral, and
-        (at p = 2) a gradient that carries p^offset alone does not bound
-        the Taylor tail.
-        """
-        p = self.p
-        moving = target - MPoly.constant(target.n, target.constant_term())
-        content = moving.content_valuation(p)
-        if content is not None and content < offset:
-            raise WalkInvariantError(f"target gradient does not carry p^{offset}: {target}")
-        scale = p**offset
-        gradient = tuple(target.partial(i) for i in range(1, self.n + 1))
-        solvers = {
-            x: _FpSolver.build(jac + (tuple(df.evaluate(x, scale * p) // scale for df in gradient),), p)
-            for x, jac in self._jacobians.items()
-        }
-        return TargetRow(target, offset, cap, solvers, gradient)
-
-    def children(
-        self, x: tuple[int, ...], j: int, row: TargetRow | None = None
-    ) -> list[tuple[int, ...]]:
+    def children(self, x: tuple[int, ...], j: int) -> list[tuple[int, ...]]:
         """Lifts of a level-j solution to level j+1, lexicographic in the digit.
 
         The digits d solve grad f(x) . d = -f(x)/p^j mod p for every
-        constraint f.  With a target row whose exponent grows from level
-        j to j + 1 the row joins the system, with the value T(x)/p^(s+j),
-        so only the lifts that keep the target's zeros solve it; where
-        the exponent has stopped growing every lift keeps them.
+        constraint f.
         """
         p = self.p
         step = p**j
@@ -454,46 +397,12 @@ class HenselLifter:
             if value % step:
                 raise WalkInvariantError(f"node {x} does not satisfy the constraints at level {j}")
             rhs.append(-(value // step) % p)
-        root = tuple([c % p for c in x])
-        solver = self._solvers[root]
-        if row is not None and row.exponent(j + 1) > row.exponent(j):
-            shift = p ** (row.offset + j)
-            value = row.target.evaluate(x, shift * p)
-            if value % shift:
-                raise WalkInvariantError(f"node {x} is not a zero of the target at level {j}")
-            rhs.append(-(value // shift) % p)
-            solver = row.solvers[root]
+        solver = self._solvers[tuple([c % p for c in x])]
         return [tuple([c + step * d for c, d in zip(x, digit)]) for digit in solver.solve_affine(rhs)]
 
-    def subtree_counts(
-        self, x: tuple[int, ...], j: int, row: TargetRow | None, levels: int
-    ) -> list[int]:
-        """counts[i - 1]: the level-(j + i) nodes above a level-j node x, i = 1..levels <= j.
-
-        Without a target row these are the constraint lifts, counted by
-        `lift_counts`.  With one, the target's row joins them: its tail
-        carries p^(s + 2j) while its exponent at level j + i is at most
-        s + j + i, so it adds the row (grad T(x)/p^s, -T(x)/p^(s + j))
-        taken mod p^k, k = exponent(j + i) - s - j, where k > 0.
-        """
-        if row is None:
-            return lift_counts(self.constraints, self._partials, x, j, levels, self.p)
-        p = self.p
-        rows = _taylor_rows(self.constraints, self._partials, x, j, levels, p)
-        last = row.exponent(j + levels) - row.offset - j  # k at the deepest level
-        if last > 0:
-            shift, scale = p ** (row.offset + j), p**row.offset
-            value = row.target.evaluate(x, shift * p**last)
-            if value % shift:
-                raise WalkInvariantError(f"node {x} is not a zero of the target at level {j}")
-            target = [df.evaluate(x, scale * p**last) // scale for df in row.gradient]
-            target.append(-(value // shift))
-        counts = []
-        for i in range(1, levels + 1):
-            k = row.exponent(j + i) - row.offset - j
-            system = rows if k <= 0 else [*rows, [a * p ** (i - k) for a in target]]
-            counts.append(_solution_count(system, self.n, p, i))
-        return counts
+    def subtree_counts(self, x: tuple[int, ...], j: int, levels: int) -> list[int]:
+        """counts[i - 1]: the level-(j + i) nodes above a level-j node x, i = 1..levels <= j."""
+        return lift_counts(self.constraints, self._partials, x, j, levels, self.p)
 
 
 def _taylor_rows(
@@ -535,6 +444,18 @@ def lift_counts(
     """
     rows = _taylor_rows(polys, gradients, x, j, levels, p)
     return [_solution_count(rows, len(x), p, i) for i in range(1, levels + 1)]
+
+
+def lift_count(
+    polys: Sequence[MPoly],
+    gradients: Sequence[Sequence[MPoly]],
+    x: tuple[int, ...],
+    j: int,
+    i: int,
+    p: int,
+) -> int:
+    """The last entry of `lift_counts(polys, gradients, x, j, i, p)`, without the others."""
+    return _solution_count(_taylor_rows(polys, gradients, x, j, i, p), len(x), p, i)
 
 
 def _solution_count(system: Sequence[Sequence[int]], n: int, p: int, i: int) -> int:
@@ -634,46 +555,67 @@ def iter_hensel_points(
 
 def tally_zeros(
     lifter: HenselLifter,
-    row: TargetRow,
+    target: MPoly,
+    offset: int,
+    cap: int | None,
     depth: int,
     support: Support | None,
     meter: BudgetMeter,
 ) -> list[int]:
-    """tally[j]: the level-j nodes x in the support with target(x) = 0 mod p^row.exponent(j).
+    """tally[j]: the level-j nodes x in the support with target(x) = 0 mod p^min(s + j, cap).
 
-    Passing at a level implies passing at every level below, as the
-    target mod p^(s + j) only depends on x mod p^j, so every passing node
-    lies above a passing root.  The walk visits exactly the nodes it
-    counts up to the level top = max(ceil(depth / 2), support level),
-    plus the roots and the lifts the support prunes: roots are tested by
-    evaluation, and every deeper node is a lift that the target row
-    keeps.  Past top nothing is built: a node counts its descendants at
-    every remaining level with `HenselLifter.subtree_counts`, one linear
-    system over Z/p^i per level from one evaluation at the node, which
-    the first-order Taylor step makes exact at every p since the levels
-    left are at most the node's own.  The support is settled at top, so
-    a descendant's prefix test is its node's.  No Jacobian minors and no
-    closed form of the shell walks enter the counts.  The meter is
-    charged for the visited nodes only, so the budget bounds the walk's
-    work, not the counts it returns.
+    The target T's non-constant coefficients carry p^s, s = offset, and
+    cap None means no cap.  T = 0 mod p^(s + j) holds exactly when p^s
+    divides T's constant term and T/p^s = 0 mod p^j, so up to the level
+    sat = cap - s, where the exponent stops growing, the passing nodes
+    are the lift tree of the system (constraints, T/p^s), whose lifter
+    comes from `lifter_for`.  From sat on, T mod p^cap only depends on a
+    node's class mod p^sat, so every lift of a passing node passes and
+    the tree goes on in the constraints' own lifter.  Where cap <= s the
+    tally only depends on the constant term mod p^cap.
+
+    The walk visits exactly the nodes it counts up to the level top =
+    max(ceil(depth / 2), support level, sat when sat < depth), plus the
+    lifts the support prunes.  Past top nothing is built: a node counts
+    its descendants at every remaining level with
+    `HenselLifter.subtree_counts` of the one system that holds there,
+    one linear system over Z/p^i per level from one evaluation at the
+    node, which the first-order Taylor step makes exact at every p since
+    the levels left are at most the node's own.  The support is settled
+    at top, so a descendant's prefix test is its node's.  No Jacobian
+    minors and no closed form of the shell walks enter the counts.  The
+    meter is charged for the visited nodes only, so the budget bounds
+    the walk's work, not the counts it returns.
     """
-    p = lifter.p
+    p, n = lifter.p, lifter.n
+    scale = p**offset
+    if any(c % scale for e, c in target.terms.items() if any(e)):
+        raise WalkInvariantError(f"target gradient does not carry p^{offset}: {target}")
     tally = [0] * (depth + 1)
-    first = p ** row.exponent(1)
+    sat = depth if cap is None else min(cap - offset, depth)
+    if target.constant_term() % p ** min(offset, offset + sat):
+        return tally  # T = T(0) mod p^min(s, cap), and every exponent reaches that
+    polys, r = lifter.constraints, 1  # the constraints alone from level 1 on
+    if sat > 0:
+        stripped = MPoly(n, {e: c // scale for e, c in target.terms.items()})
+        polys, r = (*polys, stripped), sat
+    # the caller's lookup of `lifter` admitted this scan of the same p^n residues
+    roots, children = truncated_tree(p, n, polys, r, lifter.children, p**n)
     top = min(depth, max((depth + 1) // 2, support.level if support else 1))
+    if sat < depth:  # count past sat, with the constraints alone
+        top, counted = max(top, sat), lifter
+    else:
+        counted = lifter_for(p, n, polys, p**n)
 
     def visit(x: tuple[int, ...], j: int):
         if support is not None and not support.admits_prefix(x, j, p):
             return PRUNE
-        if j == 1 and row.target.evaluate(x, first):
-            return PRUNE  # nonzero mod p^exponent(1) on the whole ball
         tally[j] += 1
         if j < top:
             return DESCEND
-        return j, lifter.subtree_counts(x, j, row, depth - j) if j < depth else []
+        return j, counted.subtree_counts(x, j, depth - j) if j < depth else []
 
-    children = functools.partial(lifter.children, row=row)
-    for j, counts in walk(lifter.roots(), children, visit, meter):
+    for j, counts in walk(roots, children, visit, meter):
         for level, count in enumerate(counts, j + 1):
             tally[level] += count
     return tally
@@ -684,7 +626,6 @@ def hensel_enumerate(
     m: int,
     budget: int = DEFAULT_BUDGET,
     angular_level: int | None = None,
-    support: Support | None = None,
 ) -> FiberCount:
     """Count level-m solutions by actual tree traversal (not the count law).
 
@@ -692,17 +633,14 @@ def hensel_enumerate(
     compare this against; the traversal never assumes it.
     """
     lifter = lifter_for(system.p, system.n, system.constraints, budget)
-    return _fiber_count(system, m, iter_hensel_points(lifter, m, budget, support), angular_level)
+    return _fiber_count(system, m, iter_hensel_points(lifter, m, budget), angular_level)
 
 
 # -- filtered congruence tree (no smoothness assumed) --------------------------
 
 
 def iter_congruence_points(
-    lifter: HenselLifter,
-    m: int,
-    budget: int = DEFAULT_BUDGET,
-    support: Support | None = None,
+    lifter: HenselLifter, m: int, budget: int = DEFAULT_BUDGET
 ) -> Iterator[tuple[int, ...]]:
     """Stream all x mod p^m with every lifter constraint = 0 mod p^m, level by level.
 
@@ -714,7 +652,7 @@ def iter_congruence_points(
     if m == 0:
         yield (0,) * lifter.n
         return
-    yield from _points_at(lifter, m, budget, support, f"congruence walk m={m}")
+    yield from _points_at(lifter, m, budget, None, f"congruence walk m={m}")
 
 
 def truncated_tree(
@@ -722,16 +660,15 @@ def truncated_tree(
     n: int,
     polys: Sequence[MPoly],
     r: int,
-    free_digits: Callable[[int], Sequence[tuple[int, ...]]],
+    above: Callable[[tuple[int, ...], int], list[tuple[int, ...]]],
     budget: int = DEFAULT_BUDGET,
 ) -> tuple[list[tuple[int, ...]], Callable[[tuple[int, ...], int], list[tuple[int, ...]]]]:
-    """Roots and children of the tree of x with every poly = 0 mod p^r.
+    """Roots and children of a tree of x with every poly = 0 mod p^r.
 
-    Below level r a node's children are its lifts: for j >= 1, filtering
-    all p^n digits by f = 0 mod p^(j+1) gives exactly the lifter's affine
-    solutions, in the same lexicographic order.  From level r on the
-    polynomials impose nothing, and a level-j node takes the digit
-    vectors free_digits(j), listed in lexicographic order.
+    Below level r a node's children are its lifts, from the lifter of
+    the polys; from level r on the polys impose nothing more, and a
+    level-j node's children are above(x, j), in lexicographic order.
+    For r < 1 the roots are every residue mod p.
     """
     if r >= 1:
         lifter = lifter_for(p, n, polys, budget)
@@ -740,10 +677,7 @@ def truncated_tree(
         roots = list(itertools.product(range(p), repeat=n))
 
     def children(x: tuple[int, ...], j: int) -> list[tuple[int, ...]]:
-        if j < r:
-            return lifter.children(x, j)
-        step = p**j
-        return [tuple(c + step * d for c, d in zip(x, digit)) for digit in free_digits(j)]
+        return lifter.children(x, j) if j < r else above(x, j)
 
     return roots, children
 
@@ -764,55 +698,56 @@ def _class_search(
     """Classes mod p^m of the tree's nodes at `accuracy`, each with its first lift.
 
     An existence search: a walk to level m, whose nodes are distinct
-    classes mod p^m, then below each level-m node one first-hit walk,
-    whose first node at `accuracy` in walk order represents the class.
-    The hit ends that walk, and its pending stack is dropped unvisited.
-    Every node is charged once: a first-hit walk's roots are the
-    children of its level-m node, and for m = 0, where every node is in
-    the one class, the tree's roots.  `settle(x, j, level)`, when given,
-    may end a first-hit walk at a node x of level j < level: it returns
-    None to descend as usual, or whether x has a lift at `level`, and an
-    x that has one represents its class in place of the lift.
-
-    The same search one level deeper must find the same classes
-    (raising NotStabilized otherwise); a lift there implies one at
-    `accuracy`, so only classes that die out between the two levels can
-    differ.  Each search has its own meter, with stage `<stage> m=<m>
-    accuracy=<level>`.
+    classes mod p^m, then below each level-m node one first-hit walk
+    toward accuracy + 1.  It records the first node it meets at
+    `accuracy`, which represents the class, and its first node at
+    accuracy + 1 ends it, with its pending stack dropped unvisited.  A
+    class with a node at `accuracy` but none at accuracy + 1 raises
+    NotStabilized; a lift at accuracy + 1 implies one at `accuracy`, so
+    no other class differs between the two levels.  Every node is
+    charged once, to the one meter of stage `<stage> m=<m>
+    accuracy=<accuracy>`: a first-hit walk's roots are the children of
+    its level-m node, and for m = 0, where every node is in the one
+    class, the tree's roots.  `settle(x, j, level)`, when given, may
+    decide a node x of level j < level: it returns None to descend as
+    usual, or whether x has a lift at `level`, and x then stands in for
+    its lifts.  A settled x meets accuracy + 1 when it has a lift there,
+    and when it has none a second call asks whether it meets `accuracy`;
+    the representative of a class is then any of its nodes.
     """
     if m < 0 or accuracy < max(m, 1):
         raise WalkInvariantError(
             f"no search mod p^{m} at accuracy {accuracy}: the roots sit at level 1"
         )
-    modulus = p**m
+    meter = BudgetMeter(budget, f"{stage} m={m} accuracy={accuracy}")
+    rep = None  # the current class's first node at `accuracy`
 
-    def search(level: int) -> dict[tuple[int, ...], tuple[int, ...]]:
-        def visit(x: tuple[int, ...], j: int):
-            if j == level:
-                return x
-            found = settle(x, j, level) if settle is not None else None
-            if found is None:
-                return DESCEND
-            return x if found else PRUNE
+    def visit(x: tuple[int, ...], j: int):
+        nonlocal rep
+        if j > accuracy:
+            return x
+        found = settle(x, j, accuracy + 1) if settle is not None else None
+        if rep is None and (j == accuracy or found or found is False and settle(x, j, accuracy)):
+            rep = x
+        if found is None:
+            return DESCEND
+        return x if found else PRUNE
 
-        def first_hit(nodes: Sequence[tuple[int, ...]], j: int):
-            return next(walk(nodes, children, visit, meter, j), PRUNE)
+    def first_hit(nodes: Sequence[tuple[int, ...]], j: int):
+        return next(walk(nodes, children, visit, meter, j), PRUNE)
 
-        meter = BudgetMeter(budget, f"{stage} m={m} accuracy={level}")
-        if m == 0:
-            hits = [first_hit(roots, 1)]
-        else:
-            hits = []
-            for x in walk(roots, children, lambda x, j: x if j == m else DESCEND, meter):
-                hit = visit(x, m)
-                hits.append(first_hit(children(x, m), m + 1) if hit is DESCEND else hit)
-        return {tuple(c % modulus for c in x): x for x in hits if x is not PRUNE}
-
-    reps = search(accuracy)
-    if set(reps) != set(search(accuracy + 1)):
-        raise NotStabilized(
-            f"classes mod p^{m} differ between accuracies {accuracy} and {accuracy + 1}"
-        )
+    reps = {}
+    for x in walk(roots, children, lambda x, j: x if j == m else DESCEND, meter) if m else [None]:
+        rep = None
+        hit = first_hit(roots, 1) if x is None else visit(x, m)
+        if hit is DESCEND:
+            hit = first_hit(children(x, m), m + 1)
+        if rep is not None:
+            if hit is PRUNE:
+                raise NotStabilized(
+                    f"classes mod p^{m} differ between accuracies {accuracy} and {accuracy + 1}"
+                )
+            reps[tuple(c % p**m for c in rep)] = rep
     return reps
 
 
@@ -823,9 +758,10 @@ def first_lifts(
 
     The class search of `_class_search` over the filtered congruence
     tree of a lifter from `lifter_for` (meter stage `center search m=<m>
-    accuracy=<level>`).  Each class's representative is its first
+    accuracy=<accuracy>`).  Each class's representative is its first
     solution mod p^accuracy in walk order, lexicographic by digit vector
-    level by level, and each first-hit walk stops there.
+    level by level, and each first-hit walk stops at the first solution
+    one level deeper.
     """
     return _class_search(
         lifter.roots(), lifter.children, lifter.p, m, accuracy, budget, "center search"
@@ -841,7 +777,7 @@ def image_oracle(
     """Classes mod p^m with a lift mod p^(m + buffer): the reduction image, overapproximated.
 
     The class set of `_class_search` at accuracy m + buffer, checked
-    against buffer + 1 (raising NotStabilized if they differ), over the
+    against m + buffer + 1 (raising NotStabilized if they differ), over the
     all-digit filtered tree: the roots are the residues mod p where
     every constraint vanishes, and a level-j node x has the children
     x + p^j d, for every digit vector d in lexicographic order, where
@@ -853,14 +789,14 @@ def image_oracle(
     p^(2j) and 2j >= j + 1.  The survivors depend only on that step, so
     each distinct step is tested once per call.
 
-    A node of level j with 2j >= level, the search's accuracy, is not
-    descended: for i = level - j <= j the same step is exact mod p^level,
-    so x has a lift at `level` exactly when the rows (grad f(x),
-    -f(x)/p^j) have a solution mod p^i, counted by `_solution_count`
-    from one evaluation of each constraint and its gradient.  The oracle
-    only evaluates: it builds no lifter and no F_p solver, so it shares
+    A node of level j with 2j >= level, the accuracy or one past it, is
+    not descended: for i = level - j <= j the same step is exact mod
+    p^level, so x has a lift at `level` exactly when the rows (grad f(x),
+    -f(x)/p^j) have a solution mod p^i, counted by `lift_count` from one
+    evaluation of each constraint and its gradient.  The oracle only
+    evaluates: it builds no lifter and no F_p solver, so it shares
     nothing with the chart decomposition it checks (meter stage `image
-    oracle m=<m> accuracy=<level>`).  For m = 0 the image is the one
+    oracle m=<m> accuracy=<m + buffer>`).  For m = 0 the image is the one
     class (0, ..., 0) when some root has a lift at the accuracy, and
     empty otherwise.  Stability is evidence, not proof; the
     decomposition cross-checks catch a wrong-but-stable buffer.
@@ -892,8 +828,7 @@ def image_oracle(
     def settle(x: tuple[int, ...], j: int, level: int) -> bool | None:
         if 2 * j < level:
             return None
-        rows = _taylor_rows(constraints, gradients, x, j, level - j, p)
-        return _solution_count(rows, n, p, level - j) > 0
+        return lift_count(constraints, gradients, x, j, level - j, p) > 0
 
     roots = [x for x in digits if not any(f.evaluate(x, p) for f in constraints)]
     return set(_class_search(roots, children, p, m, m + buffer, budget, "image oracle", settle))

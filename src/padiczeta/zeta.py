@@ -25,11 +25,12 @@ stationary phase).  Where e = j (every minor vanishes mod p^j) the
 value mod p^(2j) still resolves every shell it fixes, and only the
 rest is descended.  The tally walks of `tail_measure` and
 `poincare.congruence_counts` use no minors and no closed form: they
-lift only the target's zeros, visit every counted node up to half their
-depth, and count each deeper level below such a node as the solutions
-of one linear congruence system over Z/p^i from the node's first-order
-Taylor data, so the counts are the second route of the identity
-P(t)(1 - t) + t Z(t) = 1.
+walk the lift tree of the chart constraints and the chart target over
+p^L, so they lift only the target's zeros, visit every counted node up
+to half their depth, and count each deeper level below such a node as
+the solutions of one linear congruence system over Z/p^i from the
+node's first-order Taylor data, so the counts are the second route of
+the identity P(t)(1 - t) + t Z(t) = 1.
 
 One walk per chart and angular level serves every row m = 0..depth, and
 a walk of its own recounts the rows at level c + 1: each row's classes
@@ -417,8 +418,10 @@ def tail_measure(
 
     The chart points where the target is 0 mod p^m are counted at the
     resolving level k = max(m - L, level of the support, 1), by a tally
-    walk that keeps the zeros of the chart target (offset L) mod
-    p^min(L + j, m) at level j.
+    walk that keeps the zeros of the chart target (offset L, cap m) mod
+    p^min(L + j, m) at level j: the lift tree of the chart constraints
+    and the chart target over p^L up to level m - L, and of the
+    constraints alone past it.
     """
     if m < 0:
         raise ArgumentOutOfRange(f"need m >= 0, got {m}")
@@ -432,8 +435,7 @@ def tail_measure(
             continue
         k = max(m - chart.L, sup.level if sup else 0, 1)
         lifter = decomposition.lifter(chart, budget)
-        row = lifter.target_row(chart.target, chart.L, cap=m)
         meter.stage = f"tail walk m={m} chart {i}/{len(decomposition.charts)}"
-        leaves = tally_zeros(lifter, row, k, sup, meter)[k]
+        leaves = tally_zeros(lifter, chart.target, chart.L, m, k, sup, meter)[k]
         total += chart.weight * Fraction(leaves, p ** (k * system.dim))
     return total

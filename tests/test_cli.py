@@ -266,17 +266,32 @@ def test_cli_import_leaves_numpy_out(module):
     assert {f"padiczeta.{name}" for name in TRACED_MODULES} <= loaded
 
 
-def test_corpus_battery_passes(tmp_path):
-    # scripts/run_corpus.py exits nonzero when any of its checks fails
+def _run_script(name, out):
+    """Run scripts/<name> with the output directory `out`, from this checkout's sources."""
     root = Path(__file__).resolve().parents[1]
     src = str(root / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    script = root / "scripts" / "run_corpus.py"
-    result = subprocess.run(
-        [sys.executable, str(script), str(tmp_path)], capture_output=True, text=True, env=env
+    script = root / "scripts" / name
+    return subprocess.run(
+        [sys.executable, str(script), str(out)], capture_output=True, text=True, env=env
     )
+
+
+def test_corpus_battery_passes(tmp_path):
+    # scripts/run_corpus.py exits nonzero when any of its checks fails
+    result = _run_script("run_corpus.py", tmp_path)
     assert result.returncode == 0, result.stdout[-2000:] + result.stderr
     assert (tmp_path / "corpus_results.csv").exists()
+
+
+def test_decay_study_bounds_every_instance(tmp_path):
+    # scripts/decay_study.py writes one CSV per monomial-line instance and
+    # prints its verdict; each normalized decay column stays bounded
+    result = _run_script("decay_study.py", tmp_path)
+    assert result.returncode == 0, result.stdout[-2000:] + result.stderr
+    assert len(list(tmp_path.glob("decay_*.csv"))) == 5
+    verdicts = [line.split("verdict=")[1].split()[0] for line in result.stdout.splitlines()]
+    assert verdicts == ["Bounded"] * 5
 
 
 @pytest.mark.parametrize(
@@ -359,10 +374,11 @@ def test_coset_support_spec(tmp_path):
     assert run("sps-verify", spec, out, "--max-level", "3") == EXIT_OK
 
 
-@pytest.mark.parametrize("command", ["count", "poincare", "expsum", "decay"])
+@pytest.mark.parametrize("command", ["count", "poincare", "expsum", "decay", "smooth", "probe"])
 def test_whole_polydisc_commands_refuse_coset_supports(command, tmp_path, capsys):
-    # these commands count or sum over the unit polydisc, so a coset support
-    # would be ignored; a level-0 union of cosets is the polydisc and runs
+    # these commands count, sum, decompose or probe over the unit polydisc, so
+    # a coset support would be ignored; a level-0 union of cosets is the
+    # polydisc and runs
     spec, out = tmp_path / "coset.json", tmp_path / "out"
     for level, code in ((1, EXIT_SCHEMA), (0, EXIT_OK)):
         support = {"type": "cosets", "level": level, "centers": [[0, 1]]}

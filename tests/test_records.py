@@ -116,7 +116,6 @@ def test_equal_characters_are_one_key():
 
 def _frozen_instances():
     system = LINE_X2.system
-    lifter = lifter_for(system.p, system.n, system.constraints)
     return [
         (system.target, "n"),
         (system, "target"),
@@ -125,7 +124,6 @@ def _frozen_instances():
         (RationalFn.one(), "num"),
         (trivial_character(3), "index"),
         (variety._FpSolver.build(((1, 0),), 3), "kernel"),
-        (lifter.target_row(system.target, 0), "cap"),
         (measure_charts(BAD_LINE.system).charts[0], "L"),
     ]
 

@@ -1,9 +1,10 @@
 """Property tests where the walks' Taylor steps fire.
 
 Both tree walks use the target's first-order Taylor term at a node: the
-count walk lifts only the target's zeros (a target row appended to the
-lifter's F_p system), and the shell walk resolves a node where every
-Jacobian minor vanishes mod p^j through F = F(y) - lam . G(y) mod p^(2j).
+count walk lifts only the target's zeros (through the lifter of the
+constraints and the chart target over p^s), and the shell walk resolves
+a node where every Jacobian minor vanishes mod p^j through
+F = F(y) - lam . G(y) mod p^(2j).
 The drawn targets are critical at the origin, which every drawn curve
 passes through, so both steps are reached; counters on the two branches
 check that they were.  The image oracle filters a node's digit vectors
@@ -26,10 +27,12 @@ from padiczeta.smoothing import measure_charts
 from padiczeta.support import Support
 from padiczeta.variety import (
     DEFAULT_BUDGET,
+    BudgetMeter,
     HenselLifter,
-    TargetRow,
     brute_force_points,
     image_oracle,
+    lifter_for,
+    tally_zeros,
 )
 from padiczeta.zeta import build_shell_table, tail_measure
 
@@ -77,25 +80,14 @@ class _Branches:
     """Counts how often each Taylor step runs while patched in."""
 
     def __init__(self, mp):
-        self.row_offsets = []  # offset s of every target-row lift
+        self.stripped = []  # the target T/p^s of every lifter that lifts a target's zeros
         self.critical = 0  # shell-walk nodes resolved mod p^(2j)
-        rows = self.row_offsets
+        children = HenselLifter.children
 
-        class CountingSolvers(dict):
-            def __init__(self, solvers, offset):
-                super().__init__(solvers)
-                self.offset = offset
-
-            def __getitem__(self, root):
-                rows.append(self.offset)
-                return super().__getitem__(root)
-
-        target_row = HenselLifter.target_row
-
-        def counting_row(lifter, target, offset, cap=None):
-            row = target_row(lifter, target, offset, cap)
-            solvers = CountingSolvers(row.solvers, offset)
-            return TargetRow(row.target, row.offset, row.cap, solvers, row.gradient)
+        def counting_children(lifter, x, j):
+            if len(lifter.constraints) > 1:  # the curve and a chart target over p^s
+                self.stripped.append(lifter.constraints[-1])
+            return children(lifter, x, j)
 
         minors = zeta.jacobian_minors
 
@@ -105,8 +97,14 @@ class _Branches:
                 self.critical += 1
             return e, lam
 
-        mp.setattr(HenselLifter, "target_row", counting_row)
+        mp.setattr(HenselLifter, "children", counting_children)
         mp.setattr(zeta, "jacobian_minors", counting_minors)
+
+    def offsets_are(self, decomposition):
+        """Whether every lifted target times p^L is a chart target: its offset is L."""
+        p, L = decomposition.system.p, decomposition.L
+        targets = {chart.target for chart in decomposition.charts}
+        return {target.scale(p**L) for target in self.stripped} <= targets
 
 
 @given(critical_graph_systems())
@@ -124,10 +122,10 @@ def test_counts_lift_only_target_zeros(case):
         branches = _Branches(mp)
         measure_charts.cache_clear()  # every draw walks charts built under its own patches
         assert congruence_counts(system, top) == expected
-        L = measure_charts(system, DEFAULT_BUDGET).L
-    assert branches.row_offsets, "the count walk never lifted through the target row"
-    assert set(branches.row_offsets) == {L}
-    assert (L >= 1) == (scale > 1)
+        decomposition = measure_charts(system, DEFAULT_BUDGET)
+    assert branches.stripped, "the count walk never lifted a target's zeros"
+    assert branches.offsets_are(decomposition)
+    assert (decomposition.L >= 1) == (scale > 1)
 
 
 @given(critical_graph_systems())
@@ -144,8 +142,8 @@ def test_tail_measures_lift_only_target_zeros(case):
                 zeros = sum(1 for x in points if system.target.evaluate(x, p**m) == 0)
                 expected = scale * Fraction(zeros, p ** (top * system.dim))
                 assert tail_measure(system, m, sup) == expected
-        L = measure_charts(system, DEFAULT_BUDGET).L
-    assert set(branches.row_offsets) == {L}
+        decomposition = measure_charts(system, DEFAULT_BUDGET)
+    assert branches.stripped and branches.offsets_are(decomposition)
 
 
 @given(critical_graph_systems())
@@ -168,17 +166,20 @@ def test_shell_tables_resolve_critical_nodes(case):
     assert branches.critical, "no shell-walk node was resolved mod p^(2j)"
 
 
-def test_target_row_refuses_broken_invariants():
-    # x1 = 0 with target x2^2: the root x2 = 0 keeps all three lifts mod 9
+def test_target_guards_refuse_broken_invariants():
+    # x1 = 0 with target x2^2: in the lifter of (x1, x2^2) the root x2 = 0
+    # keeps all three lifts mod 9, and x2 = 1 is no zero of the target
     system = LINE_X2.system
-    lifter = HenselLifter(system.p, system.n, system.constraints)
-    row = lifter.target_row(system.target, 0)
-    assert lifter.children((0, 0), 1, row) == [(0, 0), (0, 3), (0, 6)]
-    with pytest.raises(WalkInvariantError, match="not a zero of the target at level 1"):
-        lifter.children((0, 1), 1, row)
-    # x2^2 has unit coefficients, so it is no chart target at offset 1
+    lifter = lifter_for(system.p, system.n, system.all_polys())
+    assert lifter.children((0, 0), 1) == [(0, 0), (0, 3), (0, 6)]
+    with pytest.raises(WalkInvariantError, match="does not satisfy the constraints at level 1"):
+        lifter.children((0, 1), 1)
+    # x2^2 has unit coefficients, so it is no chart target at offset 1: its
+    # quotient by p would not be integral
+    meter = BudgetMeter(DEFAULT_BUDGET, "tally")
+    chart = lifter_for(system.p, system.n, system.constraints)
     with pytest.raises(WalkInvariantError, match=r"does not carry p\^1"):
-        lifter.target_row(system.target, 1)
+        tally_zeros(chart, system.target, 1, None, 4, None, meter)
 
 
 # constraints with a root where the gradient vanishes mod p: there f(x)/p^j

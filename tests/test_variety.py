@@ -204,15 +204,26 @@ def test_counted_leaves_match_brute(system, data):
             assert tail_measure(system, m, sup) == Fraction(p**content * count, p ** (top * system.dim))
 
 
+def _exponent(offset, cap):
+    """j -> min(s + j, cap): a tally keeps the level-j nodes where the target is 0 mod p^that."""
+    return lambda j: offset + j if cap is None else min(offset + j, cap)
+
+
+def _visited_top(depth, offset, cap, level=1):
+    """The last level a tally visits: max(ceil(depth / 2), support level, sat < depth) <= depth."""
+    sat = depth if cap is None else cap - offset  # the exponent stops growing at level sat
+    return min(depth, max((depth + 1) // 2, level, sat if sat < depth else 1))
+
+
 @given(graph_systems(), st.data())
 @settings(max_examples=25, deadline=None)
 def test_tally_charges_every_counted_node(system, data):
-    # with no support a tally walk charges its roots and every node it
-    # counts at levels 2 to top = ceil(depth / 2), which it visits; the
-    # nodes past top are counted from their level-top ancestors and cost
-    # nothing.  The drawn target carries p^s off its constant term, as a
-    # chart target does, and a drawn cap stops its exponent at any level
-    # of the walk
+    # with no support a tally walk charges every node it counts at levels 1
+    # to top = max(ceil(depth / 2), sat) (sat = cap - s where below the
+    # depth), which it visits; the nodes past top are counted from their
+    # level-top ancestors and cost nothing.  The drawn target carries p^s
+    # off its constant term, as a chart target does, and a drawn cap stops
+    # its exponent at any level of the walk
     p = system.p
     _, smooth = _primitive(system)
     depth = data.draw(st.sampled_from([4] if p == 5 else [4, 5]))
@@ -220,31 +231,31 @@ def test_tally_charges_every_counted_node(system, data):
     target = system.target.scale(p**offset) + MPoly.constant(2, data.draw(st.integers(-9, 9)))
     cap = data.draw(st.sampled_from([None, *range(1, offset + depth + 1)]))
     lifter = HenselLifter(p, 2, smooth.constraints)
-    row = lifter.target_row(target, offset, cap)
     meter = BudgetMeter(DEFAULT_BUDGET, "tally")
-    tally = tally_zeros(lifter, row, depth, None, meter)
-    assert meter.used == len(lifter.roots()) + sum(tally[2 : (depth + 1) // 2 + 1])
+    tally = tally_zeros(lifter, target, offset, cap, depth, None, meter)
+    assert meter.used == sum(tally[1 : _visited_top(depth, offset, cap) + 1])
     points = _smooth_points(smooth, depth)
+    exponent = _exponent(offset, cap)
     for j in range(1, depth + 1):
         # the target mod p^exponent(j) only depends on the class mod p^j
-        zeros = sum(1 for x in points if target.evaluate(x, p ** row.exponent(j)) == 0)
+        zeros = sum(1 for x in points if target.evaluate(x, p ** exponent(j)) == 0)
         assert tally[j] == Fraction(zeros, p ** (depth - j)), j
 
 
 @given(graph_systems(), st.data())
 @settings(max_examples=25, deadline=None)
 def test_counted_subtrees_match_brute(system, data):
-    # from level ceil(depth / 2), or the support's level when deeper, the
-    # walk counts every remaining level from one linear system per level.
+    # from level ceil(depth / 2), or the support's level or sat when deeper,
+    # the walk counts every remaining level from one linear system per level.
     # Depths 5 to 8 (6 at p = 5), with drawn offsets, caps and coset
     # supports of every level up to the depth, around points of the curve.
     # Each level is checked against the classes of the curve's level-depth
-    # points, and the meter against the nodes the walk visits up to
-    # reach = max(top, support level): the roots, every counted node at
-    # levels 2 to reach, and the lifts of admitted nodes that the support
-    # prunes there.  A drawn budget below that total must stop at the node
-    # it runs out on, in the walk order, which is lexicographic in the
-    # digit vectors of each node
+    # points, and the meter against the nodes the walk visits up to reach =
+    # max(ceil(depth / 2), support level, sat): every counted node at levels
+    # 1 to reach, and the lifts of admitted nodes that the support prunes
+    # there.  A drawn budget below that total must stop at the node it runs
+    # out on, in the walk order, which is lexicographic in the digit
+    # vectors of each node
     p = system.p
     _, smooth = _primitive(system)
     depth = data.draw(st.integers(5, 6 if p == 5 else 8))
@@ -252,7 +263,8 @@ def test_counted_subtrees_match_brute(system, data):
     # the target keeps its zero at x2 = 0 in half the draws, so deep levels count zeros
     constant = data.draw(st.just(0) | st.integers(-9, 9))
     target = system.target.scale(p**offset) + MPoly.constant(2, constant)
-    # half the drawn caps stop the exponent inside the counted levels
+    # half the drawn caps stop the exponent past ceil(depth / 2), where the
+    # walk visits every level up to sat
     top = (depth + 1) // 2
     cap = data.draw(
         st.none() | st.integers(1, offset + depth) | st.integers(offset + top + 1, offset + depth - 1)
@@ -262,11 +274,11 @@ def test_counted_subtrees_match_brute(system, data):
     on_curve = sorted({tuple(c % p**level for c in x) for x in points})
     centers = data.draw(st.lists(st.sampled_from(on_curve), min_size=1, max_size=3))
     support = Support.cosets(2, level, centers, p)
-    reach = min(depth, max(top, level))
+    reach = _visited_top(depth, offset, cap, level)
+    exponent = _exponent(offset, cap)
     lifter = HenselLifter(p, 2, smooth.constraints)
-    row = lifter.target_row(target, offset, cap)
     meter = BudgetMeter(DEFAULT_BUDGET, "tally")
-    tally = tally_zeros(lifter, row, depth, support, meter)
+    tally = tally_zeros(lifter, target, offset, cap, depth, support, meter)
 
     def admitted(x, j):
         return support is None or support.admits_prefix(x, j, p)
@@ -275,31 +287,32 @@ def test_counted_subtrees_match_brute(system, data):
     visited = []  # (digit vectors, level) of each node the walk visits
     for j in range(1, depth + 1):
         classes = {tuple(c % p**j for c in x) for x in points}
-        passing = [x for x in classes if target.evaluate(x, p ** row.exponent(j)) == 0]
+        passing = [x for x in classes if target.evaluate(x, p ** exponent(j)) == 0]
         assert tally[j] == sum(1 for x in passing if admitted(x, j)), j
         if j > reach:
             continue
-        if j >= 2:
-            pruned += sum(1 for x in passing if admitted(x, j - 1) and not admitted(x, j))
-        for x in classes if j == 1 else [x for x in passing if admitted(x, j - 1)]:
-            digits = tuple(tuple(c // p**k % p for c in x) for k in range(j))
-            visited.append((digits, j))
-    assert meter.used == len(lifter.roots()) + sum(tally[2 : reach + 1]) + pruned == len(visited)
+        for x in passing:
+            if j == 1 or admitted(x, j - 1):
+                visited.append((tuple(tuple(c // p**k % p for c in x) for k in range(j)), j))
+                pruned += not admitted(x, j)
+    assert meter.used == sum(tally[1 : reach + 1]) + pruned == len(visited)
     order = [j for _, j in sorted(visited)]
+    if not order:
+        return  # no root passes: the walk visits nothing
     budget = data.draw(st.integers(0, len(order) - 1))
     meter = BudgetMeter(budget, "tally")
     with pytest.raises(BudgetExceeded, match=rf"budget {budget} exhausted at level {order[budget]}$"):
-        tally_zeros(lifter, row, depth, support, meter)
+        tally_zeros(lifter, target, offset, cap, depth, support, meter)
     assert meter.used == budget + 1
 
 
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("power, stop", [(0, 0), (1, 1), (None, 2)], ids=["unit", "p", "zero"])
 def test_capped_recount_matches_point_counts(p, power, stop, monkeypatch):
-    # the recount's target row is capped at m - e_l.  With the target
-    # x2^2 + b x2 on p (x1 + x2) its exponent stops growing at the recount's
-    # depth (b = 1), one level above it (b = p) or two (b = 0), so from depth
-    # 4 on the capped row leaves the systems of the last two levels in each
+    # the recount's target is capped at m - e_l.  With the target x2^2 + b x2
+    # on p (x1 + x2) its exponent stops growing at the recount's depth
+    # (b = 1), one level above it (b = p) or two (b = 0), so from depth 4 on
+    # the walk counts the last two levels past sat, or below it, in each
     # combination
     import padiczeta.poincare as poincare
 
@@ -313,10 +326,10 @@ def test_capped_recount_matches_point_counts(p, power, stop, monkeypatch):
     capped = []
     tally = poincare.tally_zeros
 
-    def recording(lifter, row, depth, support, meter):
-        if row.cap is not None:
-            capped.append(depth - min(row.cap, depth))
-        return tally(lifter, row, depth, support, meter)
+    def recording(lifter, target, offset, cap, depth, support, meter):
+        if cap is not None:
+            capped.append(depth - min(cap - offset, depth))
+        return tally(lifter, target, offset, cap, depth, support, meter)
 
     monkeypatch.setattr(poincare, "tally_zeros", recording)
     L = measure_charts(system, DEFAULT_BUDGET).L
@@ -423,25 +436,24 @@ def test_image_oracle_builds_no_lifter(monkeypatch):
     monkeypatch.setattr(variety, "BudgetMeter", recording)
     assert len(image_oracle(BAD_LINE.system, 3, 3)) == 27
     assert set(calls) == {"evaluate"}
-    assert [meter.stage for meter in meters] == [
-        "image oracle m=3 accuracy=6",
-        "image oracle m=3 accuracy=7",
-    ]
-    # both searches walk every solution mod 3, 9 and 27 (9, 27 and 81 nodes).
-    # At accuracy 6 one Taylor step settles each level-3 node (2 * 3 >= 6).
-    # At accuracy 7 it does not, and each level-3 node x starts a first-hit
-    # walk at its children.  x has a lift mod 3^7 only if x1 = 3*x2 mod 27:
-    # the 54 other nodes have no children, and each of the 27 live ones has
-    # all 9, of which the 3 with x1 + 27*d1 = 3*x2 mod 81 are live, at
-    # positions 1-3, 4-6 or 7-9 in lexicographic order.  The walk visits
-    # 1, 4 or 7 of them, the first live one settling (2 * 4 >= 7), as
-    # (x1 - 3*x2)/27 is 0, -1 or -2, nine live nodes each: 9 * 12 = 108
-    assert [meter.used for meter in meters] == [9 + 27 + 81, 9 + 27 + 81 + 108]
+    assert [meter.stage for meter in meters] == ["image oracle m=3 accuracy=6"]
+    # one search walks every solution mod 3, 9 and 27 (9, 27 and 81 nodes).
+    # One Taylor step settles each level-3 node at accuracy 6 (2 * 3 >= 6),
+    # but not at accuracy 7, so each level-3 node x starts a first-hit walk
+    # at its children.  x has a lift mod 3^7 only if x1 = 3*x2 mod 27: the
+    # 54 other nodes have no children, and each of the 27 live ones has all
+    # 9, of which the 3 with x1 + 27*d1 = 3*x2 mod 81 are live, at positions
+    # 1-3, 4-6 or 7-9 in lexicographic order.  The walk visits 1, 4 or 7 of
+    # them, the first live one settling (2 * 4 >= 7), as (x1 - 3*x2)/27 is
+    # 0, -1 or -2, nine live nodes each: 9 * 12 = 108
+    assert [meter.used for meter in meters] == [9 + 27 + 81 + 108]
     # the 9 residues scanned for roots, then the constraint and its two
-    # partials at each expanded or settled node: 36 + 81 at accuracy 6, and
-    # 36 + 81 + 108 at accuracy 7 (filtering the 9 lifts of an expanded node
-    # by evaluating the constraint at each would take 9 evaluations, not 3)
-    assert len(calls) == 9 + 3 * (36 + 81 + 36 + 81 + 108)
+    # partials at each expanded or settled node: the 36 expanded below
+    # level 3, each level-3 node settled at accuracy 6 and expanded toward
+    # 7, and the 108 settled at level 4 (filtering the 9 lifts of an
+    # expanded node by evaluating the constraint at each would take 9
+    # evaluations, not 3)
+    assert len(calls) == 9 + 3 * (36 + 81 + 81 + 108)
 
 
 def test_points_below_level_one_raise():
@@ -465,7 +477,8 @@ def test_points_below_level_one_raise():
 
 def test_level_zero_search_is_one_class(monkeypatch):
     # mod p^0 every node is in one class: one first-hit walk from the roots,
-    # which ends at its first node at the accuracy (no level-0 node to stop at)
+    # which records its first node at the accuracy and ends at its first node
+    # one level deeper (no level-0 node to stop at)
     import padiczeta.variety as variety
 
     lifter = HenselLifter(3, 2, LINE_X2.system.constraints)
@@ -478,11 +491,8 @@ def test_level_zero_search_is_one_class(monkeypatch):
 
     monkeypatch.setattr(variety, "BudgetMeter", recording)
     assert first_lifts(lifter, 0, 3, budget=10**5) == {(0, 0): (0, 0)}
-    # the root (0, 0), then the first lift at levels 2 and 3, and at level 4
-    assert [(meter.stage, meter.used) for meter in meters] == [
-        ("center search m=0 accuracy=3", 3),
-        ("center search m=0 accuracy=4", 4),
-    ]
+    # the root (0, 0), then the first lift at levels 2, 3 and 4, on one meter
+    assert [(meter.stage, meter.used) for meter in meters] == [("center search m=0 accuracy=3", 4)]
     # x1^2 = 3 has the root 0 mod 3 but no solution mod 9: no class at all
     dead = system_from_strings(3, 2, ["x1^2 - 3"], "x2")
     assert image_oracle(dead, 0, 2, budget=10**5) == set()
@@ -577,25 +587,25 @@ BUDGET_CUSP = system_from_strings(3, 2, ["x2"], "x1^2")
 @pytest.mark.parametrize(
     "run, stage",
     [
-        # 3 roots, then 3, 3 and 9 zeros of x1^2 at levels 2 to 4, which
-        # count levels 5 to 8: 18 nodes
+        # the root 0, then 3, 3 and 9 zeros of x1^2 at levels 2 to 4, which
+        # count levels 5 to 8: 16 nodes
         (lambda budget: tail_measure(BUDGET_CUSP, 8, budget=budget), "tail walk m=8 chart 1/1"),
-        # the same 18 nodes, one walk to level 8 for every N_m
+        # the same 16 nodes, one walk to level 8 for every N_m
         (lambda budget: congruence_counts(BUDGET_CUSP, 8, budget=budget), "count walk m=8 chart 1/1"),
         (
             lambda budget: measure_charts(BUDGET_LINE, budget).image_count(2, budget),
             "hensel walk m=2",
         ),
-        # solvability is read off the tally walk, the same 18 nodes to level 8
+        # solvability is read off the tally walk, the same 16 nodes to level 8
         (
             lambda budget: decomposed_count_check(BUDGET_CUSP, [8], budget=budget),
             "decomposed recount chart 1/1",
         ),
-        # to level 4 the tally walk (6 nodes) leaves too little for the
-        # rescaled recount (6)
+        # to level 5 the tally walk (7 nodes) leaves too little for the
+        # rescaled recount (7)
         (
-            lambda budget: decomposed_count_check(BUDGET_CUSP, [4], budget=budget),
-            "decomposed recount m=4 chart 1/1",
+            lambda budget: decomposed_count_check(BUDGET_CUSP, [5], budget=budget),
+            "decomposed recount m=5 chart 1/1",
         ),
         # one lift per class mod p: each of the three roots, then the first
         # path of its first-hit walk, one node at each of levels 2 to 5: 15 nodes
@@ -627,12 +637,13 @@ def test_every_walk_honours_the_budget(run, stage):
 
 
 def test_threevar_count_walks_once(monkeypatch):
-    # one walk to level 8 that lifts only the target's zeros visits 204
-    # nodes, and the meter charges those alone.  The nodes at levels 5 to 8
-    # are counted from their level-4 ancestors' values, so no level-4 node
-    # is expanded; charging them as if visited cost 48,480, filtering every
-    # constraint lift visited 101,664, and a walk per level, each a prefix
-    # of the next, 139,176
+    # one walk to level 8 of the lift tree of (constraint, target) visits
+    # its 198 nodes up to level 4, and the meter charges those alone.  The
+    # nodes at levels 5 to 8 are counted from their level-4 ancestors'
+    # values, so no level-4 node is expanded; testing every root of the
+    # constraint as well cost 204, charging the counted nodes as if visited
+    # 48,480, filtering every constraint lift visited 101,664, and a walk
+    # per level, each a prefix of the next, 139,176
     import padiczeta.poincare as poincare
 
     meters = []
@@ -646,16 +657,16 @@ def test_threevar_count_walks_once(monkeypatch):
     expanded = []
     children = HenselLifter.children
 
-    def counting_children(self, x, j, row=None):
+    def counting_children(self, x, j):
         expanded.append(j)
-        return children(self, x, j, row)
+        return children(self, x, j)
 
     monkeypatch.setattr(poincare, "BudgetMeter", recording)
     monkeypatch.setattr(HenselLifter, "children", counting_children)
     counts = congruence_counts(THREEVAR.system, 8)
     assert counts[6:] == [2_673, 8_019, 37_179]
     assert [meter.stage for meter in meters] == ["count walk m=8 chart 1/1"]
-    assert meters[0].used == 204
+    assert meters[0].used == 198
     assert expanded and max(expanded) == 3
 
 
@@ -682,34 +693,34 @@ def _count_walk_stops(system, depth, order):
     meter of its own.
     """
     lifter = lifter_for(system.p, system.n, system.constraints)
-    row = lifter.target_row(system.target, 0)
     for budget, level in enumerate(order):
         meter = BudgetMeter(budget, "count walk")
         with pytest.raises(BudgetExceeded, match=rf"budget {budget} exhausted at level {level}$"):
-            tally_zeros(lifter, row, depth, None, meter)
+            tally_zeros(lifter, system.target, 0, None, depth, None, meter)
         assert meter.used == budget + 1
     meter = BudgetMeter(len(order), "count walk")
-    tally = tally_zeros(lifter, row, depth, None, meter)
+    tally = tally_zeros(lifter, system.target, 0, None, depth, None, meter)
     assert meter.used == len(order)
     return tally
 
 
 def test_counted_leaves_spend_the_budget_exactly():
-    # BUDGET_CUSP to level 4 visits 6 nodes in walk order: the root 0, the
-    # zeros 0, 3 and 6 mod 9, which count their lifts at level 3 and 4
-    # without visiting them, then the roots 1 and 2, which the target
-    # prunes.  A budget b stops at node b + 1
-    assert _count_walk_stops(BUDGET_CUSP, 4, [1, 2, 2, 2, 1, 1]) == [0, 1, 3, 3, 9]
+    # BUDGET_CUSP to level 4 visits 4 nodes in walk order: the root 0, the
+    # only residue mod 3 where x1^2 vanishes, then the zeros 0, 3 and 6 mod
+    # 9, which count their lifts at level 3 and 4 without visiting them.
+    # The roots 1 and 2 are no zeros, so no walk visits them.  A budget b
+    # stops at node b + 1
+    assert _count_walk_stops(BUDGET_CUSP, 4, [1, 2, 2, 2]) == [0, 1, 3, 3, 9]
     assert congruence_counts(BUDGET_CUSP, 4, budget=9) == [1, 1, 3, 3, 9]
 
 
 def test_counted_subtrees_spend_the_budget_exactly():
-    # BUDGET_CUSP to level 6 visits 9 nodes.  A level-j node is x1 mod 3^j
+    # BUDGET_CUSP to level 6 visits 7 nodes.  A level-j node is x1 mod 3^j
     # with v(x1) >= ceil(j / 2), so the zero 0 mod 9 has the three lifts
     # 0, 9 and 18 mod 27 and the zeros 3 and 6 mod 9 have none.  The walk
     # counts levels 4 to 6 from the level-3 nodes, so nothing past level 3
     # is charged, and a budget b stops at node b + 1 of the walk order
-    order = [1, 2, 3, 3, 3, 2, 2, 1, 1]
+    order = [1, 2, 3, 3, 3, 2, 2]
     assert _count_walk_stops(BUDGET_CUSP, 6, order) == [0, 1, 3, 3, 9, 9, 27]
     assert congruence_counts(BUDGET_CUSP, 6, budget=9) == [1, 1, 3, 3, 9, 9, 27]
 
@@ -752,9 +763,26 @@ def builds(monkeypatch):
     return built
 
 
+def _tally_lifters(decomposition, charts):
+    """(p, n, systems) a tally walk adds per chart: its constraints and its target over p^L.
+
+    A chart whose target's constant term does not carry p^L has no zeros
+    to walk, and builds none.
+    """
+    p, n = decomposition.system.p, decomposition.system.n
+    lifters = []
+    for chart in charts:
+        scale = p**chart.L
+        if chart.target.constant_term() % scale == 0:
+            stripped = MPoly(n, {e: c // scale for e, c in chart.target.terms.items()})
+            lifters.append((p, n, (*chart.constraints, stripped)))
+    return lifters
+
+
 def test_one_lifter_per_chart(builds, tmp_path):
     # every lifter comes from one memo, built once per (p, n, constraints):
-    # the good-reduction test's lifter serves the identity chart
+    # the good-reduction test's lifter serves the identity chart, and the
+    # count walk adds the one of the constraint and the target
     system = THREEVAR.system
     p, n = system.p, system.n
     # the counts are walked before depth 8 proves too shallow to reconstruct
@@ -763,7 +791,7 @@ def test_one_lifter_per_chart(builds, tmp_path):
     build_shell_table(system, 6)
     decomposition = measure_charts(system, DEFAULT_BUDGET)
     chart = decomposition.charts[0]
-    assert builds == [(p, n, system.constraints)]
+    assert builds == [(p, n, system.constraints), (p, n, system.all_polys())]
     assert decomposition.lifter(chart) is lifter_for(p, n, system.constraints)
     # the budget still refuses the residue scan on every lookup, hit or miss
     for _ in range(2):
@@ -783,9 +811,14 @@ def test_one_lifter_per_chart(builds, tmp_path):
     assert builds == [(3, 2, system.constraints), (3, 2, rescaled)]
     for chart in decomposition.charts:
         assert decomposition.lifter(chart) is lifter_for(3, 2, rescaled)
+    # the count walks add one lifter per distinct chart target over p^L: the
+    # three whose constant terms 0, 9 and 36 carry p^L = 9.  The shell walks
+    # build none
     congruence_counts(system, 6)
     build_shell_table(system, 4)
-    assert len(builds) == 2
+    tallies = _tally_lifters(decomposition, decomposition.charts)
+    assert len(tallies) == 3
+    assert builds == [(3, 2, system.constraints), (3, 2, rescaled), *tallies]
 
     # bad_line `smooth`: the system's lifter and the charts' one; the image
     # oracle builds none
@@ -807,7 +840,8 @@ def test_threevar_sps_verify_builds_one_lifter(builds, tmp_path):
 
 def test_chart_walks_reuse_the_decomposition_lifters(builds):
     # the decomposition builds the system's lifter and the one its nine
-    # charts share; the chart walks look those up and build none
+    # charts share; the chart walks look those up and build none, and the
+    # tail walk adds the lifter of each chart it meets and its target
     system = BAD_LINE.system
     decomposition = measure_charts(system, DEFAULT_BUDGET)
     assert len(builds) == 2
@@ -815,15 +849,16 @@ def test_chart_walks_reuse_the_decomposition_lifters(builds):
     exponential_sum(system, 3, [1])
     oscillatory_integral(system, 3, [1], support=support)
     decomposition.image_count(4)
-    tail_measure(system, 3, support=support)
     assert len(builds) == 2
+    tail_measure(system, 3, support=support)
+    assert builds[2:] == _tally_lifters(decomposition, decomposition.charts[:2])
 
 
 def test_entry_points_share_one_decomposition(builds):
     # every chart walk looks its decomposition up with measure_charts: from
     # empty caches the first call builds the system's lifter and the one the
     # nine charts share, and no later entry point, nor any spelling of the
-    # lookup, builds another
+    # lookup, builds another but the tally walks' one per chart system
     system = BAD_LINE.system
     exponential_sum(system, 3, [1])
     oscillatory_integral(system, 3, [1])
@@ -841,6 +876,7 @@ def test_entry_points_share_one_decomposition(builds):
     assert builds == [
         (3, 2, system.constraints),
         (3, 2, decomposition.charts[0].constraints),
+        *_tally_lifters(decomposition, decomposition.charts),
     ]
     assert measure_charts.cache_info().misses == 1
 
