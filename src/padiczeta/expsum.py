@@ -5,21 +5,20 @@ the variety modulo p^m (Hensel enumeration on good-reduction charts).
 Both the exponential sum and the oscillatory integral look the chart
 decomposition up with `smoothing.measure_charts(system, budget)` and add
 up one per-chart character sum, walked with the chart's lifter from
-`variety.lifter_for`.  The image and the target on it do not depend on
-the unit u, so one walk per (m, chart) serves a whole list of units:
-each point's target value is computed once, and each unit's phase is
-looked up by its residue mod p^m.  Every unit's total still receives
-its terms in walk order, chart by chart, from the same psi_ratio on the
-same reduced argument, so a batched value is bit-identical to the value
-of a one-unit call.
+`variety.lifter_for`.  `direct_sums` walks each chart once, to the
+deepest level any requested m needs, into exact integer histograms of
+f_l mod p^m that serve every level and unit; a unit sees only their
+orthogonality fold, evaluated last, so a sum that cancels exactly is
+exactly 0.  `exponential_sum` and `oscillatory_integral` are its
+one-level calls.
 
 The formula route rebuilds the oscillatory integral, the surface
 integral of Psi(z f_l) over the support, out of twisted local zeta
 data: the value of the trivial-character zeta at t = 1, one coefficient
 of an explicit rational function of it, and a finite character sum of
 Gaussian sums against twisted zeta coefficients.  The stationary-phase
-check compares it with `oscillatory_integral`, or with the exponential
-sum where the two coincide (full polydisc, L = 0).  The two routes share
+check compares it with the weighted direct sums, which are the
+exponential sum on the full polydisc when L = 0.  The two routes share
 no code beyond polynomial evaluation, which is what makes their
 agreement at 1e-9 a meaningful verification.
 
@@ -34,7 +33,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .characters import MultChar, chi_value, gauss_sum, trivial_character
-from .errors import EvenPrimeUnsupported
+from .errors import EvenPrimeUnsupported, WalkInvariantError
 from .mpoly import MPoly, PolySystem
 from .padic import ScaledUnit, psi_ratio
 from .ratfn import PoleData
@@ -54,81 +53,115 @@ class ExpSumRecord(NamedTuple):
     via_formula: complex | None
 
 
-class _Phases(dict):
-    """Psi(r / p^m) by residue r mod p^m, each computed once by psi_ratio."""
-
-    def __init__(self, p: int, m: int):
-        super().__init__()
-        self.p, self.m = p, m
-
-    def __missing__(self, r: int) -> complex:
-        phase = self[r] = psi_ratio(r, self.p, self.m)
-        return phase
-
-
-def _add_phases(
-    totals: list[complex],
+def _add_histograms(
+    hists: dict[int, dict[int, int]],
     lifter: HenselLifter,
     target: MPoly,
-    k: int,
-    units: Sequence[int],
-    phases: _Phases,
+    weight: int,
+    levels: dict[int, int],
     sup: Support | None,
     budget: int,
 ) -> None:
-    """Add Psi(u target(y) / p^m) to totals[i], u = units[i], over the level-k points y in sup.
+    """Add weight * h_m to hists[m], h_m[r] the level-k points y in sup with target(y) = r mod p^m.
 
-    m is phases.m.  One walk serves every unit: target(y) mod p^m is
-    evaluated once per point, and each unit's phase is looked up by the
-    residue u target(y) mod p^m, the argument a walk per unit would hand
-    psi_ratio; the memo is shared by the charts of one m.  Each
-    total receives its terms one by one in walk order, so a caller that
-    threads the totals through every chart sums each unit in the same
-    order, and to the same bits, as a walk per unit would.
+    levels maps each m to its k, and target mod p^m is a function of y
+    mod p^k.  One walk to K = max k serves every m, with one evaluation
+    mod p^max(m) per point: every level-k point of the smooth tree has
+    p^((K - k) dim) lifts at K (all in sup once k reaches its level), so
+    each level-K tally divides exactly, or WalkInvariantError is raised.
     """
-    modulus = lifter.p**phases.m
-    for y in iter_hensel_points(lifter, k, budget, sup):
+    p, K, modulus = lifter.p, max(levels.values()), lifter.p ** max(levels)
+    tally: dict[int, int] = {}
+    for y in iter_hensel_points(lifter, K, budget, sup):
         value = target.evaluate(y, modulus)
-        for i, u in enumerate(units):
-            totals[i] += phases[u * value % modulus]
+        tally[value] = tally.get(value, 0) + 1
+    for m in sorted(levels, reverse=True):  # each level folds the finer one
+        lifts, folded, hist = p ** ((K - levels[m]) * lifter.dim), {}, hists[m]
+        for value, count in tally.items():
+            folded[value % p**m] = folded.get(value % p**m, 0) + count
+        tally = folded
+        for r, count in tally.items():
+            if count % lifts:
+                raise WalkInvariantError(
+                    f"{count} level-{K} points over {r} mod p^{m}: not classes of {lifts} lifts"
+                )
+            hist[r] = hist.get(r, 0) + weight * (count // lifts)
+
+
+def _unit_sums(
+    hist: dict[int, int], p: int, m: int, units: Sequence[int], scale: int
+) -> list[complex]:
+    """sum over r mod p^m of hist[r] Psi(u r / p^m) / scale, for every unit u in units.
+
+    The phases of a unit over the p residues of one class mod p^(m-1)
+    sum to 0, so a unit only sees the exact integer fold h'[r] = p hist[r]
+    - (the total of r's class), over p, which vanishes wherever a class
+    is spread evenly.  Each sum runs over the nonzero h' in increasing r.
+    """
+    if m == 0:  # every phase is Psi(0) = 1
+        return [complex(sum(hist.values())) / scale for _ in units]
+    fibre, totals = p ** (m - 1), {}
+    for r, count in hist.items():
+        totals[r % fibre] = totals.get(r % fibre, 0) + count
+    terms = sorted(
+        (r, p * hist.get(r, 0) - total)
+        for base, total in totals.items()
+        for r in range(base, p**m, fibre)
+        if p * hist.get(r, 0) != total
+    )
+    return [sum((h * psi_ratio(u * r, p, m) for r, h in terms), 0j) / (p * scale) for u in units]
+
+
+def direct_sums(
+    system: PolySystem,
+    units: dict[int, Sequence[int]],
+    weighted: bool,
+    support: Support | None = None,
+    budget: int = DEFAULT_BUDGET,
+) -> dict[int, list[complex]]:
+    """The direct sums for every level m in units and every unit in units[m], in order.
+
+    Unweighted, with no support: E(u p^-m), p^(-m dim) times the sum of
+    Psi(u f_l(x) / p^m) over the image classes x mod p^m, which are the
+    chart centers when m <= L and the charts' level-(m - L) points past
+    it.  Weighted: the oscillatory surface integral of Psi(u p^-m f_l)
+    over the support, the sum over the charts it meets of chart.weight
+    * p^(-k dim) * the character sum over the chart's level-k points in
+    it, k = max(m - L, the support's chart level, 1).  Each chart is
+    walked once into exact integer histograms of f_l mod p^m for every
+    level, from which `_unit_sums` evaluates each `ScaledUnit`.
+    """
+    p, n, dim = system.p, system.n, system.dim
+    if min(units, default=1) < 1:
+        raise ValueError("m must be >= 1")
+    units = {m: [ScaledUnit(p, m, u).u for u in us] for m, us in units.items()}
+    decomposition = measure_charts(system, budget)
+    L = decomposition.L
+    hists: dict[int, dict[int, int]] = {m: {} for m in units}
+    if weighted:
+        levels = {m: max(m - L, support.level - L if support else 0, 1) for m in units}
+        scales = {m: p ** (L * n + k * dim) for m, k in levels.items()}
+    else:
+        levels = {m: m - L for m in units if m > L}
+        scales = {m: p ** (m * dim) for m in units}
+        for m in sorted(set(units) - set(levels)):  # the image classes are chart centers
+            for x in decomposition.classes(m):
+                value = system.target.evaluate(x, p**m)
+                hists[m][value] = hists[m].get(value, 0) + 1
+    for chart in decomposition.charts if levels else ():
+        meets, sup = decomposition.restrict(chart, support)
+        if meets:  # chart.weight * p^(L n) = p^(sum e)
+            weight = int(chart.weight * p ** (L * n)) if weighted else 1
+            lifter = decomposition.lifter(chart, budget)
+            _add_histograms(hists, lifter, chart.target, weight, levels, sup, budget)
+    return {m: _unit_sums(hists[m], p, m, us, scales[m]) for m, us in units.items()}
 
 
 def exponential_sum(
-    system: PolySystem,
-    m: int,
-    units: Sequence[int],
-    budget: int = DEFAULT_BUDGET,
+    system: PolySystem, m: int, units: Sequence[int], budget: int = DEFAULT_BUDGET
 ) -> list[complex]:
-    """E(u p^-m) for every u in units: normalized character sums over the reduction image.
-
-    E = p^(-m dim) * sum over image classes x mod p^m of
-    Psi(u f_l(x) / p^m); the summand only depends on the class, and the
-    image is enumerated chart by chart (each image class belongs to
-    exactly one chart coset).  The image and f_l on it do not depend on
-    u, so one walk per chart (one pass over the chart centers when
-    m <= L) serves all units.  The values come back in the order of
-    units, each bit-identical to the value of the one-unit call [u].
-    """
-    p = system.p
-    if any(u % p == 0 for u in units):
-        raise ValueError("u must be a unit")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    decomposition = measure_charts(system, budget)
-    totals = [0.0 + 0.0j] * len(units)
-    phases = _Phases(p, m)
-    if m <= decomposition.L:
-        modulus = p**m
-        for key in decomposition.classes(m):
-            value = system.target.evaluate(key, modulus)
-            for i, u in enumerate(units):
-                totals[i] += phases[u * value % modulus]
-    else:
-        for chart in decomposition.charts:
-            lifter = decomposition.lifter(chart, budget)
-            _add_phases(totals, lifter, chart.target, m - chart.L, units, phases, None, budget)
-    scale = p ** (m * system.dim)
-    return [total / scale for total in totals]
+    """E(u p^-m) for every u in units, in order: the one-level call of `direct_sums`."""
+    return direct_sums(system, {m: units}, False, budget=budget)[m]
 
 
 def oscillatory_integral(
@@ -138,31 +171,12 @@ def oscillatory_integral(
     support: Support | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> list[complex]:
-    """The oscillatory surface integral of Psi(u p^-m f_l) over the support, for every u in units.
+    """The surface integral of Psi(u p^-m f_l) over the support for every u in units, in order.
 
-    Computed as a weighted character sum over the good-reduction charts
-    the support meets, one walk per chart for all units.  Each unit is
-    checked and reduced mod p^m as a `ScaledUnit`.  The values come back
-    in the order of units, each bit-identical to the value of the
-    one-unit call [u].  For the full polydisc on a good-reduction system
-    this coincides with the exponential sum E(u p^-m).
+    The one-level weighted call of `direct_sums`; for the full polydisc
+    on a good-reduction system it is the exponential sum E(u p^-m).
     """
-    p, dim = system.p, system.dim
-    units = [ScaledUnit(p, m, u).u for u in units]
-    decomposition = measure_charts(system, budget)
-    totals = [0.0 + 0.0j] * len(units)
-    phases = _Phases(p, m)
-    for chart in decomposition.charts:
-        meets, sup = decomposition.restrict(chart, support)
-        if not meets:
-            continue
-        k = max(m - chart.L, sup.level if sup else 0, 1)
-        lifter = decomposition.lifter(chart, budget)
-        partials = [0.0 + 0.0j] * len(units)
-        _add_phases(partials, lifter, chart.target, k, units, phases, sup, budget)
-        for i, partial in enumerate(partials):
-            totals[i] += float(chart.weight) * partial / p ** (k * dim)
-    return totals
+    return direct_sums(system, {m: units}, True, support, budget)[m]
 
 
 # -- stationary phase ------------------------------------------------------------
@@ -175,10 +189,12 @@ class StationaryPhaseContext:
     value of the trivial-character zeta at t = 1: the target vanishes on
     a measure-zero subset of the variety, so the shell masses sum to the
     whole measure), the twisted characters up to the verified conductor
-    cutoff, and the Gaussian sums of their inverses.
+    cutoff, and the Gaussian sums of their inverses.  `memo` keeps what
+    the formula reads and no unit changes: each m's middle term, and each
+    coefficient under (chi, k).
     """
 
-    __slots__ = ("system", "table", "total_mass", "twisted", "cutoff")
+    __slots__ = ("system", "table", "total_mass", "twisted", "cutoff", "memo")
 
     def __init__(
         self,
@@ -193,6 +209,13 @@ class StationaryPhaseContext:
         self.total_mass = total_mass
         self.twisted = twisted
         self.cutoff = cutoff
+        self.memo: dict = {}
+
+    def coefficient(self, chi: MultChar, k: int) -> Fraction | complex:
+        """The table's `coefficient_extrapolated(chi, k)`, computed once."""
+        if (chi, k) not in self.memo:
+            self.memo[chi, k] = self.table.coefficient_extrapolated(chi, k)
+        return self.memo[chi, k]
 
 
 def build_stationary_phase_context(
@@ -241,16 +264,17 @@ def stationary_phase_eval(ctx: StationaryPhaseContext, m: int, u: int) -> comple
     the middle term is an explicit finite sum of trivial coefficients.
     """
     q = ctx.system.p
+    if m not in ctx.memo:
+        coeffs = [ctx.coefficient(trivial_character(q), k) for k in range(m)]
+        middle = Fraction(-q, q - 1) * coeffs[m - 1] - sum(coeffs[: m - 1], Fraction(0))
+        ctx.memo[m] = float(middle)
     value = complex(float(ctx.total_mass))
-    trivial = trivial_character(q)
-    coeffs = [ctx.table.coefficient_extrapolated(trivial, k) for k in range(m)]
-    middle = Fraction(-q, q - 1) * coeffs[m - 1] - sum(coeffs[: m - 1], Fraction(0))
-    value += float(middle)
+    value += ctx.memo[m]
     for chi, g_inv in ctx.twisted:
         k = m - chi.conductor
         if k < 0:
             continue
-        coeff = ctx.table.coefficient_extrapolated(chi, k)
+        coeff = ctx.coefficient(chi, k)
         if isinstance(coeff, Fraction):
             coeff = complex(float(coeff))
         value += g_inv * chi_value(chi, u) * coeff
@@ -278,12 +302,10 @@ def stationary_phase_check(
     For every m the unit classes u run modulo p^min(m, c_cap); the
     report carries the worst absolute discrepancy over all (m, u).  The
     formula computes the surface integral of Psi(z f_l) over the
-    support, so that is what the direct side evaluates whenever it can
-    differ from the counting-normalized exponential sum: on a restricted
-    support, and on a decomposition with L > 0, whose chart weights
-    transport the measure.  Otherwise the direct side is the plain
-    exponential sum.  The formula consumes coefficients only up to
-    max(m) - 1, so the default table depth is max(m).
+    support, so one weighted `direct_sums` call gives the direct side
+    for every (m, u); on the full polydisc of a good-reduction system it
+    is the exponential sum itself.  The formula consumes coefficients
+    only up to max(m) - 1, so the default table depth is max(m).
     """
     context = build_stationary_phase_context(
         system,
@@ -293,20 +315,14 @@ def stationary_phase_check(
         budget=budget,
     )
     p = system.p
-    weighted = measure_charts(system, budget).L > 0 or support is not None
-    records = []
-    worst = 0.0
-    for m in m_values:
-        units = [u for u in range(1, p ** min(m, c_cap)) if u % p]
-        if weighted:
-            values = oscillatory_integral(system, m, units, support, budget)
-        else:
-            values = exponential_sum(system, m, units, budget)
-        for u, direct in zip(units, values):
-            formula = stationary_phase_eval(context, m, u)
-            gap = abs(direct - formula)
-            worst = max(worst, gap)
-            records.append(ExpSumRecord(m=m, u=u, direct=direct, via_formula=formula))
+    units = {m: [u for u in range(1, p ** min(m, c_cap)) if u % p] for m in m_values}
+    sums = direct_sums(system, units, True, support, budget)
+    records = [
+        ExpSumRecord(m=m, u=u, direct=direct, via_formula=stationary_phase_eval(context, m, u))
+        for m in m_values
+        for u, direct in zip(units[m], sums[m])
+    ]
+    worst = max((abs(r.direct - r.via_formula) for r in records), default=0.0)
     return StationaryPhaseReport(records=tuple(records), max_discrepancy=worst)
 
 
@@ -336,22 +352,18 @@ def decay_report(
     of the m range does not exceed the lower-half maximum by more than
     the factor DECAY_SLACK.
     """
+    sums = direct_sums(system, {m: [1] for m in m_values}, False, budget=budget)
     rows = []
     for m in m_values:
-        value = abs(exponential_sum(system, m, [1], budget)[0])
+        value = abs(sums[m][0])
         scale = system.p ** (pole.rho * m) / m ** (pole.m_rho - 1)
         rows.append(DecayRow(m=m, abs_value=value, normalized=value * scale))
     floor = 1e-12  # normalized values below this are floating zeros
     half = len(rows) // 2
     lower = max((r.normalized for r in rows[:half] if r.normalized > floor), default=0.0)
     upper = max((r.normalized for r in rows[half:] if r.normalized > floor), default=0.0)
-    if upper == 0.0:
-        verdict = "Bounded"
-    elif lower == 0.0:
-        verdict = "Inconclusive"
-    else:
-        verdict = "Bounded" if upper <= DECAY_SLACK * lower else "Inconclusive"
-    return DecayReport(rows=tuple(rows), verdict=verdict)
+    bounded = upper == 0.0 or 0.0 < lower and upper <= DECAY_SLACK * lower
+    return DecayReport(rows=tuple(rows), verdict="Bounded" if bounded else "Inconclusive")
 
 
 # -- decomposition identity (two-route check under bad reduction) -------------------
@@ -379,16 +391,13 @@ def decomposed_expsum_check(
     remainder, and multiplies the two additive-character factors; the
     left side is the plain image sum.  Requires m > L.
     """
-    decomposition = measure_charts(system, budget)
-    p, dim = system.p, system.dim
-    L = decomposition.L
+    decomposition, p, dim = measure_charts(system, budget), system.p, system.dim
+    if min(m_values) <= decomposition.L:
+        raise ValueError(f"identity needs m > L = {decomposition.L}")
+    sums = direct_sums(system, {m: [1] for m in m_values}, False, budget=budget)
     rows = []
     for m in m_values:
-        if m <= L:
-            raise ValueError(f"identity needs m > L = {L}")
-        direct = exponential_sum(system, m, [1], budget)[0]
-        lhs = direct * p ** (m * dim)
-        rhs = 0.0 + 0.0j
+        lhs, rhs = sums[m][0] * p ** (m * dim), 0.0 + 0.0j
         for chart in decomposition.charts:
             # the first point of the walk: the smallest-digit lift of the first root
             y_lift = next(iter_hensel_points(decomposition.lifter(chart, budget), m, budget))
@@ -396,10 +405,11 @@ def decomposed_expsum_check(
             # chart variety relative to the accurate representative
             const, e_l, rep_system = recenter(system, chart, x_rep)
             lifter = lifter_for(p, system.n, rep_system.constraints, budget)
-            scaled_u = p ** (e_l - chart.L)
+            # Psi(p^(e_l - L) g / p^k) = Psi(g / p^level) over the level-k points
             k = m - chart.L
-            inner = [0.0 + 0.0j]
-            _add_phases(inner, lifter, rep_system.target, k, [scaled_u], _Phases(p, k), None, budget)
-            rhs += psi_ratio(const, p, m) * inner[0]
+            level = max(m - e_l, 0)
+            hist: dict[int, dict[int, int]] = {level: {}}
+            _add_histograms(hist, lifter, rep_system.target, 1, {level: k}, None, budget)
+            rhs += psi_ratio(const, p, m) * _unit_sums(hist[level], p, level, [1], 1)[0]
         rows.append(DecompositionIdentityRow(m=m, lhs=lhs, rhs=rhs))
     return rows

@@ -572,7 +572,10 @@ def tally_zeros(
     comes from `lifter_for`.  From sat on, T mod p^cap only depends on a
     node's class mod p^sat, so every lift of a passing node passes and
     the tree goes on in the constraints' own lifter.  Where cap <= s the
-    tally only depends on the constant term mod p^cap.
+    tally only depends on the constant term mod p^cap.  The roots of
+    (constraints, T/p^s) are the lifter's roots where T/p^s vanishes mod
+    p, so where it vanishes at none the tally is zero and no lifter is
+    built.
 
     The walk visits exactly the nodes it counts up to the level top =
     max(ceil(depth / 2), support level, sat when sat < depth), plus the
@@ -598,6 +601,8 @@ def tally_zeros(
     polys, r = lifter.constraints, 1  # the constraints alone from level 1 on
     if sat > 0:
         stripped = MPoly(n, {e: c // scale for e, c in target.terms.items()})
+        if all(stripped.evaluate(x, p) for x in lifter.roots()):
+            return tally  # no root of (constraints, T/p^s): build no lifter to find none
         polys, r = (*polys, stripped), sat
     # the caller's lookup of `lifter` admitted this scan of the same p^n residues
     roots, children = truncated_tree(p, n, polys, r, lifter.children, p**n)

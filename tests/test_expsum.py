@@ -8,7 +8,7 @@ import pytest
 import padiczeta.expsum as expsum
 from padiczeta.bundled import BAD_LINE, LINE_X1, LINE_X2, LINE_X2_P5, LINE_X3, PARABOLA, PLANE_LINE
 from padiczeta.cli import main
-from padiczeta.errors import EvenPrimeUnsupported
+from padiczeta.errors import EvenPrimeUnsupported, WalkInvariantError
 from padiczeta.expsum import (
     build_stationary_phase_context,
     decay_report,
@@ -18,11 +18,12 @@ from padiczeta.expsum import (
     stationary_phase_check,
     stationary_phase_eval,
 )
-from padiczeta.mpoly import system_from_strings
+from padiczeta.mpoly import parse_polynomial, system_from_strings
 from padiczeta.padic import psi_ratio
 from padiczeta.ratfn import pole_data_from_resolution
 from padiczeta.smoothing import measure_charts
 from padiczeta.support import Support
+from padiczeta.variety import lifter_for
 
 
 def brute_expsum(system, m, u):
@@ -36,7 +37,9 @@ def brute_expsum(system, m, u):
 
 
 def test_exponential_sum_x1_line_vanishes():
-    assert abs(exponential_sum(LINE_X1.system, 1, [1])[0]) < 1e-12
+    # x1 takes every residue evenly on the image, so the orthogonality fold
+    # leaves no term and the sum is exactly 0
+    assert exponential_sum(LINE_X1.system, 1, [1])[0] == 0
 
 
 def test_exponential_sum_x2_line_values():
@@ -182,7 +185,15 @@ def test_decomposition_identity_good_instance():
         assert row.gap < 1e-9
 
 
-def test_one_walk_per_level_serves_every_unit(monkeypatch, tmp_path):
+def test_histograms_refuse_a_level_the_target_outruns():
+    # x2 mod 9 is no function of x2 mod 3: the level-3 points fall 3 to a
+    # residue, not in whole level-1 classes of 9 lifts
+    lifter, target = lifter_for(3, 2, LINE_X2.system.constraints), parse_polynomial("x2", 2)
+    with pytest.raises(WalkInvariantError, match="not classes of 9 lifts"):
+        expsum._add_histograms({2: {}, 3: {}}, lifter, target, 1, {2: 1, 3: 3}, None, 10**4)
+
+
+def test_one_walk_per_chart_serves_every_level_and_unit(monkeypatch, tmp_path):
     walks = []  # the level of every point walk the direct sums start
     stream = expsum.iter_hensel_points
 
@@ -191,12 +202,13 @@ def test_one_walk_per_level_serves_every_unit(monkeypatch, tmp_path):
         return stream(lifter, m, *args, **kwargs)
 
     monkeypatch.setattr(expsum, "iter_hensel_points", counting)
-    # one chart, m = 1..5: 4 + 4 * 20 units, so 84 walks at one per (m, u)
+    # one chart, m = 1..5: 4 + 4 * 20 (m, u) pairs from one walk to level 5
     report = stationary_phase_check(LINE_X2_P5.system, [1, 2, 3, 4, 5])
     assert len(report.records) == 84 and report.passed()
-    assert walks == [1, 2, 3, 4, 5]
+    assert walks == [5]
 
-    # weighted sums at L = 2: every m walks each chart the support meets once
+    # weighted sums at L = 2: one walk per chart the support meets, to the
+    # level 4 - L that m = 4 needs
     walks.clear()
     support = Support.cosets(2, 1, [(0, 0), (1, 1)], 3)
     decomposition = measure_charts(BAD_LINE.system)
@@ -204,10 +216,10 @@ def test_one_walk_per_level_serves_every_unit(monkeypatch, tmp_path):
     assert 0 < met < len(decomposition.charts)
     report = stationary_phase_check(BAD_LINE.system, [1, 2, 3, 4], support=support)
     assert report.passed()
-    assert len(walks) == 4 * met
+    assert walks == [2] * met
 
-    # `expsum` on line_x2 (max_level 5): one walk per m
+    # `expsum` on line_x2 (max_level 5): one walk for every m
     walks.clear()
     spec = Path(__file__).resolve().parents[1] / "scripts" / "specs" / "line_x2.json"
     assert main(["expsum", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 0
-    assert walks == [1, 2, 3, 4, 5]
+    assert walks == [5]

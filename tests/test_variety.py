@@ -18,10 +18,11 @@ from padiczeta.errors import (
     NotStabilized,
     ValidationFailed,
 )
-from padiczeta.mpoly import system_from_strings
+from padiczeta.mpoly import parse_polynomial, system_from_strings
 from padiczeta.expsum import (
     build_stationary_phase_context,
     decay_report,
+    direct_sums,
     exponential_sum,
     oscillatory_integral,
 )
@@ -531,38 +532,70 @@ def graphs_with_support(draw):
     return system, Support.cosets(2, level, [(0, 0), *others], p)
 
 
+def _brute_points(system, support, m):
+    """The reduction image mod p^m, and the solutions mod p^K in the support with their level K.
+
+    The constraint is p^c (c = 0 or 1) times a smooth curve, so its
+    solutions mod p^(k + c) are the curve's classes mod p^k with free
+    digits on top.  Projected mod p^m from k = m they give the reduction
+    image; at K = k + c with k >= m and k >= the support's level, every
+    solution mod p^K lies wholly in or out of the support, has one phase,
+    and carries the surface measure p^(-K dim).
+    """
+    c = system.constraints[0].content_valuation(system.p)
+    modulus = system.p**m
+    _, points = brute_force_points(system, m + c, collect=True)
+    image = {tuple(x % modulus for x in point) for point in points}
+    K = max(m, support.level if support else 0) + c
+    _, covered = brute_force_points(system, K, support=support, collect=True)
+    return image, covered, K
+
+
+def _brute_sum(system, points, m, u, level):
+    """sum of Psi(u f_l(x) / p^m) over the points, times p^(-level dim)."""
+    p, modulus = system.p, system.p**m
+    phases = [psi_ratio(u * system.target.evaluate(x, modulus), p, m) for x in points]
+    return sum(phases) / p ** (level * system.dim)
+
+
 @given(graphs_with_support())
 @settings(max_examples=30, deadline=None)
 def test_batched_direct_sums_match_brute_and_single_units(case):
-    # The constraint is p^c (c = 0 or 1) times a smooth curve, so its
-    # solutions mod p^(k + c) are the curve's classes mod p^k with free digits
-    # on top.  Projected mod p^m from k = m they give the reduction image; at
-    # K = k + c with k >= m and k >= the support's level, every solution mod
-    # p^K lies wholly in or out of the support, has one phase, and carries the
-    # surface measure p^(-K dim)
     system, support = case
     p = system.p
-    c = system.constraints[0].content_valuation(p)
     decomposition = measure_charts(system, DEFAULT_BUDGET)
-    level = support.level if support else 0
     for m in (1, 2, 3):
         units = [u for u in range(1, p**m) if u % p]
-        modulus = p**m
-        _, points = brute_force_points(system, m + c, collect=True)
-        image = {tuple(x % modulus for x in point) for point in points}
-        K = max(m, level) + c
-        _, covered = brute_force_points(system, K, support=support, collect=True)
+        image, covered, K = _brute_points(system, support, m)
         sums = exponential_sum(system, m, units)
         surfaces = oscillatory_integral(system, m, units, support)
         for u, direct, surface in zip(units, sums, surfaces):
-            phases = [psi_ratio(u * system.target.evaluate(x, modulus), p, m) for x in image]
-            assert abs(direct - sum(phases) / p ** (m * system.dim)) < 1e-12, (m, u)
-            phases = [psi_ratio(u * system.target.evaluate(x, modulus), p, m) for x in covered]
-            assert abs(surface - sum(phases) / p ** (K * system.dim)) < 1e-12, (m, u)
+            assert abs(direct - _brute_sum(system, image, m, u, m)) < 1e-12, (m, u)
+            assert abs(surface - _brute_sum(system, covered, m, u, K)) < 1e-12, (m, u)
             assert direct == exponential_sum(system, m, [u])[0]
             assert surface == oscillatory_integral(system, m, [u], support)[0]
         if decomposition.L == 0:  # on the full polydisc the two sums coincide
             assert oscillatory_integral(system, m, units) == sums
+
+
+@given(graphs_with_support())
+@settings(max_examples=30, deadline=None)
+def test_multi_level_direct_sums_match_per_level_calls(case):
+    # one walk per chart to the deepest level serves m = 1..3: each level's
+    # sums, folded from that walk's histograms, are the bits of its
+    # one-level call and match the brute-force sums
+    system, support = case
+    p = system.p
+    units = {m: [u for u in range(1, p**m) if u % p] for m in (1, 2, 3)}
+    sums = direct_sums(system, units, False)
+    surfaces = direct_sums(system, units, True, support)
+    for m, us in units.items():
+        assert sums[m] == exponential_sum(system, m, us)
+        assert surfaces[m] == oscillatory_integral(system, m, us, support)
+        image, covered, K = _brute_points(system, support, m)
+        for u, direct, surface in zip(us, sums[m], surfaces[m]):
+            assert abs(direct - _brute_sum(system, image, m, u, m)) < 1e-12, (m, u)
+            assert abs(surface - _brute_sum(system, covered, m, u, K)) < 1e-12, (m, u)
 
 
 def test_batched_direct_sums_validate_units():
@@ -582,6 +615,8 @@ BUDGET_LINE = system_from_strings(3, 2, ["x2"], "x1 + 1")
 # the count walks lift only the target's zeros, one per level for x1 + 1;
 # the cusp x1^2 keeps all three lifts of its zero from level 2 on
 BUDGET_CUSP = system_from_strings(3, 2, ["x2"], "x1^2")
+# two cosets of (27 Z_3)^2 on BUDGET_LINE's variety x2 = 0
+BUDGET_COSETS = Support.cosets(2, 3, [(0, 0), (1, 0)], 3)
 
 
 @pytest.mark.parametrize(
@@ -595,6 +630,14 @@ BUDGET_CUSP = system_from_strings(3, 2, ["x2"], "x1^2")
         (
             lambda budget: measure_charts(BUDGET_LINE, budget).image_count(2, budget),
             "hensel walk m=2",
+        ),
+        # one walk to level 2 serves both units: 3 + 9 nodes
+        (lambda budget: exponential_sum(BUDGET_LINE, 2, [1, 2], budget), "hensel walk m=2"),
+        # the support's level 3 is the deepest: 3 + 6 + 6 nodes, counting the
+        # lifts it prunes
+        (
+            lambda budget: oscillatory_integral(BUDGET_LINE, 2, [1], BUDGET_COSETS, budget),
+            "hensel walk m=3",
         ),
         # solvability is read off the tally walk, the same 16 nodes to level 8
         (
@@ -623,6 +666,8 @@ BUDGET_CUSP = system_from_strings(3, 2, ["x2"], "x1^2")
         "tail_measure",
         "count_walk",
         "chart_count",
+        "exponential_sum",
+        "oscillatory_integral",
         "solvable_at",
         "decomposed_recount",
         "global_decompose",
@@ -766,8 +811,9 @@ def builds(monkeypatch):
 def _tally_lifters(decomposition, charts):
     """(p, n, systems) a tally walk adds per chart: its constraints and its target over p^L.
 
-    A chart whose target's constant term does not carry p^L has no zeros
-    to walk, and builds none.
+    A chart whose target's constant term does not carry p^L, or whose
+    target over p^L vanishes mod p at no root of the chart's lifter, has
+    no zeros to walk, and builds none.
     """
     p, n = decomposition.system.p, decomposition.system.n
     lifters = []
@@ -775,7 +821,9 @@ def _tally_lifters(decomposition, charts):
         scale = p**chart.L
         if chart.target.constant_term() % scale == 0:
             stripped = MPoly(n, {e: c // scale for e, c in chart.target.terms.items()})
-            lifters.append((p, n, (*chart.constraints, stripped)))
+            roots = decomposition.lifter(chart).roots()
+            if any(stripped.evaluate(x, p) == 0 for x in roots):
+                lifters.append((p, n, (*chart.constraints, stripped)))
     return lifters
 
 
@@ -811,13 +859,14 @@ def test_one_lifter_per_chart(builds, tmp_path):
     assert builds == [(3, 2, system.constraints), (3, 2, rescaled)]
     for chart in decomposition.charts:
         assert decomposition.lifter(chart) is lifter_for(3, 2, rescaled)
-    # the count walks add one lifter per distinct chart target over p^L: the
-    # three whose constant terms 0, 9 and 36 carry p^L = 9.  The shell walks
+    # the count walks add one lifter per distinct chart target over p^L with
+    # a zero mod p on the chart: of the three whose constant terms 0, 9 and
+    # 36 carry p^L = 9, only 9*x2^2 vanishes at a root.  The shell walks
     # build none
     congruence_counts(system, 6)
     build_shell_table(system, 4)
     tallies = _tally_lifters(decomposition, decomposition.charts)
-    assert len(tallies) == 3
+    assert len(tallies) == 1
     assert builds == [(3, 2, system.constraints), (3, 2, rescaled), *tallies]
 
     # bad_line `smooth`: the system's lifter and the charts' one; the image
@@ -828,6 +877,23 @@ def test_one_lifter_per_chart(builds, tmp_path):
     out = tmp_path / "smooth"
     assert main(["smooth", "--spec", str(SPECS / "bad_line.json"), "--out", str(out)]) == 0
     assert builds == [(3, 2, system.constraints), (3, 2, rescaled)]
+
+
+def test_tally_builds_no_lifter_without_target_zeros(builds):
+    # the charts of BAD_LINE at (9, 3) and (18, 6) carry T/p^2 = 9*x2^2 +
+    # 6*x2 + 1 and 9*x2^2 + 12*x2 + 4, units at every point: their tallies
+    # are zero before the lifter of (constraint, T/p^2), a scan of all p^n
+    # residues, is built
+    system = BAD_LINE.system
+    assert congruence_counts(system, 6) == [1, 1, 3, 3, 9, 9, 27]
+    p, n = system.p, system.n
+    charts = {chart.center: chart for chart in measure_charts(system, DEFAULT_BUDGET).charts}
+    for center, text in (((9, 3), "9*x2^2 + 6*x2 + 1"), ((18, 6), "9*x2^2 + 12*x2 + 4")):
+        chart = charts[center]
+        stripped = MPoly(n, {e: c // 9 for e, c in chart.target.terms.items()})
+        assert stripped == parse_polynomial(text, n)
+        assert (p, n, (*chart.constraints, stripped)) not in builds
+    assert len(builds) == 3  # the system's lifter, the charts' one and the (0, 0) chart's tally
 
 
 def test_threevar_sps_verify_builds_one_lifter(builds, tmp_path):
