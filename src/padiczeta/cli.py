@@ -286,22 +286,26 @@ def cmd_zeta(problem: Problem, out: Path, args) -> int:
 
 
 def cmd_expsum(problem: Problem, out: Path, args) -> int:
-    system, p = problem.system, problem.system.p
-    pole = None
-    if system.resolution_data is not None:
-        pole = pole_data_from_resolution(system.resolution_data, p)
+    if problem.system.resolution_data is not None:
+        pole = pole_data_from_resolution(problem.system.resolution_data, problem.system.p)
+    else:
+        pole = None
+    p = problem.system.p
     units = {
         m: [u for u in range(1, p ** min(m, problem.conductor_cap)) if u % p]
         for m in range(1, problem.max_level + 1)
     }
     rows = []
-    for m, values in direct_sums(system, units, False, budget=problem.budget).items():
+    for m, values in direct_sums(problem.system, units, False, budget=problem.budget).items():
         for u, value in zip(units[m], values):
-            normalized = ""
-            if pole is not None:
-                normalized = _fmt(abs(value) * p ** (pole.rho * m) / m ** (pole.m_rho - 1))
-            row = [m, u, _fmt(value.real), _fmt(value.imag), "", "", _fmt(abs(value)), normalized]
-            rows.append(row)
+            normalized = (
+                _fmt(abs(value) * p ** (pole.rho * m) / m ** (pole.m_rho - 1))
+                if pole is not None
+                else ""
+            )
+            rows.append(
+                [m, u, _fmt(value.real), _fmt(value.imag), "", "", _fmt(abs(value)), normalized]
+            )
     _write_csv(out / "expsum.csv", EXPSUM_HEADER, rows)
     _summary(out, "expsum", args, {"max_level": problem.max_level})
     return EXIT_OK
@@ -316,15 +320,28 @@ def cmd_sps_verify(problem: Problem, out: Path, args) -> int:
         support=problem.support,
         budget=problem.budget,
     )
-    rows = [
-        [r.m, r.u, _fmt(r.direct.real), _fmt(r.direct.imag)]
-        + [_fmt(r.via_formula.real), _fmt(r.via_formula.imag), _fmt(abs(r.direct)), ""]
-        for r in report.records
-    ]
+    rows = []
+    for record in report.records:
+        rows.append(
+            [
+                record.m,
+                record.u,
+                _fmt(record.direct.real),
+                _fmt(record.direct.imag),
+                _fmt(record.via_formula.real),
+                _fmt(record.via_formula.imag),
+                _fmt(abs(record.direct)),
+                "",
+            ]
+        )
     _write_csv(out / "expsum.csv", EXPSUM_HEADER, rows)
     passed = report.passed()
-    payload = {"max_discrepancy": _fmt(report.max_discrepancy), "passed": passed}
-    _summary(out, "sps-verify", args, payload)
+    _summary(
+        out,
+        "sps-verify",
+        args,
+        {"max_discrepancy": _fmt(report.max_discrepancy), "passed": passed},
+    )
     return EXIT_OK if passed else EXIT_VERIFY
 
 

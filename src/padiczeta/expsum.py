@@ -17,8 +17,8 @@ integral of Psi(z f_l) over the support, out of twisted local zeta
 data: the value of the trivial-character zeta at t = 1, one coefficient
 of an explicit rational function of it, and a finite character sum of
 Gaussian sums against twisted zeta coefficients.  The stationary-phase
-check compares it with the weighted direct sums, which are the
-exponential sum on the full polydisc when L = 0.  The two routes share
+check compares it level by level with `oscillatory_integral`, or with
+`exponential_sum` on the full polydisc when L = 0.  The two routes share
 no code beyond polynomial evaluation, which is what makes their
 agreement at 1e-9 a meaningful verification.
 
@@ -96,20 +96,22 @@ def _unit_sums(
     The phases of a unit over the p residues of one class mod p^(m-1)
     sum to 0, so a unit only sees the exact integer fold h'[r] = p hist[r]
     - (the total of r's class), over p, which vanishes wherever a class
-    is spread evenly.  Each sum runs over the nonzero h' in increasing r.
+    is spread evenly.  Each sum runs over the nonzero h' in increasing r,
+    and each phase Psi(x / p^m) is computed once for all units.
     """
     if m == 0:  # every phase is Psi(0) = 1
         return [complex(sum(hist.values())) / scale for _ in units]
-    fibre, totals = p ** (m - 1), {}
+    fibre, modulus, totals = p ** (m - 1), p**m, {}
     for r, count in hist.items():
         totals[r % fibre] = totals.get(r % fibre, 0) + count
     terms = sorted(
         (r, p * hist.get(r, 0) - total)
         for base, total in totals.items()
-        for r in range(base, p**m, fibre)
+        for r in range(base, modulus, fibre)
         if p * hist.get(r, 0) != total
     )
-    return [sum((h * psi_ratio(u * r, p, m) for r, h in terms), 0j) / (p * scale) for u in units]
+    phases = {x: psi_ratio(x, p, m) for x in {u * r % modulus for u in units for r, _ in terms}}
+    return [sum((h * phases[u * r % modulus] for r, h in terms), 0j) / (p * scale) for u in units]
 
 
 def direct_sums(
@@ -189,12 +191,11 @@ class StationaryPhaseContext:
     value of the trivial-character zeta at t = 1: the target vanishes on
     a measure-zero subset of the variety, so the shell masses sum to the
     whole measure), the twisted characters up to the verified conductor
-    cutoff, and the Gaussian sums of their inverses.  `memo` keeps what
-    the formula reads and no unit changes: each m's middle term, and each
-    coefficient under (chi, k).
+    cutoff, and the Gaussian sums of their inverses.  `coefficient` and
+    `middle` compute what the formula reads and no unit changes once.
     """
 
-    __slots__ = ("system", "table", "total_mass", "twisted", "cutoff", "memo")
+    __slots__ = ("system", "table", "total_mass", "twisted", "cutoff", "_coefficients", "_middles")
 
     def __init__(
         self,
@@ -209,13 +210,28 @@ class StationaryPhaseContext:
         self.total_mass = total_mass
         self.twisted = twisted
         self.cutoff = cutoff
-        self.memo: dict = {}
+        self._coefficients: dict[tuple[MultChar, int], Fraction | complex] = {}
+        self._middles: dict[int, float] = {}
 
     def coefficient(self, chi: MultChar, k: int) -> Fraction | complex:
         """The table's `coefficient_extrapolated(chi, k)`, computed once."""
-        if (chi, k) not in self.memo:
-            self.memo[chi, k] = self.table.coefficient_extrapolated(chi, k)
-        return self.memo[chi, k]
+        if (chi, k) not in self._coefficients:
+            self._coefficients[chi, k] = self.table.coefficient_extrapolated(chi, k)
+        return self._coefficients[chi, k]
+
+    def middle(self, m: int) -> float:
+        """Coeff_{t^(m-1)} (t - q) Z(s, triv) / ((q - 1)(1 - t)), computed once.
+
+        The kernel (t - q)/((q-1)(1-t)) has series coefficients
+        h_0 = -q/(q-1) and h_j = -1 for j >= 1, so the term is an explicit
+        finite sum of trivial coefficients.
+        """
+        if m not in self._middles:
+            q = self.system.p
+            coeffs = [self.coefficient(trivial_character(q), k) for k in range(m)]
+            middle = Fraction(-q, q - 1) * coeffs[m - 1] - sum(coeffs[: m - 1], Fraction(0))
+            self._middles[m] = float(middle)
+        return self._middles[m]
 
 
 def build_stationary_phase_context(
@@ -259,17 +275,11 @@ def stationary_phase_eval(ctx: StationaryPhaseContext, m: int, u: int) -> comple
           + sum over nontrivial chi of g_{chi^-1} chi(u)
             Coeff_{t^(m - c(chi))} Z(s, chi).
 
-    Z(0, triv) is the total surface mass; the kernel (t - q)/((q-1)(1-t))
-    has series coefficients h_0 = -q/(q-1) and h_j = -1 for j >= 1, so
-    the middle term is an explicit finite sum of trivial coefficients.
+    Z(0, triv) is the total surface mass; the middle term is
+    `StationaryPhaseContext.middle`.
     """
-    q = ctx.system.p
-    if m not in ctx.memo:
-        coeffs = [ctx.coefficient(trivial_character(q), k) for k in range(m)]
-        middle = Fraction(-q, q - 1) * coeffs[m - 1] - sum(coeffs[: m - 1], Fraction(0))
-        ctx.memo[m] = float(middle)
     value = complex(float(ctx.total_mass))
-    value += ctx.memo[m]
+    value += ctx.middle(m)
     for chi, g_inv in ctx.twisted:
         k = m - chi.conductor
         if k < 0:
@@ -302,10 +312,12 @@ def stationary_phase_check(
     For every m the unit classes u run modulo p^min(m, c_cap); the
     report carries the worst absolute discrepancy over all (m, u).  The
     formula computes the surface integral of Psi(z f_l) over the
-    support, so one weighted `direct_sums` call gives the direct side
-    for every (m, u); on the full polydisc of a good-reduction system it
-    is the exponential sum itself.  The formula consumes coefficients
-    only up to max(m) - 1, so the default table depth is max(m).
+    support, so that is what the direct side evaluates whenever it can
+    differ from the counting-normalized exponential sum: on a restricted
+    support, and on a decomposition with L > 0, whose chart weights
+    transport the measure.  Otherwise the direct side is the plain
+    exponential sum.  The formula consumes coefficients only up to
+    max(m) - 1, so the default table depth is max(m).
     """
     context = build_stationary_phase_context(
         system,
@@ -315,14 +327,20 @@ def stationary_phase_check(
         budget=budget,
     )
     p = system.p
-    units = {m: [u for u in range(1, p ** min(m, c_cap)) if u % p] for m in m_values}
-    sums = direct_sums(system, units, True, support, budget)
-    records = [
-        ExpSumRecord(m=m, u=u, direct=direct, via_formula=stationary_phase_eval(context, m, u))
-        for m in m_values
-        for u, direct in zip(units[m], sums[m])
-    ]
-    worst = max((abs(r.direct - r.via_formula) for r in records), default=0.0)
+    weighted = measure_charts(system, budget).L > 0 or support is not None
+    records = []
+    worst = 0.0
+    for m in m_values:
+        units = [u for u in range(1, p ** min(m, c_cap)) if u % p]
+        if weighted:
+            values = oscillatory_integral(system, m, units, support, budget)
+        else:
+            values = exponential_sum(system, m, units, budget)
+        for u, direct in zip(units, values):
+            formula = stationary_phase_eval(context, m, u)
+            gap = abs(direct - formula)
+            worst = max(worst, gap)
+            records.append(ExpSumRecord(m=m, u=u, direct=direct, via_formula=formula))
     return StationaryPhaseReport(records=tuple(records), max_discrepancy=worst)
 
 
@@ -362,8 +380,13 @@ def decay_report(
     half = len(rows) // 2
     lower = max((r.normalized for r in rows[:half] if r.normalized > floor), default=0.0)
     upper = max((r.normalized for r in rows[half:] if r.normalized > floor), default=0.0)
-    bounded = upper == 0.0 or 0.0 < lower and upper <= DECAY_SLACK * lower
-    return DecayReport(rows=tuple(rows), verdict="Bounded" if bounded else "Inconclusive")
+    if upper == 0.0:
+        verdict = "Bounded"
+    elif lower == 0.0:
+        verdict = "Inconclusive"
+    else:
+        verdict = "Bounded" if upper <= DECAY_SLACK * lower else "Inconclusive"
+    return DecayReport(rows=tuple(rows), verdict=verdict)
 
 
 # -- decomposition identity (two-route check under bad reduction) -------------------
@@ -391,13 +414,16 @@ def decomposed_expsum_check(
     remainder, and multiplies the two additive-character factors; the
     left side is the plain image sum.  Requires m > L.
     """
-    decomposition, p, dim = measure_charts(system, budget), system.p, system.dim
-    if min(m_values) <= decomposition.L:
-        raise ValueError(f"identity needs m > L = {decomposition.L}")
+    decomposition = measure_charts(system, budget)
+    p, dim = system.p, system.dim
+    L = decomposition.L
+    if min(m_values) <= L:
+        raise ValueError(f"identity needs m > L = {L}")
     sums = direct_sums(system, {m: [1] for m in m_values}, False, budget=budget)
     rows = []
     for m in m_values:
-        lhs, rhs = sums[m][0] * p ** (m * dim), 0.0 + 0.0j
+        lhs = sums[m][0] * p ** (m * dim)
+        rhs = 0.0 + 0.0j
         for chart in decomposition.charts:
             # the first point of the walk: the smallest-digit lift of the first root
             y_lift = next(iter_hensel_points(decomposition.lifter(chart, budget), m, budget))

@@ -13,6 +13,7 @@ from padiczeta.expsum import (
     build_stationary_phase_context,
     decay_report,
     decomposed_expsum_check,
+    direct_sums,
     exponential_sum,
     oscillatory_integral,
     stationary_phase_check,
@@ -193,7 +194,7 @@ def test_histograms_refuse_a_level_the_target_outruns():
         expsum._add_histograms({2: {}, 3: {}}, lifter, target, 1, {2: 1, 3: 3}, None, 10**4)
 
 
-def test_one_walk_per_chart_serves_every_level_and_unit(monkeypatch, tmp_path):
+def _count_walks(monkeypatch):
     walks = []  # the level of every point walk the direct sums start
     stream = expsum.iter_hensel_points
 
@@ -202,9 +203,33 @@ def test_one_walk_per_chart_serves_every_level_and_unit(monkeypatch, tmp_path):
         return stream(lifter, m, *args, **kwargs)
 
     monkeypatch.setattr(expsum, "iter_hensel_points", counting)
-    # one chart, m = 1..5: 4 + 4 * 20 (m, u) pairs from one walk to level 5
+    return walks
+
+
+def test_one_walk_per_level_serves_every_unit(monkeypatch):
+    walks = _count_walks(monkeypatch)
+    # one chart, m = 1..5: 4 + 4 * 20 units, so 84 walks at one per (m, u)
     report = stationary_phase_check(LINE_X2_P5.system, [1, 2, 3, 4, 5])
     assert len(report.records) == 84 and report.passed()
+    assert walks == [1, 2, 3, 4, 5]
+
+    # weighted sums at L = 2: every m walks each chart the support meets once
+    walks.clear()
+    support = Support.cosets(2, 1, [(0, 0), (1, 1)], 3)
+    decomposition = measure_charts(BAD_LINE.system)
+    met = sum(decomposition.restrict(chart, support)[0] for chart in decomposition.charts)
+    assert 0 < met < len(decomposition.charts)
+    report = stationary_phase_check(BAD_LINE.system, [1, 2, 3, 4], support=support)
+    assert report.passed()
+    assert len(walks) == 4 * met
+
+
+def test_one_walk_per_chart_serves_every_level_and_unit(monkeypatch, tmp_path):
+    walks = _count_walks(monkeypatch)
+    # one chart, m = 1..5: 4 + 4 * 20 (m, u) pairs from one walk to level 5
+    units = {m: [u for u in range(1, 5 ** min(m, 2)) if u % 5] for m in range(1, 6)}
+    sums = direct_sums(LINE_X2_P5.system, units, True)
+    assert sum(map(len, sums.values())) == 84
     assert walks == [5]
 
     # weighted sums at L = 2: one walk per chart the support meets, to the
@@ -213,9 +238,7 @@ def test_one_walk_per_chart_serves_every_level_and_unit(monkeypatch, tmp_path):
     support = Support.cosets(2, 1, [(0, 0), (1, 1)], 3)
     decomposition = measure_charts(BAD_LINE.system)
     met = sum(decomposition.restrict(chart, support)[0] for chart in decomposition.charts)
-    assert 0 < met < len(decomposition.charts)
-    report = stationary_phase_check(BAD_LINE.system, [1, 2, 3, 4], support=support)
-    assert report.passed()
+    direct_sums(BAD_LINE.system, {m: [1, 2] for m in range(1, 5)}, True, support)
     assert walks == [2] * met
 
     # `expsum` on line_x2 (max_level 5): one walk for every m
