@@ -1,15 +1,17 @@
 """Exponential sums along the variety and the stationary phase formula.
 
 The direct route sums the additive character over the reduction image of
-the variety modulo p^m (Hensel enumeration on good-reduction charts).
+the variety modulo p^m (the Hensel lift tree of good-reduction charts).
 Both the exponential sum and the oscillatory integral look the chart
 decomposition up with `smoothing.measure_charts(system, budget)` and add
 up one per-chart character sum, walked with the chart's lifter from
-`variety.lifter_for`.  `direct_sums` walks each chart once, to the
+`variety.lifter_for`.  `direct_sums` walks each chart once, for the
 deepest level any requested m needs, into exact integer histograms of
 f_l mod p^m that serve every level and unit; a unit sees only their
 orthogonality fold, evaluated last, so a sum that cancels exactly is
-exactly 0.  `exponential_sum` and `oscillatory_integral` are its
+exactly 0.  The walk stops at half depth: `variety.value_classes` counts
+each subtree there from one first-order Taylor step, as one class of
+values hit evenly.  `exponential_sum` and `oscillatory_integral` are its
 one-level calls.
 
 The formula route rebuilds the oscillatory integral, the surface
@@ -19,8 +21,10 @@ of an explicit rational function of it, and a finite character sum of
 Gaussian sums against twisted zeta coefficients.  The stationary-phase
 check compares it level by level with `oscillatory_integral`, or with
 `exponential_sum` on the full polydisc when L = 0.  The two routes share
-no code beyond polynomial evaluation, which is what makes their
-agreement at 1e-9 a meaningful verification.
+polynomial evaluation and the charts' lifters, and the direct side's
+Taylor counting is the count tallies', but nothing of it enters the
+shell walks' Jacobian minors behind the twisted coefficients, which is
+what makes their agreement at 1e-9 a meaningful verification.
 
 The formula's zeta data come from one conductor scan: the scan's own
 shell table, projected down to the conductor cutoff, supplies every
@@ -39,7 +43,13 @@ from .padic import ScaledUnit, psi_ratio
 from .ratfn import PoleData
 from .smoothing import measure_charts, recenter
 from .support import Support
-from .variety import DEFAULT_BUDGET, HenselLifter, iter_hensel_points, lifter_for
+from .variety import (
+    DEFAULT_BUDGET,
+    HenselLifter,
+    iter_hensel_points,
+    lifter_for,
+    value_classes,
+)
 from .zeta import ShellTable, conductor_vanishing_scan, tail_measure
 
 SPS_TOL = 1e-9  # the largest direct-vs-formula gap a stationary-phase check passes
@@ -65,26 +75,35 @@ def _add_histograms(
     """Add weight * h_m to hists[m], h_m[r] the level-k points y in sup with target(y) = r mod p^m.
 
     levels maps each m to its k, and target mod p^m is a function of y
-    mod p^k.  One walk to K = max k serves every m, with one evaluation
-    mod p^max(m) per point: every level-k point of the smooth tree has
-    p^((K - k) dim) lifts at K (all in sup once k reaches its level), so
-    each level-K tally divides exactly, or WalkInvariantError is raised.
+    mod p^k.  One `value_classes` walk to K = max k serves every m: it
+    puts each counted subtree's level-K points on one class c mod p^a,
+    evenly over its residues mod p^max(m).  A class with a >= m lands on
+    c mod p^m; one with a < m covers whole classes mod p^(m-1) evenly, so
+    it adds 0 to every unit's fold in `_unit_sums` and is dropped.  Every
+    level-k point has p^((K - k) dim) lifts at K, so each residue's tally,
+    and each dropped class's share of a residue, divides exactly, or
+    WalkInvariantError is raised.
     """
-    p, K, modulus = lifter.p, max(levels.values()), lifter.p ** max(levels)
-    tally: dict[int, int] = {}
-    for y in iter_hensel_points(lifter, K, budget, sup):
-        value = target.evaluate(y, modulus)
-        tally[value] = tally.get(value, 0) + 1
-    for m in sorted(levels, reverse=True):  # each level folds the finer one
-        lifts, folded, hist = p ** ((K - levels[m]) * lifter.dim), {}, hists[m]
-        for value, count in tally.items():
-            folded[value % p**m] = folded.get(value % p**m, 0) + count
-        tally = folded
-        for r, count in tally.items():
+    p, K, M = lifter.p, max(levels.values()), max(levels)
+    classes: dict[tuple[int, int], int] = {}  # (c, a) -> level-K points
+    for c, a, hits in value_classes(lifter, K, target, M, budget, sup):
+        classes[c, a] = classes.get((c, a), 0) + hits * p ** (M - a)
+    for m, k in levels.items():
+        lifts, tally, hist = p ** ((K - k) * lifter.dim), {}, hists[m]
+
+        def check(count: int, where: str) -> None:
             if count % lifts:
                 raise WalkInvariantError(
-                    f"{count} level-{K} points over {r} mod p^{m}: not classes of {lifts} lifts"
+                    f"{count} level-{K} points over {where} mod p^{m}: not classes of {lifts} lifts"
                 )
+
+        for (c, a), points in classes.items():
+            if a >= m:
+                tally[c % p**m] = tally.get(c % p**m, 0) + points
+            else:  # the same share on each of its p^(m - a) residues
+                check(points // p ** (m - a), f"each r = {c} mod p^{a}")
+        for r, count in tally.items():
+            check(count, str(r))
             hist[r] = hist.get(r, 0) + weight * (count // lifts)
 
 

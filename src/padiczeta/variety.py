@@ -20,7 +20,12 @@ count of one linear system over Z/p^i, read from one evaluation at the
 node by a local Smith reduction, with no Jacobian minors.  `lift_counts`
 gives that count for any polynomials; the ambient walk of `regularize`
 counts its subtrees with it, from the constraints alone below level r
-and from the target alone past it.  Two oracles stay independent of the
+and from the target alone past it.  The direct exponential sums count
+their subtrees from half depth too: `value_classes` puts a node's
+subtree on one class of target values hit evenly, read from the same
+Taylor step with the constraint pivots eliminated from the target
+gradient, or from the full rank of both gradients mod p at the node's
+root.  Two oracles stay independent of the
 lifter: a brute-force scan of the full residue grid, which every walk
 is checked against, and the image oracle, a class search on `walk` over
 the all-digit tree.  A class search walks each tree once, to the class
@@ -456,6 +461,100 @@ def lift_count(
 ) -> int:
     """The last entry of `lift_counts(polys, gradients, x, j, i, p)`, without the others."""
     return _solution_count(_taylor_rows(polys, gradients, x, j, i, p), len(x), p, i)
+
+
+def value_classes(
+    lifter: HenselLifter,
+    depth: int,
+    target: MPoly,
+    precision: int,
+    budget: int = DEFAULT_BUDGET,
+    support: Support | None = None,
+) -> Iterator[tuple[int, int, int]]:
+    """(c, a, hits) per subtree: hits of its level-depth points on each r = c mod p^a mod p^precision.
+
+    The subtrees partition the level-depth points of a smooth lifter's
+    tree that the support admits, and target mod p^precision must be a
+    function of a point's class mod p^depth.  One walk (meter stage
+    `hensel walk m=<depth>`) visits the nodes up to level top = min(depth,
+    max(ceil(depth / 2), ceil((precision - s) / 2), support level, 1)),
+    with p^s the content of the target's non-constant coefficients, and
+    each level-top node x of level j stands for its subtree.  There the
+    Taylor tails carry p^(2j) for the constraints G and p^(2j + s) for
+    the target T, at every p, so the subtree's points are x + p^j y for
+    the y with grad G(x) y = -G(x)/p^j mod p^(depth - j), and T = T(x) +
+    p^(j + s) g . y mod p^precision with g = grad(T/p^s)(x).  Clearing
+    g's entries at one unit pivot of each constraint row (the lifter is
+    smooth) leaves a form in the dim free coordinates, of content p^v:
+    the values are one class mod p^a, a = min(precision, j + s + v), hit
+    evenly.  Where (grad G, grad T/p^s) has full rank mod p at x's root,
+    decided once per root, v = 0 and nothing is eliminated.  No node
+    below top is built, and the meter is charged for the visited nodes
+    only.
+    """
+    if depth < 1:
+        raise WalkInvariantError(f"no level {depth} < 1 in the lift tree")
+    lifter = lifter.smooth()
+    p, n = lifter.p, lifter.n
+    modulus = p**precision
+    s = (target - MPoly.constant(n, target.constant_term())).content_valuation(p)
+    s = precision if s is None else min(s, precision)  # s >= precision: T(x) is the class
+    stripped = MPoly(n, {e: c // p**s for e, c in target.terms.items() if any(e)})
+    gradient = [stripped.partial(k) for k in range(1, n + 1)]
+    sup_level = support.level if support else 1
+    top = min(depth, max((depth + 1) // 2, (precision - s + 1) // 2, sup_level, 1))
+    full_rank: dict[tuple[int, ...], bool] = {}
+
+    def visit(x: tuple[int, ...], j: int):
+        if support is not None and not support.admits_prefix(x, j, p):
+            return PRUNE
+        if j < top:
+            return DESCEND
+        value, a, e = target.evaluate(x, modulus), precision, precision - j - s
+        if e > 0:
+            root = tuple([c % p for c in x])
+            if root not in full_rank:
+                gradients = (*lifter._partials, gradient)
+                jac = [[df.evaluate(root, p) for df in row] for row in gradients]
+                full_rank[root] = len(_rref(jac, p)[1]) == len(jac)
+            if full_rank[root]:
+                a = j + s
+            else:
+                rows = _taylor_rows(lifter.constraints, lifter._partials, x, j, e, p)
+                row = _eliminated(rows, [df.evaluate(x, p**e) for df in gradient] + [0], p, e)
+                a = j + s + min((int_valuation(c, p) for c in row[:-1] if c), default=e)
+                value -= p ** (j + s) * row[-1]  # row[-1] = -g . (the y with zero free part)
+        spread = (depth - j) * lifter.dim - (precision - a)
+        if spread < 0:
+            raise WalkInvariantError(
+                f"{p}^{(depth - j) * lifter.dim} level-{depth} points cannot cover "
+                f"{p}^{precision - a} residues mod p^{precision}"
+            )
+        return value % p**a, a, p**spread
+
+    meter = BudgetMeter(budget, f"hensel walk m={depth}")
+    return walk(lifter.roots(), lifter.children, visit, meter)
+
+
+def _eliminated(rows: Sequence[Sequence[int]], row: Sequence[int], p: int, e: int) -> list[int]:
+    """row minus the combination of the rows (*a, b) clearing it at a unit pivot of each, mod p^e.
+
+    Each row pivots on a unit entry it still has once the earlier pivots
+    are cleared from it; a row with none is a rank drop mod p.
+    """
+    modulus = p**e
+    rows, row = [list(r) for r in rows], list(row)
+    while rows:
+        pivot_row = rows.pop()
+        c = next((c for c, a in enumerate(pivot_row[:-1]) if a % p), None)
+        if c is None:
+            raise WalkInvariantError("the constraint rows lose rank mod p on a smooth tree")
+        inverse = pow(pivot_row[c], -1, modulus)
+        for other in (*rows, row):
+            if other[c]:
+                factor = other[c] * inverse % modulus
+                other[:] = [(a - factor * b) % modulus for a, b in zip(other, pivot_row)]
+    return row
 
 
 def _solution_count(system: Sequence[Sequence[int]], n: int, p: int, i: int) -> int:

@@ -6,7 +6,17 @@ from pathlib import Path
 import pytest
 
 import padiczeta.expsum as expsum
-from padiczeta.bundled import BAD_LINE, LINE_X1, LINE_X2, LINE_X2_P5, LINE_X3, PARABOLA, PLANE_LINE
+import padiczeta.variety as variety
+from padiczeta.bundled import (
+    BAD_LINE,
+    LINE_X1,
+    LINE_X2,
+    LINE_X2_P5,
+    LINE_X3,
+    PARABOLA,
+    PLANE_LINE,
+    THREEVAR,
+)
 from padiczeta.cli import main
 from padiczeta.errors import EvenPrimeUnsupported, WalkInvariantError
 from padiczeta.expsum import (
@@ -195,14 +205,14 @@ def test_histograms_refuse_a_level_the_target_outruns():
 
 
 def _count_walks(monkeypatch):
-    walks = []  # the level of every point walk the direct sums start
-    stream = expsum.iter_hensel_points
+    walks = []  # the depth of every chart walk the direct sums start
+    classes = expsum.value_classes
 
-    def counting(lifter, m, *args, **kwargs):
-        walks.append(m)
-        return stream(lifter, m, *args, **kwargs)
+    def counting(lifter, depth, *args, **kwargs):
+        walks.append(depth)
+        return classes(lifter, depth, *args, **kwargs)
 
-    monkeypatch.setattr(expsum, "iter_hensel_points", counting)
+    monkeypatch.setattr(expsum, "value_classes", counting)
     return walks
 
 
@@ -246,3 +256,31 @@ def test_one_walk_per_chart_serves_every_level_and_unit(monkeypatch, tmp_path):
     spec = Path(__file__).resolve().parents[1] / "scripts" / "specs" / "line_x2.json"
     assert main(["expsum", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 0
     assert walks == [5]
+
+
+def test_direct_sums_count_subtrees_from_half_depth(monkeypatch):
+    # a chart walk to level K visits the nodes to level top = ceil(K / 2)
+    # alone (the targets x2^2 and x2^2 + x3^3 have s = 0), and each level-top
+    # node counts its subtree from one Taylor step.  LINE_X2_P5 (5 roots,
+    # 5 lifts per node), one walk per m = 1..5 to tops 1, 1, 2, 2, 3:
+    # 5 + 5 + 30 + 30 + 155 = 225 nodes, where walking to K cost
+    # 5 + 30 + 155 + 780 + 3,905 = 4,875.  THREEVAR (9 roots, 9 lifts per
+    # node) at m = 1..3, tops 1, 1, 2: 9 + 9 + 90 = 108, was 9 + 90 + 819 = 918
+    meters = []
+    meter_class = variety.BudgetMeter
+
+    def recording(limit, stage):
+        meter = meter_class(limit, stage)
+        meters.append(meter)
+        return meter
+
+    monkeypatch.setattr(variety, "BudgetMeter", recording)
+    for system, m_values, used in (
+        (LINE_X2_P5.system, [1, 2, 3, 4, 5], [5, 5, 30, 30, 155]),
+        (THREEVAR.system, [1, 2, 3], [9, 9, 90]),
+    ):
+        meters.clear()
+        assert stationary_phase_check(system, m_values).passed()
+        walks = [meter for meter in meters if meter.stage.startswith("hensel walk")]
+        assert [meter.stage for meter in walks] == [f"hensel walk m={m}" for m in m_values]
+        assert [meter.used for meter in walks] == used

@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from padiczeta.bundled import BAD_LINE, GOOD_REDUCTION, LINE_X2, PARABOLA, THREEVAR
 from padiczeta.cli import main
@@ -22,6 +22,7 @@ from padiczeta.mpoly import parse_polynomial, system_from_strings
 from padiczeta.expsum import (
     build_stationary_phase_context,
     decay_report,
+    decomposed_expsum_check,
     direct_sums,
     exponential_sum,
     oscillatory_integral,
@@ -52,6 +53,7 @@ from padiczeta.variety import (
     iter_hensel_points,
     lifter_for,
     tally_zeros,
+    value_classes,
 )
 from padiczeta.zeta import build_shell_table, conductor_vanishing_scan, tail_measure
 
@@ -598,6 +600,84 @@ def test_multi_level_direct_sums_match_per_level_calls(case):
             assert abs(surface - _brute_sum(system, covered, m, u, K)) < 1e-12, (m, u)
 
 
+# p = 2 with an even linear term: every root of x1 + x2 is critical for the
+# target x2^2 + 2*x2, and the bad draw's charts at L = 2 meet a coset support
+COUNTED_EXAMPLES = [
+    (system_from_strings(2, 2, ["x1 + x2"], "x2^2 + 2*x2"), None),
+    (system_from_strings(3, 2, ["3*x1 + 3*x2^2"], "x2^2 - x2"), Support.cosets(2, 1, [(0, 0)], 3)),
+]
+
+
+@given(graphs_with_support())
+@example(COUNTED_EXAMPLES[0])
+@example(COUNTED_EXAMPLES[1])
+@settings(max_examples=30, deadline=None)
+def test_value_classes_match_brute_tallies(case):
+    # every chart's level-K points in the support, tallied by their target
+    # value mod p^M, against the classes its counted subtrees emit, for K up
+    # to 6, 4 and 3 at p = 2, 3 and 5 and every M the level-K class fixes:
+    # M <= K + s, and K + 1 at p = 2 when the linear term is even, as
+    # (y + 2^K z)^2 + b (y + 2^K z) moves by 2^(K + 1); there the (M - s)
+    # term of the counted level decides
+    system, support = case
+    p = system.p
+    decomposition = measure_charts(system, DEFAULT_BUDGET)
+    even = p == 2 and decomposition.L == 0 and system.target.terms.get((0, 1), 0) % 2 == 0
+    for chart in decomposition.charts:
+        meets, sup = decomposition.restrict(chart, support)
+        if not meets:
+            continue
+        lifter = decomposition.lifter(chart)
+        constant = MPoly.constant(2, chart.target.constant_term())
+        s = (chart.target - constant).content_valuation(p)
+        chart_system = PolySystem(p=p, n=2, constraints=chart.constraints, target=chart.target)
+        for depth in range(1, {2: 6, 3: 4, 5: 3}[p] + 1):
+            _, points = brute_force_points(chart_system, depth, support=sup, collect=True)
+            values = [chart.target.evaluate(y) for y in points]
+            for precision in range(depth + s + even + 1):
+                modulus = p**precision
+                brute = {}
+                for value in values:
+                    brute[value % modulus] = brute.get(value % modulus, 0) + 1
+                counted = {}
+                for c, a, hits in value_classes(lifter, depth, chart.target, precision, support=sup):
+                    for r in range(c, modulus, p**a):
+                        counted[r] = counted.get(r, 0) + hits
+                assert counted == brute, (chart.center, depth, precision)
+
+
+@given(graphs_with_support())
+@example(COUNTED_EXAMPLES[0])
+@example(COUNTED_EXAMPLES[1])
+@settings(max_examples=30, deadline=None)
+def test_counted_direct_sums_match_brute(case):
+    # the direct sums at m <= 6, 4 and 3 for p = 2, 3 and 5, whose chart
+    # walks count subtrees of two or more levels, against the sums over the
+    # brute-force points; and the decomposition identity, whose right side
+    # sums each chart's level-0 histogram when m <= the chart's e_l
+    system, support = case
+    p, dim = system.p, system.dim
+    top = {2: 6, 3: 4, 5: 3}[p]
+    units = {m: [u for u in range(1, p**m) if u % p] for m in range(1, top + 1)}
+    sums = direct_sums(system, units, False)
+    surfaces = direct_sums(system, units, True, support)
+    # one brute-force scan: its level K >= top + c fixes every image class
+    # and the support, as in `_brute_points`
+    c = system.constraints[0].content_valuation(p)
+    K = max(top, support.level if support else 0) + c
+    _, points = brute_force_points(system, K, collect=True)
+    covered = [x for x in points if support is None or support.admits_prefix(x, K, p)]
+    for m, us in units.items():
+        image = {tuple(x % p**m for x in point) for point in points}
+        for u, direct, surface in zip(us, sums[m], surfaces[m]):
+            assert abs(direct - _brute_sum(system, image, m, u, m)) < 1e-12, (m, u)
+            assert abs(surface - _brute_sum(system, covered, m, u, K)) < 1e-12, (m, u)
+    L = measure_charts(system, DEFAULT_BUDGET).L
+    for row in decomposed_expsum_check(system, list(range(L + 1, top + 1))):
+        assert row.lhs == sums[row.m][0] * p ** (row.m * dim)
+        assert row.gap < 1e-9, row.m
+
+
 def test_batched_direct_sums_validate_units():
     system = LINE_X2.system
     with pytest.raises(ValueError):
@@ -631,8 +711,9 @@ BUDGET_COSETS = Support.cosets(2, 3, [(0, 0), (1, 0)], 3)
             lambda budget: measure_charts(BUDGET_LINE, budget).image_count(2, budget),
             "hensel walk m=2",
         ),
-        # one walk to level 2 serves both units: 3 + 9 nodes
-        (lambda budget: exponential_sum(BUDGET_LINE, 2, [1, 2], budget), "hensel walk m=2"),
+        # one walk to level 4 serves both units, and its level-2 nodes count
+        # their subtrees: 3 + 9 nodes
+        (lambda budget: exponential_sum(BUDGET_LINE, 4, [1, 2], budget), "hensel walk m=4"),
         # the support's level 3 is the deepest: 3 + 6 + 6 nodes, counting the
         # lifts it prunes
         (
