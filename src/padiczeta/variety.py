@@ -477,9 +477,9 @@ def value_classes(
     tree that the support admits, and target mod p^precision must be a
     function of a point's class mod p^depth.  One walk (meter stage
     `hensel walk m=<depth>`) visits the nodes up to level top = min(depth,
-    max(ceil(depth / 2), ceil((precision - s) / 2), support level, 1)),
+    max(ceil(depth / 2), ceil((precision - s) / 2), support level or 1)),
     with p^s the content of the target's non-constant coefficients, and
-    each level-top node x of level j stands for its subtree.  There the
+    each node x of level j = top stands for its subtree.  There the
     Taylor tails carry p^(2j) for the constraints G and p^(2j + s) for
     the target T, at every p, so the subtree's points are x + p^j y for
     the y with grad G(x) y = -G(x)/p^j mod p^(depth - j), and T = T(x) +
@@ -497,12 +497,15 @@ def value_classes(
     lifter = lifter.smooth()
     p, n = lifter.p, lifter.n
     modulus = p**precision
-    s = (target - MPoly.constant(n, target.constant_term())).content_valuation(p)
-    s = precision if s is None else min(s, precision)  # s >= precision: T(x) is the class
-    stripped = MPoly(n, {e: c // p**s for e, c in target.terms.items() if any(e)})
-    gradient = [stripped.partial(k) for k in range(1, n + 1)]
+    valuations = [int_valuation(c, p) for k, c in target.terms.items() if any(k)]
+    s = min([*valuations, precision])  # s >= precision: T(x) is the class
     sup_level = support.level if support else 1
-    top = min(depth, max((depth + 1) // 2, (precision - s + 1) // 2, sup_level, 1))
+    top = min(depth, max((depth + 1) // 2, (precision - s + 1) // 2, sup_level))
+    e = precision - top - s  # the precision g . y needs, the same at every emitted node
+    spread = (depth - top) * lifter.dim
+    if e > 0:
+        stripped = MPoly(n, {k: c // p**s for k, c in target.terms.items() if any(k)})
+        gradient = [stripped.partial(k) for k in range(1, n + 1)]
     full_rank: dict[tuple[int, ...], bool] = {}
 
     def visit(x: tuple[int, ...], j: int):
@@ -510,7 +513,7 @@ def value_classes(
             return PRUNE
         if j < top:
             return DESCEND
-        value, a, e = target.evaluate(x, modulus), precision, precision - j - s
+        value, a = target.evaluate(x, modulus), precision
         if e > 0:
             root = tuple([c % p for c in x])
             if root not in full_rank:
@@ -524,13 +527,12 @@ def value_classes(
                 row = _eliminated(rows, [df.evaluate(x, p**e) for df in gradient] + [0], p, e)
                 a = j + s + min((int_valuation(c, p) for c in row[:-1] if c), default=e)
                 value -= p ** (j + s) * row[-1]  # row[-1] = -g . (the y with zero free part)
-        spread = (depth - j) * lifter.dim - (precision - a)
-        if spread < 0:
+        if spread < precision - a:
             raise WalkInvariantError(
-                f"{p}^{(depth - j) * lifter.dim} level-{depth} points cannot cover "
+                f"{p}^{spread} level-{depth} points cannot cover "
                 f"{p}^{precision - a} residues mod p^{precision}"
             )
-        return value % p**a, a, p**spread
+        return value % p**a, a, p ** (spread - precision + a)
 
     meter = BudgetMeter(budget, f"hensel walk m={depth}")
     return walk(lifter.roots(), lifter.children, visit, meter)
