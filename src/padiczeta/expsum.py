@@ -9,10 +9,9 @@ up one per-chart character sum, walked with the chart's lifter from
 deepest level any requested m needs, into exact integer histograms of
 f_l mod p^m that serve every level and unit; a unit sees only their
 orthogonality fold, evaluated last, so a sum that cancels exactly is
-exactly 0.  The walk stops at half depth: `variety.value_classes` counts
-each subtree there from one first-order Taylor step, as one class of
-values hit evenly.  `exponential_sum` and `oscillatory_integral` are its
-one-level calls.
+exactly 0.  The walk stops at half depth, where `variety.value_classes`
+counts each subtree as one class of values hit evenly.
+`exponential_sum` and `oscillatory_integral` are its one-level calls.
 
 The formula route rebuilds the oscillatory integral, the surface
 integral of Psi(z f_l) over the support, out of twisted local zeta

@@ -21,14 +21,12 @@ node by a local Smith reduction, with no Jacobian minors.  `lift_counts`
 gives that count for any polynomials; the ambient walk of `regularize`
 counts its subtrees with it, from the constraints alone below level r
 and from the target alone past it.  The direct exponential sums count
-their subtrees from half depth too: `value_classes` puts a node's
-subtree on one class of target values hit evenly, read from the same
-Taylor step with the constraint pivots eliminated from the target
-gradient, or from the full rank of both gradients mod p at the node's
-root.  Two oracles stay independent of the
-lifter: a brute-force scan of the full residue grid, which every walk
-is checked against, and the image oracle, a class search on `walk` over
-the all-digit tree.  A class search walks each tree once, to the class
+from half depth too: `value_classes` takes the nodes there from
+`iter_hensel_points` and puts each subtree on one class of target
+values hit evenly.  Two oracles stay independent of the lifter: a
+brute-force scan of the full residue grid, which every walk is checked
+against, and the image oracle, a class search on `walk` over the
+all-digit tree.  A class search walks each tree once, to the class
 level and then below each class toward one level past its accuracy,
 and stops there.  The oracle evaluates the constraints and their
 gradient once per node and keeps the digit vectors that pass that
@@ -475,11 +473,11 @@ def value_classes(
 
     The subtrees partition the level-depth points of a smooth lifter's
     tree that the support admits, and target mod p^precision must be a
-    function of a point's class mod p^depth.  One walk (meter stage
-    `hensel walk m=<depth>`) visits the nodes up to level top = min(depth,
-    max(ceil(depth / 2), ceil((precision - s) / 2), support level or 1)),
-    with p^s the content of the target's non-constant coefficients, and
-    each node x of level j = top stands for its subtree.  There the
+    function of a point's class mod p^depth.  `iter_hensel_points`
+    (meter stage `hensel walk m=<depth>`) streams the level-j nodes, j =
+    min(depth, max(ceil(depth / 2), ceil((precision - s) / 2), support
+    level or 1)), with p^s the content of the target's non-constant
+    coefficients, and each node x stands for its subtree.  There the
     Taylor tails carry p^(2j) for the constraints G and p^(2j + s) for
     the target T, at every p, so the subtree's points are x + p^j y for
     the y with grad G(x) y = -G(x)/p^j mod p^(depth - j), and T = T(x) +
@@ -487,55 +485,42 @@ def value_classes(
     g's entries at one unit pivot of each constraint row (the lifter is
     smooth) leaves a form in the dim free coordinates, of content p^v:
     the values are one class mod p^a, a = min(precision, j + s + v), hit
-    evenly.  Where (grad G, grad T/p^s) has full rank mod p at x's root,
-    decided once per root, v = 0 and nothing is eliminated.  No node
-    below top is built, and the meter is charged for the visited nodes
-    only.
+    evenly.  g mod p, and so whether v > 0, depends on x mod p alone, and
+    the elimination runs to p^(precision - j - s) only above the roots
+    where it leaves g = 0 mod p.
     """
-    if depth < 1:
-        raise WalkInvariantError(f"no level {depth} < 1 in the lift tree")
     lifter = lifter.smooth()
     p, n = lifter.p, lifter.n
     modulus = p**precision
     valuations = [int_valuation(c, p) for k, c in target.terms.items() if any(k)]
     s = min([*valuations, precision])  # s >= precision: T(x) is the class
     sup_level = support.level if support else 1
-    top = min(depth, max((depth + 1) // 2, (precision - s + 1) // 2, sup_level))
-    e = precision - top - s  # the precision g . y needs, the same at every emitted node
-    spread = (depth - top) * lifter.dim
+    j = min(depth, max((depth + 1) // 2, (precision - s + 1) // 2, sup_level))
+    e = precision - j - s  # the precision g . y needs
+    spread = (depth - j) * lifter.dim
     if e > 0:
         stripped = MPoly(n, {k: c // p**s for k, c in target.terms.items() if any(k)})
         gradient = [stripped.partial(k) for k in range(1, n + 1)]
-    full_rank: dict[tuple[int, ...], bool] = {}
-
-    def visit(x: tuple[int, ...], j: int):
-        if support is not None and not support.admits_prefix(x, j, p):
-            return PRUNE
-        if j < top:
-            return DESCEND
-        value, a = target.evaluate(x, modulus), precision
+    critical: dict[tuple[int, ...], bool] = {}  # root -> v > 0, decided mod p at the root
+    for x in iter_hensel_points(lifter, j, budget, support, stage=f"hensel walk m={depth}"):
+        value, a = target.evaluate(x, modulus), min(precision, j + s)
         if e > 0:
             root = tuple([c % p for c in x])
-            if root not in full_rank:
-                gradients = (*lifter._partials, gradient)
-                jac = [[df.evaluate(root, p) for df in row] for row in gradients]
-                full_rank[root] = len(_rref(jac, p)[1]) == len(jac)
-            if full_rank[root]:
-                a = j + s
-            else:
+            if root not in critical:
+                rows = [[df.evaluate(root, p) for df in row] + [0] for row in lifter._partials]
+                row = _eliminated(rows, [df.evaluate(root, p) for df in gradient] + [0], p, 1)
+                critical[root] = not any(row)
+            if critical[root]:
                 rows = _taylor_rows(lifter.constraints, lifter._partials, x, j, e, p)
                 row = _eliminated(rows, [df.evaluate(x, p**e) for df in gradient] + [0], p, e)
-                a = j + s + min((int_valuation(c, p) for c in row[:-1] if c), default=e)
+                a += min((int_valuation(c, p) for c in row[:-1] if c), default=e)
                 value -= p ** (j + s) * row[-1]  # row[-1] = -g . (the y with zero free part)
         if spread < precision - a:
             raise WalkInvariantError(
                 f"{p}^{spread} level-{depth} points cannot cover "
                 f"{p}^{precision - a} residues mod p^{precision}"
             )
-        return value % p**a, a, p ** (spread - precision + a)
-
-    meter = BudgetMeter(budget, f"hensel walk m={depth}")
-    return walk(lifter.roots(), lifter.children, visit, meter)
+        yield value % p**a, a, p ** (spread - precision + a)
 
 
 def _eliminated(rows: Sequence[Sequence[int]], row: Sequence[int], p: int, e: int) -> list[int]:
@@ -544,19 +529,28 @@ def _eliminated(rows: Sequence[Sequence[int]], row: Sequence[int], p: int, e: in
     Each row pivots on a unit entry it still has once the earlier pivots
     are cleared from it; a row with none is a rank drop mod p.
     """
-    modulus = p**e
     rows, row = [list(r) for r in rows], list(row)
     while rows:
         pivot_row = rows.pop()
         c = next((c for c, a in enumerate(pivot_row[:-1]) if a % p), None)
         if c is None:
             raise WalkInvariantError("the constraint rows lose rank mod p on a smooth tree")
-        inverse = pow(pivot_row[c], -1, modulus)
-        for other in (*rows, row):
-            if other[c]:
-                factor = other[c] * inverse % modulus
-                other[:] = [(a - factor * b) % modulus for a, b in zip(other, pivot_row)]
+        _clear_column((*rows, row), pivot_row, c, 1, p**e)
     return row
+
+
+def _clear_column(
+    rows: Iterable[list[int]], pivot_row: Sequence[int], c: int, scale: int, modulus: int
+) -> None:
+    """Subtract from each row the multiple of pivot_row that zeroes its column c mod modulus.
+
+    pivot_row[c] is scale times a unit, and scale divides each row's entry there.
+    """
+    inverse = pow(pivot_row[c] // scale, -1, modulus)
+    for row in rows:
+        if row[c]:
+            factor = row[c] // scale * inverse % modulus
+            row[:] = [(a - factor * b) % modulus for a, b in zip(row, pivot_row)]
 
 
 def _solution_count(system: Sequence[Sequence[int]], n: int, p: int, i: int) -> int:
@@ -589,11 +583,7 @@ def _solution_count(system: Sequence[Sequence[int]], n: int, p: int, i: int) -> 
             return 0
         power += v
         free.remove(c)
-        inverse = pow(pivot_row[c] // p**v, -1, modulus)
-        for row in rows:
-            if row[c]:
-                factor = row[c] // p**v * inverse % modulus
-                row[:] = [(a - factor * b) % modulus for a, b in zip(row, pivot_row)]
+        _clear_column(rows, pivot_row, c, p**v, modulus)
     if any(row[-1] for row in rows):
         return 0
     return p ** (power + i * len(free))
@@ -644,14 +634,17 @@ def iter_hensel_points(
     m: int,
     budget: int = DEFAULT_BUDGET,
     support: Support | None = None,
+    stage: str | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """Stream the level-m points of a smooth lifter's tree that the support admits.
 
     Depth-first, lexicographic in the digit vectors, one root-to-leaf
     path in memory at a time.  The lifter comes from `lifter_for`; chart
-    walks look theirs up through `smoothing.Decomposition.lifter`.
+    walks look theirs up through `smoothing.Decomposition.lifter`.  The
+    meter stage is `hensel walk m=<m>` unless `stage` names the level
+    the walk serves.
     """
-    yield from _points_at(lifter.smooth(), m, budget, support, f"hensel walk m={m}")
+    yield from _points_at(lifter.smooth(), m, budget, support, stage or f"hensel walk m={m}")
 
 
 def tally_zeros(

@@ -601,16 +601,24 @@ def test_multi_level_direct_sums_match_per_level_calls(case):
 
 
 # p = 2 with an even linear term: every root of x1 + x2 is critical for the
-# target x2^2 + 2*x2, and the bad draw's charts at L = 2 meet a coset support
+# target x2^2 + 2*x2, and the bad draw's charts at L = 2 meet a coset support.
+# The drawn targets leave out x1, the variable the constraint row pivots on,
+# so the last two targets carry it: on x1 = -x2^2 they restrict to x2^3 and
+# x2^3 + x2, and only the elimination of that pivot from the target
+# gradient finds their critical roots
 COUNTED_EXAMPLES = [
     (system_from_strings(2, 2, ["x1 + x2"], "x2^2 + 2*x2"), None),
     (system_from_strings(3, 2, ["3*x1 + 3*x2^2"], "x2^2 - x2"), Support.cosets(2, 1, [(0, 0)], 3)),
+    (system_from_strings(3, 2, ["x1 + x2^2"], "x1 + x2^2 + x2^3"), None),
+    (system_from_strings(2, 2, ["x1 + x2^2"], "x1 + x2^2 + x2^3 + x2"), None),
 ]
 
 
 @given(graphs_with_support())
 @example(COUNTED_EXAMPLES[0])
 @example(COUNTED_EXAMPLES[1])
+@example(COUNTED_EXAMPLES[2])
+@example(COUNTED_EXAMPLES[3])
 @settings(max_examples=30, deadline=None)
 def test_value_classes_match_brute_tallies(case):
     # every chart's level-K points in the support, tallied by their target
@@ -649,6 +657,8 @@ def test_value_classes_match_brute_tallies(case):
 @given(graphs_with_support())
 @example(COUNTED_EXAMPLES[0])
 @example(COUNTED_EXAMPLES[1])
+@example(COUNTED_EXAMPLES[2])
+@example(COUNTED_EXAMPLES[3])
 @settings(max_examples=30, deadline=None)
 def test_counted_direct_sums_match_brute(case):
     # the direct sums at m <= 6, 4 and 3 for p = 2, 3 and 5, whose chart
