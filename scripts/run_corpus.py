@@ -29,6 +29,7 @@ from padiczeta.bundled import (
     THREEVAR,
 )
 from padiczeta.expsum import decomposed_expsum_check, stationary_phase_check
+from padiczeta.mpoly import system_from_strings
 from padiczeta.poincare import (
     check_series_zeta_identity,
     congruence_counts,
@@ -103,14 +104,16 @@ def main() -> int:
             except Exception as exc:  # noqa: BLE001 - report and count
                 record(instance.name, "candidate poles", False, str(exc)[:50])
 
-    # threevar's counts past brute force's reach, against the independent route:
-    # P = (1 - t Z) / (1 - t), with Z reconstructed from the depth-14 shell table
-    system = THREEVAR.system
-    zeta_coeffs = build_shell_table(system, 14).trivial_fn().series(12)
-    scaled = itertools.accumulate([Fraction(1), *(-z for z in zeta_coeffs)])
-    q_dim = system.p**system.dim
-    expected = [value * q_dim**m for m, value in enumerate(scaled)]
-    record(THREEVAR.name, "counts to m=12 vs zeta", congruence_counts(system, 12) == expected)
+    # counts past brute force's reach, where the count walks settle most nodes
+    # by the target's slope, against the independent route: P = (1 - t Z) /
+    # (1 - t), with Z reconstructed from a shell table two levels deeper
+    curve = system_from_strings(3, 4, ["x1 - x2*x3", "x4 - x2^2"], "x3^2 + x4^3")
+    for name, system, m in ((THREEVAR.name, THREEVAR.system, 14), ("curve_z3^4", curve, 12)):
+        zeta_coeffs = build_shell_table(system, m + 2).trivial_fn().series(m)
+        scaled = itertools.accumulate([Fraction(1), *(-z for z in zeta_coeffs)])
+        q_dim = system.p**system.dim
+        expected = [value * q_dim**k for k, value in enumerate(scaled)]
+        record(name, f"counts to m={m} vs zeta", congruence_counts(system, m) == expected)
 
     # LINE_X2_P5 to m = 8 and threevar to m = 6 lie past what enumerating
     # every chart point could afford (5^8 and 3^12 leaves in one walk): the

@@ -10,7 +10,8 @@ deepest level any requested m needs, into exact integer histograms of
 f_l mod p^m that serve every level and unit; a unit sees only their
 orthogonality fold, evaluated last, so a sum that cancels exactly is
 exactly 0.  The walk stops at half depth, where `variety.value_classes`
-counts each subtree as one class of values hit evenly.
+counts each subtree as one class of values hit evenly (the Taylor and
+elimination argument of `variety._slopes`).
 `exponential_sum` and `oscillatory_integral` are its one-level calls.
 
 The formula route rebuilds the oscillatory integral, the surface
@@ -76,7 +77,7 @@ def _add_histograms(
     levels maps each m to its k, and target mod p^m is a function of y
     mod p^k.  One `value_classes` walk to K = max k serves every m: it
     puts each counted subtree's level-K points on one class c mod p^a,
-    evenly over its residues mod p^max(m).  A class with a >= m lands on
+    evenly over its residues mod p^max(m) (by `variety._slopes`).  A class with a >= m lands on
     c mod p^m; one with a < m covers whole classes mod p^(m-1) evenly, so
     it adds 0 to every unit's fold in `_unit_sums` and is dropped.  Every
     level-k point has p^((K - k) dim) lifts at K, so each residue's tally,

@@ -41,7 +41,6 @@ from .variety import (
     HenselLifter,
     first_lifts,
     good_reduction_test,
-    iter_hensel_points,
     lifter_for,
 )
 
@@ -313,14 +312,19 @@ class Decomposition(NamedTuple):
         return True, Support(n=support.n, level=rel_level, centers=tuple(sorted(y_centers)))
 
     def image_count(self, m: int, budget: int = DEFAULT_BUDGET) -> int:
-        """Number of classes mod p^m hit by Z_p points of the variety."""
+        """Number of classes mod p^m hit by Z_p points of the variety.
+
+        Past L they are the charts' level-(m - L) nodes, with no walk: a
+        smooth lifter's root has p^dim lifts at every level.
+        """
         if m == 0:
             return 1
         if m <= self.L:
             return len(self.classes(m))
+        p, k = self.system.p, m - self.L - 1
         return sum(
-            sum(1 for _ in iter_hensel_points(self.lifter(chart, budget), m - self.L, budget))
-            for chart in self.charts
+            len(lifter.roots()) * p ** (k * lifter.dim)
+            for lifter in (self.lifter(chart, budget) for chart in self.charts)
         )
 
     def classes(self, m: int) -> list[tuple[int, ...]]:

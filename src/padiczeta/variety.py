@@ -13,17 +13,21 @@ same lifter walks the filtered congruence tree, used for the first-lift
 search of bad-reduction chart centers and the ambient integrals.  The
 count tallies walk the lift tree of one system too: a chart's
 constraints and its target over the p^s its non-constant coefficients
-carry, so they build only the target's zeros.  They build no node past
-half their depth: there the first-order Taylor step is exact on a
-node's whole subtree, so each deeper level's count is the solution
-count of one linear system over Z/p^i, read from one evaluation at the
-node by a local Smith reduction, with no Jacobian minors.  `lift_counts`
-gives that count for any polynomials; the ambient walk of `regularize`
-counts its subtrees with it, from the constraints alone below level r
-and from the target alone past it.  The direct exponential sums count
-from half depth too: `value_classes` takes the nodes there from
-`iter_hensel_points` and puts each subtree on one class of target
-values hit evenly.  Two oracles stay independent of the lifter: a
+carry, so they build only the target's zeros.  `_slopes` reads the
+target's linear term on a node's subtree, eliminated against the
+constraint pivots: where its content is below p^j the target is a
+submersion on the node's ball, and the tally counts every deeper level
+in closed form.  The other nodes are built up to half the depth: there
+the first-order Taylor step is exact on a node's whole subtree, so each
+deeper level's count is the solution count of one linear system over
+Z/p^i, read from one evaluation at the node by a local Smith
+reduction, with no Jacobian minors.  `lift_counts` gives that count for
+any polynomials; the ambient walk of `regularize` counts its subtrees
+with it, from the constraints alone below level r and from the target
+alone past it.  The direct exponential sums count from half depth too:
+`value_classes` takes the nodes there from `iter_hensel_points` and
+puts each subtree on one class of target values hit evenly, by the
+same `_slopes`.  Two oracles stay independent of the lifter: a
 brute-force scan of the full residue grid, which every walk is checked
 against, and the image oracle, a class search on `walk` over the
 all-digit tree.  A class search walks each tree once, to the class
@@ -43,6 +47,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import BadReductionInput, BudgetExceeded, Frozen, NotStabilized, WalkInvariantError
@@ -461,6 +466,54 @@ def lift_count(
     return _solution_count(_taylor_rows(polys, gradients, x, j, i, p), len(x), p, i)
 
 
+def _slopes(
+    lifter: HenselLifter, gradient: Sequence[MPoly]
+) -> Callable[[tuple[int, ...], int, int], tuple[int, int]]:
+    """slope(x, j, e) -> (v, shift): the linear term of a target T on a level-j node's subtree.
+
+    The lifter is smooth, gradient lists T's partials, and e <= j.  The
+    Taylor tails of the constraints G and of T carry p^(2j), so the
+    subtree's points are x + p^j y with grad G(x) y = -G(x)/p^j mod p^e,
+    and T(x + p^j y) = T(x) + p^j g . y mod p^(j + e), g = grad T(x).
+    Clearing g's entries at one unit pivot of each constraint row leaves
+    a form in the dim free coordinates z of y, of content p^v (v = e
+    where it is 0 mod p^e), and T = T(x) + p^j (shift + form(z)) mod
+    p^(j + e).  So for v < e the
+    values are one class mod p^(j + v), and past it T is a submersion on
+    the node's ball: the form over p^v has a unit entry, and every term
+    past it carries p^(j - v) more, so T's digits past j + v are those of
+    a unit-Jacobian change of the free coordinates, spread evenly at every
+    deeper level (Igusa's stationary phase, on one chart).  g mod p, and
+    so whether v > 0, depends on x mod p alone: it is decided once per
+    root, and the elimination mod p^e runs only above roots where it
+    leaves g = 0 mod p; elsewhere the slope is (0, 0).  Where p^e divides
+    the content of T's gradient, g = 0 mod p^e and the slope is (e, 0).
+    """
+    lifter = lifter.smooth()
+    p, partials = lifter.p, lifter._partials
+    content = min(
+        (int_valuation(c, p) for df in gradient for c in df.terms.values()), default=math.inf
+    )
+    critical: dict[tuple[int, ...], bool] = {}  # root -> v > 0
+
+    def slope(x: tuple[int, ...], j: int, e: int) -> tuple[int, int]:
+        if content >= e:
+            return e, 0
+        root = tuple([c % p for c in x])
+        if root not in critical:
+            rows = [[df.evaluate(root, p) for df in row] + [0] for row in partials]
+            row = _eliminated(rows, [df.evaluate(root, p) for df in gradient] + [0], p, 1)
+            critical[root] = not any(row)
+        if not critical[root]:
+            return 0, 0
+        rows = _taylor_rows(lifter.constraints, partials, x, j, e, p)
+        row = _eliminated(rows, [df.evaluate(x, p**e) for df in gradient] + [0], p, e)
+        # row[-1] = -g . (the y with zero free part)
+        return min((int_valuation(c, p) for c in row[:-1] if c), default=e), -row[-1]
+
+    return slope
+
+
 def value_classes(
     lifter: HenselLifter,
     depth: int,
@@ -477,17 +530,9 @@ def value_classes(
     (meter stage `hensel walk m=<depth>`) streams the level-j nodes, j =
     min(depth, max(ceil(depth / 2), ceil((precision - s) / 2), support
     level or 1)), with p^s the content of the target's non-constant
-    coefficients, and each node x stands for its subtree.  There the
-    Taylor tails carry p^(2j) for the constraints G and p^(2j + s) for
-    the target T, at every p, so the subtree's points are x + p^j y for
-    the y with grad G(x) y = -G(x)/p^j mod p^(depth - j), and T = T(x) +
-    p^(j + s) g . y mod p^precision with g = grad(T/p^s)(x).  Clearing
-    g's entries at one unit pivot of each constraint row (the lifter is
-    smooth) leaves a form in the dim free coordinates, of content p^v:
-    the values are one class mod p^a, a = min(precision, j + s + v), hit
-    evenly.  g mod p, and so whether v > 0, depends on x mod p alone, and
-    the elimination runs to p^(precision - j - s) only above the roots
-    where it leaves g = 0 mod p.
+    coefficients, and each node x stands for its subtree: there e =
+    precision - j - s <= j, so by `_slopes` of T/p^s the values are one
+    class mod p^a, a = j + s + v, hit evenly.
     """
     lifter = lifter.smooth()
     p, n = lifter.p, lifter.n
@@ -500,21 +545,12 @@ def value_classes(
     spread = (depth - j) * lifter.dim
     if e > 0:
         stripped = MPoly(n, {k: c // p**s for k, c in target.terms.items() if any(k)})
-        gradient = [stripped.partial(k) for k in range(1, n + 1)]
-    critical: dict[tuple[int, ...], bool] = {}  # root -> v > 0, decided mod p at the root
+        slope = _slopes(lifter, [stripped.partial(k) for k in range(1, n + 1)])
     for x in iter_hensel_points(lifter, j, budget, support, stage=f"hensel walk m={depth}"):
         value, a = target.evaluate(x, modulus), min(precision, j + s)
         if e > 0:
-            root = tuple([c % p for c in x])
-            if root not in critical:
-                rows = [[df.evaluate(root, p) for df in row] + [0] for row in lifter._partials]
-                row = _eliminated(rows, [df.evaluate(root, p) for df in gradient] + [0], p, 1)
-                critical[root] = not any(row)
-            if critical[root]:
-                rows = _taylor_rows(lifter.constraints, lifter._partials, x, j, e, p)
-                row = _eliminated(rows, [df.evaluate(x, p**e) for df in gradient] + [0], p, e)
-                a += min((int_valuation(c, p) for c in row[:-1] if c), default=e)
-                value -= p ** (j + s) * row[-1]  # row[-1] = -g . (the y with zero free part)
+            v, shift = slope(x, j, e)
+            a, value = a + v, value + p ** (j + s) * shift
         if spread < precision - a:
             raise WalkInvariantError(
                 f"{p}^{spread} level-{depth} points cannot cover "
@@ -658,33 +694,38 @@ def tally_zeros(
 ) -> list[int]:
     """tally[j]: the level-j nodes x in the support with target(x) = 0 mod p^min(s + j, cap).
 
-    The target T's non-constant coefficients carry p^s, s = offset, and
-    cap None means no cap.  T = 0 mod p^(s + j) holds exactly when p^s
-    divides T's constant term and T/p^s = 0 mod p^j, so up to the level
-    sat = cap - s, where the exponent stops growing, the passing nodes
-    are the lift tree of the system (constraints, T/p^s), whose lifter
-    comes from `lifter_for`.  From sat on, T mod p^cap only depends on a
-    node's class mod p^sat, so every lift of a passing node passes and
-    the tree goes on in the constraints' own lifter.  Where cap <= s the
-    tally only depends on the constant term mod p^cap.  The roots of
-    (constraints, T/p^s) are the lifter's roots where T/p^s vanishes mod
-    p, so where it vanishes at none the tally is zero and no lifter is
-    built.
+    The lifter is a chart's smooth lifter.  The target T's non-constant
+    coefficients carry p^s, s = offset, and cap None means no cap.  T = 0
+    mod p^(s + j) holds exactly when p^s divides T's constant term and
+    T/p^s = 0 mod p^j, so up to the level sat = cap - s, where the
+    exponent stops growing, the passing nodes are the lift tree of the
+    system (constraints, T/p^s), whose lifter comes from `lifter_for`.
+    From sat on, T mod p^cap only depends on a node's class mod p^sat,
+    so every lift of a passing node passes and the tree goes on in the
+    constraints' own lifter.  Where cap <= s the tally only depends on
+    the constant term mod p^cap.  The roots of (constraints, T/p^s) are
+    the lifter's roots where T/p^s vanishes mod p, so where it vanishes
+    at none the tally is zero and no lifter is built.
 
-    The walk visits exactly the nodes it counts up to the level top =
-    max(ceil(depth / 2), support level, sat when sat < depth), plus the
-    lifts the support prunes.  Past top nothing is built: a node counts
-    its descendants at every remaining level with
+    A visited node of level j, from the support's level up to sat - 1,
+    where `_slopes` of T/p^s gives v < j is settled and not descended:
+    T/p^s is a submersion on its ball, in one class c mod p^(j + v), so
+    with E = min(j + t, sat) its level-(j + t) lifts number p^(t dim),
+    of which p^(t dim - max(0, E - j - v)) pass where c = 0 mod
+    p^min(E, j + v) and none pass otherwise.  The other nodes, near T's
+    critical locus on the chart, are visited up to the level top =
+    max(ceil(depth / 2), support level, sat when sat < depth), and a node
+    there counts its descendants at every remaining level with
     `HenselLifter.subtree_counts` of the one system that holds there,
     one linear system over Z/p^i per level from one evaluation at the
-    node, which the first-order Taylor step makes exact at every p since
-    the levels left are at most the node's own.  The support is settled
-    at top, so a descendant's prefix test is its node's.  No Jacobian
-    minors and no closed form of the shell walks enter the counts.  The
-    meter is charged for the visited nodes only, so the budget bounds
-    the walk's work, not the counts it returns.
+    node, which the first-order Taylor step makes exact since the levels
+    left are at most the node's own.  The support is settled at both
+    kinds of node, so a descendant's prefix test is its node's.  The
+    counts read no Jacobian minors, so they stay a route independent of
+    the shell walks.  The meter is charged for the visited nodes only,
+    so the budget bounds the walk's work, not the counts it returns.
     """
-    p, n = lifter.p, lifter.n
+    p, n, dim = lifter.p, lifter.n, lifter.dim
     scale = p**offset
     if any(c % scale for e, c in target.terms.items() if any(e)):
         raise WalkInvariantError(f"target gradient does not carry p^{offset}: {target}")
@@ -692,24 +733,38 @@ def tally_zeros(
     sat = depth if cap is None else min(cap - offset, depth)
     if target.constant_term() % p ** min(offset, offset + sat):
         return tally  # T = T(0) mod p^min(s, cap), and every exponent reaches that
-    polys, r = lifter.constraints, 1  # the constraints alone from level 1 on
+    # the constraints alone from level 1 on; the caller's lookup of `lifter`
+    # admitted the scans of the same p^n residues below
+    polys, r, counted = lifter.constraints, 1, lifter
     if sat > 0:
         stripped = MPoly(n, {e: c // scale for e, c in target.terms.items()})
         if all(stripped.evaluate(x, p) for x in lifter.roots()):
             return tally  # no root of (constraints, T/p^s): build no lifter to find none
         polys, r = (*polys, stripped), sat
-    # the caller's lookup of `lifter` admitted this scan of the same p^n residues
+        counted = lifter_for(p, n, polys, p**n)
+        slope = _slopes(lifter, counted._partials[-1])
     roots, children = truncated_tree(p, n, polys, r, lifter.children, p**n)
-    top = min(depth, max((depth + 1) // 2, support.level if support else 1))
+    settle = support.level if support else 1
+    top = min(depth, max((depth + 1) // 2, settle))
     if sat < depth:  # count past sat, with the constraints alone
         top, counted = max(top, sat), lifter
-    else:
-        counted = lifter_for(p, n, polys, p**n)
+
+    def settled(x: tuple[int, ...], j: int, v: int, shift: int) -> list[int]:
+        c = (stripped.evaluate(x, p ** (j + v)) + p**j * shift) % p ** (j + v)
+        counts = []
+        for t in range(1, depth - j + 1):
+            E = min(j + t, sat)
+            counts.append(0 if c % p ** min(E, j + v) else p ** (t * dim - max(0, E - j - v)))
+        return counts
 
     def visit(x: tuple[int, ...], j: int):
         if support is not None and not support.admits_prefix(x, j, p):
             return PRUNE
         tally[j] += 1
+        if settle <= j < sat:
+            v, shift = slope(x, j, j)
+            if v < j:
+                return j, settled(x, j, v, shift)
         if j < top:
             return DESCEND
         return j, counted.subtree_counts(x, j, depth - j) if j < depth else []

@@ -24,13 +24,14 @@ subtree's share of every shell is a closed-form count (Igusa's
 stationary phase).  Where e = j (every minor vanishes mod p^j) the
 value mod p^(2j) still resolves every shell it fixes, and only the
 rest is descended.  The tally walks of `tail_measure` and
-`poincare.congruence_counts` use no minors and no closed form: they
-walk the lift tree of the chart constraints and the chart target over
-p^L, so they lift only the target's zeros, visit every counted node up
-to half their depth, and count each deeper level below such a node as
-the solutions of one linear congruence system over Z/p^i from the
-node's first-order Taylor data, so the counts are the second route of
-the identity P(t)(1 - t) + t Z(t) = 1.
+`poincare.congruence_counts` read no minors: they walk the lift tree
+of the chart constraints and the chart target over p^L, so they lift
+only the target's zeros, settle a node where the target's slope,
+eliminated against the constraint pivots (`variety._slopes`), has
+content below p^j, and count each deeper level below an unsettled node
+at half their depth as the solutions of one linear congruence system
+over Z/p^i, so the counts are the second route of the identity
+P(t)(1 - t) + t Z(t) = 1.
 
 One walk per chart and angular level serves every row m = 0..depth, and
 a walk of its own recounts the rows at level c + 1: each row's classes

@@ -340,10 +340,13 @@ def test_even_prime_twisted_route_exits_schema(tmp_path, capsys):
 
 
 def test_budget_exit_code(spec_file, tmp_path, capsys):
-    # the walk to level 12 visits more than 50 nodes
-    assert run("count", spec_file, tmp_path / "out", "--max-level", "12", "--budget", "50") == EXIT_BUDGET
+    # x2^2 on x1 = 0: the slope 2 x2 settles every zero x2 = 0 mod
+    # 3^ceil(j / 2) but x2 = 0 mod 3^j, so the walk to level 12 visits the
+    # root 0 and the three lifts of 0 at each of levels 2 to 6: 16 nodes,
+    # more than 10
+    assert run("count", spec_file, tmp_path / "out", "--max-level", "12", "--budget", "10") == EXIT_BUDGET
     last = capsys.readouterr().err.strip().splitlines()[-1]
-    assert last.startswith("error: count walk m=12 chart 1/1: enumeration budget 50 exhausted")
+    assert last.startswith("error: count walk m=12 chart 1/1: enumeration budget 10 exhausted")
 
 
 def test_wrong_resolution_data_exit_code(tmp_path):

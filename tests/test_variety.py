@@ -212,21 +212,53 @@ def _exponent(offset, cap):
     return lambda j: offset + j if cap is None else min(offset + j, cap)
 
 
-def _visited_top(depth, offset, cap, level=1):
-    """The last level a tally visits: max(ceil(depth / 2), support level, sat < depth) <= depth."""
-    sat = depth if cap is None else cap - offset  # the exponent stops growing at level sat
-    return min(depth, max((depth + 1) // 2, level, sat if sat < depth else 1))
+def _walked(p, points, target, offset, cap, depth, support):
+    """(digit vectors, level) of each node a tally walk of a graph system visits.
+
+    The walk visits the passing classes of level j whose parent it
+    visited, admitted and left open.  It leaves a node of level i open
+    below top = max(ceil(depth / 2), support level, sat when sat <
+    depth), sat = cap - s, unless the node is settled: from the support's
+    level up to sat - 1, where the target's slope has content below p^i.
+    The constraint x1 + g(x2) pivots on x1 and the target p^s (x2^2 + b
+    x2) + const has no x1, so that slope is 2 x2 + b, and a node settles
+    where 2 x2 + b != 0 mod p^i.
+    """
+    sat = depth if cap is None else min(cap - offset, depth)
+    level = support.level if support else 1
+    top = min(depth, max((depth + 1) // 2, level, sat if sat < depth else 1))
+    b = target.terms.get((0, 1), 0) // p**offset
+    exponent = _exponent(offset, cap)
+    walked, open_ = [], set()
+    for j in range(1, top + 1):
+        classes = {tuple(c % p**j for c in x) for x in points}
+        nodes = [
+            x
+            for x in classes
+            if target.evaluate(x, p ** exponent(j)) == 0
+            and (j == 1 or tuple(c % p ** (j - 1) for c in x) in open_)
+        ]
+        walked += [(tuple(tuple(c // p**k % p for c in x) for k in range(j)), j) for x in nodes]
+        open_ = {
+            x
+            for x in nodes
+            if (support is None or support.admits_prefix(x, j, p))
+            and not (level <= j < sat and (2 * x[1] + b) % p**j)
+        }
+    return walked
 
 
 @given(graph_systems(), st.data())
 @settings(max_examples=25, deadline=None)
 def test_tally_charges_every_counted_node(system, data):
-    # with no support a tally walk charges every node it counts at levels 1
-    # to top = max(ceil(depth / 2), sat) (sat = cap - s where below the
-    # depth), which it visits; the nodes past top are counted from their
-    # level-top ancestors and cost nothing.  The drawn target carries p^s
-    # off its constant term, as a chart target does, and a drawn cap stops
-    # its exponent at any level of the walk
+    # with no support a tally walk charges exactly the nodes it visits: the
+    # counted nodes of levels 1 to top = max(ceil(depth / 2), sat) (sat =
+    # cap - s where below the depth) whose ancestors below sat it left open
+    # (see _walked).  A settled node counts every deeper level in closed
+    # form, and a node at top by one linear system per level; the nodes
+    # they count cost nothing.  The drawn target carries p^s off its
+    # constant term, as a chart target does, and a drawn cap stops its
+    # exponent at any level of the walk
     p = system.p
     _, smooth = _primitive(system)
     depth = data.draw(st.sampled_from([4] if p == 5 else [4, 5]))
@@ -236,8 +268,8 @@ def test_tally_charges_every_counted_node(system, data):
     lifter = HenselLifter(p, 2, smooth.constraints)
     meter = BudgetMeter(DEFAULT_BUDGET, "tally")
     tally = tally_zeros(lifter, target, offset, cap, depth, None, meter)
-    assert meter.used == sum(tally[1 : _visited_top(depth, offset, cap) + 1])
     points = _smooth_points(smooth, depth)
+    assert meter.used == len(_walked(p, points, target, offset, cap, depth, None))
     exponent = _exponent(offset, cap)
     for j in range(1, depth + 1):
         # the target mod p^exponent(j) only depends on the class mod p^j
@@ -249,16 +281,16 @@ def test_tally_charges_every_counted_node(system, data):
 @settings(max_examples=25, deadline=None)
 def test_counted_subtrees_match_brute(system, data):
     # from level ceil(depth / 2), or the support's level or sat when deeper,
-    # the walk counts every remaining level from one linear system per level.
+    # the walk counts every remaining level from one linear system per level,
+    # and a node the target's slope settles counts them in closed form.
     # Depths 5 to 8 (6 at p = 5), with drawn offsets, caps and coset
     # supports of every level up to the depth, around points of the curve.
     # Each level is checked against the classes of the curve's level-depth
-    # points, and the meter against the nodes the walk visits up to reach =
-    # max(ceil(depth / 2), support level, sat): every counted node at levels
-    # 1 to reach, and the lifts of admitted nodes that the support prunes
-    # there.  A drawn budget below that total must stop at the node it runs
-    # out on, in the walk order, which is lexicographic in the digit
-    # vectors of each node
+    # points, and the meter against the nodes the walk visits (_walked):
+    # the counted nodes it leaves open, their counted lifts, and the lifts
+    # of admitted nodes that the support prunes.  A drawn budget below that
+    # total must stop at the node it runs out on, in the walk order, which
+    # is lexicographic in the digit vectors of each node
     p = system.p
     _, smooth = _primitive(system)
     depth = data.draw(st.integers(5, 6 if p == 5 else 8))
@@ -277,7 +309,6 @@ def test_counted_subtrees_match_brute(system, data):
     on_curve = sorted({tuple(c % p**level for c in x) for x in points})
     centers = data.draw(st.lists(st.sampled_from(on_curve), min_size=1, max_size=3))
     support = Support.cosets(2, level, centers, p)
-    reach = _visited_top(depth, offset, cap, level)
     exponent = _exponent(offset, cap)
     lifter = HenselLifter(p, 2, smooth.constraints)
     meter = BudgetMeter(DEFAULT_BUDGET, "tally")
@@ -286,19 +317,12 @@ def test_counted_subtrees_match_brute(system, data):
     def admitted(x, j):
         return support is None or support.admits_prefix(x, j, p)
 
-    pruned = 0
-    visited = []  # (digit vectors, level) of each node the walk visits
     for j in range(1, depth + 1):
         classes = {tuple(c % p**j for c in x) for x in points}
         passing = [x for x in classes if target.evaluate(x, p ** exponent(j)) == 0]
         assert tally[j] == sum(1 for x in passing if admitted(x, j)), j
-        if j > reach:
-            continue
-        for x in passing:
-            if j == 1 or admitted(x, j - 1):
-                visited.append((tuple(tuple(c // p**k % p for c in x) for k in range(j)), j))
-                pruned += not admitted(x, j)
-    assert meter.used == sum(tally[1 : reach + 1]) + pruned == len(visited)
+    visited = _walked(p, points, target, offset, cap, depth, support)
+    assert meter.used == len(visited)
     order = [j for _, j in sorted(visited)]
     if not order:
         return  # no root passes: the walk visits nothing
@@ -307,6 +331,98 @@ def test_counted_subtrees_match_brute(system, data):
     with pytest.raises(BudgetExceeded, match=rf"budget {budget} exhausted at level {order[budget]}$"):
         tally_zeros(lifter, target, offset, cap, depth, support, meter)
     assert meter.used == budget + 1
+
+
+SURFACE_MONOMIALS = [(0, 1, 0), (0, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2), (0, 0, 3)]
+
+
+@st.composite
+def surface_cases(draw):
+    """(system, s, constant, cap, support level, center picks): a surface x1 - g(x2, x3) in Z_p^3.
+
+    The constraint's gradient (1, -g_x2, -g_x3) has full rank everywhere,
+    so good reduction holds for any g of degree at most 3.  The target
+    has a nonlinear term in x2, x3 and may hold x1 too, which the tally's
+    elimination clears at the pivot x1.  s, the constant and the cap
+    shape a chart-like target p^s T + constant for a direct tally; the
+    picks index the points the support's cosets sit around, and level 0
+    is the whole polydisc.
+    """
+    p = draw(st.sampled_from([2, 3]))
+    coeffs = st.integers(-3, 3)
+    g = {e: -c for e in SURFACE_MONOMIALS if (c := draw(coeffs))}
+    terms = {e: c for e in [(1, 0, 0), (1, 1, 0), *SURFACE_MONOMIALS] if (c := draw(coeffs))}
+    terms[draw(st.sampled_from(SURFACE_MONOMIALS[2:]))] = draw(st.sampled_from([-2, -1, 1, 2]))
+    system = PolySystem(
+        p=p, n=3, constraints=(MPoly(3, {(1, 0, 0): 1, **g}),), target=MPoly(3, terms)
+    )
+    offset = draw(st.integers(0, 2))
+    constant = draw(st.just(0) | st.integers(-9, 9))
+    cap = draw(st.sampled_from([None, *range(1, offset + 6)]))
+    level = draw(st.integers(0, 3))
+    picks = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=3))
+    return system, offset, constant, cap, level, picks
+
+
+# x2^2 + x3^3 on x1 = x2 x3: the slope 2 x2 settles the roots with x2 != 0
+# at level 1, and the level-2 nodes (0, 3a, 3b) with a != 0
+SURFACE_THREEVAR = THREEVAR.system
+# x3^2 + 4 x2 on x1 = x2 x3 at p = 2: the slope (4, 2 x3) has content 2^2
+# at the zeros, so level-3 nodes settle with v = 2, and their level-4
+# lifts pass where the class mod 2^5 is 0 mod 2^4 (E = 4 < j + v = 5).
+# Over all siblings that class is spread evenly, so only a support of one
+# level-3 coset tells that rule from reading the class mod 2^5
+SURFACE_P2 = system_from_strings(2, 3, ["x1 - x2*x3"], "x3^2 + 4*x2")
+
+
+@given(surface_cases())
+@example((SURFACE_THREEVAR, 0, 0, None, 0, [0]))
+@example((SURFACE_THREEVAR, 1, 0, 3, 1, [0, 7, 40]))
+@example((SURFACE_THREEVAR, 1, 9, 4, 2, [0, 7, 40]))
+@example((SURFACE_P2, 0, 0, None, 0, [0]))
+@example((SURFACE_P2, 2, 4, 5, 3, [1, 2]))
+@example((SURFACE_P2, 0, 0, None, 3, [0]))
+@settings(max_examples=20, deadline=None)
+def test_surface_tallies_match_brute(case):
+    # N_m and the tail measures for m <= depth, with and without a coset
+    # support, and a direct tally of p^s T + constant to the depth with a
+    # drawn cap and the support, against the brute-force points of a
+    # surface in three variables mod p^depth, depth 3 (5 at p = 2): every
+    # level-j class is a projection of them, as every node of the smooth
+    # tree lifts.  A tally settles a node where the target's slope has
+    # content p^v below p^j, from the support's level up to sat - 1, so
+    # the support's levels 1 to 3 and the caps at every level test both
+    # bounds of that range.  The examples settle nodes at levels 1 to 3,
+    # below a cap (sat = 2 under a level-1 settle) and where the class mod
+    # p^(j + v) decides a level short of j + v
+    system, offset, constant, cap, level, picks = case
+    p = system.p
+    depth = 5 if p == 2 else 3
+    _, points = brute_force_points(system, depth, collect=True)
+
+    def classes(j):
+        return {tuple(c % p**j for c in x) for x in points}
+
+    expected = [1] + [
+        sum(1 for x in classes(m) if system.target.evaluate(x, p**m) == 0)
+        for m in range(1, depth + 1)
+    ]
+    assert congruence_counts(system, depth) == expected
+    support = Support.cosets(3, level, [points[i % len(points)] for i in picks], p)
+    for sup in (None, support):
+        for m in range(depth + 1):
+            k = max(m, level if sup else 0, 1)
+            inside = [x for x in classes(k) if sup is None or sup.admits_prefix(x, k, p)]
+            zeros = sum(1 for x in inside if system.target.evaluate(x, p**m) == 0)
+            assert tail_measure(system, m, sup) == Fraction(zeros, p ** (k * system.dim)), (m, sup)
+    target = system.target.scale(p**offset) + MPoly.constant(3, constant)
+    lifter = lifter_for(p, 3, system.constraints)
+    meter = BudgetMeter(DEFAULT_BUDGET, "tally")
+    tally = tally_zeros(lifter, target, offset, cap, depth, support, meter)
+    exponent = _exponent(offset, cap)
+    for j in range(1, depth + 1):
+        inside = [x for x in classes(j) if support is None or support.admits_prefix(x, j, p)]
+        assert tally[j] == sum(1 for x in inside if target.evaluate(x, p ** exponent(j)) == 0), j
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -712,14 +828,16 @@ BUDGET_COSETS = Support.cosets(2, 3, [(0, 0), (1, 0)], 3)
 @pytest.mark.parametrize(
     "run, stage",
     [
-        # the root 0, then 3, 3 and 9 zeros of x1^2 at levels 2 to 4, which
-        # count levels 5 to 8: 16 nodes
-        (lambda budget: tail_measure(BUDGET_CUSP, 8, budget=budget), "tail walk m=8 chart 1/1"),
-        # the same 16 nodes, one walk to level 8 for every N_m
-        (lambda budget: congruence_counts(BUDGET_CUSP, 8, budget=budget), "count walk m=8 chart 1/1"),
+        # x1^2 = 0 mod 3^j at x1 = 0 mod 3^ceil(j / 2), and its slope 2 x1
+        # settles every such node but x1 = 0 mod 3^j.  So the walk to level
+        # 10 visits the root 0 and, at each of levels 2 to 5, the three lifts
+        # of 0: 1 + 4 * 3 = 13 nodes.  The two settled lifts per level and
+        # the level-5 node 0 count everything deeper
+        (lambda budget: tail_measure(BUDGET_CUSP, 10, budget=budget), "tail walk m=10 chart 1/1"),
+        # the same 13 nodes, one walk to level 10 for every N_m
         (
-            lambda budget: measure_charts(BUDGET_LINE, budget).image_count(2, budget),
-            "hensel walk m=2",
+            lambda budget: congruence_counts(BUDGET_CUSP, 10, budget=budget),
+            "count walk m=10 chart 1/1",
         ),
         # one walk to level 4 serves both units, and its level-2 nodes count
         # their subtrees: 3 + 9 nodes
@@ -730,9 +848,9 @@ BUDGET_COSETS = Support.cosets(2, 3, [(0, 0), (1, 0)], 3)
             lambda budget: oscillatory_integral(BUDGET_LINE, 2, [1], BUDGET_COSETS, budget),
             "hensel walk m=3",
         ),
-        # solvability is read off the tally walk, the same 16 nodes to level 8
+        # solvability is read off the tally walk, the same 13 nodes to level 10
         (
-            lambda budget: decomposed_count_check(BUDGET_CUSP, [8], budget=budget),
+            lambda budget: decomposed_count_check(BUDGET_CUSP, [10], budget=budget),
             "decomposed recount chart 1/1",
         ),
         # to level 5 the tally walk (7 nodes) leaves too little for the
@@ -756,7 +874,6 @@ BUDGET_COSETS = Support.cosets(2, 3, [(0, 0), (1, 0)], 3)
     ids=[
         "tail_measure",
         "count_walk",
-        "chart_count",
         "exponential_sum",
         "oscillatory_integral",
         "solvable_at",
@@ -773,11 +890,17 @@ def test_every_walk_honours_the_budget(run, stage):
 
 
 def test_threevar_count_walks_once(monkeypatch):
-    # one walk to level 8 of the lift tree of (constraint, target) visits
-    # its 198 nodes up to level 4, and the meter charges those alone.  The
-    # nodes at levels 5 to 8 are counted from their level-4 ancestors'
-    # values, so no level-4 node is expanded; testing every root of the
-    # constraint as well cost 204, charging the counted nodes as if visited
+    # one walk to level 8 of the lift tree of (constraint, target) visits 66
+    # nodes up to level 4, and the meter charges those alone.  The target's
+    # slope 2 x2 along the surface settles every node where x2 has content
+    # below 3^j: the roots (2, 1, 2) and (1, 2, 2) at level 1, then above
+    # the root 0 the nodes (0, 3a, 3b) with a != 0, 6 of the 9 at level 2,
+    # and so 2 of the 3 lifts of each open node at level 3, leaving 9 open
+    # nodes and their 27 lifts at level 4: 3 + 9 + 27 + 27 = 66.  The
+    # other nodes at levels 5 to 8 are counted from their level-4
+    # ancestors' values, so no level-4 node is expanded.  Visiting every
+    # counted node up to level 4 cost 198, testing every root of the
+    # constraint as well 204, charging the counted nodes as if visited
     # 48,480, filtering every constraint lift visited 101,664, and a walk
     # per level, each a prefix of the next, 139,176
     import padiczeta.poincare as poincare
@@ -802,7 +925,7 @@ def test_threevar_count_walks_once(monkeypatch):
     counts = congruence_counts(THREEVAR.system, 8)
     assert counts[6:] == [2_673, 8_019, 37_179]
     assert [meter.stage for meter in meters] == ["count walk m=8 chart 1/1"]
-    assert meters[0].used == 198
+    assert meters[0].used == 66
     assert expanded and max(expanded) == 3
 
 
