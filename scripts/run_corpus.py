@@ -22,8 +22,10 @@ from padiczeta.bundled import (
     BAD_LINE_P5,
     GOOD_REDUCTION,
     LINE_X2,
+    LINE_X2_P2,
     LINE_X2_P5,
     LINE_X3,
+    LINE_X4,
     PARABOLA,
     PLANE_LINE,
     THREEVAR,
@@ -107,8 +109,14 @@ def main() -> int:
     # counts past brute force's reach, where the count walks settle most nodes
     # by the target's slope, against the independent route: P = (1 - t Z) /
     # (1 - t), with Z reconstructed from a shell table two levels deeper
+    # (line_x4 and line_x2_p2 are where the slope settles fewest nodes)
     curve = system_from_strings(3, 4, ["x1 - x2*x3", "x4 - x2^2"], "x3^2 + x4^3")
-    for name, system, m in ((THREEVAR.name, THREEVAR.system, 14), ("curve_z3^4", curve, 12)):
+    for name, system, m in (
+        (THREEVAR.name, THREEVAR.system, 14),
+        ("curve_z3^4", curve, 12),
+        (LINE_X4.name, LINE_X4.system, 12),
+        (LINE_X2_P2.name, LINE_X2_P2.system, 10),
+    ):
         zeta_coeffs = build_shell_table(system, m + 2).trivial_fn().series(m)
         scaled = itertools.accumulate([Fraction(1), *(-z for z in zeta_coeffs)])
         q_dim = system.p**system.dim

@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .characters import MultChar, chi_value, gauss_sum, trivial_character
-from .errors import EvenPrimeUnsupported, WalkInvariantError
+from .errors import ArgumentOutOfRange, EvenPrimeUnsupported, WalkInvariantError
 from .mpoly import MPoly, PolySystem
 from .padic import ScaledUnit, psi_ratio
 from .ratfn import PoleData
@@ -154,7 +154,7 @@ def direct_sums(
     """
     p, n, dim = system.p, system.n, system.dim
     if min(units, default=1) < 1:
-        raise ValueError("m must be >= 1")
+        raise ArgumentOutOfRange("m must be >= 1")
     units = {m: [ScaledUnit(p, m, u).u for u in us] for m, us in units.items()}
     decomposition = measure_charts(system, budget)
     L = decomposition.L
@@ -437,7 +437,7 @@ def decomposed_expsum_check(
     p, dim = system.p, system.dim
     L = decomposition.L
     if min(m_values) <= L:
-        raise ValueError(f"identity needs m > L = {L}")
+        raise ArgumentOutOfRange(f"identity needs m > L = {L}")
     sums = direct_sums(system, {m: [1] for m in m_values}, False, budget=budget)
     rows = []
     for m in m_values:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import cmath
 
-from .errors import Frozen
+from .errors import ArgumentOutOfRange, Frozen
 
 TWO_PI = 2.0 * 3.141592653589793
 
@@ -42,10 +42,10 @@ class ScaledUnit(Frozen):
 
     def __init__(self, p: int, m: int, u: int):
         if m < 1:
-            raise ValueError("scaled unit needs m >= 1")
+            raise ArgumentOutOfRange("scaled unit needs m >= 1")
         u %= p**m
         if u % p == 0:
-            raise ValueError("u must be a unit modulo p")
+            raise ArgumentOutOfRange("u must be a unit modulo p")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "u", u)

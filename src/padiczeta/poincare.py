@@ -11,14 +11,12 @@ serves both `congruence_counts` and the solvability and direct counts
 of the decomposed recount.  It walks exactly the congruence tree of
 (constraints, target) in chart coordinates: the lift tree of the chart
 constraints and the chart target over the p^L its non-constant
-coefficients carry, so only counted classes are built.  A class where
-the target is a submersion on the chart counts every deeper level in
-closed form (`variety.tally_zeros`), and the others are built up to
-half the depth: below a class of level j, the Taylor step, whose tail
-carries p^(2j), makes every level j + i <= 2j a linear congruence over
-Z/p^i in the lift's digits, and its solutions are counted by a local
-Smith reduction.  Neither reads Jacobian minors, so the counts stay
-independent of the shell walks.
+coefficients carry, so only counted classes are built.  Each class
+counts every deeper level in closed form from the target's slope on its
+ball, eliminated against the constraint pivots (`variety._slopes`, in
+`variety.tally_zeros`); only a class of level j whose slope is 0 mod
+p^j, below half the depth, is built further.  No count reads Jacobian
+minors, so the counts stay independent of the shell walks.
 The scaled generating function sum q^(-m dim) N_m t^m is reconstructed
 as an exact rational function and checked against the trivial-character
 zeta through the identity P(t) (1 - t) + t Z(t) = 1 (good reduction),

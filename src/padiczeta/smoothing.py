@@ -26,6 +26,7 @@ from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 from .errors import (
+    ArgumentOutOfRange,
     BudgetExceeded,
     CenterNotOnVariety,
     Frozen,
@@ -174,7 +175,7 @@ def neron_rescale(
     """
     translated, ech = echelon
     if L <= ech.pivot_vals[-1]:
-        raise ValueError(f"L={L} below required {ech.pivot_vals[-1] + 1}")
+        raise ArgumentOutOfRange(f"L={L} below required {ech.pivot_vals[-1] + 1}")
     p, n = system.p, system.n
     combined_translated = apply_row_ops(translated, ech.row_ops)
     required = 2 * L + 2

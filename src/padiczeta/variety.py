@@ -15,19 +15,20 @@ count tallies walk the lift tree of one system too: a chart's
 constraints and its target over the p^s its non-constant coefficients
 carry, so they build only the target's zeros.  `_slopes` reads the
 target's linear term on a node's subtree, eliminated against the
-constraint pivots: where its content is below p^j the target is a
-submersion on the node's ball, and the tally counts every deeper level
-in closed form.  The other nodes are built up to half the depth: there
-the first-order Taylor step is exact on a node's whole subtree, so each
-deeper level's count is the solution count of one linear system over
-Z/p^i, read from one evaluation at the node by a local Smith
-reduction, with no Jacobian minors.  `lift_counts` gives that count for
-any polynomials; the ambient walk of `regularize` counts its subtrees
-with it, from the constraints alone below level r and from the target
-alone past it.  The direct exponential sums count from half depth too:
-`value_classes` takes the nodes there from `iter_hensel_points` and
-puts each subtree on one class of target values hit evenly, by the
-same `_slopes`.  Two oracles stay independent of the lifter: a
+constraint pivots, and that one rule settles every node: where its
+content is below what the node's Taylor step can read, the target is a
+submersion on the node's ball, and otherwise the step fixes the
+target's class as far as the tally needs, so the node counts every
+deeper level in closed form; only a node whose slope is 0 mod p^j below
+half the depth is built further.  `lift_counts` counts a node's lifts
+as the solutions of one linear system over Z/p^i by a local Smith
+reduction, with no Jacobian minors; it serves the routes that share
+nothing with the tallies, the ambient walk of `regularize`, which
+counts its subtrees with it from the constraints alone below level r
+and from the target alone past it, and the image oracle.  The direct
+exponential sums count from half depth: `value_classes` takes the nodes
+there from `iter_hensel_points` and puts each subtree on one class of
+target values hit evenly, by the same `_slopes`.  Two oracles stay independent of the lifter: a
 brute-force scan of the full residue grid, which every walk is checked
 against, and the image oracle, a class search on `walk` over the
 all-digit tree.  A class search walks each tree once, to the class
@@ -408,10 +409,6 @@ class HenselLifter:
         solver = self._solvers[tuple([c % p for c in x])]
         return [tuple([c + step * d for c, d in zip(x, digit)]) for digit in solver.solve_affine(rhs)]
 
-    def subtree_counts(self, x: tuple[int, ...], j: int, levels: int) -> list[int]:
-        """counts[i - 1]: the level-(j + i) nodes above a level-j node x, i = 1..levels <= j."""
-        return lift_counts(self.constraints, self._partials, x, j, levels, self.p)
-
 
 def _taylor_rows(
     polys: Sequence[MPoly],
@@ -707,23 +704,21 @@ def tally_zeros(
     the lifter's roots where T/p^s vanishes mod p, so where it vanishes
     at none the tally is zero and no lifter is built.
 
-    A visited node of level j, from the support's level up to sat - 1,
-    where `_slopes` of T/p^s gives v < j is settled and not descended:
-    T/p^s is a submersion on its ball, in one class c mod p^(j + v), so
-    with E = min(j + t, sat) its level-(j + t) lifts number p^(t dim),
-    of which p^(t dim - max(0, E - j - v)) pass where c = 0 mod
-    p^min(E, j + v) and none pass otherwise.  The other nodes, near T's
-    critical locus on the chart, are visited up to the level top =
-    max(ceil(depth / 2), support level, sat when sat < depth), and a node
-    there counts its descendants at every remaining level with
-    `HenselLifter.subtree_counts` of the one system that holds there,
-    one linear system over Z/p^i per level from one evaluation at the
-    node, which the first-order Taylor step makes exact since the levels
-    left are at most the node's own.  The support is settled at both
-    kinds of node, so a descendant's prefix test is its node's.  The
-    counts read no Jacobian minors, so they stay a route independent of
-    the shell walks.  The meter is charged for the visited nodes only,
-    so the budget bounds the walk's work, not the counts it returns.
+    Every visited node of level j from the support's level on, past which
+    a descendant's prefix test is its node's, counts its lifts at every
+    deeper level by one rule.  With e = min(sat - j, j), `_slopes` of
+    T/p^s gives v <= e and the class c of T/p^s mod p^(j + v) on the
+    node's ball, where T/p^s is c plus p^(j + v) times a unit-content
+    form in the free coordinates when v < e.  So with E = min(j + t, sat)
+    its level-(j + t) lifts number p^(t dim), of which p^(t dim - max(0,
+    E - j - v)) pass where c = 0 mod p^min(E, j + v) and none pass
+    otherwise; at v = e = sat - j the same holds, as E <= j + v, and for
+    e <= 0 every lift passes.  Only a node with v = e = j < sat - j is
+    descended: the Taylor step puts T/p^s in one class mod p^2j on its
+    ball, and deeper digits need the next order.  The counts read no
+    Jacobian minors, so they stay a route independent of the shell walks.
+    The meter is charged for the visited nodes only, so the budget bounds
+    the walk's work, not the counts it returns.
     """
     p, n, dim = lifter.p, lifter.n, lifter.dim
     scale = p**offset
@@ -735,39 +730,33 @@ def tally_zeros(
         return tally  # T = T(0) mod p^min(s, cap), and every exponent reaches that
     # the constraints alone from level 1 on; the caller's lookup of `lifter`
     # admitted the scans of the same p^n residues below
-    polys, r, counted = lifter.constraints, 1, lifter
+    polys = lifter.constraints
     if sat > 0:
         stripped = MPoly(n, {e: c // scale for e, c in target.terms.items()})
         if all(stripped.evaluate(x, p) for x in lifter.roots()):
             return tally  # no root of (constraints, T/p^s): build no lifter to find none
-        polys, r = (*polys, stripped), sat
-        counted = lifter_for(p, n, polys, p**n)
-        slope = _slopes(lifter, counted._partials[-1])
-    roots, children = truncated_tree(p, n, polys, r, lifter.children, p**n)
-    settle = support.level if support else 1
-    top = min(depth, max((depth + 1) // 2, settle))
-    if sat < depth:  # count past sat, with the constraints alone
-        top, counted = max(top, sat), lifter
-
-    def settled(x: tuple[int, ...], j: int, v: int, shift: int) -> list[int]:
-        c = (stripped.evaluate(x, p ** (j + v)) + p**j * shift) % p ** (j + v)
-        counts = []
-        for t in range(1, depth - j + 1):
-            E = min(j + t, sat)
-            counts.append(0 if c % p ** min(E, j + v) else p ** (t * dim - max(0, E - j - v)))
-        return counts
+        polys = (*polys, stripped)
+        slope = _slopes(lifter, [stripped.partial(k) for k in range(1, n + 1)])
+    roots, children = truncated_tree(p, n, polys, max(sat, 1), lifter.children, p**n)
+    settle = min(support.level if support else 1, depth)
 
     def visit(x: tuple[int, ...], j: int):
         if support is not None and not support.admits_prefix(x, j, p):
             return PRUNE
         tally[j] += 1
-        if settle <= j < sat:
-            v, shift = slope(x, j, j)
-            if v < j:
-                return j, settled(x, j, v, shift)
-        if j < top:
+        if j < settle:
             return DESCEND
-        return j, counted.subtree_counts(x, j, depth - j) if j < depth else []
+        e, v, c = min(sat - j, j), 0, 0
+        if e > 0:
+            v, shift = slope(x, j, e)
+            if v == e < sat - j:
+                return DESCEND
+            c = (stripped.evaluate(x, p ** (j + v)) + p**j * shift) % p ** (j + v)
+        counts = []
+        for t in range(1, depth - j + 1):
+            E = min(j + t, sat)
+            counts.append(0 if c % p ** min(E, j + v) else p ** (t * dim - max(0, E - j - v)))
+        return j, counts
 
     for j, counts in walk(roots, children, visit, meter):
         for level, count in enumerate(counts, j + 1):

@@ -26,12 +26,11 @@ value mod p^(2j) still resolves every shell it fixes, and only the
 rest is descended.  The tally walks of `tail_measure` and
 `poincare.congruence_counts` read no minors: they walk the lift tree
 of the chart constraints and the chart target over p^L, so they lift
-only the target's zeros, settle a node where the target's slope,
-eliminated against the constraint pivots (`variety._slopes`), has
-content below p^j, and count each deeper level below an unsettled node
-at half their depth as the solutions of one linear congruence system
-over Z/p^i, so the counts are the second route of the identity
-P(t)(1 - t) + t Z(t) = 1.
+only the target's zeros, and count every deeper level below a node in
+closed form from the target's slope, eliminated against the constraint
+pivots (`variety._slopes`), descending only a level-j node whose slope
+is 0 mod p^j below half their depth, so the counts are the second
+route of the identity P(t)(1 - t) + t Z(t) = 1.
 
 One walk per chart and angular level serves every row m = 0..depth, and
 a walk of its own recounts the rows at level c + 1: each row's classes

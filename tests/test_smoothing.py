@@ -7,7 +7,7 @@ import pytest
 
 from padiczeta import smoothing
 from padiczeta.bundled import BAD_LINE, BAD_LINE_P5, LINE_X2, PARABOLA, PLANE_LINE
-from padiczeta.errors import BudgetExceeded, CenterNotOnVariety, RankDeficient
+from padiczeta.errors import ArgumentOutOfRange, BudgetExceeded, CenterNotOnVariety, RankDeficient
 from padiczeta.mpoly import MPoly, PolySystem, system_from_strings
 from padiczeta.smoothing import (
     dvr_echelon,
@@ -105,7 +105,7 @@ def test_neron_rescale_good_line():
 def test_neron_rescale_rejects_level_below_pivot():
     # bad_line's pivot 3 has valuation 1, so L = 1 cannot make it a unit
     echelon = smoothing._linear_echelon(BAD_LINE.system, (0, 0))
-    with pytest.raises(ValueError, match="L=1 below required 2"):
+    with pytest.raises(ArgumentOutOfRange, match="L=1 below required 2"):
         neron_rescale(BAD_LINE.system, (0, 0), echelon, 1)
 
 

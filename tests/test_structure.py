@@ -6,9 +6,11 @@ These tests fail when a module expands lift-tree nodes itself (a call to
 pushes the same list), or recurses (a function that calls itself), so
 the walk cannot fork into private copies again.  Lifters come from one
 memo: the only `HenselLifter(...)` call is the one inside it, so no
-module builds a private lifter again.  Only `variety.walk` charges a
-budget meter: no other code writes a meter's `used` count, so the budget
-bounds the nodes the walks visit, not the counts they return.
+module builds a private lifter again.  The linear-system lift counts
+(`lift_counts`, `lift_count`) serve only the ambient walk and the image
+oracle.  Only `variety.walk` charges a budget meter: no other code
+writes a meter's `used` count, so the budget bounds the nodes the walks
+visit, not the counts they return.
 Invariants raise typed errors: an `assert` statement, which
 `python -O` strips, fails the suite.  A module's private names stay its own: no module imports an
 `_`-prefixed name from another.
@@ -131,6 +133,22 @@ def test_no_visit_charges_the_meter():
     allowed = {("variety.py", "walk"), ("variety.py", "BudgetMeter.__init__")}
     offenders = [f"{name}:{line}" for name, scope, line in writes if (name, scope) not in allowed]
     assert offenders == [], "a meter charged outside variety.walk"
+
+
+def test_lift_counts_serve_only_the_independent_routes():
+    # the linear-system counts of a node's lifts serve the two routes that
+    # share nothing with the chart tallies, the ambient walk of the delta
+    # integrals and the image oracle; the tallies count by the target's slope
+    callers = {
+        (name, _scope(tree, call).split(".")[0])
+        for name, tree in _modules()
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call)
+        and getattr(call.func, "id", getattr(call.func, "attr", None))
+        in ("lift_counts", "lift_count")
+    }
+    allowed = {("regularize.py", "_ambient_walk"), ("variety.py", "image_oracle")}
+    assert callers <= allowed, callers - allowed
 
 
 def test_no_hand_rolled_recursion():

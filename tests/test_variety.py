@@ -216,21 +216,18 @@ def _walked(p, points, target, offset, cap, depth, support):
     """(digit vectors, level) of each node a tally walk of a graph system visits.
 
     The walk visits the passing classes of level j whose parent it
-    visited, admitted and left open.  It leaves a node of level i open
-    below top = max(ceil(depth / 2), support level, sat when sat <
-    depth), sat = cap - s, unless the node is settled: from the support's
-    level up to sat - 1, where the target's slope has content below p^i.
+    visited, admitted and left open.  A node of level i below the
+    support's level stays open; from that level on a node stays open only
+    when 2i < sat, sat = cap - s, and its eliminated slope is 0 mod p^i.
     The constraint x1 + g(x2) pivots on x1 and the target p^s (x2^2 + b
-    x2) + const has no x1, so that slope is 2 x2 + b, and a node settles
-    where 2 x2 + b != 0 mod p^i.
+    x2) + const has no x1, so that slope is 2 x2 + b.
     """
     sat = depth if cap is None else min(cap - offset, depth)
     level = support.level if support else 1
-    top = min(depth, max((depth + 1) // 2, level, sat if sat < depth else 1))
     b = target.terms.get((0, 1), 0) // p**offset
     exponent = _exponent(offset, cap)
     walked, open_ = [], set()
-    for j in range(1, top + 1):
+    for j in range(1, depth + 1):
         classes = {tuple(c % p**j for c in x) for x in points}
         nodes = [
             x
@@ -243,7 +240,7 @@ def _walked(p, points, target, offset, cap, depth, support):
             x
             for x in nodes
             if (support is None or support.admits_prefix(x, j, p))
-            and not (level <= j < sat and (2 * x[1] + b) % p**j)
+            and (j < level or (2 * j < sat and (2 * x[1] + b) % p**j == 0))
         }
     return walked
 
@@ -252,13 +249,12 @@ def _walked(p, points, target, offset, cap, depth, support):
 @settings(max_examples=25, deadline=None)
 def test_tally_charges_every_counted_node(system, data):
     # with no support a tally walk charges exactly the nodes it visits: the
-    # counted nodes of levels 1 to top = max(ceil(depth / 2), sat) (sat =
-    # cap - s where below the depth) whose ancestors below sat it left open
-    # (see _walked).  A settled node counts every deeper level in closed
-    # form, and a node at top by one linear system per level; the nodes
-    # they count cost nothing.  The drawn target carries p^s off its
-    # constant term, as a chart target does, and a drawn cap stops its
-    # exponent at any level of the walk
+    # counted nodes whose ancestors it left open, those of level i with 2i <
+    # sat (sat = cap - s where below the depth) and slope 0 mod p^i (see
+    # _walked).  Every other node counts every deeper level in closed form
+    # from its slope; the nodes it counts cost nothing.  The drawn target
+    # carries p^s off its constant term, as a chart target does, and a drawn
+    # cap stops its exponent at any level of the walk
     p = system.p
     _, smooth = _primitive(system)
     depth = data.draw(st.sampled_from([4] if p == 5 else [4, 5]))
@@ -280,9 +276,8 @@ def test_tally_charges_every_counted_node(system, data):
 @given(graph_systems(), st.data())
 @settings(max_examples=25, deadline=None)
 def test_counted_subtrees_match_brute(system, data):
-    # from level ceil(depth / 2), or the support's level or sat when deeper,
-    # the walk counts every remaining level from one linear system per level,
-    # and a node the target's slope settles counts them in closed form.
+    # from the support's level on, every node the walk does not descend
+    # counts every remaining level in closed form from the target's slope.
     # Depths 5 to 8 (6 at p = 5), with drawn offsets, caps and coset
     # supports of every level up to the depth, around points of the curve.
     # Each level is checked against the classes of the curve's level-depth
@@ -298,8 +293,8 @@ def test_counted_subtrees_match_brute(system, data):
     # the target keeps its zero at x2 = 0 in half the draws, so deep levels count zeros
     constant = data.draw(st.just(0) | st.integers(-9, 9))
     target = system.target.scale(p**offset) + MPoly.constant(2, constant)
-    # half the drawn caps stop the exponent past ceil(depth / 2), where the
-    # walk visits every level up to sat
+    # half the drawn caps stop the exponent past ceil(depth / 2), where a
+    # node of level sat - j < j settles by its slope mod p^(sat - j)
     top = (depth + 1) // 2
     cap = data.draw(
         st.none() | st.integers(1, offset + depth) | st.integers(offset + top + 1, offset + depth - 1)
@@ -389,10 +384,10 @@ def test_surface_tallies_match_brute(case):
     # drawn cap and the support, against the brute-force points of a
     # surface in three variables mod p^depth, depth 3 (5 at p = 2): every
     # level-j class is a projection of them, as every node of the smooth
-    # tree lifts.  A tally settles a node where the target's slope has
-    # content p^v below p^j, from the support's level up to sat - 1, so
-    # the support's levels 1 to 3 and the caps at every level test both
-    # bounds of that range.  The examples settle nodes at levels 1 to 3,
+    # tree lifts.  From the support's level on, a tally settles a node
+    # where the target's slope has content p^v below p^e, e = min(sat - j,
+    # j), or where e = sat - j, so the support's levels 1 to 3 and the caps
+    # at every level test both bounds of that range.  The examples settle nodes at levels 1 to 3,
     # below a cap (sat = 2 under a level-1 settle) and where the class mod
     # p^(j + v) decides a level short of j + v
     system, offset, constant, cap, level, picks = case
