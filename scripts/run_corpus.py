@@ -123,15 +123,16 @@ def main() -> int:
         expected = [value * q_dim**k for k, value in enumerate(scaled)]
         record(name, f"counts to m={m} vs zeta", congruence_counts(system, m) == expected)
 
-    # LINE_X2_P5 to m = 8 and threevar to m = 6 lie past what enumerating
-    # every chart point could afford (5^8 and 3^12 leaves in one walk): the
-    # direct side counts each chart's subtrees from half depth
+    # LINE_X2_P5 to m = 20 and threevar to m = 12 lie past what walking
+    # each chart to half depth could afford (5^10 and 3^12 nodes in one
+    # walk): the direct side descends only the nodes where the target's
+    # slope is 0 mod p^j and settles every other subtree on one class
     for instance, m_max in (
         (LINE_X2, 5),
         (LINE_X3, 5),
-        (THREEVAR, 6),
+        (THREEVAR, 12),
         (PLANE_LINE, 5),
-        (LINE_X2_P5, 8),
+        (LINE_X2_P5, 20),
     ):
         report = stationary_phase_check(instance.system, list(range(1, m_max + 1)))
         record(

@@ -17,7 +17,8 @@ import cmath
 from functools import lru_cache
 from math import gcd
 
-from .errors import EvenPrimeUnsupported, Frozen, ModulusTooLarge, NonUnitArgument, TrivialCharacter
+from .errors import ArgumentOutOfRange, EvenPrimeUnsupported, Frozen, ModulusTooLarge
+from .errors import NonUnitArgument, TrivialCharacter
 from .padic import TWO_PI, psi_ratio
 
 MAX_MODULUS = 10**6
@@ -30,7 +31,7 @@ class _UnitGroup:
         if p == 2:
             raise EvenPrimeUnsupported("twisted characters need an odd prime")
         if c < 1:
-            raise ValueError("level must be >= 1")
+            raise ArgumentOutOfRange("level must be >= 1")
         modulus = p**c
         if modulus > MAX_MODULUS:
             raise ModulusTooLarge(f"p^c = {modulus} exceeds {MAX_MODULUS}")

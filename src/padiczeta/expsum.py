@@ -9,10 +9,9 @@ up one per-chart character sum, walked with the chart's lifter from
 deepest level any requested m needs, into exact integer histograms of
 f_l mod p^m that serve every level and unit; a unit sees only their
 orthogonality fold, evaluated last, so a sum that cancels exactly is
-exactly 0.  The walk stops at half depth, where `variety.value_classes`
-counts each subtree as one class of values hit evenly (the Taylor and
-elimination argument of `variety._slopes`).
-`exponential_sum` and `oscillatory_integral` are its one-level calls.
+exactly 0.  The histograms are read off the classes of
+`variety.value_classes`.  `exponential_sum` and `oscillatory_integral`
+are its one-level calls.
 
 The formula route rebuilds the oscillatory integral, the surface
 integral of Psi(z f_l) over the support, out of twisted local zeta
@@ -21,10 +20,10 @@ of an explicit rational function of it, and a finite character sum of
 Gaussian sums against twisted zeta coefficients.  The stationary-phase
 check compares it level by level with `oscillatory_integral`, or with
 `exponential_sum` on the full polydisc when L = 0.  The two routes share
-polynomial evaluation and the charts' lifters, and the direct side's
-Taylor counting is the count tallies', but nothing of it enters the
-shell walks' Jacobian minors behind the twisted coefficients, which is
-what makes their agreement at 1e-9 a meaningful verification.
+polynomial evaluation and the charts' lifters, but nothing of the direct
+side enters the shell walks' Jacobian minors behind the twisted
+coefficients, which is what makes their agreement at 1e-9 a meaningful
+verification.
 
 The formula's zeta data come from one conductor scan: the scan's own
 shell table, projected down to the conductor cutoff, supplies every
@@ -45,6 +44,7 @@ from .smoothing import measure_charts, recenter
 from .support import Support
 from .variety import (
     DEFAULT_BUDGET,
+    BudgetMeter,
     HenselLifter,
     iter_hensel_points,
     lifter_for,
@@ -75,18 +75,19 @@ def _add_histograms(
     """Add weight * h_m to hists[m], h_m[r] the level-k points y in sup with target(y) = r mod p^m.
 
     levels maps each m to its k, and target mod p^m is a function of y
-    mod p^k.  One `value_classes` walk to K = max k serves every m: it
-    puts each counted subtree's level-K points on one class c mod p^a,
-    evenly over its residues mod p^max(m) (by `variety._slopes`).  A class with a >= m lands on
-    c mod p^m; one with a < m covers whole classes mod p^(m-1) evenly, so
-    it adds 0 to every unit's fold in `_unit_sums` and is dropped.  Every
-    level-k point has p^((K - k) dim) lifts at K, so each residue's tally,
-    and each dropped class's share of a residue, divides exactly, or
-    WalkInvariantError is raised.
+    mod p^k.  One `value_classes` walk to K = max k (meter stage `hensel
+    walk m=<K>`) serves every m: it puts each settled node's level-K
+    points on one class c mod p^a, evenly over its residues mod p^max(m).
+    A class with a >= m lands on c mod p^m; one with a < m covers whole
+    classes mod p^(m-1) evenly, so it adds 0 to every unit's fold in
+    `_unit_sums` and is dropped.  Every level-k point has p^((K - k) dim)
+    lifts at K, so each residue's tally, and each dropped class's share
+    of a residue, divides exactly, or WalkInvariantError is raised.
     """
     p, K, M = lifter.p, max(levels.values()), max(levels)
     classes: dict[tuple[int, int], int] = {}  # (c, a) -> level-K points
-    for c, a, hits in value_classes(lifter, K, target, M, budget, sup):
+    meter = BudgetMeter(budget, f"hensel walk m={K}")
+    for c, a, hits in value_classes(lifter, K, target, M, sup, meter):
         classes[c, a] = classes.get((c, a), 0) + hits * p ** (M - a)
     for m, k in levels.items():
         lifts, tally, hist = p ** ((K - k) * lifter.dim), {}, hists[m]

@@ -17,6 +17,7 @@ import math
 from typing import Mapping, Sequence
 
 from .errors import (
+    ArgumentOutOfRange,
     DimensionMismatch,
     Frozen,
     InvariantViolated,
@@ -107,7 +108,7 @@ class MPoly(Frozen):
 
     def __pow__(self, k: int) -> "MPoly":
         if k < 0:
-            raise ValueError("negative power")
+            raise ArgumentOutOfRange("negative power")
         result = MPoly.constant(self.n, 1)
         base = self
         while k:
@@ -374,12 +375,12 @@ class PolySystem(Frozen):
         resolution_data: Sequence[tuple[int, int]] | None = None,
     ):
         if not _is_prime(p):
-            raise ValueError(f"{p} is not prime")
+            raise ArgumentOutOfRange(f"{p} is not prime")
         constraints = tuple(constraints)
         if len(constraints) < 1:
-            raise ValueError("at least one constraint is required (l >= 2)")
+            raise ArgumentOutOfRange("at least one constraint is required (l >= 2)")
         if len(constraints) + 1 > n:
-            raise ValueError(f"need l <= n, got l={len(constraints) + 1}, n={n}")
+            raise ArgumentOutOfRange(f"need l <= n, got l={len(constraints) + 1}, n={n}")
         for f in constraints:
             if f.n != n:
                 raise DimensionMismatch("constraint in wrong variable count")
@@ -388,11 +389,11 @@ class PolySystem(Frozen):
         if target.is_zero():
             raise ZeroPolynomial("target polynomial must be nonzero")
         if target.is_constant():
-            raise ValueError("target must be nonconstant (it has to vanish somewhere)")
+            raise ArgumentOutOfRange("target must be nonconstant (it has to vanish somewhere)")
         if resolution_data is not None:
             resolution_data = tuple((int(N), int(v)) for N, v in resolution_data)
             if any(N < 1 or v < 1 for N, v in resolution_data):
-                raise ValueError("resolution data entries must be positive")
+                raise ArgumentOutOfRange("resolution data entries must be positive")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "constraints", constraints)
@@ -449,7 +450,7 @@ def shift_rescale(f: MPoly, x0: Sequence[int], L: int, p: int) -> tuple[int, MPo
     if f.is_zero():
         raise ZeroPolynomial("cannot shift-rescale the zero polynomial")
     if L < 0:
-        raise ValueError("L must be >= 0")
+        raise ArgumentOutOfRange("L must be >= 0")
     expanded = f.substitute_affine(list(x0), p**L)
     e = expanded.content_valuation(p)
     if e is None:

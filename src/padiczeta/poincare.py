@@ -4,19 +4,11 @@ N_m counts the image classes mod p^m of variety points at which the
 target vanishes mod p^m (N_0 = 1 by convention).  Under good reduction
 this is the plain count of simultaneous congruence solutions of all l
 polynomials; in general the image is walked chart by chart, over the
-decomposition `smoothing.measure_charts(system, budget)` caches.  The walk
-for N_m is a prefix of the walk for N_(m + 1), so one tally walk per
-chart to the deepest level asked for counts every level on the way; it
-serves both `congruence_counts` and the solvability and direct counts
-of the decomposed recount.  It walks exactly the congruence tree of
-(constraints, target) in chart coordinates: the lift tree of the chart
-constraints and the chart target over the p^L its non-constant
-coefficients carry, so only counted classes are built.  Each class
-counts every deeper level in closed form from the target's slope on its
-ball, eliminated against the constraint pivots (`variety._slopes`, in
-`variety.tally_zeros`); only a class of level j whose slope is 0 mod
-p^j, below half the depth, is built further.  No count reads Jacobian
-minors, so the counts stay independent of the shell walks.
+decomposition `smoothing.measure_charts(system, budget)` caches.  One
+`variety.value_classes` walk per chart to the deepest level asked for
+counts every level on the way, and serves both `congruence_counts` and
+the solvability and direct counts of the decomposed recount.  No count
+reads Jacobian minors, so the counts stay independent of the shell walks.
 The scaled generating function sum q^(-m dim) N_m t^m is reconstructed
 as an exact rational function and checked against the trivial-character
 zeta through the identity P(t) (1 - t) + t Z(t) = 1 (good reduction),
@@ -30,6 +22,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import ArgumentOutOfRange, InvariantViolated, NoRecurrenceFound, ValidationFailed
+from .errors import WalkInvariantError
 from .mpoly import PolySystem
 from .ratfn import PoleData, RationalFn, reconstruct_rational
 from .smoothing import Decomposition, measure_charts, recenter
@@ -38,24 +31,35 @@ from .variety import (
     BudgetMeter,
     iter_congruence_points,
     lifter_for,
-    tally_zeros,
+    zero_counts,
 )
 
 
 def _chart_tallies(decomposition: Decomposition, k: int, meter: BudgetMeter) -> list[list[int]]:
     """Per chart, tally[j]: its level-j nodes where the target is 0 mod p^(L + j), j <= k.
 
-    A level-j node y is a class mod p^(L + j), and the target mod
-    p^(L + j) only depends on y mod p^j, so one tally walk per chart to
-    level k, in the lift tree of its constraints and its target over
-    p^L, counts every level.  The meter's stage names the chart.
+    One walk per chart counts its level-k points with the target 0 mod
+    p^(L + j) for every j (`Decomposition.zeros`), and each level-j node
+    has p^((k - j) dim) of them above it, so the sums divide exactly or
+    WalkInvariantError is raised.  The meter's stage names the chart.
     """
     stage, charts = meter.stage, decomposition.charts
+    p, L, dim = decomposition.system.p, decomposition.L, decomposition.system.dim
     tallies = []
     for i, chart in enumerate(charts, 1):
         meter.stage = f"{stage} chart {i}/{len(charts)}"
-        lifter = decomposition.lifter(chart, meter.limit)
-        tallies.append(tally_zeros(lifter, chart.target, chart.L, None, k, None, meter))
+        zeros = decomposition.zeros(chart, k, L + k, None, meter)
+        tally = [0]
+        for j in range(1, k + 1):
+            lifts = p ** ((k - j) * dim)
+            nodes, rest = divmod(zeros[L + j], lifts)
+            if rest:
+                raise WalkInvariantError(
+                    f"{zeros[L + j]} level-{k} zeros mod p^{L + j}: "
+                    f"not level-{j} nodes of {lifts} lifts"
+                )
+            tally.append(nodes)
+        tallies.append(tally)
     return tallies
 
 
@@ -69,7 +73,7 @@ def congruence_counts(
     The target value mod p^m only depends on the class, so evaluation at
     any representative is sound.  For m <= L the classes are the chart
     centers mod p^m.  Past L, N_(L + j) sums the charts' tallies at
-    level j, from one tally walk per chart to level depth - L.
+    level j, from one walk per chart to level depth - L.
     """
     if depth < 0:
         raise ArgumentOutOfRange(f"need depth >= 0, got {depth}")
@@ -187,7 +191,7 @@ def decomposed_count_check(
 ) -> DecomposedCountReport:
     """Recount N_m through charts re-centered at zeros of the whole system mod p^M.
 
-    One tally walk per chart gives, at every level j, the chart's share
+    One walk per chart gives, at every level j, the chart's share
     of the direct N_(L + j) and its solvability; the status must settle
     by M = max(m_values) (the empirical threshold m_0), and unsolvable
     charts contribute nothing.  One congruence walk of the whole system
@@ -195,9 +199,9 @@ def decomposed_count_check(
     its class mod p^L (its tally found one).  f_l(x + p^L y) =
     f_l(x) + p^e rep(y) exactly, with f_l(x) = 0 mod p^M, and the
     combined constraints keep content p^(L + pivot) on the whole coset,
-    so the recount, a tally walk of the rescaled target rep with offset 0
-    and cap m - e_l on a chart with good reduction, must equal the direct
-    N_m for every requested m.
+    so the recount, the level-(m - L) points of a chart with good
+    reduction where the rescaled target rep is 0 mod p^(m - e_l), must
+    equal the direct N_m for every requested m.
     """
     decomposition = measure_charts(system, budget)
     p, n, L = system.p, system.n, decomposition.L
@@ -206,7 +210,7 @@ def decomposed_count_check(
     top = max(m_values)
     settle = top - L
     threshold = L
-    # shared by the tally walks and the recounts
+    # shared by the count walks and the recounts
     meter = BudgetMeter(budget, "decomposed recount")
     tallies = _chart_tallies(decomposition, settle, meter)
     mod_L = p**L
@@ -256,6 +260,6 @@ def decomposed_count_check(
             # p^(e_l - L) f_L(y) = 0 mod p^(m - L)  <=>  f_L(y) = 0 mod p^(m - e_l)
             meter.stage = f"decomposed recount m={m} chart {i}/{len(prepared)}"
             cap = max(m - e_l, 0)
-            total += tally_zeros(lifter, rescaled_target, 0, cap, m - L, None, meter)[-1]
+            total += zero_counts(lifter, m - L, rescaled_target, cap, None, meter)[cap]
         rows.append(DecomposedCountRow(m=m, direct=direct, decomposed=total))
     return DecomposedCountReport(threshold=threshold, rows=tuple(rows))

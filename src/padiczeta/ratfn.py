@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import (
+    ArgumentOutOfRange,
     ConstantDenominator,
     Frozen,
     NoRecurrenceFound,
@@ -117,7 +118,7 @@ class RationalFn(Frozen):
             num, _ = poly_divmod(num, g)
             den, _ = poly_divmod(den, g)
         if den[0] == 0:
-            raise ValueError("denominator must not vanish at t = 0")
+            raise ArgumentOutOfRange("denominator must not vanish at t = 0")
         scale = den[0]
         num = poly_scale(num, 1 / scale)
         den = poly_scale(den, 1 / scale)

@@ -33,16 +33,19 @@ from .errors import (
     GoodReductionFailed,
     InvariantViolated,
     RankDeficient,
+    WalkInvariantError,
 )
 from .mpoly import MPoly, PolySystem, shift_rescale
 from .padic import int_valuation
 from .support import Support
 from .variety import (
     DEFAULT_BUDGET,
+    BudgetMeter,
     HenselLifter,
     first_lifts,
     good_reduction_test,
     lifter_for,
+    zero_counts,
 )
 
 RowOp = tuple  # ("rswap", i, k) | ("rcomb", k, d, c, i)
@@ -286,6 +289,21 @@ class Decomposition(NamedTuple):
     def lifter(self, chart: Chart, budget: int = DEFAULT_BUDGET) -> HenselLifter:
         """The chart's smooth lifter, refused whenever p^n exceeds the budget."""
         return lifter_for(self.system.p, self.system.n, chart.constraints, budget).smooth()
+
+    def zeros(
+        self, chart: Chart, k: int, m: int, support: Support | None, meter: BudgetMeter
+    ) -> list[int]:
+        """`variety.zero_counts` of the chart target's level-k points to precision m.
+
+        A level-k point is a class mod p^(L + k), and the target mod
+        p^(L + k) is a function of it only because its non-constant
+        coefficients carry p^L, which is checked here.
+        """
+        scale = self.system.p**chart.L
+        if any(c % scale for e, c in chart.target.terms.items() if any(e)):
+            raise WalkInvariantError(f"target gradient does not carry p^{chart.L}: {chart.target}")
+        lifter = self.lifter(chart, meter.limit)
+        return zero_counts(lifter, k, chart.target, m, support, meter)
 
     def restrict(self, chart: Chart, support: Support | None) -> tuple[bool, Support | None]:
         """Transport the support indicator into the chart's coordinates.

@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import Frozen
+from .errors import ArgumentOutOfRange, Frozen
 
 
 class Support(Frozen):
@@ -21,7 +21,7 @@ class Support(Frozen):
 
     def __init__(self, n: int, level: int, centers: tuple[tuple[int, ...], ...]):
         if level < 1:
-            raise ValueError("level must be >= 1")
+            raise ArgumentOutOfRange("level must be >= 1")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "centers", centers)
@@ -38,7 +38,7 @@ class Support(Frozen):
     def cosets(n: int, level: int, centers: Sequence[Sequence[int]], p: int) -> Support | None:
         """The union of the cosets at the centers; None, the unit polydisc, at level 0."""
         if any(len(center) != n for center in centers):
-            raise ValueError("coset center has wrong dimension")
+            raise ArgumentOutOfRange("coset center has wrong dimension")
         if level == 0:
             return None
         modulus = p**level

@@ -10,25 +10,14 @@ node whether to prune, descend or emit.  The lifts come from one
 module builds its own.  Under good reduction (full Jacobian rank at
 every F_p root) it walks the smooth tree; without that assumption the
 same lifter walks the filtered congruence tree, used for the first-lift
-search of bad-reduction chart centers and the ambient integrals.  The
-count tallies walk the lift tree of one system too: a chart's
-constraints and its target over the p^s its non-constant coefficients
-carry, so they build only the target's zeros.  `_slopes` reads the
-target's linear term on a node's subtree, eliminated against the
-constraint pivots, and that one rule settles every node: where its
-content is below what the node's Taylor step can read, the target is a
-submersion on the node's ball, and otherwise the step fixes the
-target's class as far as the tally needs, so the node counts every
-deeper level in closed form; only a node whose slope is 0 mod p^j below
-half the depth is built further.  `lift_counts` counts a node's lifts
+search of bad-reduction chart centers and the ambient integrals.
+`value_classes` is the one walk that settles a node's subtree by the
+target's Taylor step, and the counts, tail measures, recounts and
+direct sums all read its classes.  `lift_counts` counts a node's lifts
 as the solutions of one linear system over Z/p^i by a local Smith
 reduction, with no Jacobian minors; it serves the routes that share
-nothing with the tallies, the ambient walk of `regularize`, which
-counts its subtrees with it from the constraints alone below level r
-and from the target alone past it, and the image oracle.  The direct
-exponential sums count from half depth: `value_classes` takes the nodes
-there from `iter_hensel_points` and puts each subtree on one class of
-target values hit evenly, by the same `_slopes`.  Two oracles stay independent of the lifter: a
+nothing with `value_classes`, the ambient walk of `regularize` and the
+image oracle.  Two oracles stay independent of the lifter: a
 brute-force scan of the full residue grid, which every walk is checked
 against, and the image oracle, a class search on `walk` over the
 all-digit tree.  A class search walks each tree once, to the class
@@ -353,10 +342,6 @@ class HenselLifter:
     mean fewer conditions, so the same lifter walks systems without good
     reduction; the first root where the rank drops is kept as `witness`,
     and `smooth()` refuses such a lifter for the smooth tree.
-
-    A target T joins the system as one more polynomial: the tally walks
-    take the lifter of (constraints, T/p^s) from the same memo, so the
-    tree of a target's zeros is the lift tree of that system.
     """
 
     def __init__(self, p: int, n: int, constraints: Sequence[MPoly]):
@@ -516,44 +501,82 @@ def value_classes(
     depth: int,
     target: MPoly,
     precision: int,
-    budget: int = DEFAULT_BUDGET,
-    support: Support | None = None,
+    support: Support | None,
+    meter: BudgetMeter,
 ) -> Iterator[tuple[int, int, int]]:
-    """(c, a, hits) per subtree: hits of its level-depth points on each r = c mod p^a mod p^precision.
+    """(c, a, hits) per settled node: hits of its level-depth points on each r = c mod p^a mod p^precision.
 
-    The subtrees partition the level-depth points of a smooth lifter's
-    tree that the support admits, and target mod p^precision must be a
-    function of a point's class mod p^depth.  `iter_hensel_points`
-    (meter stage `hensel walk m=<depth>`) streams the level-j nodes, j =
-    min(depth, max(ceil(depth / 2), ceil((precision - s) / 2), support
-    level or 1)), with p^s the content of the target's non-constant
-    coefficients, and each node x stands for its subtree: there e =
-    precision - j - s <= j, so by `_slopes` of T/p^s the values are one
-    class mod p^a, a = j + s + v, hit evenly.
+    The settled nodes partition the level-depth points of a smooth
+    lifter's tree that the support admits, and target mod p^precision
+    must be a function of a point's class mod p^depth.  Let p^s be the
+    content of the target T's non-constant coefficients, capped at
+    p^precision, and sat = precision - s; T mod p^min(precision, j + s)
+    is then a function of a node's class mod p^j.  Nodes below the
+    support's level descend.  Every other node x of level j settles by
+    one rule, with e = min(sat - j, j).  Where e <= 0 its class is T(x)
+    mod p^precision.
+    Otherwise `_slopes` of T/p^s gives (v, shift), and the node settles on
+    c = T(x) + p^(j + s) shift mod p^a, a = j + s + v, hit evenly on each
+    residue mod p^precision in it: for v < e, T is a submersion on the
+    node's ball, and for v = e = sat - j the class is the residue.  Only a
+    node with v = e = j < sat - j descends, as its deeper digits need the
+    next Taylor order.  The walk charges the meter for its visited nodes.
     """
     lifter = lifter.smooth()
-    p, n = lifter.p, lifter.n
-    modulus = p**precision
-    valuations = [int_valuation(c, p) for k, c in target.terms.items() if any(k)]
-    s = min([*valuations, precision])  # s >= precision: T(x) is the class
-    sup_level = support.level if support else 1
-    j = min(depth, max((depth + 1) // 2, (precision - s + 1) // 2, sup_level))
-    e = precision - j - s  # the precision g . y needs
-    spread = (depth - j) * lifter.dim
-    if e > 0:
-        stripped = MPoly(n, {k: c // p**s for k, c in target.terms.items() if any(k)})
-        slope = _slopes(lifter, [stripped.partial(k) for k in range(1, n + 1)])
-    for x in iter_hensel_points(lifter, j, budget, support, stage=f"hensel walk m={depth}"):
-        value, a = target.evaluate(x, modulus), min(precision, j + s)
+    p, n, dim = lifter.p, lifter.n, lifter.dim
+    s = min([*(int_valuation(c, p) for k, c in target.terms.items() if any(k)), precision])
+    sat = precision - s
+    stripped = MPoly(n, {k: c // p**s for k, c in target.terms.items() if any(k)})
+    slope = _slopes(lifter, [stripped.partial(k) for k in range(1, n + 1)])
+    settle = min(support.level if support else 1, depth)
+
+    def visit(x: tuple[int, ...], j: int):
+        if support is not None and not support.admits_prefix(x, j, p):
+            return PRUNE
+        if j < settle:
+            return DESCEND
+        e, v, shift = min(sat - j, j), 0, 0
         if e > 0:
             v, shift = slope(x, j, e)
-            a, value = a + v, value + p ** (j + s) * shift
+            if v == e == j < sat - j:
+                return DESCEND
+        a, spread = min(precision, j + s + v), (depth - j) * dim
         if spread < precision - a:
             raise WalkInvariantError(
                 f"{p}^{spread} level-{depth} points cannot cover "
                 f"{p}^{precision - a} residues mod p^{precision}"
             )
-        yield value % p**a, a, p ** (spread - precision + a)
+        c = (target.evaluate(x, p**a) + p ** (j + s) * shift) % p**a
+        return c, a, p ** (spread - precision + a)
+
+    return walk(lifter.roots(), lifter.children, visit, meter)
+
+
+def zero_counts(
+    lifter: HenselLifter,
+    depth: int,
+    target: MPoly,
+    precision: int,
+    support: Support | None,
+    meter: BudgetMeter,
+) -> list[int]:
+    """zeros[m]: the level-depth points in the support with target = 0 mod p^m, m <= precision.
+
+    Read off the classes of one `value_classes` walk, grouped by (c, a)
+    first.  A class holds hits points on each residue mod p^precision
+    that is c mod p^a, and p^(precision - max(a, m)) of those are 0 mod
+    p^m when c = 0 mod p^min(a, m), none otherwise.
+    """
+    p = lifter.p
+    classes: dict[tuple[int, int], int] = {}
+    for c, a, hits in value_classes(lifter, depth, target, precision, support, meter):
+        classes[c, a] = classes.get((c, a), 0) + hits
+    zeros = [0] * (precision + 1)
+    for (c, a), hits in classes.items():
+        # c = 0 mod p^min(a, m) exactly for m <= ord c, every m when c = 0
+        for m in range(precision + 1 if c == 0 else int_valuation(c, p) + 1):
+            zeros[m] += hits * p ** (precision - max(a, m))
+    return zeros
 
 
 def _eliminated(rows: Sequence[Sequence[int]], row: Sequence[int], p: int, e: int) -> list[int]:
@@ -678,90 +701,6 @@ def iter_hensel_points(
     the walk serves.
     """
     yield from _points_at(lifter.smooth(), m, budget, support, stage or f"hensel walk m={m}")
-
-
-def tally_zeros(
-    lifter: HenselLifter,
-    target: MPoly,
-    offset: int,
-    cap: int | None,
-    depth: int,
-    support: Support | None,
-    meter: BudgetMeter,
-) -> list[int]:
-    """tally[j]: the level-j nodes x in the support with target(x) = 0 mod p^min(s + j, cap).
-
-    The lifter is a chart's smooth lifter.  The target T's non-constant
-    coefficients carry p^s, s = offset, and cap None means no cap.  T = 0
-    mod p^(s + j) holds exactly when p^s divides T's constant term and
-    T/p^s = 0 mod p^j, so up to the level sat = cap - s, where the
-    exponent stops growing, the passing nodes are the lift tree of the
-    system (constraints, T/p^s), whose lifter comes from `lifter_for`.
-    From sat on, T mod p^cap only depends on a node's class mod p^sat,
-    so every lift of a passing node passes and the tree goes on in the
-    constraints' own lifter.  Where cap <= s the tally only depends on
-    the constant term mod p^cap.  The roots of (constraints, T/p^s) are
-    the lifter's roots where T/p^s vanishes mod p, so where it vanishes
-    at none the tally is zero and no lifter is built.
-
-    Every visited node of level j from the support's level on, past which
-    a descendant's prefix test is its node's, counts its lifts at every
-    deeper level by one rule.  With e = min(sat - j, j), `_slopes` of
-    T/p^s gives v <= e and the class c of T/p^s mod p^(j + v) on the
-    node's ball, where T/p^s is c plus p^(j + v) times a unit-content
-    form in the free coordinates when v < e.  So with E = min(j + t, sat)
-    its level-(j + t) lifts number p^(t dim), of which p^(t dim - max(0,
-    E - j - v)) pass where c = 0 mod p^min(E, j + v) and none pass
-    otherwise; at v = e = sat - j the same holds, as E <= j + v, and for
-    e <= 0 every lift passes.  Only a node with v = e = j < sat - j is
-    descended: the Taylor step puts T/p^s in one class mod p^2j on its
-    ball, and deeper digits need the next order.  The counts read no
-    Jacobian minors, so they stay a route independent of the shell walks.
-    The meter is charged for the visited nodes only, so the budget bounds
-    the walk's work, not the counts it returns.
-    """
-    p, n, dim = lifter.p, lifter.n, lifter.dim
-    scale = p**offset
-    if any(c % scale for e, c in target.terms.items() if any(e)):
-        raise WalkInvariantError(f"target gradient does not carry p^{offset}: {target}")
-    tally = [0] * (depth + 1)
-    sat = depth if cap is None else min(cap - offset, depth)
-    if target.constant_term() % p ** min(offset, offset + sat):
-        return tally  # T = T(0) mod p^min(s, cap), and every exponent reaches that
-    # the constraints alone from level 1 on; the caller's lookup of `lifter`
-    # admitted the scans of the same p^n residues below
-    polys = lifter.constraints
-    if sat > 0:
-        stripped = MPoly(n, {e: c // scale for e, c in target.terms.items()})
-        if all(stripped.evaluate(x, p) for x in lifter.roots()):
-            return tally  # no root of (constraints, T/p^s): build no lifter to find none
-        polys = (*polys, stripped)
-        slope = _slopes(lifter, [stripped.partial(k) for k in range(1, n + 1)])
-    roots, children = truncated_tree(p, n, polys, max(sat, 1), lifter.children, p**n)
-    settle = min(support.level if support else 1, depth)
-
-    def visit(x: tuple[int, ...], j: int):
-        if support is not None and not support.admits_prefix(x, j, p):
-            return PRUNE
-        tally[j] += 1
-        if j < settle:
-            return DESCEND
-        e, v, c = min(sat - j, j), 0, 0
-        if e > 0:
-            v, shift = slope(x, j, e)
-            if v == e < sat - j:
-                return DESCEND
-            c = (stripped.evaluate(x, p ** (j + v)) + p**j * shift) % p ** (j + v)
-        counts = []
-        for t in range(1, depth - j + 1):
-            E = min(j + t, sat)
-            counts.append(0 if c % p ** min(E, j + v) else p ** (t * dim - max(0, E - j - v)))
-        return j, counts
-
-    for j, counts in walk(roots, children, visit, meter):
-        for level, count in enumerate(counts, j + 1):
-            tally[level] += count
-    return tally
 
 
 def hensel_enumerate(

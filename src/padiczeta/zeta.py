@@ -23,14 +23,9 @@ ball and, by Hensel's lemma, its deeper digits spread evenly, so the
 subtree's share of every shell is a closed-form count (Igusa's
 stationary phase).  Where e = j (every minor vanishes mod p^j) the
 value mod p^(2j) still resolves every shell it fixes, and only the
-rest is descended.  The tally walks of `tail_measure` and
-`poincare.congruence_counts` read no minors: they walk the lift tree
-of the chart constraints and the chart target over p^L, so they lift
-only the target's zeros, and count every deeper level below a node in
-closed form from the target's slope, eliminated against the constraint
-pivots (`variety._slopes`), descending only a level-j node whose slope
-is 0 mod p^j below half their depth, so the counts are the second
-route of the identity P(t)(1 - t) + t Z(t) = 1.
+rest is descended.  `tail_measure` and `poincare.congruence_counts`
+read no minors: they count from `variety.value_classes`, so the counts
+are the second route of the identity P(t)(1 - t) + t Z(t) = 1.
 
 One walk per chart and angular level serves every row m = 0..depth, and
 a walk of its own recounts the rows at level c + 1: each row's classes
@@ -65,7 +60,6 @@ from .variety import (
     BudgetMeter,
     critical_locus_probe,
     jacobian_minors,
-    tally_zeros,
     walk,
 )
 
@@ -417,11 +411,8 @@ def tail_measure(
     """Surface measure of { x : ord target(x) >= m } within the support.
 
     The chart points where the target is 0 mod p^m are counted at the
-    resolving level k = max(m - L, level of the support, 1), by a tally
-    walk that keeps the zeros of the chart target (offset L, cap m) mod
-    p^min(L + j, m) at level j: the lift tree of the chart constraints
-    and the chart target over p^L up to level m - L, and of the
-    constraints alone past it.
+    resolving level k = max(m - L, level of the support, 1), by one
+    `Decomposition.zeros` walk per chart the support meets.
     """
     if m < 0:
         raise ArgumentOutOfRange(f"need m >= 0, got {m}")
@@ -434,8 +425,7 @@ def tail_measure(
         if not meets:
             continue
         k = max(m - chart.L, sup.level if sup else 0, 1)
-        lifter = decomposition.lifter(chart, budget)
         meter.stage = f"tail walk m={m} chart {i}/{len(decomposition.charts)}"
-        leaves = tally_zeros(lifter, chart.target, chart.L, m, k, sup, meter)[k]
+        leaves = decomposition.zeros(chart, k, m, sup, meter)[m]
         total += chart.weight * Fraction(leaves, p ** (k * system.dim))
     return total

@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 import padiczeta.expsum as expsum
-import padiczeta.variety as variety
 from padiczeta.bundled import (
     BAD_LINE,
     LINE_X1,
@@ -258,29 +257,36 @@ def test_one_walk_per_chart_serves_every_level_and_unit(monkeypatch, tmp_path):
     assert walks == [5]
 
 
-def test_direct_sums_count_subtrees_from_half_depth(monkeypatch):
-    # a chart walk to level K visits the nodes to level top = ceil(K / 2)
-    # alone (the targets x2^2 and x2^2 + x3^3 have s = 0), and each level-top
-    # node counts its subtree from one Taylor step.  LINE_X2_P5 (5 roots,
-    # 5 lifts per node), one walk per m = 1..5 to tops 1, 1, 2, 2, 3:
-    # 5 + 5 + 30 + 30 + 155 = 225 nodes, where walking to K cost
-    # 5 + 30 + 155 + 780 + 3,905 = 4,875.  THREEVAR (9 roots, 9 lifts per
-    # node) at m = 1..3, tops 1, 1, 2: 9 + 9 + 90 = 108, was 9 + 90 + 819 = 918
+def test_direct_sums_settle_subtrees_by_slope(monkeypatch):
+    # a chart walk to level K at precision M = K descends only the nodes
+    # whose target slope is 0 mod p^j while 2j < M (the targets x2^2 and
+    # x2^2 + x3^3 have s = 0), and every other node settles its subtree on
+    # one class of values.  LINE_X2_P5 (5 roots, 5 lifts per node): the
+    # slope 2 x2 is 0 mod 5^j only at x2 = 0 mod 5^j, so one walk per m =
+    # 1..5 descends 0 mod 5^j for j < m / 2: 5 + 5 + 10 + 10 + 15 = 50
+    # nodes, where the walks to half depth cost 225 and walking to K 4,875.
+    # THREEVAR (9 roots, 9 lifts per node) at m = 1..3: only the walk to 3
+    # descends its 3 roots with x2 = 0: 9 + 9 + 36, was 108.  One walk to
+    # M = 10 for LINE_X2_P5 descends 0 mod 5^j for j <= 4 and so visits the
+    # 5 nodes of each of the levels 1 to 5: 25 nodes, was 3,905
     meters = []
-    meter_class = variety.BudgetMeter
+    meter_class = expsum.BudgetMeter
 
     def recording(limit, stage):
         meter = meter_class(limit, stage)
         meters.append(meter)
         return meter
 
-    monkeypatch.setattr(variety, "BudgetMeter", recording)
+    monkeypatch.setattr(expsum, "BudgetMeter", recording)
     for system, m_values, used in (
-        (LINE_X2_P5.system, [1, 2, 3, 4, 5], [5, 5, 30, 30, 155]),
-        (THREEVAR.system, [1, 2, 3], [9, 9, 90]),
+        (LINE_X2_P5.system, [1, 2, 3, 4, 5], [5, 5, 10, 10, 15]),
+        (THREEVAR.system, [1, 2, 3], [9, 9, 36]),
     ):
         meters.clear()
         assert stationary_phase_check(system, m_values).passed()
         walks = [meter for meter in meters if meter.stage.startswith("hensel walk")]
         assert [meter.stage for meter in walks] == [f"hensel walk m={m}" for m in m_values]
         assert [meter.used for meter in walks] == used
+    meters.clear()
+    direct_sums(LINE_X2_P5.system, {m: [1] for m in range(1, 11)}, False)
+    assert [(meter.stage, meter.used) for meter in meters] == [("hensel walk m=10", 25)]

@@ -3,9 +3,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from padiczeta.characters import unit_group
 from padiczeta.errors import (
+    ArgumentOutOfRange,
     DimensionMismatch,
     NegativeExponent,
+    PadicZetaError,
     PolynomialSyntaxError,
     VariableOutOfRange,
     ZeroPolynomial,
@@ -18,6 +21,8 @@ from padiczeta.mpoly import (
     system_from_strings,
 )
 from padiczeta.padic import int_valuation
+from padiczeta.ratfn import RationalFn
+from padiczeta.support import Support
 
 
 def test_parse_monomial():
@@ -238,3 +243,40 @@ def test_system_validation():
         system_from_strings(3, 2, ["x1"], "0")
     with pytest.raises(ValueError):
         system_from_strings(3, 2, ["x1"], "5")  # unit constant never vanishes
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Support(2, 0, ((0, 0),)),
+        lambda: Support.cosets(2, 1, [(1,)], 3),
+        lambda: unit_group(3, 0),
+        lambda: RationalFn((1,), (0, 1)),
+        lambda: parse_polynomial("x1", 2) ** -1,
+        lambda: system_from_strings(4, 2, ["x1"], "x2"),
+        lambda: system_from_strings(3, 2, [], "x2"),
+        lambda: system_from_strings(3, 2, ["x1", "x2"], "x1"),
+        lambda: system_from_strings(3, 2, ["x1"], "5"),
+        lambda: system_from_strings(3, 2, ["x1"], "x2", resolution_data=[(0, 1)]),
+        lambda: shift_rescale(parse_polynomial("x1", 2), (0, 0), -1, 3),
+    ],
+    ids=[
+        "support_level",
+        "coset_dimension",
+        "character_level",
+        "denominator_at_zero",
+        "negative_power",
+        "composite_p",
+        "no_constraint",
+        "too_many_polys",
+        "constant_target",
+        "resolution_data",
+        "negative_rescale",
+    ],
+)
+def test_bad_arguments_raise_typed_errors(call):
+    # each is a PadicZetaError, and a ValueError too, so `load_problem`
+    # still maps a bad spec to exit 1 with the same message
+    with pytest.raises(ArgumentOutOfRange) as info:
+        call()
+    assert isinstance(info.value, PadicZetaError) and isinstance(info.value, ValueError)

@@ -8,9 +8,11 @@ the walk cannot fork into private copies again.  Lifters come from one
 memo: the only `HenselLifter(...)` call is the one inside it, so no
 module builds a private lifter again.  The linear-system lift counts
 (`lift_counts`, `lift_count`) serve only the ambient walk and the image
-oracle.  Only `variety.walk` charges a budget meter: no other code
-writes a meter's `used` count, so the budget bounds the nodes the walks
-visit, not the counts they return.
+oracle.  One walk settles subtrees by the target's slope: `_slopes` has
+the one caller `value_classes`, and no second tally walk is defined.
+Only `variety.walk` charges a budget meter: no other code writes a
+meter's `used` count, so the budget bounds the nodes the walks visit,
+not the counts they return.
 Invariants raise typed errors: an `assert` statement, which
 `python -O` strips, fails the suite.  A module's private names stay its own: no module imports an
 `_`-prefixed name from another.
@@ -149,6 +151,19 @@ def test_lift_counts_serve_only_the_independent_routes():
     }
     allowed = {("regularize.py", "_ambient_walk"), ("variety.py", "image_oracle")}
     assert callers <= allowed, callers - allowed
+
+
+def test_one_walk_settles_by_the_slope():
+    # counts, tail measures, recounts and direct sums all read the classes
+    # of value_classes, the only code that reads the target's slope
+    callers = [
+        (name, _scope(tree, call))
+        for name, tree in _modules()
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_slopes"
+    ]
+    assert callers == [("variety.py", "value_classes")]
+    assert "tally_zeros" not in {fn.name for _, tree in _modules() for fn in _functions(tree)}
 
 
 def test_no_hand_rolled_recursion():

@@ -243,10 +243,10 @@ def test_budget_error_names_the_stage_and_level():
 
 def test_budget_error_names_the_chart(monkeypatch):
     # BAD_LINE's constraint has nine charts.  The count walk's meter runs
-    # across them: with the target x2 (x2 - 3), whose zeros lie in the
-    # charts at (0, 0) and (9, 3), to m = 5 the first chart visits 6 nodes
-    # to level 2, and the second its root 0, where x2 = 0 mod 3, and that
-    # root's three lifts, so 10 run out at the second chart's next root.  A
+    # across them: with the target x2 (x2 - 3), every chart's target over
+    # its p^s has a unit slope, so to m = 5 each chart's walk settles its
+    # three roots at level 1, and 10 run out at the fourth chart's second
+    # root.  A
     # shell walk has a meter per chart and level: to depth 2, the walk at
     # c = 2 in BAD_LINE's chart at (9, 3), where x2^2 has valuation 2
     # throughout, is the first to need more than 10 nodes (12)
@@ -259,9 +259,9 @@ def test_budget_error_names_the_chart(monkeypatch):
     # decomposition built under the default one
     for module in (poincare, zeta):
         monkeypatch.setattr(module, "measure_charts", lambda system, budget: decompositions[system])
-    with pytest.raises(BudgetExceeded, match=r"^count walk m=5 chart 2/9: .* exhausted at level 1$"):
+    with pytest.raises(BudgetExceeded, match=r"^count walk m=5 chart 4/9: .* exhausted at level 1$"):
         congruence_counts(two_zeros, 5, budget=10)
-    with pytest.raises(BudgetExceeded, match=r"^tail walk m=5 chart 2/9: "):
+    with pytest.raises(BudgetExceeded, match=r"^tail walk m=5 chart 4/9: "):
         tail_measure(two_zeros, 5, budget=10)
     with pytest.raises(BudgetExceeded, match=r"^shell walk c=2 chart 2/9: .* at level 2$"):
         build_shell_table(BAD_LINE.system, 2, budget=10)
