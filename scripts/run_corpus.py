@@ -41,6 +41,7 @@ from padiczeta.poincare import (
 from padiczeta.ratfn import candidate_pole_check
 from padiczeta.regularize import delta_limit_check
 from padiczeta.smoothing import global_decompose
+from padiczeta.support import Support
 from padiczeta.variety import brute_force_points, hensel_enumerate, image_oracle
 from padiczeta.zeta import build_shell_table
 
@@ -142,10 +143,20 @@ def main() -> int:
             f"m <= {m_max}, max gap {report.max_discrepancy:.2e}",
         )
 
-    # line_x2 as the `delta-check --r-max 8` run of its shipped spec: r = 0..8, depth 10
+    # line_x2 as the `delta-check --r-max 8` run of its shipped spec: r = 0..8, depth 10;
+    # each instance also at s = 2, and on the level-1 cosets where the target's
+    # variable, the last, is 0 or 1 and the others are 0
     for instance, r_max, depth in ((LINE_X2, 8, 10), (PARABOLA, 4, 9), (PLANE_LINE, 4, 9)):
-        report = delta_limit_check(instance.system, 1, None, list(range(r_max + 1)), depth=depth)
-        record(instance.name, "delta limit", report.passed, f"r0={report.r0}")
+        system = instance.system
+        centers = [(0,) * (system.n - 1) + (last,) for last in (0, 1)]
+        cosets = Support.cosets(system.n, 1, centers, system.p)
+        for check, s, support in (
+            ("delta limit", 1, None),
+            ("delta limit s=2", 2, None),
+            ("delta limit on cosets", 1, cosets),
+        ):
+            report = delta_limit_check(system, s, list(range(r_max + 1)), depth, support)
+            record(instance.name, check, report.passed, f"r0={report.r0}")
 
     decomposition = global_decompose(BAD_LINE.system)
     ok = all(

@@ -377,26 +377,22 @@ def cmd_delta_check(problem: Problem, out: Path, args) -> int:
     report = delta_limit_check(
         problem.system,
         args.s,
-        None,
         list(range(0, args.r_max + 1)),
         depth=max(problem.max_level, args.r_max + 2),
         support=problem.support,
         budget=problem.budget,
     )
-    rows = []
-    for row in report.rows:
-        value = complex(row.value)
-        surface = complex(row.surface_value)
-        rows.append(
-            [
-                row.r,
-                _fmt(value.real),
-                _fmt(value.imag),
-                _fmt(float(row.tail_bound)),
-                _fmt(surface.real),
-                _fmt(row.gap),
-            ]
-        )
+    rows = [
+        [
+            row.r,
+            _fmt(float(row.value)),
+            _fmt(0.0),
+            _fmt(float(row.tail_bound)),
+            _fmt(float(row.surface_value)),
+            _fmt(row.gap),
+        ]
+        for row in report.rows
+    ]
     _write_csv(
         out / "delta.csv",
         ["r", "value_re", "value_im", "tail_bound", "surface_value", "abs_diff"],

@@ -6,8 +6,8 @@ ambient integral over Z_p^n onto the constraint variety.  The finite-
 level approximations I_r computed here come with certified tail bounds:
 points whose integrand is not exactly determined at the scan depth
 contribute a bounded, explicitly accounted remainder, and everything
-resolved is summed as exact rationals (times exact character values for
-twisted integrands).
+resolved is summed as exact rationals.  The integrand |f|^s carries the
+trivial character, as does the surface-side zeta it is checked against.
 
 The stabilization check compares I_r against the surface-measure zeta
 value from the shell machinery; agreement within the certified tail for
@@ -20,7 +20,6 @@ import itertools
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
-from .characters import MultChar, chi_value
 from .errors import ArgumentOutOfRange
 from .mpoly import PolySystem
 from .padic import int_valuation
@@ -38,7 +37,6 @@ from .variety import (
 from .zeta import build_shell_table
 
 ZETA_DEPTH = 12  # depth of the shell table behind the surface-side zeta value
-DEEP = ("deep", None, 0)  # the kind of a depth-limit leaf
 
 
 # The delta_r scale factor p^(r(l-1)); isolated so falsification tests can
@@ -57,8 +55,7 @@ class DeltaApprox(NamedTuple):
 
     r: int
     s: int
-    chi: MultChar | None
-    value: Fraction | complex
+    value: Fraction
     tail_bound: Fraction
 
 
@@ -68,32 +65,26 @@ def _ambient_walk(
     depth: int,
     support: Support | None,
     budget: int,
-    angular: int,
-) -> Iterator:
-    """Yield (point, level, kind, mult) over the constraint-filtered tree.
+) -> Iterator[tuple[int, int | None, int]]:
+    """Yield (level, v, mult) over the constraint-filtered tree.
 
-    Constraints filter digits up to level r.  `angular` is the angular
-    level c the integrand reads, 0 for the trivial character.  From
-    settle = max(r, support level, 1) on, a node is emitted as soon as
-    the target's valuation v and, with v + c <= j, its angular class are
-    known (kind "resolved", with the exact value); a node at the scan
-    depth is emitted resolved once v is known, whether or not its
-    angular class is, and as kind "deep" while its target is still 0.
-    Past settle, coordinates absent from the target are pinned, and mult
-    counts the collapsed sibling classes.
+    Constraints filter digits up to level r.  From settle = max(r,
+    support level, 1) on, a node of level j is emitted as soon as the
+    target's valuation v < j is known from T mod p^j; a node at the
+    scan depth whose target is still 0 is emitted with v = None, a deep
+    leaf.  Past settle, coordinates absent from the target are pinned,
+    and mult counts the collapsed sibling classes.
 
     The first-order Taylor step, exact for j + i <= 2j, counts two kinds
     of subtree without building them.  Below settle (= r there), a node
-    past the support level whose ball fixes v < j, with v + c <= j,
-    yields one item at level r, mult its constraint lifts there, that
-    level alone (`lift_count`).  Past settle, for the trivial character,
-    a node of level j with 2j >= depth whose target is 0 mod p^j yields
-    its shells from Z_i, its level-(j + i) lifts that keep
-    the target 0 mod p^(j + i) (`lift_counts`, Z_0 = 1): mult
-    p^n Z_(i-1) - Z_i at v = j + i - 1, and Z_(depth - j) deep, each
-    times the node's own mult.  These items carry no value, which only
-    a twisted integrand reads.  The budget bounds the nodes visited;
-    counted subtrees cost nothing.
+    past the support level whose ball fixes v < j yields one item at
+    level r, mult its constraint lifts there, that level alone
+    (`lift_count`).  Past settle, a node of level j with 2j >= depth
+    whose target is 0 mod p^j yields its shells from Z_i, its
+    level-(j + i) lifts that keep the target 0 mod p^(j + i)
+    (`lift_counts`, Z_0 = 1): mult p^n Z_(i-1) - Z_i at v = j + i - 1,
+    and Z_(depth - j) deep, each times the node's own mult.  The budget
+    bounds the nodes visited; counted subtrees cost nothing.
     """
     p, n = system.p, system.n
     target = system.target
@@ -115,28 +106,24 @@ def _ambient_walk(
         if support is not None and not support.admits_prefix(x, j, p):
             return PRUNE
         if j < settle and (j < level or 2 * j < settle):
-            return [(x, j, DEEP, 1)] if j == depth else DESCEND
-        value = target.evaluate(x, p**depth)
-        v = int_valuation(value % p**j, p)
+            return [(j, None, 1)] if j == depth else DESCEND
+        v = int_valuation(target.evaluate(x, p**j), p)
         if j < settle:
-            if v is None or v + angular > j:
+            if v is None:
                 return DESCEND
-            lifts = lift_count(system.constraints, partials, x, j, settle - j, p)
-            return [(x, settle, ("resolved", v, value), lifts)]
+            return [(settle, v, lift_count(system.constraints, partials, x, j, settle - j, p))]
         mult = p ** (len(pinned) * (j - settle))
-        if v is not None and (v + angular <= j or j == depth):
-            return [(x, j, ("resolved", v, value), mult)]
-        if j == depth:
-            # target, constraints or support still unresolved at the scan depth
-            return [(x, j, DEEP, mult)]
-        if angular or 2 * j < depth:
+        if v is not None or j == depth:
+            # at the scan depth, target, constraints or support may still be unresolved
+            return [(j, v, mult)]
+        if 2 * j < depth:
             return DESCEND
         zeros = [1, *lift_counts((target,), gradient, x, j, depth - j, p)]
         items = [
-            (x, j + i, ("resolved", j + i - 1, None), mult * (p**n * zeros[i - 1] - zeros[i]))
+            (j + i, j + i - 1, mult * (p**n * zeros[i - 1] - zeros[i]))
             for i in range(1, depth - j + 1)
         ]
-        return [*items, (x, depth, DEEP, mult * zeros[-1])]
+        return [*items, (depth, None, mult * zeros[-1])]
 
     for items in walk(roots, children, visit, BudgetMeter(budget, f"ambient walk r={r}")):
         yield from items
@@ -145,57 +132,41 @@ def _ambient_walk(
 def delta_integral(
     system: PolySystem,
     s: int,
-    chi: MultChar | None,
     r: int,
     depth: int,
     support: Support | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> DeltaApprox:
-    """I_r: the delta_r-regularized ambient integral of chi(ac f_l) |f_l|^s.
+    """I_r: the delta_r-regularized ambient integral of |f_l|^s.
 
     s must be a positive integer so shell contributions are exactly
     summable rationals with a provable geometric tail; depth > r is the
-    scan level.  Twisted integrands additionally need the angular class
-    mod p^c, known on a ball of level v + c: the walk descends to that
-    level, and only points where it lies past the scan depth are moved
-    into the tail bound.
+    scan level.
     """
     if s < 1:
         raise ArgumentOutOfRange("s must be a positive integer")
     if depth <= r:
         raise ArgumentOutOfRange("scan depth must exceed r")
     p, l, n = system.p, system.l, system.n
-    c_needed = 0 if chi is None or chi.is_trivial() else max(chi.conductor, 1)
     # every term is an integer over p^(depth (n + s)): a level-j coset has
     # measure p^((depth - j) n) and |f|^s = p^((depth - v) s) in those units
     denominator = p ** (depth * (n + s))
     cell = [_delta_scale(p, r, l) * p ** ((depth - j) * n) for j in range(depth + 1)]
     magnitude = [p ** ((depth - v) * s) for v in range(depth + 1)]
-    exact = 0
-    twisted = 0.0 + 0.0j
-    tail = 0
-    for _, j, (kind, v, value), mult in _ambient_walk(system, r, depth, support, budget, c_needed):
-        if kind == "deep":
+    exact = tail = 0
+    for j, v, mult in _ambient_walk(system, r, depth, support, budget):
+        if v is None:
             tail += mult * cell[j]
-            continue
-        term = mult * cell[j] * magnitude[v]
-        if c_needed == 0:
-            exact += term
-        elif v + c_needed <= j:
-            u = (value // p**v) % p**c_needed
-            # int / int rounds correctly, as float() of the term's Fraction does
-            twisted += chi_value(chi, u) * (term / denominator)
         else:
-            tail += term  # angular class unresolved at the scan depth
-    value = Fraction(exact, denominator) if c_needed == 0 else twisted
-    return DeltaApprox(r=r, s=s, chi=chi, value=value, tail_bound=Fraction(tail, denominator))
+            exact += mult * cell[j] * magnitude[v]
+    return DeltaApprox(r, s, Fraction(exact, denominator), Fraction(tail, denominator))
 
 
 class DeltaLimitRow(NamedTuple):
     r: int
-    value: Fraction | complex
+    value: Fraction
     tail_bound: Fraction
-    surface_value: Fraction | complex
+    surface_value: Fraction
     gap: float
 
 
@@ -208,7 +179,6 @@ class DeltaLimitReport(NamedTuple):
 def delta_limit_check(
     system: PolySystem,
     s: int,
-    chi: MultChar | None,
     r_values: Sequence[int],
     depth: int,
     support: Support | None = None,
@@ -216,32 +186,22 @@ def delta_limit_check(
 ) -> DeltaLimitReport:
     """Compare I_r against the surface-measure zeta value as r grows.
 
-    The surface side is the reconstructed (validated) zeta evaluated at
-    t = p^(-s), exact for the trivial character; the check passes when
+    The surface side is the reconstructed (validated) trivial-character
+    zeta evaluated exactly at t = p^(-s); the check passes when
     |I_r - Z| <= tail_bound(I_r) for every r >= some r0 in the range.
     """
-    p = system.p
-    c_level = 1 if chi is None or chi.is_trivial() else max(chi.conductor, 1)
-    table = build_shell_table(system, ZETA_DEPTH, c_level=c_level, support=support, budget=budget)
-    t = Fraction(1, p**s)
-    if chi is None or chi.is_trivial():
-        surface = table.trivial_fn().eval_exact(t)
-    else:
-        surface = 0.0 + 0.0j
-        for u in table.unit_classes():
-            series_fn = table.class_fn(u)
-            surface += chi_value(chi, u) * float(series_fn.eval_exact(t))
+    table = build_shell_table(system, ZETA_DEPTH, support=support, budget=budget)
+    surface = table.trivial_fn().eval_exact(Fraction(1, system.p**s))
     rows = []
     for r in sorted(r_values):
-        approx = delta_integral(system, s, chi, r, depth, support, budget)
-        gap = abs(complex(approx.value) - complex(surface))
+        approx = delta_integral(system, s, r, depth, support, budget)
         rows.append(
             DeltaLimitRow(
                 r=r,
                 value=approx.value,
                 tail_bound=approx.tail_bound,
                 surface_value=surface,
-                gap=gap,
+                gap=abs(float(approx.value) - float(surface)),
             )
         )
     r0 = None

@@ -37,6 +37,8 @@ class Support(Frozen):
     @staticmethod
     def cosets(n: int, level: int, centers: Sequence[Sequence[int]], p: int) -> Support | None:
         """The union of the cosets at the centers; None, the unit polydisc, at level 0."""
+        if not centers:
+            raise ArgumentOutOfRange("a coset support needs at least one center")
         if any(len(center) != n for center in centers):
             raise ArgumentOutOfRange("coset center has wrong dimension")
         if level == 0:

@@ -666,41 +666,31 @@ def _build_lifter(p: int, n: int, constraints: tuple[MPoly, ...]) -> HenselLifte
 lifter_for.cache_clear = _build_lifter.cache_clear
 
 
-def _points_at(
-    lifter: HenselLifter, m: int, budget: int, support: Support | None, stage: str
-) -> Iterator[tuple[int, ...]]:
-    """The level-m nodes of the lifter's tree that the support admits.
+def _points_at(lifter: HenselLifter, m: int, budget: int, stage: str) -> Iterator[tuple[int, ...]]:
+    """The level-m nodes of the lifter's tree.
 
     The roots sit at level 1, so a walk for m < 1 would never stop.
     """
     if m < 1:
         raise WalkInvariantError(f"no level {m} < 1 in the lift tree")
-    p = lifter.p
 
     def visit(x: tuple[int, ...], j: int):
-        if support is not None and not support.admits_prefix(x, j, p):
-            return PRUNE
         return x if j == m else DESCEND
 
     return walk(lifter.roots(), lifter.children, visit, BudgetMeter(budget, stage))
 
 
 def iter_hensel_points(
-    lifter: HenselLifter,
-    m: int,
-    budget: int = DEFAULT_BUDGET,
-    support: Support | None = None,
-    stage: str | None = None,
+    lifter: HenselLifter, m: int, budget: int = DEFAULT_BUDGET
 ) -> Iterator[tuple[int, ...]]:
-    """Stream the level-m points of a smooth lifter's tree that the support admits.
+    """Stream the level-m points of a smooth lifter's tree.
 
     Depth-first, lexicographic in the digit vectors, one root-to-leaf
     path in memory at a time.  The lifter comes from `lifter_for`; chart
     walks look theirs up through `smoothing.Decomposition.lifter`.  The
-    meter stage is `hensel walk m=<m>` unless `stage` names the level
-    the walk serves.
+    meter stage is `hensel walk m=<m>`.
     """
-    yield from _points_at(lifter.smooth(), m, budget, support, stage or f"hensel walk m={m}")
+    yield from _points_at(lifter.smooth(), m, budget, f"hensel walk m={m}")
 
 
 def hensel_enumerate(
@@ -734,7 +724,7 @@ def iter_congruence_points(
     if m == 0:
         yield (0,) * lifter.n
         return
-    yield from _points_at(lifter, m, budget, None, f"congruence walk m={m}")
+    yield from _points_at(lifter, m, budget, f"congruence walk m={m}")
 
 
 def truncated_tree(

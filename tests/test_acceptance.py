@@ -153,9 +153,7 @@ def test_criterion_07_smoothing():
 def test_criterion_08_delta_limit():
     with criterion("delta_r limit: r0 <= 4, certified tail <= 1e-6, x^2 line + parabola"):
         for instance in (LINE_X2, PARABOLA):
-            report = delta_limit_check(
-                instance.system, 1, None, [0, 1, 2, 3, 4], depth=9
-            )
+            report = delta_limit_check(instance.system, 1, [0, 1, 2, 3, 4], depth=9)
             assert report.passed, instance.name
             assert report.r0 is not None and report.r0 <= 4
             assert all(row.tail_bound <= F(1, 10**6) for row in report.rows)
@@ -197,7 +195,7 @@ def test_criterion_11_falsification_paths(monkeypatch, tmp_path):
 
         # mutated delta_r scale -> limit check fails
         monkeypatch.setattr(regularize, "_delta_scale", lambda p, r, l: p ** (r * l))
-        report = delta_limit_check(LINE_X2.system, 1, None, [2, 3, 4], depth=7)
+        report = delta_limit_check(LINE_X2.system, 1, [2, 3, 4], depth=7)
         monkeypatch.undo()
         assert not report.passed
 

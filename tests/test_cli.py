@@ -148,6 +148,18 @@ def test_level_zero_cosets_are_the_unit_polydisc(tmp_path):
     assert artifacts[0] and artifacts[0] == artifacts[1]
 
 
+def test_empty_coset_support_exits_schema(tmp_path, capsys):
+    # a union of no cosets is a schema mistake, not a vacuous zero or a
+    # falsified identity
+    spec = tmp_path / "empty.json"
+    support = {"type": "cosets", "level": 1, "centers": []}
+    spec.write_text(json.dumps({**LINE_X2_SPEC, "support": support}))
+    for command in ("zeta", "sps-verify", "delta-check"):
+        assert run(command, spec, tmp_path / command) == EXIT_SCHEMA
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: invalid coset support: a coset support needs at least one center"] * 3
+
+
 def test_delta_check(spec_file, tmp_path):
     out = tmp_path / "out"
     assert run("delta-check", spec_file, out, "--max-level", "9", "--r-max", "4") == EXIT_OK

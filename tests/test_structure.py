@@ -10,6 +10,8 @@ module builds a private lifter again.  The linear-system lift counts
 (`lift_counts`, `lift_count`) serve only the ambient walk and the image
 oracle.  One walk settles subtrees by the target's slope: `_slopes` has
 the one caller `value_classes`, and no second tally walk is defined.
+The delta regularization integrates the trivial character alone: it
+imports nothing from `characters` and takes no `chi` or `angular`.
 Only `variety.walk` charges a budget meter: no other code writes a
 meter's `used` count, so the budget bounds the nodes the walks visit,
 not the counts they return.
@@ -164,6 +166,25 @@ def test_one_walk_settles_by_the_slope():
     ]
     assert callers == [("variety.py", "value_classes")]
     assert "tally_zeros" not in {fn.name for _, tree in _modules() for fn in _functions(tree)}
+
+
+def test_delta_regularization_integrates_the_trivial_character():
+    # no command asks for a twisted integrand chi(ac f) |f|^s, so the
+    # regularization neither reads characters nor threads an angular level
+    tree = dict(_modules())["regularize.py"]
+    imports = {
+        node.module
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module is not None
+    }
+    assert "characters" not in imports and "padiczeta.characters" not in imports
+    params = {
+        (fn.name, arg.arg)
+        for fn in _functions(tree)
+        for arg in [*fn.args.posonlyargs, *fn.args.args, *fn.args.kwonlyargs]
+        if arg.arg in ("chi", "angular")
+    }
+    assert params == set(), params
 
 
 def test_no_hand_rolled_recursion():

@@ -842,7 +842,7 @@ BUDGET_COSETS = Support.cosets(2, 3, [(0, 0), (1, 0)], 3)
         (lambda budget: image_oracle(BUDGET_LINE, 2, 1, budget), "image oracle m=2 accuracy=3"),
         # the lifts of x2 = 0 to level r = 3 alone charge 3 + 9 + 27 nodes
         (
-            lambda budget: delta_integral(BUDGET_CUSP, 1, None, 3, 6, budget=budget),
+            lambda budget: delta_integral(BUDGET_CUSP, 1, 3, 6, budget=budget),
             "ambient walk r=3",
         ),
     ],
@@ -973,8 +973,8 @@ def test_ambient_walk_spends_the_budget_exactly():
     for budget in range(BUDGET_CUSP.p**BUDGET_CUSP.n, len(order)):
         stop = rf"budget {budget} exhausted at level {order[budget]}$"
         with pytest.raises(BudgetExceeded, match=rf"^ambient walk r=2: enumeration {stop}"):
-            delta_integral(BUDGET_CUSP, 1, None, 2, 5, budget=budget)
-    approx = delta_integral(BUDGET_CUSP, 1, None, 2, 5, budget=15)
+            delta_integral(BUDGET_CUSP, 1, 2, 5, budget=budget)
+    approx = delta_integral(BUDGET_CUSP, 1, 2, 5, budget=15)
     assert (approx.value, approx.tail_bound) == (Fraction(1514, 2187), Fraction(1, 6561))
 
 
