@@ -3,7 +3,8 @@
 Every command reads one problem file, writes its artifacts into the
 output directory, and exits 0 on success, 1 on a schema or parse error
 or an input the command does not support (twisted characters at p = 2,
-or a coset support where the command covers the unit polydisc),
+a coset support where the command covers the unit polydisc, or one that
+misses the variety),
 2 on an exhausted enumeration budget, and 3 when a verification command
 finds its identity violated.  Outputs are deterministic for a fixed
 problem file: enumeration order is fixed, floats are printed with a
@@ -43,7 +44,7 @@ from .regularize import delta_limit_check
 from .smoothing import certificates_to_json, global_decompose, measure_charts, verify_certificate
 from .support import Support
 from .variety import DEFAULT_BUDGET, critical_locus_probe, image_oracle
-from .zeta import build_shell_table, coefficient_table
+from .zeta import build_shell_table, coefficient_table, tail_measure
 
 EXIT_OK = 0
 EXIT_SCHEMA = 1
@@ -508,13 +509,17 @@ def main(argv=None) -> int:
     if args.budget is not None:
         problem.budget = args.budget
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     try:
+        if problem.support is not None and not tail_measure(
+            problem.system, 0, problem.support, problem.budget
+        ):
+            raise SchemaError("invalid coset support: no point of the variety lies in it")
+        out.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](problem, out, args)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except EvenPrimeUnsupported as exc:
+    except (EvenPrimeUnsupported, SchemaError) as exc:
         # an unsupported input, not a falsified identity
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

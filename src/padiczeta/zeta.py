@@ -28,17 +28,21 @@ read no minors: they count from `variety.value_classes`, so the counts
 are the second route of the identity P(t)(1 - t) + t Z(t) = 1.
 
 One walk per chart and angular level serves every row m = 0..depth, and
-a walk of its own recounts the rows at level c + 1: each row's classes
-summed mod p^c must agree exactly, or the table is refused rather than
-silently wrong.  A table at level c determines every coarser level by
-summing classes, so `ShellTable.project` serves it without another walk.
+a walk of its own recounts the rows at level c + 1: each row's integer
+class counts summed mod p^c must agree exactly, or the table is refused
+rather than silently wrong.  A node's minors and value do not depend on
+c, so the walks of one table or scan compute them once per node.  A
+table at level c determines every coarser level by summing classes, so
+`ShellTable.project` serves it without another walk.
 
 The conductor scan finds the conductor cutoff of the twisted tables.
 It probes the critical locus once, then builds one table per level from
 c_max upward until some level past the cutoff is verified zero (escalating
 no further than CONDUCTOR_LIMIT), and hands that table on to the formula
 route.  Each escalated table takes its rows from the previous level's
-recounts and walks only its own recounts: one walk per chart.
+recounts and walks only its own recounts: one walk per chart.  Its zero
+test is exact: all characters of one order vanish together, and integer
+energies decide each order (`_nonzero_orders`).
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .characters import MultChar, chi_value, enumerate_characters
+from .characters import MultChar, chi_value, enumerate_characters, unit_group
 from .errors import ArgumentOutOfRange, HypothesisNotVerified, MissingTable, NotStabilized
 from .errors import WalkInvariantError
 from .mpoly import PolySystem
@@ -63,7 +67,6 @@ from .variety import (
     walk,
 )
 
-ZERO_TOL = 1e-9  # a twisted coefficient table within this of 0 counts as zero
 CONDUCTOR_LIMIT = 4  # the conductor scan escalates no further than this level
 PROBE_LEVEL = 2  # level of the critical-locus probe behind the conductor scan
 
@@ -75,6 +78,7 @@ def _chart_shell_rows(
     c: int,
     support: Support | None,
     meter: BudgetMeter,
+    taylor: dict,
 ) -> tuple[list[dict[int, int]], int]:
     """Counts of chart points in the shells (m, ac mod p^c), m = 0..depth, by one walk.
 
@@ -88,9 +92,10 @@ def _chart_shell_rows(
     Where e < j the level-(j + t) nodes above y spread evenly over the p^t
     lifts of w mod p^(j + e + t) (Hensel), so the subtree's counts have a
     closed form; where e = j the value mod p^(2j) settles only the rows
-    whose class it fixes.  The minors and w depend on the node alone: a
-    node computes them once, settles every row it holds open, and hands
-    the rest on to its children, which are walked only while a row is open.
+    whose class it fixes.  The minors and w depend on the node alone, not
+    on c: `taylor` keeps them per (y, j) for every walk of the chart, and
+    a node settles every row it holds open and hands the rest on to its
+    children, which are walked only while a row is open.
     """
     p, dim = decomposition.system.p, decomposition.system.dim
     L = chart.L
@@ -129,9 +134,10 @@ def _chart_shell_rows(
         share = above[j] // p ** (m + c - K)
         return [(u, share) for u in classes]
 
-    def visit(y: tuple[int, ...], j: int, rows: tuple[int, ...]):
+    def node(y: tuple[int, ...], j: int) -> tuple | None:
+        """(inside, K, w, v, spread) at a node the support admits, else None."""
         if sup is not None and not sup.admits_prefix(y, j, p):
-            return PRUNE, None
+            return None
         inside = sup is None or j >= sup.level
         # the minors carry p^L from the rescaling, so e < j needs j > L
         e, lam = jacobian_minors(partials, y, p, j) if inside and j > L else (j, None)
@@ -145,9 +151,19 @@ def _chart_shell_rows(
             K = L + j
             w = target.evaluate(y, p**K)
         v = int_valuation(w, p) if w else K
+        return inside, K, w, v, lam is not None and e < j
+
+    def visit(y: tuple[int, ...], j: int, rows: tuple[int, ...]):
+        key = (y, j)
+        if key not in taylor:
+            taylor[key] = node(y, j)
+        data = taylor[key]
+        if data is None:
+            return PRUNE, None
+        inside, K, w, v, spread = data
         settled, still_open = [], []
         for m in rows:
-            pairs = shares(m, w, v, K, j, lam is not None and e < j)
+            pairs = shares(m, w, v, K, j, spread)
             if pairs is not None and (inside or not pairs):
                 if pairs:
                     settled.append((m, pairs))
@@ -166,27 +182,43 @@ def _chart_shell_rows(
 
 
 def _shell_rows(
-    decomposition: Decomposition, depth: int, c: int, support: Support | None, budget: int
-) -> list[dict[int, Fraction]]:
-    """Shell measures of the rows m = 0..depth at angular level c: one walk per chart."""
+    decomposition: Decomposition,
+    depth: int,
+    c: int,
+    support: Support | None,
+    budget: int,
+    memo: dict,
+) -> tuple[list[dict[int, int]], int]:
+    """(rows, den): the shell measures of the rows m = 0..depth at angular level c, times den.
+
+    One walk per chart, on chart i's node data memo[i].  A chart count
+    weighs weight * p^(-k * dim), a power of p, so over the largest of
+    their denominators every measure is an integer.
+    """
     p, dim = decomposition.system.p, decomposition.system.dim
-    measures: list[dict[int, Fraction]] = [{} for _ in range(depth + 1)]
     charts = decomposition.charts
-    for i, chart in enumerate(charts, 1):
-        meter = BudgetMeter(budget, f"shell walk c={c} chart {i}/{len(charts)}")
-        counts, k = _chart_shell_rows(decomposition, chart, depth, c, support, meter)
-        scale = chart.weight / p ** (k * dim)
-        for row, chart_row in zip(measures, counts):
+    walked = []
+    for i, chart in enumerate(charts):
+        meter = BudgetMeter(budget, f"shell walk c={c} chart {i + 1}/{len(charts)}")
+        counts, k = _chart_shell_rows(
+            decomposition, chart, depth, c, support, meter, memo.setdefault(i, {})
+        )
+        walked.append((counts, chart.weight / p ** (k * dim)))
+    den = max(scale.denominator for _, scale in walked)
+    rows: list[dict[int, int]] = [{} for _ in range(depth + 1)]
+    for counts, scale in walked:
+        factor = scale.numerator * den // scale.denominator
+        for row, chart_row in zip(rows, counts):
             for u, count in chart_row.items():
-                row[u] = row.get(u, Fraction(0)) + count * scale
-    return measures
+                row[u] = row.get(u, 0) + count * factor
+    return rows, den
 
 
-def _coarsen(measures: dict[int, Fraction], modulus: int) -> dict[int, Fraction]:
-    """Sum class measures over the classes u mod modulus."""
-    coarse: dict[int, Fraction] = {}
+def _coarsen(measures: dict, modulus: int) -> dict:
+    """Sum class measures (or counts) over the classes u mod modulus."""
+    coarse: dict = {}
     for u, measure in measures.items():
-        coarse[u % modulus] = coarse.get(u % modulus, Fraction(0)) + measure
+        coarse[u % modulus] = coarse.get(u % modulus, 0) + measure
     return coarse
 
 
@@ -291,7 +323,7 @@ def build_shell_table(
     One walk per chart gives the rows and another recounts them one level
     finer; a mismatch raises NotStabilized rather than a silently wrong table.
     """
-    return _checked_table(system, depth, c_level, support, budget, None)[0]
+    return _checked_table(system, depth, c_level, support, budget, None, {})[0]
 
 
 def _checked_table(
@@ -300,25 +332,29 @@ def _checked_table(
     c_level: int,
     support: Support | None,
     budget: int,
-    rows: list[dict[int, Fraction]] | None,
-) -> tuple[ShellTable, list[dict[int, Fraction]]]:
-    """The table at c_level, from the given rows or walked ones, and its recounts at c_level + 1.
+    rows: tuple[list[dict[int, int]], int] | None,
+    memo: dict,
+) -> tuple[ShellTable, tuple, tuple]:
+    """The table at c_level, its `_shell_rows` rows, and their recounts at c_level + 1.
 
-    The recounts are the rows of the table at c_level + 1, so a conductor
-    scan that escalates hands them on instead of walking them again.
+    The recounts are the rows at c_level + 1, so a conductor scan that
+    escalates hands them on, with the node memo, instead of walking them again.
     """
     if c_level < 1 or depth < 0:
         raise ArgumentOutOfRange(f"need angular level >= 1 and depth >= 0: {c_level}, {depth}")
+    p = system.p
     decomposition = measure_charts(system, budget)
     if rows is None:
-        rows = _shell_rows(decomposition, depth, c_level, support, budget)
-    recounts = _shell_rows(decomposition, depth, c_level + 1, support, budget)
-    for m, (row, finer) in enumerate(zip(rows, recounts)):
-        coarse = _coarsen(finer, system.p**c_level)
-        if coarse != row:
-            raise NotStabilized(f"shell recount at m={m} disagrees: {row} vs {coarse}")
-    table = ShellTable(system=system, support=support, c_level=c_level, depth=depth, measures=rows)
-    return table, recounts
+        rows = _shell_rows(decomposition, depth, c_level, support, budget, memo)
+    recounts = _shell_rows(decomposition, depth, c_level + 1, support, budget, memo)
+    (counts, den), (finer, fine_den) = rows, recounts
+    shift = fine_den // den  # the resolving levels, and with them den, grow with c
+    for m, (row, fine_row) in enumerate(zip(counts, finer)):
+        coarse = _coarsen(fine_row, p**c_level)
+        if coarse != {u: n * shift for u, n in row.items()}:
+            raise NotStabilized(f"shell recount at m={m} disagrees: {row} vs {coarse} / {shift}")
+    measures = [{u: Fraction(n, den) for u, n in row.items()} for row in counts]
+    return ShellTable(system, support, c_level, depth, measures), rows, recounts
 
 
 class CoeffTable(NamedTuple):
@@ -326,9 +362,6 @@ class CoeffTable(NamedTuple):
 
     chi: MultChar
     coeffs: tuple
-
-    def is_zero(self) -> bool:
-        return all(abs(complex(c)) <= ZERO_TOL for c in self.coeffs)
 
 
 def coefficient_table(table: ShellTable, chi: MultChar) -> CoeffTable:
@@ -338,14 +371,38 @@ def coefficient_table(table: ShellTable, chi: MultChar) -> CoeffTable:
     return CoeffTable(chi=chi, coeffs=coeffs)
 
 
+def _nonzero_orders(p: int, c: int, rows: list[dict[int, int]]) -> set[int]:
+    """The orders d > 1 of the characters chi mod p^c with sum_u chi(u) row[u] != 0 in some row.
+
+    A character of order d sends a row to A(zeta), zeta a primitive d-th
+    root of unity and A the integer fold mod x^d - 1 of the row indexed by
+    discrete logs, so all characters of one order vanish together.  By
+    Parseval those of order dividing d carry the energy d * |A|^2; less
+    the proper divisors' own energies, it is 0 exactly when order d vanishes.
+    """
+    group = unit_group(p, c)
+    divisors = [d for d in range(1, group.order + 1) if group.order % d == 0]
+    logs = [[(group.dlog[u], n) for u, n in row.items()] for row in rows]
+    own: dict[int, int] = {}
+    for d in divisors:
+        energy = 0
+        for row in logs:
+            folded = [0] * d
+            for k, n in row:
+                folded[k % d] += n
+            energy += d * sum(b * b for b in folded)
+        own[d] = energy - sum(own[e] for e in divisors if e < d and d % e == 0)
+    return {d for d in divisors if d > 1 and own[d]}
+
+
 class ConductorScan(NamedTuple):
     """Result of the empirical twisted-vanishing scan.
 
     cutoff is the largest conductor with a nonzero table among the
     scanned characters; every scanned character of larger conductor had
-    an identically (numerically) zero table.  guard_margin is how many
-    conductor levels beyond the cutoff were verified zero, and table is
-    the shell table of the level the scan settled at (table.c_level).
+    an exactly zero table.  guard_margin is how many conductor levels
+    beyond the cutoff were verified zero, and table is the shell table
+    of the level the scan settled at (table.c_level).
     """
 
     cutoff: int
@@ -380,14 +437,12 @@ def conductor_vanishing_scan(
             f"{probe.suspects[:5]}"
         )
     last = max(c_max, CONDUCTOR_LIMIT)
-    rows = None  # the previous level's recounts: this level's rows
+    memo: dict = {}  # the walks at every level share each chart's node data
+    finer = None  # the previous level's recounts: this level's rows
     for level in range(c_max, last + 1):
-        table, rows = _checked_table(system, depth, level, support, budget, rows)
-        nonzero = [
-            chi
-            for chi in enumerate_characters(system.p, level)
-            if not chi.is_trivial() and not coefficient_table(table, chi).is_zero()
-        ]
+        table, rows, finer = _checked_table(system, depth, level, support, budget, finer, memo)
+        orders = _nonzero_orders(system.p, level, rows[0])
+        nonzero = [chi for chi in enumerate_characters(system.p, level) if chi.order in orders]
         cutoff = max((chi.conductor for chi in nonzero), default=0)
         if level - cutoff >= 1:
             return ConductorScan(

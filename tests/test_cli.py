@@ -160,6 +160,19 @@ def test_empty_coset_support_exits_schema(tmp_path, capsys):
     assert err == ["error: invalid coset support: a coset support needs at least one center"] * 3
 
 
+def test_coset_support_missing_the_variety_exits_schema(tmp_path, capsys):
+    # the coset x1 = 1 mod 3 misses the line x1 = 0: its measure is 0, which
+    # is neither a vacuous zero to verify nor an identity to falsify
+    spec = tmp_path / "miss.json"
+    support = {"type": "cosets", "level": 1, "centers": [[1, 0]]}
+    spec.write_text(json.dumps({**LINE_X2_SPEC, "support": support}))
+    for command in ("zeta", "sps-verify", "delta-check"):
+        assert run(command, spec, tmp_path / command) == EXIT_SCHEMA
+        assert not (tmp_path / command).exists()
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: invalid coset support: no point of the variety lies in it"] * 3
+
+
 def test_delta_check(spec_file, tmp_path):
     out = tmp_path / "out"
     assert run("delta-check", spec_file, out, "--max-level", "9", "--r-max", "4") == EXIT_OK

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from padiczeta.bundled import BAD_LINE, LINE_X1, LINE_X2, LINE_X3, PARABOLA, THREEVAR
-from padiczeta.characters import enumerate_characters, trivial_character
+from padiczeta.bundled import BAD_LINE, LINE_X1, LINE_X2, LINE_X2_P5, LINE_X3, PARABOLA, THREEVAR
+from padiczeta.characters import chi_value, enumerate_characters, trivial_character
 from padiczeta.errors import (
     ArgumentOutOfRange,
     BudgetExceeded,
@@ -115,11 +115,11 @@ def test_stabilization_flags_set(monkeypatch):
     assert len(build_shell_table(LINE_X2.system, 4).measures) == 5
     walked = zeta._shell_rows
 
-    def skewed(decomposition, depth, c, support, budget):
-        rows = walked(decomposition, depth, c, support, budget)
-        if c == 2:  # the recount of row 2 gains mass in class 4 mod 9
-            rows[2][4] = rows[2].get(4, F(0)) + F(1, 3**9)
-        return rows
+    def skewed(decomposition, depth, c, support, budget, memo):
+        rows, den = walked(decomposition, depth, c, support, budget, memo)
+        if c == 2:  # the recount of row 2 gains one count in class 4 mod 9
+            rows[2][4] = rows[2].get(4, 0) + 1
+        return rows, den
 
     monkeypatch.setattr(zeta, "_shell_rows", skewed)
     with pytest.raises(NotStabilized, match="m=2"):
@@ -227,8 +227,46 @@ def test_candidate_pole_verdicts():
 def test_coefficient_table_dataclass():
     table = build_shell_table(LINE_X2.system, 4, c_level=1)
     ct = coefficient_table(table, trivial_character(3))
-    assert ct.coeffs[0] == F(2, 3)
-    assert not ct.is_zero()
+    assert ct.chi == trivial_character(3)
+    assert ct.coeffs == (F(2, 3), 0, F(2, 9), 0, F(2, 27))
+
+
+@st.composite
+def class_measures(draw):
+    # integer class measures of one to three rows mod p^c, on a few units
+    p = draw(st.sampled_from([3, 5, 7]))
+    c = draw(st.integers(1, 3))
+    units = st.integers(1, p**c - 1).filter(lambda u: u % p)
+    rows = st.dictionaries(units, st.integers(1, 3), max_size=4)
+    return p, c, draw(st.lists(rows, min_size=1, max_size=3))
+
+
+@given(class_measures())
+@settings(max_examples=150, deadline=None)
+def test_exact_vanishing_matches_character_sums(case):
+    # all characters of one order vanish together, and the exact verdict per
+    # order agrees with the float sums of chi_value for every character
+    p, c, rows = case
+    orders = zeta._nonzero_orders(p, c, rows)
+    for chi in enumerate_characters(p, c):
+        sums = [sum(chi_value(chi, u) * n for u, n in row.items()) for row in rows]
+        assert (chi.order in orders) == (not chi.is_trivial() and max(map(abs, sums)) > 1e-9)
+
+
+@given(st.sampled_from([3, 5, 7]), st.integers(2, 3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_lifted_measures_vanish_past_their_level(p, c, data):
+    # a measure read mod p^k, lifted evenly to every class mod p^c above it,
+    # keeps the orders it had mod p^k (each sum gains the factor p^(c - k))
+    # and is killed by every character of conductor > k
+    k = data.draw(st.integers(1, c - 1))
+    units = st.integers(1, p**k - 1).filter(lambda u: u % p)
+    row = st.dictionaries(units, st.integers(1, 3), max_size=4)
+    rows = data.draw(st.lists(row, min_size=1, max_size=3))
+    lifted = [{u: row[u % p**k] for u in range(1, p**c) if u % p**k in row} for row in rows]
+    orders = zeta._nonzero_orders(p, c, lifted)
+    assert orders == zeta._nonzero_orders(p, k, rows)
+    assert all(chi.conductor <= k for chi in enumerate_characters(p, c) if chi.order in orders)
 
 
 def test_budget_error_names_the_stage_and_level():
@@ -328,14 +366,46 @@ def test_escalation_walks_each_level_once(monkeypatch):
     levels = []
     shell_walk = zeta._chart_shell_rows
 
-    def counting_walk(decomposition, chart, depth, c, support, meter):
+    def counting_walk(decomposition, chart, depth, c, support, meter, taylor):
         levels.append(c)
-        return shell_walk(decomposition, chart, depth, c, support, meter)
+        return shell_walk(decomposition, chart, depth, c, support, meter, taylor)
 
     monkeypatch.setattr(zeta, "_chart_shell_rows", counting_walk)
     report = expsum.stationary_phase_check(THREEVAR.system, [1, 2, 3], c_cap=2, depth=4)
     assert report.max_discrepancy < 1e-9
     assert levels == [2, 3, 4]
+
+
+def test_walks_share_each_node_taylor_data(monkeypatch):
+    # a node's minors and target value do not depend on the angular level,
+    # so one memo per table or scan serves the walks at every level, while
+    # each walk still charges its meter for every node it visits.  The
+    # threevar scan above walks 45 nodes at level 2, 63 at level 3 and 117 at
+    # level 4, each walk's nodes among the next one's: 117 evaluations of the
+    # minors where one per visit made 45 + 63 + 117 = 225.  A depth-10 table
+    # of LINE_X2_P5 walks the same 30 nodes at levels 1 and 2: 30, not 60
+    import padiczeta.expsum as expsum
+
+    minors, visits = [], []
+    evaluate, shell_walk = zeta.jacobian_minors, zeta._chart_shell_rows
+
+    def counting_minors(*args):
+        minors.append(args)
+        return evaluate(*args)
+
+    def counting_walk(decomposition, chart, depth, c, support, meter, taylor):
+        counts = shell_walk(decomposition, chart, depth, c, support, meter, taylor)
+        visits.append(meter.used)
+        return counts
+
+    monkeypatch.setattr(zeta, "jacobian_minors", counting_minors)
+    monkeypatch.setattr(zeta, "_chart_shell_rows", counting_walk)
+    expsum.stationary_phase_check(THREEVAR.system, [1, 2, 3], c_cap=2, depth=4)
+    assert (visits, len(minors)) == ([45, 63, 117], 117)
+    minors.clear()
+    visits.clear()
+    build_shell_table(LINE_X2_P5.system, 10)
+    assert (visits, len(minors)) == ([30, 30], 30)
 
 
 @st.composite
