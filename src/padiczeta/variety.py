@@ -78,10 +78,9 @@ DESCEND = object()  # visit result: expand the node's children
 def walk(
     roots: Sequence[tuple[int, ...]],
     children: Callable[[tuple[int, ...], int], list[tuple[int, ...]]],
-    visit: Callable[..., object],
+    visit: Callable[[tuple[int, ...], int], object],
     meter: BudgetMeter,
     level: int = 1,
-    state: object = None,
 ) -> Iterator:
     """Depth-first walk of a lift tree, yielding what `visit` emits.
 
@@ -89,32 +88,28 @@ def walk(
     the level-(j + 1) nodes above x in lexicographic order; nodes are
     visited in that order, with one root-to-leaf path of pending siblings
     on an explicit stack.  `visit(x, j)` returns PRUNE, DESCEND, or a
-    value to yield in place of the subtree.  Given a `state`, the roots
-    carry it and `visit(x, j, s)` returns (value to yield or PRUNE, state
-    for the children or None), so a node can emit what it settled and
-    hand on what it left open.  This is the only code that charges a
-    meter: every visited node costs one, and BudgetExceeded, naming the
-    meter's stage and the level of the node it stopped at, is raised past
-    its limit.  Nodes a visit counts without visiting cost nothing.  The
-    count is kept in a local and synced with the meter around each yield,
-    so the consumer may run another walk on the same meter between
-    yields, but `visit` must not: the walk would overwrite that walk's
-    charges at its next yield.  A consumer that stops reading abandons
-    the pending stack, with every node visited so far charged.
+    value to yield in place of the subtree.  This is the only code that
+    charges a meter: every visited node costs one, and BudgetExceeded,
+    naming the meter's stage and the level of the node it stopped at, is
+    raised past its limit.  Nodes a visit counts without visiting cost
+    nothing.  The count is kept in a local and synced with the meter
+    around each yield, so the consumer may run another walk on the same
+    meter between yields, but `visit` must not: the walk would overwrite
+    that walk's charges at its next yield.  A consumer that stops reading
+    abandons the pending stack, with every node visited so far charged.
     """
-    stack = [(x, level, state) for x in reversed(roots)]
+    stack = [(x, level) for x in reversed(roots)]
     used, limit = meter.used, meter.limit
     while stack:
-        x, j, s = stack.pop()
+        x, j = stack.pop()
         used += 1
         if used > limit:
             meter.used = used
             raise meter.exhausted(j)
-        action, s = (visit(x, j), None) if state is None else visit(x, j, s)
-        if action is DESCEND or s is not None:
-            kids = reversed(children(x, j))
-            stack.extend(zip(kids, itertools.repeat(j + 1), itertools.repeat(s)))
-        if action is not PRUNE and action is not DESCEND:
+        action = visit(x, j)
+        if action is DESCEND:
+            stack.extend(zip(reversed(children(x, j)), itertools.repeat(j + 1)))
+        elif action is not PRUNE:
             meter.used = used
             yield action
             used = meter.used

@@ -21,11 +21,16 @@ because F - lam . G has integer coefficients, gradient 0 mod p^e and a
 Taylor tail in p^(2j).  Where e < j the target is a submersion on the
 ball and, by Hensel's lemma, its deeper digits spread evenly, so the
 subtree's share of every shell is a closed-form count (Igusa's
-stationary phase).  Where e = j (every minor vanishes mod p^j) the
-value mod p^(2j) still resolves every shell it fixes, and only the
-rest is descended.  `tail_measure` and `poincare.congruence_counts`
-read no minors: they count from `variety.value_classes`, so the counts
-are the second route of the identity P(t)(1 - t) + t Z(t) = 1.
+stationary phase).  Where e = j (every minor vanishes mod p^j) the ball
+settles only when its value mod p^(2j) fixes the one class it meets,
+and otherwise descends.  A ball settles or descends whole: where
+F(y) != 0 mod p^K it meets the shell of valuation ord F(y) alone, where
+F(y) = 0 every shell of valuation >= K, and one rule settles them all;
+a child's value agrees mod p^K, so the shells a ball misses its
+children miss too, and no walk keeps rows open per node.
+`tail_measure` and `poincare.congruence_counts` read no minors: they
+count from `variety.value_classes`, so the counts are the second route
+of the identity P(t)(1 - t) + t Z(t) = 1.
 
 One walk per chart and angular level serves every row m = 0..depth, and
 a walk of its own recounts the rows at level c + 1: each row's integer
@@ -60,6 +65,7 @@ from .smoothing import Chart, Decomposition, measure_charts
 from .support import Support
 from .variety import (
     DEFAULT_BUDGET,
+    DESCEND,
     PRUNE,
     BudgetMeter,
     critical_locus_probe,
@@ -85,17 +91,21 @@ def _chart_shell_rows(
     Returns (per-row class counts, k): a count adds weight * count *
     p^(-k * dim) to its shell.  Row m resolves at the level k_m =
     max(m + c - L, support level, 1); every row is counted at k = k_depth.
-    A node y at level j settles a row once F = w mod p^K on its ball fixes
-    its share (K >= L + j with w = F(y), as F(y) = f(center + p^L y)).
+    At a node y of level j, F = w mod p^K on the ball (K >= L + j with
+    w = F(y), as F(y) = f(center + p^L y)) and v = ord w (K if w = 0).
     Inside the support the Jacobian minors of (constraints G, F), of least
     valuation e mod p^j, fix F = F(y) - lam . G(y) mod p^(j + e) by Taylor.
-    Where e < j the level-(j + t) nodes above y spread evenly over the p^t
-    lifts of w mod p^(j + e + t) (Hensel), so the subtree's counts have a
-    closed form; where e = j the value mod p^(2j) settles only the rows
-    whose class it fixes.  The minors and w depend on the node alone, not
-    on c: `taylor` keeps them per (y, j) for every walk of the chart, and
-    a node settles every row it holds open and hands the rest on to its
-    children, which are walked only while a row is open.
+    Where w != 0 the ball meets row v alone, and where w = 0 the rows
+    K..depth; a ball that meets none is pruned.  A ball inside the support
+    settles whole when w fixes its class (w != 0 and v + c <= K) or when
+    e < j: then the level-(j + t) nodes above y spread evenly over the p^t
+    lifts of w mod p^(j + e + t) (Hensel), so its counts have a closed
+    form.  Any other ball descends, and one still open at row v's
+    resolving level k_v breaks an invariant.  Settling or descending whole
+    loses nothing: a child has K' >= K and F = w mod p^K, so the rows a
+    ball misses its children miss too.  The minors and w depend on the
+    node alone, not on c: `taylor` keeps them per (y, j) for every walk of
+    the chart.
     """
     p, dim = decomposition.system.p, decomposition.system.dim
     L = chart.L
@@ -103,8 +113,8 @@ def _chart_shell_rows(
     meets, sup = decomposition.restrict(chart, support)
     if not meets:
         return counts, 1
-    ks = [max(m + c - L, sup.level if sup else 0, 1) for m in range(depth + 1)]
-    k = ks[-1]
+    floor = max(sup.level if sup else 0, 1)
+    k = max(depth + c - L, floor)
     lifter = decomposition.lifter(chart, meter.limit)
     target, constraints = chart.target, chart.constraints
     partials = [[f.partial(i) for i in range(1, lifter.n + 1)] for f in (*constraints, target)]
@@ -112,27 +122,6 @@ def _chart_shell_rows(
     units = [u for u in range(p_c) if u % p]
     # the number of level-k points above a level-j node
     above = [p ** ((k - j) * dim) for j in range(k + 1)]
-
-    def shares(m: int, w: int, v: int, K: int, j: int, spread: bool) -> list | None:
-        """(class u, level-k count) of row m above a level-j node where F = w mod p^K, v = ord w.
-
-        None when w alone does not fix the classes and no even spread is known.
-        """
-        if w:
-            if v != m:
-                return []  # the whole ball lies in another shell
-            if m + c <= K:
-                return [((w // p**m) % p_c, above[j])]
-            step = p ** (K - m)
-            classes = range((w // p**m) % step, p_c, step)  # the lifts of w / p^m
-        elif m < K:
-            return []  # valuation >= K > m on the whole ball
-        else:
-            classes = units
-        if not spread:
-            return None
-        share = above[j] // p ** (m + c - K)
-        return [(u, share) for u in classes]
 
     def node(y: tuple[int, ...], j: int) -> tuple | None:
         """(inside, K, w, v, spread) at a node the support admits, else None."""
@@ -153,31 +142,31 @@ def _chart_shell_rows(
         v = int_valuation(w, p) if w else K
         return inside, K, w, v, lam is not None and e < j
 
-    def visit(y: tuple[int, ...], j: int, rows: tuple[int, ...]):
+    def visit(y: tuple[int, ...], j: int):
         key = (y, j)
         if key not in taylor:
             taylor[key] = node(y, j)
         data = taylor[key]
         if data is None:
-            return PRUNE, None
+            return PRUNE
         inside, K, w, v, spread = data
-        settled, still_open = [], []
-        for m in rows:
-            pairs = shares(m, w, v, K, j, spread)
-            if pairs is not None and (inside or not pairs):
-                if pairs:
-                    settled.append((m, pairs))
-            elif j >= ks[m]:
-                raise WalkInvariantError(f"shell (m={m}, c={c}) unresolved at level {j} >= {ks[m]}")
-            else:
-                still_open.append(m)
-        return settled or PRUNE, tuple(still_open) or None
+        if v > depth:
+            return PRUNE  # the ball meets no row
+        if inside and w and v + c <= K:
+            return [(v, (w // p**v) % p_c, above[j])]  # w fixes the class
+        if spread:  # only inside the support
+            if w:  # the classes are the lifts of w / p^v mod p^(K - v)
+                step, share = p ** (K - v), above[j] // p ** (v + c - K)
+                return [(v, u, share) for u in range((w // p**v) % step, p_c, step)]
+            return [(m, u, above[j] // p ** (m + c - K)) for m in range(K, depth + 1) for u in units]
+        level = max(v + c - L, floor)  # row v's resolving level
+        if j >= level:
+            raise WalkInvariantError(f"shell (m={v}, c={c}) unresolved at level {j} >= {level}")
+        return DESCEND
 
-    rows = tuple(range(depth + 1))
-    for settled in walk(lifter.roots(), lifter.children, visit, meter, state=rows):
-        for m, pairs in settled:
-            for u, count in pairs:
-                counts[m][u] = counts[m].get(u, 0) + count
+    for settled in walk(lifter.roots(), lifter.children, visit, meter):
+        for m, u, count in settled:
+            counts[m][u] = counts[m].get(u, 0) + count
     return counts, k
 
 
@@ -229,18 +218,16 @@ class ShellTable:
     and angular class u mod p^c_level; classes of measure 0 are absent.
     """
 
-    __slots__ = ("system", "support", "c_level", "depth", "measures", "_class_fns", "_trivial_fn")
+    __slots__ = ("system", "c_level", "depth", "measures", "_class_fns", "_trivial_fn")
 
     def __init__(
         self,
         system: PolySystem,
-        support: Support | None,
         c_level: int,
         depth: int,
         measures: list[dict[int, Fraction]],
     ):
         self.system = system
-        self.support = support
         self.c_level = c_level
         self.depth = depth
         self.measures = measures
@@ -289,7 +276,6 @@ class ShellTable:
         modulus = self.system.p**c
         return ShellTable(
             system=self.system,
-            support=self.support,
             c_level=c,
             depth=self.depth,
             measures=[_coarsen(row, modulus) for row in self.measures],
@@ -354,7 +340,7 @@ def _checked_table(
         if coarse != {u: n * shift for u, n in row.items()}:
             raise NotStabilized(f"shell recount at m={m} disagrees: {row} vs {coarse} / {shift}")
     measures = [{u: Fraction(n, den) for u, n in row.items()} for row in counts]
-    return ShellTable(system, support, c_level, depth, measures), rows, recounts
+    return ShellTable(system, c_level, depth, measures), rows, recounts
 
 
 class CoeffTable(NamedTuple):
@@ -400,13 +386,12 @@ class ConductorScan(NamedTuple):
 
     cutoff is the largest conductor with a nonzero table among the
     scanned characters; every scanned character of larger conductor had
-    an exactly zero table.  guard_margin is how many conductor levels
-    beyond the cutoff were verified zero, and table is the shell table
-    of the level the scan settled at (table.c_level).
+    an exactly zero table.  table is the shell table of the level the
+    scan settled at: the conductor levels cutoff + 1..table.c_level were
+    verified zero.
     """
 
     cutoff: int
-    guard_margin: int
     nonzero: tuple[MultChar, ...]
     table: ShellTable
 
@@ -447,7 +432,6 @@ def conductor_vanishing_scan(
         if level - cutoff >= 1:
             return ConductorScan(
                 cutoff=cutoff,
-                guard_margin=level - cutoff,
                 nonzero=tuple(nonzero),
                 table=table,
             )

@@ -6,10 +6,13 @@ These tests fail when a module expands lift-tree nodes itself (a call to
 pushes the same list), or recurses (a function that calls itself), so
 the walk cannot fork into private copies again.  Lifters come from one
 memo: the only `HenselLifter(...)` call is the one inside it, so no
-module builds a private lifter again.  The linear-system lift counts
-(`lift_counts`, `lift_count`) serve only the ambient walk and the image
-oracle.  One walk settles subtrees by the target's slope: `_slopes` has
-the one caller `value_classes`, and no second tally walk is defined.
+module builds a private lifter again.  Every walk has one visit
+protocol: `visit(x, j)` returns PRUNE, DESCEND or a value for the whole
+subtree, so `walk` takes no `state` to hand open work down the tree.
+The linear-system lift counts (`lift_counts`, `lift_count`) serve only
+the ambient walk and the image oracle.  One walk settles subtrees by
+the target's slope: `_slopes` has the one caller `value_classes`, and
+no second tally walk is defined.
 The delta regularization integrates the trivial character alone: it
 imports nothing from `characters` and takes no `chi` or `angular`.
 Only `variety.walk` charges a budget meter: no other code writes a
@@ -116,6 +119,27 @@ def test_exactly_one_walk_loop():
         if _stack_loops(fn)
     ]
     assert loops == [("variety.py", "walk")]
+
+
+def test_every_walk_has_one_visit_protocol():
+    # a node settles or descends whole: walk threads no per-node state
+    # from a node to its children, and no caller hands it one
+    (walk,) = [fn for fn in _functions(dict(_modules())["variety.py"]) if fn.name == "walk"]
+    params = [arg.arg for arg in [*walk.args.posonlyargs, *walk.args.args, *walk.args.kwonlyargs]]
+    assert "state" not in params, params
+    calls = [
+        (name, call)
+        for name, tree in _modules()
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "walk"
+    ]
+    assert calls, "no walk call found"
+    offenders = [
+        f"{name}:{call.lineno}"
+        for name, call in calls
+        if len(call.args) > len(params) or any(kw.arg == "state" for kw in call.keywords)
+    ]
+    assert offenders == [], "a walk call hands on a state"
 
 
 def _scope(tree, node):

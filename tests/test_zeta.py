@@ -177,7 +177,7 @@ def test_piece_relation_for_rho():
 def test_conductor_scan_x2_line():
     scan = conductor_vanishing_scan(LINE_X2.system, 2, 6)
     assert scan.cutoff == 1
-    assert scan.guard_margin == 1
+    assert scan.table.c_level - scan.cutoff == 1  # one level verified zero past the cutoff
     assert all(chi.conductor <= 1 for chi in scan.nonzero)
 
 
