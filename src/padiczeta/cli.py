@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -71,7 +70,7 @@ EXPSUM_HEADER = ["m", "u", "re_direct", "im_direct", "re_form1", "im_form1", "ab
 
 
 class Problem:
-    __slots__ = ("system", "support", "max_level", "conductor_cap", "budget")
+    __slots__ = ("system", "support", "max_level", "conductor_cap", "budget", "support_mass")
 
     def __init__(
         self,
@@ -86,6 +85,7 @@ class Problem:
         self.max_level = max_level
         self.conductor_cap = conductor_cap
         self.budget = budget
+        self.support_mass = None  # the support's surface measure, once main has taken it
 
 
 def _integer(value, name: str) -> int:
@@ -320,6 +320,7 @@ def cmd_sps_verify(problem: Problem, out: Path, args) -> int:
         depth=problem.max_level + 1,
         support=problem.support,
         budget=problem.budget,
+        total_mass=problem.support_mass,
     )
     rows = []
     for record in report.records:
@@ -349,8 +350,7 @@ def cmd_sps_verify(problem: Problem, out: Path, args) -> int:
 def cmd_smooth(problem: Problem, out: Path, args) -> int:
     decomposition = global_decompose(problem.system, problem.budget)
     (out / "certificates.json").write_text(certificates_to_json(decomposition))
-    rng = random.Random(args.seed)
-    identity_ok = all(verify_certificate(chart, rng) for chart in decomposition.charts)
+    identity_ok = all(verify_certificate(chart) for chart in decomposition.charts)
     counts_ok = True
     for m in range(1, min(4, problem.max_level) + 1):
         chart_count = decomposition.image_count(m, problem.budget)
@@ -479,7 +479,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the enumeration budget: the most lift-tree nodes each stage's walks "
         "may visit, and the largest p^n a residue scan may cover",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized spot checks")
+    parser.add_argument(
+        "--seed", type=int, default=0, help="recorded in summary.json; no check reads it"
+    )
     parser.add_argument("--s", type=int, default=1, help="integer exponent for delta-check")
     parser.add_argument("--r-max", type=int, default=4, help="largest r for delta-check")
     parser.add_argument("--probe-level", type=int, default=2, help="level for the probe command")
@@ -510,10 +512,10 @@ def main(argv=None) -> int:
         problem.budget = args.budget
     out = Path(args.out)
     try:
-        if problem.support is not None and not tail_measure(
-            problem.system, 0, problem.support, problem.budget
-        ):
-            raise SchemaError("invalid coset support: no point of the variety lies in it")
+        if problem.support is not None:
+            problem.support_mass = tail_measure(problem.system, 0, problem.support, problem.budget)
+            if not problem.support_mass:
+                raise SchemaError("invalid coset support: no point of the variety lies in it")
         out.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](problem, out, args)
     except BudgetExceeded as exc:

@@ -17,6 +17,7 @@ all r past some threshold is the verified statement.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
@@ -29,8 +30,7 @@ from .variety import (
     DESCEND,
     PRUNE,
     BudgetMeter,
-    lift_count,
-    lift_counts,
+    lift_counter,
     truncated_tree,
     walk,
 )
@@ -76,15 +76,16 @@ def _ambient_walk(
     and mult counts the collapsed sibling classes.
 
     The first-order Taylor step, exact for j + i <= 2j, counts two kinds
-    of subtree without building them.  Below settle (= r there), a node
-    past the support level whose ball fixes v < j yields one item at
-    level r, mult its constraint lifts there, that level alone
-    (`lift_count`).  Past settle, a node of level j with 2j >= depth
-    whose target is 0 mod p^j yields its shells from Z_i, its
-    level-(j + i) lifts that keep the target 0 mod p^(j + i)
-    (`lift_counts`, Z_0 = 1): mult p^n Z_(i-1) - Z_i at v = j + i - 1,
-    and Z_(depth - j) deep, each times the node's own mult.  The budget
-    bounds the nodes visited; counted subtrees cost nothing.
+    of subtree without building them (`lift_counter`).  Below settle
+    (= r there), a node past the support level whose ball fixes v < j
+    yields one item at level r, mult its constraint lifts there, that
+    level alone.  Past settle, a node of level j with 2j >= depth whose
+    target is 0 mod p^j yields its shells from Z_i, its level-(j + i)
+    lifts that keep the target 0 mod p^(j + i) (Z_0 = 1): mult p^n
+    Z_(i-1) - Z_i at v = j + i - 1, and Z_(depth - j) deep, each times
+    the node's own mult.  The budget bounds the nodes visited; counted
+    subtrees cost nothing.  The free digits' steps p^j d are built once
+    per level.
     """
     p, n = system.p, system.n
     target = system.target
@@ -93,10 +94,13 @@ def _ambient_walk(
     pinned = [i for i in range(n) if not any(expo[i] for expo in target.terms)]
     all_digits = list(itertools.product(range(p), repeat=n))
     active_digits = [d for d in all_digits if not any(d[i] for i in pinned)]
+    steps: dict[int, list[tuple[int, ...]]] = {}  # level j -> the steps p^j d
 
     def free(x: tuple[int, ...], j: int) -> list[tuple[int, ...]]:
-        step, digits = p**j, active_digits if j >= settle else all_digits
-        return [tuple(c + step * d for c, d in zip(x, digit)) for digit in digits]
+        if j not in steps:
+            step, digits = p**j, active_digits if j >= settle else all_digits
+            steps[j] = [tuple([step * d for d in digit]) for digit in digits]
+        return [tuple([*map(operator.add, x, s)]) for s in steps[j]]
 
     roots, children = truncated_tree(p, n, system.constraints, r, free, budget)
     partials = [[f.partial(k) for k in range(1, n + 1)] for f in system.constraints]
@@ -111,14 +115,16 @@ def _ambient_walk(
         if j < settle:
             if v is None:
                 return DESCEND
-            return [(settle, v, lift_count(system.constraints, partials, x, j, settle - j, p))]
+            count = lift_counter(system.constraints, partials, x, j, settle - j, p)
+            return [(settle, v, count(settle - j))]
         mult = p ** (len(pinned) * (j - settle))
         if v is not None or j == depth:
             # at the scan depth, target, constraints or support may still be unresolved
             return [(j, v, mult)]
         if 2 * j < depth:
             return DESCEND
-        zeros = [1, *lift_counts((target,), gradient, x, j, depth - j, p)]
+        count = lift_counter((target,), gradient, x, j, depth - j, p)
+        zeros = [count(i) for i in range(depth - j + 1)]
         items = [
             (j + i, j + i - 1, mult * (p**n * zeros[i - 1] - zeros[i]))
             for i in range(1, depth - j + 1)

@@ -10,8 +10,9 @@ scale, so everything stays exact).
 
 Each chart is its own certificate: it carries the recombined
 constraints, the rescaled ones and the exponents e_i of the rescaling
-identity, and its measure transport weight p^(sum e_i - L*n) is read
-off those exponents.  The weight is what makes surface-measure
+identity, which `verify_certificate` proves exactly on a small grid of
+points, and its measure transport weight p^(sum e_i - L*n) is read off
+those exponents.  The weight is what makes surface-measure
 integrals computable through point counts on the rescaled charts.
 Every chart walk takes its support in chart coordinates from there, and
 its lifter from `variety.lifter_for`, keyed on the chart's rescaled
@@ -20,6 +21,7 @@ constraints.
 
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
 from functools import lru_cache
@@ -51,8 +53,6 @@ from .variety import (
 RowOp = tuple  # ("rswap", i, k) | ("rcomb", k, d, c, i)
 
 DECOMPOSE_ROUNDS = 12  # rescale-level escalations global_decompose tries
-CERT_SAMPLES = 50  # random points verify_certificate checks
-CERT_DEPTH = 4  # their digits: y is drawn modulo p^CERT_DEPTH
 
 
 class EchelonResult(NamedTuple):
@@ -230,9 +230,10 @@ class Chart(Frozen):
     chart coordinates, target(y) = f_l(center + p^L y), kept exact.
     The rescaling identity, exact over the integers, is
     combined_constraints[i](center + p^L y) = p^exponents[i] * constraints[i](y),
-    each rescaled constraint having a unit coefficient.  The surface
-    measure of a chart subset is weight * (chart-level count) *
-    p^(-k * dim) for any resolving level k.
+    each rescaled constraint having a unit coefficient; `verify_certificate`
+    proves it on a grid of points.  The surface measure of a chart subset
+    is weight * (chart-level count) * p^(-k * dim) for any resolving
+    level k.
     """
 
     __slots__ = (
@@ -449,20 +450,26 @@ measure_charts.cache_info = _measure_charts.cache_info
 measure_charts.cache_clear = _measure_charts.cache_clear
 
 
-def verify_certificate(chart: Chart, rng) -> bool:
-    """Spot-check the rescaling identity of a chart at random points.
+def verify_certificate(chart: Chart) -> bool:
+    """Prove the rescaling identity of a chart exactly, on a grid of points.
 
-    For CERT_SAMPLES points y sampled modulo p^CERT_DEPTH, the combined
-    constraint evaluated at center + p^L y must equal p^e times the
-    rescaled constraint at y, modulo p^(CERT_DEPTH + e), exactly.
+    For each constraint, combined(center + p^L y) - p^e rescaled(y) is a
+    polynomial in y of degree at most d_k in y_k, the larger of the two
+    sides' degrees in their k-th variable.  A polynomial of those degrees
+    that vanishes on the grid of y with every y_k in {0, ..., d_k} is zero
+    (Alon's Combinatorial Nullstellensatz), so both sides, evaluated
+    exactly over Z on that grid, agree everywhere exactly when they agree
+    there.
     """
-    p = chart.p
-    for _ in range(CERT_SAMPLES):
-        y = tuple(rng.randrange(p**CERT_DEPTH) for _ in chart.center)
-        x = tuple(c + p**chart.L * yi for c, yi in zip(chart.center, y))
-        for g, gL, e in zip(chart.combined_constraints, chart.constraints, chart.exponents):
-            modulus = p ** (CERT_DEPTH + e)
-            if g.evaluate(x, modulus) != p**e * gL.evaluate(y, modulus) % modulus:
+    p, scale = chart.p, chart.p**chart.L
+    for g, gL, e in zip(chart.combined_constraints, chart.constraints, chart.exponents):
+        degrees = [
+            max((expo[k] for f in (g, gL) for expo in f.terms), default=0)
+            for k in range(len(chart.center))
+        ]
+        for y in itertools.product(*(range(d + 1) for d in degrees)):
+            x = tuple(c + scale * yk for c, yk in zip(chart.center, y))
+            if g.evaluate(x) != p**e * gL.evaluate(y):
                 return False
     return True
 

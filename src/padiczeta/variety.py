@@ -5,19 +5,21 @@ over the Hensel lift tree of a polynomial system: a node is a residue x
 mod p^j where every polynomial of the system vanishes mod p^j, its
 children are its lifts to level j + 1, and a visit callback decides per
 node whether to prune, descend or emit.  The lifts come from one
-`HenselLifter`, which solves one small F_p linear system per node;
-`lifter_for` builds each lifter once per (p, n, polynomials), and no
-module builds its own.  Under good reduction (full Jacobian rank at
-every F_p root) it walks the smooth tree; without that assumption the
-same lifter walks the filtered congruence tree, used for the first-lift
-search of bad-reduction chart centers and the ambient integrals.
+`HenselLifter`, which solves one small F_p linear system per node and
+adds to x the steps p^j d over its solutions d, kept in a bounded memo
+(`_steps`) per (F_p solver, right-hand side, level); `lifter_for` builds
+each lifter once per (p, n, polynomials), and no module builds its own.
+Under good reduction (full Jacobian rank at every F_p root) it walks
+the smooth tree; without that assumption the same lifter walks the
+filtered congruence tree, used for the first-lift search of
+bad-reduction chart centers and the ambient integrals.
 `value_classes` is the one walk that settles a node's subtree by the
 target's Taylor step, and the counts, tail measures, recounts and
-direct sums all read its classes.  `lift_counts` counts a node's lifts
+direct sums all read its classes.  `lift_counter` counts a node's lifts
 as the solutions of one linear system over Z/p^i by a local Smith
-reduction, with no Jacobian minors; it serves the routes that share
-nothing with `value_classes`, the ambient walk of `regularize` and the
-image oracle.  Two oracles stay independent of the lifter: a
+reduction, with no Jacobian minors, for the routes that share nothing
+with `value_classes`: the ambient walk of `regularize` and the image
+oracle.  Two oracles stay independent of the lifter: a
 brute-force scan of the full residue grid, which every walk is checked
 against, and the image oracle, a class search on `walk` over the
 all-digit tree.  A class search walks each tree once, to the class
@@ -38,6 +40,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import BadReductionInput, BudgetExceeded, Frozen, NotStabilized, WalkInvariantError
@@ -46,6 +49,7 @@ from .padic import int_valuation
 from .support import Support
 
 DEFAULT_BUDGET = 10**7
+STEP_MEMO_SIZE = 64  # (solver, right-hand side, level) keys whose child steps `_steps` keeps
 
 
 class BudgetMeter:
@@ -375,8 +379,7 @@ class HenselLifter:
     def children(self, x: tuple[int, ...], j: int) -> list[tuple[int, ...]]:
         """Lifts of a level-j solution to level j+1, lexicographic in the digit.
 
-        The digits d solve grad f(x) . d = -f(x)/p^j mod p for every
-        constraint f.
+        The digits d solve grad f(x) . d = -f(x)/p^j mod p for every constraint f.
         """
         p = self.p
         step = p**j
@@ -386,8 +389,16 @@ class HenselLifter:
             if value % step:
                 raise WalkInvariantError(f"node {x} does not satisfy the constraints at level {j}")
             rhs.append(-(value // step) % p)
-        solver = self._solvers[tuple([c % p for c in x])]
-        return [tuple([c + step * d for c, d in zip(x, digit)]) for digit in solver.solve_affine(rhs)]
+        steps = _steps(self._solvers[tuple([c % p for c in x])], tuple(rhs), j)
+        # through a list: tuple(map(...)) over-allocates each tuple, then shrinks it
+        return [tuple([*map(operator.add, x, s)]) for s in steps]
+
+
+@functools.lru_cache(maxsize=STEP_MEMO_SIZE)
+def _steps(solver: _FpSolver, rhs: tuple[int, ...], j: int) -> tuple[tuple[int, ...], ...]:
+    """The steps p^j d over the solutions d of the solver's system at rhs, lexicographic in d."""
+    scaled = [solver.p**j * d for d in range(solver.p)]  # shared by every step of the level
+    return tuple(tuple([scaled[d] for d in digit]) for digit in solver.solve_affine(rhs))
 
 
 def _taylor_rows(
@@ -411,36 +422,25 @@ def _taylor_rows(
     return rows
 
 
-def lift_counts(
+def lift_counter(
     polys: Sequence[MPoly],
     gradients: Sequence[Sequence[MPoly]],
     x: tuple[int, ...],
     j: int,
     levels: int,
     p: int,
-) -> list[int]:
-    """counts[i - 1]: the y mod p^i with every f(x + p^j y) = 0 mod p^(j + i), i = 1..levels <= j.
+) -> Callable[[int], int]:
+    """count(i): the y mod p^i with every f(x + p^j y) = 0 mod p^(j + i), for i <= levels <= j.
 
     x is a common zero of the polys mod p^j, and gradients[k] lists the
     partials of polys[k].  For i <= j, f(x + p^j y) = f(x) + p^j grad
     f(x) . y mod p^(j + i), as the Taylor tail carries p^(2j), so the
     lifts solve one linear system over Z/p^i, the row (grad f(x),
-    -f(x)/p^j) per poly, from one evaluation at x.
+    -f(x)/p^j) per poly: one evaluation at x, mod p^(j + levels), serves
+    every count.
     """
     rows = _taylor_rows(polys, gradients, x, j, levels, p)
-    return [_solution_count(rows, len(x), p, i) for i in range(1, levels + 1)]
-
-
-def lift_count(
-    polys: Sequence[MPoly],
-    gradients: Sequence[Sequence[MPoly]],
-    x: tuple[int, ...],
-    j: int,
-    i: int,
-    p: int,
-) -> int:
-    """The last entry of `lift_counts(polys, gradients, x, j, i, p)`, without the others."""
-    return _solution_count(_taylor_rows(polys, gradients, x, j, i, p), len(x), p, i)
+    return lambda i: _solution_count(rows, len(x), p, i)
 
 
 def _slopes(
@@ -760,7 +760,7 @@ def _class_search(
     accuracy: int,
     budget: int,
     stage: str,
-    settle: Callable[[tuple[int, ...], int, int], bool | None] | None = None,
+    settle: Callable[[tuple[int, ...], int, int], Callable[[int], bool] | None] | None = None,
 ) -> dict[tuple[int, ...], tuple[int, ...]]:
     """Classes mod p^m of the tree's nodes at `accuracy`, each with its first lift.
 
@@ -776,11 +776,11 @@ def _class_search(
     accuracy=<accuracy>`: a first-hit walk's roots are the children of
     its level-m node, and for m = 0, where every node is in the one
     class, the tree's roots.  `settle(x, j, level)`, when given, may
-    decide a node x of level j < level: it returns None to descend as
-    usual, or whether x has a lift at `level`, and x then stands in for
-    its lifts.  A settled x meets accuracy + 1 when it has a lift there,
-    and when it has none a second call asks whether it meets `accuracy`;
-    the representative of a class is then any of its nodes.
+    decide a node x of level j < level: None descends as usual, or
+    `lifts(i)` says whether x lifts to a level i <= `level`, and x stands
+    in for its lifts.  A settled x meets accuracy + 1 when it lifts
+    there, and when it does not `lifts(accuracy)` says whether it meets
+    `accuracy`; the representative of a class is then any of its nodes.
     """
     if m < 0 or accuracy < max(m, 1):
         raise WalkInvariantError(
@@ -793,8 +793,9 @@ def _class_search(
         nonlocal rep
         if j > accuracy:
             return x
-        found = settle(x, j, accuracy + 1) if settle is not None else None
-        if rep is None and (j == accuracy or found or found is False and settle(x, j, accuracy)):
+        lifts = settle(x, j, accuracy + 1) if settle is not None else None
+        found = lifts(accuracy + 1) if lifts else None
+        if rep is None and (j == accuracy or found or found is False and lifts(accuracy)):
             rep = x
         if found is None:
             return DESCEND
@@ -853,26 +854,24 @@ def image_oracle(
     mod p, and its gradient mod p, and keeps the digit vectors with
     f(x)/p^j + grad f(x).d = 0 mod p for every f: the first-order
     Taylor step, exact because the rest of f(x + p^j d) - f(x) carries
-    p^(2j) and 2j >= j + 1.  The survivors depend only on that step, so
-    each distinct step is tested once per call.
+    p^(2j) and 2j >= j + 1.  The steps p^j d of the survivors depend only
+    on that Taylor step and j, so each is built once per call.
 
-    A node of level j with 2j >= level, the accuracy or one past it, is
-    not descended: for i = level - j <= j the same step is exact mod
-    p^level, so x has a lift at `level` exactly when the rows (grad f(x),
-    -f(x)/p^j) have a solution mod p^i, counted by `lift_count` from one
-    evaluation of each constraint and its gradient.  The oracle only
-    evaluates: it builds no lifter and no F_p solver, so it shares
-    nothing with the chart decomposition it checks (meter stage `image
-    oracle m=<m> accuracy=<m + buffer>`).  For m = 0 the image is the one
-    class (0, ..., 0) when some root has a lift at the accuracy, and
-    empty otherwise.  Stability is evidence, not proof; the
+    A node of level j with 2j >= accuracy + 1 is not descended: the same
+    step is exact there, and `lift_counter` tells from one evaluation
+    whether x lifts to accuracy + 1 and, if not, to the accuracy.  The
+    oracle only evaluates: it builds no lifter and no F_p solver, so it
+    shares nothing with the chart decomposition it checks (meter stage
+    `image oracle m=<m> accuracy=<m + buffer>`).  For m = 0 the image is
+    the one class (0, ..., 0) when some root has a lift at the accuracy,
+    and empty otherwise.  Stability is evidence, not proof; the
     decomposition cross-checks catch a wrong-but-stable buffer.
     """
     p, n, constraints = system.p, system.n, system.constraints
     check_residue_scan(p, n, budget)
     digits = list(itertools.product(range(p), repeat=n))
     gradients = [[f.partial(k) for k in range(1, n + 1)] for f in constraints]
-    survivors: dict[tuple, list[tuple[int, ...]]] = {}
+    steps: dict[tuple, list[tuple[int, ...]]] = {}  # (Taylor step, level) -> child steps
 
     def children(x: tuple[int, ...], j: int) -> list[tuple[int, ...]]:
         step, modulus = p**j, p ** (j + 1)
@@ -882,20 +881,21 @@ def image_oracle(
             if value % step:
                 raise WalkInvariantError(f"constraint does not vanish mod p^{j} at {x}")
             taylor.append((value // step, tuple(g.evaluate(x, p) for g in grad)))
-        key = tuple(taylor)
-        kept = survivors.get(key)
+        key = (tuple(taylor), j)
+        kept = steps.get(key)
         if kept is None:
-            kept = survivors[key] = [
-                d
+            kept = steps[key] = [
+                tuple([step * e for e in d])
                 for d in digits
-                if all((value + sum(g * e for g, e in zip(row, d))) % p == 0 for value, row in key)
+                if all((v + sum(g * e for g, e in zip(row, d))) % p == 0 for v, row in taylor)
             ]
-        return [tuple([c + step * e for c, e in zip(x, d)]) for d in kept]
+        return [tuple([*map(operator.add, x, s)]) for s in kept]
 
-    def settle(x: tuple[int, ...], j: int, level: int) -> bool | None:
+    def settle(x: tuple[int, ...], j: int, level: int) -> Callable[[int], bool] | None:
         if 2 * j < level:
             return None
-        return lift_count(constraints, gradients, x, j, level - j, p) > 0
+        count = lift_counter(constraints, gradients, x, j, level - j, p)
+        return lambda i: count(i - j) > 0
 
     roots = [x for x in digits if not any(f.evaluate(x, p) for f in constraints)]
     return set(_class_search(roots, children, p, m, m + buffer, budget, "image oracle", settle))

@@ -1,11 +1,13 @@
 """Tests for DVR echelon reduction and the good-reduction chart covering."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from padiczeta import smoothing
+from padiczeta import cli, smoothing
 from padiczeta.bundled import BAD_LINE, BAD_LINE_P5, LINE_X2, PARABOLA, PLANE_LINE
 from padiczeta.errors import ArgumentOutOfRange, BudgetExceeded, CenterNotOnVariety, RankDeficient
 from padiczeta.mpoly import MPoly, PolySystem, system_from_strings
@@ -24,6 +26,8 @@ from padiczeta.variety import (
     lifter_for,
 )
 from padiczeta.zeta import tail_measure
+
+SPECS = Path(__file__).resolve().parents[1] / "scripts" / "specs"
 
 
 def rescale_at_own_level(system, x0):
@@ -114,12 +118,88 @@ def test_neron_rescale_rejects_off_variety_center():
         rescale_at_own_level(PARABOLA.system, (1, 0))
 
 
+def _identity_gaps(chart, y, modulus=None):
+    """combined(center + p^L y) - p^e rescaled(y) per constraint, mod modulus if given."""
+    x = tuple(c + chart.p**chart.L * yk for c, yk in zip(chart.center, y))
+    gaps = (
+        g.evaluate(x) - chart.p**e * gL.evaluate(y)
+        for g, gL, e in zip(chart.combined_constraints, chart.constraints, chart.exponents)
+    )
+    return [gap % modulus if modulus else gap for gap in gaps]
+
+
 def test_certificate_identity_random_points():
+    # the grid proof's verdict holds at random points, exactly over Z
     rng = random.Random(12345)
-    for instance in (BAD_LINE, PARABOLA, PLANE_LINE):
-        decomposition = global_decompose(instance.system)
-        for chart in decomposition.charts:
-            assert verify_certificate(chart, rng)
+    for instance in (BAD_LINE, BAD_LINE_P5, PARABOLA, PLANE_LINE):
+        for chart in global_decompose(instance.system).charts:
+            assert verify_certificate(chart)
+            for _ in range(10):
+                y = tuple(rng.randrange(-(10**6), 10**6) for _ in chart.center)
+                assert not any(_identity_gaps(chart, y))
+
+
+def test_certificates_take_grid_evaluations(monkeypatch):
+    # each of BAD_LINE_P5's 25 charts certifies a linear constraint in two
+    # variables: both sides at the 4 points of {0, 1}^2, 200 evaluations,
+    # where 50 random points per chart took 2,500
+    charts = global_decompose(BAD_LINE_P5.system).charts
+    calls = 0
+    evaluate = MPoly.evaluate
+
+    def counting(self, *args):
+        nonlocal calls
+        calls += 1
+        return evaluate(self, *args)
+
+    monkeypatch.setattr(MPoly, "evaluate", counting)
+    assert len(charts) == 25
+    assert all(verify_certificate(chart) for chart in charts)
+    assert calls == 200
+
+
+def _perturbed(chart, amount):
+    """The chart with amount added to the x1 coefficient of its first rescaled constraint."""
+    first = chart.constraints[0] + MPoly(len(chart.center), {(1, 0): amount})
+    return smoothing.Chart(
+        chart.p,
+        chart.center,
+        chart.L,
+        (first, *chart.constraints[1:]),
+        chart.target,
+        chart.combined_constraints,
+        chart.exponents,
+        chart.pivot_vals,
+    )
+
+
+def test_certificate_catches_a_perturbation_below_the_sampled_precision():
+    # x1 - 3*x2 + 81*x1 breaks bad_line's identity by 3^3 * 81 * y1 = 3^7 y1,
+    # which vanishes mod p^(4 + e) = 3^7: a check sampled at that precision
+    # passes at every point, and the grid proof fails at y = (1, 0)
+    chart = global_decompose(BAD_LINE.system).charts[0]
+    assert chart.exponents == (3,)
+    broken = _perturbed(chart, 3**4)
+    rng = random.Random(0)
+    for _ in range(50):
+        y = tuple(rng.randrange(3**4) for _ in chart.center)
+        assert _identity_gaps(broken, y, 3**7) == [0]
+    assert _identity_gaps(broken, (1, 0)) == [-(3**7)]
+    assert verify_certificate(chart)
+    assert not verify_certificate(broken)
+
+
+def test_smooth_exits_verify_on_a_broken_certificate(monkeypatch, tmp_path):
+    def decompose(system, budget):
+        decomposition = global_decompose(system, budget)
+        charts = (_perturbed(decomposition.charts[0], 3**4), *decomposition.charts[1:])
+        return decomposition._replace(charts=charts)
+
+    monkeypatch.setattr(cli, "global_decompose", decompose)
+    out = tmp_path / "out"
+    assert cli.main(["smooth", "--spec", str(SPECS / "bad_line.json"), "--out", str(out)]) == 3
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["identity_ok"] is False
 
 
 def test_global_decompose_good_system_single_step():
@@ -204,6 +284,30 @@ def test_center_search_stops_at_first_lifts(monkeypatch):
     monkeypatch.setattr(HenselLifter, "children", counting)
     global_decompose(BAD_LINE_P5.system)
     assert 0 < calls <= 5000
+
+
+def test_center_search_work_is_pinned(monkeypatch):
+    # BAD_LINE_P5's two rounds of first-lift search list 4,500 children in
+    # 620 `children` calls and visit 650 of them
+    from padiczeta import variety
+
+    lists, meters = [], []
+    children, meter_class = HenselLifter.children, variety.BudgetMeter
+
+    def counting(self, x, j):
+        lists.append(children(self, x, j))
+        return lists[-1]
+
+    def recording(limit, stage):
+        meters.append(meter_class(limit, stage))
+        return meters[-1]
+
+    monkeypatch.setattr(HenselLifter, "children", counting)
+    monkeypatch.setattr(variety, "BudgetMeter", recording)
+    measure_charts.cache_clear()
+    global_decompose(BAD_LINE_P5.system)
+    assert (len(lists), sum(map(len, lists))) == (620, 4500)
+    assert sum(meter.used for meter in meters) == 650
 
 
 def test_rescale_rounds_exhausted_names_stage_and_level(monkeypatch):

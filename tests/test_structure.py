@@ -9,7 +9,7 @@ memo: the only `HenselLifter(...)` call is the one inside it, so no
 module builds a private lifter again.  Every walk has one visit
 protocol: `visit(x, j)` returns PRUNE, DESCEND or a value for the whole
 subtree, so `walk` takes no `state` to hand open work down the tree.
-The linear-system lift counts (`lift_counts`, `lift_count`) serve only
+The linear-system lift counts (`lift_counter`) serve only
 the ambient walk and the image oracle.  One walk settles subtrees by
 the target's slope: `_slopes` has the one caller `value_classes`, and
 no second tally walk is defined.
@@ -172,11 +172,9 @@ def test_lift_counts_serve_only_the_independent_routes():
         for name, tree in _modules()
         for call in ast.walk(tree)
         if isinstance(call, ast.Call)
-        and getattr(call.func, "id", getattr(call.func, "attr", None))
-        in ("lift_counts", "lift_count")
+        and getattr(call.func, "id", getattr(call.func, "attr", None)) == "lift_counter"
     }
-    allowed = {("regularize.py", "_ambient_walk"), ("variety.py", "image_oracle")}
-    assert callers <= allowed, callers - allowed
+    assert callers == {("regularize.py", "_ambient_walk"), ("variety.py", "image_oracle")}
 
 
 def test_one_walk_settles_by_the_slope():

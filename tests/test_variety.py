@@ -481,6 +481,12 @@ def test_first_lifts_refuses_classes_that_die_out():
         first_lifts(HenselLifter(3, 2, system.constraints), 1, 1)
     with pytest.raises(NotStabilized, match="accuracies 1 and 2"):
         image_oracle(system, 1, 0)
+    # x1^2 = 27 has solutions mod 3^3 (x1 = 0 mod 9) but none mod 3^4: the
+    # oracle settles the level-2 nodes, none of which lifts mod 3^4, and
+    # their rows tell whether they lift mod 3^3
+    system = system_from_strings(3, 2, ["x1^2 - 27"], "x2")
+    with pytest.raises(NotStabilized, match="accuracies 3 and 4"):
+        image_oracle(system, 1, 2)
 
 
 @given(graph_systems(bad_only=True), st.sampled_from([1, 2, 3]))
@@ -542,11 +548,125 @@ def test_image_oracle_builds_no_lifter(monkeypatch):
     assert [meter.used for meter in meters] == [9 + 27 + 81 + 108]
     # the 9 residues scanned for roots, then the constraint and its two
     # partials at each expanded or settled node: the 36 expanded below
-    # level 3, each level-3 node settled at accuracy 6 and expanded toward
-    # 7, and the 108 settled at level 4 (filtering the 9 lifts of an
-    # expanded node by evaluating the constraint at each would take 9
-    # evaluations, not 3)
-    assert len(calls) == 9 + 3 * (36 + 81 + 81 + 108)
+    # level 3, the 81 level-3 nodes expanded toward 7, and the 108 settled
+    # at level 4, whose rows mod 3^7 also tell the 81 with no lift there
+    # whether they lift mod 3^6 (asking again evaluated 3 * 81 more;
+    # filtering the 9 lifts of an expanded node by evaluating the
+    # constraint at each would take 9 evaluations, not 3)
+    assert len(calls) == 9 + 3 * (36 + 81 + 108)
+
+
+def test_image_oracle_evaluates_each_settled_node_once(monkeypatch):
+    # `smooth` asks bad_line's oracle at m = 4 with buffer L + 1 = 3: the
+    # search settles 243 nodes, each from one set of Taylor rows mod 3^8,
+    # and the 162 with no lift mod 3^8 answer whether they lift mod 3^7
+    # from the same rows (evaluating the rows again took 405 sets)
+    import padiczeta.variety as variety
+
+    calls = 0
+    rows = variety._taylor_rows
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return rows(*args)
+
+    monkeypatch.setattr(variety, "_taylor_rows", counting)
+    assert len(image_oracle(BAD_LINE.system, 4, 3)) == 81
+    assert calls == 243
+
+
+def _uncached_children(system, x, j, kept=None):
+    """x + p^j d over the digit vectors d, lexicographic, that kept admits or that lift x."""
+    p = system.p
+    children = [
+        tuple(c + p**j * e for c, e in zip(x, d))
+        for d in itertools.product(range(p), repeat=system.n)
+        if kept is None or kept(d)
+    ]
+    if kept is not None:
+        return children
+    return [y for y in children if not any(f.evaluate(y, p ** (j + 1)) for f in system.constraints)]
+
+
+def _tree_nodes(roots, children, levels, limit):
+    """Up to `limit` (node, level) pairs of a tree, breadth first, below level `levels`."""
+    nodes, frontier, j = [], list(roots), 1
+    while frontier and j < levels and len(nodes) < limit:
+        nodes += [(x, j) for x in frontier]
+        frontier, j = [y for x in frontier for y in children(x, j)][:limit], j + 1
+    return nodes[:limit]
+
+
+@given(graph_systems(), st.sampled_from([0, 1, 2]))
+@settings(max_examples=30, deadline=None)
+def test_child_lists_match_the_uncached_construction(system, r):
+    # the lifter, the image oracle and the ambient walk build children from
+    # cached steps p^j d; each lists the same nodes, in the same order, as
+    # x + p^j d built afresh over the digit vectors d in lexicographic order
+    import padiczeta.regularize as regularize
+    import padiczeta.variety as variety
+
+    trees = {}
+
+    def spy(module, name, key, picked):
+        original = getattr(module, name)
+
+        def spied(*args):
+            result = original(*args)
+            trees.setdefault(key, picked(args, result))
+            return result
+
+        mp.setattr(module, name, spied)
+
+    with pytest.MonkeyPatch.context() as mp:
+        spy(variety, "_class_search", "oracle", lambda args, _: args[:2])
+        spy(regularize, "truncated_tree", "ambient", lambda _, result: result)
+        try:
+            image_oracle(system, 1, 1)
+        except NotStabilized:
+            pass  # the walk's children were handed over before it ran
+        delta_integral(system, 1, r, r + 1)
+
+    p, target = system.p, system.target
+    lifter = HenselLifter(p, system.n, system.constraints)
+    pinned = [i for i in range(system.n) if not any(expo[i] for expo in target.terms)]
+    for x, j in _tree_nodes(lifter.roots(), lifter.children, 4, 60):
+        assert lifter.children(x, j) == _uncached_children(system, x, j)
+    for x, j in _tree_nodes(*trees["oracle"], 4, 60):
+        assert trees["oracle"][1](x, j) == _uncached_children(system, x, j)
+    settle = max(r, 1)
+    for x, j in _tree_nodes(*trees["ambient"], 4, 60):
+        if j < r:
+            expected = _uncached_children(system, x, j)
+        else:
+            expected = _uncached_children(
+                system, x, j, lambda d: j < settle or not any(d[i] for i in pinned)
+            )
+        assert trees["ambient"][1](x, j) == expected
+
+
+def test_step_memo_stays_within_its_bound():
+    # the curve x1 = x2*x3, x4 = x2^2 at p = 5 has 25 roots, each with its
+    # own F_p solver and 25 right-hand sides per level; ten nodes spread
+    # over each level down to level 40 meet far more (solver, rhs, level)
+    # keys than the memo keeps, and the child lists still match a fresh
+    # construction
+    import padiczeta.variety as variety
+
+    system = system_from_strings(5, 4, ["x1 - x2*x3", "x4 - x2^2"], "x3^2 + x4^3")
+    lifter = HenselLifter(5, 4, system.constraints)
+    variety._steps.cache_clear()
+    frontier = lifter.roots()
+    for j in range(1, 41):
+        lifts = [(x, lifter.children(x, j)) for x in frontier[:: len(frontier) // 10][:10]]
+        assert variety._steps.cache_info().currsize <= variety.STEP_MEMO_SIZE
+        for x, children in lifts[:2]:
+            assert children == _uncached_children(system, x, j)
+        frontier = [y for _, children in lifts for y in children]
+    info = variety._steps.cache_info()
+    assert info.maxsize == variety.STEP_MEMO_SIZE
+    assert info.misses > 4 * variety.STEP_MEMO_SIZE
 
 
 def test_points_below_level_one_raise():
