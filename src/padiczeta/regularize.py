@@ -17,7 +17,6 @@ all r past some threshold is the verified statement.
 from __future__ import annotations
 
 import itertools
-import operator
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
@@ -84,8 +83,7 @@ def _ambient_walk(
     lifts that keep the target 0 mod p^(j + i) (Z_0 = 1): mult p^n
     Z_(i-1) - Z_i at v = j + i - 1, and Z_(depth - j) deep, each times
     the node's own mult.  The budget bounds the nodes visited; counted
-    subtrees cost nothing.  The free digits' steps p^j d are built once
-    per level.
+    subtrees cost nothing.
     """
     p, n = system.p, system.n
     target = system.target
@@ -94,13 +92,10 @@ def _ambient_walk(
     pinned = [i for i in range(n) if not any(expo[i] for expo in target.terms)]
     all_digits = list(itertools.product(range(p), repeat=n))
     active_digits = [d for d in all_digits if not any(d[i] for i in pinned)]
-    steps: dict[int, list[tuple[int, ...]]] = {}  # level j -> the steps p^j d
 
     def free(x: tuple[int, ...], j: int) -> list[tuple[int, ...]]:
-        if j not in steps:
-            step, digits = p**j, active_digits if j >= settle else all_digits
-            steps[j] = [tuple([step * d for d in digit]) for digit in digits]
-        return [tuple([*map(operator.add, x, s)]) for s in steps[j]]
+        step, digits = p**j, active_digits if j >= settle else all_digits
+        return [tuple(c + step * d for c, d in zip(x, digit)) for digit in digits]
 
     roots, children = truncated_tree(p, n, system.constraints, r, free, budget)
     partials = [[f.partial(k) for k in range(1, n + 1)] for f in system.constraints]

@@ -49,7 +49,6 @@ from .padic import int_valuation
 from .support import Support
 
 DEFAULT_BUDGET = 10**7
-STEP_MEMO_SIZE = 64  # (solver, right-hand side, level) keys whose child steps `_steps` keeps
 
 
 class BudgetMeter:
@@ -379,7 +378,8 @@ class HenselLifter:
     def children(self, x: tuple[int, ...], j: int) -> list[tuple[int, ...]]:
         """Lifts of a level-j solution to level j+1, lexicographic in the digit.
 
-        The digits d solve grad f(x) . d = -f(x)/p^j mod p for every constraint f.
+        The digits d solve grad f(x) . d = -f(x)/p^j mod p for every
+        constraint f.
         """
         p = self.p
         step = p**j
@@ -394,7 +394,7 @@ class HenselLifter:
         return [tuple([*map(operator.add, x, s)]) for s in steps]
 
 
-@functools.lru_cache(maxsize=STEP_MEMO_SIZE)
+@functools.lru_cache(maxsize=32)  # no perfbench job meets more than 22 (solver, rhs, j) keys
 def _steps(solver: _FpSolver, rhs: tuple[int, ...], j: int) -> tuple[tuple[int, ...], ...]:
     """The steps p^j d over the solutions d of the solver's system at rhs, lexicographic in d."""
     scaled = [solver.p**j * d for d in range(solver.p)]  # shared by every step of the level
@@ -854,8 +854,8 @@ def image_oracle(
     mod p, and its gradient mod p, and keeps the digit vectors with
     f(x)/p^j + grad f(x).d = 0 mod p for every f: the first-order
     Taylor step, exact because the rest of f(x + p^j d) - f(x) carries
-    p^(2j) and 2j >= j + 1.  The steps p^j d of the survivors depend only
-    on that Taylor step and j, so each is built once per call.
+    p^(2j) and 2j >= j + 1.  The survivors depend only on that step, so
+    each distinct step is tested once per call.
 
     A node of level j with 2j >= accuracy + 1 is not descended: the same
     step is exact there, and `lift_counter` tells from one evaluation
@@ -871,7 +871,7 @@ def image_oracle(
     check_residue_scan(p, n, budget)
     digits = list(itertools.product(range(p), repeat=n))
     gradients = [[f.partial(k) for k in range(1, n + 1)] for f in constraints]
-    steps: dict[tuple, list[tuple[int, ...]]] = {}  # (Taylor step, level) -> child steps
+    survivors: dict[tuple, list[tuple[int, ...]]] = {}
 
     def children(x: tuple[int, ...], j: int) -> list[tuple[int, ...]]:
         step, modulus = p**j, p ** (j + 1)
@@ -881,15 +881,15 @@ def image_oracle(
             if value % step:
                 raise WalkInvariantError(f"constraint does not vanish mod p^{j} at {x}")
             taylor.append((value // step, tuple(g.evaluate(x, p) for g in grad)))
-        key = (tuple(taylor), j)
-        kept = steps.get(key)
+        key = tuple(taylor)
+        kept = survivors.get(key)
         if kept is None:
-            kept = steps[key] = [
-                tuple([step * e for e in d])
+            kept = survivors[key] = [
+                d
                 for d in digits
-                if all((v + sum(g * e for g, e in zip(row, d))) % p == 0 for v, row in taylor)
+                if all((value + sum(g * e for g, e in zip(row, d))) % p == 0 for value, row in key)
             ]
-        return [tuple([*map(operator.add, x, s)]) for s in kept]
+        return [tuple([c + step * e for c, e in zip(x, d)]) for d in kept]
 
     def settle(x: tuple[int, ...], j: int, level: int) -> Callable[[int], bool] | None:
         if 2 * j < level:
