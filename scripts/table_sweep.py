@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Fingerprint shell tables and conductor scans over a fixed sweep, with no timings.
 
-The sweep covers every bundled system and three more (a curved
-bad-reduction line, the cusp surface and a 27-chart line with rescaling
-level 3), each on the unit polydisc and on one coset support at level 1
-and at level 2 (centers: the first and last residues, in lexicographic
-order, where every constraint vanishes mod p^level).  On each, at two
+The sweep covers every bundled system and four more (a curved
+bad-reduction line, the cusp surface, a curve cut out by two constraints
+and a 27-chart line with rescaling level 3), each on the unit polydisc
+and on one coset support at level 1 and at level 2 (centers: the first
+and last residues, in lexicographic order, where every constraint
+vanishes mod p^level).  On each, at two
 depths (3 and 8, or 3 and 5 past two variables), it builds the shell
 tables at angular levels c = 1..3 and runs the conductor scan from
 c_max = 1.  OUTDIR/sweep.json records per case the repr of the
@@ -35,6 +36,7 @@ from padiczeta.support import Support
 EXTRA = {
     "curve": system_from_strings(3, 2, ["3*x1 + 3*x2^2"], "x2^2 - x2"),
     "cusp_surface": system_from_strings(3, 4, ["x1 - x2*x3*x4"], "x2^2 + x3^3 + x4^5"),
+    "two_constraint_curve": system_from_strings(3, 4, ["x1 - x2*x3", "x4 - x2^2"], "x3^2 + x4^3"),
     "level3_line": system_from_strings(3, 2, ["9*x1 - 27*x2"], "x2^2"),
 }
 

@@ -70,7 +70,7 @@ EXPSUM_HEADER = ["m", "u", "re_direct", "im_direct", "re_form1", "im_form1", "ab
 
 
 class Problem:
-    __slots__ = ("system", "support", "max_level", "conductor_cap", "budget", "support_mass")
+    __slots__ = ("system", "support", "max_level", "conductor_cap", "budget")
 
     def __init__(
         self,
@@ -85,7 +85,6 @@ class Problem:
         self.max_level = max_level
         self.conductor_cap = conductor_cap
         self.budget = budget
-        self.support_mass = None  # the support's surface measure, once main has taken it
 
 
 def _integer(value, name: str) -> int:
@@ -320,7 +319,6 @@ def cmd_sps_verify(problem: Problem, out: Path, args) -> int:
         depth=problem.max_level + 1,
         support=problem.support,
         budget=problem.budget,
-        total_mass=problem.support_mass,
     )
     rows = []
     for record in report.records:
@@ -512,10 +510,10 @@ def main(argv=None) -> int:
         problem.budget = args.budget
     out = Path(args.out)
     try:
-        if problem.support is not None:
-            problem.support_mass = tail_measure(problem.system, 0, problem.support, problem.budget)
-            if not problem.support_mass:
-                raise SchemaError("invalid coset support: no point of the variety lies in it")
+        if problem.support is not None and not tail_measure(
+            problem.system, 0, problem.support, problem.budget
+        ):
+            raise SchemaError("invalid coset support: no point of the variety lies in it")
         out.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](problem, out, args)
     except BudgetExceeded as exc:

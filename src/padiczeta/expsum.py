@@ -260,7 +260,6 @@ def build_stationary_phase_context(
     c_max: int = 2,
     support: Support | None = None,
     budget: int = DEFAULT_BUDGET,
-    total_mass: Fraction | None = None,
 ) -> StationaryPhaseContext:
     """Scan characters, keep the scan's shell table, and measure the support.
 
@@ -269,7 +268,7 @@ def build_stationary_phase_context(
     margin of at least one level (escalating from c_max as needed); the
     scan's table, projected to the cutoff level, holds every coefficient
     the formula reads.  The total surface mass Z(0, triv) is taken
-    directly, as `tail_measure` at m = 0, unless the caller hands it in.
+    directly, as `tail_measure` at m = 0.
     """
     if system.p == 2:
         raise EvenPrimeUnsupported(
@@ -278,8 +277,7 @@ def build_stationary_phase_context(
         )
     scan = conductor_vanishing_scan(system, c_max, depth, support=support, budget=budget)
     twisted = [(chi, gauss_sum(chi.inverse())) for chi in scan.nonzero]
-    if total_mass is None:
-        total_mass = tail_measure(system, 0, support=support, budget=budget)
+    total_mass = tail_measure(system, 0, support=support, budget=budget)
     return StationaryPhaseContext(
         system=system,
         table=scan.table.project(max(scan.cutoff, 1)),
@@ -328,7 +326,6 @@ def stationary_phase_check(
     depth: int | None = None,
     support: Support | None = None,
     budget: int = DEFAULT_BUDGET,
-    total_mass: Fraction | None = None,
 ) -> StationaryPhaseReport:
     """Cross-validate direct exponential sums against the formula route.
 
@@ -340,8 +337,7 @@ def stationary_phase_check(
     support, and on a decomposition with L > 0, whose chart weights
     transport the measure.  Otherwise the direct side is the plain
     exponential sum.  The formula consumes coefficients only up to
-    max(m) - 1, so the default table depth is max(m).  `total_mass`,
-    when given, is the support's measure, `tail_measure` at m = 0.
+    max(m) - 1, so the default table depth is max(m).
     """
     context = build_stationary_phase_context(
         system,
@@ -349,7 +345,6 @@ def stationary_phase_check(
         c_max=c_cap,
         support=support,
         budget=budget,
-        total_mass=total_mass,
     )
     p = system.p
     weighted = measure_charts(system, budget).L > 0 or support is not None

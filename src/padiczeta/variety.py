@@ -850,8 +850,9 @@ def image_oracle(
     every constraint vanishes, and a level-j node x has the children
     x + p^j d, for every digit vector d in lexicographic order, where
     every constraint vanishes mod p^(j + 1).  The roots are found by
-    evaluation; a node evaluates each constraint f once, as f(x)/p^j
-    mod p, and its gradient mod p, and keeps the digit vectors with
+    evaluation; a node's `_taylor_rows` to one level evaluate each
+    constraint f once, as f(x)/p^j mod p, and its gradient mod p, and
+    the node keeps the digit vectors with
     f(x)/p^j + grad f(x).d = 0 mod p for every f: the first-order
     Taylor step, exact because the rest of f(x + p^j d) - f(x) carries
     p^(2j) and 2j >= j + 1.  The survivors depend only on that step, so
@@ -874,21 +875,16 @@ def image_oracle(
     survivors: dict[tuple, list[tuple[int, ...]]] = {}
 
     def children(x: tuple[int, ...], j: int) -> list[tuple[int, ...]]:
-        step, modulus = p**j, p ** (j + 1)
-        taylor = []
-        for f, grad in zip(constraints, gradients):
-            value = f.evaluate(x, modulus)
-            if value % step:
-                raise WalkInvariantError(f"constraint does not vanish mod p^{j} at {x}")
-            taylor.append((value // step, tuple(g.evaluate(x, p) for g in grad)))
-        key = tuple(taylor)
+        key = tuple(map(tuple, _taylor_rows(constraints, gradients, x, j, 1, p)))
         kept = survivors.get(key)
         if kept is None:
             kept = survivors[key] = [
                 d
                 for d in digits
-                if all((value + sum(g * e for g, e in zip(row, d))) % p == 0 for value, row in key)
+                # row = (grad f(x), -f(x)/p^j): map stops at d's last digit
+                if all((sum(map(operator.mul, row, d)) - row[-1]) % p == 0 for row in key)
             ]
+        step = p**j
         return [tuple([c + step * e for c, e in zip(x, d)]) for d in kept]
 
     def settle(x: tuple[int, ...], j: int, level: int) -> Callable[[int], bool] | None:
@@ -904,20 +900,6 @@ def image_oracle(
 # -- critical locus probe -------------------------------------------------------
 
 
-def _det_int(matrix: list[list[int]]) -> int:
-    size = len(matrix)
-    if size == 1:
-        return matrix[0][0]
-    if size == 2:
-        return matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0]
-    total = 0
-    for j in range(size):
-        minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
-        term = matrix[0][j] * _det_int(minor)
-        total += term if j % 2 == 0 else -term
-    return total
-
-
 def jacobian_minors(
     partials: Sequence[Sequence[MPoly]], x: Sequence[int], p: int, j: int
 ) -> tuple[int, tuple[int, ...] | None]:
@@ -925,35 +907,51 @@ def jacobian_minors(
 
     partials[i][k] is the k-th partial of the i-th polynomial: the l - 1
     constraints G first, the target F last.  e is the least valuation of
-    the minors mod p^j, so e = j when they all vanish mod p^j.  lam is
-    grad_A F * A^(-1) mod p^e for the first l - 1 columns A of the
-    G-Jacobian whose minor is a unit (None when no minor is): subtracting
-    lam . G clears the target gradient mod p^e along every column.
+    the minors mod p^j (j when they all vanish), read off one local Smith
+    reduction mod p^j: an entry of least valuation v pivots, G rows first
+    on ties, and its column is cleared from the other rows.  These
+    invertible row operations keep the ideal of the minors, and as v is
+    least the pivot row's other entries clear by column operations that
+    touch no other row, so e is the sum of the pivot valuations, capped
+    at j.  Each row carries its combination of the G rows.  When some
+    (l - 1)-minor of G is a unit, every G row pivots on a unit before F,
+    whose row is then grad F - lam . grad G = 0 mod p^e: lam is minus its
+    carried part mod p^e, and subtracting lam . G clears F's gradient mod
+    p^e along every column.  Otherwise lam is None.
     """
     modulus = p**j
-    jac = [[df.evaluate(x, modulus) for df in row] for row in partials]
-    l, n = len(jac), len(jac[0])
-    e = j
-    for cols in itertools.combinations(range(n), l):
-        minor = _det_int([[row[c] for c in cols] for row in jac]) % modulus
-        if minor:
-            e = min(e, int_valuation(minor, p))
-    if l == 1:
-        return e, ()
-    modulus = p**e
-    g_rows, f_row = jac[:-1], jac[-1]
-    for cols in itertools.combinations(range(n), l - 1):
-        a = [[row[c] for c in cols] for row in g_rows]
-        det_a = _det_int(a)
-        if det_a % p:
-            inverse = pow(det_a, -1, modulus)
-            f_a = [f_row[c] for c in cols]
-            # Cramer: lam_i = det(A with row i replaced by grad_A F) / det(A)
-            lam = tuple(
-                _det_int(a[:i] + [f_a] + a[i + 1 :]) * inverse % modulus for i in range(l - 1)
-            )
-            return e, lam
-    return e, None
+    l, n = len(partials), len(partials[0])
+    rows = [
+        [df.evaluate(x, modulus) for df in row] + [int(i == k) for k in range(l - 1)]
+        for i, row in enumerate(partials)
+    ]
+    target = rows[-1]
+    e = unit_rows = 0  # unit_rows: the G rows that pivot on a unit
+    while rows:
+        v, bound, pivot = j, modulus, None  # the first entry of least valuation v
+        for r, row in enumerate(rows):
+            for c in range(n):
+                if row[c] % bound:
+                    v = int_valuation(row[c], p)
+                    bound, pivot = p**v, (r, c)
+            if not v:  # a unit: no later row pivots before it
+                break
+        if pivot is None:  # the rows left vanish mod p^j, and so does every minor
+            e = j
+            break
+        r, c = pivot
+        pivot_row = rows.pop(r)
+        e += v
+        unit_rows += v == 0 and pivot_row is not target
+        inverse = pow(pivot_row[c] // bound, -1, modulus)
+        for row in rows:
+            if row[c]:
+                factor = row[c] // bound * inverse % modulus
+                row[:] = [(a - factor * b) % modulus for a, b in zip(row, pivot_row)]
+    e = min(e, j)
+    if unit_rows < l - 1:
+        return e, None
+    return e, tuple([-a % p**e for a in target[n:]])
 
 
 class CriticalLocusReport(NamedTuple):
@@ -983,15 +981,10 @@ def critical_locus_probe(
     hypothesis being probed).
     """
     p, n = system.p, system.n
-    modulus = p**M
-    polys = system.all_polys()
-    partials = [[f.partial(j) for j in range(1, n + 1)] for f in polys]
-    suspects = []
-    for x in iter_congruence_points(lifter_for(p, n, system.constraints, budget), M, budget):
-        target_value = system.target.evaluate(x, modulus)
-        v = int_valuation(target_value, p)
-        if v is None or v >= M:
-            continue
-        if jacobian_minors(partials, x, p, M)[0] >= M:
-            suspects.append(x)
-    return CriticalLocusReport(level=M, suspects=tuple(suspects))
+    partials = [[f.partial(j) for j in range(1, n + 1)] for f in system.all_polys()]
+    suspects = tuple(
+        x
+        for x in iter_congruence_points(lifter_for(p, n, system.constraints, budget), M, budget)
+        if system.target.evaluate(x, p**M) and jacobian_minors(partials, x, p, M)[0] >= M
+    )
+    return CriticalLocusReport(level=M, suspects=suspects)

@@ -188,28 +188,6 @@ def test_empty_coset_support_exits_schema(tmp_path, capsys):
     assert err == ["error: invalid coset support: a coset support needs at least one center"] * 3
 
 
-def test_coset_sps_verify_measures_its_support_once(monkeypatch, tmp_path):
-    # `main` measures the support to refuse one that misses the variety,
-    # and hands that measure to the formula route as its total mass
-    from padiczeta import cli, expsum, zeta
-
-    levels = []
-    tail_measure = zeta.tail_measure
-
-    def counting(system, m, *args, **kwargs):
-        levels.append(m)
-        return tail_measure(system, m, *args, **kwargs)
-
-    for module in (cli, expsum, zeta):
-        monkeypatch.setattr(module, "tail_measure", counting)
-    spec = tmp_path / "coset.json"
-    payload = json.loads((SPECS / "bad_line.json").read_text())
-    payload["support"] = {"type": "cosets", "level": 1, "centers": [[0, 0], [1, 1]]}
-    spec.write_text(json.dumps(payload))
-    assert run("sps-verify", spec, tmp_path / "out") == EXIT_OK
-    assert levels == [0]
-
-
 def test_coset_support_missing_the_variety_exits_schema(tmp_path, capsys):
     # the coset x1 = 1 mod 3 misses the line x1 = 0: its measure is 0, which
     # is neither a vacuous zero to verify nor an identity to falsify

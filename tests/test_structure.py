@@ -31,7 +31,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "padiczeta"
 # self-recursive functions that do not walk a lift tree
 RECURSION_ALLOWED = {
     ("ratfn.py", "search"),  # candidate-pole multiplicity search
-    ("variety.py", "_det_int"),  # Laplace expansion of a determinant
 }
 
 

@@ -1,6 +1,7 @@
 """Tests for variety enumeration: brute force, Hensel lifting, images, probe."""
 
 import itertools
+import math
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -27,7 +28,7 @@ from padiczeta.expsum import (
     exponential_sum,
     oscillatory_integral,
 )
-from padiczeta.padic import psi_ratio
+from padiczeta.padic import int_valuation, psi_ratio
 from padiczeta.poincare import (
     congruence_count,
     congruence_counts,
@@ -51,6 +52,7 @@ from padiczeta.variety import (
     image_oracle,
     iter_congruence_points,
     iter_hensel_points,
+    jacobian_minors,
     lifter_for,
     value_classes,
     zero_counts,
@@ -560,20 +562,21 @@ def test_image_oracle_evaluates_each_settled_node_once(monkeypatch):
     # `smooth` asks bad_line's oracle at m = 4 with buffer L + 1 = 3: the
     # search settles 243 nodes, each from one set of Taylor rows mod 3^8,
     # and the 162 with no lift mod 3^8 answer whether they lift mod 3^7
-    # from the same rows (evaluating the rows again took 405 sets)
+    # from the same rows (evaluating the rows again took 405 sets).  Each
+    # of the 9 + 27 + 81 nodes expanded below level 4 takes one set to one
+    # level for its digit filter
     import padiczeta.variety as variety
 
-    calls = 0
+    calls = {}
     rows = variety._taylor_rows
 
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return rows(*args)
+    def counting(polys, gradients, x, j, levels, p):
+        calls[j, levels] = calls.get((j, levels), 0) + 1
+        return rows(polys, gradients, x, j, levels, p)
 
     monkeypatch.setattr(variety, "_taylor_rows", counting)
     assert len(image_oracle(BAD_LINE.system, 4, 3)) == 81
-    assert calls == 243
+    assert calls == {(1, 1): 9, (2, 1): 27, (3, 1): 81, (4, 4): 243}
 
 
 def _uncached_children(system, x, j, kept=None):
@@ -1283,6 +1286,58 @@ def test_critical_locus_probe_flags_displaced_zero():
     report = critical_locus_probe(system, 2)
     assert not report.clean
     assert (0, 0) in report.suspects
+
+
+@st.composite
+def jacobians(draw):
+    """(p, j, rows): l integer rows of length n, entries often 0 or p-multiples."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 4))
+    l = draw(st.integers(1, n))
+    entry = st.one_of(
+        st.just(0),
+        st.builds(lambda a, k: a * p**k, st.integers(-30, 30), st.integers(1, 4)),
+        st.integers(-30, 30),
+    )
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(l)]
+    return p, draw(st.integers(1, 4)), rows
+
+
+def _permutation_det(matrix):
+    total = 0
+    for perm in itertools.permutations(range(len(matrix))):
+        sign = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+        total += sign * math.prod(row[c] for row, c in zip(matrix, perm))
+    return total
+
+
+def _least_minor_valuation(rows, size, p, j):
+    """The least valuation of the size x size minors of rows mod p^j, j if all vanish."""
+    minors = [
+        _permutation_det([[row[c] for c in cols] for row in rows]) % p**j
+        for cols in itertools.combinations(range(len(rows[0])), size)
+    ]
+    return min((int_valuation(d, p) for d in minors if d), default=j)
+
+
+@given(jacobians())
+@example((3, 2, [[1, 2], [2, 4]]))  # F = 2G: every minor vanishes mod 9, G has a unit minor
+@settings(max_examples=200, deadline=None)
+def test_jacobian_minors_match_permutation_expansion(case):
+    # e is the least l x l minor valuation; lam exists exactly when some
+    # (l - 1)-minor of G is a unit, and then clears F's gradient mod p^e
+    p, j, rows = case
+    n = len(rows[0])
+    partials = [[MPoly(n, {(0,) * n: a}) for a in row] for row in rows]
+    e, lam = jacobian_minors(partials, (0,) * n, p, j)
+    assert e == _least_minor_valuation(rows, len(rows), p, j)
+    *g_rows, f_row = rows
+    unit_minor = len(rows) == 1 or _least_minor_valuation(g_rows, len(g_rows), p, 1) == 0
+    assert (lam is not None) == unit_minor
+    if lam is not None:
+        assert len(lam) == len(g_rows) and all(0 <= a < p**e for a in lam)
+        for k in range(n):
+            assert (f_row[k] - sum(a * g[k] for a, g in zip(lam, g_rows))) % p**e == 0
 
 
 @st.composite
