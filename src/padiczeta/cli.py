@@ -26,6 +26,7 @@ from .characters import enumerate_characters, trivial_character
 from .errors import (
     BudgetExceeded,
     EvenPrimeUnsupported,
+    ModulusTooLarge,
     PadicZetaError,
     PoleSetMismatch,
     SchemaError,
@@ -493,8 +494,12 @@ def main(argv=None) -> int:
         problem = load_problem(Path(args.spec))
         if args.max_level is not None:
             problem.max_level = args.max_level
+        if args.budget is not None:
+            problem.budget = args.budget
         if problem.max_level < 1 or problem.conductor_cap < 1:
             raise SchemaError("max_level and character_conductor_cap must be >= 1")
+        if problem.budget < 1:
+            raise SchemaError("budget must be >= 1")
         if args.probe_level < 1:
             raise SchemaError("--probe-level must be >= 1")
         if args.s < 1:
@@ -506,8 +511,6 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    if args.budget is not None:
-        problem.budget = args.budget
     out = Path(args.out)
     try:
         if problem.support is not None and not tail_measure(
@@ -519,7 +522,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (EvenPrimeUnsupported, SchemaError) as exc:
+    except (EvenPrimeUnsupported, ModulusTooLarge, SchemaError) as exc:
         # an unsupported input, not a falsified identity
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

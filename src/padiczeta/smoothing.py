@@ -3,10 +3,13 @@
 A variety with bad reduction mod p is covered by finitely many cosets
 x0 + (p^L Z_p)^n on which the substitution x = x0 + p^L y turns the
 (recombined) constraints into a system with good reduction.  The
-echelon form over the valuation ring picks the recombination: pivots
-are minimum-valuation entries, eliminations use multipliers that are
-units of Z_p (implemented as integer row operations with a p-free row
-scale, so everything stays exact).
+echelon form over the valuation ring of the constraints' Jacobian at
+x0, the linear part of f(x0 + y), picks the recombination: pivots are
+minimum-valuation entries, eliminations use multipliers that are units
+of Z_p (integer row operations with a p-free row scale, so everything
+stays exact), and the echelon carries the integer transform T those
+operations compose to.  The combined constraints are T applied to the
+constraints, each built once and rescaled by one substitution.
 
 Each chart is its own certificate: it carries the recombined
 constraints, the rescaled ones and the exponents e_i of the rescaling
@@ -50,8 +53,6 @@ from .variety import (
     zero_counts,
 )
 
-RowOp = tuple  # ("rswap", i, k) | ("rcomb", k, d, c, i)
-
 DECOMPOSE_ROUNDS = 12  # rescale-level escalations global_decompose tries
 
 
@@ -60,13 +61,14 @@ class EchelonResult(NamedTuple):
 
     pivot_vals lists the p-adic valuations down the diagonal; they are
     nondecreasing and each pivot has minimal valuation in its row tail.
-    row_ops records the exact row operations so the same recombination
-    can be replayed on the constraint polynomials; col_perm records the
-    column swaps, which touch only the matrix layout.
+    transform is the integer matrix T, invertible over Z_p, that the row
+    operations compose to: row i of T * matrix, read at the columns
+    col_perm, is b[i].  The same T combines the constraint polynomials;
+    col_perm records the column swaps, which touch only the matrix layout.
     """
 
     b: tuple[tuple[int, ...], ...]
-    row_ops: tuple[RowOp, ...]
+    transform: tuple[tuple[int, ...], ...]
     pivot_vals: tuple[int, ...]
     col_perm: tuple[int, ...]
 
@@ -78,15 +80,15 @@ def dvr_echelon(matrix: Sequence[Sequence[int]], p: int) -> EchelonResult:
     submatrix, ties broken by smallest row then smallest column.
     Eliminations replace row_k by d*row_k - c*row_i with d a unit
     (p-free), which keeps entries integral and the transform invertible
-    over Z_p.  Raises RankDeficient when the rank over Q is below the
+    over Z_p.  Each row carries its combination of the input rows past
+    column ncols.  Raises RankDeficient when the rank over Q is below the
     row count.
     """
-    rows = [list(map(int, row)) for row in matrix]
-    if not rows:
+    if not matrix:
         raise RankDeficient("empty matrix")
-    nrows, ncols = len(rows), len(rows[0])
+    nrows, ncols = len(matrix), len(matrix[0])
+    rows = [[*map(int, row), *(int(i == k) for k in range(nrows))] for i, row in enumerate(matrix)]
     col_perm = list(range(ncols))
-    ops: list[RowOp] = []
 
     for step in range(nrows):
         best = None
@@ -102,7 +104,6 @@ def dvr_echelon(matrix: Sequence[Sequence[int]], p: int) -> EchelonResult:
         _, i0, j0 = best
         if i0 != step:
             rows[step], rows[i0] = rows[i0], rows[step]
-            ops.append(("rswap", step, i0))
         if j0 != step:
             for row in rows:
                 row[step], row[j0] = row[j0], row[step]
@@ -117,7 +118,6 @@ def dvr_echelon(matrix: Sequence[Sequence[int]], p: int) -> EchelonResult:
             if d % p == 0:
                 raise InvariantViolated(f"multiplier denominator {d} is not a unit")
             rows[k] = [d * a - c * b for a, b in zip(rows[k], rows[step])]
-            ops.append(("rcomb", k, d, c, step))
             if rows[k][step] != 0:
                 raise InvariantViolated(f"elimination left {rows[k][step]} below pivot {step}")
 
@@ -128,70 +128,44 @@ def dvr_echelon(matrix: Sequence[Sequence[int]], p: int) -> EchelonResult:
             raise InvariantViolated(f"pivot {i} of the echelon form is 0")
         pivot_vals.append(v)
     return EchelonResult(
-        b=tuple(tuple(row) for row in rows),
-        row_ops=tuple(ops),
+        b=tuple(tuple(row[:ncols]) for row in rows),
+        transform=tuple(tuple(row[ncols:]) for row in rows),
         pivot_vals=tuple(pivot_vals),
         col_perm=tuple(col_perm),
     )
 
 
-def apply_row_ops(polys: Sequence[MPoly], ops: Sequence[RowOp]) -> list[MPoly]:
-    """Replay recorded row operations on a list of polynomials."""
-    out = list(polys)
-    for op in ops:
-        if op[0] == "rswap":
-            _, i, k = op
-            out[i], out[k] = out[k], out[i]
-        elif op[0] == "rcomb":
-            _, k, d, c, i = op
-            out[k] = out[k].scale(d) - out[i].scale(c)
-    return out
-
-
-def _linear_echelon(system: PolySystem, x0: tuple[int, ...]) -> tuple[list[MPoly], EchelonResult]:
-    """The constraints translated to x0, and the echelon form of their linear part."""
-    n = system.n
-    translated = [f.substitute_affine(x0, 1) for f in system.constraints]
-    linear = [
-        [t.terms.get(tuple(1 if i == j else 0 for i in range(n)), 0) for j in range(n)]
-        for t in translated
-    ]
-    return translated, dvr_echelon(linear, system.p)
-
-
 def neron_rescale(
     system: PolySystem,
     x0: tuple[int, ...],
-    echelon: tuple[list[MPoly], EchelonResult],
+    echelon: EchelonResult,
     L: int,
     budget: int = DEFAULT_BUDGET,
 ) -> Chart:
     """Rescale the system at a center into a good-reduction chart at level L.
 
-    `echelon` is `_linear_echelon(system, x0)`: the constraints
-    translated to x0 and the echelon form of their linear part over Z_p.
-    Replays its row operations on the translated constraints, applies
-    the p^L rescale, and verifies good reduction of the result.  L must
-    exceed the last pivot valuation, and the center must satisfy the
-    constraints modulo p^(2L + 2); inaccurate centers raise
-    CenterNotOnVariety.
+    `echelon` is `dvr_echelon` of the constraints' Jacobian at x0.  Its
+    transform combines the constraints, each combination is shifted to
+    x0 and rescaled by p^L in one substitution, and the result is
+    verified to have good reduction.  L must exceed the last pivot
+    valuation, and the center must satisfy the combined constraints
+    modulo p^(2L + 2); inaccurate centers raise CenterNotOnVariety.
     """
-    translated, ech = echelon
-    if L <= ech.pivot_vals[-1]:
-        raise ArgumentOutOfRange(f"L={L} below required {ech.pivot_vals[-1] + 1}")
+    if L <= echelon.pivot_vals[-1]:
+        raise ArgumentOutOfRange(f"L={L} below required {echelon.pivot_vals[-1] + 1}")
     p, n = system.p, system.n
-    combined_translated = apply_row_ops(translated, ech.row_ops)
+    combined = [
+        sum((f.scale(t) for f, t in zip(system.constraints, row) if t), MPoly.zero(n))
+        for row in echelon.transform
+    ]
     required = 2 * L + 2
     modulus = p**required
-    for g in combined_translated:
-        if g.constant_term() % modulus:
-            raise CenterNotOnVariety(
-                f"constraints do not vanish mod p^{required} at {x0}"
-            )
     exponents, rescaled = [], []
-    for i, g in enumerate(combined_translated):
-        e, gL = shift_rescale(g, (0,) * n, L, p)
-        if e != L + ech.pivot_vals[i]:
+    for i, g in enumerate(combined):
+        if g.evaluate(x0, modulus):
+            raise CenterNotOnVariety(f"constraints do not vanish mod p^{required} at {x0}")
+        e, gL = shift_rescale(g, x0, L, p)
+        if e != L + echelon.pivot_vals[i]:
             raise InvariantViolated(
                 f"content valuation {e} of row {i} does not match L + pivot valuation"
             )
@@ -216,9 +190,8 @@ def neron_rescale(
         L=L,
         constraints=chart_system.constraints,
         target=chart_system.target,
-        combined_constraints=tuple(apply_row_ops(list(system.constraints), ech.row_ops)),
+        combined_constraints=tuple(combined),
         exponents=tuple(exponents),
-        pivot_vals=ech.pivot_vals,
     )
 
 
@@ -244,7 +217,6 @@ class Chart(Frozen):
         "target",
         "combined_constraints",
         "exponents",
-        "pivot_vals",
     )
 
     def __init__(
@@ -256,7 +228,6 @@ class Chart(Frozen):
         target: MPoly,
         combined_constraints: tuple[MPoly, ...],
         exponents: tuple[int, ...],
-        pivot_vals: tuple[int, ...],
     ):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "center", center)
@@ -265,7 +236,11 @@ class Chart(Frozen):
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "combined_constraints", combined_constraints)
         object.__setattr__(self, "exponents", exponents)
-        object.__setattr__(self, "pivot_vals", pivot_vals)
+
+    @property
+    def pivot_vals(self) -> tuple[int, ...]:
+        """The pivot valuations of the echelon at the center, e_i - L."""
+        return tuple(e - self.L for e in self.exponents)
 
     @property
     def weight(self) -> Fraction:
@@ -367,16 +342,12 @@ def recenter(system: PolySystem, chart: Chart, x: tuple[int, ...]) -> tuple[int,
     e = remainder.content_valuation(p)
     if e is None or e < chart.L:
         raise InvariantViolated(f"target remainder at {x} does not carry p^{chart.L}")
-    constraints = tuple(
-        shift_rescale(g.substitute_affine(x, 1), (0,) * n, chart.L, p)[1]
-        for g in chart.combined_constraints
-    )
+    constraints = tuple(shift_rescale(g, x, chart.L, p)[1] for g in chart.combined_constraints)
     target = MPoly(n, {expo: c // p**e for expo, c in remainder.terms.items()})
     return const, e, PolySystem(p=p, n=n, constraints=constraints, target=target)
 
 
 def _identity_chart(system: PolySystem) -> Chart:
-    zeros = (0,) * len(system.constraints)
     return Chart(
         p=system.p,
         center=(0,) * system.n,
@@ -384,8 +355,7 @@ def _identity_chart(system: PolySystem) -> Chart:
         constraints=system.constraints,
         target=system.target,
         combined_constraints=system.constraints,
-        exponents=zeros,
-        pivot_vals=zeros,
+        exponents=(0,) * len(system.constraints),
     )
 
 
@@ -402,11 +372,16 @@ def global_decompose(system: PolySystem, budget: int = DEFAULT_BUDGET) -> Decomp
     variety at all (Hensel) and are dropped.
     """
     p, n = system.p, system.n
+    # the Jacobian at a center is the linear part of the constraints there
+    partials = [[f.partial(j) for j in range(1, n + 1)] for f in system.constraints]
     L = 1
     for _ in range(DECOMPOSE_ROUNDS):
         reps = first_lifts(lifter_for(p, n, system.constraints, budget), L, 2 * L + 3, budget)
-        echelons = {key: _linear_echelon(system, reps[key]) for key in sorted(reps)}
-        needed = max([L] + [ech.pivot_vals[-1] + 1 for _, ech in echelons.values()])
+        echelons = {
+            key: dvr_echelon([[df.evaluate(reps[key]) for df in row] for row in partials], p)
+            for key in sorted(reps)
+        }
+        needed = max([L] + [ech.pivot_vals[-1] + 1 for ech in echelons.values()])
         if needed > L:
             L = needed
             continue

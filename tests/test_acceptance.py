@@ -47,7 +47,7 @@ from padiczeta.ratfn import (
     reconstruct_rational,
 )
 from padiczeta.regularize import delta_limit_check
-from padiczeta.smoothing import _linear_echelon, global_decompose, neron_rescale
+from padiczeta.smoothing import dvr_echelon, global_decompose, neron_rescale
 from padiczeta.variety import brute_force_points, hensel_enumerate, image_oracle
 from padiczeta.zeta import build_shell_table
 
@@ -138,9 +138,13 @@ def test_criterion_06_gauss_sums():
 
 def test_criterion_07_smoothing():
     with criterion("rescale at origin: L=2, e=3, unit pivot; image counts match oracle"):
-        echelon = _linear_echelon(BAD_LINE.system, (0, 0))
+        # the Jacobian of 3*x1 - 9*x2 at the origin
+        (constraint,) = BAD_LINE.system.constraints
+        jacobian = [[constraint.partial(j).evaluate((0, 0)) for j in (1, 2)]]
+        echelon = dvr_echelon(jacobian, 3)
         chart = neron_rescale(BAD_LINE.system, (0, 0), echelon, 2)
-        assert echelon[1].pivot_vals == (1,)
+        assert jacobian == [[3, -9]]
+        assert echelon.pivot_vals == (1,)
         assert chart.L == 2
         assert chart.exponents == (3,)
         assert chart.constraints[0].terms == {(1, 0): 1, (0, 1): -3}

@@ -392,6 +392,39 @@ def test_even_prime_twisted_route_exits_schema(tmp_path, capsys):
     assert last.startswith("error: the formula route needs twisted characters")
 
 
+def test_oversized_conductor_cap_exits_schema(tmp_path, capsys):
+    # characters mod 3^13 = 1,594,323 are past the supported table size:
+    # an unsupported input, not a falsified identity, so exit 1, not 3
+    # (sps-verify reaches the same error through its conductor scan)
+    spec = tmp_path / "cap.json"
+    spec.write_text(json.dumps(dict(LINE_X2_SPEC, character_conductor_cap=13)))
+    assert run("zeta", spec, tmp_path / "out", "--max-level", "1") == EXIT_SCHEMA
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert last == "error: p^c = 1594323 exceeds 1000000"
+
+
+@pytest.mark.parametrize(
+    "budget, extra, code",
+    [
+        (-3, (), EXIT_SCHEMA),
+        (1000, ("--budget", "0"), EXIT_SCHEMA),
+        (1000, ("--budget", "-5"), EXIT_SCHEMA),
+        (-3, ("--budget", "1000"), EXIT_OK),  # the override is what is checked
+    ],
+    ids=["spec", "override-0", "override-negative", "override-repairs-spec"],
+)
+def test_budget_below_one_exits_schema(tmp_path, capsys, budget, extra, code):
+    # a budget below 1 admits no walk at all: a schema error, not an
+    # exhausted budget (exit 2)
+    spec = tmp_path / "budget.json"
+    spec.write_text(json.dumps(dict(LINE_X2_SPEC, budget=budget)))
+    out = tmp_path / "out"
+    assert run("count", spec, out, *extra) == code
+    if code == EXIT_SCHEMA:
+        assert not out.exists()
+        assert capsys.readouterr().err.strip() == "error: budget must be >= 1"
+
+
 def test_budget_exit_code(spec_file, tmp_path, capsys):
     # x2^2 on x1 = 0: the slope 2 x2 settles every zero x2 = 0 mod
     # 3^ceil(j / 2) but x2 = 0 mod 3^j, so the walk to level 12 visits the

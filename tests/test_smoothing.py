@@ -6,11 +6,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from padiczeta import cli, smoothing
 from padiczeta.bundled import BAD_LINE, BAD_LINE_P5, LINE_X2, PARABOLA, PLANE_LINE
 from padiczeta.errors import ArgumentOutOfRange, BudgetExceeded, CenterNotOnVariety, RankDeficient
-from padiczeta.mpoly import MPoly, PolySystem, system_from_strings
+from padiczeta.mpoly import MPoly, PolySystem, shift_rescale, system_from_strings
 from padiczeta.smoothing import (
     dvr_echelon,
     global_decompose,
@@ -30,10 +31,18 @@ from padiczeta.zeta import tail_measure
 SPECS = Path(__file__).resolve().parents[1] / "scripts" / "specs"
 
 
+def echelon_at(system, x0):
+    """`dvr_echelon` of the constraints' Jacobian at x0."""
+    jacobian = [
+        [f.partial(j).evaluate(x0) for j in range(1, system.n + 1)] for f in system.constraints
+    ]
+    return dvr_echelon(jacobian, system.p)
+
+
 def rescale_at_own_level(system, x0):
     """The chart `neron_rescale` makes at one more than the center's last pivot valuation."""
-    echelon = smoothing._linear_echelon(system, x0)
-    return neron_rescale(system, x0, echelon, echelon[1].pivot_vals[-1] + 1)
+    echelon = echelon_at(system, x0)
+    return neron_rescale(system, x0, echelon, echelon.pivot_vals[-1] + 1)
 
 
 def test_echelon_single_row():
@@ -47,7 +56,7 @@ def test_echelon_column_swap():
     assert result.pivot_vals == (0,)
     assert result.b[0][0] == 1
     assert result.col_perm == (1, 0)
-    assert result.row_ops == ()  # a column swap leaves the polynomials alone
+    assert result.transform == ((1,),)  # a column swap leaves the polynomials alone
 
 
 def test_echelon_already_reduced():
@@ -92,6 +101,58 @@ def test_echelon_rank_deficient():
         dvr_echelon([[3, 6], [1, 2]], 3)
 
 
+@st.composite
+def polynomials_at_centers(draw):
+    """(f, x0, L, p): an integer polynomial in n <= 3 variables, a center and a level."""
+    n = draw(st.integers(1, 3))
+    exponent = st.tuples(*[st.integers(0, 3)] * n)
+    terms = draw(st.dictionaries(exponent, st.integers(-30, 30), min_size=1, max_size=5))
+    f = MPoly(n, terms)
+    assume(not f.is_zero())
+    x0 = draw(st.tuples(*[st.integers(-40, 40)] * n))
+    return f, x0, draw(st.integers(0, 3)), draw(st.sampled_from([2, 3, 5]))
+
+
+@given(polynomials_at_centers())
+@settings(max_examples=100, deadline=None)
+def test_jacobian_and_one_substitution_match_the_translation(case):
+    # chart construction reads the echelon off the Jacobian at x0 and
+    # rescales each combined constraint in one substitution: the linear
+    # coefficients of f(x0 + y) are f's partials at x0, and rescaling
+    # f at x0 is rescaling the translation f(x0 + y) at 0
+    f, x0, L, p = case
+    n = f.n
+    translated = f.substitute_affine(x0, 1)
+    linear = [translated.terms.get(tuple(int(i == j) for i in range(n)), 0) for j in range(n)]
+    assert [f.partial(j).evaluate(x0) for j in range(1, n + 1)] == linear
+    assert shift_rescale(f, x0, L, p) == shift_rescale(translated, (0,) * n, L, p)
+
+
+@st.composite
+def integer_matrices(draw):
+    """(A, p): at most 3 rows, no fewer columns, entries often multiples of p^k."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    nrows = draw(st.integers(1, 3))
+    ncols = draw(st.integers(nrows, 4))
+    entry = st.builds(lambda c, k: c * p**k, st.integers(-9, 9), st.integers(0, 2))
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+    return draw(st.lists(row, min_size=nrows, max_size=nrows)), p
+
+
+@given(integer_matrices())
+@settings(max_examples=100, deadline=None)
+def test_echelon_transform_combines_the_input_rows(case):
+    # T * A, read at the columns col_perm, is the echelon form b
+    matrix, p = case
+    try:
+        result = dvr_echelon(matrix, p)
+    except RankDeficient:
+        assume(False)
+    for t_row, b_row in zip(result.transform, result.b):
+        combined = [sum(t * row[j] for t, row in zip(t_row, matrix)) for j in result.col_perm]
+        assert combined == list(b_row)
+
+
 def test_neron_rescale_bad_line():
     chart = rescale_at_own_level(BAD_LINE.system, (0, 0))
     assert chart.L == 2
@@ -108,7 +169,7 @@ def test_neron_rescale_good_line():
 
 def test_neron_rescale_rejects_level_below_pivot():
     # bad_line's pivot 3 has valuation 1, so L = 1 cannot make it a unit
-    echelon = smoothing._linear_echelon(BAD_LINE.system, (0, 0))
+    echelon = echelon_at(BAD_LINE.system, (0, 0))
     with pytest.raises(ArgumentOutOfRange, match="L=1 below required 2"):
         neron_rescale(BAD_LINE.system, (0, 0), echelon, 1)
 
@@ -169,7 +230,6 @@ def _perturbed(chart, amount):
         chart.target,
         chart.combined_constraints,
         chart.exponents,
-        chart.pivot_vals,
     )
 
 
@@ -243,14 +303,15 @@ def test_chart_centers_are_pinned(instance, centers):
 
 @pytest.mark.parametrize(
     "instance, echelons, substitutions",
-    [(BAD_LINE, 12, 30), (BAD_LINE_P5, 30, 80)],
+    [(BAD_LINE, 12, 18), (BAD_LINE_P5, 30, 50)],
     ids=["bad_line", "bad_line_p5"],
 )
 def test_each_center_is_reduced_once(monkeypatch, instance, echelons, substitutions):
-    # a round at L = 1 and one at L = 2: one echelon form and one translated
-    # constraint per representative (3 + 9 on bad_line, 5 + 25 on bad_line_p5),
-    # then one rescale and one transported target per chart; a rescale that
-    # echelon-reduced its center again would make 21 and 48 calls on bad_line
+    # a round at L = 1 and one at L = 2: one echelon form of the Jacobian per
+    # representative (3 + 9 on bad_line, 5 + 25 on bad_line_p5), which
+    # expands no polynomial, then one rescaled constraint and one transported
+    # target per chart; translating each representative's constraints first
+    # would add 12 and 30 substitutions
     calls = []
     echelon, substitute = smoothing.dvr_echelon, MPoly.substitute_affine
 

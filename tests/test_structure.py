@@ -18,12 +18,17 @@ imports nothing from `characters` and takes no `chi` or `angular`.
 Only `variety.walk` charges a budget meter: no other code writes a
 meter's `used` count, so the budget bounds the nodes the walks visit,
 not the counts they return.
+A chart is built from the Jacobian at its center: constraint
+polynomials are expanded only through `mpoly.shift_rescale`, the target
+once in `neron_rescale` and once in `recenter`, and the echelon carries
+its transform, so no module logs row operations to replay them.
 Invariants raise typed errors: an `assert` statement, which
 `python -O` strips, fails the suite.  A module's private names stay its own: no module imports an
 `_`-prefixed name from another.
 """
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "padiczeta"
@@ -206,6 +211,42 @@ def test_delta_regularization_integrates_the_trivial_character():
         if arg.arg in ("chi", "angular")
     }
     assert params == set(), params
+
+
+def test_constraints_are_expanded_only_by_shift_rescale():
+    # the echelon at a center comes from the Jacobian there, not from a
+    # translated copy of each constraint, and each combined constraint is
+    # shifted and rescaled in one substitution
+    calls = sorted(
+        (name, _scope(tree, call), ast.unparse(call.func.value))
+        for name, tree in _modules()
+        for call in _method_calls(tree, "substitute_affine")
+    )
+    assert calls == [
+        ("mpoly.py", "shift_rescale", "f"),
+        ("smoothing.py", "neron_rescale", "system.target"),
+        ("smoothing.py", "recenter", "system.target"),
+    ]
+
+
+def _identifiers(node):
+    for attr in ("id", "attr", "arg", "name"):
+        value = getattr(node, attr, None)
+        if isinstance(value, str):
+            yield value
+
+
+def test_no_module_logs_row_operations():
+    # dvr_echelon carries each row's combination of the input rows, so
+    # no module records row operations or replays them on polynomials
+    logs = [
+        f"{name}:{node.lineno}"
+        for name, tree in _modules()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Constant) and node.value in ("rswap", "rcomb"))
+        or any(re.search("row_?op", ident, re.IGNORECASE) for ident in _identifiers(node))
+    ]
+    assert logs == [], "a row-operation log"
 
 
 def test_no_hand_rolled_recursion():

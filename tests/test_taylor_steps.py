@@ -184,7 +184,6 @@ def test_target_guards_refuse_broken_invariants():
         system.target,
         chart.combined_constraints,
         chart.exponents,
-        chart.pivot_vals,
     )
     meter = BudgetMeter(DEFAULT_BUDGET, "count walk")
     with pytest.raises(WalkInvariantError, match=r"does not carry p\^2"):
