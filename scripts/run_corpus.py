@@ -127,18 +127,26 @@ def main() -> int:
     # LINE_X2_P5 to m = 20 and threevar to m = 12 lie past what walking
     # each chart to half depth could afford (5^10 and 3^12 nodes in one
     # walk): the direct side descends only the nodes where the target's
-    # slope is 0 mod p^j and settles every other subtree on one class
-    for instance, m_max in (
-        (LINE_X2, 5),
-        (LINE_X3, 5),
-        (THREEVAR, 12),
-        (PLANE_LINE, 5),
-        (LINE_X2_P5, 20),
+    # slope is 0 mod p^j and settles every other subtree on one class.  The
+    # bad-reduction lines (L = 2) and the coset supports take the weighted
+    # direct side, the oscillatory integral over the charts the support meets
+    bad_line_cosets = Support.cosets(2, 1, [(0, 0), (1, 1)], 3)
+    line_x3_cosets = Support.cosets(2, 2, [(0, 0), (0, 3), (0, 1), (0, 4)], 3)
+    for instance, m_max, support in (
+        (LINE_X2, 5, None),
+        (LINE_X3, 5, None),
+        (THREEVAR, 12, None),
+        (PLANE_LINE, 5, None),
+        (LINE_X2_P5, 20, None),
+        (BAD_LINE, 6, None),
+        (BAD_LINE_P5, 5, None),
+        (BAD_LINE, 6, bad_line_cosets),
+        (LINE_X3, 6, line_x3_cosets),
     ):
-        report = stationary_phase_check(instance.system, list(range(1, m_max + 1)))
+        report = stationary_phase_check(instance.system, list(range(1, m_max + 1)), support=support)
         record(
             instance.name,
-            "stationary phase",
+            "stationary phase" if support is None else "stationary phase on cosets",
             report.max_discrepancy < 1e-9,
             f"m <= {m_max}, max gap {report.max_discrepancy:.2e}",
         )

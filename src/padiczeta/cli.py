@@ -31,7 +31,7 @@ from .errors import (
     PoleSetMismatch,
     SchemaError,
 )
-from .expsum import decay_report, direct_sums, stationary_phase_check
+from .expsum import decay_report, exponential_sum, stationary_phase_check
 from .mpoly import PolySystem, system_from_strings
 from .poincare import (
     check_series_zeta_identity,
@@ -229,7 +229,10 @@ def cmd_poincare(problem: Problem, out: Path, args) -> int:
 
 
 def cmd_zeta(problem: Problem, out: Path, args) -> int:
-    cap = problem.conductor_cap if problem.system.p != 2 else 1
+    p = problem.system.p
+    cap = problem.conductor_cap if p != 2 else 1
+    # the characters come first: a cap past the supported modulus fails before any walk
+    characters = enumerate_characters(p, cap) if p != 2 else [trivial_character(p)]
     table = build_shell_table(
         problem.system,
         problem.max_level,
@@ -237,9 +240,6 @@ def cmd_zeta(problem: Problem, out: Path, args) -> int:
         support=problem.support,
         budget=problem.budget,
     )
-    characters = [trivial_character(problem.system.p)]
-    if problem.system.p != 2:
-        characters = enumerate_characters(problem.system.p, cap)
     # the stabilized column is 1 on every row: a row whose recount
     # disagrees raises NotStabilized before any file is written
     for chi in characters:
@@ -297,7 +297,7 @@ def cmd_expsum(problem: Problem, out: Path, args) -> int:
         for m in range(1, problem.max_level + 1)
     }
     rows = []
-    for m, values in direct_sums(problem.system, units, False, budget=problem.budget).items():
+    for m, values in exponential_sum(problem.system, units, problem.budget).items():
         for u, value in zip(units[m], values):
             normalized = (
                 _fmt(abs(value) * p ** (pole.rho * m) / m ** (pole.m_rho - 1))

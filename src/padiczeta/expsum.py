@@ -2,28 +2,29 @@
 
 The direct route sums the additive character over the reduction image of
 the variety modulo p^m (the Hensel lift tree of good-reduction charts).
-Both the exponential sum and the oscillatory integral look the chart
-decomposition up with `smoothing.measure_charts(system, budget)` and add
-up one per-chart character sum, walked with the chart's lifter from
-`variety.lifter_for`.  `direct_sums` walks each chart once, for the
-deepest level any requested m needs, into exact integer histograms of
-f_l mod p^m that serve every level and unit; a unit sees only their
-orthogonality fold, evaluated last, so a sum that cancels exactly is
-exactly 0.  The histograms are read off the classes of
-`variety.value_classes`.  `exponential_sum` and `oscillatory_integral`
-are its one-level calls.
+Its two quantities are `exponential_sum`, the image-class sum under
+counting normalization, and `oscillatory_integral`, the surface integral
+under chart weights.  Both take a map {m: units} and return {m: values}:
+they look the chart decomposition up with `smoothing.measure_charts` and
+walk each chart once, with the chart's lifter from `variety.lifter_for`,
+for the deepest level any requested m needs, into exact integer
+histograms of f_l mod p^m that serve every level and unit; a unit sees
+only their orthogonality fold, evaluated last, so a sum that cancels
+exactly is exactly 0.  The histograms are read off the classes of
+`variety.value_classes`.
 
 The formula route rebuilds the oscillatory integral, the surface
 integral of Psi(z f_l) over the support, out of twisted local zeta
 data: the value of the trivial-character zeta at t = 1, one coefficient
 of an explicit rational function of it, and a finite character sum of
-Gaussian sums against twisted zeta coefficients.  The stationary-phase
-check compares it level by level with `oscillatory_integral`, or with
-`exponential_sum` on the full polydisc when L = 0.  The two routes share
-polynomial evaluation and the charts' lifters, but nothing of the direct
-side enters the shell walks' Jacobian minors behind the twisted
-coefficients, which is what makes their agreement at 1e-9 a meaningful
-verification.
+Gaussian sums against twisted zeta coefficients.  `stationary_phase_eval`
+reads those coefficients once per level for all of its units.  The
+stationary-phase check compares it, with one direct call for all of its
+levels, with `oscillatory_integral`, or with `exponential_sum` on the
+full polydisc when L = 0.  The two routes share polynomial evaluation
+and the charts' lifters, but nothing of the direct side enters the shell
+walks' Jacobian minors behind the twisted coefficients, which is what
+makes their agreement at 1e-9 a meaningful verification.
 
 The formula's zeta data come from one conductor scan: the scan's own
 shell table, projected down to the conductor cutoff, supplies every
@@ -60,7 +61,7 @@ class ExpSumRecord(NamedTuple):
     m: int
     u: int
     direct: complex
-    via_formula: complex | None
+    via_formula: complex
 
 
 def _add_histograms(
@@ -134,24 +135,25 @@ def _unit_sums(
     return [sum((h * phases[u * r % modulus] for r, h in terms), 0j) / (p * scale) for u in units]
 
 
-def direct_sums(
+def _direct_sums(
     system: PolySystem,
     units: dict[int, Sequence[int]],
     weighted: bool,
-    support: Support | None = None,
-    budget: int = DEFAULT_BUDGET,
+    support: Support | None,
+    budget: int,
 ) -> dict[int, list[complex]]:
     """The direct sums for every level m in units and every unit in units[m], in order.
 
-    Unweighted, with no support: E(u p^-m), p^(-m dim) times the sum of
-    Psi(u f_l(x) / p^m) over the image classes x mod p^m, which are the
-    chart centers when m <= L and the charts' level-(m - L) points past
-    it.  Weighted: the oscillatory surface integral of Psi(u p^-m f_l)
-    over the support, the sum over the charts it meets of chart.weight
-    * p^(-k dim) * the character sum over the chart's level-k points in
-    it, k = max(m - L, the support's chart level, 1).  Each chart is
-    walked once into exact integer histograms of f_l mod p^m for every
-    level, from which `_unit_sums` evaluates each `ScaledUnit`.
+    Unweighted (on the full polydisc): E(u p^-m), p^(-m dim) times the
+    sum of Psi(u f_l(x) / p^m) over the image classes x mod p^m, which
+    are the chart centers when m <= L and the charts' level-(m - L)
+    points past it.  Weighted: the oscillatory surface integral of
+    Psi(u p^-m f_l) over the support, the sum over the charts it meets of
+    chart.weight * p^(-k dim) * the character sum over the chart's
+    level-k points in it, k = max(m - L, the support's chart level, 1).
+    Each chart is walked once into exact integer histograms of f_l mod
+    p^m for every level, from which `_unit_sums` evaluates each
+    `ScaledUnit`.
     """
     p, n, dim = system.p, system.n, system.dim
     if min(units, default=1) < 1:
@@ -180,78 +182,49 @@ def direct_sums(
 
 
 def exponential_sum(
-    system: PolySystem, m: int, units: Sequence[int], budget: int = DEFAULT_BUDGET
-) -> list[complex]:
-    """E(u p^-m) for every u in units, in order: the one-level call of `direct_sums`."""
-    return direct_sums(system, {m: units}, False, budget=budget)[m]
+    system: PolySystem, units: dict[int, Sequence[int]], budget: int = DEFAULT_BUDGET
+) -> dict[int, list[complex]]:
+    """E(u p^-m) for every level m in units and every u in units[m], in order.
+
+    The image-class sum under counting normalization: p^(-m dim) times
+    the sum of Psi(u f_l(x) / p^m) over the classes x mod p^m of the
+    variety's reduction image.
+    """
+    return _direct_sums(system, units, False, None, budget)
 
 
 def oscillatory_integral(
     system: PolySystem,
-    m: int,
-    units: Sequence[int],
+    units: dict[int, Sequence[int]],
     support: Support | None = None,
     budget: int = DEFAULT_BUDGET,
-) -> list[complex]:
-    """The surface integral of Psi(u p^-m f_l) over the support for every u in units, in order.
+) -> dict[int, list[complex]]:
+    """The surface integral of Psi(u p^-m f_l) over the support, for every m and u in units[m].
 
-    The one-level weighted call of `direct_sums`; for the full polydisc
-    on a good-reduction system it is the exponential sum E(u p^-m).
+    Each chart counts with its weight; for the full polydisc on a
+    good-reduction system it is the exponential sum E(u p^-m).
     """
-    return direct_sums(system, {m: units}, True, support, budget)[m]
+    return _direct_sums(system, units, True, support, budget)
 
 
 # -- stationary phase ------------------------------------------------------------
 
 
-class StationaryPhaseContext:
+class StationaryPhaseContext(NamedTuple):
     """Precomputed zeta data needed to evaluate exponential sums by formula.
 
     Holds the exact shell-measure table, the total surface mass (the
     value of the trivial-character zeta at t = 1: the target vanishes on
     a measure-zero subset of the variety, so the shell masses sum to the
     whole measure), the twisted characters up to the verified conductor
-    cutoff, and the Gaussian sums of their inverses.  `coefficient` and
-    `middle` compute what the formula reads and no unit changes once.
+    cutoff, and the Gaussian sums of their inverses.
     """
 
-    __slots__ = ("system", "table", "total_mass", "twisted", "cutoff", "_coefficients", "_middles")
-
-    def __init__(
-        self,
-        system: PolySystem,
-        table: ShellTable,
-        total_mass: Fraction,
-        twisted: tuple[tuple[MultChar, complex], ...],  # (chi, gauss_sum(chi^-1))
-        cutoff: int,
-    ):
-        self.system = system
-        self.table = table
-        self.total_mass = total_mass
-        self.twisted = twisted
-        self.cutoff = cutoff
-        self._coefficients: dict[tuple[MultChar, int], Fraction | complex] = {}
-        self._middles: dict[int, float] = {}
-
-    def coefficient(self, chi: MultChar, k: int) -> Fraction | complex:
-        """The table's `coefficient_extrapolated(chi, k)`, computed once."""
-        if (chi, k) not in self._coefficients:
-            self._coefficients[chi, k] = self.table.coefficient_extrapolated(chi, k)
-        return self._coefficients[chi, k]
-
-    def middle(self, m: int) -> float:
-        """Coeff_{t^(m-1)} (t - q) Z(s, triv) / ((q - 1)(1 - t)), computed once.
-
-        The kernel (t - q)/((q-1)(1-t)) has series coefficients
-        h_0 = -q/(q-1) and h_j = -1 for j >= 1, so the term is an explicit
-        finite sum of trivial coefficients.
-        """
-        if m not in self._middles:
-            q = self.system.p
-            coeffs = [self.coefficient(trivial_character(q), k) for k in range(m)]
-            middle = Fraction(-q, q - 1) * coeffs[m - 1] - sum(coeffs[: m - 1], Fraction(0))
-            self._middles[m] = float(middle)
-        return self._middles[m]
+    system: PolySystem
+    table: ShellTable
+    total_mass: Fraction
+    twisted: tuple[tuple[MultChar, complex], ...]  # (chi, gauss_sum(chi^-1))
+    cutoff: int
 
 
 def build_stationary_phase_context(
@@ -287,28 +260,41 @@ def build_stationary_phase_context(
     )
 
 
-def stationary_phase_eval(ctx: StationaryPhaseContext, m: int, u: int) -> complex:
-    """Evaluate the exponential sum through zeta coefficients and Gauss sums.
+def stationary_phase_eval(
+    ctx: StationaryPhaseContext, m: int, units: Sequence[int]
+) -> list[complex]:
+    """Evaluate the exponential sum at level m through zeta coefficients and Gauss sums.
 
-    value = Z(0, triv)
-          + Coeff_{t^(m-1)} (t - q) Z(s, triv) / ((q - 1)(1 - t))
-          + sum over nontrivial chi of g_{chi^-1} chi(u)
-            Coeff_{t^(m - c(chi))} Z(s, chi).
+    value(u) = Z(0, triv)
+             + Coeff_{t^(m-1)} (t - q) Z(s, triv) / ((q - 1)(1 - t))
+             + sum over nontrivial chi of g_{chi^-1} chi(u)
+               Coeff_{t^(m - c(chi))} Z(s, chi),
 
-    Z(0, triv) is the total surface mass; the middle term is
-    `StationaryPhaseContext.middle`.
+    one value per unit in units, in order.  Z(0, triv) is the total
+    surface mass.  The kernel (t - q)/((q-1)(1-t)) has series
+    coefficients h_0 = -q/(q-1) and h_j = -1 for j >= 1, so the middle
+    term is an explicit finite sum of trivial coefficients.  Only chi(u)
+    depends on the unit: the middle term and each twisted coefficient are
+    read once for the level.
     """
-    value = complex(float(ctx.total_mass))
-    value += ctx.middle(m)
+    q, trivial = ctx.system.p, trivial_character(ctx.system.p)
+    coeffs = [ctx.table.coefficient_extrapolated(trivial, k) for k in range(m)]
+    middle = Fraction(-q, q - 1) * coeffs[m - 1] - sum(coeffs[: m - 1], Fraction(0))
+    base = complex(float(ctx.total_mass)) + float(middle)
+    terms = []
     for chi, g_inv in ctx.twisted:
-        k = m - chi.conductor
-        if k < 0:
-            continue
-        coeff = ctx.coefficient(chi, k)
-        if isinstance(coeff, Fraction):
-            coeff = complex(float(coeff))
-        value += g_inv * chi_value(chi, u) * coeff
-    return value
+        if m >= chi.conductor:
+            coeff = ctx.table.coefficient_extrapolated(chi, m - chi.conductor)
+            if isinstance(coeff, Fraction):
+                coeff = complex(float(coeff))
+            terms.append((chi, g_inv, coeff))
+    values = []
+    for u in units:
+        value = base
+        for chi, g_inv, coeff in terms:
+            value += g_inv * chi_value(chi, u) * coeff
+        values.append(value)
+    return values
 
 
 class StationaryPhaseReport(NamedTuple):
@@ -336,8 +322,9 @@ def stationary_phase_check(
     differ from the counting-normalized exponential sum: on a restricted
     support, and on a decomposition with L > 0, whose chart weights
     transport the measure.  Otherwise the direct side is the plain
-    exponential sum.  The formula consumes coefficients only up to
-    max(m) - 1, so the default table depth is max(m).
+    exponential sum.  One direct call serves every level.  The formula
+    consumes coefficients only up to max(m) - 1, so the default table
+    depth is max(m).
     """
     context = build_stationary_phase_context(
         system,
@@ -347,20 +334,18 @@ def stationary_phase_check(
         budget=budget,
     )
     p = system.p
-    weighted = measure_charts(system, budget).L > 0 or support is not None
+    units = {m: [u for u in range(1, p ** min(m, c_cap)) if u % p] for m in m_values}
+    if measure_charts(system, budget).L > 0 or support is not None:
+        direct = oscillatory_integral(system, units, support, budget)
+    else:
+        direct = exponential_sum(system, units, budget)
     records = []
     worst = 0.0
     for m in m_values:
-        units = [u for u in range(1, p ** min(m, c_cap)) if u % p]
-        if weighted:
-            values = oscillatory_integral(system, m, units, support, budget)
-        else:
-            values = exponential_sum(system, m, units, budget)
-        for u, direct in zip(units, values):
-            formula = stationary_phase_eval(context, m, u)
-            gap = abs(direct - formula)
-            worst = max(worst, gap)
-            records.append(ExpSumRecord(m=m, u=u, direct=direct, via_formula=formula))
+        formulas = stationary_phase_eval(context, m, units[m])
+        for u, value, formula in zip(units[m], direct[m], formulas):
+            worst = max(worst, abs(value - formula))
+            records.append(ExpSumRecord(m=m, u=u, direct=value, via_formula=formula))
     return StationaryPhaseReport(records=tuple(records), max_discrepancy=worst)
 
 
@@ -390,7 +375,7 @@ def decay_report(
     of the m range does not exceed the lower-half maximum by more than
     the factor DECAY_SLACK.
     """
-    sums = direct_sums(system, {m: [1] for m in m_values}, False, budget=budget)
+    sums = exponential_sum(system, {m: [1] for m in m_values}, budget)
     rows = []
     for m in m_values:
         value = abs(sums[m][0])
@@ -439,7 +424,7 @@ def decomposed_expsum_check(
     L = decomposition.L
     if min(m_values) <= L:
         raise ArgumentOutOfRange(f"identity needs m > L = {L}")
-    sums = direct_sums(system, {m: [1] for m in m_values}, False, budget=budget)
+    sums = exponential_sum(system, {m: [1] for m in m_values}, budget)
     rows = []
     for m in m_values:
         lhs = sums[m][0] * p ** (m * dim)

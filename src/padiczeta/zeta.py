@@ -413,8 +413,10 @@ def conductor_vanishing_scan(
     the truncation is checked rather than assumed; MissingTable is raised
     when no scanned level does.  The finite-level critical-locus
     probe backs the hypothesis under which the cutoff is finite at all,
-    and a non-clean probe raises.
+    and a non-clean probe raises.  The characters mod p^c_max are set up
+    first, so a p or c_max they do not support is refused before any walk.
     """
+    unit_group(system.p, c_max)
     probe = critical_locus_probe(system, PROBE_LEVEL, budget)
     if not probe.clean:
         raise HypothesisNotVerified(

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from padiczeta import zeta
 from padiczeta.cli import COMMANDS, EXIT_BUDGET, EXIT_OK, EXIT_SCHEMA, EXIT_VERIFY, main
 
 SPECS = Path(__file__).resolve().parents[1] / "scripts" / "specs"
@@ -392,15 +393,22 @@ def test_even_prime_twisted_route_exits_schema(tmp_path, capsys):
     assert last.startswith("error: the formula route needs twisted characters")
 
 
-def test_oversized_conductor_cap_exits_schema(tmp_path, capsys):
+def test_oversized_conductor_cap_exits_schema(tmp_path, capsys, monkeypatch):
     # characters mod 3^13 = 1,594,323 are past the supported table size:
-    # an unsupported input, not a falsified identity, so exit 1, not 3
-    # (sps-verify reaches the same error through its conductor scan)
+    # an unsupported input, not a falsified identity, so exit 1, not 3.
+    # zeta enumerates its characters, and sps-verify's conductor scan sets
+    # up the unit group mod p^c_max, before the first shell walk or probe
+    def walked(*args, **kwargs):
+        raise AssertionError("walked before refusing the conductor cap")
+
+    monkeypatch.setattr(zeta, "_shell_rows", walked)
+    monkeypatch.setattr(zeta, "critical_locus_probe", walked)
     spec = tmp_path / "cap.json"
     spec.write_text(json.dumps(dict(LINE_X2_SPEC, character_conductor_cap=13)))
-    assert run("zeta", spec, tmp_path / "out", "--max-level", "1") == EXIT_SCHEMA
-    last = capsys.readouterr().err.strip().splitlines()[-1]
-    assert last == "error: p^c = 1594323 exceeds 1000000"
+    for command in ("zeta", "sps-verify"):
+        assert run(command, spec, tmp_path / command, "--max-level", "1") == EXIT_SCHEMA
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert last == "error: p^c = 1594323 exceeds 1000000"
 
 
 @pytest.mark.parametrize(

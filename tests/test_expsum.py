@@ -22,7 +22,6 @@ from padiczeta.expsum import (
     build_stationary_phase_context,
     decay_report,
     decomposed_expsum_check,
-    direct_sums,
     exponential_sum,
     oscillatory_integral,
     stationary_phase_check,
@@ -49,20 +48,20 @@ def brute_expsum(system, m, u):
 def test_exponential_sum_x1_line_vanishes():
     # x1 takes every residue evenly on the image, so the orthogonality fold
     # leaves no term and the sum is exactly 0
-    assert exponential_sum(LINE_X1.system, 1, [1])[0] == 0
+    assert exponential_sum(LINE_X1.system, {1: [1]})[1][0] == 0
 
 
 def test_exponential_sum_x2_line_values():
-    (value,) = exponential_sum(LINE_X2.system, 1, [1])
+    (value,) = exponential_sum(LINE_X2.system, {1: [1]})[1]
     assert abs(value - 1j / math.sqrt(3)) < 1e-12
-    (value,) = exponential_sum(LINE_X2.system, 2, [1])
+    (value,) = exponential_sum(LINE_X2.system, {2: [1]})[2]
     assert abs(value - 1 / 3) < 1e-12
 
 
 @pytest.mark.parametrize("instance", [LINE_X2, LINE_X3, PLANE_LINE], ids=lambda i: i.name)
 def test_exponential_sum_matches_brute_oracle(instance):
     for m in (1, 2, 3):
-        for u, direct in zip((1, 2), exponential_sum(instance.system, m, [1, 2])):
+        for u, direct in zip((1, 2), exponential_sum(instance.system, {m: [1, 2]})[m]):
             oracle = brute_expsum(instance.system, m, u)
             assert abs(direct - oracle) < 1e-12
 
@@ -71,7 +70,7 @@ def test_unit_class_equivariance():
     # E depends on u only through u mod p^m
     system = LINE_X2.system
     for m in (1, 2, 3):
-        base, lifted = exponential_sum(system, m, [2, 2 + 3**m])
+        base, lifted = exponential_sum(system, {m: [2, 2 + 3**m]})[m]
         assert abs(base - lifted) < 1e-12
 
 
@@ -80,12 +79,12 @@ def test_crude_bound_holds():
     for instance in (LINE_X2, LINE_X3, BAD_LINE, PLANE_LINE):
         bound = instance.system.p ** (instance.system.l - 1)
         for m in (1, 2, 3):
-            assert abs(exponential_sum(instance.system, m, [1])[0]) <= bound + 1e-9
+            assert abs(exponential_sum(instance.system, {m: [1]})[m][0]) <= bound + 1e-9
 
 
 def test_stationary_phase_x2_hand_value():
     ctx = build_stationary_phase_context(LINE_X2.system, depth=6)
-    formula = stationary_phase_eval(ctx, 1, 1)
+    (formula,) = stationary_phase_eval(ctx, 1, [1])
     assert abs(formula - 1j / math.sqrt(3)) < 1e-12
 
 
@@ -100,10 +99,9 @@ def test_stationary_phase_identity(instance):
 def test_stationary_phase_extrapolated_coefficients():
     # m beyond the table depth exercises the class-function reconstruction
     ctx = build_stationary_phase_context(LINE_X2.system, depth=6)
+    direct = exponential_sum(LINE_X2.system, {7: [1], 8: [1]})
     for m in (7, 8):
-        (direct,) = exponential_sum(LINE_X2.system, m, [1])
-        formula = stationary_phase_eval(ctx, m, 1)
-        assert abs(direct - formula) < 1e-9
+        assert abs(direct[m][0] - stationary_phase_eval(ctx, m, [1])[0]) < 1e-9
 
 
 def test_stationary_phase_rejects_p2():
@@ -120,18 +118,15 @@ def test_stationary_phase_cross_prime():
 def test_mutated_gauss_sum_breaks_identity():
     # falsification path: rescaling one Gaussian sum must leave a visible gap
     ctx = build_stationary_phase_context(LINE_X2.system, depth=6)
-    mutated = ctx
-    mutated.twisted = tuple((chi, g * 3) for chi, g in ctx.twisted)
-    worst = 0.0
-    for m in (1, 2, 3):
-        (direct,) = exponential_sum(LINE_X2.system, m, [1])
-        worst = max(worst, abs(direct - stationary_phase_eval(mutated, m, 1)))
+    mutated = ctx._replace(twisted=tuple((chi, g * 3) for chi, g in ctx.twisted))
+    direct = exponential_sum(LINE_X2.system, {m: [1] for m in (1, 2, 3)})
+    worst = max(abs(direct[m][0] - stationary_phase_eval(mutated, m, [1])[0]) for m in (1, 2, 3))
     assert worst > 0.1
 
 
 def test_exact_decay_x2_line():
     for m in range(1, 7):
-        for value in exponential_sum(LINE_X2.system, m, [1, 2]):
+        for value in exponential_sum(LINE_X2.system, {m: [1, 2]})[m]:
             assert abs(abs(value) - 3 ** (-m / 2)) < 1e-9
 
 
@@ -159,8 +154,8 @@ def test_decay_report_x3_line():
 def test_oscillatory_integral_full_polydisc_equals_expsum():
     system = LINE_X2.system
     for m in (1, 2, 3):
-        (surface,) = oscillatory_integral(system, m, [1])
-        assert abs(surface - exponential_sum(system, m, [1])[0]) < 1e-12
+        (surface,) = oscillatory_integral(system, {m: [1]})[m]
+        assert abs(surface - exponential_sum(system, {m: [1]})[m][0]) < 1e-12
 
 
 def test_oscillatory_integral_single_coset():
@@ -168,7 +163,7 @@ def test_oscillatory_integral_single_coset():
     # oracle = psi-weighted measure of {x2 = 1 mod 3} on the line
     system = LINE_X2.system
     support = Support.cosets(2, 1, [[0, 1]], 3)
-    (value,) = oscillatory_integral(system, 2, [1], support=support)
+    (value,) = oscillatory_integral(system, {2: [1]}, support=support)[2]
     oracle = sum(psi_ratio(x2 * x2, 3, 2) for x2 in range(1, 9, 3)) / 9
     assert abs(value - oracle) < 1e-12
 
@@ -176,7 +171,7 @@ def test_oscillatory_integral_single_coset():
 def test_oscillatory_integral_empty_support():
     system = LINE_X2.system
     support = Support.cosets(2, 1, [[1, 0]], 3)  # misses the variety x1 = 0
-    assert abs(oscillatory_integral(system, 1, [1], support=support)[0]) < 1e-12
+    assert abs(oscillatory_integral(system, {1: [1]}, support=support)[1][0]) < 1e-12
     with pytest.raises(ArgumentOutOfRange):
         Support.cosets(2, 1, [], 3)  # an empty union of cosets is no support
 
@@ -215,29 +210,30 @@ def _count_walks(monkeypatch):
     return walks
 
 
-def test_one_walk_per_level_serves_every_unit(monkeypatch):
+def test_stationary_phase_check_walks_each_chart_once(monkeypatch):
     walks = _count_walks(monkeypatch)
-    # one chart, m = 1..5: 4 + 4 * 20 units, so 84 walks at one per (m, u)
+    # one chart, m = 1..5: the 4 + 4 * 20 (m, u) pairs of the check come
+    # from one walk to level 5; a walk per level would make 5
     report = stationary_phase_check(LINE_X2_P5.system, [1, 2, 3, 4, 5])
     assert len(report.records) == 84 and report.passed()
-    assert walks == [1, 2, 3, 4, 5]
+    assert walks == [5]
 
-    # weighted sums at L = 2: every m walks each chart the support meets once
-    walks.clear()
-    support = Support.cosets(2, 1, [(0, 0), (1, 1)], 3)
-    decomposition = measure_charts(BAD_LINE.system)
-    met = sum(decomposition.restrict(chart, support)[0] for chart in decomposition.charts)
-    assert 0 < met < len(decomposition.charts)
-    report = stationary_phase_check(BAD_LINE.system, [1, 2, 3, 4], support=support)
-    assert report.passed()
-    assert len(walks) == 4 * met
+    # weighted sums at L = 2, m = 1..4: one walk to level 2 per chart the
+    # support meets; a walk per level would make 36 on the full polydisc
+    # and 12 on the cosets
+    charts = measure_charts(BAD_LINE.system)
+    for support, met in ((None, 9), (Support.cosets(2, 1, [(0, 0), (1, 1)], 3), 3)):
+        assert sum(charts.restrict(chart, support)[0] for chart in charts.charts) == met
+        walks.clear()
+        assert stationary_phase_check(BAD_LINE.system, [1, 2, 3, 4], support=support).passed()
+        assert walks == [2] * met
 
 
 def test_one_walk_per_chart_serves_every_level_and_unit(monkeypatch, tmp_path):
     walks = _count_walks(monkeypatch)
     # one chart, m = 1..5: 4 + 4 * 20 (m, u) pairs from one walk to level 5
     units = {m: [u for u in range(1, 5 ** min(m, 2)) if u % 5] for m in range(1, 6)}
-    sums = direct_sums(LINE_X2_P5.system, units, True)
+    sums = oscillatory_integral(LINE_X2_P5.system, units)
     assert sum(map(len, sums.values())) == 84
     assert walks == [5]
 
@@ -247,7 +243,7 @@ def test_one_walk_per_chart_serves_every_level_and_unit(monkeypatch, tmp_path):
     support = Support.cosets(2, 1, [(0, 0), (1, 1)], 3)
     decomposition = measure_charts(BAD_LINE.system)
     met = sum(decomposition.restrict(chart, support)[0] for chart in decomposition.charts)
-    direct_sums(BAD_LINE.system, {m: [1, 2] for m in range(1, 5)}, True, support)
+    oscillatory_integral(BAD_LINE.system, {m: [1, 2] for m in range(1, 5)}, support)
     assert walks == [2] * met
 
     # `expsum` on line_x2 (max_level 5): one walk for every m
@@ -262,13 +258,14 @@ def test_direct_sums_settle_subtrees_by_slope(monkeypatch):
     # whose target slope is 0 mod p^j while 2j < M (the targets x2^2 and
     # x2^2 + x3^3 have s = 0), and every other node settles its subtree on
     # one class of values.  LINE_X2_P5 (5 roots, 5 lifts per node): the
-    # slope 2 x2 is 0 mod 5^j only at x2 = 0 mod 5^j, so one walk per m =
-    # 1..5 descends 0 mod 5^j for j < m / 2: 5 + 5 + 10 + 10 + 15 = 50
-    # nodes, where the walks to half depth cost 225 and walking to K 4,875.
-    # THREEVAR (9 roots, 9 lifts per node) at m = 1..3: only the walk to 3
-    # descends its 3 roots with x2 = 0: 9 + 9 + 36, was 108.  One walk to
-    # M = 10 for LINE_X2_P5 descends 0 mod 5^j for j <= 4 and so visits the
-    # 5 nodes of each of the levels 1 to 5: 25 nodes, was 3,905
+    # slope 2 x2 is 0 mod 5^j only at x2 = 0 mod 5^j, so the check's one
+    # walk to level 5 at M = 5 descends 0 mod 5^j for j < 5 / 2: 5 + 5 + 5
+    # = 15 nodes, where a walk per m = 1..5 cost 50, the walks to half
+    # depth 225 and walking to K 4,875.  THREEVAR (9 roots, 9 lifts per
+    # node) at m = 1..3: one walk to level 3 descends its 3 roots with x2
+    # = 0: 36 nodes, where a walk per m cost 54 and, before that, 108.  One
+    # walk to M = 10 for LINE_X2_P5 descends 0 mod 5^j for j <= 4 and so
+    # visits the 5 nodes of each of the levels 1 to 5: 25 nodes, was 3,905
     meters = []
     meter_class = expsum.BudgetMeter
 
@@ -279,14 +276,15 @@ def test_direct_sums_settle_subtrees_by_slope(monkeypatch):
 
     monkeypatch.setattr(expsum, "BudgetMeter", recording)
     for system, m_values, used in (
-        (LINE_X2_P5.system, [1, 2, 3, 4, 5], [5, 5, 10, 10, 15]),
-        (THREEVAR.system, [1, 2, 3], [9, 9, 36]),
+        (LINE_X2_P5.system, [1, 2, 3, 4, 5], 15),
+        (THREEVAR.system, [1, 2, 3], 36),
     ):
         meters.clear()
         assert stationary_phase_check(system, m_values).passed()
         walks = [meter for meter in meters if meter.stage.startswith("hensel walk")]
-        assert [meter.stage for meter in walks] == [f"hensel walk m={m}" for m in m_values]
-        assert [meter.used for meter in walks] == used
+        assert [(meter.stage, meter.used) for meter in walks] == [
+            (f"hensel walk m={max(m_values)}", used)
+        ]
     meters.clear()
-    direct_sums(LINE_X2_P5.system, {m: [1] for m in range(1, 11)}, False)
+    exponential_sum(LINE_X2_P5.system, {m: [1] for m in range(1, 11)})
     assert [(meter.stage, meter.used) for meter in meters] == [("hensel walk m=10", 25)]

@@ -24,7 +24,6 @@ from padiczeta.expsum import (
     build_stationary_phase_context,
     decay_report,
     decomposed_expsum_check,
-    direct_sums,
     exponential_sum,
     oscillatory_integral,
 )
@@ -770,15 +769,15 @@ def test_batched_direct_sums_match_brute_and_single_units(case):
     for m in (1, 2, 3):
         units = [u for u in range(1, p**m) if u % p]
         image, covered, K = _brute_points(system, support, m)
-        sums = exponential_sum(system, m, units)
-        surfaces = oscillatory_integral(system, m, units, support)
+        sums = exponential_sum(system, {m: units})[m]
+        surfaces = oscillatory_integral(system, {m: units}, support)[m]
         for u, direct, surface in zip(units, sums, surfaces):
             assert abs(direct - _brute_sum(system, image, m, u, m)) < 1e-12, (m, u)
             assert abs(surface - _brute_sum(system, covered, m, u, K)) < 1e-12, (m, u)
-            assert direct == exponential_sum(system, m, [u])[0]
-            assert surface == oscillatory_integral(system, m, [u], support)[0]
+            assert direct == exponential_sum(system, {m: [u]})[m][0]
+            assert surface == oscillatory_integral(system, {m: [u]}, support)[m][0]
         if decomposition.L == 0:  # on the full polydisc the two sums coincide
-            assert oscillatory_integral(system, m, units) == sums
+            assert oscillatory_integral(system, {m: units})[m] == sums
 
 
 @given(graphs_with_support())
@@ -790,11 +789,11 @@ def test_multi_level_direct_sums_match_per_level_calls(case):
     system, support = case
     p = system.p
     units = {m: [u for u in range(1, p**m) if u % p] for m in (1, 2, 3)}
-    sums = direct_sums(system, units, False)
-    surfaces = direct_sums(system, units, True, support)
+    sums = exponential_sum(system, units)
+    surfaces = oscillatory_integral(system, units, support)
     for m, us in units.items():
-        assert sums[m] == exponential_sum(system, m, us)
-        assert surfaces[m] == oscillatory_integral(system, m, us, support)
+        assert sums[m] == exponential_sum(system, {m: us})[m]
+        assert surfaces[m] == oscillatory_integral(system, {m: us}, support)[m]
         image, covered, K = _brute_points(system, support, m)
         for u, direct, surface in zip(us, sums[m], surfaces[m]):
             assert abs(direct - _brute_sum(system, image, m, u, m)) < 1e-12, (m, u)
@@ -871,8 +870,8 @@ def test_counted_direct_sums_match_brute(case):
     p, dim = system.p, system.dim
     top = {2: 6, 3: 4, 5: 3}[p]
     units = {m: [u for u in range(1, p**m) if u % p] for m in range(1, top + 1)}
-    sums = direct_sums(system, units, False)
-    surfaces = direct_sums(system, units, True, support)
+    sums = exponential_sum(system, units)
+    surfaces = oscillatory_integral(system, units, support)
     # one brute-force scan: its level K >= top + c fixes every image class
     # and the support, as in `_brute_points`
     c = system.constraints[0].content_valuation(p)
@@ -893,13 +892,13 @@ def test_counted_direct_sums_match_brute(case):
 def test_batched_direct_sums_validate_units():
     system = LINE_X2.system
     with pytest.raises(ValueError):
-        exponential_sum(system, 2, [1, 3])
+        exponential_sum(system, {2: [1, 3]})
     with pytest.raises(ValueError):
-        oscillatory_integral(system, 2, [2, 6])
+        oscillatory_integral(system, {2: [2, 6]})
     with pytest.raises(ValueError):
-        oscillatory_integral(system, 0, [1])
+        oscillatory_integral(system, {0: [1]})
     # units reduce mod p^m: u and u + p^m give the same surface integral
-    assert oscillatory_integral(system, 2, [2, 11]) == oscillatory_integral(system, 2, [2, 2])
+    assert oscillatory_integral(system, {2: [2, 11]}) == oscillatory_integral(system, {2: [2, 2]})
 
 
 # p^n = 9: a budget of 10 admits the F_p scan but not the walks below
@@ -926,11 +925,11 @@ BUDGET_COSETS = Support.cosets(2, 3, [(0, 0), (1, 0)], 3)
             "count walk m=10 chart 1/1",
         ),
         # the same 15 nodes, one walk to level 10 for both units
-        (lambda budget: exponential_sum(BUDGET_CUSP, 10, [1, 2], budget), "hensel walk m=10"),
+        (lambda budget: exponential_sum(BUDGET_CUSP, {10: [1, 2]}, budget), "hensel walk m=10"),
         # the support's level 3 is the deepest: 3 + 6 + 6 nodes, counting the
         # lifts it prunes
         (
-            lambda budget: oscillatory_integral(BUDGET_LINE, 2, [1], BUDGET_COSETS, budget),
+            lambda budget: oscillatory_integral(BUDGET_LINE, {2: [1]}, BUDGET_COSETS, budget),
             "hensel walk m=3",
         ),
         # solvability is read off the count walk, the same 15 nodes to level 10
@@ -1180,8 +1179,8 @@ def test_chart_walks_reuse_the_decomposition_lifters(builds):
     decomposition = measure_charts(system, DEFAULT_BUDGET)
     assert len(builds) == 2
     support = Support.cosets(2, 3, [(0, 0), (9, 3)], 3)  # level 3 > L = 2
-    exponential_sum(system, 3, [1])
-    oscillatory_integral(system, 3, [1], support=support)
+    exponential_sum(system, {3: [1]})
+    oscillatory_integral(system, {3: [1]}, support=support)
     decomposition.image_count(4)
     tail_measure(system, 3, support=support)
     assert len(builds) == 2
@@ -1193,8 +1192,8 @@ def test_entry_points_share_one_decomposition(builds):
     # nine charts share, and no later entry point, nor any spelling of the
     # lookup, builds another
     system = BAD_LINE.system
-    exponential_sum(system, 3, [1])
-    oscillatory_integral(system, 3, [1])
+    exponential_sum(system, {3: [1]})
+    oscillatory_integral(system, {3: [1]})
     build_stationary_phase_context(system, depth=3)
     decay_report(system, [3, 4], pole_data_from_resolution([(2, 1)], 3))
     congruence_counts(system, 4)

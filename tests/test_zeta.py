@@ -15,7 +15,7 @@ from padiczeta.errors import (
 )
 from padiczeta.mpoly import MPoly, PolySystem, system_from_strings
 from padiczeta.padic import ScaledUnit
-from padiczeta.expsum import decomposed_expsum_check, direct_sums
+from padiczeta.expsum import decomposed_expsum_check, exponential_sum
 import padiczeta.poincare as poincare
 import padiczeta.zeta as zeta
 from padiczeta.poincare import congruence_counts, decomposed_count_check
@@ -502,7 +502,7 @@ def test_out_of_range_arguments_raise_typed_errors():
     with pytest.raises(ArgumentOutOfRange, match="needs m > L = 2"):
         decomposed_expsum_check(BAD_LINE.system, [2, 4])
     with pytest.raises(ArgumentOutOfRange, match="m must be >= 1"):
-        direct_sums(LINE_X2.system, {0: [1]}, False)
+        exponential_sum(LINE_X2.system, {0: [1]})
     with pytest.raises(ArgumentOutOfRange, match="needs m >= 1"):
         ScaledUnit(3, 0, 1)
     with pytest.raises(ArgumentOutOfRange, match="unit modulo p"):
